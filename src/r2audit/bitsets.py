@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -26,19 +25,3 @@ def indices_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask`` in ascending order (includes 0 and mask)."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
-def masks_of_size(universe: Iterable[int], size: int) -> Iterator[int]:
-    """Yield masks of all ``size``-subsets of ``universe`` in lexicographic order."""
-    for combo in combinations(tuple(universe), size):
-        yield mask_of(combo)

@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from .bitsets import mask_of
-from .errors import EmptyCandidateSet, InfeasibleCorrelations, TooManyFeatures
-from .regress import DEFAULT_MAX_FEATURES, HARD_MAX_FEATURES, FitCache, StandardizedDesign
+from .errors import EmptyCandidateSet, InfeasibleCorrelations
+from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _check_cap
 from .setfun import SKIP_DENOM_TOL, _r2
 
 MODE_AT_MOST_K = "at_most_k"
@@ -57,9 +57,7 @@ def submodularity_ratio(
     EmptyCandidateSet is raised.
     """
     m = design.m
-    cap = min(max_features, HARD_MAX_FEATURES)
-    if m > cap:
-        raise TooManyFeatures(m, cap)
+    _check_cap(m, max_features)
     if len(query.base) + query.k > m:
         raise ValueError("base set plus k exceeds the number of features")
     cache = cache if cache is not None else FitCache()

@@ -28,6 +28,7 @@ from .errors import (
     NotPSD,
     RankDeficient,
     TooFewRows,
+    TooManyFeatures,
 )
 
 # Shared numeric tolerances. Enumeration caps live here because the cache keys
@@ -42,6 +43,13 @@ DEFAULT_MAX_FEATURES = 24
 HARD_MAX_FEATURES = 63
 
 SubsetLike = Iterable[int]
+
+
+def _check_cap(m: int, max_features: int) -> None:
+    """Refuse an exhaustive enumeration over more than the allowed features."""
+    cap = min(max_features, HARD_MAX_FEATURES)
+    if m > cap:
+        raise TooManyFeatures(m, cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +116,14 @@ class FitCache:
 
     Concurrent readers may race a writer; duplicate computation is harmless
     because entries are value-identical for a given design, and ``setdefault``
-    guarantees a torn entry is never observed.
+    guarantees a torn entry is never observed. ``table`` holds the dense
+    r_squared-by-mask array once a set-function kernel has filled it; it is
+    published by a single assignment, so readers see None or a full table.
     """
 
     def __init__(self):
         self._entries: dict[int, FitEntry] = {0: FitEntry(0.0, 0)}
+        self.table: np.ndarray | None = None
 
     def get(self, mask: int) -> FitEntry | None:
         return self._entries.get(mask)

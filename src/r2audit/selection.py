@@ -17,25 +17,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitsets import indices_of, mask_of
-from .errors import DegenerateResidual, InsufficientDof, RankDeficient, TooManyFeatures, ZeroBeta
+from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
 from .regress import (
     DEFAULT_MAX_FEATURES,
-    HARD_MAX_FEATURES,
     ZERO_RSS_TOL,
     FitCache,
     StandardizedDesign,
+    _check_cap,
     ls_fit,
     partial_correlation,
 )
-from .setfun import _r2, check_submodular
+from .setfun import _r2, has_second_order_violation
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
-
-
-def _check_cap(m: int, max_features: int) -> None:
-    cap = min(max_features, HARD_MAX_FEATURES)
-    if m > cap:
-        raise TooManyFeatures(m, cap)
 
 
 @dataclass(frozen=True)
@@ -147,6 +141,19 @@ def forward_stepwise(
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
+def _best_of_size(design: StandardizedDesign, size: int, cache: FitCache) -> tuple[int, float]:
+    """Mask and fit of the best subset of one size; ties go to the smallest mask."""
+    best_mask = -1
+    best_r2 = -1.0
+    for combo in combinations(range(design.m), size):
+        mask = mask_of(combo)
+        value = _r2(design, mask, cache)
+        if value > best_r2 or (value == best_r2 and mask < best_mask):
+            best_r2 = value
+            best_mask = mask
+    return best_mask, best_r2
+
+
 @dataclass(frozen=True)
 class BestSubsetResult:
     subset: tuple[int, ...]
@@ -167,12 +174,10 @@ def best_subset(
     best_mask = 0
     best_r2 = 0.0
     for size in range(1, k + 1):
-        for combo in combinations(range(design.m), size):
-            mask = mask_of(combo)
-            value = _r2(design, mask, cache)
-            if value > best_r2 or (value == best_r2 and mask < best_mask):
-                best_r2 = value
-                best_mask = mask
+        mask, value = _best_of_size(design, size, cache)
+        if value > best_r2 or (value == best_r2 and mask < best_mask):
+            best_r2 = value
+            best_mask = mask
     return BestSubsetResult(indices_of(best_mask), best_r2)
 
 
@@ -197,17 +202,7 @@ def l0_path(
     """
     _check_cap(design.m, max_features)
     cache = cache if cache is not None else FitCache()
-    per_size: list[tuple[int, float]] = [(0, 0.0)]
-    for size in range(1, design.m + 1):
-        best_mask = -1
-        best_r2 = -1.0
-        for combo in combinations(range(design.m), size):
-            mask = mask_of(combo)
-            value = _r2(design, mask, cache)
-            if value > best_r2 or (value == best_r2 and mask < best_mask):
-                best_r2 = value
-                best_mask = mask
-        per_size.append((best_mask, best_r2))
+    per_size = [(0, 0.0)] + [_best_of_size(design, size, cache) for size in range(1, design.m + 1)]
 
     path = []
     for lam in lambda_grid:
@@ -254,15 +249,12 @@ def nwf_check(
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
     optimal = best_subset(design, k, cache=cache, max_features=max_features).r_squared
     ratio = 1.0 if optimal <= 0.0 else greedy / optimal
-    violations = check_submodular(
-        design, "second_order", cache=cache, max_features=max_features
-    )
     return NwfResult(
         greedy_r2=greedy,
         optimal_r2=optimal,
         ratio=ratio,
         guarantee_holds=ratio >= NWF_THRESHOLD - tolerance,
-        is_submodular=not violations,
+        is_submodular=not has_second_order_violation(design, cache=cache, max_features=max_features),
     )
 
 

@@ -1,24 +1,36 @@
 """The fit function viewed as a set function: gains, violation certificates,
 empirical approximate-submodularity constants, and the chain lower bound.
 
-All enumerations run off a shared FitCache, walk masks in lexicographic
-order, and break argmin ties toward the smallest mask so results are
-deterministic across runs and platforms.
+Every exhaustive diagnostic reads one dense table r2[mask] of all 2^m subset
+fits, filled once through the cached fit path and memoized on the FitCache
+(2^m fits, O(2^m) memory). A gain is the table difference r2[A|i] - r2[A].
+The second-order family (gamma_s2, second-order and suppressor certificates)
+reads one kernel giving, per ordered pair (i, j), the masks A holding neither
+with gain_A(i) and gain_{A+j}(i): O(m^2 2^m) time, O(2^m) memory per pair.
+gamma_s divides each gain_A(i) by the largest usable gain_B(i) over strict
+supersets B, found by a zeta transform in O(m^2 2^m) rather than a walk over
+all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
+The definition and first-order checks compare blocks of table rows with the
+whole table: O(4^m) and O(m 4^m) time. Argmin ties break toward the first
+comparison in ascending mask order; certificates are sorted by deficit,
+largest first, then by their index sets as tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .bitsets import indices_of, iter_submasks, mask_of
-from .errors import OutOfDomain, TooManyFeatures
+import numpy as np
+
+from .bitsets import indices_of, mask_of
+from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
-    HARD_MAX_FEATURES,
     FitCache,
     StandardizedDesign,
+    _check_cap,
     fit_entry,
 )
 
@@ -27,11 +39,8 @@ SKIP_DENOM_TOL = 1e-12
 
 MODES = ("definition", "first_order", "second_order")
 
-
-def _check_cap(m: int, max_features: int) -> None:
-    cap = min(max_features, HARD_MAX_FEATURES)
-    if m > cap:
-        raise TooManyFeatures(m, cap)
+# Comparisons held at once by the definition and first-order checks.
+_BLOCK = 1 << 18
 
 
 def _r2(design: StandardizedDesign, mask: int, cache: FitCache) -> float:
@@ -39,6 +48,38 @@ def _r2(design: StandardizedDesign, mask: int, cache: FitCache) -> float:
     if entry is None:
         entry = cache.get_or_compute(mask, lambda: fit_entry(design, indices_of(mask)))
     return entry.r_squared
+
+
+def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int) -> np.ndarray:
+    """Cap-checked, dense, read-only r2[mask] of all 2^m masks, memoized on the cache."""
+    _check_cap(design.m, max_features)
+    cache = cache if cache is not None else FitCache()
+    table = cache.table
+    if table is None:
+        size = 1 << design.m
+        table = np.fromiter((_r2(design, mask, cache) for mask in range(size)), float, size)
+        table.setflags(write=False)
+        cache.table = table
+    return table
+
+
+def _gains(table: np.ndarray, i: int) -> np.ndarray:
+    """gain_S(i) = r2[S|i] - r2[S] for every mask S (zero where S holds i)."""
+    return table[np.arange(table.size) | (1 << i)] - table
+
+
+def _pair_gains(table: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]:
+    """Yield (A, i, j, gain_A(i), gain_{A+j}(i)) for every ordered pair i != j,
+    where A holds, ascending, every mask containing neither i nor j."""
+    masks = np.arange(1 << m)
+    for i in range(m):
+        bit_i = 1 << i
+        for j in range(m):
+            if j == i:
+                continue
+            bit_j = 1 << j
+            a = masks[(masks & (bit_i | bit_j)) == 0]
+            yield a, i, j, table[a | bit_i] - table[a], table[a | bit_j | bit_i] - table[a | bit_j]
 
 
 def delta(
@@ -91,8 +132,63 @@ class ViolationCertificate:
         }
 
 
-def _sets(**kwargs: tuple[int, ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    return tuple(kwargs.items())
+def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:
+    """Position of each mask's index tuple in lexicographic tuple order: its
+    size plus 2^(m-1-b) for each absent b below its largest member, the count
+    of tuples that continue with b."""
+    rank = np.zeros_like(masks)
+    for b in range(m):
+        has = (masks >> b) & 1
+        rank += has + ((has == 0) & ((masks >> (b + 1)) != 0)) * (1 << (m - 1 - b))
+    return rank
+
+
+def _certificates(form, roles, chunks, tolerance, m) -> list[ViolationCertificate]:
+    """Certificates for every comparison with rhs - lhs > tolerance.
+
+    ``chunks`` yields one array or scalar per role, then lhs and rhs arrays:
+    masks for the set roles A, B and S, feature indices for i and j. The result
+    is sorted by deficit, largest first, then by the index sets as tuples.
+    """
+    kept = []
+    for chunk in chunks:
+        hit = chunk[-1] - chunk[-2] > tolerance
+        kept.append([np.broadcast_to(values, hit.shape)[hit] for values in chunk])
+    if not kept:
+        return []
+    *columns, lhs, rhs = map(np.concatenate, zip(*kept))
+    deficit = rhs - lhs
+    keys = [col if role in ("i", "j") else _lex_rank(col, m) for role, col in zip(roles, columns)]
+    order = np.lexsort(keys[::-1] + [-deficit])
+    parts = []
+    for role, col in zip(roles, columns):
+        values = col[order].tolist()
+        as_set = (lambda v: (v,)) if role in ("i", "j") else indices_of
+        lookup = {v: (role, as_set(v)) for v in set(values)}
+        parts.append([lookup[v] for v in values])
+    return [
+        ViolationCertificate(form, sets, l, r, d)
+        for sets, l, r, d in zip(
+            zip(*parts), lhs[order].tolist(), rhs[order].tolist(), deficit[order].tolist()
+        )
+    ]
+
+
+def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the mask pairs (A, B) with keep(A, B), a block of rows A at a time."""
+    masks = np.arange(1 << m)
+    step = max(1, _BLOCK >> m)
+    for lo in range(0, masks.size, step):
+        rows, b = np.nonzero(keep(masks[lo : lo + step, None], masks))
+        yield rows + lo, b
+
+
+def _first_order_pairs(table: np.ndarray, m: int):
+    gains = [_gains(table, i) for i in range(m)]
+    for a, b in _mask_pairs(m, lambda a, b: ((a | b) == b) & (a < b)):
+        for i, gain in enumerate(gains):
+            outside = (b >> i) & 1 == 0
+            yield a[outside], b[outside], i, gain[a[outside]], gain[b[outside]]
 
 
 def check_submodular(
@@ -113,80 +209,27 @@ def check_submodular(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = design.m
-    _check_cap(m, max_features)
-    cache = cache if cache is not None else FitCache()
-    full = (1 << m) - 1
-    found: list[ViolationCertificate] = []
-
+    table = _table(design, cache, max_features)
     if mode == "definition":
-        for a_mask in range(full + 1):
-            fa = _r2(design, a_mask, cache)
-            for b_mask in range(a_mask, full + 1):
-                lhs = fa + _r2(design, b_mask, cache)
-                rhs = _r2(design, a_mask | b_mask, cache) + _r2(design, a_mask & b_mask, cache)
-                if rhs - lhs > tolerance:
-                    found.append(
-                        ViolationCertificate(
-                            "definition",
-                            _sets(A=indices_of(a_mask), B=indices_of(b_mask)),
-                            lhs,
-                            rhs,
-                            rhs - lhs,
-                        )
-                    )
-    elif mode == "first_order":
-        for a_mask in range(full + 1):
-            rest = full & ~a_mask
-            for extra in iter_submasks(rest):
-                if extra == 0:
-                    continue
-                b_mask = a_mask | extra
-                outside = full & ~b_mask
-                fa = _r2(design, a_mask, cache)
-                fb = _r2(design, b_mask, cache)
-                i = 0
-                probe = outside
-                while probe:
-                    if probe & 1:
-                        bit = 1 << i
-                        lhs = _r2(design, a_mask | bit, cache) - fa
-                        rhs = _r2(design, b_mask | bit, cache) - fb
-                        if rhs - lhs > tolerance:
-                            found.append(
-                                ViolationCertificate(
-                                    "first_order",
-                                    _sets(A=indices_of(a_mask), B=indices_of(b_mask), i=(i,)),
-                                    lhs,
-                                    rhs,
-                                    rhs - lhs,
-                                )
-                            )
-                    probe >>= 1
-                    i += 1
-    else:
-        for a_mask in range(full + 1):
-            fa = _r2(design, a_mask, cache)
-            outside = indices_of(full & ~a_mask)
-            for i in outside:
-                gain_a = _r2(design, a_mask | (1 << i), cache) - fa
-                for j in outside:
-                    if j == i:
-                        continue
-                    with_j = a_mask | (1 << j)
-                    rhs = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
-                    if rhs - gain_a > tolerance:
-                        found.append(
-                            ViolationCertificate(
-                                "second_order",
-                                _sets(A=indices_of(a_mask), i=(i,), j=(j,)),
-                                gain_a,
-                                rhs,
-                                rhs - gain_a,
-                            )
-                        )
+        chunks = (
+            (a, b, table[a] + table[b], table[a | b] + table[a & b])
+            for a, b in _mask_pairs(m, np.less_equal)
+        )
+        return _certificates("definition", ("A", "B"), chunks, tolerance, m)
+    if mode == "first_order":
+        return _certificates("first_order", ("A", "B", "i"), _first_order_pairs(table, m), tolerance, m)
+    return _certificates("second_order", ("A", "i", "j"), _pair_gains(table, m), tolerance, m)
 
-    found.sort(key=lambda c: (-c.deficit, c.sets))
-    return found
+
+def has_second_order_violation(
+    design: StandardizedDesign,
+    tolerance: float = VIOLATION_TOL,
+    cache: FitCache | None = None,
+    max_features: int = DEFAULT_MAX_FEATURES,
+) -> bool:
+    """Whether the second-order check finds a violation; builds no certificates."""
+    table = _table(design, cache, max_features)
+    return any(bool((cond - gain > tolerance).any()) for *_, gain, cond in _pair_gains(table, design.m))
 
 
 def find_suppressors(
@@ -202,35 +245,12 @@ def find_suppressors(
     count as zero correlation. Certificates store the two absolute
     correlations and are sorted by deficit, largest first.
     """
-    m = design.m
-    _check_cap(m, max_features)
-    cache = cache if cache is not None else FitCache()
-    full = (1 << m) - 1
-    found: list[ViolationCertificate] = []
-    for s_mask in range(full + 1):
-        fs = _r2(design, s_mask, cache)
-        outside = indices_of(full & ~s_mask)
-        for i in outside:
-            base_gain = _r2(design, s_mask | (1 << i), cache) - fs
-            base_corr = math.sqrt(max(base_gain, 0.0))
-            for j in outside:
-                if j == i:
-                    continue
-                with_j = s_mask | (1 << j)
-                gain = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
-                cond_corr = math.sqrt(max(gain, 0.0))
-                if cond_corr - base_corr > tolerance:
-                    found.append(
-                        ViolationCertificate(
-                            "suppression",
-                            _sets(S=indices_of(s_mask), i=(i,), j=(j,)),
-                            base_corr,
-                            cond_corr,
-                            cond_corr - base_corr,
-                        )
-                    )
-    found.sort(key=lambda c: (-c.deficit, c.sets))
-    return found
+    table = _table(design, cache, max_features)
+    chunks = (
+        (a, i, j, np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0)))
+        for a, i, j, gain, cond in _pair_gains(table, design.m)
+    )
+    return _certificates("suppression", ("S", "i", "j"), chunks, tolerance, design.m)
 
 
 def replay_certificate(
@@ -256,21 +276,15 @@ def replay_certificate(
             _r2(design, a | bit, cache) - _r2(design, a, cache),
             _r2(design, b | bit, cache) - _r2(design, b, cache),
         )
-    if cert.form == "second_order":
-        a = mask_of(sets["A"])
+    if cert.form in ("second_order", "suppression"):
+        a = mask_of(sets["A"] if cert.form == "second_order" else sets["S"])
         bit_i = 1 << sets["i"][0]
-        bit_j = 1 << sets["j"][0]
-        return (
-            _r2(design, a | bit_i, cache) - _r2(design, a, cache),
-            _r2(design, a | bit_j | bit_i, cache) - _r2(design, a | bit_j, cache),
-        )
-    if cert.form == "suppression":
-        s = mask_of(sets["S"])
-        bit_i = 1 << sets["i"][0]
-        bit_j = 1 << sets["j"][0]
-        base = _r2(design, s | bit_i, cache) - _r2(design, s, cache)
-        cond = _r2(design, s | bit_j | bit_i, cache) - _r2(design, s | bit_j, cache)
-        return math.sqrt(max(base, 0.0)), math.sqrt(max(cond, 0.0))
+        with_j = a | (1 << sets["j"][0])
+        base = _r2(design, a | bit_i, cache) - _r2(design, a, cache)
+        cond = _r2(design, with_j | bit_i, cache) - _r2(design, with_j, cache)
+        if cert.form == "suppression":
+            return math.sqrt(max(base, 0.0)), math.sqrt(max(cond, 0.0))
+        return base, cond
     raise ValueError(f"unknown certificate form {cert.form!r}")
 
 
@@ -298,31 +312,31 @@ def empirical_gamma_s2(
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> GammaEstimates:
     """Minimum of gain_A(i) / gain_{A+j}(i) over all eligible (A, i, j)."""
-    m = design.m
-    _check_cap(m, max_features)
-    cache = cache if cache is not None else FitCache()
-    full = (1 << m) - 1
-    best = math.inf
-    witness = None
+    table = _table(design, cache, max_features)
+    per_pair = []
     skipped = 0
-    for a_mask in range(full + 1):
-        fa = _r2(design, a_mask, cache)
-        outside = indices_of(full & ~a_mask)
-        for i in outside:
-            num = _r2(design, a_mask | (1 << i), cache) - fa
-            for j in outside:
-                if j == i:
-                    continue
-                with_j = a_mask | (1 << j)
-                den = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
-                if den < SKIP_DENOM_TOL:
-                    skipped += 1
-                    continue
-                ratio = max(num, 0.0) / den
-                if ratio < best:
-                    best = ratio
-                    witness = (indices_of(a_mask), i, j)
-    return GammaEstimates(gamma_s2=best, witness_s2=witness, skipped_s2=skipped)
+    for a, i, j, num, den in _pair_gains(table, design.m):
+        keep = ~(den < SKIP_DENOM_TOL)
+        skipped += a.size - int(keep.sum())
+        ratio = np.maximum(num[keep], 0.0) / den[keep]
+        if ratio.size:
+            at = int(ratio.argmin())
+            per_pair.append((float(ratio[at]), int(a[keep][at]), i, j))
+    if not per_pair:
+        return GammaEstimates(gamma_s2=math.inf, witness_s2=None, skipped_s2=skipped)
+    value, a_mask, i, j = min(per_pair)
+    return GammaEstimates(gamma_s2=value, witness_s2=(indices_of(a_mask), i, j), skipped_s2=skipped)
+
+
+def _strict_superset_max(values: np.ndarray, m: int) -> np.ndarray:
+    """out[S] = max of values[T] over masks T strictly containing S (-inf if none)."""
+    upper = values.copy()  # max over supersets, S included, seen so far
+    out = np.full(values.size, -np.inf)
+    for b in range(m):
+        u, o = upper.reshape(-1, 2, 1 << b), out.reshape(-1, 2, 1 << b)
+        np.maximum(o[:, 0], u[:, 1], out=o[:, 0])
+        np.maximum(u[:, 0], u[:, 1], out=u[:, 0])
+    return out
 
 
 def empirical_gamma_s(
@@ -330,45 +344,48 @@ def empirical_gamma_s(
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> GammaEstimates:
-    """Minimum of gain_A(i) / gain_B(i) over nested pairs A < B with i outside B."""
+    """Minimum of gain_A(i) / gain_B(i) over nested pairs A < B with i outside B.
+
+    For fixed A and i the smallest ratio uses the largest usable denominator
+    over B, so one strict-superset max per feature replaces the walk over
+    nested pairs. A denominator below SKIP_DENOM_TOL is skipped once for each
+    of its 2^|B| - 1 proper subsets A.
+    """
     m = design.m
-    _check_cap(m, max_features)
-    cache = cache if cache is not None else FitCache()
-    full = (1 << m) - 1
-    best = math.inf
-    witness = None
+    table = _table(design, cache, max_features)
+    masks = np.arange(1 << m)
+    sizes = sum((masks >> b) & 1 for b in range(m))
+    per_feature = []
     skipped = 0
-    for a_mask in range(full + 1):
-        fa = _r2(design, a_mask, cache)
-        rest = full & ~a_mask
-        for extra in iter_submasks(rest):
-            if extra == 0:
-                continue
-            b_mask = a_mask | extra
-            fb = _r2(design, b_mask, cache)
-            for i in indices_of(full & ~b_mask):
-                bit = 1 << i
-                den = _r2(design, b_mask | bit, cache) - fb
-                if den < SKIP_DENOM_TOL:
-                    skipped += 1
-                    continue
-                num = _r2(design, a_mask | bit, cache) - fa
-                ratio = max(num, 0.0) / den
-                if ratio < best:
-                    best = ratio
-                    witness = (indices_of(a_mask), indices_of(b_mask), i)
-    return GammaEstimates(gamma_s=best, witness_s=witness, skipped_s=skipped)
-
-
-def merge_gamma_estimates(s2: GammaEstimates, s: GammaEstimates) -> GammaEstimates:
-    """Combine the two one-sided estimates into a single record."""
+    for i in range(m):
+        gain = _gains(table, i)
+        outside = (masks >> i) & 1 == 0
+        small = outside & (gain < SKIP_DENOM_TOL)
+        skipped += int(((1 << sizes[small]) - 1).sum())
+        den = _strict_superset_max(np.where(outside & ~small, gain, -np.inf), m)
+        usable = den > -np.inf
+        ratio = np.full(masks.size, np.inf)
+        ratio[usable] = np.maximum(gain[usable], 0.0) / den[usable]
+        at = int(ratio.argmin())
+        if usable[at]:
+            per_feature.append((float(ratio[at]), at, i))
+    if not per_feature:
+        return GammaEstimates(gamma_s=math.inf, witness_s=None, skipped_s=skipped)
+    # The witness is the first (A, B, i) in mask order whose ratio is the
+    # minimum: the smallest A, then for it the smallest usable B.
+    value, a_mask, _ = min(per_feature)
+    candidates = []
+    for ratio_i, at, i in per_feature:
+        if (ratio_i, at) != (value, a_mask):
+            continue
+        gain = _gains(table, i)
+        b = masks[((masks & a_mask) == a_mask) & (masks != a_mask) & ((masks >> i) & 1 == 0)]
+        b = b[~(gain[b] < SKIP_DENOM_TOL)]
+        hit = np.maximum(gain[a_mask], 0.0) / gain[b] == value
+        candidates.append((int(b[hit.argmax()]), i))
+    b_mask, i = min(candidates)
     return GammaEstimates(
-        gamma_s2=s2.gamma_s2,
-        witness_s2=s2.witness_s2,
-        skipped_s2=s2.skipped_s2,
-        gamma_s=s.gamma_s,
-        witness_s=s.witness_s,
-        skipped_s=s.skipped_s,
+        gamma_s=value, witness_s=(indices_of(a_mask), indices_of(b_mask), i), skipped_s=skipped
     )
 
 

@@ -10,9 +10,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import TooManyFeatures
 from .gamma import RatioQuery, submodularity_ratio
-from .regress import DEFAULT_MAX_FEATURES, HARD_MAX_FEATURES, FitCache, StandardizedDesign
+from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _check_cap
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,7 @@ def sparse_min_eigenvalue(
     if np.abs(S - S.T).max() > 1e-8:
         raise ValueError("sigma_hat must be symmetric")
     m = S.shape[0]
-    cap = min(max_features, HARD_MAX_FEATURES)
-    if m > cap:
-        raise TooManyFeatures(m, cap)
+    _check_cap(m, max_features)
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in 1..{m}")
     best = math.inf

@@ -1,0 +1,196 @@
+"""Scalar reference implementations of the exhaustive set-function walks.
+
+These are the original one-comparison-at-a-time loops over a FitCache. The
+package computes the same quantities with dense-table numpy kernels; the
+differential tests require the two to agree with ``==``: values, witnesses,
+skip counts and certificate order, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+from r2audit.bitsets import indices_of
+from r2audit.regress import FitCache
+from r2audit.setfun import (
+    MODES,
+    SKIP_DENOM_TOL,
+    VIOLATION_TOL,
+    GammaEstimates,
+    ViolationCertificate,
+    _r2,
+)
+
+
+def iter_submasks(mask: int):
+    """Yield every submask of ``mask`` in ascending order (includes 0 and mask)."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def _sets(**kwargs):
+    return tuple(kwargs.items())
+
+
+def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache=None, max_features=None):
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    m = design.m
+    cache = cache if cache is not None else FitCache()
+    full = (1 << m) - 1
+    found = []
+
+    if mode == "definition":
+        for a_mask in range(full + 1):
+            fa = _r2(design, a_mask, cache)
+            for b_mask in range(a_mask, full + 1):
+                lhs = fa + _r2(design, b_mask, cache)
+                rhs = _r2(design, a_mask | b_mask, cache) + _r2(design, a_mask & b_mask, cache)
+                if rhs - lhs > tolerance:
+                    found.append(
+                        ViolationCertificate(
+                            "definition",
+                            _sets(A=indices_of(a_mask), B=indices_of(b_mask)),
+                            lhs,
+                            rhs,
+                            rhs - lhs,
+                        )
+                    )
+    elif mode == "first_order":
+        for a_mask in range(full + 1):
+            rest = full & ~a_mask
+            for extra in iter_submasks(rest):
+                if extra == 0:
+                    continue
+                b_mask = a_mask | extra
+                fa = _r2(design, a_mask, cache)
+                fb = _r2(design, b_mask, cache)
+                for i in indices_of(full & ~b_mask):
+                    bit = 1 << i
+                    lhs = _r2(design, a_mask | bit, cache) - fa
+                    rhs = _r2(design, b_mask | bit, cache) - fb
+                    if rhs - lhs > tolerance:
+                        found.append(
+                            ViolationCertificate(
+                                "first_order",
+                                _sets(A=indices_of(a_mask), B=indices_of(b_mask), i=(i,)),
+                                lhs,
+                                rhs,
+                                rhs - lhs,
+                            )
+                        )
+    else:
+        for a_mask in range(full + 1):
+            fa = _r2(design, a_mask, cache)
+            outside = indices_of(full & ~a_mask)
+            for i in outside:
+                gain_a = _r2(design, a_mask | (1 << i), cache) - fa
+                for j in outside:
+                    if j == i:
+                        continue
+                    with_j = a_mask | (1 << j)
+                    rhs = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
+                    if rhs - gain_a > tolerance:
+                        found.append(
+                            ViolationCertificate(
+                                "second_order",
+                                _sets(A=indices_of(a_mask), i=(i,), j=(j,)),
+                                gain_a,
+                                rhs,
+                                rhs - gain_a,
+                            )
+                        )
+
+    found.sort(key=lambda c: (-c.deficit, c.sets))
+    return found
+
+
+def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=None):
+    m = design.m
+    cache = cache if cache is not None else FitCache()
+    full = (1 << m) - 1
+    found = []
+    for s_mask in range(full + 1):
+        fs = _r2(design, s_mask, cache)
+        outside = indices_of(full & ~s_mask)
+        for i in outside:
+            base_gain = _r2(design, s_mask | (1 << i), cache) - fs
+            base_corr = math.sqrt(max(base_gain, 0.0))
+            for j in outside:
+                if j == i:
+                    continue
+                with_j = s_mask | (1 << j)
+                gain = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
+                cond_corr = math.sqrt(max(gain, 0.0))
+                if cond_corr - base_corr > tolerance:
+                    found.append(
+                        ViolationCertificate(
+                            "suppression",
+                            _sets(S=indices_of(s_mask), i=(i,), j=(j,)),
+                            base_corr,
+                            cond_corr,
+                            cond_corr - base_corr,
+                        )
+                    )
+    found.sort(key=lambda c: (-c.deficit, c.sets))
+    return found
+
+
+def empirical_gamma_s2(design, cache=None, max_features=None):
+    m = design.m
+    cache = cache if cache is not None else FitCache()
+    full = (1 << m) - 1
+    best = math.inf
+    witness = None
+    skipped = 0
+    for a_mask in range(full + 1):
+        fa = _r2(design, a_mask, cache)
+        outside = indices_of(full & ~a_mask)
+        for i in outside:
+            num = _r2(design, a_mask | (1 << i), cache) - fa
+            for j in outside:
+                if j == i:
+                    continue
+                with_j = a_mask | (1 << j)
+                den = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
+                if den < SKIP_DENOM_TOL:
+                    skipped += 1
+                    continue
+                ratio = max(num, 0.0) / den
+                if ratio < best:
+                    best = ratio
+                    witness = (indices_of(a_mask), i, j)
+    return GammaEstimates(gamma_s2=best, witness_s2=witness, skipped_s2=skipped)
+
+
+def empirical_gamma_s(design, cache=None, max_features=None):
+    m = design.m
+    cache = cache if cache is not None else FitCache()
+    full = (1 << m) - 1
+    best = math.inf
+    witness = None
+    skipped = 0
+    for a_mask in range(full + 1):
+        fa = _r2(design, a_mask, cache)
+        rest = full & ~a_mask
+        for extra in iter_submasks(rest):
+            if extra == 0:
+                continue
+            b_mask = a_mask | extra
+            fb = _r2(design, b_mask, cache)
+            for i in indices_of(full & ~b_mask):
+                bit = 1 << i
+                den = _r2(design, b_mask | bit, cache) - fb
+                if den < SKIP_DENOM_TOL:
+                    skipped += 1
+                    continue
+                num = _r2(design, a_mask | bit, cache) - fa
+                ratio = max(num, 0.0) / den
+                if ratio < best:
+                    best = ratio
+                    witness = (indices_of(a_mask), indices_of(b_mask), i)
+    return GammaEstimates(gamma_s=best, witness_s=witness, skipped_s=skipped)

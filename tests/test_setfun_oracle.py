@@ -1,0 +1,132 @@
+"""Differential tests: the dense-table kernels against the scalar walks.
+
+Every comparison is ``==``, so values, witnesses, skip counts and the order
+of certificate lists must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+import setfun_oracle as oracle
+from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from r2audit import FitCache, gram_factory, r_squared, standardize, suppressor_population
+from r2audit import cli, selection, setfun
+from r2audit.bitsets import indices_of
+from r2audit.datasets import write_csv
+
+
+def _duplicated_column_design():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((20, 4))
+    X = np.column_stack([X, X[:, 1]])
+    y = X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(20)
+    return standardize(X, y)
+
+
+def _hadamard_design(columns, response):
+    # Sums of 8-row Sylvester-Hadamard columns. Exactly orthogonal sums give
+    # exact zero gains, so minimal ratios tie bit for bit across comparisons.
+    H = np.array([[1.0]])
+    for _ in range(3):
+        H = np.block([[H, H], [H, -H]])
+    h = H[:, 1:]
+    X = np.column_stack([h[:, list(c)].sum(axis=1) for c in columns])
+    return standardize(X, h[:, list(response)].sum(axis=1))
+
+
+DESIGNS = {
+    "orthogonal": lambda: make_orthogonal_design([0.6, 0.4, 0.2], n=8),
+    "pair": lambda: make_pair_design(0.5, 0.5, 0.5, n=8),
+    "suppressor6": lambda: gram_factory(suppressor_population(6, 1.0, 3.0), 10),
+    "duplicated_column": _duplicated_column_design,
+    "hadamard_pairs": lambda: _hadamard_design([(1,), (0, 1), (5,), (4, 5)], (0, 4)),
+    "hadamard_mix": lambda: _hadamard_design([(0, 2, 5, 6), (0, 1, 3, 5), (1, 6), (1, 3, 5)], (2, 5)),
+    "n_is_m_plus_2": lambda: make_noisy_design(9, n=7, m=5),
+    "single_feature": lambda: make_noisy_design(3, n=10, m=1),
+}
+for _m in range(4, 8):
+    DESIGNS[f"noisy_m{_m}"] = lambda m=_m: make_noisy_design(300 + m, n=24, m=m)
+
+
+@pytest.fixture(params=["miller", *DESIGNS])
+def design(request, miller_design):
+    if request.param == "miller":
+        return miller_design
+    return DESIGNS[request.param]()
+
+
+@pytest.mark.parametrize("mode", setfun.MODES)
+def test_check_submodular_matches_oracle(design, mode):
+    assert setfun.check_submodular(design, mode) == oracle.check_submodular(design, mode)
+
+
+def test_find_suppressors_matches_oracle(design):
+    assert setfun.find_suppressors(design) == oracle.find_suppressors(design)
+
+
+def test_gamma_s2_matches_oracle(design):
+    assert setfun.empirical_gamma_s2(design) == oracle.empirical_gamma_s2(design)
+
+
+def test_gamma_s_matches_oracle(design):
+    assert setfun.empirical_gamma_s(design) == oracle.empirical_gamma_s(design)
+
+
+def test_any_violation_matches_certificate_list(design):
+    expected = bool(oracle.check_submodular(design, "second_order"))
+    assert setfun.has_second_order_violation(design) is expected
+
+
+def test_tolerance_edge_matches_oracle(design):
+    # A tolerance equal to an observed deficit must exclude exactly that
+    # comparison in both implementations.
+    certs = oracle.check_submodular(design, "second_order", tolerance=0.0)
+    edge = certs[len(certs) // 2].deficit if certs else setfun.VIOLATION_TOL
+    assert setfun.check_submodular(design, tolerance=edge) == oracle.check_submodular(
+        design, tolerance=edge
+    )
+
+
+def test_table_is_filled_once_per_cache():
+    d = make_noisy_design(61, n=20, m=5)
+    cache = FitCache()
+    first = setfun.empirical_gamma_s2(d, cache=cache)
+    table = cache.table
+    assert len(cache) == 1 << d.m
+    assert not table.flags.writeable
+    setfun.find_suppressors(d, cache=cache)
+    setfun.check_submodular(d, "definition", cache=cache)
+    assert cache.table is table
+    assert setfun.empirical_gamma_s2(d, cache=cache) == first
+    for mask in range(1 << d.m):
+        assert table[mask] == r_squared(d, indices_of(mask))
+
+
+def test_lex_rank_orders_index_tuples():
+    m = 6
+    masks = np.arange(1 << m)
+    ranks = setfun._lex_rank(masks, m)
+    expected = sorted(range(1 << m), key=indices_of)
+    assert [int(v) for v in np.argsort(ranks)] == expected
+
+
+def test_audit_report_identical_with_oracle(tmp_path, monkeypatch):
+    d = make_noisy_design(88, n=30, m=6)
+    path = tmp_path / "in.csv"
+    write_csv(path, d.features, d.response, d.names)
+    args = ["audit", str(path), "--response", "Y", "--k", "3", "--alpha", "3"]
+    assert cli.main(args + ["--out", str(tmp_path / "kernel.json")]) == 0
+
+    for name in ("check_submodular", "find_suppressors", "empirical_gamma_s2", "empirical_gamma_s"):
+        monkeypatch.setattr(cli, name, getattr(oracle, name))
+    monkeypatch.setattr(
+        selection,
+        "has_second_order_violation",
+        lambda design, cache=None, max_features=None: bool(
+            oracle.check_submodular(design, "second_order", cache=cache)
+        ),
+    )
+    assert cli.main(args + ["--out", str(tmp_path / "oracle.json")]) == 0
+    kernel = (tmp_path / "kernel.json").read_bytes()
+    assert kernel == (tmp_path / "oracle.json").read_bytes()
+    assert b'"certificates": []' not in kernel
