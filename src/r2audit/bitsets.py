@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator
+
+import numpy as np
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -25,3 +28,28 @@ def indices_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def popcounts(m: int) -> np.ndarray:
+    """Number of set bits of every mask below 2^m, indexed by mask."""
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
+def index_rows(masks: np.ndarray, m: int) -> np.ndarray:
+    """Sorted feature indices of masks that share one popcount, one row each."""
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    return np.nonzero(bits)[1].reshape(masks.size, -1)
+
+
+def combination_blocks(m: int, size: int, rows: int) -> Iterator[np.ndarray]:
+    """Yield the size-subsets of range(m), in combinations order, as index
+    blocks of at most ``rows`` rows."""
+    combos = combinations(range(m), size)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(combos, rows)), np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, size)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitsets import indices_of, mask_of
+from . import regress
+from .bitsets import combination_blocks, indices_of, mask_of, popcounts
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
 from .regress import (
     DEFAULT_MAX_FEATURES,
@@ -24,6 +24,7 @@ from .regress import (
     FitCache,
     StandardizedDesign,
     _check_cap,
+    fit_block,
     ls_fit,
     partial_correlation,
 )
@@ -141,13 +142,30 @@ def forward_stepwise(
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
+def _size_chunks(design: StandardizedDesign, size: int, cache: FitCache):
+    """Yield (masks, r_squared) arrays covering every subset of one size.
+
+    Reads the cache's table when it is filled; otherwise streams the
+    combinations through the fit kernel, FIT_CHUNK at a time.
+    """
+    m = design.m
+    table = cache.table
+    if table is not None:
+        masks = np.flatnonzero(popcounts(m) == size)
+        yield masks, table[masks]
+        return
+    weights = 1 << np.arange(m)
+    for idx in combination_blocks(m, size, regress.FIT_CHUNK):
+        yield weights[idx].sum(axis=1), fit_block(design, idx)[0]
+
+
 def _best_of_size(design: StandardizedDesign, size: int, cache: FitCache) -> tuple[int, float]:
     """Mask and fit of the best subset of one size; ties go to the smallest mask."""
     best_mask = -1
     best_r2 = -1.0
-    for combo in combinations(range(design.m), size):
-        mask = mask_of(combo)
-        value = _r2(design, mask, cache)
+    for masks, values in _size_chunks(design, size, cache):
+        value = float(values.max())
+        mask = int(masks[values == value].min())
         if value > best_r2 or (value == best_r2 and mask < best_mask):
             best_r2 = value
             best_mask = mask
@@ -246,6 +264,8 @@ def nwf_check(
     """Compare k-step greedy fit against the exhaustive size-k optimum."""
     _check_cap(design.m, max_features)
     cache = cache if cache is not None else FitCache()
+    # The second-order check fills the cache's table, which the searches then read.
+    violated = has_second_order_violation(design, cache=cache, max_features=max_features)
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
     optimal = best_subset(design, k, cache=cache, max_features=max_features).r_squared
     ratio = 1.0 if optimal <= 0.0 else greedy / optimal
@@ -254,7 +274,7 @@ def nwf_check(
         optimal_r2=optimal,
         ratio=ratio,
         guarantee_holds=ratio >= NWF_THRESHOLD - tolerance,
-        is_submodular=not has_second_order_violation(design, cache=cache, max_features=max_features),
+        is_submodular=not violated,
     )
 
 

@@ -2,8 +2,9 @@
 empirical approximate-submodularity constants, and the chain lower bound.
 
 Every exhaustive diagnostic reads one dense table r2[mask] of all 2^m subset
-fits, filled once through the cached fit path and memoized on the FitCache
-(2^m fits, O(2^m) memory). A gain is the table difference r2[A|i] - r2[A].
+fits, filled once by popcount through the stacked fit kernel and published on
+the FitCache (2^m fits, O(2^m) memory). A gain is the table difference
+r2[A|i] - r2[A].
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per ordered pair (i, j), the masks A holding neither
 with gain_A(i) and gain_{A+j}(i): O(m^2 2^m) time, O(2^m) memory per pair.
@@ -24,13 +25,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitsets import indices_of, mask_of
+from . import regress
+from .bitsets import index_rows, indices_of, mask_of, popcounts
 from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
     FitCache,
     StandardizedDesign,
     _check_cap,
+    fit_block,
     fit_entry,
 )
 
@@ -56,10 +59,18 @@ def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int
     cache = cache if cache is not None else FitCache()
     table = cache.table
     if table is None:
-        size = 1 << design.m
-        table = np.fromiter((_r2(design, mask, cache) for mask in range(size)), float, size)
+        m = design.m
+        table = np.zeros(1 << m)
+        ranks = np.zeros(1 << m, dtype=np.uint8)
+        sizes = popcounts(m)
+        for size in range(1, m + 1):
+            group = np.flatnonzero(sizes == size)
+            for lo in range(0, group.size, regress.FIT_CHUNK):
+                masks = group[lo : lo + regress.FIT_CHUNK]
+                table[masks], ranks[masks] = fit_block(design, index_rows(masks, m))
         table.setflags(write=False)
-        cache.table = table
+        ranks.setflags(write=False)
+        cache.publish(table, ranks)
     return table
 
 
@@ -354,7 +365,7 @@ def empirical_gamma_s(
     m = design.m
     table = _table(design, cache, max_features)
     masks = np.arange(1 << m)
-    sizes = sum((masks >> b) & 1 for b in range(m))
+    sizes = popcounts(m)
     per_feature = []
     skipped = 0
     for i in range(m):

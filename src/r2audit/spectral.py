@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
+from . import regress
+from .bitsets import combination_blocks
 from .gamma import RatioQuery, submodularity_ratio
 from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _check_cap
 
@@ -40,7 +41,11 @@ def sparse_min_eigenvalue(
     k: int,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> SparseEigenResult:
-    """Exact minimum eigenvalue over principal submatrices of size 1..k."""
+    """Exact minimum eigenvalue over principal submatrices of size 1..k.
+
+    Submatrices are solved in stacks of at most FIT_CHUNK per eigvalsh call;
+    the support is the first strict minimum in combinations order.
+    """
     S = np.asarray(sigma_hat, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("sigma_hat must be square")
@@ -53,12 +58,12 @@ def sparse_min_eigenvalue(
     best = math.inf
     witness: tuple[int, ...] = ()
     for size in range(1, k + 1):
-        for combo in combinations(range(m), size):
-            idx = list(combo)
-            lam = float(np.linalg.eigvalsh(S[np.ix_(idx, idx)])[0])
-            if lam < best:
-                best = lam
-                witness = combo
+        for idx in combination_blocks(m, size, regress.FIT_CHUNK):
+            lams = np.linalg.eigvalsh(S[idx[:, :, None], idx[:, None, :]])[:, 0]
+            at = int(lams.argmin())
+            if lams[at] < best:
+                best = float(lams[at])
+                witness = tuple(idx[at].tolist())
     return SparseEigenResult(value=best, support=witness)
 
 

@@ -14,9 +14,13 @@ from r2audit import (
     r_squared,
     sis_assumption_check,
     sis_screen,
+    standardize,
     suppressor_population,
 )
+from r2audit import regress, setfun
+from r2audit.bitsets import indices_of, mask_of
 from r2audit.errors import TooManyFeatures, ZeroBeta
+from r2audit.selection import BestSubsetResult
 from conftest import make_noisy_design, make_orthogonal_design
 
 
@@ -109,6 +113,68 @@ def test_best_subset_matches_uncached_enumeration():
                 best = (value, combo)
     assert res.subset == best[1]
     assert abs(res.r_squared - best[0]) < 1e-12
+
+
+def _duplicated_columns_design(seed):
+    # Copies of three base columns: subsets that swap a column for its copy
+    # often fit bit-equally, and such ties land in different chunks.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((20, 3))
+    y = base[:, 0] + 0.7 * base[:, 1] + 0.5 * rng.standard_normal(20)
+    return standardize(base[:, [0, 1, 2, 0, 1, 0, 2, 1]], y)
+
+
+def _scalar_best_per_size(d):
+    """(r_squared, mask) of the best subset of each size, by one fit per subset."""
+    from itertools import combinations
+
+    per_size = [(0.0, 0)]
+    for size in range(1, d.m + 1):
+        best = (-1.0, -1)
+        for combo in combinations(range(d.m), size):
+            value, mask = r_squared(d, combo), mask_of(combo)
+            if value > best[0] or (value == best[0] and mask < best[1]):
+                best = (value, mask)
+        per_size.append(best)
+    return per_size
+
+
+TIE_SEEDS = (4, 6, 7)
+LAMBDAS = [0.0, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0]
+
+
+@pytest.mark.parametrize("filled", [False, True])
+@pytest.mark.parametrize("chunk", [2, 3, 256])
+@pytest.mark.parametrize("seed", TIE_SEEDS)
+def test_best_subset_ties_across_chunks(seed, chunk, filled, monkeypatch):
+    monkeypatch.setattr(regress, "FIT_CHUNK", chunk)
+    d = _duplicated_columns_design(seed)
+    per_size = _scalar_best_per_size(d)
+    cache = FitCache()
+    if filled:
+        setfun._table(d, cache, d.m)
+    for k in range(d.m + 1):
+        value, mask = max(per_size[: k + 1], key=lambda vm: (vm[0], -vm[1]))
+        assert best_subset(d, k, cache=cache) == BestSubsetResult(indices_of(mask), value)
+    for lam, point in zip(LAMBDAS, l0_path(d, LAMBDAS, cache=cache)):
+        objective, mask = min(((1.0 - v) + lam * size, mk) for size, (v, mk) in enumerate(per_size))
+        assert (point.subset, point.objective) == (indices_of(mask), objective)
+
+
+def test_tie_designs_have_ties_out_of_mask_order():
+    # In combinations order, some size's first maximum is not its smallest
+    # mask, so keeping the first maximum found would fail the test above.
+    from itertools import combinations
+
+    inverted = 0
+    for seed in TIE_SEEDS:
+        d = _duplicated_columns_design(seed)
+        for size in range(2, d.m + 1):
+            fits = [(r_squared(d, c), mask_of(c)) for c in combinations(range(d.m), size)]
+            best = max(v for v, _ in fits)
+            tied = [mk for v, mk in fits if v == best]
+            inverted += tied[0] != min(tied)
+    assert inverted > 0
 
 
 def test_best_subset_cap():

@@ -10,6 +10,7 @@ from r2audit import (
     restricted_eigenvalue,
     sparse_min_eigenvalue,
 )
+from r2audit import regress
 from r2audit.errors import TooManyFeatures
 from r2audit.spectral import cone_membership_gap
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
@@ -72,6 +73,59 @@ def test_sparse_nonincreasing_in_k():
 def test_sparse_cap():
     with pytest.raises(TooManyFeatures):
         sparse_min_eigenvalue(np.eye(8), 2, max_features=6)
+
+
+def scalar_sparse_min_eigenvalue(S, k):
+    """Reference: one eigvalsh per principal submatrix, first strict minimum."""
+    from itertools import combinations
+
+    best = math.inf
+    witness = ()
+    for size in range(1, k + 1):
+        for combo in combinations(range(S.shape[0]), size):
+            idx = list(combo)
+            lam = float(np.linalg.eigvalsh(S[np.ix_(idx, idx)])[0])
+            if lam < best:
+                best = lam
+                witness = combo
+    return best, witness
+
+
+def _repeated_blocks():
+    # Three copies of one 2 x 2 block: many submatrices share an eigenvalue
+    # bit for bit, so the witness is decided by the tie-break alone.
+    return np.kron(np.eye(3), np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+def _duplicated_columns():
+    d = make_noisy_design(31, n=20, m=4)
+    X = d.features[:, [0, 1, 2, 0, 3, 1]]
+    return X.T @ X
+
+
+SPARSE_MATRICES = {
+    "identity": lambda: np.eye(6),
+    "repeated_blocks": _repeated_blocks,
+    "duplicated_columns": _duplicated_columns,
+    "random7": lambda: random_psd(3, m=7),
+    "random8": lambda: random_psd(77, m=8),
+}
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 256])
+@pytest.mark.parametrize("name", list(SPARSE_MATRICES))
+def test_sparse_matches_scalar_oracle(name, chunk, monkeypatch):
+    monkeypatch.setattr(regress, "FIT_CHUNK", chunk)
+    S = SPARSE_MATRICES[name]()
+    for k in range(1, S.shape[0] + 1):
+        res = sparse_min_eigenvalue(S, k)
+        assert (res.value, res.support) == scalar_sparse_min_eigenvalue(S, k)
+
+
+def test_sparse_witness_is_first_of_tied_minima(monkeypatch):
+    monkeypatch.setattr(regress, "FIT_CHUNK", 2)
+    S = _repeated_blocks()
+    assert sparse_min_eigenvalue(S, 2).support == (0, 1)
 
 
 # ---------------------------------------------------------------------------
