@@ -30,18 +30,9 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcounts(m: int) -> np.ndarray:
-    """Number of set bits of every mask below 2^m, indexed by mask."""
-    counts = np.zeros(1, dtype=np.intp)
-    for _ in range(m):
-        counts = np.concatenate([counts, counts + 1])
-    return counts
-
-
-def index_rows(masks: np.ndarray, m: int) -> np.ndarray:
-    """Sorted feature indices of masks that share one popcount, one row each."""
-    bits = (masks[:, None] >> np.arange(m)) & 1
-    return np.nonzero(bits)[1].reshape(masks.size, -1)
+def block_masks(idx: np.ndarray) -> np.ndarray:
+    """Bitmask of every row of a (k, s) block of distinct feature indices."""
+    return (1 << idx).sum(axis=1)
 
 
 def combination_blocks(m: int, size: int, rows: int) -> Iterator[np.ndarray]:

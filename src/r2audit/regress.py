@@ -6,7 +6,7 @@ those evaluations cheap and exact: columns are centered and scaled to unit
 length, so inner products are sample correlations and the fit of a subset is
 the squared norm of the response projected onto the subset's span.
 
-Each design is QR-reduced once, in row blocks, to the triangle R of [X | y]
+Each design is QR-reduced once to the triangle R of [X | y]
 (at most (m+1) x (m+1)), following the all-subsets regression of Furnival &
 Wilson (1974). Since [X | y] = QR with orthonormal Q, the fit of a subset S is
 ||U^T R[:, m]||^2 for the left singular vectors U of R[:, S] above the rank
@@ -55,8 +55,6 @@ HARD_MAX_FEATURES = 63
 # 4096-subset stacks ran no faster on an n = 2000, m = 24, k = 4 best subset
 # and raised its peak RSS from 35.0 to 41.6 MiB.
 FIT_CHUNK = 256
-# Rows of [X | y] folded into the triangle per QR call.
-_QR_ROWS = 256
 
 SubsetLike = Iterable[int]
 
@@ -104,7 +102,7 @@ class StandardizedDesign:
         object.__setattr__(self, "response", y)
         X.setflags(write=False)
         y.setflags(write=False)
-        R = _triangle(np.column_stack([X, y]))
+        R = np.linalg.qr(np.column_stack([X, y]), mode="r")
         R.setflags(write=False)
         object.__setattr__(self, "triangle", R)
 
@@ -123,14 +121,6 @@ class StandardizedDesign:
     def correlation_matrix(self) -> np.ndarray:
         """Feature-by-feature sample correlation matrix."""
         return self.features.T @ self.features
-
-
-def _triangle(A: np.ndarray) -> np.ndarray:
-    """R factor of A, folding in _QR_ROWS rows at a time to keep each QR small."""
-    R = np.linalg.qr(A[:_QR_ROWS], mode="r")
-    for lo in range(_QR_ROWS, A.shape[0], _QR_ROWS):
-        R = np.linalg.qr(np.vstack([R, A[lo : lo + _QR_ROWS]]), mode="r")
-    return R
 
 
 @dataclass(frozen=True)

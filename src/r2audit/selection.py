@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import regress
-from .bitsets import combination_blocks, indices_of, mask_of, popcounts
+from .bitsets import block_masks, combination_blocks, indices_of, mask_of
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
 from .regress import (
     DEFAULT_MAX_FEATURES,
@@ -142,28 +142,16 @@ def forward_stepwise(
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
-def _size_chunks(design: StandardizedDesign, size: int, cache: FitCache):
-    """Yield (masks, r_squared) arrays covering every subset of one size.
+def _best_of_size(design: StandardizedDesign, size: int) -> tuple[int, float]:
+    """Mask and fit of the best subset of one size; ties go to the smallest mask.
 
-    Reads the cache's table when it is filled; otherwise streams the
-    combinations through the fit kernel, FIT_CHUNK at a time.
+    The combinations are streamed through the fit kernel, FIT_CHUNK at a time.
     """
-    m = design.m
-    table = cache.table
-    if table is not None:
-        masks = np.flatnonzero(popcounts(m) == size)
-        yield masks, table[masks]
-        return
-    weights = 1 << np.arange(m)
-    for idx in combination_blocks(m, size, regress.FIT_CHUNK):
-        yield weights[idx].sum(axis=1), fit_block(design, idx)[0]
-
-
-def _best_of_size(design: StandardizedDesign, size: int, cache: FitCache) -> tuple[int, float]:
-    """Mask and fit of the best subset of one size; ties go to the smallest mask."""
     best_mask = -1
     best_r2 = -1.0
-    for masks, values in _size_chunks(design, size, cache):
+    for idx in combination_blocks(design.m, size, regress.FIT_CHUNK):
+        masks = block_masks(idx)
+        values = fit_block(design, idx)[0]
         value = float(values.max())
         mask = int(masks[values == value].min())
         if value > best_r2 or (value == best_r2 and mask < best_mask):
@@ -184,15 +172,18 @@ def best_subset(
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> BestSubsetResult:
-    """Exhaustive maximizer of the fit over all subsets of size at most k."""
+    """Exhaustive maximizer of the fit over all subsets of size at most k.
+
+    The search streams its fits and stores none; ``cache`` is accepted so
+    that every selection routine takes the same arguments.
+    """
     _check_cap(design.m, max_features)
     if not 0 <= k <= design.m:
         raise ValueError(f"k must lie in 0..{design.m}")
-    cache = cache if cache is not None else FitCache()
     best_mask = 0
     best_r2 = 0.0
     for size in range(1, k + 1):
-        mask, value = _best_of_size(design, size, cache)
+        mask, value = _best_of_size(design, size)
         if value > best_r2 or (value == best_r2 and mask < best_mask):
             best_r2 = value
             best_mask = mask
@@ -216,11 +207,11 @@ def l0_path(
 
     With the response standardized, ESS(S) is 1 - r_squared(S), so the
     per-cardinality best subsets are computed once and reused across the
-    whole grid. Objective ties break toward the smallest mask.
+    whole grid. Objective ties break toward the smallest mask. As in
+    :func:`best_subset`, ``cache`` is accepted but not used.
     """
     _check_cap(design.m, max_features)
-    cache = cache if cache is not None else FitCache()
-    per_size = [(0, 0.0)] + [_best_of_size(design, size, cache) for size in range(1, design.m + 1)]
+    per_size = [(0, 0.0)] + [_best_of_size(design, size) for size in range(1, design.m + 1)]
 
     path = []
     for lam in lambda_grid:
@@ -264,8 +255,6 @@ def nwf_check(
     """Compare k-step greedy fit against the exhaustive size-k optimum."""
     _check_cap(design.m, max_features)
     cache = cache if cache is not None else FitCache()
-    # The second-order check fills the cache's table, which the searches then read.
-    violated = has_second_order_violation(design, cache=cache, max_features=max_features)
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
     optimal = best_subset(design, k, cache=cache, max_features=max_features).r_squared
     ratio = 1.0 if optimal <= 0.0 else greedy / optimal
@@ -274,7 +263,7 @@ def nwf_check(
         optimal_r2=optimal,
         ratio=ratio,
         guarantee_holds=ratio >= NWF_THRESHOLD - tolerance,
-        is_submodular=not violated,
+        is_submodular=not has_second_order_violation(design, cache=cache, max_features=max_features),
     )
 
 

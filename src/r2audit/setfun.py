@@ -2,7 +2,7 @@
 empirical approximate-submodularity constants, and the chain lower bound.
 
 Every exhaustive diagnostic reads one dense table r2[mask] of all 2^m subset
-fits, filled once by popcount through the stacked fit kernel and published on
+fits, filled once size by size through the stacked fit kernel and published on
 the FitCache (2^m fits, O(2^m) memory). A gain is the table difference
 r2[A|i] - r2[A].
 The second-order family (gamma_s2, second-order and suppressor certificates)
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import regress
-from .bitsets import index_rows, indices_of, mask_of, popcounts
+from .bitsets import block_masks, combination_blocks, indices_of, mask_of
 from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
@@ -62,12 +62,10 @@ def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int
         m = design.m
         table = np.zeros(1 << m)
         ranks = np.zeros(1 << m, dtype=np.uint8)
-        sizes = popcounts(m)
         for size in range(1, m + 1):
-            group = np.flatnonzero(sizes == size)
-            for lo in range(0, group.size, regress.FIT_CHUNK):
-                masks = group[lo : lo + regress.FIT_CHUNK]
-                table[masks], ranks[masks] = fit_block(design, index_rows(masks, m))
+            for idx in combination_blocks(m, size, regress.FIT_CHUNK):
+                masks = block_masks(idx)
+                table[masks], ranks[masks] = fit_block(design, idx)
         table.setflags(write=False)
         ranks.setflags(write=False)
         cache.publish(table, ranks)
@@ -365,7 +363,7 @@ def empirical_gamma_s(
     m = design.m
     table = _table(design, cache, max_features)
     masks = np.arange(1 << m)
-    sizes = popcounts(m)
+    sizes = sum((masks >> b) & 1 for b in range(m))
     per_feature = []
     skipped = 0
     for i in range(m):

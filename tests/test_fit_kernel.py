@@ -12,7 +12,7 @@ import pytest
 from conftest import make_noisy_design
 from r2audit import FitCache, gram_factory, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
-from r2audit.bitsets import index_rows, indices_of, popcounts
+from r2audit.bitsets import combination_blocks, indices_of
 from r2audit.regress import RANK_RTOL, FitEntry, fit_block, fit_entry
 
 
@@ -53,7 +53,7 @@ DESIGNS = {
     "n_below_m_plus_1": lambda: make_noisy_design(12, n=4, m=6),
     "miller": lambda: standardize(*miller_table()),
     "interpolating": lambda: gram_factory(suppressor_population(4, 1.0, 10.0), 8),
-    "two_qr_blocks": lambda: make_noisy_design(14, n=600, m=6),
+    "tall": lambda: make_noisy_design(14, n=600, m=6),
 }
 
 
@@ -80,7 +80,6 @@ def test_table_fill_matches_direct_fit_on_every_mask(design):
 
 
 def test_designs_reach_their_edge_cases():
-    assert DESIGNS["two_qr_blocks"]().n > 256
     assert fit_entry(DESIGNS["duplicated_column"](), (1, 4)).rank == 1
     assert fit_entry(DESIGNS["n_below_m_plus_1"](), range(6)).rank == 3
     assert fit_entry(DESIGNS["interpolating"](), range(4)).r_squared == pytest.approx(1.0, abs=1e-12)
@@ -90,7 +89,7 @@ def test_designs_reach_their_edge_cases():
 
 
 def test_triangle_reproduces_the_gram():
-    d = DESIGNS["two_qr_blocks"]()
+    d = DESIGNS["tall"]()
     A = np.column_stack([d.features, d.response])
     R = d.triangle
     assert np.allclose(R.T @ R, A.T @ A, atol=1e-13)
@@ -100,13 +99,12 @@ def test_triangle_reproduces_the_gram():
 
 def test_fit_block_does_not_depend_on_batching(monkeypatch):
     d = make_noisy_design(15, n=40, m=7)
-    sizes = popcounts(d.m)
     for size in range(1, d.m + 1):
-        masks = np.flatnonzero(sizes == size)
-        whole = fit_block(d, index_rows(masks, d.m))
+        (idx,) = combination_blocks(d.m, size, 1 << d.m)
+        whole = fit_block(d, idx)
         monkeypatch.setattr(regress, "FIT_CHUNK", 3)
-        chunked = fit_block(d, index_rows(masks, d.m))
+        chunked = fit_block(d, idx)
         monkeypatch.undo()
-        singles = [fit_entry(d, indices_of(mask)) for mask in masks]
+        singles = [fit_entry(d, row) for row in idx]
         assert whole[0].tolist() == chunked[0].tolist() == [e.r_squared for e in singles]
         assert whole[1].tolist() == chunked[1].tolist() == [e.rank for e in singles]

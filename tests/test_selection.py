@@ -17,7 +17,7 @@ from r2audit import (
     standardize,
     suppressor_population,
 )
-from r2audit import regress, setfun
+from r2audit import regress
 from r2audit.bitsets import indices_of, mask_of
 from r2audit.errors import TooManyFeatures, ZeroBeta
 from r2audit.selection import BestSubsetResult
@@ -143,20 +143,16 @@ TIE_SEEDS = (4, 6, 7)
 LAMBDAS = [0.0, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0]
 
 
-@pytest.mark.parametrize("filled", [False, True])
 @pytest.mark.parametrize("chunk", [2, 3, 256])
 @pytest.mark.parametrize("seed", TIE_SEEDS)
-def test_best_subset_ties_across_chunks(seed, chunk, filled, monkeypatch):
+def test_best_subset_ties_across_chunks(seed, chunk, monkeypatch):
     monkeypatch.setattr(regress, "FIT_CHUNK", chunk)
     d = _duplicated_columns_design(seed)
     per_size = _scalar_best_per_size(d)
-    cache = FitCache()
-    if filled:
-        setfun._table(d, cache, d.m)
     for k in range(d.m + 1):
         value, mask = max(per_size[: k + 1], key=lambda vm: (vm[0], -vm[1]))
-        assert best_subset(d, k, cache=cache) == BestSubsetResult(indices_of(mask), value)
-    for lam, point in zip(LAMBDAS, l0_path(d, LAMBDAS, cache=cache)):
+        assert best_subset(d, k) == BestSubsetResult(indices_of(mask), value)
+    for lam, point in zip(LAMBDAS, l0_path(d, LAMBDAS)):
         objective, mask = min(((1.0 - v) + lam * size, mk) for size, (v, mk) in enumerate(per_size))
         assert (point.subset, point.objective) == (indices_of(mask), objective)
 
