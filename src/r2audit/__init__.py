@@ -10,6 +10,7 @@ from .datasets import miller_table, random_gaussian, suppressor_population
 from .errors import AuditError
 from .gamma import PairDiagnostics, RatioQuery, RatioResult, gamma_pair, submodularity_ratio
 from .geometry2d import (
+    Grid,
     GridCell,
     TrianglePoint,
     grid_evaluate,
@@ -63,6 +64,7 @@ __all__ = [
     "ConeSpec",
     "FitCache",
     "GammaEstimates",
+    "Grid",
     "GridCell",
     "PairDiagnostics",
     "RatioQuery",

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import datasets, geometry2d
 from .errors import AuditError
 from .gamma import RatioQuery, submodularity_ratio
+from .jsonsafe import sanitize
 from .regress import FitCache, StandardizedDesign, gram_factory, load_csv, standardize
 from .selection import best_subset, forward_stepwise, isis, nwf_check, sis_screen
 from .setfun import (
@@ -40,24 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
-
-
-def _sanitize(value):
-    """Make a report JSON-safe: non-finite floats become strings."""
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -237,7 +217,7 @@ def _cmd_audit(args) -> int:
         design, str(args.csv), args.response, args.k, args.max_enum,
         mode=args.mode, alpha=args.alpha,
     )
-    text = json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(sanitize(report), sort_keys=True, indent=2) + "\n"
     _write_text(args.out, text)
     return code
 
@@ -276,7 +256,7 @@ def _cmd_select(args) -> int:
     elif args.algo == "best":
         result = best_subset(design, min(args.k, design.m), max_features=args.max_enum)
         line = json.dumps(
-            _sanitize(
+            sanitize(
                 {
                     "algorithm": "best_subset",
                     "subset": [design.names[f] for f in result.subset],
@@ -291,7 +271,7 @@ def _cmd_select(args) -> int:
         corr = design.marginal_correlations()
         lines = [
             json.dumps(
-                _sanitize(
+                sanitize(
                     {
                         "rank": pos + 1,
                         "feature": design.names[i],
@@ -309,7 +289,7 @@ def _cmd_select(args) -> int:
         for number, rnd in enumerate(result.rounds, start=1):
             lines.append(
                 json.dumps(
-                    _sanitize(
+                    sanitize(
                         {
                             "round": number,
                             "picked": [design.names[i] for i in rnd.picked],
@@ -321,7 +301,7 @@ def _cmd_select(args) -> int:
             )
         lines.append(
             json.dumps(
-                _sanitize(
+                sanitize(
                     {
                         "selected": [design.names[i] for i in result.selected],
                         "skipped": result.skipped,

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
+
 from .bitsets import mask_of
 from .errors import EmptyCandidateSet, InfeasibleCorrelations
 from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _check_cap
@@ -109,40 +112,57 @@ class PairDiagnostics:
     sum_bound: float
 
 
-def _conditional_gain(r_own: float, r_other: float, r12: float) -> float:
+def _conditional_gain(r_own, r_other, r12):
     """Fit gain of one feature once the other is already in the model."""
     residual = r_own - r12 * r_other
     return residual * residual / (1.0 - r12 * r12)
 
 
-def gamma_pair(r_y1: float, r_y2: float, r12: float) -> PairDiagnostics:
-    """Evaluate the closed-form pair diagnostics for one correlation triple."""
-    if not (abs(r_y1) < 1.0 and abs(r_y2) < 1.0 and abs(r12) < 1.0):
+def gamma_pair_columns(
+    r_y1: np.ndarray, r_y2: np.ndarray, r12: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form pair diagnostics for arrays of correlation triples.
+
+    Returns (gamma1, gamma2, gamma_s2, gamma_sr, sum_bound), one float64 array
+    each, with the meanings of PairDiagnostics. Raises InfeasibleCorrelations
+    if any triple is infeasible.
+    """
+    if not ((np.abs(r_y1) < 1.0) & (np.abs(r_y2) < 1.0) & (np.abs(r12) < 1.0)).all():
         raise InfeasibleCorrelations("correlations must lie strictly inside (-1, 1)")
     det = 1.0 - r12 * r12
     joint = (r_y1 * r_y1 - 2.0 * r12 * r_y1 * r_y2 + r_y2 * r_y2) / det
-    if joint > 1.0 + FEASIBILITY_TOL:
-        raise InfeasibleCorrelations(f"implied joint fit {joint:.6f} exceeds 1")
+    over = joint > 1.0 + FEASIBILITY_TOL
+    if over.any():
+        raise InfeasibleCorrelations(f"implied joint fit {joint[over][0]:.6f} exceeds 1")
 
     delta1 = r_y1 * r_y1
     delta2 = r_y2 * r_y2
     gain1 = _conditional_gain(r_y1, r_y2, r12)
     gain2 = _conditional_gain(r_y2, r_y1, r12)
-    gamma1 = delta1 / gain1 if gain1 > 0.0 else math.inf
-    gamma2 = delta2 / gain2 if gain2 > 0.0 else math.inf
-    gamma_sr = (delta1 + delta2) / joint if joint > 0.0 else math.inf
     # gain1 + gain2 equals 2 * joint - delta1 - delta2 but without the
     # cancellation, so the symmetric-case identity sum_bound = gamma_s2 is
     # exact in floating point as well.
     spread = gain1 + gain2
-    sum_bound = (delta1 + delta2) / spread if spread > 0.0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma1 = np.where(gain1 > 0.0, delta1 / gain1, math.inf)
+        gamma2 = np.where(gain2 > 0.0, delta2 / gain2, math.inf)
+        gamma_sr = np.where(joint > 0.0, (delta1 + delta2) / joint, math.inf)
+        sum_bound = np.where(spread > 0.0, (delta1 + delta2) / spread, math.inf)
+    gamma_s2 = np.where(gamma2 < gamma1, gamma2, gamma1)
+    return gamma1, gamma2, gamma_s2, gamma_sr, sum_bound
+
+
+def gamma_pair(r_y1: float, r_y2: float, r12: float) -> PairDiagnostics:
+    """Evaluate the closed-form pair diagnostics for one correlation triple."""
+    columns = gamma_pair_columns(*(np.array([r], dtype=float) for r in (r_y1, r_y2, r12)))
+    gamma1, gamma2, gamma_s2, gamma_sr, sum_bound = (float(col[0]) for col in columns)
     return PairDiagnostics(
         r_y1=r_y1,
         r_y2=r_y2,
         r12=r12,
         gamma1=gamma1,
         gamma2=gamma2,
-        gamma_s2=min(gamma1, gamma2),
+        gamma_s2=gamma_s2,
         gamma_sr=gamma_sr,
         sum_bound=sum_bound,
     )

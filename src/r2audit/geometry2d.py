@@ -6,19 +6,22 @@ gives two vertices, the origin the third. The angle between the features
 fixes their correlation, the angle at the first projection fixes relative
 predictive power, and the overall fit level only scales the triangle. All
 gain ratios are scale-free, so grids at different fit levels carry identical
-diagnostic columns.
+diagnostic columns. A grid is evaluated and rendered column by column, as
+numpy arrays; each value equals the scalar triangle_solve and gamma_pair
+result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import starmap
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleAngles
-from .gamma import PairDiagnostics, gamma_pair
+from .gamma import PairDiagnostics, gamma_pair, gamma_pair_columns
 from .regress import gram_factory, ls_fit
 
 # Diagnostics are evaluated at this fixed fit level. They are mathematically
@@ -78,6 +81,32 @@ class GridCell:
     t_ratio_bound: float
 
 
+def _elementwise(fn, values: np.ndarray) -> np.ndarray:
+    """Apply a math-module function to every element. The platform libm gives
+    the same bits in the array and the scalar paths; numpy's own ufuncs may
+    not on every CPU."""
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+
+
+def _law_of_sines(
+    theta: np.ndarray, tau: np.ndarray, r2_levels: Sequence[float]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """r12 and, per fit level, the columns (b, r_y1, r_y2) of feasible angles.
+
+    The angles fix the triangle's shape, so the sines are taken once and the
+    fit level only sets the scale b = sqrt((1 - r12^2) r2_full).
+    """
+    r12 = _elementwise(math.cos, theta)
+    sin_theta = _elementwise(math.sin, theta)
+    sin_first = _elementwise(math.sin, theta + tau)
+    sin_second = _elementwise(math.sin, tau)
+    sides = []
+    for r2_full in r2_levels:
+        b = np.sqrt((1.0 - r12 * r12) * r2_full)
+        sides.append((b, b * sin_first / sin_theta, b * sin_second / sin_theta))
+    return r12, sides
+
+
 def triangle_solve(theta: float, tau: float, r2_full: float) -> TrianglePoint:
     """Solve the triangle for the marginal correlations.
 
@@ -92,72 +121,81 @@ def triangle_solve(theta: float, tau: float, r2_full: float) -> TrianglePoint:
         raise InfeasibleAngles(f"tau must lie in (0, pi - theta), got {tau}")
     if not 0.0 < r2_full <= 1.0:
         raise InfeasibleAngles(f"r2_full must lie in (0, 1], got {r2_full}")
-    r12 = math.cos(theta)
-    b = math.sqrt((1.0 - r12 * r12) * r2_full)
-    sin_theta = math.sin(theta)
-    r_y1 = b * math.sin(theta + tau) / sin_theta
-    r_y2 = b * math.sin(tau) / sin_theta
-    return TrianglePoint(theta=theta, tau=tau, r2_full=r2_full, r12=r12, r_y1=r_y1, r_y2=r_y2, b=b)
+    r12, [(b, r_y1, r_y2)] = _law_of_sines(np.array([theta]), np.array([tau]), (r2_full,))
+    return TrianglePoint(
+        theta=theta,
+        tau=tau,
+        r2_full=r2_full,
+        r12=float(r12[0]),
+        r_y1=float(r_y1[0]),
+        r_y2=float(r_y2[0]),
+        b=float(b[0]),
+    )
 
 
-def t_ratio_bound_from_gamma(gamma_sr: float) -> float:
+def t_ratio_bound_from_gamma(gamma_sr):
     """Cap on the joint-to-marginal squared t ratio implied by the
-    submodularity ratio; positive because gamma_sr never exceeds 2."""
+    submodularity ratio; positive because gamma_sr never exceeds 2. Takes a
+    float or an array."""
     return 2.0 / gamma_sr - 1.0
 
 
-def grid_evaluate(theta_steps: int, v_steps: int, r2_full: float = 0.5) -> list[GridCell]:
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """The feasible cells of a (theta, v) grid, stored by column.
+
+    ``columns`` maps every name in GRID_COLUMNS to a float64 array with one
+    entry per cell, row-major with theta outer. Iterating yields the cells
+    as GridCell rows.
+    """
+
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return self.columns["theta"].size
+
+    def __iter__(self) -> Iterator[GridCell]:
+        return starmap(GridCell, zip(*(self.columns[col].tolist() for col in GRID_COLUMNS)))
+
+
+def grid_evaluate(theta_steps: int, v_steps: int, r2_full: float = 0.5) -> Grid:
     """Diagnostics over a uniform (theta, v) grid with v = tau + theta / 2.
 
     Grid lines are at multiples of pi / steps with the open-interval
     endpoints dropped; infeasible cells (tau outside (0, pi - theta)) are
     omitted entirely. Cells are produced row-major, theta outer. The
     diagnostic ratios are evaluated at a fixed reference fit level, so only
-    the geometry columns (r_y1, r_y2, b) depend on ``r2_full``.
+    the geometry columns (r_y1, r_y2, b) depend on ``r2_full``. Every column
+    is computed as one array, with the operations of triangle_solve and
+    gamma_pair in the same order, so each value equals theirs bit for bit.
     """
     if theta_steps < 2 or v_steps < 2:
         raise ValueError("need at least 2 steps per axis")
     if not 0.0 < r2_full <= 1.0:
         raise ValueError("r2_full must lie in (0, 1]")
-    cells: list[GridCell] = []
-    for i in range(1, theta_steps):
-        # The ratio first: dyadic fractions like 1/2 stay exact, so an even
-        # grid contains the orthogonal column at exactly pi/2.
-        theta = math.pi * (i / theta_steps)
-        for j in range(1, v_steps):
-            v = math.pi * (j / v_steps)
-            tau = v - theta / 2.0
-            if not 0.0 < tau < math.pi - theta:
-                continue
-            point = triangle_solve(theta, tau, r2_full)
-            ref = triangle_solve(theta, tau, REFERENCE_R2)
-            diag = gamma_pair(ref.r_y1, ref.r_y2, ref.r12)
-            cells.append(
-                GridCell(
-                    theta=point.theta,
-                    v=v,
-                    tau=tau,
-                    r12=point.r12,
-                    r_y1=point.r_y1,
-                    r_y2=point.r_y2,
-                    b=point.b,
-                    gamma1=diag.gamma1,
-                    gamma2=diag.gamma2,
-                    gamma_s2=diag.gamma_s2,
-                    sum_bound=diag.sum_bound,
-                    gamma_sr=diag.gamma_sr,
-                    t_ratio_bound=t_ratio_bound_from_gamma(diag.gamma_sr),
-                )
-            )
-    return cells
+    # The ratio first: dyadic fractions like 1/2 stay exact, so an even grid
+    # contains the orthogonal column at exactly pi/2.
+    theta_axis = np.array([math.pi * (i / theta_steps) for i in range(1, theta_steps)])
+    v_axis = np.array([math.pi * (j / v_steps) for j in range(1, v_steps)])
+    theta = np.repeat(theta_axis, v_axis.size)
+    v = np.tile(v_axis, theta_axis.size)
+    tau = v - theta / 2.0
+    feasible = (0.0 < tau) & (tau < math.pi - theta)
+    theta, v, tau = theta[feasible], v[feasible], tau[feasible]
+    r12, [(b, r_y1, r_y2), (_, ref_y1, ref_y2)] = _law_of_sines(theta, tau, (r2_full, REFERENCE_R2))
+    gamma1, gamma2, gamma_s2, gamma_sr, sum_bound = gamma_pair_columns(ref_y1, ref_y2, r12)
+    values = (
+        theta, v, tau, r12, r_y1, r_y2, b, gamma1, gamma2, gamma_s2, sum_bound, gamma_sr,
+        t_ratio_bound_from_gamma(gamma_sr),
+    )
+    return Grid(dict(zip(GRID_COLUMNS, values)))
 
 
-def grid_csv_lines(cells: Iterable[GridCell]) -> list[str]:
+def grid_csv_lines(cells: Grid) -> list[str]:
     """Render grid cells as CSV lines (12 significant digits, LF endings)."""
-    lines = [",".join(GRID_COLUMNS)]
-    for cell in cells:
-        lines.append(",".join(f"{getattr(cell, col):.12g}" for col in GRID_COLUMNS))
-    return lines
+    row = ",".join(["%.12g"] * len(GRID_COLUMNS))
+    columns = [cells.columns[col].tolist() for col in GRID_COLUMNS]
+    return [",".join(GRID_COLUMNS), *(row % values for values in zip(*columns))]
 
 
 def point_diagnostics(point: TrianglePoint) -> PairDiagnostics:
@@ -230,20 +268,28 @@ _BAND_STEPS = {"t_ratio_bound": (0.5, 10.0)}
 _DEFAULT_BAND = (0.2, 2.0)
 
 
-def _band_color(value: float, step: float, top: float) -> str:
-    bands = int(top / step)
-    if not math.isfinite(value):
-        value = top if value > 0 else 0.0
-    idx = min(int(max(value, 0.0) / step), bands)
-    frac = idx / bands
-    r = int(round(40 + 215 * frac))
-    g = int(round(60 + 40 * (1 - abs(2 * frac - 1))))
-    b = int(round(255 - 215 * frac))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _band_indices(values: np.ndarray, step: float, top: float) -> np.ndarray:
+    """Band of each value: floor(value / step) clamped to [0, top / step];
+    +inf lands in the top band, -inf and NaN in band 0."""
+    values = np.where(np.isfinite(values), values, np.where(values > 0, top, 0.0))
+    # Clamp before the cast: a huge value would overflow the integer type.
+    return np.minimum(np.maximum(values, 0.0) / step, int(top / step)).astype(np.intp)
+
+
+def _palette(bands: int) -> list[str]:
+    """Colors of bands 0..bands on a linear blue-to-red ramp."""
+    colors = []
+    for idx in range(bands + 1):
+        frac = idx / bands
+        r = int(round(40 + 215 * frac))
+        g = int(round(60 + 40 * (1 - abs(2 * frac - 1))))
+        b = int(round(255 - 215 * frac))
+        colors.append(f"#{r:02x}{g:02x}{b:02x}")
+    return colors
 
 
 def svg_heatmap(
-    cells: Sequence[GridCell],
+    cells: Grid,
     field: str,
     theta_steps: int,
     v_steps: int,
@@ -260,18 +306,19 @@ def svg_heatmap(
     step, top = _BAND_STEPS.get(field, _DEFAULT_BAND)
     width = (theta_steps - 1) * cell_px
     height = (v_steps - 1) * cell_px
+    cols = np.rint(cells.columns["theta"] / math.pi * theta_steps).astype(np.intp) - 1
+    rows = v_steps - 1 - np.rint(cells.columns["v"] / math.pi * v_steps).astype(np.intp)
+    bands = _band_indices(cells.columns[field], step, top)
+    # A cell's rect is the text of its grid column, of its grid row and of its
+    # band, each formatted once.
+    xs = [f'<rect x="{col * cell_px}" y="' for col in range(theta_steps - 1)]
+    ys = [f'{row * cell_px}" width="{cell_px}" height="{cell_px}" fill="' for row in range(v_steps - 1)]
+    fills = [f'{color}"/>' for color in _palette(int(top / step))]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>',
     ]
-    for cell in cells:
-        col = int(round(cell.theta / math.pi * theta_steps)) - 1
-        row = v_steps - 1 - int(round(cell.v / math.pi * v_steps))
-        color = _band_color(getattr(cell, field), step, top)
-        parts.append(
-            f'<rect x="{col * cell_px}" y="{row * cell_px}" '
-            f'width="{cell_px}" height="{cell_px}" fill="{color}"/>'
-        )
+    parts.extend(xs[c] + ys[r] + fills[k] for c, r, k in zip(cols.tolist(), rows.tolist(), bands.tolist()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -18,6 +18,7 @@ import numpy as np
 from . import regress
 from .bitsets import block_masks, combination_blocks, indices_of, mask_of
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
+from .jsonsafe import sanitize
 from .regress import (
     DEFAULT_MAX_FEATURES,
     ZERO_RSS_TOL,
@@ -58,18 +59,17 @@ class SelectionTrace:
     def to_json_lines(self, names: Sequence[str]) -> str:
         lines = []
         for rank, step in enumerate(self.steps, start=1):
-            t = step.marginal_t
-            if t is not None and not math.isfinite(t):
-                t = "inf" if t > 0 else "-inf"
             lines.append(
                 json.dumps(
-                    {
-                        "step": rank,
-                        "feature": names[step.feature],
-                        "delta_r2": step.delta_r2,
-                        "cumulative_r2": step.cumulative_r2,
-                        "marginal_t": t,
-                    },
+                    sanitize(
+                        {
+                            "step": rank,
+                            "feature": names[step.feature],
+                            "delta_r2": step.delta_r2,
+                            "cumulative_r2": step.cumulative_r2,
+                            "marginal_t": step.marginal_t,
+                        }
+                    ),
                     sort_keys=True,
                 )
             )

@@ -14,7 +14,9 @@ all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
 The definition and first-order checks compare blocks of table rows with the
 whole table: O(4^m) and O(m 4^m) time. Argmin ties break toward the first
 comparison in ascending mask order; certificates are sorted by deficit,
-largest first, then by their index sets as tuples.
+largest first, then by their index sets as tuples. Second-order certificates
+(A, i, j) and (A, j, i) share the deficit of (A, min(i, j), max(i, j)) and
+sort next to each other.
 """
 
 from __future__ import annotations
@@ -152,12 +154,16 @@ def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:
     return rank
 
 
-def _certificates(form, roles, chunks, tolerance, m) -> list[ViolationCertificate]:
+def _certificates(form, roles, chunks, tolerance, m, table=None) -> list[ViolationCertificate]:
     """Certificates for every comparison with rhs - lhs > tolerance.
 
     ``chunks`` yields one array or scalar per role, then lhs and rhs arrays:
     masks for the set roles A, B and S, feature indices for i and j. The result
     is sorted by deficit, largest first, then by the index sets as tuples.
+    Given the table, (A, i, j) certificates are second-order ones: the mirror
+    images (A, i, j) and (A, j, i) have mathematically equal deficits, so both
+    take the deficit of (A, min, max) from the table, and ties sort by A, the
+    unordered pair, then i, so that mirror images sit next to each other.
     """
     kept = []
     for chunk in chunks:
@@ -168,6 +174,12 @@ def _certificates(form, roles, chunks, tolerance, m) -> list[ViolationCertificat
     *columns, lhs, rhs = map(np.concatenate, zip(*kept))
     deficit = rhs - lhs
     keys = [col if role in ("i", "j") else _lex_rank(col, m) for role, col in zip(roles, columns)]
+    if table is not None:
+        a, i, j = columns
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        with_lo, with_hi = a | (1 << lo), a | (1 << hi)
+        deficit = (table[with_lo | with_hi] - table[with_hi]) - (table[with_lo] - table[a])
+        keys = [keys[0], lo, hi, i]
     order = np.lexsort(keys[::-1] + [-deficit])
     parts = []
     for role, col in zip(roles, columns):
@@ -227,7 +239,7 @@ def check_submodular(
         return _certificates("definition", ("A", "B"), chunks, tolerance, m)
     if mode == "first_order":
         return _certificates("first_order", ("A", "B", "i"), _first_order_pairs(table, m), tolerance, m)
-    return _certificates("second_order", ("A", "i", "j"), _pair_gains(table, m), tolerance, m)
+    return _certificates("second_order", ("A", "i", "j"), _pair_gains(table, m), tolerance, m, table)
 
 
 def has_second_order_violation(

@@ -95,18 +95,31 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
                     with_j = a_mask | (1 << j)
                     rhs = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
                     if rhs - gain_a > tolerance:
+                        # (A, i, j) and (A, j, i) share the deficit of (A, lo, hi)
+                        with_lo, with_hi = a_mask | (1 << min(i, j)), a_mask | (1 << max(i, j))
+                        upper = _r2(design, with_lo | with_hi, cache) - _r2(design, with_hi, cache)
+                        deficit = upper - (_r2(design, with_lo, cache) - fa)
                         found.append(
                             ViolationCertificate(
                                 "second_order",
                                 _sets(A=indices_of(a_mask), i=(i,), j=(j,)),
                                 gain_a,
                                 rhs,
-                                rhs - gain_a,
+                                deficit,
                             )
                         )
+        found.sort(key=_mirror_key)
+        return found
 
     found.sort(key=lambda c: (-c.deficit, c.sets))
     return found
+
+
+def _mirror_key(cert):
+    """Second-order order: deficit, A, the unordered pair {i, j}, then i."""
+    sets = cert.set_dict()
+    i, j = sets["i"][0], sets["j"][0]
+    return (-cert.deficit, sets["A"], min(i, j), max(i, j), i)
 
 
 def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=None):

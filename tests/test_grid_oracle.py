@@ -1,0 +1,99 @@
+"""Differential tests: the columnar grid against the per-cell routines.
+
+Columns must be bit-equal, and the CSV text and every SVG document
+byte-identical.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import grid_oracle as oracle
+from r2audit import gamma_pair, grid_evaluate, triangle_solve
+from r2audit.cli import SVG_FIELDS
+from r2audit.errors import InfeasibleAngles, InfeasibleCorrelations
+from r2audit.geometry2d import GRID_COLUMNS, Grid, _band_indices, _palette, grid_csv_lines, svg_heatmap
+
+CASES = [
+    (steps, r2_full)
+    for steps in ((2, 2), (3, 3), (12, 12), (37, 100), (100, 37))
+    for r2_full in (0.05, 0.5, 1.0)
+] + [((300, 300), 0.5)]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("steps,r2_full", CASES, ids=lambda c: str(c))
+def test_grid_matches_oracle(steps, r2_full):
+    theta_steps, v_steps = steps
+    grid = grid_evaluate(theta_steps, v_steps, r2_full)
+    cells = oracle.grid_evaluate(theta_steps, v_steps, r2_full)
+    assert isinstance(grid, Grid)
+    assert len(grid) == len(cells) > 0
+    for col in GRID_COLUMNS:
+        assert grid.columns[col].tobytes() == _bits([getattr(c, col) for c in cells]), col
+    assert list(grid) == cells
+    assert grid_csv_lines(grid) == oracle.grid_csv_lines(cells)
+    for field in SVG_FIELDS:
+        assert svg_heatmap(grid, field, theta_steps, v_steps) == oracle.svg_heatmap(
+            cells, field, theta_steps, v_steps
+        ), field
+
+
+def test_scalar_wrappers_match_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        theta = float(rng.uniform(1e-3, math.pi - 1e-3))
+        tau = float(rng.uniform(0.0, math.pi - theta))
+        r2_full = float(rng.uniform(1e-3, 1.0))
+        point = triangle_solve(theta, tau, r2_full)
+        assert point == oracle.triangle_solve(theta, tau, r2_full)
+        assert all(type(getattr(point, f)) is float for f in ("r12", "r_y1", "r_y2", "b"))
+        diag = gamma_pair(point.r_y1, point.r_y2, point.r12)
+        assert diag == oracle.gamma_pair(point.r_y1, point.r_y2, point.r12)
+    # Exact zero denominators give the +inf sentinels on both paths: one
+    # conditional gain, then both gains and the joint fit.
+    for triple in ((0.25, 0.5, 0.5), (0.0, 0.0, 0.3)):
+        assert gamma_pair(*triple) == oracle.gamma_pair(*triple)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 0.5, 0.5), (1.0, math.pi - 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 0.5, 1.1), (1.0, 0.5, math.nan)],
+)
+def test_triangle_errors_match_oracle(args):
+    with pytest.raises(InfeasibleAngles) as ours:
+        triangle_solve(*args)
+    with pytest.raises(InfeasibleAngles) as theirs:
+        oracle.triangle_solve(*args)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize(
+    "args", [(0.9, 0.9, -0.5), (1.0, 0.2, 0.1), (0.2, -1.0, 0.1), (0.2, 0.1, math.nan), (0.8, 0.8, 0.0)]
+)
+def test_pair_errors_match_oracle(args):
+    with pytest.raises(InfeasibleCorrelations) as ours:
+        gamma_pair(*args)
+    with pytest.raises(InfeasibleCorrelations) as theirs:
+        oracle.gamma_pair(*args)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("step,top", [(0.2, 2.0), (0.5, 10.0)])
+def test_band_indices_match_scalar_color(step, top):
+    edges = [k * step for k in range(int(top / step) + 2)]
+    values = np.array(
+        [math.inf, -math.inf, math.nan, 1e300, -1e300, -0.0, 0.0, -0.5, -1e-300, 5e-324,
+         0.6, 2.0, 10.0, 9.999999999999998, top, top * 2, math.nextafter(top, 0.0)]
+        + edges
+        + [math.nextafter(e, math.inf) for e in edges]
+        + [math.nextafter(e, -math.inf) for e in edges]
+    )
+    palette = _palette(int(top / step))
+    assert len(palette) == int(top / step) + 1 <= 21
+    ours = [palette[i] for i in _band_indices(values, step, top).tolist()]
+    assert ours == [oracle._band_color(v, step, top) for v in values.tolist()]

@@ -83,6 +83,21 @@ def test_stepwise_json_lines(miller_design):
     assert last["marginal_t"] == "inf"
 
 
+def test_stepwise_json_lines_encode_non_finite_like_reports():
+    # The trace goes through the report encoder: NaN is "nan" (it used to come
+    # out as "-inf"), infinities keep their sign, None stays null.
+    import json
+
+    from r2audit.selection import SelectionStep, SelectionTrace
+
+    values = [math.nan, math.inf, -math.inf, None, 2.5]
+    steps = tuple(SelectionStep(k, 0.1, 0.1 * (k + 1), t) for k, t in enumerate(values))
+    trace = SelectionTrace("forward_stepwise", steps, "budget")
+    names = tuple(f"x{k}" for k in range(len(values)))
+    decoded = [json.loads(line)["marginal_t"] for line in trace.to_json_lines(names).splitlines()]
+    assert decoded == ["nan", "inf", "-inf", None, 2.5]
+
+
 # ---------------------------------------------------------------------------
 # best_subset
 # ---------------------------------------------------------------------------

@@ -86,6 +86,32 @@ def test_certificates_replay(miller_design):
             assert abs((rhs - lhs) - cert.deficit) < 1e-10
 
 
+@pytest.mark.parametrize("design", ["noisy", "suppressor"])
+def test_second_order_mirror_images_are_adjacent(design):
+    # (A, i, j) and (A, j, i) have mathematically equal deficits. Computed per
+    # orientation they differ in the last bits, which used to decide their
+    # order; both now carry the (A, min, max) deficit and sit side by side.
+    from r2audit import gram_factory, suppressor_population
+
+    if design == "noisy":
+        d = make_noisy_design(2, n=30, m=6)
+    else:
+        d = gram_factory(suppressor_population(6, 1.0, 3.0), 10)
+    certs = check_submodular(d, "second_order")
+    pos = {}
+    for k, c in enumerate(certs):
+        sets = c.set_dict()
+        pos[sets["A"], sets["i"][0], sets["j"][0]] = k
+    rounding_differs = 0
+    for (a, i, j), k in pos.items():
+        if i < j and (a, j, i) in pos:
+            first, second = certs[k], certs[pos[a, j, i]]
+            assert pos[a, j, i] == k + 1
+            assert first.deficit == second.deficit == first.rhs - first.lhs
+            rounding_differs += second.rhs - second.lhs != first.deficit
+    assert rounding_differs > 0
+
+
 def test_equivalence_chain_on_small_instances():
     # second-order clean implies first-order clean implies definition clean,
     # and violations appear together on dirty instances.
