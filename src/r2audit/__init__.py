@@ -41,6 +41,7 @@ from .selection import (
     sis_screen,
 )
 from .setfun import (
+    Certificates,
     GammaEstimates,
     ViolationCertificate,
     chain_lower_bound,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditError",
+    "Certificates",
     "ConeSpec",
     "FitCache",
     "GammaEstimates",

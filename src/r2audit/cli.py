@@ -13,13 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import datasets, geometry2d
+from . import datasets, geometry2d, jsonsafe
+from .bitsets import indices_of
 from .errors import AuditError
 from .gamma import RatioQuery, submodularity_ratio
-from .jsonsafe import sanitize
+from .jsonsafe import float_texts, sanitize, string_text
 from .regress import FitCache, StandardizedDesign, gram_factory, load_csv, standardize
-from .selection import best_subset, forward_stepwise, isis, nwf_check, sis_screen
+from .selection import best_subset, forward_stepwise, isis, nwf_verdict, sis_screen
 from .setfun import (
+    Certificates,
     check_submodular,
     empirical_gamma_s,
     empirical_gamma_s2,
@@ -62,7 +64,10 @@ def build_audit_report(
     mode: str | None = None,
     alpha: float | None = None,
 ) -> tuple[dict, int]:
-    """Assemble the full diagnostic report; returns (report, exit_code)."""
+    """Assemble the full diagnostic report; returns (report, exit_code).
+
+    Certificate lists stay Certificates columns; ``report_text`` writes them.
+    """
     names = design.names
     cache = FitCache()
     corr = design.marginal_correlations()
@@ -166,18 +171,12 @@ def build_audit_report(
     second = check_submodular(design, "second_order", cache=cache, max_features=max_enum)
     suppressors = find_suppressors(design, cache=cache, max_features=max_enum)
     report["violations"] = {
-        "second_order": {
-            "count": len(second),
-            "top": [c.to_jsonable(names) for c in second[:TOP_CERTIFICATES]],
-        },
-        "suppression": {
-            "count": len(suppressors),
-            "certificates": [c.to_jsonable(names) for c in suppressors],
-        },
+        "second_order": {"count": len(second), "top": second[:TOP_CERTIFICATES]},
+        "suppression": {"count": len(suppressors), "certificates": suppressors},
     }
 
     best = best_subset(design, k, cache=cache, max_features=max_enum)
-    nwf = nwf_check(design, k, cache=cache, max_features=max_enum)
+    nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=not second)
     report["selection"]["best_subset"] = {
         "subset": [names[f] for f in best.subset],
         "r_squared": best.r_squared,
@@ -210,6 +209,44 @@ def build_audit_report(
     return report, 0
 
 
+def _certificates_text(certs: Certificates, names, depth: int) -> str:
+    """A certificate list as json.dumps(..., sort_keys=True, indent=2) writes
+    the list of {"deficit", "form", "lhs", "rhs", "sets"} objects at that
+    depth: one format per certificate, each name list rendered once per mask."""
+    if not certs:
+        return "[]"
+    pad = ["\n" + "  " * (depth + level) for level in range(5)]
+    roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
+    template = (
+        f'{pad[1]}{{{pad[2]}"deficit": %s,{pad[2]}"form": {string_text(certs.form)},'
+        f'{pad[2]}"lhs": %s,{pad[2]}"rhs": %s,{pad[2]}"sets": {{'
+        + ",".join(f"{pad[3]}{string_text(role)}: %s" for role, _ in roles)
+        + f"{pad[2]}}}{pad[1]}}}"
+    )
+    encoded = [string_text(name) for name in names]
+    role_texts = []
+    for role, values in roles:
+        values = values.tolist()
+        if role in ("i", "j"):
+            lookup = encoded
+        else:
+            lookup = {}
+            for mask in set(values):
+                members = [pad[4] + encoded[f] for f in indices_of(mask)]
+                lookup[mask] = "[" + ",".join(members) + pad[3] + "]" if members else "[]"
+        role_texts.append(map(lookup.__getitem__, values))
+    rows = zip(float_texts(certs.deficit), float_texts(certs.lhs), float_texts(certs.rhs), *role_texts)
+    return "[" + ",".join([template % row for row in rows]) + pad[0] + "]"
+
+
+def report_text(report: dict, names) -> str:
+    """The audit report as json.dumps(sanitize(report), sort_keys=True,
+    indent=2) + "\\n" writes it, certificate objects included."""
+    return jsonsafe.dumps(
+        report, {Certificates: lambda certs, depth: _certificates_text(certs, names, depth)}
+    )
+
+
 def _cmd_audit(args) -> int:
     raw, response, names = load_csv(args.csv, args.response)
     design = standardize(raw, response, names)
@@ -217,8 +254,7 @@ def _cmd_audit(args) -> int:
         design, str(args.csv), args.response, args.k, args.max_enum,
         mode=args.mode, alpha=args.alpha,
     )
-    text = json.dumps(sanitize(report), sort_keys=True, indent=2) + "\n"
-    _write_text(args.out, text)
+    _write_text(args.out, report_text(report, design.names))
     return code
 
 

@@ -245,6 +245,21 @@ class NwfResult:
     threshold: float = NWF_THRESHOLD
 
 
+def nwf_verdict(
+    greedy_r2: float, optimal_r2: float, is_submodular: bool, tolerance: float = 1e-9
+) -> NwfResult:
+    """The greedy guarantee check from its inputs: greedy over optimal fit (1
+    when the optimum is not positive) against the (1 - 1/e) threshold."""
+    ratio = 1.0 if optimal_r2 <= 0.0 else greedy_r2 / optimal_r2
+    return NwfResult(
+        greedy_r2=greedy_r2,
+        optimal_r2=optimal_r2,
+        ratio=ratio,
+        guarantee_holds=ratio >= NWF_THRESHOLD - tolerance,
+        is_submodular=is_submodular,
+    )
+
+
 def nwf_check(
     design: StandardizedDesign,
     k: int,
@@ -257,14 +272,8 @@ def nwf_check(
     cache = cache if cache is not None else FitCache()
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
     optimal = best_subset(design, k, cache=cache, max_features=max_features).r_squared
-    ratio = 1.0 if optimal <= 0.0 else greedy / optimal
-    return NwfResult(
-        greedy_r2=greedy,
-        optimal_r2=optimal,
-        ratio=ratio,
-        guarantee_holds=ratio >= NWF_THRESHOLD - tolerance,
-        is_submodular=not has_second_order_violation(design, cache=cache, max_features=max_features),
-    )
+    is_submodular = not has_second_order_violation(design, cache=cache, max_features=max_features)
+    return nwf_verdict(greedy, optimal, is_submodular, tolerance)
 
 
 def sis_screen(design: StandardizedDesign, d: int) -> tuple[int, ...]:

@@ -14,7 +14,8 @@ all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
 The definition and first-order checks compare blocks of table rows with the
 whole table: O(4^m) and O(m 4^m) time. Argmin ties break toward the first
 comparison in ascending mask order; certificates are sorted by deficit,
-largest first, then by their index sets as tuples. Second-order certificates
+largest first, then by their index sets as tuples, and kept as columns
+(Certificates) from the sort to the report text. Second-order certificates
 (A, i, j) and (A, j, i) share the deficit of (A, min(i, j), max(i, j)) and
 sort next to each other.
 """
@@ -22,6 +23,7 @@ sort next to each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -127,20 +129,62 @@ class ViolationCertificate:
     def set_dict(self) -> dict[str, tuple[int, ...]]:
         return dict(self.sets)
 
-    def to_jsonable(self, names: tuple[str, ...]) -> dict:
-        rendered: dict[str, object] = {}
-        for key, idx in self.sets:
-            if key in ("i", "j"):
-                rendered[key] = names[idx[0]]
-            else:
-                rendered[key] = [names[f] for f in idx]
-        return {
-            "form": self.form,
-            "sets": rendered,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deficit": self.deficit,
-        }
+
+class Certificates(Sequence):
+    """A sorted list of certificates of one form, stored by column, read-only.
+
+    ``columns`` holds one int64 array per role in ``roles``: masks for the set
+    roles A, B and S, feature indices for i and j. ``lhs``, ``rhs`` and
+    ``deficit`` are float64 arrays. An int index and iteration yield
+    ViolationCertificate; a slice is again a Certificates. It equals any
+    sequence holding the same certificates in the same order.
+    """
+
+    def __init__(self, form: str, roles, columns, lhs, rhs, deficit):
+        self.form = form
+        self.roles = tuple(roles)
+        self.columns = tuple(columns)
+        self.lhs, self.rhs, self.deficit = lhs, rhs, deficit
+        for values in (*self.columns, lhs, rhs, deficit):
+            values.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.deficit.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Certificates(
+                self.form,
+                self.roles,
+                [values[index] for values in self.columns],
+                self.lhs[index],
+                self.rhs[index],
+                self.deficit[index],
+            )
+        row = range(len(self))[index]
+        return next(iter(self[row : row + 1]))
+
+    def __iter__(self) -> Iterator[ViolationCertificate]:
+        parts = []
+        for role, values in zip(self.roles, self.columns):
+            values = values.tolist()
+            as_set = (lambda v: (v,)) if role in ("i", "j") else indices_of
+            lookup = {v: (role, as_set(v)) for v in set(values)}
+            parts.append(map(lookup.__getitem__, values))
+        for sets, lhs, rhs, deficit in zip(
+            zip(*parts), self.lhs.tolist(), self.rhs.tolist(), self.deficit.tolist()
+        ):
+            yield ViolationCertificate(self.form, sets, lhs, rhs, deficit)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Certificates({self.form!r}, {len(self)} certificates)"
 
 
 def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:
@@ -154,7 +198,7 @@ def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:
     return rank
 
 
-def _certificates(form, roles, chunks, tolerance, m, table=None) -> list[ViolationCertificate]:
+def _certificates(form, roles, chunks, tolerance, m, table=None) -> Certificates:
     """Certificates for every comparison with rhs - lhs > tolerance.
 
     ``chunks`` yields one array or scalar per role, then lhs and rhs arrays:
@@ -170,7 +214,8 @@ def _certificates(form, roles, chunks, tolerance, m, table=None) -> list[Violati
         hit = chunk[-1] - chunk[-2] > tolerance
         kept.append([np.broadcast_to(values, hit.shape)[hit] for values in chunk])
     if not kept:
-        return []
+        empty = np.zeros(0)
+        return Certificates(form, roles, [np.zeros(0, dtype=np.int64) for _ in roles], empty, empty, empty)
     *columns, lhs, rhs = map(np.concatenate, zip(*kept))
     deficit = rhs - lhs
     keys = [col if role in ("i", "j") else _lex_rank(col, m) for role, col in zip(roles, columns)]
@@ -181,18 +226,7 @@ def _certificates(form, roles, chunks, tolerance, m, table=None) -> list[Violati
         deficit = (table[with_lo | with_hi] - table[with_hi]) - (table[with_lo] - table[a])
         keys = [keys[0], lo, hi, i]
     order = np.lexsort(keys[::-1] + [-deficit])
-    parts = []
-    for role, col in zip(roles, columns):
-        values = col[order].tolist()
-        as_set = (lambda v: (v,)) if role in ("i", "j") else indices_of
-        lookup = {v: (role, as_set(v)) for v in set(values)}
-        parts.append([lookup[v] for v in values])
-    return [
-        ViolationCertificate(form, sets, l, r, d)
-        for sets, l, r, d in zip(
-            zip(*parts), lhs[order].tolist(), rhs[order].tolist(), deficit[order].tolist()
-        )
-    ]
+    return Certificates(form, roles, [col[order] for col in columns], lhs[order], rhs[order], deficit[order])
 
 
 def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -218,13 +252,13 @@ def check_submodular(
     tolerance: float = VIOLATION_TOL,
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
-) -> list[ViolationCertificate]:
+) -> Certificates:
     """Exhaustively certify one of the three diminishing-returns inequalities.
 
     mode "definition" checks F(A) + F(B) >= F(A|B) + F(A&B) over all pairs,
     "first_order" checks gains against nested base sets, and "second_order"
-    checks gains against a single extra conditioning feature. Returns an
-    empty list iff the inequality holds everywhere up to ``tolerance``;
+    checks gains against a single extra conditioning feature. Returns no
+    certificates iff the inequality holds everywhere up to ``tolerance``;
     otherwise certificates sorted by deficit, largest first.
     """
     if mode not in MODES:
@@ -258,7 +292,7 @@ def find_suppressors(
     tolerance: float = VIOLATION_TOL,
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
-) -> list[ViolationCertificate]:
+) -> Certificates:
     """Certify every (S, i, j) where conditioning on j amplifies feature i.
 
     A suppressor raises the absolute adjusted correlation between the

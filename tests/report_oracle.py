@@ -1,0 +1,61 @@
+"""Reference encoder of the audit report, and certificate lists as columns.
+
+The CLI writes certificate lists straight from their columns. The reference
+turns every certificate into a dict and the whole report into text with
+json.dumps, the way reports were written before; the two must agree byte for
+byte.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from r2audit.bitsets import mask_of
+from r2audit.jsonsafe import sanitize
+from r2audit.setfun import Certificates, ViolationCertificate
+
+
+def certificate_jsonable(cert: ViolationCertificate, names) -> dict:
+    rendered: dict[str, object] = {}
+    for key, idx in cert.sets:
+        if key in ("i", "j"):
+            rendered[key] = names[idx[0]]
+        else:
+            rendered[key] = [names[f] for f in idx]
+    return {
+        "form": cert.form,
+        "sets": rendered,
+        "lhs": cert.lhs,
+        "rhs": cert.rhs,
+        "deficit": cert.deficit,
+    }
+
+
+def _jsonable(value, names):
+    if isinstance(value, Certificates):
+        return [certificate_jsonable(c, names) for c in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v, names) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v, names) for v in value]
+    return value
+
+
+def reference_text(report: dict, names) -> str:
+    """json.dumps(sanitize(report), sort_keys=True, indent=2) + "\\n", with
+    every certificate written as a dict."""
+    return json.dumps(sanitize(_jsonable(report, names)), sort_keys=True, indent=2) + "\n"
+
+
+def as_certificates(form: str, roles, certs) -> Certificates:
+    """A Certificates holding the given ViolationCertificate list in order."""
+    certs = list(certs)
+    columns = []
+    for role in roles:
+        idx = [dict(c.sets)[role] for c in certs]
+        values = [v[0] for v in idx] if role in ("i", "j") else [mask_of(v) for v in idx]
+        columns.append(np.array(values, dtype=np.int64))
+    floats = [np.array([getattr(c, f) for c in certs], dtype=float) for f in ("lhs", "rhs", "deficit")]
+    return Certificates(form, roles, columns, *floats)

@@ -1,0 +1,185 @@
+"""The audit report text: certificate lists rendered from their columns must
+match the reference encoder (json.dumps of one dict per certificate) byte for
+byte, whatever the floats, the feature names or the nesting depth."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import setfun_oracle as oracle
+from conftest import make_noisy_design, make_orthogonal_design
+from report_oracle import as_certificates, reference_text
+from r2audit import gram_factory, nwf_check, suppressor_population
+from r2audit.cli import build_audit_report, report_text
+from r2audit.jsonsafe import dumps
+from r2audit.setfun import Certificates, ViolationCertificate, find_suppressors, replay_certificate
+
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5, 0.0, 1e-7]
+ODD_NAMES = ('a"b', "c\\d", "e\tf", "é", "NaN", "\0\0\x000", "", "x")
+
+
+def _odd_certificates(form="suppression", roles=("S", "i", "j"), count=12):
+    rng = np.random.default_rng(4)
+    m = len(ODD_NAMES)
+    columns = []
+    for role in roles:
+        high = m if role in ("i", "j") else 1 << m
+        values = rng.integers(0, high, count)
+        if role not in ("i", "j"):
+            values[:2] = 0  # empty sets render as []
+        columns.append(values)
+    at = np.arange(count)
+    lhs, rhs, deficit = (np.array(ODD_FLOATS)[(at + k) % len(ODD_FLOATS)] for k in range(3))
+    return Certificates(form, roles, columns, lhs, rhs, deficit)
+
+
+def _assert_matches_reference(report):
+    assert report_text(report, ODD_NAMES) == reference_text(report, ODD_NAMES)
+
+
+@pytest.mark.parametrize(
+    "form, roles",
+    [
+        ("suppression", ("S", "i", "j")),
+        ("second_order", ("A", "i", "j")),
+        ("definition", ("A", "B")),
+        ("first_order", ("A", "B", "i")),
+    ],
+)
+def test_certificates_render_like_reference_at_every_depth(form, roles):
+    certs = _odd_certificates(form, roles)
+    report = {
+        "violations": {
+            "suppression": {"count": len(certs), "certificates": certs},
+            "second_order": {"count": len(certs), "top": certs[:3]},
+        },
+        "features": list(ODD_NAMES),
+        "nested": [certs[5:], [certs[-2:]], {"again": certs}],
+        "values": [math.nan, -math.inf, np.float64(0.25), np.int64(3), (1, 2)],
+    }
+    _assert_matches_reference(report)
+    _assert_matches_reference(certs)  # a list at the top level
+    text = report_text(report, ODD_NAMES)
+    assert '"S": []' in text or '"A": []' in text
+    assert json.loads(text)["violations"]["suppression"]["count"] == len(certs)
+
+
+def test_odd_floats_render_like_reference():
+    certs = _odd_certificates()
+    text = report_text({"c": certs}, ODD_NAMES)
+    _assert_matches_reference({"c": certs})
+    for token in ('"nan"', '"inf"', '"-inf"', "-0.0", "5e-324", "1e+300"):
+        assert token in text
+
+
+def test_empty_certificate_lists_render_as_empty_lists():
+    empty = _odd_certificates()[4:4]
+    report = {"suppression": {"count": 0, "certificates": empty}, "top": empty}
+    _assert_matches_reference(report)
+    text = report_text(report, ODD_NAMES)
+    assert '"certificates": []' in text and '"top": []' in text
+
+
+def test_strings_shaped_like_placeholders_are_left_alone():
+    # Strings made of NUL characters, the longest among them included, must
+    # not be mistaken for the rendered lists.
+    certs = _odd_certificates()[:2]
+    for longest in ("\0" * 12, "\0" * 11 + "0"):
+        report = {"\0" * 9: "\0" * 8 + "0", "z": certs, "\0\0": [longest, "\0" * 10 + "1", certs]}
+        _assert_matches_reference(report)
+
+
+def test_unserializable_values_still_raise():
+    with pytest.raises(TypeError):
+        dumps({"a": object()}, {})
+
+
+@pytest.mark.parametrize("design", ["miller", "suppressor6", "noisy", "orthogonal"])
+@pytest.mark.parametrize("max_enum", [20, 2])
+def test_audit_report_text_matches_reference(design, max_enum, miller_design):
+    d = {
+        "miller": lambda: miller_design,
+        "suppressor6": lambda: gram_factory(suppressor_population(6, 1.0, 3.0), 10),
+        "noisy": lambda: make_noisy_design(7, n=30, m=5),
+        "orthogonal": lambda: make_orthogonal_design([0.6, 0.4, 0.2], n=8),
+    }[design]()
+    report, _ = build_audit_report(d, "in.csv", "Y", 3, max_enum, alpha=3.0)
+    assert report_text(report, d.names) == reference_text(report, d.names)
+
+
+# ---------------------------------------------------------------------------
+# Certificates as a sequence
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def suppressor_design():
+    return gram_factory(suppressor_population(6, 1.0, 3.0), 10)
+
+
+def test_certificates_sequence_contract(suppressor_design):
+    certs = find_suppressors(suppressor_design)
+    expected = oracle.find_suppressors(suppressor_design)
+    n = len(expected)
+    assert n > 10 and len(certs) == n
+    assert expected == certs  # the list's comparison defers to Certificates
+    assert certs != expected[:-1] and certs != expected[::-1]
+    for k in (0, 3, n - 1, -1, -2, -n):
+        assert isinstance(certs[k], ViolationCertificate)
+        assert certs[k] == expected[k]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            certs[k]
+    for part in (slice(2, 5), slice(None, None, -3), slice(-4, None), slice(5, 5), slice(n, None)):
+        assert isinstance(certs[part], Certificates)
+        assert certs[part] == expected[part]
+        assert list(certs[part]) == expected[part]
+    empty = certs[5:5]
+    assert len(empty) == 0 and not empty and empty == [] and list(empty) == []
+    assert certs and certs[-3:][1:] == expected[-2:]
+    with pytest.raises(ValueError):
+        certs.deficit[0] = 0.0
+
+
+def test_yielded_certificates_replay(suppressor_design):
+    certs = find_suppressors(suppressor_design)
+    for cert in [*certs[:5], certs[-1], *certs[::-7]]:
+        lhs, rhs = replay_certificate(suppressor_design, cert)
+        assert abs(lhs - cert.lhs) < 1e-10
+        assert abs(rhs - cert.rhs) < 1e-10
+
+
+def test_empty_result_is_falsy_and_equals_empty_list(orthogonal_design):
+    certs = find_suppressors(orthogonal_design)
+    assert isinstance(certs, Certificates)
+    assert not certs and len(certs) == 0
+    assert certs == [] and [] == certs and certs == ()
+    assert certs[:3] == [] and list(certs) == []
+    with pytest.raises(IndexError):
+        certs[0]
+
+
+def test_as_certificates_round_trips(suppressor_design):
+    expected = oracle.find_suppressors(suppressor_design)
+    assert as_certificates("suppression", ("S", "i", "j"), expected) == expected
+
+
+# ---------------------------------------------------------------------------
+# The audit's greedy guarantee check
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("design", ["orthogonal", "miller", "suppressor6"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_audit_nwf_block_equals_nwf_check(design, k, miller_design):
+    d = {
+        "orthogonal": lambda: make_orthogonal_design([0.6, 0.4, 0.2], n=8),
+        "miller": lambda: miller_design,
+        "suppressor6": lambda: gram_factory(suppressor_population(6, 1.0, 3.0), 10),
+    }[design]()
+    report, _ = build_audit_report(d, "in.csv", "Y", k, 20)
+    expected = nwf_check(d, k)
+    fields = ("greedy_r2", "optimal_r2", "ratio", "threshold", "guarantee_holds", "is_submodular")
+    assert report["selection"]["nwf"] == {f: getattr(expected, f) for f in fields}

@@ -9,8 +9,9 @@ import pytest
 
 import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from report_oracle import as_certificates
 from r2audit import FitCache, gram_factory, r_squared, standardize, suppressor_population
-from r2audit import cli, selection, setfun
+from r2audit import cli, setfun
 from r2audit.bitsets import indices_of
 from r2audit.datasets import write_csv
 
@@ -110,23 +111,49 @@ def test_lex_rank_orders_index_tuples():
     assert [int(v) for v in np.argsort(ranks)] == expected
 
 
-def test_audit_report_identical_with_oracle(tmp_path, monkeypatch):
-    d = make_noisy_design(88, n=30, m=6)
+def _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates):
+    # The oracle's certificate lists drive a whole report, through the same
+    # columnar renderer, and must give the kernel's report byte for byte.
     path = tmp_path / "in.csv"
     write_csv(path, d.features, d.response, d.names)
     args = ["audit", str(path), "--response", "Y", "--k", "3", "--alpha", "3"]
     assert cli.main(args + ["--out", str(tmp_path / "kernel.json")]) == 0
 
-    for name in ("check_submodular", "find_suppressors", "empirical_gamma_s2", "empirical_gamma_s"):
-        monkeypatch.setattr(cli, name, getattr(oracle, name))
-    monkeypatch.setattr(
-        selection,
-        "has_second_order_violation",
-        lambda design, cache=None, max_features=None: bool(
-            oracle.check_submodular(design, "second_order", cache=cache)
-        ),
-    )
-    assert cli.main(args + ["--out", str(tmp_path / "oracle.json")]) == 0
+    with monkeypatch.context() as patch:
+        for fn in ("empirical_gamma_s2", "empirical_gamma_s"):
+            patch.setattr(cli, fn, getattr(oracle, fn))
+        patch.setattr(
+            cli,
+            "check_submodular",
+            lambda design, mode, **kw: as_certificates(
+                "second_order", ("A", "i", "j"), oracle.check_submodular(design, mode, **kw)
+            ),
+        )
+        patch.setattr(
+            cli,
+            "find_suppressors",
+            lambda design, **kw: as_certificates(
+                "suppression", ("S", "i", "j"), oracle.find_suppressors(design, **kw)
+            ),
+        )
+        assert cli.main(args + ["--out", str(tmp_path / "oracle.json")]) == 0
     kernel = (tmp_path / "kernel.json").read_bytes()
     assert kernel == (tmp_path / "oracle.json").read_bytes()
-    assert b'"certificates": []' not in kernel
+    assert (b'"certificates": []' not in kernel) is has_certificates
+    assert (b'"top": []' not in kernel) is has_certificates
+
+
+def test_audit_report_identical_with_oracle(tmp_path, monkeypatch):
+    d = make_noisy_design(88, n=30, m=6)
+    _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates=True)
+
+
+@pytest.mark.parametrize(
+    "name, has_certificates",
+    [("miller", True), ("suppressor6", True), ("orthogonal", False), ("single_feature", False)],
+)
+def test_audit_report_identical_with_oracle_on_fixtures(
+    name, has_certificates, tmp_path, monkeypatch, miller_design
+):
+    d = miller_design if name == "miller" else DESIGNS[name]()
+    _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates)
