@@ -175,7 +175,7 @@ def build_audit_report(
         "suppression": {"count": len(suppressors), "certificates": suppressors},
     }
 
-    best = best_subset(design, k, cache=cache, max_features=max_enum)
+    best = best_subset(design, k, max_features=max_enum)
     nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=not second)
     report["selection"]["best_subset"] = {
         "subset": [names[f] for f in best.subset],

@@ -11,8 +11,15 @@ Each design is QR-reduced once to the triangle R of [X | y]
 Wilson (1974). Since [X | y] = QR with orthonormal Q, the fit of a subset S is
 ||U^T R[:, m]||^2 for the left singular vectors U of R[:, S] above the rank
 cutoff, independent of n. One kernel, :func:`fit_block`, evaluates stacks of
-equal-size subsets that way; every fit, single or batched, goes through it,
-so a subset's value does not depend on how it was batched.
+equal-size subsets that way. It is the value of record: every reported fit,
+single or batched, comes from it, so a subset's value does not depend on how
+it was batched.
+
+:func:`sweep_walk` ranks subsets faster than fitting each one. It walks the
+same Furnival-Wilson subset tree over the Gram matrix G = R^T R and reads
+each child's fit off its parent's Schur complement, one sweep per added
+feature (Goodnight 1979). Its values are screens: callers re-fit the subsets
+that matter with :func:`fit_block`.
 
 Rank decisions use a relative singular-value cutoff, so collinear subsets are
 evaluated on the column space they actually span instead of failing.
@@ -22,11 +29,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitsets import indices_of, mask_of
+from .bitsets import combination_blocks, indices_of, mask_of
 from .errors import (
     Collinear,
     ConstantColumn,
@@ -51,10 +58,34 @@ DEFAULT_MAX_FEATURES = 24
 HARD_MAX_FEATURES = 63
 
 # Subsets per stacked LAPACK call and per streamed block: fit_block's SVDs,
-# the table fill, best-subset chunks and sparse_min_eigenvalue's eigvalsh.
-# 4096-subset stacks ran no faster on an n = 2000, m = 24, k = 4 best subset
-# and raised its peak RSS from 35.0 to 41.6 MiB.
+# the table fill, sparse_min_eigenvalue's eigvalsh and best-subset
+# finalists; divided by SWEEP_CHUNK_DIVISOR, sweep_walk's nodes per block.
+# When best subset fitted every subset, 4096-subset stacks ran no faster on
+# an n = 2000, m = 24, k = 4 search and raised its peak RSS from 35.0 to
+# 41.6 MiB.
 FIT_CHUNK = 256
+
+# sweep_walk trusts a subset S when every member a keeps a pivot of at least
+# this fraction of G[a, a] against the rest of S: 1 / [G_S^{-1}]_aa, the
+# squared residual norm a leaves when swept last. Then the smallest
+# eigenvalue of G_S is at least SWEEP_PIVOT_RTOL / |S|, so fit_block never
+# calls a trusted subset rank-deficient, and a screened value is off by at
+# most about 3 eps trace(G_S^{-1}) <= 3 eps |S| / SWEEP_PIVOT_RTOL (3 is the
+# largest ratio measured on 120 designs built from near-collinear and nested
+# near-null columns). At 1e-6 that is 1.6e-8 for 24 features, under half of
+# selection.SCREEN_BAND, and only a member that the others explain to an R^2
+# above 1 - 1e-6 sends a subset to fit_block. Checking just the pivot each
+# feature meets on its own tree path is not enough: a nested design passed
+# that check with pivots of 1.4e-6 and screened values off by 1.6e-6.
+SWEEP_PIVOT_RTOL = 1e-6
+
+# sweep_walk expands FIT_CHUNK // SWEEP_CHUNK_DIVISOR nodes per block. Such a
+# node holds a full (m+1)^2 swept matrix, or its diagonal, response column
+# and member rows and the scores of up to m children. On an n = 2000,
+# m = 24, k = 4 best subset, blocks of FIT_CHUNK raised the process's peak
+# RSS from 36.2 to 37.8 MiB; blocks of 32 left it at 36.3 MiB, no higher
+# than blocks of 4, and the search took 11 ms against 8 ms.
+SWEEP_CHUNK_DIVISOR = 8
 
 SubsetLike = Iterable[int]
 
@@ -289,6 +320,115 @@ def fit_block(design: StandardizedDesign, idx: np.ndarray) -> tuple[np.ndarray, 
         r2[rows] = np.minimum(total, 1.0)
         rank[rows] = keep.sum(axis=1)
     return r2, rank
+
+
+def sweep_walk(
+    design: StandardizedDesign, depth: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Screened R^2 of every subset of 1..depth features, one sweep per edge.
+
+    Yields blocks (idx, r2, trusted): idx is a (k, s) block of feature
+    indices as :func:`fit_block` takes it, one subset per row. Together the
+    blocks hold every nonempty subset of at most ``depth`` features once.
+
+    The walk follows the Furnival-Wilson tree, in which a child adds one
+    feature above its parent's largest, over the Gram matrix G = R^T R of the
+    design's triangle, so its cost does not depend on n. Each node A carries
+    SWEEP(G, A) (Goodnight 1979): the Schur complement C_A outside A and
+    -G_A^{-1} inside. A child A + i scores r2[A] + C_A[i, y]^2 / C_A[i, i].
+    Only nodes with grandchildren get a full (m+1)^2 matrix; a node whose
+    children end the walk keeps its diagonal, its response column and its
+    own rows. Nodes are expanded depth first, in blocks of at most
+    FIT_CHUNK // SWEEP_CHUNK_DIVISOR, so memory does not grow with the number
+    of subsets.
+
+    A subset S is trusted when each member's pivot against the rest of S,
+    1 / [G_S^{-1}]_aa, is at least SWEEP_PIVOT_RTOL * G[a, a], and its
+    parent is trusted. An untrusted subset is not swept further: it and its
+    whole subtree come back with trusted False and r2 NaN, for the caller
+    to fit with :func:`fit_block`. Trusted values agree with fit_block's to
+    rounding, not bit for bit.
+    """
+    m = design.m
+    if not 0 <= depth <= m:
+        raise ValueError(f"depth must lie in 0..{m}")
+    if depth == 0:
+        return
+    G = design.triangle.T @ design.triangle
+    floor = SWEEP_PIVOT_RTOL * np.diagonal(G)[:m]
+    features = np.arange(m)
+
+    def below(members, r2, C=None, diag=None, cross=None, rows=None):
+        # The subtrees of a block of trusted nodes of one size. ``members``
+        # holds each node's features as a row. C holds the nodes' swept
+        # matrices, or is None when their children end the walk and only
+        # the diagonals, response columns and member rows were kept.
+        count, size = members.shape
+        node = np.arange(count)[:, None]
+        if C is not None:
+            diag = np.diagonal(C, axis1=1, axis2=2)[:, :m]
+            cross = C[:, :m, m]
+            rows = C[node, members, :m]
+        last = members[:, -1] if size else np.full(count, -1)
+        p, i = np.nonzero(features > last[:, None])
+        pivot = diag[p, i]
+        ok = pivot >= floor[i]
+        pivot = np.where(ok, pivot, 1.0)
+        # [G_S^{-1}]_aa of each member a of the child S, against a's floor
+        inverse = np.square(rows[p, :, i]) / pivot[:, None] - diag[node, members][p]
+        trusted = ok & (inverse * floor[members][p] <= 1.0).all(axis=1)
+        r2 = np.where(trusted, r2[p] + np.square(cross[p, i]) / pivot, np.nan)
+        idx = np.concatenate([members[p], i[:, None]], axis=1)
+        yield idx, r2, trusted
+        if C is None or size + 1 == depth:
+            return
+        parents = i < m - 1
+        for c in np.flatnonzero(parents & ~trusted):
+            yield from untrusted_below(idx[c])
+        grow = np.flatnonzero(parents & trusted)
+        full = (i[grow] < m - 2) & (size + 3 <= depth)
+        for block in _blocks(grow[full]):
+            pp, k, d = p[block], i[block], pivot[block]
+            col = C[pp, :, k]
+            scale = col / d[:, None]
+            swept = C[pp]
+            swept -= col[:, :, None] * scale[:, None, :]
+            b = np.arange(block.size)
+            swept[b, k, :] = scale
+            swept[b, :, k] = scale
+            swept[b, k, k] = -1.0 / d
+            yield from below(idx[block], r2[block], swept)
+        for block in _blocks(grow[~full]):
+            pp, k, d = p[block], i[block], pivot[block]
+            col = C[pp, :, k]
+            scale = col / d[:, None]
+            col, tail = col[:, :m], scale[:, :m]
+            b = np.arange(block.size)
+            child_diag = diag[pp] - col * tail
+            child_diag[b, k] = -1.0 / d
+            child_cross = cross[pp] - col * scale[:, m, None]
+            kept = rows[pp] - col[b[:, None], members[pp]][:, :, None] * tail[:, None, :]
+            child_rows = np.concatenate([kept, tail[:, None, :]], axis=1)
+            yield from below(idx[block], r2[block], None, child_diag, child_cross, child_rows)
+
+    def untrusted_below(node):
+        # Every descendant of one untrusted node, unswept.
+        last = int(node[-1])
+        free = m - last - 1
+        for extra in range(1, min(depth - node.size, free) + 1):
+            for tail in combination_blocks(free, extra, FIT_CHUNK):
+                head = np.broadcast_to(node, (len(tail), node.size))
+                idx = np.concatenate([head, tail + (last + 1)], axis=1)
+                yield idx, np.full(len(idx), np.nan), np.zeros(len(idx), bool)
+
+    yield from below(np.zeros((1, 0), np.intp), np.zeros(1), G[None])
+
+
+def _blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Split an index array into sweep_walk's blocks of consecutive nodes."""
+    size = max(1, FIT_CHUNK // SWEEP_CHUNK_DIVISOR)
+    for lo in range(0, rows.size, size):
+        yield rows[lo : lo + size]
 
 
 def _evaluate_subset(design: StandardizedDesign, mask: int) -> FitEntry:

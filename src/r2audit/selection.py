@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import regress
-from .bitsets import block_masks, combination_blocks, indices_of, mask_of
+from .bitsets import block_masks, indices_of, mask_of
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
 from .jsonsafe import sanitize
 from .regress import (
@@ -28,10 +28,19 @@ from .regress import (
     fit_block,
     ls_fit,
     partial_correlation,
+    sweep_walk,
 )
 from .setfun import _r2, has_second_order_violation
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
+
+# best_subset and l0_path re-fit every trusted subset whose screened fit lies
+# within this distance of its size's screened maximum. A screened value is
+# within 3 eps |S| / regress.SWEEP_PIVOT_RTOL of fit_block's, 1.6e-8 at 24
+# features, so the band is more than twice that: it holds the subset
+# fit_block ranks first, and every subset tied with it. On an n = 2000,
+# m = 24 Gaussian design only each size's screened maximum lies within it.
+SCREEN_BAND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -142,22 +151,46 @@ def forward_stepwise(
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
-def _best_of_size(design: StandardizedDesign, size: int) -> tuple[int, float]:
-    """Mask and fit of the best subset of one size; ties go to the smallest mask.
+def _best_per_size(design: StandardizedDesign, depth: int) -> list[tuple[int, float]]:
+    """(mask, fit) of the best subset of each size 0..depth; ties go to the
+    smallest mask.
 
-    The combinations are streamed through the fit kernel, FIT_CHUNK at a time.
+    sweep_walk screens every subset. For each size, fit_block then re-fits
+    the trusted subsets within SCREEN_BAND of the size's screened maximum
+    and every untrusted subset, and the judgement reads re-fitted values
+    only. So the answer is the one a fit_block call on every subset gives.
     """
-    best_mask = -1
-    best_r2 = -1.0
-    for idx in combination_blocks(design.m, size, regress.FIT_CHUNK):
-        masks = block_masks(idx)
+    best = [(0, 0.0)] + [(-1, -1.0)] * depth
+    top = np.full(depth + 1, -np.inf)
+    pending = [(np.zeros((0, size), np.intp), np.zeros(0)) for size in range(depth + 1)]
+
+    def judge(idx: np.ndarray) -> None:
         values = fit_block(design, idx)[0]
         value = float(values.max())
-        mask = int(masks[values == value].min())
-        if value > best_r2 or (value == best_r2 and mask < best_mask):
-            best_r2 = value
-            best_mask = mask
-    return best_mask, best_r2
+        mask = int(block_masks(idx)[values == value].min())
+        best_mask, best_value = best[idx.shape[1]]
+        if value > best_value or (value == best_value and mask < best_mask):
+            best[idx.shape[1]] = (mask, value)
+
+    # Re-fitting a subset that later falls out of the band cannot change the
+    # answer, so pending finalists are judged whenever FIT_CHUNK of them
+    # gather; memory stays bounded even when many subsets tie.
+    for idx, r2, trusted in sweep_walk(design, depth):
+        size = idx.shape[1]
+        top[size] = max(top[size], np.max(r2, where=trusted, initial=-np.inf))
+        held, screened = pending[size]
+        idx = np.concatenate([held, idx])
+        screened = np.concatenate([screened, np.where(trusted, r2, np.inf)])
+        keep = screened >= top[size] - SCREEN_BAND
+        idx, screened = idx[keep], screened[keep]
+        if len(idx) >= regress.FIT_CHUNK:
+            judge(idx)
+            idx, screened = idx[:0], screened[:0]
+        pending[size] = (idx, screened)
+    for idx, _ in pending[1:]:
+        if len(idx):
+            judge(idx)
+    return best
 
 
 @dataclass(frozen=True)
@@ -169,21 +202,22 @@ class BestSubsetResult:
 def best_subset(
     design: StandardizedDesign,
     k: int,
-    cache: FitCache | None = None,
+    *,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> BestSubsetResult:
     """Exhaustive maximizer of the fit over all subsets of size at most k.
 
-    The search streams its fits and stores none; ``cache`` is accepted so
-    that every selection routine takes the same arguments.
+    Subsets are ranked by a sweep screen and the finalists fitted by
+    fit_block (see ``_best_per_size``), so the value and subset are those of
+    fitting every subset; ties go to the smallest mask. Memory stays bounded
+    by a few blocks of FIT_CHUNK subsets.
     """
     _check_cap(design.m, max_features)
     if not 0 <= k <= design.m:
         raise ValueError(f"k must lie in 0..{design.m}")
     best_mask = 0
     best_r2 = 0.0
-    for size in range(1, k + 1):
-        mask, value = _best_of_size(design, size)
+    for mask, value in _best_per_size(design, k)[1:]:
         if value > best_r2 or (value == best_r2 and mask < best_mask):
             best_r2 = value
             best_mask = mask
@@ -200,27 +234,28 @@ class L0PathPoint:
 def l0_path(
     design: StandardizedDesign,
     lambda_grid: Iterable[float],
-    cache: FitCache | None = None,
+    *,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> list[L0PathPoint]:
     """Exact sparsity-penalized path: argmin of ESS(S) + lambda |S| per lambda.
 
     With the response standardized, ESS(S) is 1 - r_squared(S), so the
     per-cardinality best subsets are computed once and reused across the
-    whole grid. Objective ties break toward the smallest mask. As in
-    :func:`best_subset`, ``cache`` is accepted but not used.
+    whole grid. Objective ties break toward the smallest mask. The empty
+    subset carries no penalty, so lambda = +inf selects it with objective 1.
     """
     _check_cap(design.m, max_features)
-    per_size = [(0, 0.0)] + [_best_of_size(design, size) for size in range(1, design.m + 1)]
+    lambdas = list(lambda_grid)
+    if not all(lam >= 0 for lam in lambdas):
+        raise ValueError("lambda values must be nonnegative and not NaN")
+    per_size = _best_per_size(design, design.m)
 
     path = []
-    for lam in lambda_grid:
-        if lam < 0:
-            raise ValueError("lambda values must be nonnegative")
+    for lam in lambdas:
         chosen_mask = 0
         chosen_obj = math.inf
         for size, (mask, r2v) in enumerate(per_size):
-            objective = (1.0 - r2v) + lam * size
+            objective = (1.0 - r2v) + (lam * size if size else 0.0)
             if objective < chosen_obj or (objective == chosen_obj and mask < chosen_mask):
                 chosen_obj = objective
                 chosen_mask = mask
@@ -271,7 +306,7 @@ def nwf_check(
     _check_cap(design.m, max_features)
     cache = cache if cache is not None else FitCache()
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
-    optimal = best_subset(design, k, cache=cache, max_features=max_features).r_squared
+    optimal = best_subset(design, k, max_features=max_features).r_squared
     is_submodular = not has_second_order_violation(design, cache=cache, max_features=max_features)
     return nwf_verdict(greedy, optimal, is_submodular, tolerance)
 

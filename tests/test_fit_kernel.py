@@ -4,7 +4,11 @@
 the standardized features, the same relative rank cutoff and the same clip at
 1. The package now fits every subset on the design's (m+1) x (m+1) triangle;
 the two must agree on R^2 to 1e-12 and on the rank exactly, for every mask.
+The sweep walk's screened values are checked against the kernel on the same
+designs.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +16,9 @@ import pytest
 from conftest import make_noisy_design
 from r2audit import FitCache, gram_factory, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
-from r2audit.bitsets import combination_blocks, indices_of
-from r2audit.regress import RANK_RTOL, FitEntry, fit_block, fit_entry
+from r2audit.bitsets import block_masks, combination_blocks, indices_of
+from r2audit.regress import RANK_RTOL, SWEEP_PIVOT_RTOL, FitEntry, fit_block, fit_entry, sweep_walk
+from r2audit.selection import SCREEN_BAND
 
 
 def evaluate_subset(design, mask):
@@ -80,6 +85,8 @@ def test_table_fill_matches_direct_fit_on_every_mask(design):
 
 
 def test_designs_reach_their_edge_cases():
+    for name in ("duplicated_column", "near_collinear_pair", "n_below_m_plus_1"):
+        assert not all(trusted for _, trusted in _walk(DESIGNS[name]()).values()), name
     assert fit_entry(DESIGNS["duplicated_column"](), (1, 4)).rank == 1
     assert fit_entry(DESIGNS["n_below_m_plus_1"](), range(6)).rank == 3
     assert fit_entry(DESIGNS["interpolating"](), range(4)).r_squared == pytest.approx(1.0, abs=1e-12)
@@ -108,3 +115,83 @@ def test_fit_block_does_not_depend_on_batching(monkeypatch):
         singles = [fit_entry(d, row) for row in idx]
         assert whole[0].tolist() == chunked[0].tolist() == [e.r_squared for e in singles]
         assert whole[1].tolist() == chunked[1].tolist() == [e.rank for e in singles]
+
+
+def _nested_near_null():
+    # Each column is the previous columns' near-null combination plus 1.2e-3
+    # of a new direction: every pivot a column meets on its own tree path is
+    # about 1.4e-6, yet the smallest singular value shrinks by about 1e-3 per
+    # column, and the five-column subset is rank-deficient for fit_block.
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 7)))
+    cols = [Q[:, 0]]
+    for j in range(1, 6):
+        U = np.column_stack(cols)
+        _, s, Vt = np.linalg.svd(U, full_matrices=False)
+        cols.append(U @ (Vt[-1] / s[-1]) + 1.2e-3 * Q[:, j])
+    X = np.column_stack(cols)
+    return standardize(X, X @ rng.standard_normal(6) + Q[:, 6])
+
+
+def _pivots(R, order):
+    """Squared diagonal of the QR triangle of R's columns in this order: the
+    pivot each column meets when swept in that order (0 past the rank)."""
+    pivots = np.zeros(len(order))
+    diag = np.diag(np.linalg.qr(R[:, list(order)], mode="r"))
+    pivots[: diag.size] = diag**2
+    return pivots
+
+
+def _last_pivot(R, idx, a):
+    """The pivot feature a meets when swept last in subset idx."""
+    return _pivots(R, [b for b in idx if b != a] + [a])[-1]
+
+
+def _walk(design, depth=None):
+    """{mask: (screened r2, trusted)} of one sweep walk; each subset comes once."""
+    seen = {}
+    for idx, r2, trusted in sweep_walk(design, design.m if depth is None else depth):
+        assert (np.diff(idx, axis=1) > 0).all()
+        for mask, value, ok in zip(block_masks(idx).tolist(), r2.tolist(), trusted.tolist()):
+            assert mask not in seen
+            seen[mask] = (value, ok)
+    return seen
+
+
+@pytest.mark.parametrize("name", [*DESIGNS, "nested_near_null"])
+def test_sweep_walk_screens_every_subset_within_the_band(name):
+    design = _nested_near_null() if name == "nested_near_null" else DESIGNS[name]()
+    seen = _walk(design)
+    assert sorted(seen) == list(range(1, 1 << design.m))
+    R = design.triangle
+    gram_diag = np.diagonal(R.T @ R)
+    for mask, (value, trusted) in seen.items():
+        idx = indices_of(mask)
+        fit, rank = fit_block(design, np.array([idx]))
+        collapsed = min(_last_pivot(R, idx, a) / gram_diag[a] for a in idx)
+        if trusted:
+            assert abs(value - fit[0]) <= SCREEN_BAND / 100, idx
+            assert rank[0] == len(idx), idx
+        else:
+            assert math.isnan(value), idx
+        if collapsed < SWEEP_PIVOT_RTOL / 2:
+            assert not trusted, idx
+
+
+def test_nested_design_collapses_only_off_its_paths():
+    # Every pivot on the tree path of {0..4} clears the floor, yet the subset
+    # is rank-deficient: the walk must distrust it by its other pivots.
+    design = _nested_near_null()
+    assert _pivots(design.triangle, range(5)).min() > SWEEP_PIVOT_RTOL
+    assert fit_entry(design, range(5)).rank == 4
+    assert not _walk(design)[0b11111][1]
+
+
+def test_sweep_walk_does_not_depend_on_blocking(monkeypatch):
+    for design in (DESIGNS["duplicated_column"](), make_noisy_design(16, n=40, m=7)):
+        for depth in range(design.m + 1):
+            whole = _walk(design, depth)
+            monkeypatch.setattr(regress, "FIT_CHUNK", 2)
+            blocked = _walk(design, depth)
+            monkeypatch.undo()
+            assert repr(sorted(whole.items())) == repr(sorted(blocked.items()))
