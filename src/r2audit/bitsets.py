@@ -30,6 +30,11 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mask_sizes(masks: np.ndarray, m: int) -> np.ndarray:
+    """Number of members of each mask over features 0..m-1."""
+    return sum((masks >> b) & 1 for b in range(m))
+
+
 def block_masks(idx: np.ndarray) -> np.ndarray:
     """Bitmask of every row of a (k, s) block of distinct feature indices."""
     return (1 << idx).sum(axis=1)

@@ -4,6 +4,12 @@ Every command is a pure function of its arguments and input files; rerunning
 with identical inputs yields byte-identical outputs. Exit codes: 0 success,
 1 usage or I/O error, 2 partial diagnostics (an exhaustive section was
 skipped because the feature count exceeds the enumeration budget).
+
+The audit report (schema "2") has a size set by the feature count, not by
+the number of violation certificates: each violation list appears as its
+count, its top 10 certificates, and its counts by conditioning-set size and
+by feature pair. ``audit --certificates PATH`` writes both whole lists to
+PATH as JSON lines, second-order first, then suppression.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import datasets, geometry2d, jsonsafe
-from .bitsets import indices_of
+from .bitsets import indices_of, mask_sizes
 from .errors import AuditError
 from .gamma import RatioQuery, submodularity_ratio
 from .jsonsafe import float_texts, sanitize, string_text
@@ -29,8 +37,10 @@ from .setfun import (
 )
 from .spectral import ConeSpec, restricted_eigenvalue, sparse_min_eigenvalue
 
-REPORT_SCHEMA = "1"
+REPORT_SCHEMA = "2"
 TOP_CERTIFICATES = 10
+# Certificates rendered at a time into the --certificates stream.
+STREAM_CHUNK = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,10 +73,14 @@ def build_audit_report(
     max_enum: int,
     mode: str | None = None,
     alpha: float | None = None,
+    certificates: str | None = None,
 ) -> tuple[dict, int]:
     """Assemble the full diagnostic report; returns (report, exit_code).
 
-    Certificate lists stay Certificates columns; ``report_text`` writes them.
+    Each violation list is summarized by ``_violation_summary``; its top
+    certificates stay Certificates columns, which ``report_text`` writes.
+    Given a ``certificates`` path, both whole lists are written there by
+    ``write_certificates`` when the violations section is computed.
     """
     names = design.names
     cache = FitCache()
@@ -171,9 +185,11 @@ def build_audit_report(
     second = check_submodular(design, "second_order", cache=cache, max_features=max_enum)
     suppressors = find_suppressors(design, cache=cache, max_features=max_enum)
     report["violations"] = {
-        "second_order": {"count": len(second), "top": second[:TOP_CERTIFICATES]},
-        "suppression": {"count": len(suppressors), "certificates": suppressors},
+        "second_order": _violation_summary(second, names),
+        "suppression": _violation_summary(suppressors, names),
     }
+    if certificates is not None:
+        write_certificates(certificates, (second, suppressors), names)
 
     best = best_subset(design, k, max_features=max_enum)
     nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=not second)
@@ -209,19 +225,38 @@ def build_audit_report(
     return report, 0
 
 
-def _certificates_text(certs: Certificates, names, depth: int) -> str:
-    """A certificate list as json.dumps(..., sort_keys=True, indent=2) writes
-    the list of {"deficit", "form", "lhs", "rhs", "sets"} objects at that
-    depth: one format per certificate, each name list rendered once per mask."""
-    if not certs:
-        return "[]"
-    pad = ["\n" + "  " * (depth + level) for level in range(5)]
+def _violation_summary(certs: Certificates, names) -> dict:
+    """An (A or S, i, j) certificate list's count, its first TOP_CERTIFICATES
+    certificates, its counts by the size of A (or S), and its nonzero counts
+    by ordered pair (i, j) in index order."""
+    m = len(names)
+    sets, i, j = certs.columns
+    pairs = np.bincount(i * m + j, minlength=m * m)
+    return {
+        "count": len(certs),
+        "top": certs[:TOP_CERTIFICATES],
+        "by_size": np.bincount(mask_sizes(sets, m), minlength=max(m - 1, 0)).tolist(),
+        "by_pair": [
+            {"i": names[p // m], "j": names[p % m], "count": int(pairs[p])}
+            for p in np.flatnonzero(pairs).tolist()
+        ],
+    }
+
+
+def _certificate_texts(certs: Certificates, names, pads) -> list[str]:
+    """The text json.dumps writes for each certificate's {"deficit", "form",
+    "lhs", "rhs", "sets"} object, in list order: one format for the list, each
+    mask's name list rendered once. ``pads[level]`` is the line break and
+    indent before an item ``level`` brackets inside the list, or "" for
+    json.dumps without ``indent``."""
+    certs = certs[:]
+    seps = ["," + pad if pad else ", " for pad in pads]
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
-        f'{pad[1]}{{{pad[2]}"deficit": %s,{pad[2]}"form": {string_text(certs.form)},'
-        f'{pad[2]}"lhs": %s,{pad[2]}"rhs": %s,{pad[2]}"sets": {{'
-        + ",".join(f"{pad[3]}{string_text(role)}: %s" for role, _ in roles)
-        + f"{pad[2]}}}{pad[1]}}}"
+        f'{{{pads[2]}"deficit": %s{seps[2]}"form": {string_text(certs.form)}'
+        f'{seps[2]}"lhs": %s{seps[2]}"rhs": %s{seps[2]}"sets": {{{pads[3]}'
+        + seps[3].join(f"{string_text(role)}: %s" for role, _ in roles)
+        + f"{pads[2]}}}{pads[1]}}}"
     )
     encoded = [string_text(name) for name in names]
     role_texts = []
@@ -232,11 +267,31 @@ def _certificates_text(certs: Certificates, names, depth: int) -> str:
         else:
             lookup = {}
             for mask in set(values):
-                members = [pad[4] + encoded[f] for f in indices_of(mask)]
-                lookup[mask] = "[" + ",".join(members) + pad[3] + "]" if members else "[]"
+                members = [encoded[f] for f in indices_of(mask)]
+                lookup[mask] = f"[{pads[4]}{seps[4].join(members)}{pads[3]}]" if members else "[]"
         role_texts.append(map(lookup.__getitem__, values))
     rows = zip(float_texts(certs.deficit), float_texts(certs.lhs), float_texts(certs.rhs), *role_texts)
-    return "[" + ",".join([template % row for row in rows]) + pad[0] + "]"
+    return [template % row for row in rows]
+
+
+def _certificates_text(certs: Certificates, names, depth: int) -> str:
+    """A certificate list as json.dumps(..., sort_keys=True, indent=2) writes
+    it at that depth."""
+    if not certs:
+        return "[]"
+    pads = ["\n" + "  " * (depth + level) for level in range(5)]
+    return f"[{pads[1]}{(',' + pads[1]).join(_certificate_texts(certs, names, pads))}{pads[0]}]"
+
+
+def write_certificates(path: str | Path, lists, names) -> None:
+    """Write every certificate of the lists, in order, one line each as
+    json.dumps(sanitize(certificate), sort_keys=True) writes its object."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for certs in lists:
+            certs = certs[:]  # sorted once; the chunks are views of it
+            for lo in range(0, len(certs), STREAM_CHUNK):
+                texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names, [""] * 5)
+                fh.write("".join(text + "\n" for text in texts))
 
 
 def report_text(report: dict, names) -> str:
@@ -252,7 +307,7 @@ def _cmd_audit(args) -> int:
     design = standardize(raw, response, names)
     report, code = build_audit_report(
         design, str(args.csv), args.response, args.k, args.max_enum,
-        mode=args.mode, alpha=args.alpha,
+        mode=args.mode, alpha=args.alpha, certificates=args.certificates,
     )
     _write_text(args.out, report_text(report, design.names))
     return code
@@ -395,6 +450,8 @@ def _build_parser() -> _Parser:
                        help="also report the restricted eigenvalue on the best subset's cone")
     audit.add_argument("--max-enum", type=int, default=20, dest="max_enum")
     audit.add_argument("--out", default=None)
+    audit.add_argument("--certificates", default=None,
+                       help="also write every second-order, then suppression certificate here as JSON lines")
     audit.set_defaults(func=_cmd_audit)
 
     grid = sub.add_parser("grid", help="two-feature diagnostic grid as CSV")

@@ -169,13 +169,15 @@ class FitCache:
     r_squared-by-mask array once a set-function kernel has filled it, and
     from then on every read answers from it and its rank array. Both are
     published by :meth:`publish`, ranks first, so readers see None or a full
-    table.
+    table. ``derived`` holds what kernels compute from the table and share,
+    keyed by the kernel and its parameters.
     """
 
     def __init__(self):
         self._entries: dict[int, FitEntry] = {0: FitEntry(0.0, 0)}
         self._ranks: np.ndarray | None = None
         self.table: np.ndarray | None = None
+        self.derived: dict = {}
 
     def publish(self, table: np.ndarray, ranks: np.ndarray) -> None:
         self._ranks = ranks

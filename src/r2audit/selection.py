@@ -30,7 +30,7 @@ from .regress import (
     partial_correlation,
     sweep_walk,
 )
-from .setfun import _r2, has_second_order_violation
+from .setfun import _r2, check_submodular
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
@@ -307,7 +307,7 @@ def nwf_check(
     cache = cache if cache is not None else FitCache()
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
     optimal = best_subset(design, k, max_features=max_features).r_squared
-    is_submodular = not has_second_order_violation(design, cache=cache, max_features=max_features)
+    is_submodular = not check_submodular(design, cache=cache, max_features=max_features)
     return nwf_verdict(greedy, optimal, is_submodular, tolerance)
 
 

@@ -13,11 +13,15 @@ supersets B, found by a zeta transform in O(m^2 2^m) rather than a walk over
 all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
 The definition and first-order checks compare blocks of table rows with the
 whole table: O(4^m) and O(m 4^m) time. Argmin ties break toward the first
-comparison in ascending mask order; certificates are sorted by deficit,
+comparison in ascending mask order; certificates are ordered by deficit,
 largest first, then by their index sets as tuples, and kept as columns
-(Certificates) from the sort to the report text. Second-order certificates
-(A, i, j) and (A, j, i) share the deficit of (A, min(i, j), max(i, j)) and
-sort next to each other.
+(Certificates) from the kernel to the report text. The order is found only
+when read: the report's top N sorts the rows at or above the N-th largest
+deficit, and only a reader of the whole list sorts it all. Second-order
+certificates (A, i, j) and (A, j, i) share the deficit of
+(A, min(i, j), max(i, j)) and sort next to each other. Suppression
+certificates are the second-order rows, selected by the same comparison and
+rendered as square roots of the two gains.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import regress
-from .bitsets import block_masks, combination_blocks, indices_of, mask_of
+from .bitsets import block_masks, combination_blocks, indices_of, mask_of, mask_sizes
 from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
@@ -131,48 +135,83 @@ class ViolationCertificate:
 
 
 class Certificates(Sequence):
-    """A sorted list of certificates of one form, stored by column, read-only.
+    """A list of certificates of one form, stored by column, read-only.
 
     ``columns`` holds one int64 array per role in ``roles``: masks for the set
     roles A, B and S, feature indices for i and j. ``lhs``, ``rhs`` and
-    ``deficit`` are float64 arrays. An int index and iteration yield
-    ViolationCertificate; a slice is again a Certificates. It equals any
-    sequence holding the same certificates in the same order.
+    ``deficit`` are float64 arrays. The arrays are in storage order. Without
+    ``ties`` that is the list's order; with it, the list is ordered by deficit,
+    largest first, then by the keys ``ties(rows)`` gives for those storage
+    rows, most significant first, and that order is found only when read.
+    A head ``certs[:n]`` selects its rows with ``np.argpartition`` on the
+    deficit and sorts only them and the ties at the cut; iteration and any
+    slice reaching the end sort the whole list once. An int index and
+    iteration yield ViolationCertificate; a slice is again a Certificates,
+    in order. It equals any sequence holding the same certificates in the
+    same order.
     """
 
-    def __init__(self, form: str, roles, columns, lhs, rhs, deficit):
+    def __init__(self, form: str, roles, columns, lhs, rhs, deficit, ties=None):
         self.form = form
         self.roles = tuple(roles)
         self.columns = tuple(columns)
         self.lhs, self.rhs, self.deficit = lhs, rhs, deficit
         for values in (*self.columns, lhs, rhs, deficit):
             values.setflags(write=False)
+        self._ties = ties
+        self._order: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.deficit.size
 
+    def _sort(self, rows: np.ndarray) -> np.ndarray:
+        """The given storage rows in list order."""
+        keys = self._ties(rows)
+        return rows[np.lexsort(keys[::-1] + [-self.deficit[rows]])]
+
+    def _head(self, count: int) -> np.ndarray:
+        """Storage rows of the first ``count`` certificates, in list order."""
+        if self._order is None:
+            if count == 0:
+                return np.zeros(0, dtype=np.intp)
+            if count < len(self):
+                key = -self.deficit
+                cut = key[np.argpartition(key, count - 1)[count - 1]]
+                # Rows past the cut sort after every row at or before it; a
+                # NaN cut keeps none, and the whole list is sorted instead.
+                rows = np.flatnonzero(key <= cut)
+                if rows.size >= count:
+                    return self._sort(rows)[:count]
+            self._order = self._sort(np.arange(len(self)))
+        return self._order[:count]
+
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Certificates(
-                self.form,
-                self.roles,
-                [values[index] for values in self.columns],
-                self.lhs[index],
-                self.rhs[index],
-                self.deficit[index],
-            )
-        row = range(len(self))[index]
-        return next(iter(self[row : row + 1]))
+        if not isinstance(index, slice):
+            row = range(len(self))[index]
+            return next(iter(self[row : row + 1]))
+        if self._ties is not None:
+            at = range(len(self))[index]
+            head = self._head(max(at[0], at[-1]) + 1 if at else 0)
+            index = head[np.arange(at.start, at.stop, at.step)]
+        return Certificates(
+            self.form,
+            self.roles,
+            [values[index] for values in self.columns],
+            self.lhs[index],
+            self.rhs[index],
+            self.deficit[index],
+        )
 
     def __iter__(self) -> Iterator[ViolationCertificate]:
+        certs = self if self._ties is None else self[:]
         parts = []
-        for role, values in zip(self.roles, self.columns):
+        for role, values in zip(certs.roles, certs.columns):
             values = values.tolist()
             as_set = (lambda v: (v,)) if role in ("i", "j") else indices_of
             lookup = {v: (role, as_set(v)) for v in set(values)}
             parts.append(map(lookup.__getitem__, values))
         for sets, lhs, rhs, deficit in zip(
-            zip(*parts), self.lhs.tolist(), self.rhs.tolist(), self.deficit.tolist()
+            zip(*parts), certs.lhs.tolist(), certs.rhs.tolist(), certs.deficit.tolist()
         ):
             yield ViolationCertificate(self.form, sets, lhs, rhs, deficit)
 
@@ -198,35 +237,45 @@ def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:
     return rank
 
 
-def _certificates(form, roles, chunks, tolerance, m, table=None) -> Certificates:
-    """Certificates for every comparison with rhs - lhs > tolerance.
+def _hits(chunks, tolerance, roles) -> list[np.ndarray]:
+    """One column per role, then lhs and rhs, of every comparison with
+    rhs - lhs > tolerance.
 
     ``chunks`` yields one array or scalar per role, then lhs and rhs arrays:
-    masks for the set roles A, B and S, feature indices for i and j. The result
-    is sorted by deficit, largest first, then by the index sets as tuples.
-    Given the table, (A, i, j) certificates are second-order ones: the mirror
-    images (A, i, j) and (A, j, i) have mathematically equal deficits, so both
-    take the deficit of (A, min, max) from the table, and ties sort by A, the
-    unordered pair, then i, so that mirror images sit next to each other.
+    masks for the set roles A, B and S, feature indices for i and j.
     """
     kept = []
     for chunk in chunks:
         hit = chunk[-1] - chunk[-2] > tolerance
         kept.append([np.broadcast_to(values, hit.shape)[hit] for values in chunk])
     if not kept:
-        empty = np.zeros(0)
-        return Certificates(form, roles, [np.zeros(0, dtype=np.int64) for _ in roles], empty, empty, empty)
-    *columns, lhs, rhs = map(np.concatenate, zip(*kept))
-    deficit = rhs - lhs
-    keys = [col if role in ("i", "j") else _lex_rank(col, m) for role, col in zip(roles, columns)]
-    if table is not None:
-        a, i, j = columns
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        with_lo, with_hi = a | (1 << lo), a | (1 << hi)
-        deficit = (table[with_lo | with_hi] - table[with_hi]) - (table[with_lo] - table[a])
-        keys = [keys[0], lo, hi, i]
-    order = np.lexsort(keys[::-1] + [-deficit])
-    return Certificates(form, roles, [col[order] for col in columns], lhs[order], rhs[order], deficit[order])
+        return [np.zeros(0, dtype=np.int64) for _ in roles] + [np.zeros(0), np.zeros(0)]
+    return list(map(np.concatenate, zip(*kept)))
+
+
+def _by_sets(form, roles, hits, m) -> Certificates:
+    """Certificates of the hits with deficit = rhs - lhs, ordered by deficit,
+    largest first, then by their index sets as tuples."""
+    *columns, lhs, rhs = hits
+
+    def ties(rows):
+        return [
+            values[rows] if role in ("i", "j") else _lex_rank(values[rows], m)
+            for role, values in zip(roles, columns)
+        ]
+
+    return Certificates(form, roles, columns, lhs, rhs, rhs - lhs, ties)
+
+
+def _second_order_hits(table, m, tolerance, cache: FitCache) -> list[np.ndarray]:
+    """(A, i, j, gain_A(i), gain_{A+j}(i)) for every comparison with
+    gain_{A+j}(i) - gain_A(i) > tolerance: the rows of the second-order and
+    of the suppression certificates, found once per cache and tolerance."""
+    key = ("second_order", tolerance)
+    hits = cache.derived.get(key)
+    if hits is None:
+        hits = cache.derived.setdefault(key, _hits(_pair_gains(table, m), tolerance, ("A", "i", "j")))
+    return hits
 
 
 def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -259,32 +308,36 @@ def check_submodular(
     "first_order" checks gains against nested base sets, and "second_order"
     checks gains against a single extra conditioning feature. Returns no
     certificates iff the inequality holds everywhere up to ``tolerance``;
-    otherwise certificates sorted by deficit, largest first.
+    otherwise certificates ordered by deficit, largest first. Neither the
+    length nor the truth value of the result sorts it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = design.m
+    cache = cache if cache is not None else FitCache()
     table = _table(design, cache, max_features)
     if mode == "definition":
         chunks = (
             (a, b, table[a] + table[b], table[a | b] + table[a & b])
             for a, b in _mask_pairs(m, np.less_equal)
         )
-        return _certificates("definition", ("A", "B"), chunks, tolerance, m)
+        roles = ("A", "B")
+        return _by_sets("definition", roles, _hits(chunks, tolerance, roles), m)
     if mode == "first_order":
-        return _certificates("first_order", ("A", "B", "i"), _first_order_pairs(table, m), tolerance, m)
-    return _certificates("second_order", ("A", "i", "j"), _pair_gains(table, m), tolerance, m, table)
+        roles = ("A", "B", "i")
+        return _by_sets("first_order", roles, _hits(_first_order_pairs(table, m), tolerance, roles), m)
+    # The mirror images (A, i, j) and (A, j, i) have mathematically equal
+    # deficits, so both take the deficit of (A, min, max) from the table, and
+    # ties sort by A, the unordered pair, then i, so that they sit together.
+    a, i, j, gain, cond = _second_order_hits(table, m, tolerance, cache)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    with_lo, with_hi = a | (1 << lo), a | (1 << hi)
+    deficit = (table[with_lo | with_hi] - table[with_hi]) - (table[with_lo] - table[a])
 
+    def ties(rows):
+        return [_lex_rank(a[rows], m), lo[rows], hi[rows], i[rows]]
 
-def has_second_order_violation(
-    design: StandardizedDesign,
-    tolerance: float = VIOLATION_TOL,
-    cache: FitCache | None = None,
-    max_features: int = DEFAULT_MAX_FEATURES,
-) -> bool:
-    """Whether the second-order check finds a violation; builds no certificates."""
-    table = _table(design, cache, max_features)
-    return any(bool((cond - gain > tolerance).any()) for *_, gain, cond in _pair_gains(table, design.m))
+    return Certificates("second_order", ("A", "i", "j"), (a, i, j), gain, cond, deficit, ties)
 
 
 def find_suppressors(
@@ -296,16 +349,17 @@ def find_suppressors(
     """Certify every (S, i, j) where conditioning on j amplifies feature i.
 
     A suppressor raises the absolute adjusted correlation between the
-    response and i when j joins the conditioning set S. Degenerate residuals
-    count as zero correlation. Certificates store the two absolute
-    correlations and are sorted by deficit, largest first.
+    response and i when j joins the conditioning set S: it is a second-order
+    violation (S, i, j) viewed through square roots. The rows are exactly
+    the second-order rows at the same tolerance, found by the same
+    comparison; certificates store the two absolute correlations
+    sqrt(max(gain, 0)), and are ordered by their difference, largest first.
     """
+    cache = cache if cache is not None else FitCache()
     table = _table(design, cache, max_features)
-    chunks = (
-        (a, i, j, np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0)))
-        for a, i, j, gain, cond in _pair_gains(table, design.m)
-    )
-    return _certificates("suppression", ("S", "i", "j"), chunks, tolerance, design.m)
+    a, i, j, gain, cond = _second_order_hits(table, design.m, tolerance, cache)
+    hits = [a, i, j, np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0))]
+    return _by_sets("suppression", ("S", "i", "j"), hits, design.m)
 
 
 def replay_certificate(
@@ -409,7 +463,7 @@ def empirical_gamma_s(
     m = design.m
     table = _table(design, cache, max_features)
     masks = np.arange(1 << m)
-    sizes = sum((masks >> b) & 1 for b in range(m))
+    sizes = mask_sizes(masks, m)
     per_feature = []
     skipped = 0
     for i in range(m):

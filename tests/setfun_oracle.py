@@ -139,7 +139,8 @@ def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=N
                 with_j = s_mask | (1 << j)
                 gain = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
                 cond_corr = math.sqrt(max(gain, 0.0))
-                if cond_corr - base_corr > tolerance:
+                # the second-order comparison, rendered as correlations
+                if gain - base_gain > tolerance:
                     found.append(
                         ViolationCertificate(
                             "suppression",

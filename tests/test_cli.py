@@ -1,11 +1,16 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import setfun_oracle as oracle
+from report_oracle import certificate_jsonable
+from r2audit import load_csv, standardize
 from r2audit.cli import main
 from r2audit.datasets import miller_table, write_csv
+from r2audit.jsonsafe import sanitize
 
 
 @pytest.fixture
@@ -52,7 +57,7 @@ def test_audit_miller_report(miller_csv, tmp_path):
     out = tmp_path / "report.json"
     assert main(["audit", str(miller_csv), "--response", "Y", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "1"
+    assert report["schema"] == "2"
     assert report["selection"]["forward_stepwise"]["steps"][0]["feature"] == "X3"
     assert report["selection"]["best_subset"]["subset"] == ["X1", "X2"]
     assert report["selection"]["nwf"]["is_submodular"] is False
@@ -72,8 +77,9 @@ def test_audit_orthogonal_design(tmp_path):
     out = tmp_path / "report.json"
     assert main(["audit", str(path), "--response", "Y", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["violations"]["second_order"]["count"] == 0
-    assert report["violations"]["suppression"]["count"] == 0
+    for key in ("second_order", "suppression"):
+        block = report["violations"][key]
+        assert block == {"count": 0, "top": [], "by_size": [0, 0], "by_pair": []}
     assert abs(report["gamma"]["gamma_s2"]["value"] - 1.0) < 1e-9
     assert abs(report["gamma"]["gamma_sr"]["exactly_k"]["value"] - 1.0) < 1e-9
     assert report["selection"]["nwf"]["guarantee_holds"] is True
@@ -87,6 +93,59 @@ def test_audit_determinism(miller_csv, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("generator", [["miller"], ["suppressor", "--p", "6"]])
+def test_certificate_stream_is_json_dumps_of_each_certificate(generator, tmp_path):
+    path = tmp_path / "in.csv"
+    assert main(["gen", *generator, "--out", str(path)]) == 0
+    for run in ("a", "b"):
+        args = ["audit", str(path), "--response", "Y", "--k", "3", "--out", str(tmp_path / f"{run}.json")]
+        assert main(args + ["--certificates", str(tmp_path / f"{run}.jsonl")]) == 0
+    report_bytes, stream = (tmp_path / "a.json").read_bytes(), (tmp_path / "a.jsonl").read_text()
+    assert report_bytes == (tmp_path / "b.json").read_bytes()
+    assert stream == (tmp_path / "b.jsonl").read_text()
+
+    raw, response, names = load_csv(path, "Y")
+    d = standardize(raw, response, names)
+    lists = {"second_order": oracle.check_submodular(d), "suppression": oracle.find_suppressors(d)}
+    lines = {
+        key: [json.dumps(sanitize(certificate_jsonable(c, d.names)), sort_keys=True) for c in certs]
+        for key, certs in lists.items()
+    }
+    assert stream.endswith("\n")
+    assert stream.splitlines() == lines["second_order"] + lines["suppression"]
+
+    report = json.loads(report_bytes)
+    for key, certs in lists.items():
+        block = report["violations"][key]
+        assert block["count"] == len(certs) > 0
+        assert block["top"] == [json.loads(line) for line in lines[key][:10]]
+        sizes = Counter(len(c.set_dict()["A" if key == "second_order" else "S"]) for c in certs)
+        assert block["by_size"] == [sizes[size] for size in range(d.m - 1)]
+        pairs = Counter((c.set_dict()["i"][0], c.set_dict()["j"][0]) for c in certs)
+        assert block["by_pair"] == [
+            {"i": d.names[i], "j": d.names[j], "count": pairs[i, j]} for i, j in sorted(pairs)
+        ]
+
+
+def test_m12_report_is_bounded_and_its_summaries_add_up(tmp_path):
+    path, out = tmp_path / "in.csv", tmp_path / "report.json"
+    assert main(["gen", "gaussian", "--n", "200", "--m", "12", "--seed", "7", "--out", str(path)]) == 0
+    assert main(["audit", str(path), "--response", "Y", "--k", "3", "--out", str(out)]) == 0
+    assert out.stat().st_size < 1_000_000
+    report = json.loads(out.read_text())
+    names = report["input"]["features"]
+    second, suppression = report["violations"]["second_order"], report["violations"]["suppression"]
+    for block in (second, suppression):
+        assert len(block["top"]) == 10 and len(block["by_size"]) == 11
+        assert sum(block["by_size"]) == block["count"] == sum(p["count"] for p in block["by_pair"])
+        keys = [(names.index(p["i"]), names.index(p["j"])) for p in block["by_pair"]]
+        assert keys == sorted(set(keys)) and all(p["count"] > 0 for p in block["by_pair"])
+    # one comparison selects both lists
+    assert {k: second[k] for k in ("count", "by_size", "by_pair")} == {
+        k: suppression[k] for k in ("count", "by_size", "by_pair")
+    }
+
+
 def test_audit_partial_when_too_wide(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((30, 6))
@@ -94,7 +153,10 @@ def test_audit_partial_when_too_wide(tmp_path):
     path = tmp_path / "wide.csv"
     write_csv(path, X, y)
     out = tmp_path / "report.json"
-    assert main(["audit", str(path), "--response", "Y", "--max-enum", "4", "--out", str(out)]) == 2
+    certs = tmp_path / "certs.jsonl"
+    args = ["audit", str(path), "--response", "Y", "--max-enum", "4", "--out", str(out)]
+    assert main(args + ["--certificates", str(certs)]) == 2
+    assert not certs.exists()  # the lists were not computed
     report = json.loads(out.read_text())
     assert report["partial"] is True
     assert "gamma" in report["skipped_diagnostics"]

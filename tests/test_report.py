@@ -10,10 +10,12 @@ import pytest
 
 import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design
-from report_oracle import as_certificates, reference_text
-from r2audit import gram_factory, nwf_check, suppressor_population
-from r2audit.cli import build_audit_report, report_text
-from r2audit.jsonsafe import dumps
+from report_oracle import as_certificates, certificate_jsonable, reference_text
+from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
+from r2audit import FitCache, gram_factory, nwf_check, setfun, suppressor_population
+from r2audit.bitsets import indices_of
+from r2audit.cli import build_audit_report, report_text, write_certificates
+from r2audit.jsonsafe import dumps, sanitize
 from r2audit.setfun import Certificates, ViolationCertificate, find_suppressors, replay_certificate
 
 ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5, 0.0, 1e-7]
@@ -72,6 +74,21 @@ def test_odd_floats_render_like_reference():
     _assert_matches_reference({"c": certs})
     for token in ('"nan"', '"inf"', '"-inf"', "-0.0", "5e-324", "1e+300"):
         assert token in text
+
+
+@pytest.mark.parametrize(
+    "form, roles", [("suppression", ("S", "i", "j")), ("definition", ("A", "B"))]
+)
+def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path):
+    certs = _odd_certificates(form, roles)
+    lists = [certs, certs[:0], certs[::-2]]
+    write_certificates(tmp_path / "certs.jsonl", lists, ODD_NAMES)
+    expected = [
+        json.dumps(sanitize(certificate_jsonable(c, ODD_NAMES)), sort_keys=True) + "\n"
+        for part in lists
+        for c in part
+    ]
+    assert (tmp_path / "certs.jsonl").read_text(encoding="utf-8") == "".join(expected)
 
 
 def test_empty_certificate_lists_render_as_empty_lists():
@@ -164,6 +181,79 @@ def test_empty_result_is_falsy_and_equals_empty_list(orthogonal_design):
 def test_as_certificates_round_trips(suppressor_design):
     expected = oracle.find_suppressors(suppressor_design)
     assert as_certificates("suppression", ("S", "i", "j"), expected) == expected
+
+
+# ---------------------------------------------------------------------------
+# Heads of a list against the full sort
+# ---------------------------------------------------------------------------
+
+
+def _assert_heads_match(make, expected):
+    # Each head comes from a list no read has sorted yet, so it takes the
+    # partial sort wherever 0 < n < len. Rows compare by repr, so that NaN
+    # deficits compare too.
+    def texts(certs):
+        return list(map(repr, certs))
+
+    for n in [*range(len(expected) + 2), len(expected) + 10]:
+        certs = make()
+        head = certs[:n]
+        assert isinstance(head, Certificates) and texts(head) == texts(expected[:n]), n
+        # only a head that reaches the end, or whose cut is a NaN, sorts it all
+        whole = min(n, len(expected)) > 0 and (n >= len(expected) or math.isnan(expected[n - 1].deficit))
+        assert (certs._order is not None) is whole, n
+    for part in (slice(3, 7), slice(-5, -2), slice(None, None, -3), slice(4, None, 2)):
+        assert texts(make()[part]) == texts(expected[part]), part
+    for at in (-1, len(expected) // 2) if expected else ():
+        assert repr(make()[at]) == repr(expected[at])
+
+
+@pytest.mark.parametrize("name", ["miller", "suppressor6", "hadamard_pairs", "hadamard_mix", "noisy_m6"])
+def test_heads_match_full_sort_on_designs(name, miller_design):
+    d = miller_design if name == "miller" else ORACLE_DESIGNS[name]()
+    cache = FitCache()
+    second = oracle.check_submodular(d)
+    # mirror images (A, i, j) and (A, j, i) share a deficit and sit together,
+    # so some cut falls between the two
+    mirrors = [
+        a.set_dict()["A"] == b.set_dict()["A"] and a.set_dict()["i"] == b.set_dict()["j"]
+        for a, b in zip(second, second[1:])
+    ]
+    assert any(mirrors)
+    _assert_heads_match(lambda: setfun.check_submodular(d, cache=cache), second)
+    _assert_heads_match(lambda: setfun.find_suppressors(d, cache=cache), oracle.find_suppressors(d))
+
+
+def _synthetic(deficits, m=5, seed=0):
+    """Certificates over random (S, i, j) with the given deficits, made
+    fresh on each call, and the list a full sort gives: by deficit, largest
+    first and NaN last, then by the index sets, stable in storage order."""
+    rng = np.random.default_rng(seed)
+    count = len(deficits)
+    s, i, j = rng.integers(0, 1 << m, count), rng.integers(0, m, count), rng.integers(0, m, count)
+    lhs, rhs = np.zeros(count), np.array(deficits, dtype=float)
+    rows = [
+        ViolationCertificate("suppression", (("S", indices_of(a)), ("i", (b,)), ("j", (c,))), 0.0, d, d)
+        for a, b, c, d in zip(s.tolist(), i.tolist(), j.tolist(), rhs.tolist())
+    ]
+    expected = sorted(rows, key=lambda c: (math.isnan(c.deficit), -c.deficit if c.deficit == c.deficit else 0.0, c.sets))
+    return lambda: setfun._by_sets("suppression", ("S", "i", "j"), [s, i, j, lhs, rhs], m), expected
+
+
+@pytest.mark.parametrize(
+    "deficits",
+    [
+        [0.5] * 40,  # all deficits equal
+        np.random.default_rng(1).choice([0.5, 0.25, 0.125, 0.0625], 60),  # ties straddle every cut
+        np.random.default_rng(2).uniform(0.0, 1.0, 50),  # no ties
+        [0.25, math.nan, 0.5, 0.25, math.nan, -0.0, 0.0, 0.5, 1e-300, math.nan],  # NaN sorts last
+        [],
+        [0.75],
+    ],
+)
+def test_heads_match_full_sort_on_synthetic_lists(deficits):
+    make, expected = _synthetic(deficits)
+    _assert_heads_match(make, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ from r2audit import (
     empirical_gamma_s2,
     find_suppressors,
     r_squared,
+    random_gaussian,
+    standardize,
 )
 from r2audit.errors import OutOfDomain, TooManyFeatures
 from r2audit.setfun import replay_certificate
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,33 @@ def test_suppression_iff_second_order_violation():
         has_suppressor = bool(find_suppressors(d))
         violates = bool(check_submodular(d, "second_order"))
         assert has_suppressor == violates
+
+
+def _triples(certs):
+    return set(zip(*(values.tolist() for values in certs.columns)))
+
+
+@pytest.mark.parametrize("name", [*FIT_KERNEL_DESIGNS, "random_m10"])
+def test_suppression_rows_are_the_second_order_rows(name):
+    # One comparison selects both lists, so they hold the same (A, i, j) at
+    # any tolerance, the tolerance edge included, whether or not they share
+    # a cache.
+    if name == "random_m10":
+        d = standardize(*random_gaussian(60, 10, seed=10))
+    else:
+        d = FIT_KERNEL_DESIGNS[name]()
+    cache = FitCache()
+    second = check_submodular(d, cache=cache)
+    triples = _triples(second)
+    assert len(triples) == len(second)
+    assert _triples(find_suppressors(d, cache=cache)) == triples
+    assert _triples(find_suppressors(d)) == triples
+    if second:
+        gaps = np.sort(second.rhs - second.lhs)
+        edge = float(gaps[gaps.size // 2])
+        at_edge = _triples(check_submodular(d, tolerance=edge))
+        assert at_edge == _triples(find_suppressors(d, tolerance=edge))
+        assert len(at_edge) < len(triples)
 
 
 # ---------------------------------------------------------------------------

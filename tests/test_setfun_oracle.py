@@ -4,6 +4,8 @@ Every comparison is ``==``, so values, witnesses, skip counts and the order
 of certificate lists must agree bit for bit.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_gamma_s_matches_oracle(design):
 
 def test_any_violation_matches_certificate_list(design):
     expected = bool(oracle.check_submodular(design, "second_order"))
-    assert setfun.has_second_order_violation(design) is expected
+    assert bool(setfun.check_submodular(design)) is expected
 
 
 def test_tolerance_edge_matches_oracle(design):
@@ -112,12 +114,14 @@ def test_lex_rank_orders_index_tuples():
 
 
 def _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates):
-    # The oracle's certificate lists drive a whole report, through the same
-    # columnar renderer, and must give the kernel's report byte for byte.
+    # The oracle's certificate lists drive a whole report and certificate
+    # stream, through the same columnar renderer, and must give the kernel's
+    # report and stream byte for byte.
     path = tmp_path / "in.csv"
     write_csv(path, d.features, d.response, d.names)
     args = ["audit", str(path), "--response", "Y", "--k", "3", "--alpha", "3"]
-    assert cli.main(args + ["--out", str(tmp_path / "kernel.json")]) == 0
+    kernel_args = ["--out", str(tmp_path / "kernel.json"), "--certificates", str(tmp_path / "kernel.jsonl")]
+    assert cli.main(args + kernel_args) == 0
 
     with monkeypatch.context() as patch:
         for fn in ("empirical_gamma_s2", "empirical_gamma_s"):
@@ -136,10 +140,12 @@ def _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates):
                 "suppression", ("S", "i", "j"), oracle.find_suppressors(design, **kw)
             ),
         )
-        assert cli.main(args + ["--out", str(tmp_path / "oracle.json")]) == 0
+        oracle_args = ["--out", str(tmp_path / "oracle.json"), "--certificates", str(tmp_path / "oracle.jsonl")]
+        assert cli.main(args + oracle_args) == 0
     kernel = (tmp_path / "kernel.json").read_bytes()
     assert kernel == (tmp_path / "oracle.json").read_bytes()
-    assert (b'"certificates": []' not in kernel) is has_certificates
+    assert (tmp_path / "kernel.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    assert (json.loads(kernel)["violations"]["suppression"]["count"] > 0) is has_certificates
     assert (b'"top": []' not in kernel) is has_certificates
 
 
