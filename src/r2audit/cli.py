@@ -27,9 +27,10 @@ from .errors import AuditError
 from .gamma import RatioQuery, submodularity_ratio
 from .jsonsafe import float_texts, sanitize, string_text
 from .regress import FitCache, StandardizedDesign, gram_factory, load_csv, standardize
-from .selection import best_subset, forward_stepwise, isis, nwf_verdict, sis_screen
+from .selection import best_subset, forward_stepwise, isis, nwf_verdict, sis_screen, table_best_subset
 from .setfun import (
     Certificates,
+    _table,
     check_submodular,
     empirical_gamma_s,
     empirical_gamma_s2,
@@ -100,6 +101,11 @@ def build_audit_report(
     }
 
     k = min(k, design.m)
+    exhaustive = design.m <= max_enum
+    if exhaustive:
+        # The fit table is the run's one value of record: stepwise, the best
+        # subset and every set-function kernel read it.
+        table = _table(design, cache, max_enum)
     stepwise = forward_stepwise(design, k, cache=cache)
     report["selection"] = {
         "forward_stepwise": {
@@ -122,7 +128,6 @@ def build_audit_report(
         ]
     }
 
-    exhaustive = design.m <= max_enum
     if not exhaustive:
         report["partial"] = True
         report["skipped_diagnostics"] = [
@@ -191,7 +196,7 @@ def build_audit_report(
     if certificates is not None:
         write_certificates(certificates, (second, suppressors), names)
 
-    best = best_subset(design, k, max_features=max_enum)
+    best = table_best_subset(table, k)
     nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=not second)
     report["selection"]["best_subset"] = {
         "subset": [names[f] for f in best.subset],
@@ -231,11 +236,17 @@ def _violation_summary(certs: Certificates, names) -> dict:
     by ordered pair (i, j) in index order."""
     m = len(names)
     sets, i, j = certs.columns
-    pairs = np.bincount(i * m + j, minlength=m * m)
+    pairs = np.zeros(m * m, dtype=np.intp)
+    sizes = np.zeros(max(m - 1, 0), dtype=np.intp)
+    # counted a chunk at a time, so no full-length index copy is made
+    for lo in range(0, len(certs), STREAM_CHUNK):
+        rows = slice(lo, lo + STREAM_CHUNK)
+        pairs += np.bincount(i[rows].astype(np.intp) * m + j[rows], minlength=m * m)
+        sizes += np.bincount(mask_sizes(sets[rows], m), minlength=sizes.size)
     return {
         "count": len(certs),
         "top": certs[:TOP_CERTIFICATES],
-        "by_size": np.bincount(mask_sizes(sets, m), minlength=max(m - 1, 0)).tolist(),
+        "by_size": sizes.tolist(),
         "by_pair": [
             {"i": names[p // m], "j": names[p % m], "count": int(pairs[p])}
             for p in np.flatnonzero(pairs).tolist()

@@ -10,16 +10,19 @@ Each design is QR-reduced once to the triangle R of [X | y]
 (at most (m+1) x (m+1)), following the all-subsets regression of Furnival &
 Wilson (1974). Since [X | y] = QR with orthonormal Q, the fit of a subset S is
 ||U^T R[:, m]||^2 for the left singular vectors U of R[:, S] above the rank
-cutoff, independent of n. One kernel, :func:`fit_block`, evaluates stacks of
-equal-size subsets that way. It is the value of record: every reported fit,
-single or batched, comes from it, so a subset's value does not depend on how
-it was batched.
+cutoff, independent of n. :func:`fit_block` evaluates stacks of equal-size
+subsets that way, so a subset's value does not depend on how it was batched;
+single fits (:func:`r_squared`) and the best-subset judge read it.
 
-:func:`sweep_walk` ranks subsets faster than fitting each one. It walks the
-same Furnival-Wilson subset tree over the Gram matrix G = R^T R and reads
-each child's fit off its parent's Schur complement, one sweep per added
-feature (Goodnight 1979). Its values are screens: callers re-fit the subsets
-that matter with :func:`fit_block`.
+:func:`sweep_walk` walks the same Furnival-Wilson subset tree over the Gram
+matrix G = R^T R and reads each child's fit off its parent's Schur
+complement, one sweep per added feature (Goodnight 1979). Best subset uses
+its values as screens and re-fits the finalists with :func:`fit_block`.
+:func:`fit_table` walks the whole tree once and keeps the values: every
+subset's fit and every single-feature gain C_A[i, y]^2 / C_A[i, i], read off
+the swept matrices rather than as a difference of two fits. Subsets the walk
+does not trust are fitted by :func:`fit_block`. That table is the exhaustive
+audit's value of record.
 
 Rank decisions use a relative singular-value cutoff, so collinear subsets are
 evaluated on the column space they actually span instead of failing.
@@ -33,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitsets import combination_blocks, indices_of, mask_of
+from .bitsets import block_masks, combination_blocks, indices_of, mask_of, mask_sizes
 from .errors import (
     Collinear,
     ConstantColumn,
@@ -84,7 +87,10 @@ SWEEP_PIVOT_RTOL = 1e-6
 # and member rows and the scores of up to m children. On an n = 2000,
 # m = 24, k = 4 best subset, blocks of FIT_CHUNK raised the process's peak
 # RSS from 36.2 to 37.8 MiB; blocks of 32 left it at 36.3 MiB, no higher
-# than blocks of 4, and the search took 11 ms against 8 ms.
+# than blocks of 4, and the search took 11 ms against 8 ms. fit_table's walk,
+# whose output holds every subset anyway, expands FIT_CHUNK nodes per block:
+# at m = 18 that filled the table in 1.07 s instead of 1.84 s, and raised the
+# peak RSS from 87 to 100 MiB.
 SWEEP_CHUNK_DIVISOR = 8
 
 SubsetLike = Iterable[int]
@@ -166,21 +172,24 @@ class FitCache:
     Concurrent readers may race a writer; duplicate computation is harmless
     because entries are value-identical for a given design, and ``setdefault``
     guarantees a torn entry is never observed. ``table`` holds the dense
-    r_squared-by-mask array once a set-function kernel has filled it, and
-    from then on every read answers from it and its rank array. Both are
-    published by :meth:`publish`, ranks first, so readers see None or a full
-    table. ``derived`` holds what kernels compute from the table and share,
-    keyed by the kernel and its parameters.
+    r_squared-by-mask array once a set-function kernel has filled it (see
+    :func:`fit_table`), and from then on every read answers from it and its
+    rank array; ``gains`` holds the matching (m, 2^m) gain table. All three
+    are published by :meth:`publish`, table last, so readers see None or a
+    full table. ``derived`` holds what kernels compute from the table and
+    share, keyed by the kernel and its parameters.
     """
 
     def __init__(self):
         self._entries: dict[int, FitEntry] = {0: FitEntry(0.0, 0)}
         self._ranks: np.ndarray | None = None
+        self.gains: np.ndarray | None = None
         self.table: np.ndarray | None = None
         self.derived: dict = {}
 
-    def publish(self, table: np.ndarray, ranks: np.ndarray) -> None:
+    def publish(self, table: np.ndarray, ranks: np.ndarray, gains: np.ndarray) -> None:
         self._ranks = ranks
+        self.gains = gains
         self.table = table
 
     def get(self, mask: int) -> FitEntry | None:
@@ -325,7 +334,7 @@ def fit_block(design: StandardizedDesign, idx: np.ndarray) -> tuple[np.ndarray, 
 
 
 def sweep_walk(
-    design: StandardizedDesign, depth: int
+    design: StandardizedDesign, depth: int, floor: float = SWEEP_PIVOT_RTOL
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Screened R^2 of every subset of 1..depth features, one sweep per edge.
 
@@ -345,20 +354,66 @@ def sweep_walk(
     of subsets.
 
     A subset S is trusted when each member's pivot against the rest of S,
-    1 / [G_S^{-1}]_aa, is at least SWEEP_PIVOT_RTOL * G[a, a], and its
-    parent is trusted. An untrusted subset is not swept further: it and its
-    whole subtree come back with trusted False and r2 NaN, for the caller
-    to fit with :func:`fit_block`. Trusted values agree with fit_block's to
-    rounding, not bit for bit.
+    1 / [G_S^{-1}]_aa, is at least ``floor`` * G[a, a], and its parent is
+    trusted. An untrusted subset is not swept further: it and its whole
+    subtree come back with trusted False and r2 NaN, for the caller to fit
+    with :func:`fit_block`. Trusted values agree with fit_block's to
+    rounding, not bit for bit: to about 3 eps |S| / floor (see
+    SWEEP_PIVOT_RTOL).
     """
+    for idx, r2, trusted, _ in _sweep_blocks(design, depth, floor, False):
+        yield idx, r2, trusted
+
+
+def fit_table(design: StandardizedDesign, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r2, rank, gain) of every subset mask, from one full-depth sweep walk.
+
+    r2 and rank are indexed by mask; gain is (m, 2^m) with gain[i, A] the fit
+    gained by adding feature i to A (0 when A holds i). A subset the walk
+    trusts at ``floor`` takes its swept value, clipped at 1 like fit_block's,
+    and rank |S|; fit_block fits every other subset. Where A and A + i are
+    both trusted, gain[i, A] is C_A[i, y]^2 / C_A[i, i] from A's swept
+    matrix, not a difference of two nearly equal fits; elsewhere it is the
+    difference r2[A + i] - r2[A].
+    """
+    m = design.m
+    masks = np.arange(1 << m)
+    r2 = np.zeros(1 << m)
+    rank = mask_sizes(masks, m).astype(np.uint8)
+    trusted = np.ones(1 << m, dtype=bool)
+    gain = np.full((m, 1 << m), np.nan)
+    for idx, values, ok, rows in _sweep_blocks(design, m, floor, True):
+        at = block_masks(idx)
+        r2[at] = values
+        trusted[at] = ok
+        gain[:, at] = rows.T
+        if not ok.all():
+            r2[at[~ok]], rank[at[~ok]] = fit_block(design, idx[~ok])
+    np.minimum(r2, 1.0, out=r2)
+    for i in range(m):
+        with_i = masks | (1 << i)
+        row = gain[i]
+        fallback = np.flatnonzero(np.isnan(row) | ~trusted[with_i])
+        row[fallback] = r2[with_i[fallback]] - r2[fallback]
+    return r2, rank, gain
+
+
+def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: bool):
+    """sweep_walk's blocks, each with a fourth entry: None, or with ``gains``
+    a (k, m) array whose row holds C_S[j, y]^2 / C_S[j, j] of the block's
+    subset S for every feature j, NaN where S is untrusted or C_S[j, j] is
+    below j's floor (every member of S among them). With ``gains`` every
+    node with children keeps its full matrix, since the children's rows need
+    its columns."""
     m = design.m
     if not 0 <= depth <= m:
         raise ValueError(f"depth must lie in 0..{m}")
     if depth == 0:
         return
     G = design.triangle.T @ design.triangle
-    floor = SWEEP_PIVOT_RTOL * np.diagonal(G)[:m]
+    floor = floor * np.diagonal(G)[:m]
     features = np.arange(m)
+    block_size = FIT_CHUNK if gains else FIT_CHUNK // SWEEP_CHUNK_DIVISOR
 
     def below(members, r2, C=None, diag=None, cross=None, rows=None):
         # The subtrees of a block of trusted nodes of one size. ``members``
@@ -381,15 +436,24 @@ def sweep_walk(
         trusted = ok & (inverse * floor[members][p] <= 1.0).all(axis=1)
         r2 = np.where(trusted, r2[p] + np.square(cross[p, i]) / pivot, np.nan)
         idx = np.concatenate([members[p], i[:, None]], axis=1)
-        yield idx, r2, trusted
+        child_gains = None
+        if gains:
+            # The children's diagonals and response columns, as the sweeps
+            # below compute them
+            col = C[p, :m, i]
+            child_diag = diag[p] - col * (col / pivot[:, None])
+            child_cross = cross[p] - col * (cross[p, i] / pivot)[:, None]
+            usable = trusted[:, None] & (child_diag >= floor)
+            child_gains = np.where(usable, np.square(child_cross) / np.where(usable, child_diag, 1.0), np.nan)
+        yield idx, r2, trusted, child_gains
         if C is None or size + 1 == depth:
             return
         parents = i < m - 1
         for c in np.flatnonzero(parents & ~trusted):
             yield from untrusted_below(idx[c])
         grow = np.flatnonzero(parents & trusted)
-        full = (i[grow] < m - 2) & (size + 3 <= depth)
-        for block in _blocks(grow[full]):
+        full = np.full(grow.size, True) if gains else (i[grow] < m - 2) & (size + 3 <= depth)
+        for block in _blocks(grow[full], block_size):
             pp, k, d = p[block], i[block], pivot[block]
             col = C[pp, :, k]
             scale = col / d[:, None]
@@ -400,7 +464,7 @@ def sweep_walk(
             swept[b, :, k] = scale
             swept[b, k, k] = -1.0 / d
             yield from below(idx[block], r2[block], swept)
-        for block in _blocks(grow[~full]):
+        for block in _blocks(grow[~full], block_size):
             pp, k, d = p[block], i[block], pivot[block]
             col = C[pp, :, k]
             scale = col / d[:, None]
@@ -421,14 +485,15 @@ def sweep_walk(
             for tail in combination_blocks(free, extra, FIT_CHUNK):
                 head = np.broadcast_to(node, (len(tail), node.size))
                 idx = np.concatenate([head, tail + (last + 1)], axis=1)
-                yield idx, np.full(len(idx), np.nan), np.zeros(len(idx), bool)
+                unknown = np.full((len(idx), m), np.nan) if gains else None
+                yield idx, np.full(len(idx), np.nan), np.zeros(len(idx), bool), unknown
 
     yield from below(np.zeros((1, 0), np.intp), np.zeros(1), G[None])
 
 
-def _blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Split an index array into sweep_walk's blocks of consecutive nodes."""
-    size = max(1, FIT_CHUNK // SWEEP_CHUNK_DIVISOR)
+def _blocks(rows: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """Split an index array into blocks of at most ``size`` consecutive nodes."""
+    size = max(1, size)
     for lo in range(0, rows.size, size):
         yield rows[lo : lo + size]
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import regress
-from .bitsets import block_masks, indices_of, mask_of
+from .bitsets import block_masks, indices_of, mask_of, mask_sizes
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
 from .jsonsafe import sanitize
 from .regress import (
@@ -30,7 +30,7 @@ from .regress import (
     partial_correlation,
     sweep_walk,
 )
-from .setfun import _r2, check_submodular
+from .setfun import _gain, _r2, _table, check_submodular
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
@@ -112,7 +112,9 @@ def forward_stepwise(
 ) -> SelectionTrace:
     """Greedy selection: each step adds the feature with the largest fit gain.
 
-    Runs for k steps regardless of how small the gains get, unless ``t_stop``
+    A step's gain is read from the cache's gain table when a kernel has
+    filled it, and is otherwise the difference of two cached fits. Runs for
+    k steps regardless of how small the gains get, unless ``t_stop``
     is set, in which case the run ends early once no remaining feature's
     per-step t statistic reaches the threshold in absolute value. The
     threshold governs continuation, so the first step is always taken.
@@ -124,7 +126,6 @@ def forward_stepwise(
     steps: list[SelectionStep] = []
     reason = "max_steps"
     while len(model) < k:
-        base = _r2(design, mask_of(model), cache)
         candidates = [j for j in range(design.m) if j not in model]
         if t_stop is not None and model:
             ts = {j: _step_t(design, model, j, cache) for j in candidates}
@@ -134,7 +135,7 @@ def forward_stepwise(
         best_j = -1
         best_gain = -math.inf
         for j in candidates:
-            gain = _r2(design, mask_of(model) | (1 << j), cache) - base
+            gain = _gain(design, mask_of(model), j, cache)
             if gain > best_gain:
                 best_gain = gain
                 best_j = j
@@ -224,6 +225,21 @@ def best_subset(
     return BestSubsetResult(indices_of(best_mask), best_r2)
 
 
+def table_best_subset(table: np.ndarray, k: int) -> BestSubsetResult:
+    """Best subset of size at most k in a filled fit table (r2 by mask): the
+    table's largest value over those masks, ties to the smallest mask.
+
+    Read from the same table as a stepwise run on its cache, the optimum is
+    at least the greedy fit by construction.
+    """
+    m = table.size.bit_length() - 1
+    if not 0 <= k <= m:
+        raise ValueError(f"k must lie in 0..{m}")
+    values = np.where(mask_sizes(np.arange(table.size), m) <= k, table, -np.inf)
+    mask = int(values.argmax())
+    return BestSubsetResult(indices_of(mask), float(table[mask]))
+
+
 @dataclass(frozen=True)
 class L0PathPoint:
     lam: float
@@ -302,11 +318,12 @@ def nwf_check(
     max_features: int = DEFAULT_MAX_FEATURES,
     tolerance: float = 1e-9,
 ) -> NwfResult:
-    """Compare k-step greedy fit against the exhaustive size-k optimum."""
-    _check_cap(design.m, max_features)
+    """Compare k-step greedy fit against the exhaustive size-k optimum, both
+    read from the cache's fit table, which is filled first."""
     cache = cache if cache is not None else FitCache()
+    table = _table(design, cache, max_features)
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
-    optimal = best_subset(design, k, max_features=max_features).r_squared
+    optimal = table_best_subset(table, k).r_squared
     is_submodular = not check_submodular(design, cache=cache, max_features=max_features)
     return nwf_verdict(greedy, optimal, is_submodular, tolerance)
 

@@ -2,9 +2,11 @@
 empirical approximate-submodularity constants, and the chain lower bound.
 
 Every exhaustive diagnostic reads one dense table r2[mask] of all 2^m subset
-fits, filled once size by size through the stacked fit kernel and published on
-the FitCache (2^m fits, O(2^m) memory). A gain is the table difference
-r2[A|i] - r2[A].
+fits and one gain table gain[i, A], filled together by one sweep walk
+(regress.fit_table) and published on the FitCache (O(m 2^m) memory). Where the
+walk trusts A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept
+matrix, so a small gain on top of a large fit keeps its relative accuracy;
+elsewhere it is the table difference r2[A|i] - r2[A].
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per ordered pair (i, j), the masks A holding neither
 with gain_A(i) and gain_{A+j}(i): O(m^2 2^m) time, O(2^m) memory per pair.
@@ -33,20 +35,30 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import regress
-from .bitsets import block_masks, combination_blocks, indices_of, mask_of, mask_sizes
+from .bitsets import indices_of, mask_of, mask_sizes
 from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
     FitCache,
     StandardizedDesign,
     _check_cap,
-    fit_block,
     fit_entry,
+    fit_table,
 )
 
 VIOLATION_TOL = 1e-9
 SKIP_DENOM_TOL = 1e-12
+
+# The table trusts a swept value when every member of its subset keeps at
+# least this fraction of its squared norm once the others are projected out
+# (the sweep_walk floor). A trusted value is then
+# off by at most about 3 eps trace(G_S^{-1}) <= 3 eps |S| / TABLE_PIVOT_RTOL
+# (see regress.SWEEP_PIVOT_RTOL), which this floor holds to a tenth of
+# VIOLATION_TOL at DEFAULT_MAX_FEATURES: 1.6e-4. The bound is loose: on the
+# fit kernel's seven test designs the largest error against a direct fit is
+# 3.7e-15 at this floor, and 2.6e-13 (the Miller table) at
+# regress.SWEEP_PIVOT_RTOL = 1e-6, the best-subset screen's floor.
+TABLE_PIVOT_RTOL = 30 * np.finfo(float).eps * DEFAULT_MAX_FEATURES / VIOLATION_TOL
 
 MODES = ("definition", "first_order", "second_order")
 
@@ -62,30 +74,29 @@ def _r2(design: StandardizedDesign, mask: int, cache: FitCache) -> float:
 
 
 def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int) -> np.ndarray:
-    """Cap-checked, dense, read-only r2[mask] of all 2^m masks, memoized on the cache."""
+    """Cap-checked, dense, read-only r2[mask] of all 2^m masks, memoized on the
+    cache with its gain table (``cache.gains``) by one :func:`fit_table` call."""
     _check_cap(design.m, max_features)
     cache = cache if cache is not None else FitCache()
     table = cache.table
     if table is None:
-        m = design.m
-        table = np.zeros(1 << m)
-        ranks = np.zeros(1 << m, dtype=np.uint8)
-        for size in range(1, m + 1):
-            for idx in combination_blocks(m, size, regress.FIT_CHUNK):
-                masks = block_masks(idx)
-                table[masks], ranks[masks] = fit_block(design, idx)
-        table.setflags(write=False)
-        ranks.setflags(write=False)
-        cache.publish(table, ranks)
+        table, ranks, gains = fit_table(design, TABLE_PIVOT_RTOL)
+        for values in (table, ranks, gains):
+            values.setflags(write=False)
+        cache.publish(table, ranks, gains)
     return table
 
 
-def _gains(table: np.ndarray, i: int) -> np.ndarray:
-    """gain_S(i) = r2[S|i] - r2[S] for every mask S (zero where S holds i)."""
-    return table[np.arange(table.size) | (1 << i)] - table
+def _gain(design: StandardizedDesign, mask: int, i: int, cache: FitCache) -> float:
+    """gain_mask(i): read from the cache's gain table once it is filled, else
+    the difference of two cached fits."""
+    gains = cache.gains
+    if gains is not None:
+        return float(gains[i, mask])
+    return _r2(design, mask | (1 << i), cache) - _r2(design, mask, cache)
 
 
-def _pair_gains(table: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]:
+def _pair_gains(gains: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]:
     """Yield (A, i, j, gain_A(i), gain_{A+j}(i)) for every ordered pair i != j,
     where A holds, ascending, every mask containing neither i nor j."""
     masks = np.arange(1 << m)
@@ -96,7 +107,7 @@ def _pair_gains(table: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, int, in
                 continue
             bit_j = 1 << j
             a = masks[(masks & (bit_i | bit_j)) == 0]
-            yield a, i, j, table[a | bit_i] - table[a], table[a | bit_j | bit_i] - table[a | bit_j]
+            yield a, i, j, gains[i, a], gains[i, a | bit_j]
 
 
 def delta(
@@ -137,13 +148,14 @@ class ViolationCertificate:
 class Certificates(Sequence):
     """A list of certificates of one form, stored by column, read-only.
 
-    ``columns`` holds one int64 array per role in ``roles``: masks for the set
-    roles A, B and S, feature indices for i and j. ``lhs``, ``rhs`` and
-    ``deficit`` are float64 arrays. The arrays are in storage order. Without
+    ``columns`` holds one array per role in ``roles``: masks for the set roles
+    A, B and S in the smallest unsigned dtype that holds one, feature indices
+    for i and j as int8; sort keys are computed from them in intp. ``lhs``,
+    ``rhs`` and ``deficit`` are float64 arrays. The arrays are in storage order. Without
     ``ties`` that is the list's order; with it, the list is ordered by deficit,
     largest first, then by the keys ``ties(rows)`` gives for those storage
     rows, most significant first, and that order is found only when read.
-    A head ``certs[:n]`` selects its rows with ``np.argpartition`` on the
+    A head ``certs[:n]`` selects its rows with ``np.partition`` on the
     deficit and sorts only them and the ties at the cut; iteration and any
     slice reaching the end sort the whole list once. An int index and
     iteration yield ViolationCertificate; a slice is again a Certificates,
@@ -176,10 +188,10 @@ class Certificates(Sequence):
                 return np.zeros(0, dtype=np.intp)
             if count < len(self):
                 key = -self.deficit
-                cut = key[np.argpartition(key, count - 1)[count - 1]]
+                key.partition(count - 1)  # in place: no index array
                 # Rows past the cut sort after every row at or before it; a
                 # NaN cut keeps none, and the whole list is sorted instead.
-                rows = np.flatnonzero(key <= cut)
+                rows = np.flatnonzero(self.deficit >= -key[count - 1])
                 if rows.size >= count:
                     return self._sort(rows)[:count]
             self._order = self._sort(np.arange(len(self)))
@@ -230,6 +242,7 @@ def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:
     """Position of each mask's index tuple in lexicographic tuple order: its
     size plus 2^(m-1-b) for each absent b below its largest member, the count
     of tuples that continue with b."""
+    masks = masks.astype(np.intp)
     rank = np.zeros_like(masks)
     for b in range(m):
         has = (masks >> b) & 1
@@ -237,20 +250,37 @@ def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:
     return rank
 
 
-def _hits(chunks, tolerance, roles) -> list[np.ndarray]:
+def _role_dtype(role: str, m: int) -> np.dtype:
+    """Storage dtype of a certificate column: int8 for a feature index, the
+    smallest unsigned dtype holding a mask of m features for a set."""
+    return np.dtype(np.int8) if role in ("i", "j") else np.min_scalar_type((1 << m) - 1)
+
+
+def _hits(chunks, tolerance, roles, m) -> list[np.ndarray]:
     """One column per role, then lhs and rhs, of every comparison with
     rhs - lhs > tolerance.
 
     ``chunks`` yields one array or scalar per role, then lhs and rhs arrays:
-    masks for the set roles A, B and S, feature indices for i and j.
+    masks for the set roles A, B and S, feature indices for i and j. Role
+    columns are stored in their ``_role_dtype``.
     """
+    dtypes = [_role_dtype(role, m) for role in roles] + [np.dtype(float)] * 2
     kept = []
     for chunk in chunks:
         hit = chunk[-1] - chunk[-2] > tolerance
-        kept.append([np.broadcast_to(values, hit.shape)[hit] for values in chunk])
-    if not kept:
-        return [np.zeros(0, dtype=np.int64) for _ in roles] + [np.zeros(0), np.zeros(0)]
-    return list(map(np.concatenate, zip(*kept)))
+        count = np.count_nonzero(hit)
+        kept.append(
+            [np.full(count, v, t) if np.ndim(v) == 0 else np.asarray(v, t)[hit] for v, t in zip(chunk, dtypes)]
+        )
+    parts = [list(column) for column in zip(*kept)] if kept else [[] for _ in dtypes]
+    del kept
+    # Each column's parts are dropped once joined, so the joined columns and
+    # the parts are not all held at once.
+    columns = []
+    for column, dtype in zip(parts, dtypes):
+        columns.append(np.concatenate(column) if column else np.zeros(0, dtype))
+        column.clear()
+    return columns
 
 
 def _by_sets(form, roles, hits, m) -> Certificates:
@@ -267,14 +297,16 @@ def _by_sets(form, roles, hits, m) -> Certificates:
     return Certificates(form, roles, columns, lhs, rhs, rhs - lhs, ties)
 
 
-def _second_order_hits(table, m, tolerance, cache: FitCache) -> list[np.ndarray]:
+def _second_order_hits(cache: FitCache, m: int, tolerance: float) -> list[np.ndarray]:
     """(A, i, j, gain_A(i), gain_{A+j}(i)) for every comparison with
     gain_{A+j}(i) - gain_A(i) > tolerance: the rows of the second-order and
-    of the suppression certificates, found once per cache and tolerance."""
+    of the suppression certificates, found once per filled cache and
+    tolerance."""
     key = ("second_order", tolerance)
     hits = cache.derived.get(key)
     if hits is None:
-        hits = cache.derived.setdefault(key, _hits(_pair_gains(table, m), tolerance, ("A", "i", "j")))
+        hits = _hits(_pair_gains(cache.gains, m), tolerance, ("A", "i", "j"), m)
+        hits = cache.derived.setdefault(key, hits)
     return hits
 
 
@@ -287,8 +319,7 @@ def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield rows + lo, b
 
 
-def _first_order_pairs(table: np.ndarray, m: int):
-    gains = [_gains(table, i) for i in range(m)]
+def _first_order_pairs(gains: np.ndarray, m: int):
     for a, b in _mask_pairs(m, lambda a, b: ((a | b) == b) & (a < b)):
         for i, gain in enumerate(gains):
             outside = (b >> i) & 1 == 0
@@ -322,17 +353,24 @@ def check_submodular(
             for a, b in _mask_pairs(m, np.less_equal)
         )
         roles = ("A", "B")
-        return _by_sets("definition", roles, _hits(chunks, tolerance, roles), m)
+        return _by_sets("definition", roles, _hits(chunks, tolerance, roles, m), m)
     if mode == "first_order":
         roles = ("A", "B", "i")
-        return _by_sets("first_order", roles, _hits(_first_order_pairs(table, m), tolerance, roles), m)
+        hits = _hits(_first_order_pairs(cache.gains, m), tolerance, roles, m)
+        return _by_sets("first_order", roles, hits, m)
     # The mirror images (A, i, j) and (A, j, i) have mathematically equal
-    # deficits, so both take the deficit of (A, min, max) from the table, and
-    # ties sort by A, the unordered pair, then i, so that they sit together.
-    a, i, j, gain, cond = _second_order_hits(table, m, tolerance, cache)
+    # deficits, so both take the deficit of (A, min, max) from the gain
+    # table, and ties sort by A, the unordered pair, then i, so that they
+    # sit together.
+    a, i, j, gain, cond = _second_order_hits(cache, m, tolerance)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    with_lo, with_hi = a | (1 << lo), a | (1 << hi)
-    deficit = (table[with_lo | with_hi] - table[with_hi]) - (table[with_lo] - table[a])
+    deficit = cond - gain  # the deficit of each row with i < j
+    for start in range(0, deficit.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rows = start + np.flatnonzero(i[block] > j[block])
+        masks, lower = a[rows].astype(np.intp), j[rows].astype(np.intp)
+        with_i = masks | (1 << i[rows].astype(np.intp))
+        deficit[rows] = cache.gains[lower, with_i] - cache.gains[lower, masks]
 
     def ties(rows):
         return [_lex_rank(a[rows], m), lo[rows], hi[rows], i[rows]]
@@ -356,8 +394,8 @@ def find_suppressors(
     sqrt(max(gain, 0)), and are ordered by their difference, largest first.
     """
     cache = cache if cache is not None else FitCache()
-    table = _table(design, cache, max_features)
-    a, i, j, gain, cond = _second_order_hits(table, design.m, tolerance, cache)
+    _table(design, cache, max_features)
+    a, i, j, gain, cond = _second_order_hits(cache, design.m, tolerance)
     hits = [a, i, j, np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0))]
     return _by_sets("suppression", ("S", "i", "j"), hits, design.m)
 
@@ -367,7 +405,12 @@ def replay_certificate(
     cert: ViolationCertificate,
     cache: FitCache | None = None,
 ) -> tuple[float, float]:
-    """Recompute (lhs, rhs) of a certificate's inequality from its sets."""
+    """Recompute (lhs, rhs) of a certificate's inequality from its sets.
+
+    Gains come from the cache's gain table when it is filled, so a filled
+    cache reproduces the certificate; otherwise they are differences of two
+    fits, an independent check.
+    """
     cache = cache if cache is not None else FitCache()
     sets = cert.set_dict()
     if cert.form == "definition":
@@ -378,19 +421,16 @@ def replay_certificate(
             _r2(design, a | b, cache) + _r2(design, a & b, cache),
         )
     if cert.form == "first_order":
-        a = mask_of(sets["A"])
-        b = mask_of(sets["B"])
-        bit = 1 << sets["i"][0]
+        i = sets["i"][0]
         return (
-            _r2(design, a | bit, cache) - _r2(design, a, cache),
-            _r2(design, b | bit, cache) - _r2(design, b, cache),
+            _gain(design, mask_of(sets["A"]), i, cache),
+            _gain(design, mask_of(sets["B"]), i, cache),
         )
     if cert.form in ("second_order", "suppression"):
         a = mask_of(sets["A"] if cert.form == "second_order" else sets["S"])
-        bit_i = 1 << sets["i"][0]
-        with_j = a | (1 << sets["j"][0])
-        base = _r2(design, a | bit_i, cache) - _r2(design, a, cache)
-        cond = _r2(design, with_j | bit_i, cache) - _r2(design, with_j, cache)
+        i = sets["i"][0]
+        base = _gain(design, a, i, cache)
+        cond = _gain(design, a | (1 << sets["j"][0]), i, cache)
         if cert.form == "suppression":
             return math.sqrt(max(base, 0.0)), math.sqrt(max(cond, 0.0))
         return base, cond
@@ -421,10 +461,11 @@ def empirical_gamma_s2(
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> GammaEstimates:
     """Minimum of gain_A(i) / gain_{A+j}(i) over all eligible (A, i, j)."""
-    table = _table(design, cache, max_features)
+    cache = cache if cache is not None else FitCache()
+    _table(design, cache, max_features)
     per_pair = []
     skipped = 0
-    for a, i, j, num, den in _pair_gains(table, design.m):
+    for a, i, j, num, den in _pair_gains(cache.gains, design.m):
         keep = ~(den < SKIP_DENOM_TOL)
         skipped += a.size - int(keep.sum())
         ratio = np.maximum(num[keep], 0.0) / den[keep]
@@ -461,13 +502,14 @@ def empirical_gamma_s(
     of its 2^|B| - 1 proper subsets A.
     """
     m = design.m
-    table = _table(design, cache, max_features)
+    cache = cache if cache is not None else FitCache()
+    _table(design, cache, max_features)
     masks = np.arange(1 << m)
     sizes = mask_sizes(masks, m)
     per_feature = []
     skipped = 0
     for i in range(m):
-        gain = _gains(table, i)
+        gain = cache.gains[i]
         outside = (masks >> i) & 1 == 0
         small = outside & (gain < SKIP_DENOM_TOL)
         skipped += int(((1 << sizes[small]) - 1).sum())
@@ -487,7 +529,7 @@ def empirical_gamma_s(
     for ratio_i, at, i in per_feature:
         if (ratio_i, at) != (value, a_mask):
             continue
-        gain = _gains(table, i)
+        gain = cache.gains[i]
         b = masks[((masks & a_mask) == a_mask) & (masks != a_mask) & ((masks >> i) & 1 == 0)]
         b = b[~(gain[b] < SKIP_DENOM_TOL)]
         hit = np.maximum(gain[a_mask], 0.0) / gain[b] == value

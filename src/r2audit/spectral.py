@@ -4,6 +4,7 @@ their ordering against the submodularity ratio."""
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -81,6 +82,16 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
+def _standard_normals(rng: random.Random, count: int) -> list[float]:
+    """``count`` standard normal draws, each by Box-Muller from two values of
+    ``rng.random()``, the one stream Python keeps the same across versions
+    for a given seed."""
+    return [
+        math.sqrt(-2.0 * math.log(1.0 - rng.random())) * math.cos(2.0 * math.pi * rng.random())
+        for _ in range(count)
+    ]
+
+
 @dataclass(frozen=True)
 class RestrictedEigenResult:
     """Best value found for the cone-restricted quadratic; an upper bound on
@@ -103,7 +114,8 @@ def restricted_eigenvalue(
 
     The quotient is scale-free, so beta_S is normalized to the unit sphere.
     The outer loop tries deterministic candidates (the smallest eigenvector
-    of the S block first) plus seeded random directions; for each, the
+    of the S block first) plus random directions drawn from the stdlib
+    ``random.Random(seed)``, so numpy.random is never loaded; for each, the
     off-S coordinates solve a convex quadratic over the l1 ball by projected
     gradient descent with a fixed 1/L step. The returned certificate is
     feasible and reproduces the value.
@@ -123,9 +135,9 @@ def restricted_eigenvalue(
 
     S_ss = S[np.ix_(idx_s, idx_s)]
     candidates = [np.linalg.eigh(S_ss)[1][:, 0]]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(restarts - 1):
-        v = rng.standard_normal(len(idx_s))
+        v = np.array(_standard_normals(rng, len(idx_s)))
         candidates.append(v / np.linalg.norm(v))
 
     if not idx_c:

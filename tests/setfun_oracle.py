@@ -3,7 +3,10 @@
 These are the original one-comparison-at-a-time loops over a FitCache. The
 package computes the same quantities with dense-table numpy kernels; the
 differential tests require the two to agree with ``==``: values, witnesses,
-skip counts and certificate order, bit for bit.
+skip counts and certificate order, bit for bit. Both read the same values: the
+oracle fills the kernel's fit table on its cache first and takes every gain
+from the kernel's gain table, so what it checks is the walks, the witnesses,
+the tie-breaks and the order, not the arithmetic of the fits.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 
 from r2audit.bitsets import indices_of
-from r2audit.regress import FitCache
+from r2audit.regress import DEFAULT_MAX_FEATURES, FitCache
 from r2audit.setfun import (
     MODES,
     SKIP_DENOM_TOL,
@@ -19,7 +22,20 @@ from r2audit.setfun import (
     GammaEstimates,
     ViolationCertificate,
     _r2,
+    _table,
 )
+
+
+def _filled(design, cache, max_features):
+    """The cache, new if None, with the kernel's fit and gain tables filled."""
+    cache = cache if cache is not None else FitCache()
+    _table(design, cache, max_features or DEFAULT_MAX_FEATURES)
+    return cache
+
+
+def _gain(cache, mask, i):
+    """gain_mask(i) from the kernel's gain table."""
+    return float(cache.gains[i, mask])
 
 
 def iter_submasks(mask: int):
@@ -40,7 +56,7 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = design.m
-    cache = cache if cache is not None else FitCache()
+    cache = _filled(design, cache, max_features)
     full = (1 << m) - 1
     found = []
 
@@ -67,12 +83,9 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
                 if extra == 0:
                     continue
                 b_mask = a_mask | extra
-                fa = _r2(design, a_mask, cache)
-                fb = _r2(design, b_mask, cache)
                 for i in indices_of(full & ~b_mask):
-                    bit = 1 << i
-                    lhs = _r2(design, a_mask | bit, cache) - fa
-                    rhs = _r2(design, b_mask | bit, cache) - fb
+                    lhs = _gain(cache, a_mask, i)
+                    rhs = _gain(cache, b_mask, i)
                     if rhs - lhs > tolerance:
                         found.append(
                             ViolationCertificate(
@@ -85,20 +98,17 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
                         )
     else:
         for a_mask in range(full + 1):
-            fa = _r2(design, a_mask, cache)
             outside = indices_of(full & ~a_mask)
             for i in outside:
-                gain_a = _r2(design, a_mask | (1 << i), cache) - fa
+                gain_a = _gain(cache, a_mask, i)
                 for j in outside:
                     if j == i:
                         continue
-                    with_j = a_mask | (1 << j)
-                    rhs = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
+                    rhs = _gain(cache, a_mask | (1 << j), i)
                     if rhs - gain_a > tolerance:
                         # (A, i, j) and (A, j, i) share the deficit of (A, lo, hi)
-                        with_lo, with_hi = a_mask | (1 << min(i, j)), a_mask | (1 << max(i, j))
-                        upper = _r2(design, with_lo | with_hi, cache) - _r2(design, with_hi, cache)
-                        deficit = upper - (_r2(design, with_lo, cache) - fa)
+                        lo, hi = min(i, j), max(i, j)
+                        deficit = _gain(cache, a_mask | (1 << hi), lo) - _gain(cache, a_mask, lo)
                         found.append(
                             ViolationCertificate(
                                 "second_order",
@@ -124,20 +134,18 @@ def _mirror_key(cert):
 
 def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=None):
     m = design.m
-    cache = cache if cache is not None else FitCache()
+    cache = _filled(design, cache, max_features)
     full = (1 << m) - 1
     found = []
     for s_mask in range(full + 1):
-        fs = _r2(design, s_mask, cache)
         outside = indices_of(full & ~s_mask)
         for i in outside:
-            base_gain = _r2(design, s_mask | (1 << i), cache) - fs
+            base_gain = _gain(cache, s_mask, i)
             base_corr = math.sqrt(max(base_gain, 0.0))
             for j in outside:
                 if j == i:
                     continue
-                with_j = s_mask | (1 << j)
-                gain = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
+                gain = _gain(cache, s_mask | (1 << j), i)
                 cond_corr = math.sqrt(max(gain, 0.0))
                 # the second-order comparison, rendered as correlations
                 if gain - base_gain > tolerance:
@@ -156,21 +164,19 @@ def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=N
 
 def empirical_gamma_s2(design, cache=None, max_features=None):
     m = design.m
-    cache = cache if cache is not None else FitCache()
+    cache = _filled(design, cache, max_features)
     full = (1 << m) - 1
     best = math.inf
     witness = None
     skipped = 0
     for a_mask in range(full + 1):
-        fa = _r2(design, a_mask, cache)
         outside = indices_of(full & ~a_mask)
         for i in outside:
-            num = _r2(design, a_mask | (1 << i), cache) - fa
+            num = _gain(cache, a_mask, i)
             for j in outside:
                 if j == i:
                     continue
-                with_j = a_mask | (1 << j)
-                den = _r2(design, with_j | (1 << i), cache) - _r2(design, with_j, cache)
+                den = _gain(cache, a_mask | (1 << j), i)
                 if den < SKIP_DENOM_TOL:
                     skipped += 1
                     continue
@@ -183,26 +189,23 @@ def empirical_gamma_s2(design, cache=None, max_features=None):
 
 def empirical_gamma_s(design, cache=None, max_features=None):
     m = design.m
-    cache = cache if cache is not None else FitCache()
+    cache = _filled(design, cache, max_features)
     full = (1 << m) - 1
     best = math.inf
     witness = None
     skipped = 0
     for a_mask in range(full + 1):
-        fa = _r2(design, a_mask, cache)
         rest = full & ~a_mask
         for extra in iter_submasks(rest):
             if extra == 0:
                 continue
             b_mask = a_mask | extra
-            fb = _r2(design, b_mask, cache)
             for i in indices_of(full & ~b_mask):
-                bit = 1 << i
-                den = _r2(design, b_mask | bit, cache) - fb
+                den = _gain(cache, b_mask, i)
                 if den < SKIP_DENOM_TOL:
                     skipped += 1
                     continue
-                num = _r2(design, a_mask | bit, cache) - fa
+                num = _gain(cache, a_mask, i)
                 ratio = max(num, 0.0) / den
                 if ratio < best:
                     best = ratio

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,3 +289,25 @@ def test_out_of_range_values_exit_one(miller_csv, capsys):
     assert main(["gen", "suppressor", "--p", "1"]) == 1
     assert main(["gen", "gaussian", "--n", "4", "--m", "5"]) == 1
     capsys.readouterr()
+
+
+def test_audit_with_alpha_never_loads_numpy_random(miller_csv, tmp_path):
+    # restricted_eigenvalue draws its restarts from the stdlib random module;
+    # importing numpy.random costs an audit process about 15 ms.
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit(3)\n"
+        "from r2audit.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "sys.exit(4 if 'numpy.random' in sys.modules else 0)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    args = ["audit", str(miller_csv), "--response", "Y", "--k", "2", "--alpha", "3", "--out", str(tmp_path / "r.json")]
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env)
+    if result.returncode == 3:
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert result.returncode == 0
+    assert "restricted_eigenvalue" in json.loads((tmp_path / "r.json").read_text())["spectral"]

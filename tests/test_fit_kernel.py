@@ -5,7 +5,8 @@ the standardized features, the same relative rank cutoff and the same clip at
 1. The package now fits every subset on the design's (m+1) x (m+1) triangle;
 the two must agree on R^2 to 1e-12 and on the rank exactly, for every mask.
 The sweep walk's screened values are checked against the kernel on the same
-designs.
+designs, and so is the table fill, which takes every value it trusts from the
+walk, and its gain table.
 """
 
 import math
@@ -195,3 +196,57 @@ def test_sweep_walk_does_not_depend_on_blocking(monkeypatch):
             blocked = _walk(design, depth)
             monkeypatch.undo()
             assert repr(sorted(whole.items())) == repr(sorted(blocked.items()))
+
+
+# ---------------------------------------------------------------------------
+# The table fill's gain table
+# ---------------------------------------------------------------------------
+
+
+def _table_walk(design):
+    """{mask: trusted} of the walk the table fill makes, at the table's floor."""
+    seen = {0: True}
+    for idx, _, trusted in sweep_walk(design, design.m, setfun.TABLE_PIVOT_RTOL):
+        seen.update(zip(block_masks(idx).tolist(), trusted.tolist()))
+    return seen
+
+
+@pytest.mark.parametrize("seed", [3, 17, 40])
+def test_direct_gains_match_fit_differences_on_gaussian_designs(seed):
+    d = make_noisy_design(seed, n=50, m=8)
+    cache = FitCache()
+    setfun._table(d, cache, regress.DEFAULT_MAX_FEATURES)
+    assert all(_table_walk(d).values())
+    fits = [fit_entry(d, indices_of(mask)).r_squared for mask in range(1 << d.m)]
+    for i in range(d.m):
+        for mask in range(1 << d.m):
+            difference = fits[mask | (1 << i)] - fits[mask]
+            assert abs(cache.gains[i, mask] - difference) <= 1e-12, (i, indices_of(mask))
+
+
+@pytest.mark.parametrize("name", [*DESIGNS, "nested_near_null"])
+def test_gains_are_table_differences_wherever_the_walk_distrusts(name):
+    design = _nested_near_null() if name == "nested_near_null" else DESIGNS[name]()
+    cache = FitCache()
+    table = setfun._table(design, cache, regress.DEFAULT_MAX_FEATURES)
+    trusted = _table_walk(design)
+    untrusted = 0
+    for i in range(design.m):
+        for mask in range(1 << design.m):
+            with_i = mask | (1 << i)
+            if with_i == mask:
+                assert cache.gains[i, mask] == 0.0
+            elif not (trusted[mask] and trusted[with_i]):
+                untrusted += 1
+                assert cache.gains[i, mask] == table[with_i] - table[mask], (i, indices_of(mask))
+    if name in ("duplicated_column", "near_collinear_pair", "n_below_m_plus_1", "nested_near_null"):
+        assert untrusted > 0
+
+
+def test_a_higher_floor_trusts_no_more_subsets():
+    design = _nested_near_null()
+    screen = _walk(design)
+    table = _table_walk(design)
+    assert setfun.TABLE_PIVOT_RTOL > SWEEP_PIVOT_RTOL
+    assert {mask for mask, ok in table.items() if ok and mask} <= {mask for mask, (_, ok) in screen.items() if ok}
+    assert sum(not ok for ok in table.values()) > sum(not ok for _, ok in screen.values())

@@ -22,7 +22,7 @@ from r2audit import regress
 from r2audit.bitsets import block_masks, indices_of, mask_of
 from r2audit.regress import sweep_walk
 from r2audit.errors import TooManyFeatures, ZeroBeta
-from r2audit.selection import BestSubsetResult
+from r2audit.selection import BestSubsetResult, table_best_subset
 from conftest import make_noisy_design, make_orthogonal_design
 import selection_oracle
 
@@ -343,6 +343,37 @@ def test_greedy_dominated_by_best_subset():
             greedy = forward_stepwise(d, k).final_r_squared()
             optimal = best_subset(d, k).r_squared
             assert optimal >= greedy - 1e-10
+
+
+@pytest.mark.parametrize("name", ["miller", "suppressor6", *(f"ties{seed}" for seed in TIE_SEEDS)])
+def test_optimal_is_at_least_greedy_by_construction(name, miller_design):
+    # Greedy and optimal fits are read from one table, so the optimum is at
+    # least the greedy fit bit for bit; no tolerance is allowed.
+    from r2audit.cli import build_audit_report
+
+    if name == "miller":
+        d = miller_design
+    elif name == "suppressor6":
+        d = gram_factory(suppressor_population(6, 1.0, 3.0), 10)
+    else:
+        d = _duplicated_columns_design(int(name[4:]))
+    for k in range(1, d.m + 1):
+        res = nwf_check(d, k)
+        assert res.optimal_r2 >= res.greedy_r2
+        assert res.ratio <= 1.0
+        report, _ = build_audit_report(d, "in.csv", "Y", k, 20)
+        nwf = report["selection"]["nwf"]
+        assert nwf["optimal_r2"] >= nwf["greedy_r2"]
+        assert report["selection"]["best_subset"]["r_squared"] == nwf["optimal_r2"]
+
+
+def test_table_best_subset_breaks_ties_to_the_smallest_mask():
+    table = np.array([0.0, 0.5, 0.5, 0.5, 0.25, 0.5, 0.5, 0.5])
+    assert table_best_subset(table, 0) == BestSubsetResult((), 0.0)
+    assert table_best_subset(table, 1) == BestSubsetResult((0,), 0.5)
+    assert table_best_subset(table[[0, 4, 2, 6, 1, 5, 3, 7]], 3) == BestSubsetResult((1,), 0.5)
+    with pytest.raises(ValueError):
+        table_best_subset(table, 4)
 
 
 # ---------------------------------------------------------------------------

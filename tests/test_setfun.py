@@ -303,6 +303,44 @@ def test_gamma_witnesses_reproduce_minimum():
     assert abs(num / den - est_s.gamma_s) < 1e-10
 
 
+def _mp_r_squared(mp, design, subset):
+    """R^2 of a subset at the working mpmath precision, from the design's
+    float columns taken exactly."""
+    if not subset:
+        return mp.mpf(0)
+    X = mp.matrix(design.features[:, list(subset)].tolist())
+    y = mp.matrix(design.response.tolist())
+    b = X.T * y
+    return (b.T * mp.lu_solve(X.T * X, b))[0]
+
+
+def test_gamma_s2_at_m18_is_resolved_against_50_digits():
+    # Table differences returned gamma_s2 = 0 here: the witness's gains are
+    # far below the rounding of R^2 near 0.5. Direct gains resolve them.
+    mpmath = pytest.importorskip("mpmath")
+    d = standardize(*random_gaussian(n=200, m=18, seed=7))
+    est = empirical_gamma_s2(d)
+    A, i, j = est.witness_s2
+    assert est.gamma_s2 > 0.0
+    with mpmath.workdps(50):
+        gains = [
+            _mp_r_squared(mpmath, d, sorted(base + (i,))) - _mp_r_squared(mpmath, d, base)
+            for base in (tuple(A), tuple(sorted(A + (j,))))
+        ]
+        exact = gains[0] / gains[1]
+        assert abs(est.gamma_s2 - exact) <= 1e-6 * exact
+
+
+def test_certificate_columns_are_small():
+    d = make_noisy_design(2, n=30, m=9)
+    for certs in (check_submodular(d), find_suppressors(d)):
+        assert certs
+        sets, i, j = certs.columns
+        assert (sets.dtype, i.dtype, j.dtype) == (np.uint16, np.int8, np.int8)
+    sets, i = check_submodular(make_noisy_design(2, n=30, m=6), "first_order").columns[1:]
+    assert (sets.dtype, i.dtype) == (np.uint8, np.int8)
+
+
 def test_gamma_s_dominates_chain_bound():
     for seed in range(8):
         d = make_noisy_design(seed + 200, n=20, m=5)

@@ -12,9 +12,10 @@ import pytest
 import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 from report_oracle import as_certificates
-from r2audit import FitCache, gram_factory, r_squared, standardize, suppressor_population
+from r2audit import FitCache, gram_factory, standardize, suppressor_population
 from r2audit import cli, setfun
 from r2audit.bitsets import indices_of
+from r2audit.regress import fit_entry
 from r2audit.datasets import write_csv
 
 
@@ -101,8 +102,12 @@ def test_table_is_filled_once_per_cache():
     setfun.check_submodular(d, "definition", cache=cache)
     assert cache.table is table
     assert setfun.empirical_gamma_s2(d, cache=cache) == first
+    # The table is the sweep walk's, held to the fit kernel's contract: R^2
+    # within 1e-12 of a direct fit and the same rank.
     for mask in range(1 << d.m):
-        assert table[mask] == r_squared(d, indices_of(mask))
+        direct = fit_entry(d, indices_of(mask))
+        assert abs(table[mask] - direct.r_squared) <= 1e-12
+        assert cache.get(mask).rank == direct.rank
 
 
 def test_lex_rank_orders_index_tuples():
