@@ -20,9 +20,9 @@ complement, one sweep per added feature (Goodnight 1979). Best subset uses
 its values as screens and re-fits the finalists with :func:`fit_block`.
 :func:`fit_table` walks the whole tree once and keeps the values: every
 subset's fit and every single-feature gain C_A[i, y]^2 / C_A[i, i], read off
-the swept matrices rather than as a difference of two fits. Subsets the walk
-does not trust are fitted by :func:`fit_block`. That table is the exhaustive
-audit's value of record.
+the swept matrices rather than as a difference of two fits, up to 20
+features (GAIN_TABLE_BYTES). Subsets the walk does not trust are fitted by
+:func:`fit_block`. That table is the exhaustive audit's value of record.
 
 Rank decisions use a relative singular-value cutoff, so collinear subsets are
 evaluated on the column space they actually span instead of failing.
@@ -81,6 +81,20 @@ FIT_CHUNK = 256
 # feature meets on its own tree path is not enough: a nested design passed
 # that check with pivots of 1.4e-6 and screened values off by 1.6e-6.
 SWEEP_PIVOT_RTOL = 1e-6
+
+# fit_table's floor, from the same bound: at DEFAULT_MAX_FEATURES a trusted
+# table value is off by at most 3 eps * 24 / TABLE_PIVOT_RTOL = 1e-10, a tenth
+# of setfun.VIOLATION_TOL (1e-9), so no certificate turns on the sweep's
+# rounding: 1.6e-4. The bound is loose: on the fit kernel's seven test
+# designs the largest error against a direct fit is 3.7e-15 at this floor,
+# and 2.6e-13 (the Miller table) at SWEEP_PIVOT_RTOL.
+TABLE_PIVOT_RTOL = 3 * np.finfo(float).eps * DEFAULT_MAX_FEATURES / 1e-10
+
+# fit_table keeps its (m, 2^m) float gain table only while it fits in this
+# many bytes, that is up to m = 20 (160 MiB; m = 21 would take 336 MiB and
+# m = 24 3 GiB). Above it the table holds r2 alone, and setfun reads each
+# gain as the difference of two table values, in O(2^m) memory per feature.
+GAIN_TABLE_BYTES = 256 << 20
 
 # sweep_walk expands FIT_CHUNK // SWEEP_CHUNK_DIVISOR nodes per block. Such a
 # node holds a full (m+1)^2 swept matrix, or its diagonal, response column
@@ -174,7 +188,8 @@ class FitCache:
     guarantees a torn entry is never observed. ``table`` holds the dense
     r_squared-by-mask array once a set-function kernel has filled it (see
     :func:`fit_table`), and from then on every read answers from it and its
-    rank array; ``gains`` holds the matching (m, 2^m) gain table. All three
+    rank array; ``gains`` holds the matching (m, 2^m) gain table, or None
+    when fit_table kept none (see GAIN_TABLE_BYTES). All three
     are published by :meth:`publish`, table last, so readers see None or a
     full table. ``derived`` holds what kernels compute from the table and
     share, keyed by the kernel and its parameters.
@@ -187,7 +202,7 @@ class FitCache:
         self.table: np.ndarray | None = None
         self.derived: dict = {}
 
-    def publish(self, table: np.ndarray, ranks: np.ndarray, gains: np.ndarray) -> None:
+    def publish(self, table: np.ndarray, ranks: np.ndarray, gains: np.ndarray | None) -> None:
         self._ranks = ranks
         self.gains = gains
         self.table = table
@@ -333,9 +348,7 @@ def fit_block(design: StandardizedDesign, idx: np.ndarray) -> tuple[np.ndarray, 
     return r2, rank
 
 
-def sweep_walk(
-    design: StandardizedDesign, depth: int, floor: float = SWEEP_PIVOT_RTOL
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def sweep_walk(design: StandardizedDesign, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Screened R^2 of every subset of 1..depth features, one sweep per edge.
 
     Yields blocks (idx, r2, trusted): idx is a (k, s) block of feature
@@ -354,47 +367,50 @@ def sweep_walk(
     of subsets.
 
     A subset S is trusted when each member's pivot against the rest of S,
-    1 / [G_S^{-1}]_aa, is at least ``floor`` * G[a, a], and its parent is
-    trusted. An untrusted subset is not swept further: it and its whole
+    1 / [G_S^{-1}]_aa, is at least SWEEP_PIVOT_RTOL * G[a, a], and its parent
+    is trusted. An untrusted subset is not swept further: it and its whole
     subtree come back with trusted False and r2 NaN, for the caller to fit
     with :func:`fit_block`. Trusted values agree with fit_block's to
-    rounding, not bit for bit: to about 3 eps |S| / floor (see
-    SWEEP_PIVOT_RTOL).
+    rounding, not bit for bit (see SWEEP_PIVOT_RTOL).
     """
-    for idx, r2, trusted, _ in _sweep_blocks(design, depth, floor, False):
+    for idx, r2, trusted, _ in _sweep_blocks(design, depth, SWEEP_PIVOT_RTOL, False):
         yield idx, r2, trusted
 
 
-def fit_table(design: StandardizedDesign, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_table(design: StandardizedDesign) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(r2, rank, gain) of every subset mask, from one full-depth sweep walk.
 
     r2 and rank are indexed by mask; gain is (m, 2^m) with gain[i, A] the fit
-    gained by adding feature i to A (0 when A holds i). A subset the walk
-    trusts at ``floor`` takes its swept value, clipped at 1 like fit_block's,
+    gained by adding feature i to A (0 when A holds i), or None when it would
+    take more than GAIN_TABLE_BYTES. A subset the walk trusts at
+    TABLE_PIVOT_RTOL takes its swept value, clipped at 1 like fit_block's,
     and rank |S|; fit_block fits every other subset. Where A and A + i are
     both trusted, gain[i, A] is C_A[i, y]^2 / C_A[i, i] from A's swept
     matrix, not a difference of two nearly equal fits; elsewhere it is the
     difference r2[A + i] - r2[A].
     """
     m = design.m
-    masks = np.arange(1 << m)
+    keep_gains = 8 * m << m <= GAIN_TABLE_BYTES
     r2 = np.zeros(1 << m)
-    rank = mask_sizes(masks, m).astype(np.uint8)
+    rank = mask_sizes(np.arange(1 << m), m).astype(np.uint8)
     trusted = np.ones(1 << m, dtype=bool)
-    gain = np.full((m, 1 << m), np.nan)
-    for idx, values, ok, rows in _sweep_blocks(design, m, floor, True):
+    gain = np.full((m, 1 << m), np.nan) if keep_gains else None
+    for idx, values, ok, rows in _sweep_blocks(design, m, TABLE_PIVOT_RTOL, keep_gains):
         at = block_masks(idx)
         r2[at] = values
         trusted[at] = ok
-        gain[:, at] = rows.T
+        if keep_gains:
+            gain[:, at] = rows.T
         if not ok.all():
             r2[at[~ok]], rank[at[~ok]] = fit_block(design, idx[~ok])
     np.minimum(r2, 1.0, out=r2)
-    for i in range(m):
-        with_i = masks | (1 << i)
-        row = gain[i]
-        fallback = np.flatnonzero(np.isnan(row) | ~trusted[with_i])
-        row[fallback] = r2[with_i[fallback]] - r2[fallback]
+    if keep_gains:
+        masks = np.arange(1 << m)
+        for i in range(m):
+            with_i = masks | (1 << i)
+            row = gain[i]
+            fallback = np.flatnonzero(np.isnan(row) | ~trusted[with_i])
+            row[fallback] = r2[with_i[fallback]] - r2[fallback]
     return r2, rank, gain
 
 

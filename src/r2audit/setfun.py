@@ -6,7 +6,9 @@ fits and one gain table gain[i, A], filled together by one sweep walk
 (regress.fit_table) and published on the FitCache (O(m 2^m) memory). Where the
 walk trusts A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept
 matrix, so a small gain on top of a large fit keeps its relative accuracy;
-elsewhere it is the table difference r2[A|i] - r2[A].
+elsewhere it is the table difference r2[A|i] - r2[A]. Above 20 features
+(regress.GAIN_TABLE_BYTES) no gain table is kept and every gain is that
+difference, one feature's row at a time.
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per ordered pair (i, j), the masks A holding neither
 with gain_A(i) and gain_{A+j}(i): O(m^2 2^m) time, O(2^m) memory per pair.
@@ -49,17 +51,6 @@ from .regress import (
 VIOLATION_TOL = 1e-9
 SKIP_DENOM_TOL = 1e-12
 
-# The table trusts a swept value when every member of its subset keeps at
-# least this fraction of its squared norm once the others are projected out
-# (the sweep_walk floor). A trusted value is then
-# off by at most about 3 eps trace(G_S^{-1}) <= 3 eps |S| / TABLE_PIVOT_RTOL
-# (see regress.SWEEP_PIVOT_RTOL), which this floor holds to a tenth of
-# VIOLATION_TOL at DEFAULT_MAX_FEATURES: 1.6e-4. The bound is loose: on the
-# fit kernel's seven test designs the largest error against a direct fit is
-# 3.7e-15 at this floor, and 2.6e-13 (the Miller table) at
-# regress.SWEEP_PIVOT_RTOL = 1e-6, the best-subset screen's floor.
-TABLE_PIVOT_RTOL = 30 * np.finfo(float).eps * DEFAULT_MAX_FEATURES / VIOLATION_TOL
-
 MODES = ("definition", "first_order", "second_order")
 
 # Comparisons held at once by the definition and first-order checks.
@@ -75,39 +66,56 @@ def _r2(design: StandardizedDesign, mask: int, cache: FitCache) -> float:
 
 def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int) -> np.ndarray:
     """Cap-checked, dense, read-only r2[mask] of all 2^m masks, memoized on the
-    cache with its gain table (``cache.gains``) by one :func:`fit_table` call."""
+    cache with its gain table (``cache.gains``, None above 20 features) by
+    one :func:`fit_table` call."""
     _check_cap(design.m, max_features)
     cache = cache if cache is not None else FitCache()
     table = cache.table
     if table is None:
-        table, ranks, gains = fit_table(design, TABLE_PIVOT_RTOL)
+        table, ranks, gains = fit_table(design)
         for values in (table, ranks, gains):
-            values.setflags(write=False)
+            if values is not None:
+                values.setflags(write=False)
         cache.publish(table, ranks, gains)
     return table
 
 
+def _gains_at(cache: FitCache, i, masks):
+    """gain_A(i) for features i and masks A (scalars or arrays) of a filled
+    cache: from its gain table, or the table difference where it kept none."""
+    if cache.gains is not None:
+        return cache.gains[i, masks]
+    return cache.table[masks | (1 << i)] - cache.table[masks]
+
+
+def _gain_row(cache: FitCache, i: int) -> np.ndarray:
+    """gain_A(i) of a filled cache for every mask A (zero where A holds i)."""
+    if cache.gains is not None:
+        return cache.gains[i]
+    return _gains_at(cache, i, np.arange(cache.table.size))
+
+
 def _gain(design: StandardizedDesign, mask: int, i: int, cache: FitCache) -> float:
-    """gain_mask(i): read from the cache's gain table once it is filled, else
+    """gain_mask(i): read from the cache's tables once they are filled, else
     the difference of two cached fits."""
-    gains = cache.gains
-    if gains is not None:
-        return float(gains[i, mask])
+    if cache.table is not None:
+        return float(_gains_at(cache, i, mask))
     return _r2(design, mask | (1 << i), cache) - _r2(design, mask, cache)
 
 
-def _pair_gains(gains: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]:
+def _pair_gains(cache: FitCache, m: int) -> Iterator[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]:
     """Yield (A, i, j, gain_A(i), gain_{A+j}(i)) for every ordered pair i != j,
     where A holds, ascending, every mask containing neither i nor j."""
     masks = np.arange(1 << m)
     for i in range(m):
         bit_i = 1 << i
+        gain = _gain_row(cache, i)
         for j in range(m):
             if j == i:
                 continue
             bit_j = 1 << j
             a = masks[(masks & (bit_i | bit_j)) == 0]
-            yield a, i, j, gains[i, a], gains[i, a | bit_j]
+            yield a, i, j, gain[a], gain[a | bit_j]
 
 
 def delta(
@@ -305,7 +313,7 @@ def _second_order_hits(cache: FitCache, m: int, tolerance: float) -> list[np.nda
     key = ("second_order", tolerance)
     hits = cache.derived.get(key)
     if hits is None:
-        hits = _hits(_pair_gains(cache.gains, m), tolerance, ("A", "i", "j"), m)
+        hits = _hits(_pair_gains(cache, m), tolerance, ("A", "i", "j"), m)
         hits = cache.derived.setdefault(key, hits)
     return hits
 
@@ -319,9 +327,10 @@ def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield rows + lo, b
 
 
-def _first_order_pairs(gains: np.ndarray, m: int):
+def _first_order_pairs(cache: FitCache, m: int):
     for a, b in _mask_pairs(m, lambda a, b: ((a | b) == b) & (a < b)):
-        for i, gain in enumerate(gains):
+        for i in range(m):
+            gain = _gain_row(cache, i)
             outside = (b >> i) & 1 == 0
             yield a[outside], b[outside], i, gain[a[outside]], gain[b[outside]]
 
@@ -356,7 +365,7 @@ def check_submodular(
         return _by_sets("definition", roles, _hits(chunks, tolerance, roles, m), m)
     if mode == "first_order":
         roles = ("A", "B", "i")
-        hits = _hits(_first_order_pairs(cache.gains, m), tolerance, roles, m)
+        hits = _hits(_first_order_pairs(cache, m), tolerance, roles, m)
         return _by_sets("first_order", roles, hits, m)
     # The mirror images (A, i, j) and (A, j, i) have mathematically equal
     # deficits, so both take the deficit of (A, min, max) from the gain
@@ -370,7 +379,7 @@ def check_submodular(
         rows = start + np.flatnonzero(i[block] > j[block])
         masks, lower = a[rows].astype(np.intp), j[rows].astype(np.intp)
         with_i = masks | (1 << i[rows].astype(np.intp))
-        deficit[rows] = cache.gains[lower, with_i] - cache.gains[lower, masks]
+        deficit[rows] = _gains_at(cache, lower, with_i) - _gains_at(cache, lower, masks)
 
     def ties(rows):
         return [_lex_rank(a[rows], m), lo[rows], hi[rows], i[rows]]
@@ -465,7 +474,7 @@ def empirical_gamma_s2(
     _table(design, cache, max_features)
     per_pair = []
     skipped = 0
-    for a, i, j, num, den in _pair_gains(cache.gains, design.m):
+    for a, i, j, num, den in _pair_gains(cache, design.m):
         keep = ~(den < SKIP_DENOM_TOL)
         skipped += a.size - int(keep.sum())
         ratio = np.maximum(num[keep], 0.0) / den[keep]
@@ -509,7 +518,7 @@ def empirical_gamma_s(
     per_feature = []
     skipped = 0
     for i in range(m):
-        gain = cache.gains[i]
+        gain = _gain_row(cache, i)
         outside = (masks >> i) & 1 == 0
         small = outside & (gain < SKIP_DENOM_TOL)
         skipped += int(((1 << sizes[small]) - 1).sum())
@@ -529,7 +538,7 @@ def empirical_gamma_s(
     for ratio_i, at, i in per_feature:
         if (ratio_i, at) != (value, a_mask):
             continue
-        gain = cache.gains[i]
+        gain = _gain_row(cache, i)
         b = masks[((masks & a_mask) == a_mask) & (masks != a_mask) & ((masks >> i) & 1 == 0)]
         b = b[~(gain[b] < SKIP_DENOM_TOL)]
         hit = np.maximum(gain[a_mask], 0.0) / gain[b] == value

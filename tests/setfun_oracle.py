@@ -21,6 +21,7 @@ from r2audit.setfun import (
     VIOLATION_TOL,
     GammaEstimates,
     ViolationCertificate,
+    _gains_at,
     _r2,
     _table,
 )
@@ -34,8 +35,8 @@ def _filled(design, cache, max_features):
 
 
 def _gain(cache, mask, i):
-    """gain_mask(i) from the kernel's gain table."""
-    return float(cache.gains[i, mask])
+    """gain_mask(i) as the kernel reads it from its tables."""
+    return float(_gains_at(cache, i, mask))
 
 
 def iter_submasks(mask: int):

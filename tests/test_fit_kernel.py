@@ -18,7 +18,15 @@ from conftest import make_noisy_design
 from r2audit import FitCache, gram_factory, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
 from r2audit.bitsets import block_masks, combination_blocks, indices_of
-from r2audit.regress import RANK_RTOL, SWEEP_PIVOT_RTOL, FitEntry, fit_block, fit_entry, sweep_walk
+from r2audit.regress import (
+    RANK_RTOL,
+    SWEEP_PIVOT_RTOL,
+    TABLE_PIVOT_RTOL,
+    FitEntry,
+    fit_block,
+    fit_entry,
+    sweep_walk,
+)
 from r2audit.selection import SCREEN_BAND
 
 
@@ -206,7 +214,7 @@ def test_sweep_walk_does_not_depend_on_blocking(monkeypatch):
 def _table_walk(design):
     """{mask: trusted} of the walk the table fill makes, at the table's floor."""
     seen = {0: True}
-    for idx, _, trusted in sweep_walk(design, design.m, setfun.TABLE_PIVOT_RTOL):
+    for idx, _, trusted, _ in regress._sweep_blocks(design, design.m, TABLE_PIVOT_RTOL, False):
         seen.update(zip(block_masks(idx).tolist(), trusted.tolist()))
     return seen
 
@@ -226,10 +234,14 @@ def test_direct_gains_match_fit_differences_on_gaussian_designs(seed):
 
 @pytest.mark.parametrize("name", [*DESIGNS, "nested_near_null"])
 def test_gains_are_table_differences_wherever_the_walk_distrusts(name):
+    # ...and within 1e-11 of the difference of two direct fits wherever it
+    # trusts, so the swept gains are checked on the ill-conditioned designs
+    # too, not only where every subset is trusted.
     design = _nested_near_null() if name == "nested_near_null" else DESIGNS[name]()
     cache = FitCache()
     table = setfun._table(design, cache, regress.DEFAULT_MAX_FEATURES)
     trusted = _table_walk(design)
+    fits = [fit_entry(design, indices_of(mask)).r_squared for mask in range(1 << design.m)]
     untrusted = 0
     for i in range(design.m):
         for mask in range(1 << design.m):
@@ -239,6 +251,9 @@ def test_gains_are_table_differences_wherever_the_walk_distrusts(name):
             elif not (trusted[mask] and trusted[with_i]):
                 untrusted += 1
                 assert cache.gains[i, mask] == table[with_i] - table[mask], (i, indices_of(mask))
+            else:
+                difference = fits[with_i] - fits[mask]
+                assert abs(cache.gains[i, mask] - difference) <= 1e-11, (i, indices_of(mask))
     if name in ("duplicated_column", "near_collinear_pair", "n_below_m_plus_1", "nested_near_null"):
         assert untrusted > 0
 
@@ -247,6 +262,24 @@ def test_a_higher_floor_trusts_no_more_subsets():
     design = _nested_near_null()
     screen = _walk(design)
     table = _table_walk(design)
-    assert setfun.TABLE_PIVOT_RTOL > SWEEP_PIVOT_RTOL
+    assert TABLE_PIVOT_RTOL > SWEEP_PIVOT_RTOL
     assert {mask for mask, ok in table.items() if ok and mask} <= {mask for mask, (_, ok) in screen.items() if ok}
     assert sum(not ok for ok in table.values()) > sum(not ok for _, ok in screen.values())
+
+
+def test_table_floor_holds_its_error_bound_to_a_tenth_of_the_violation_tolerance():
+    bound = 3 * np.finfo(float).eps * regress.DEFAULT_MAX_FEATURES / TABLE_PIVOT_RTOL
+    assert bound == pytest.approx(setfun.VIOLATION_TOL / 10, rel=1e-12)
+
+
+def test_gain_table_is_kept_up_to_20_features(monkeypatch):
+    assert 8 * 20 << 20 <= regress.GAIN_TABLE_BYTES < 8 * 21 << 21
+    design = DESIGNS["n_below_m_plus_1"]()
+    m = design.m
+    r2, rank, gains = regress.fit_table(design)
+    assert gains.shape == (m, 1 << m)
+    monkeypatch.setattr(regress, "GAIN_TABLE_BYTES", (8 * m << m) - 1)
+    r2_alone, rank_alone, none = regress.fit_table(design)
+    assert none is None
+    np.testing.assert_array_equal(rank_alone, rank)
+    assert np.abs(r2_alone - r2).max() <= 1e-15

@@ -13,7 +13,7 @@ import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 from report_oracle import as_certificates
 from r2audit import FitCache, gram_factory, standardize, suppressor_population
-from r2audit import cli, setfun
+from r2audit import cli, regress, setfun
 from r2audit.bitsets import indices_of
 from r2audit.regress import fit_entry
 from r2audit.datasets import write_csv
@@ -89,6 +89,25 @@ def test_tolerance_edge_matches_oracle(design):
     assert setfun.check_submodular(design, tolerance=edge) == oracle.check_submodular(
         design, tolerance=edge
     )
+
+
+def test_kernels_match_oracle_without_a_gain_table(design, monkeypatch):
+    # Above regress.GAIN_TABLE_BYTES the fill keeps no gain table and every
+    # gain is a table difference; a zero budget sends each design that way.
+    monkeypatch.setattr(regress, "GAIN_TABLE_BYTES", 0)
+    cache = FitCache()
+    table = setfun._table(design, cache, regress.DEFAULT_MAX_FEATURES)
+    assert cache.gains is None
+    masks = np.arange(1 << design.m)
+    for i in range(design.m):
+        assert np.array_equal(setfun._gain_row(cache, i), table[masks | (1 << i)] - table)
+    for mode in setfun.MODES:
+        assert setfun.check_submodular(design, mode, cache=cache) == oracle.check_submodular(
+            design, mode, cache=cache
+        )
+    assert setfun.find_suppressors(design, cache=cache) == oracle.find_suppressors(design, cache=cache)
+    assert setfun.empirical_gamma_s2(design, cache=cache) == oracle.empirical_gamma_s2(design, cache=cache)
+    assert setfun.empirical_gamma_s(design, cache=cache) == oracle.empirical_gamma_s(design, cache=cache)
 
 
 def test_table_is_filled_once_per_cache():
