@@ -42,7 +42,8 @@ from .selection import (
 )
 from .setfun import (
     Certificates,
-    GammaEstimates,
+    GammaS2Result,
+    GammaSResult,
     ViolationCertificate,
     chain_lower_bound,
     check_submodular,
@@ -65,7 +66,8 @@ __all__ = [
     "Certificates",
     "ConeSpec",
     "FitCache",
-    "GammaEstimates",
+    "GammaS2Result",
+    "GammaSResult",
     "Grid",
     "GridCell",
     "PairDiagnostics",

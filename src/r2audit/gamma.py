@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .bitsets import mask_of
+from . import regress
+from .bitsets import combination_blocks
 from .errors import EmptyCandidateSet, InfeasibleCorrelations
-from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _check_cap
-from .setfun import SKIP_DENOM_TOL, _r2
+from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap
+from .setfun import SKIP_DENOM_TOL, _fits
 
 MODE_AT_MOST_K = "at_most_k"
 MODE_EXACTLY_K = "exactly_k"
@@ -54,38 +54,49 @@ def submodularity_ratio(
     """Worst-case ratio of summed single-feature gains to the joint gain.
 
     For each admissible candidate set T disjoint from the base S, compares
-    sum_i gain_S(t_i) against gain_S(T), both computed as fit differences.
-    Candidates whose joint gain is negligible are skipped and counted; if
-    everything is skipped there is no ratio to report and
-    EmptyCandidateSet is raised.
+    sum_i gain_S(t_i), summed in index order, against gain_S(T). Each gain is
+    a difference of two fits, read from the cache's table once it is filled
+    and otherwise fitted, a block of candidate sets per fit_block call. The
+    argmin is the first strict minimum in combinations order. Candidates
+    whose joint gain is negligible are skipped and counted; if everything is
+    skipped there is no ratio to report and EmptyCandidateSet is raised.
     """
     m = design.m
     _check_cap(m, max_features)
-    if len(query.base) + query.k > m:
+    base = np.array(_as_indices(query.base, m), dtype=np.intp)
+    if base.size + query.k > m:
         raise ValueError("base set plus k exceeds the number of features")
-    cache = cache if cache is not None else FitCache()
 
-    s_mask = mask_of(query.base)
-    fs = _r2(design, s_mask, cache)
-    candidates = [i for i in range(m) if not (s_mask >> i) & 1]
-    singles = {i: _r2(design, s_mask | (1 << i), cache) - fs for i in candidates}
+    candidates = np.delete(np.arange(m), base)
+    fs = _fits(design, cache, [base])[0]
+
+    def gains(teams):
+        # gain_S(T) of each row T of a block of candidate sets; np.nonzero
+        # lists each row's members of S + T in ascending order
+        member = np.zeros((len(teams), m), dtype=bool)
+        member[:, base] = True
+        member[np.arange(len(teams))[:, None], teams] = True
+        return _fits(design, cache, np.nonzero(member)[1].reshape(len(teams), -1)) - fs
+
+    singles = gains(candidates[:, None])
 
     sizes = [query.k] if query.mode == MODE_EXACTLY_K else list(range(1, query.k + 1))
     best = math.inf
     argmin: tuple[int, ...] = ()
     skipped = 0
     for size in sizes:
-        for team in combinations(candidates, size):
-            t_mask = mask_of(team)
-            joint = _r2(design, s_mask | t_mask, cache) - fs
-            if joint < SKIP_DENOM_TOL:
-                skipped += 1
-                continue
-            total = sum(singles[i] for i in team)
-            ratio = max(total, 0.0) / joint
-            if ratio < best:
-                best = ratio
-                argmin = team
+        for block in combination_blocks(candidates.size, size, regress.FIT_CHUNK):
+            joint = gains(candidates[block])
+            total = np.zeros(len(block))
+            for column in block.T:
+                total += singles[column]
+            negligible = joint < SKIP_DENOM_TOL
+            skipped += int(negligible.sum())
+            ratio = np.where(negligible, math.inf, np.maximum(total, 0.0) / np.where(negligible, 1.0, joint))
+            at = int(ratio.argmin())
+            if ratio[at] < best:
+                best = float(ratio[at])
+                argmin = tuple(candidates[block[at]].tolist())
     if not math.isfinite(best):
         raise EmptyCandidateSet("every candidate set had negligible joint gain")
     return RatioResult(gamma_sr=best, argmin=argmin, skipped=skipped)

@@ -11,8 +11,10 @@ Each design is QR-reduced once to the triangle R of [X | y]
 Wilson (1974). Since [X | y] = QR with orthonormal Q, the fit of a subset S is
 ||U^T R[:, m]||^2 for the left singular vectors U of R[:, S] above the rank
 cutoff, independent of n. :func:`fit_block` evaluates stacks of equal-size
-subsets that way, so a subset's value does not depend on how it was batched;
-single fits (:func:`r_squared`) and the best-subset judge read it.
+subsets that way, so a subset's value does not depend on how it was batched.
+Every fit made outside a table is one such call and is not kept: single fits
+(:func:`r_squared`), the candidates of a stepwise or ratio step, and the
+best-subset judge.
 
 :func:`sweep_walk` walks the same Furnival-Wilson subset tree over the Gram
 matrix G = R^T R and reads each child's fit off its parent's Schur
@@ -22,7 +24,8 @@ its values as screens and re-fits the finalists with :func:`fit_block`.
 subset's fit and every single-feature gain C_A[i, y]^2 / C_A[i, i], read off
 the swept matrices rather than as a difference of two fits, up to 20
 features (GAIN_TABLE_BYTES). Subsets the walk does not trust are fitted by
-:func:`fit_block`. That table is the exhaustive audit's value of record.
+:func:`fit_block`. That table, published on a :class:`FitCache`, is the
+exhaustive audit's value of record, and the fit function's one stored form.
 
 Rank decisions use a relative singular-value cutoff, so collinear subsets are
 evaluated on the column space they actually span instead of failing.
@@ -32,11 +35,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitsets import block_masks, combination_blocks, indices_of, mask_of, mask_sizes
+from .bitsets import block_masks, combination_blocks, mask_sizes
 from .errors import (
     Collinear,
     ConstantColumn,
@@ -49,8 +52,8 @@ from .errors import (
     TooManyFeatures,
 )
 
-# Shared numeric tolerances. Enumeration caps live here because the cache keys
-# are 64-bit masks; HARD_MAX_FEATURES is the absolute ceiling for them.
+# Shared numeric tolerances. Enumeration caps live here because subsets are
+# 64-bit masks; HARD_MAX_FEATURES is the absolute ceiling for them.
 CENTER_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
 RANK_RTOL = 1e-10
@@ -101,7 +104,9 @@ GAIN_TABLE_BYTES = 256 << 20
 # and member rows and the scores of up to m children. On an n = 2000,
 # m = 24, k = 4 best subset, blocks of FIT_CHUNK raised the process's peak
 # RSS from 36.2 to 37.8 MiB; blocks of 32 left it at 36.3 MiB, no higher
-# than blocks of 4, and the search took 11 ms against 8 ms. fit_table's walk,
+# than blocks of 4, and the search took 11 ms against 8 ms. Full matrices
+# also at the nodes whose children end the walk raised that process's peak
+# RSS by 0.3 MiB, three times the spread between its runs. fit_table's walk,
 # whose output holds every subset anyway, expands FIT_CHUNK nodes per block:
 # at m = 18 that filled the table in 1.07 s instead of 1.84 s, and raised the
 # peak RSS from 87 to 100 MiB.
@@ -181,52 +186,27 @@ class FitEntry:
 
 
 class FitCache:
-    """Memoized subset-mask -> fit evaluations with insert-if-absent writes.
+    """The dense tables a set-function kernel fills once per design.
 
-    Concurrent readers may race a writer; duplicate computation is harmless
-    because entries are value-identical for a given design, and ``setdefault``
-    guarantees a torn entry is never observed. ``table`` holds the dense
-    r_squared-by-mask array once a set-function kernel has filled it (see
-    :func:`fit_table`), and from then on every read answers from it and its
-    rank array; ``gains`` holds the matching (m, 2^m) gain table, or None
-    when fit_table kept none (see GAIN_TABLE_BYTES). All three
+    ``table`` holds r_squared by subset mask once :func:`fit_table` has
+    filled it, ``ranks`` the matching ranks, and ``gains`` the (m, 2^m) gain
+    table, or None when fit_table kept none (see GAIN_TABLE_BYTES). All three
     are published by :meth:`publish`, table last, so readers see None or a
     full table. ``derived`` holds what kernels compute from the table and
-    share, keyed by the kernel and its parameters.
+    share, keyed by the kernel and its parameters. Without a table, fits are
+    made by :func:`fit_block` and not kept.
     """
 
     def __init__(self):
-        self._entries: dict[int, FitEntry] = {0: FitEntry(0.0, 0)}
-        self._ranks: np.ndarray | None = None
+        self.ranks: np.ndarray | None = None
         self.gains: np.ndarray | None = None
         self.table: np.ndarray | None = None
         self.derived: dict = {}
 
     def publish(self, table: np.ndarray, ranks: np.ndarray, gains: np.ndarray | None) -> None:
-        self._ranks = ranks
+        self.ranks = ranks
         self.gains = gains
         self.table = table
-
-    def get(self, mask: int) -> FitEntry | None:
-        table = self.table
-        if table is not None:
-            return FitEntry(float(table[mask]), int(self._ranks[mask]))
-        return self._entries.get(mask)
-
-    def get_or_compute(self, mask: int, compute: Callable[[], FitEntry]) -> FitEntry:
-        entry = self.get(mask)
-        if entry is None:
-            entry = self._entries.setdefault(mask, compute())
-        return entry
-
-    def __len__(self) -> int:
-        table = self.table
-        return len(self._entries) if table is None else table.size
-
-    def items(self):
-        if self.table is None:
-            return self._entries.items()
-        return ((mask, self.get(mask)) for mask in range(self.table.size))
 
 
 def _as_indices(subset: SubsetLike, m: int) -> tuple[int, ...]:
@@ -514,28 +494,22 @@ def _blocks(rows: np.ndarray, size: int) -> Iterator[np.ndarray]:
         yield rows[lo : lo + size]
 
 
-def _evaluate_subset(design: StandardizedDesign, mask: int) -> FitEntry:
-    if mask == 0:
+def fit_entry(design: StandardizedDesign, subset: SubsetLike) -> FitEntry:
+    """(r_squared, rank) of one subset, fitted by :func:`fit_block`."""
+    idx = _as_indices(subset, design.m)
+    if not idx:
         return FitEntry(0.0, 0)
-    r2, rank = fit_block(design, np.array([indices_of(mask)]))
+    r2, rank = fit_block(design, np.array([idx]))
     return FitEntry(float(r2[0]), int(rank[0]))
 
 
-def fit_entry(design: StandardizedDesign, subset: SubsetLike, cache: FitCache | None = None) -> FitEntry:
-    """Cached (r_squared, rank) evaluation of one subset."""
-    mask = mask_of(_as_indices(subset, design.m))
-    if cache is None:
-        return _evaluate_subset(design, mask)
-    return cache.get_or_compute(mask, lambda: _evaluate_subset(design, mask))
-
-
-def r_squared(design: StandardizedDesign, subset: SubsetLike, cache: FitCache | None = None) -> float:
+def r_squared(design: StandardizedDesign, subset: SubsetLike) -> float:
     """Squared norm of the response's projection onto the subset's span.
 
     The empty subset evaluates to 0 by convention. Rank-deficient subsets are
     projected onto the space actually spanned.
     """
-    return fit_entry(design, subset, cache).r_squared
+    return fit_entry(design, subset).r_squared
 
 
 def span_basis(design: StandardizedDesign, subset: SubsetLike) -> np.ndarray:

@@ -30,7 +30,7 @@ from .regress import (
     partial_correlation,
     sweep_walk,
 )
-from .setfun import _gain, _r2, _table, check_submodular
+from .setfun import _fits, _gains_at, _table, check_submodular
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
@@ -85,15 +85,13 @@ class SelectionTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _step_t(design: StandardizedDesign, model: tuple[int, ...], j: int, cache: FitCache) -> float | None:
-    """t statistic of feature j in the fit on model + {j}.
+def _step_t(design: StandardizedDesign, subset: tuple[int, ...], j: int, r2: float) -> float | None:
+    """t statistic of feature j in the fit on subset, whose R^2 is r2.
 
     Interpolating fits report the +inf sentinel; fits without residual
     degrees of freedom or with j degenerate report None.
     """
-    subset = tuple(sorted(model + (j,)))
-    rss = 1.0 - _r2(design, mask_of(subset), cache)
-    if rss <= ZERO_RSS_TOL:
+    if 1.0 - r2 <= ZERO_RSS_TOL:
         return math.inf
     if len(subset) > design.n - 2:
         return None
@@ -112,41 +110,40 @@ def forward_stepwise(
 ) -> SelectionTrace:
     """Greedy selection: each step adds the feature with the largest fit gain.
 
-    A step's gain is read from the cache's gain table when a kernel has
-    filled it, and is otherwise the difference of two cached fits. Runs for
-    k steps regardless of how small the gains get, unless ``t_stop``
-    is set, in which case the run ends early once no remaining feature's
-    per-step t statistic reaches the threshold in absolute value. The
-    threshold governs continuation, so the first step is always taken.
+    Each step fits every candidate model in one read of the cache's table
+    when a kernel has filled it, else in one fit_block call. A candidate's
+    gain is then read from the gain table, or is its fit minus the current
+    model's. Ties go to the lowest feature index. Runs for k steps
+    regardless of how small the gains get, unless ``t_stop`` is set, in
+    which case the run ends early once no remaining feature's per-step t
+    statistic reaches the threshold in absolute value. The threshold
+    governs continuation, so the first step is always taken.
     """
     if not 1 <= k <= design.m:
         raise ValueError(f"k must lie in 1..{design.m}")
-    cache = cache if cache is not None else FitCache()
+    filled = cache is not None and cache.table is not None
     model: tuple[int, ...] = ()
+    fit = 0.0
     steps: list[SelectionStep] = []
     reason = "max_steps"
     while len(model) < k:
         candidates = [j for j in range(design.m) if j not in model]
+        subsets = [tuple(sorted(model + (j,))) for j in candidates]
+        fits = _fits(design, cache, subsets)
         if t_stop is not None and model:
-            ts = {j: _step_t(design, model, j, cache) for j in candidates}
-            if not any(t is not None and abs(t) >= t_stop for t in ts.values()):
+            ts = (_step_t(design, *step) for step in zip(subsets, candidates, fits))
+            if not any(t is not None and abs(t) >= t_stop for t in ts):
                 reason = "t_threshold"
                 break
-        best_j = -1
-        best_gain = -math.inf
-        for j in candidates:
-            gain = _gain(design, mask_of(model), j, cache)
-            if gain > best_gain:
-                best_gain = gain
-                best_j = j
-        t_val = _step_t(design, model, best_j, cache)
-        model = tuple(sorted(model + (best_j,)))
+        gains = _gains_at(cache, np.array(candidates), mask_of(model)) if filled else fits - fit
+        best = int(np.argmax(gains))
+        model, fit = subsets[best], float(fits[best])
         steps.append(
             SelectionStep(
-                feature=best_j,
-                delta_r2=best_gain,
-                cumulative_r2=_r2(design, mask_of(model), cache),
-                marginal_t=t_val,
+                feature=candidates[best],
+                delta_r2=float(gains[best]),
+                cumulative_r2=fit,
+                marginal_t=_step_t(design, model, candidates[best], fit),
             )
         )
     return SelectionTrace("forward_stepwise", tuple(steps), reason)

@@ -8,7 +8,10 @@ walk trusts A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept
 matrix, so a small gain on top of a large fit keeps its relative accuracy;
 elsewhere it is the table difference r2[A|i] - r2[A]. Above 20 features
 (regress.GAIN_TABLE_BYTES) no gain table is kept and every gain is that
-difference, one feature's row at a time.
+difference, one feature's row at a time. Stepwise, the submodularity
+ratio, delta and certificate replay read fits through one reader, _fits:
+that table once it is filled, otherwise one regress.fit_block call per
+block of subsets, kept nowhere.
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per ordered pair (i, j), the masks A holding neither
 with gain_A(i) and gain_{A+j}(i): O(m^2 2^m) time, O(2^m) memory per pair.
@@ -37,14 +40,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitsets import indices_of, mask_of, mask_sizes
+from .bitsets import block_masks, indices_of, mask_of, mask_sizes
 from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
     FitCache,
     StandardizedDesign,
+    _as_indices,
     _check_cap,
-    fit_entry,
+    fit_block,
     fit_table,
 )
 
@@ -57,11 +61,17 @@ MODES = ("definition", "first_order", "second_order")
 _BLOCK = 1 << 18
 
 
-def _r2(design: StandardizedDesign, mask: int, cache: FitCache) -> float:
-    entry = cache.get(mask)
-    if entry is None:
-        entry = cache.get_or_compute(mask, lambda: fit_entry(design, indices_of(mask)))
-    return entry.r_squared
+def _fits(design: StandardizedDesign, cache: FitCache | None, idx) -> np.ndarray:
+    """R^2 of every row of idx, a (k, s) block of sorted feature indices: read
+    from the cache's table once it is filled, else fitted by one
+    regress.fit_block call (zeros when s = 0), whose value for a row does not
+    depend on the rest of the block."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if cache is not None and cache.table is not None:
+        return cache.table[block_masks(idx)]
+    if idx.shape[1] == 0:
+        return np.zeros(idx.shape[0])
+    return fit_block(design, idx)[0]
 
 
 def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int) -> np.ndarray:
@@ -95,14 +105,6 @@ def _gain_row(cache: FitCache, i: int) -> np.ndarray:
     return _gains_at(cache, i, np.arange(cache.table.size))
 
 
-def _gain(design: StandardizedDesign, mask: int, i: int, cache: FitCache) -> float:
-    """gain_mask(i): read from the cache's tables once they are filled, else
-    the difference of two cached fits."""
-    if cache.table is not None:
-        return float(_gains_at(cache, i, mask))
-    return _r2(design, mask | (1 << i), cache) - _r2(design, mask, cache)
-
-
 def _pair_gains(cache: FitCache, m: int) -> Iterator[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]:
     """Yield (A, i, j, gain_A(i), gain_{A+j}(i)) for every ordered pair i != j,
     where A holds, ascending, every mask containing neither i nor j."""
@@ -126,12 +128,12 @@ def delta(
 ) -> float:
     """Gain in fit from adding a feature set to a base model.
 
-    Overlap between the two sets is allowed and contributes nothing.
+    Overlap between the two sets is allowed and contributes nothing. Both
+    sets must lie in range(m), whether or not the cache's table is filled.
     """
-    cache = cache if cache is not None else FitCache()
-    add_mask = mask_of(added)
-    base_mask = mask_of(base)
-    return _r2(design, add_mask | base_mask, cache) - _r2(design, base_mask, cache)
+    base = _as_indices(base, design.m)
+    joint = _as_indices((*added, *base), design.m)
+    return float(_fits(design, cache, [joint])[0] - _fits(design, cache, [base])[0])
 
 
 @dataclass(frozen=True)
@@ -418,28 +420,29 @@ def replay_certificate(
 
     Gains come from the cache's gain table when it is filled, so a filled
     cache reproduces the certificate; otherwise they are differences of two
-    fits, an independent check.
+    fits, an independent check. Every set must lie in range(m).
     """
-    cache = cache if cache is not None else FitCache()
-    sets = cert.set_dict()
+    filled = cache is not None and cache.table is not None
+    sets = {role: _as_indices(members, design.m) for role, members in cert.sets}
+
+    def fit(mask):
+        return float(_fits(design, cache, [indices_of(mask)])[0])
+
+    def gain(mask, i):
+        return float(_gains_at(cache, i, mask)) if filled else fit(mask | (1 << i)) - fit(mask)
+
     if cert.form == "definition":
         a = mask_of(sets["A"])
         b = mask_of(sets["B"])
-        return (
-            _r2(design, a, cache) + _r2(design, b, cache),
-            _r2(design, a | b, cache) + _r2(design, a & b, cache),
-        )
+        return fit(a) + fit(b), fit(a | b) + fit(a & b)
     if cert.form == "first_order":
         i = sets["i"][0]
-        return (
-            _gain(design, mask_of(sets["A"]), i, cache),
-            _gain(design, mask_of(sets["B"]), i, cache),
-        )
+        return gain(mask_of(sets["A"]), i), gain(mask_of(sets["B"]), i)
     if cert.form in ("second_order", "suppression"):
         a = mask_of(sets["A"] if cert.form == "second_order" else sets["S"])
         i = sets["i"][0]
-        base = _gain(design, a, i, cache)
-        cond = _gain(design, a | (1 << sets["j"][0]), i, cache)
+        base = gain(a, i)
+        cond = gain(a | (1 << sets["j"][0]), i)
         if cert.form == "suppression":
             return math.sqrt(max(base, 0.0)), math.sqrt(max(cond, 0.0))
         return base, cond
@@ -447,28 +450,37 @@ def replay_certificate(
 
 
 @dataclass(frozen=True)
-class GammaEstimates:
-    """Worst-case gain ratios over second-order and first-order comparisons.
+class GammaS2Result:
+    """Worst-case gain ratio over the second-order comparisons (A, i, j).
 
-    Each part is the minimum of gain(small base) / gain(larger base) over its
-    family of comparisons; ratios whose denominator is negligible carry no
-    information and are skipped (counted). A part not computed is None; a
-    minimum over no ratios is +inf.
+    gamma_s2 is the minimum of gain_A(i) / gain_{A+j}(i); a ratio whose
+    denominator is negligible carries no information and is skipped (counted
+    in skipped_s2). A minimum over no ratios is +inf, with witness None.
     """
 
-    gamma_s2: float | None = None
-    witness_s2: tuple[tuple[int, ...], int, int] | None = None
-    skipped_s2: int | None = None
-    gamma_s: float | None = None
-    witness_s: tuple[tuple[int, ...], tuple[int, ...], int] | None = None
-    skipped_s: int | None = None
+    gamma_s2: float
+    witness_s2: tuple[tuple[int, ...], int, int] | None
+    skipped_s2: int
+
+
+@dataclass(frozen=True)
+class GammaSResult:
+    """Worst-case gain ratio over the first-order comparisons (A, B, i).
+
+    gamma_s is the minimum of gain_A(i) / gain_B(i) over nested A < B;
+    skipping and the empty minimum are as in GammaS2Result.
+    """
+
+    gamma_s: float
+    witness_s: tuple[tuple[int, ...], tuple[int, ...], int] | None
+    skipped_s: int
 
 
 def empirical_gamma_s2(
     design: StandardizedDesign,
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
-) -> GammaEstimates:
+) -> GammaS2Result:
     """Minimum of gain_A(i) / gain_{A+j}(i) over all eligible (A, i, j)."""
     cache = cache if cache is not None else FitCache()
     _table(design, cache, max_features)
@@ -482,9 +494,9 @@ def empirical_gamma_s2(
             at = int(ratio.argmin())
             per_pair.append((float(ratio[at]), int(a[keep][at]), i, j))
     if not per_pair:
-        return GammaEstimates(gamma_s2=math.inf, witness_s2=None, skipped_s2=skipped)
+        return GammaS2Result(math.inf, None, skipped)
     value, a_mask, i, j = min(per_pair)
-    return GammaEstimates(gamma_s2=value, witness_s2=(indices_of(a_mask), i, j), skipped_s2=skipped)
+    return GammaS2Result(value, (indices_of(a_mask), i, j), skipped)
 
 
 def _strict_superset_max(values: np.ndarray, m: int) -> np.ndarray:
@@ -502,7 +514,7 @@ def empirical_gamma_s(
     design: StandardizedDesign,
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
-) -> GammaEstimates:
+) -> GammaSResult:
     """Minimum of gain_A(i) / gain_B(i) over nested pairs A < B with i outside B.
 
     For fixed A and i the smallest ratio uses the largest usable denominator
@@ -530,7 +542,7 @@ def empirical_gamma_s(
         if usable[at]:
             per_feature.append((float(ratio[at]), at, i))
     if not per_feature:
-        return GammaEstimates(gamma_s=math.inf, witness_s=None, skipped_s=skipped)
+        return GammaSResult(math.inf, None, skipped)
     # The witness is the first (A, B, i) in mask order whose ratio is the
     # minimum: the smallest A, then for it the smallest usable B.
     value, a_mask, _ = min(per_feature)
@@ -544,9 +556,7 @@ def empirical_gamma_s(
         hit = np.maximum(gain[a_mask], 0.0) / gain[b] == value
         candidates.append((int(b[hit.argmax()]), i))
     b_mask, i = min(candidates)
-    return GammaEstimates(
-        gamma_s=value, witness_s=(indices_of(a_mask), indices_of(b_mask), i), skipped_s=skipped
-    )
+    return GammaSResult(value, (indices_of(a_mask), indices_of(b_mask), i), skipped)
 
 
 def chain_lower_bound(gamma_s2: float, k: int) -> float:

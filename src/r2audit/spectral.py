@@ -204,7 +204,6 @@ def gamma_vs_spectral(
 ) -> GammaSpectralComparison:
     """Check the ordering: submodularity ratio at (S, k) dominates the sparse
     minimum eigenvalue at size |S| + k."""
-    cache = cache if cache is not None else FitCache()
     query = RatioQuery(base=tuple(subset), k=k, mode="exactly_k")
     ratio = submodularity_ratio(design, query, cache=cache, max_features=max_features)
     size = min(len(query.base) + k, design.m)

@@ -19,10 +19,10 @@ from r2audit.setfun import (
     MODES,
     SKIP_DENOM_TOL,
     VIOLATION_TOL,
-    GammaEstimates,
+    GammaS2Result,
+    GammaSResult,
     ViolationCertificate,
     _gains_at,
-    _r2,
     _table,
 )
 
@@ -32,6 +32,11 @@ def _filled(design, cache, max_features):
     cache = cache if cache is not None else FitCache()
     _table(design, cache, max_features or DEFAULT_MAX_FEATURES)
     return cache
+
+
+def _r2(cache, mask):
+    """R^2 of mask as the kernel reads it from its table."""
+    return float(cache.table[mask])
 
 
 def _gain(cache, mask, i):
@@ -63,10 +68,10 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
 
     if mode == "definition":
         for a_mask in range(full + 1):
-            fa = _r2(design, a_mask, cache)
+            fa = _r2(cache, a_mask)
             for b_mask in range(a_mask, full + 1):
-                lhs = fa + _r2(design, b_mask, cache)
-                rhs = _r2(design, a_mask | b_mask, cache) + _r2(design, a_mask & b_mask, cache)
+                lhs = fa + _r2(cache, b_mask)
+                rhs = _r2(cache, a_mask | b_mask) + _r2(cache, a_mask & b_mask)
                 if rhs - lhs > tolerance:
                     found.append(
                         ViolationCertificate(
@@ -185,7 +190,7 @@ def empirical_gamma_s2(design, cache=None, max_features=None):
                 if ratio < best:
                     best = ratio
                     witness = (indices_of(a_mask), i, j)
-    return GammaEstimates(gamma_s2=best, witness_s2=witness, skipped_s2=skipped)
+    return GammaS2Result(gamma_s2=best, witness_s2=witness, skipped_s2=skipped)
 
 
 def empirical_gamma_s(design, cache=None, max_features=None):
@@ -211,4 +216,4 @@ def empirical_gamma_s(design, cache=None, max_features=None):
                 if ratio < best:
                     best = ratio
                     witness = (indices_of(a_mask), indices_of(b_mask), i)
-    return GammaEstimates(gamma_s=best, witness_s=witness, skipped_s=skipped)
+    return GammaSResult(gamma_s=best, witness_s=witness, skipped_s=skipped)

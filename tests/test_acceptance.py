@@ -261,11 +261,10 @@ def test_criterion_6_spectral_ordering():
 def test_criterion_7_suppressor_construction():
     def body():
         design = gram_factory(suppressor_population(4, 1.0, 10.0), 8)
-        cache = FitCache()
         for size in range(4):
             for subset in combinations(range(4), size):
-                assert r_squared(design, subset, cache) <= 0.05
-        assert abs(r_squared(design, (0, 1, 2, 3), cache) - 1.0) <= 1e-9
+                assert r_squared(design, subset) <= 0.05
+        assert abs(r_squared(design, (0, 1, 2, 3)) - 1.0) <= 1e-9
         visibilities = []
         for sigma_eps in (1.0, 3.0, 10.0):
             d = gram_factory(suppressor_population(4, 1.0, sigma_eps), 8)

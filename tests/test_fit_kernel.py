@@ -90,7 +90,7 @@ def test_table_fill_matches_direct_fit_on_every_mask(design):
     for mask in range(1 << design.m):
         want = evaluate_subset(design, mask)
         assert abs(table[mask] - want.r_squared) <= 1e-12, indices_of(mask)
-        assert cache.get(mask).rank == want.rank, indices_of(mask)
+        assert cache.ranks[mask] == want.rank, indices_of(mask)
 
 
 def test_designs_reach_their_edge_cases():

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r2audit import (
-    FitCache,
     coef_decomposition,
     gram_factory,
     ls_fit,
@@ -116,8 +115,7 @@ def test_r_squared_matches_normal_equations_oracle():
 def test_r_squared_monotone_exhaustive():
     m = 10
     d = make_noisy_design(21, n=40, m=m)
-    cache = FitCache()
-    values = {mask: r_squared(d, indices_of(mask), cache) for mask in range(1 << m)}
+    values = {mask: r_squared(d, indices_of(mask)) for mask in range(1 << m)}
     for mask, value in values.items():
         for bit in range(m):
             if not (mask >> bit) & 1:
@@ -143,36 +141,6 @@ def _projection(design, subset):
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * s[0]))
     return U[:, :rank] @ (U[:, :rank].T @ design.response)
-
-
-def test_fit_cache_idempotent_and_monotone():
-    d = make_noisy_design(2, n=20, m=5)
-    cache = FitCache()
-    for mask in range(1 << 5):
-        r_squared(d, indices_of(mask), cache)
-    assert cache.get(0).r_squared == 0.0
-    for mask, entry in list(cache.items()):
-        fresh = r_squared(d, indices_of(mask))
-        assert abs(entry.r_squared - fresh) < 1e-12
-        for bit in range(5):
-            if not (mask >> bit) & 1:
-                assert cache.get(mask | (1 << bit)).r_squared >= entry.r_squared - 1e-10
-
-
-def test_fit_cache_concurrent_reads_and_writes():
-    from concurrent.futures import ThreadPoolExecutor
-
-    d = make_noisy_design(17, n=25, m=6)
-    cache = FitCache()
-    masks = list(range(1 << 6)) * 4
-
-    def work(mask):
-        return r_squared(d, indices_of(mask), cache)
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(work, masks))
-    for mask, value in zip(masks, results):
-        assert cache.get(mask).r_squared == value
 
 
 # ---------------------------------------------------------------------------

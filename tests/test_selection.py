@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from r2audit import (
-    FitCache,
     best_subset,
     forward_stepwise,
     gram_factory,
@@ -60,13 +59,12 @@ def test_stepwise_first_step_is_best_marginal():
 
 def test_stepwise_trace_invariants():
     d = make_noisy_design(92, n=30, m=6)
-    cache = FitCache()
-    trace = forward_stepwise(d, 4, cache=cache)
+    trace = forward_stepwise(d, 4)
     cumulative = [s.cumulative_r2 for s in trace.steps]
     assert cumulative == sorted(cumulative)
     for i in range(1, len(trace.steps) + 1):
         prefix = trace.selected()[:i]
-        assert abs(cumulative[i - 1] - r_squared(d, prefix, cache)) < 1e-10
+        assert abs(cumulative[i - 1] - r_squared(d, prefix)) < 1e-10
 
 
 def test_stepwise_interpolating_fit_reports_sentinel(miller_design):
@@ -302,10 +300,7 @@ def test_l0_path_monotone_in_lambda():
     sizes = [len(p.subset) for p in path]
     assert sizes == sorted(sizes, reverse=True)
     # at lambda = 0 the per-size objectives are nonincreasing in size
-    cache = FitCache()
-    per_size = [
-        min(1.0 - r_squared(d, c, cache) for c in _combos(6, s)) for s in range(1, 7)
-    ]
+    per_size = [min(1.0 - r_squared(d, c) for c in _combos(6, s)) for s in range(1, 7)]
     assert per_size == sorted(per_size, reverse=True)
 
 

@@ -115,7 +115,7 @@ def test_table_is_filled_once_per_cache():
     cache = FitCache()
     first = setfun.empirical_gamma_s2(d, cache=cache)
     table = cache.table
-    assert len(cache) == 1 << d.m
+    assert table.size == 1 << d.m
     assert not table.flags.writeable
     setfun.find_suppressors(d, cache=cache)
     setfun.check_submodular(d, "definition", cache=cache)
@@ -126,7 +126,7 @@ def test_table_is_filled_once_per_cache():
     for mask in range(1 << d.m):
         direct = fit_entry(d, indices_of(mask))
         assert abs(table[mask] - direct.r_squared) <= 1e-12
-        assert cache.get(mask).rank == direct.rank
+        assert cache.ranks[mask] == direct.rank
 
 
 def test_lex_rank_orders_index_tuples():
