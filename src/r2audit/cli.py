@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -53,12 +55,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_text(out_path: str | None, text: str) -> None:
+@contextmanager
+def _output(out_path: str | None) -> Iterator[TextIO]:
+    """Standard output, or the file at out_path opened for UTF-8 text with LF
+    endings and closed on exit."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(out_path: str | None, text: str) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +338,19 @@ def _cmd_audit(args) -> int:
 # grid
 # ---------------------------------------------------------------------------
 
+# Grid rows rendered at a time into the CSV.
+CSV_BLOCK_ROWS = 4096
 SVG_FIELDS = ("gamma1", "gamma2", "gamma_s2", "sum_bound", "gamma_sr", "t_ratio_bound")
 
 
 def _cmd_grid(args) -> int:
     cells = geometry2d.grid_evaluate(args.theta_steps, args.v_steps, args.r2_full)
-    text = "\n".join(geometry2d.grid_csv_lines(cells)) + "\n"
-    _write_text(args.out, text)
+    # rendered and written a block of rows at a time, so the whole CSV text
+    # never exists at once
+    with _output(args.out) as fh:
+        for start in range(0, len(cells), CSV_BLOCK_ROWS):
+            lines = geometry2d.grid_csv_lines(cells, start, start + CSV_BLOCK_ROWS)
+            fh.writelines(("\n".join(lines), "\n"))
     if args.svg is not None:
         svg_dir = Path(args.svg)
         svg_dir.mkdir(parents=True, exist_ok=True)

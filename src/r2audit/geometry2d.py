@@ -6,13 +6,16 @@ gives two vertices, the origin the third. The angle between the features
 fixes their correlation, the angle at the first projection fixes relative
 predictive power, and the overall fit level only scales the triangle. All
 gain ratios are scale-free, so grids at different fit levels carry identical
-diagnostic columns. A grid is evaluated and rendered column by column, as
-numpy arrays; each value equals the scalar triangle_solve and gamma_pair
-result bit for bit.
+diagnostic columns. A grid is evaluated column by column, as numpy arrays;
+each value equals the scalar triangle_solve and gamma_pair result bit for
+bit. Rendering takes a block of rows at a time, formats each distinct value
+of a grid-line column once, and lays out the heatmap cells once per grid; the
+text is byte-identical to formatting and drawing every cell on its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import starmap
@@ -150,6 +153,9 @@ class Grid:
     """
 
     columns: dict[str, np.ndarray]
+    # The rect text of every cell, by (theta_steps, v_steps, cell_px): laid
+    # out by the first heatmap and shared by the rest.
+    _svg_layouts: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.columns["theta"].size
@@ -191,11 +197,36 @@ def grid_evaluate(theta_steps: int, v_steps: int, r2_full: float = 0.5) -> Grid:
     return Grid(dict(zip(GRID_COLUMNS, values)))
 
 
-def grid_csv_lines(cells: Grid) -> list[str]:
-    """Render grid cells as CSV lines (12 significant digits, LF endings)."""
-    row = ",".join(["%.12g"] * len(GRID_COLUMNS))
-    columns = [cells.columns[col].tolist() for col in GRID_COLUMNS]
-    return [",".join(GRID_COLUMNS), *(row % values for values in zip(*columns))]
+# Columns with few distinct values: theta, v and r12 are constant along grid
+# lines, tau = v - theta / 2 along diagonals, and b / sin(theta) is nearly
+# constant, so r_y1 and r_y2 repeat with tau. The gamma columns hardly repeat.
+_FEW_VALUED = frozenset({"theta", "v", "tau", "r12", "r_y1", "r_y2", "b"})
+_CSV_ROW = ",".join("%s" if col in _FEW_VALUED else "%.12g" for col in GRID_COLUMNS)
+
+
+def _distinct_texts(values: np.ndarray) -> list[str]:
+    """'%.12g' of every value, each distinct bit pattern formatted once.
+
+    Keyed on bits, not on values: 0.0 and -0.0 compare equal but print as
+    "0" and "-0", and NaN equals nothing.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(["%.12g" % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def grid_csv_lines(cells: Grid, start: int = 0, stop: int | None = None) -> list[str]:
+    """CSV lines (12 significant digits, no line endings) of the cells in rows
+    [start, stop), led by the header line when start is 0. Joined with LF
+    endings, the lines of consecutive blocks make one CSV text."""
+    columns = []
+    for col in GRID_COLUMNS:
+        values = cells.columns[col][start:stop]
+        columns.append(_distinct_texts(values) if col in _FEW_VALUED else values.tolist())
+    lines = [_CSV_ROW % values for values in zip(*columns)]
+    if start == 0:
+        lines.insert(0, ",".join(GRID_COLUMNS))
+    return lines
 
 
 def point_diagnostics(point: TrianglePoint) -> PairDiagnostics:
@@ -288,6 +319,22 @@ def _palette(bands: int) -> list[str]:
     return colors
 
 
+def _svg_layout(cells: Grid, theta_steps: int, v_steps: int, cell_px: int) -> list[str]:
+    """Text of every cell's rect up to its fill color, from the line break
+    before it; built once per grid and cell size."""
+    key = (theta_steps, v_steps, cell_px)
+    layout = cells._svg_layouts.get(key)
+    if layout is None:
+        cols = np.rint(cells.columns["theta"] / math.pi * theta_steps).astype(np.intp) - 1
+        rows = v_steps - 1 - np.rint(cells.columns["v"] / math.pi * v_steps).astype(np.intp)
+        # each grid column's and grid row's text is formatted once
+        xs = [f'\n<rect x="{col * cell_px}" y="' for col in range(theta_steps - 1)]
+        ys = [f'{row * cell_px}" width="{cell_px}" height="{cell_px}" fill="' for row in range(v_steps - 1)]
+        layout = [xs[c] + ys[r] for c, r in zip(cols.tolist(), rows.tolist())]
+        cells._svg_layouts[key] = layout
+    return layout
+
+
 def svg_heatmap(
     cells: Grid,
     field: str,
@@ -306,19 +353,15 @@ def svg_heatmap(
     step, top = _BAND_STEPS.get(field, _DEFAULT_BAND)
     width = (theta_steps - 1) * cell_px
     height = (v_steps - 1) * cell_px
-    cols = np.rint(cells.columns["theta"] / math.pi * theta_steps).astype(np.intp) - 1
-    rows = v_steps - 1 - np.rint(cells.columns["v"] / math.pi * v_steps).astype(np.intp)
-    bands = _band_indices(cells.columns[field], step, top)
-    # A cell's rect is the text of its grid column, of its grid row and of its
-    # band, each formatted once.
-    xs = [f'<rect x="{col * cell_px}" y="' for col in range(theta_steps - 1)]
-    ys = [f'{row * cell_px}" width="{cell_px}" height="{cell_px}" fill="' for row in range(v_steps - 1)]
+    layout = _svg_layout(cells, theta_steps, v_steps, cell_px)
     fills = [f'{color}"/>' for color in _palette(int(top / step))]
-    parts = [
+    parts = [None] * (2 * len(layout) + 2)
+    parts[0] = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>',
-    ]
-    parts.extend(xs[c] + ys[r] + fills[k] for c, r, k in zip(cols.tolist(), rows.tolist(), bands.tolist()))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>'
+    )
+    parts[1:-1:2] = layout
+    parts[2:-1:2] = map(fills.__getitem__, _band_indices(cells.columns[field], step, top).tolist())
+    parts[-1] = "\n</svg>\n"
+    return "".join(parts)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import grid_oracle as oracle
-from r2audit import gamma_pair, grid_evaluate, triangle_solve
+from r2audit import cli, gamma_pair, grid_evaluate, triangle_solve
 from r2audit.cli import SVG_FIELDS
 from r2audit.errors import InfeasibleAngles, InfeasibleCorrelations
 from r2audit.geometry2d import GRID_COLUMNS, Grid, _band_indices, _palette, grid_csv_lines, svg_heatmap
@@ -97,3 +97,47 @@ def test_band_indices_match_scalar_color(step, top):
     assert len(palette) == int(top / step) + 1 <= 21
     ours = [palette[i] for i in _band_indices(values, step, top).tolist()]
     assert ours == [oracle._band_color(v, step, top) for v in values.tolist()]
+
+
+# (13, 17) has 104 feasible cells: blocks of 105 hold them all, 26 divides
+# them exactly, 103 leaves one cell past a whole block, 7 and 1 make many.
+@pytest.mark.parametrize("block", [105, 26, 103, 7, 1])
+def test_cli_grid_blocks_match_oracle(tmp_path, monkeypatch, capsys, block):
+    theta_steps, v_steps, r2_full = 13, 17, 0.5
+    cells = oracle.grid_evaluate(theta_steps, v_steps, r2_full)
+    assert len(cells) == 104
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    args = ["grid", "--theta-steps", str(theta_steps), "--v-steps", str(v_steps), "--r2-full", str(r2_full)]
+    assert cli.main(args + ["--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path / "svg")]) == 0
+    expected = ("\n".join(oracle.grid_csv_lines(cells)) + "\n").encode()
+    assert (tmp_path / "g.csv").read_bytes() == expected
+    for field in SVG_FIELDS:
+        doc = oracle.svg_heatmap(cells, field, theta_steps, v_steps)
+        assert (tmp_path / "svg" / f"{field}.svg").read_bytes() == doc.encode(), field
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_csv_formats_each_bit_pattern():
+    """Values that compare equal, or agree to 12 digits, but differ in bits
+    are formatted on their own, as the per-cell oracle formats them."""
+    tiny = 0.1 + 2e-17
+    assert tiny != 0.1 and "%.12g" % tiny == "%.12g" % 0.1
+    values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, tiny, -0.0, 0.0, tiny, math.nan]
+    assert math.copysign(1.0, -math.nan) == -1.0
+    grid = Grid({col: np.array(values[k:] + values[:k]) for k, col in enumerate(GRID_COLUMNS)})
+    expected = oracle.grid_csv_lines(list(grid))
+    assert grid_csv_lines(grid) == expected
+    assert "-0" in expected[1].split(",") and "0" in expected[2].split(",")
+    blocks = [grid_csv_lines(grid, start, start + 5) for start in range(0, len(grid), 5)]
+    assert sum(blocks, []) == expected
+
+
+def test_svg_layout_per_cell_size():
+    """Heatmaps of one grid at two cell sizes each match the oracle."""
+    grid = grid_evaluate(12, 12, 0.5)
+    cells = oracle.grid_evaluate(12, 12, 0.5)
+    for cell_px in (6, 3, 6):
+        for field in ("gamma1", "t_ratio_bound"):
+            assert svg_heatmap(grid, field, 12, 12, cell_px) == oracle.svg_heatmap(cells, field, 12, 12, cell_px)
