@@ -6,58 +6,27 @@ certificates, approximate-submodularity constants, two-feature feasibility
 grids, selection algorithms with guarantee checks, and spectral bounds.
 """
 
-from .datasets import miller_table, random_gaussian, suppressor_population
-from .errors import AuditError
-from .gamma import PairDiagnostics, RatioQuery, RatioResult, gamma_pair, submodularity_ratio
-from .geometry2d import (
-    Grid,
-    GridCell,
-    TrianglePoint,
-    grid_evaluate,
-    joint_t_extremes,
-    t_ratio_empirical,
-    triangle_solve,
-)
-from .regress import (
-    FitCache,
-    StandardizedDesign,
-    coef_decomposition,
-    gram_factory,
-    load_csv,
-    ls_fit,
-    partial_correlation,
-    r_squared,
-    residualize,
-    standardize,
-)
-from .selection import (
-    SelectionTrace,
-    best_subset,
-    forward_stepwise,
-    isis,
-    l0_path,
-    nwf_check,
-    sis_assumption_check,
-    sis_screen,
-)
-from .setfun import (
-    Certificates,
-    GammaS2Result,
-    GammaSResult,
-    ViolationCertificate,
-    chain_lower_bound,
-    check_submodular,
-    delta,
-    empirical_gamma_s,
-    empirical_gamma_s2,
-    find_suppressors,
-)
-from .spectral import (
-    ConeSpec,
-    gamma_vs_spectral,
-    restricted_eigenvalue,
-    sparse_min_eigenvalue,
-)
+import sys
+
+# Each exported name, by the submodule that defines it. ``import r2audit``
+# loads none of them: a submodule is imported when one of its names, or the
+# submodule itself, is first read from the package (PEP 562).
+_EXPORTS = {
+    "datasets": ("miller_table", "random_gaussian", "suppressor_population"),
+    "errors": ("AuditError",),
+    "gamma": ("PairDiagnostics", "RatioQuery", "RatioResult", "gamma_pair", "submodularity_ratio"),
+    "geometry2d": ("Grid", "GridCell", "TrianglePoint", "grid_evaluate", "joint_t_extremes",
+                   "t_ratio_empirical", "triangle_solve"),
+    "regress": ("FitCache", "StandardizedDesign", "coef_decomposition", "gram_factory", "load_csv",
+                "ls_fit", "partial_correlation", "r_squared", "residualize", "standardize"),
+    "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "l0_path", "nwf_check",
+                  "sis_assumption_check", "sis_screen"),
+    "setfun": ("Certificates", "GammaS2Result", "GammaSResult", "ViolationCertificate",
+               "chain_lower_bound", "check_submodular", "delta", "empirical_gamma_s",
+               "empirical_gamma_s2", "find_suppressors"),
+    "spectral": ("ConeSpec", "gamma_vs_spectral", "restricted_eigenvalue", "sparse_min_eigenvalue"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -111,3 +80,23 @@ __all__ = [
     "t_ratio_empirical",
     "triangle_solve",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name, name)
+    if module not in _EXPORTS:
+        # other submodules, such as cli, are left to the import system, which
+        # falls back to them in ``from r2audit import cli``
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's path, which -X importtime logs, unlike
+    # importlib.import_module
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -23,7 +23,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from . import datasets, geometry2d, jsonsafe
+from . import jsonsafe
 from .bitsets import indices_of, mask_sizes
 from .errors import AuditError
 from .gamma import RatioQuery, submodularity_ratio
@@ -344,6 +344,8 @@ SVG_FIELDS = ("gamma1", "gamma2", "gamma_s2", "sum_bound", "gamma_sr", "t_ratio_
 
 
 def _cmd_grid(args) -> int:
+    from . import geometry2d  # only grid needs it
+
     cells = geometry2d.grid_evaluate(args.theta_steps, args.v_steps, args.r2_full)
     # rendered and written a block of rows at a time, so the whole CSV text
     # never exists at once
@@ -438,6 +440,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import datasets  # only gen needs it
+
     if args.generator == "miller":
         X, y, names = datasets.miller_table()
     elif args.generator == "suppressor":

@@ -259,16 +259,21 @@ def standardize(
 def load_csv(path, response_name: str):
     """Read a headered CSV into (raw features, response, feature names).
 
-    Cells must parse as finite decimal floats; the response column is picked
-    out by header name and removed from the feature block.
+    Cells must parse as finite decimal floats and column names must be
+    distinct; the response column is picked out by header name and removed
+    from the feature block. A leading byte-order mark is not part of the
+    first name.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataFormatError("empty CSV") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            twice = next(h for i, h in enumerate(header) if h in header[:i])
+            raise DataFormatError(f"column {twice!r} appears more than once in header {header}")
         if response_name not in header:
             raise DataFormatError(f"response column {response_name!r} not in header {header}")
         rows = []

@@ -293,21 +293,25 @@ def test_out_of_range_values_exit_one(miller_csv, capsys):
 
 def test_audit_with_alpha_never_loads_numpy_random(miller_csv, tmp_path):
     # restricted_eigenvalue draws its restarts from the stdlib random module;
-    # importing numpy.random costs an audit process about 15 ms.
+    # importing numpy.random costs an audit process about 15 ms. The grid's
+    # and gen's modules load only with their own commands, so neither audit
+    # nor select loads them.
     code = (
         "import sys\n"
         "import numpy\n"
-        "if 'numpy.random' in sys.modules:\n"
-        "    sys.exit(3)\n"
+        "watched = ['r2audit.geometry2d', 'r2audit.datasets']\n"
+        "if 'numpy.random' not in sys.modules:\n"
+        "    watched.append('numpy.random')\n"
         "from r2audit.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "sys.exit(4 if 'numpy.random' in sys.modules else 0)\n"
+        "print(' '.join(m for m in watched if m in sys.modules))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    args = ["audit", str(miller_csv), "--response", "Y", "--k", "2", "--alpha", "3", "--out", str(tmp_path / "r.json")]
-    result = subprocess.run([sys.executable, "-c", code, *args], env=env)
-    if result.returncode == 3:
-        pytest.skip("this numpy imports numpy.random with numpy")
-    assert result.returncode == 0
+    audit = ["audit", str(miller_csv), "--response", "Y", "--k", "2", "--alpha", "3", "--out", str(tmp_path / "r.json")]
+    select = ["select", str(miller_csv), "--response", "Y", "--algo", "best", "--k", "2", "--out", str(tmp_path / "s.jsonl")]
+    for args in (audit, select):
+        result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [], args[0]
     assert "restricted_eigenvalue" in json.loads((tmp_path / "r.json").read_text())["spectral"]

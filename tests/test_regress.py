@@ -18,6 +18,7 @@ from r2audit.bitsets import indices_of
 from r2audit.errors import (
     Collinear,
     ConstantColumn,
+    DataFormatError,
     DegenerateResidual,
     InsufficientDof,
     NotPSD,
@@ -77,6 +78,32 @@ def test_load_csv_accepts_quoted_cells(tmp_path):
     assert names == ("X1", "X2")
     assert_allclose(y, [1.5, -1.0, 2.0], atol=0)
     assert_allclose(X[0], [2.0, 3.25], atol=0)
+
+
+@pytest.mark.parametrize("header, twice", [("X1,X1,Y", "X1"), ("X1,Y,Y", "Y"), ("Y,X1, X1", "X1")])
+def test_load_csv_rejects_a_repeated_column(tmp_path, header, twice):
+    from r2audit import load_csv
+
+    path = tmp_path / "twice.csv"
+    path.write_text(f"{header}\n1,2,3\n4,5,7\n2,1,0\n")
+    with pytest.raises(DataFormatError, match=f"column '{twice}' appears more than once"):
+        load_csv(path, "Y")
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    from r2audit import load_csv
+
+    body = "Y,X1,X2\n1.5,2.0,3.25\n-1.0,0.5,4.0\n2.0,1.0,5.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(body.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    X, y, names = load_csv(marked, "Y")
+    X0, y0, names0 = load_csv(plain, "Y")
+    assert names == names0 == ("X1", "X2")
+    assert np.array_equal(X, X0) and np.array_equal(y, y0)
+    X, y, names = load_csv(marked, "X2")
+    assert names == ("Y", "X1")
+    assert_allclose(y, [3.25, 4.0, 5.0], atol=0)
 
 
 def test_standardize_inner_products_are_correlations():
