@@ -23,11 +23,10 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from . import jsonsafe
 from .bitsets import indices_of, mask_sizes
 from .errors import AuditError
 from .gamma import RatioQuery, submodularity_ratio
-from .jsonsafe import float_texts, sanitize, string_text
+from .jsonsafe import float_texts, json_line, report_text, string_text
 from .regress import FitCache, StandardizedDesign, gram_factory, load_csv, standardize
 from .selection import best_subset, forward_stepwise, isis, nwf_verdict, sis_screen, table_best_subset
 from .setfun import (
@@ -88,10 +87,11 @@ def build_audit_report(
 ) -> tuple[dict, int]:
     """Assemble the full diagnostic report; returns (report, exit_code).
 
-    Each violation list is summarized by ``_violation_summary``; its top
-    certificates stay Certificates columns, which ``report_text`` writes.
-    Given a ``certificates`` path, both whole lists are written there by
-    ``write_certificates`` when the violations section is computed.
+    The report holds only JSON values; ``jsonsafe.report_text`` writes it.
+    Each violation list is summarized by ``_violation_summary``, whose top
+    certificates are the first lines of that list's certificate stream,
+    parsed back. Given a ``certificates`` path, both whole lists are written
+    there by ``write_certificates`` when the violations section is computed.
     """
     names = design.names
     cache = FitCache()
@@ -242,8 +242,8 @@ def build_audit_report(
 
 def _violation_summary(certs: Certificates, names) -> dict:
     """An (A or S, i, j) certificate list's count, its first TOP_CERTIFICATES
-    certificates, its counts by the size of A (or S), and its nonzero counts
-    by ordered pair (i, j) in index order."""
+    certificates as their stream lines parse, its counts by the size of A
+    (or S), and its nonzero counts by ordered pair (i, j) in index order."""
     m = len(names)
     sets, i, j = certs.columns
     pairs = np.zeros(m * m, dtype=np.intp)
@@ -255,7 +255,7 @@ def _violation_summary(certs: Certificates, names) -> dict:
         sizes += np.bincount(mask_sizes(sets[rows], m), minlength=sizes.size)
     return {
         "count": len(certs),
-        "top": certs[:TOP_CERTIFICATES],
+        "top": [json.loads(text) for text in _certificate_texts(certs[:TOP_CERTIFICATES], names)],
         "by_size": sizes.tolist(),
         "by_pair": [
             {"i": names[p // m], "j": names[p % m], "count": int(pairs[p])}
@@ -264,20 +264,16 @@ def _violation_summary(certs: Certificates, names) -> dict:
     }
 
 
-def _certificate_texts(certs: Certificates, names, pads) -> list[str]:
-    """The text json.dumps writes for each certificate's {"deficit", "form",
-    "lhs", "rhs", "sets"} object, in list order: one format for the list, each
-    mask's name list rendered once. ``pads[level]`` is the line break and
-    indent before an item ``level`` brackets inside the list, or "" for
-    json.dumps without ``indent``."""
+def _certificate_texts(certs: Certificates, names) -> list[str]:
+    """The json_line text of each certificate's {"deficit", "form", "lhs",
+    "rhs", "sets"} object, in list order: one format for the list, each
+    mask's name list rendered once."""
     certs = certs[:]
-    seps = ["," + pad if pad else ", " for pad in pads]
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
-        f'{{{pads[2]}"deficit": %s{seps[2]}"form": {string_text(certs.form)}'
-        f'{seps[2]}"lhs": %s{seps[2]}"rhs": %s{seps[2]}"sets": {{{pads[3]}'
-        + seps[3].join(f"{string_text(role)}: %s" for role, _ in roles)
-        + f"{pads[2]}}}{pads[1]}}}"
+        f'{{"deficit": %s, "form": {string_text(certs.form)}, "lhs": %s, "rhs": %s, "sets": {{'
+        + ", ".join(f"{string_text(role)}: %s" for role, _ in roles)
+        + "}}"
     )
     encoded = [string_text(name) for name in names]
     role_texts = []
@@ -286,41 +282,20 @@ def _certificate_texts(certs: Certificates, names, pads) -> list[str]:
         if role in ("i", "j"):
             lookup = encoded
         else:
-            lookup = {}
-            for mask in set(values):
-                members = [encoded[f] for f in indices_of(mask)]
-                lookup[mask] = f"[{pads[4]}{seps[4].join(members)}{pads[3]}]" if members else "[]"
+            lookup = {mask: f"[{', '.join(encoded[f] for f in indices_of(mask))}]" for mask in set(values)}
         role_texts.append(map(lookup.__getitem__, values))
     rows = zip(float_texts(certs.deficit), float_texts(certs.lhs), float_texts(certs.rhs), *role_texts)
     return [template % row for row in rows]
 
 
-def _certificates_text(certs: Certificates, names, depth: int) -> str:
-    """A certificate list as json.dumps(..., sort_keys=True, indent=2) writes
-    it at that depth."""
-    if not certs:
-        return "[]"
-    pads = ["\n" + "  " * (depth + level) for level in range(5)]
-    return f"[{pads[1]}{(',' + pads[1]).join(_certificate_texts(certs, names, pads))}{pads[0]}]"
-
-
 def write_certificates(path: str | Path, lists, names) -> None:
-    """Write every certificate of the lists, in order, one line each as
-    json.dumps(sanitize(certificate), sort_keys=True) writes its object."""
+    """Write every certificate of the lists, in order, one json_line each."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for certs in lists:
             certs = certs[:]  # sorted once; the chunks are views of it
             for lo in range(0, len(certs), STREAM_CHUNK):
-                texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names, [""] * 5)
+                texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names)
                 fh.write("".join(text + "\n" for text in texts))
-
-
-def report_text(report: dict, names) -> str:
-    """The audit report as json.dumps(sanitize(report), sort_keys=True,
-    indent=2) + "\\n" writes it, certificate objects included."""
-    return jsonsafe.dumps(
-        report, {Certificates: lambda certs, depth: _certificates_text(certs, names, depth)}
-    )
 
 
 def _cmd_audit(args) -> int:
@@ -330,7 +305,7 @@ def _cmd_audit(args) -> int:
         design, str(args.csv), args.response, args.k, args.max_enum,
         mode=args.mode, alpha=args.alpha, certificates=args.certificates,
     )
-    _write_text(args.out, report_text(report, design.names))
+    _write_text(args.out, report_text(report))
     return code
 
 
@@ -375,60 +350,34 @@ def _cmd_select(args) -> int:
         _write_text(args.out, trace.to_json_lines(design.names))
     elif args.algo == "best":
         result = best_subset(design, min(args.k, design.m), max_features=args.max_enum)
-        line = json.dumps(
-            sanitize(
-                {
-                    "algorithm": "best_subset",
-                    "subset": [design.names[f] for f in result.subset],
-                    "r_squared": result.r_squared,
-                }
-            ),
-            sort_keys=True,
-        )
-        _write_text(args.out, line + "\n")
+        record = {
+            "algorithm": "best_subset",
+            "subset": [design.names[f] for f in result.subset],
+            "r_squared": result.r_squared,
+        }
+        _write_text(args.out, json_line(record) + "\n")
     elif args.algo == "sis":
         picked = sis_screen(design, min(args.d, design.m))
         corr = design.marginal_correlations()
         lines = [
-            json.dumps(
-                sanitize(
-                    {
-                        "rank": pos + 1,
-                        "feature": design.names[i],
-                        "abs_correlation": abs(float(corr[i])),
-                    }
-                ),
-                sort_keys=True,
-            )
+            json_line({"rank": pos + 1, "feature": design.names[i], "abs_correlation": abs(float(corr[i]))})
             for pos, i in enumerate(picked)
         ]
         _write_text(args.out, "\n".join(lines) + "\n")
     else:  # isis
         result = isis(design, args.d, args.rounds)
-        lines = []
-        for number, rnd in enumerate(result.rounds, start=1):
-            lines.append(
-                json.dumps(
-                    sanitize(
-                        {
-                            "round": number,
-                            "picked": [design.names[i] for i in rnd.picked],
-                            "scores": {design.names[i]: s for i, s in rnd.scores},
-                        }
-                    ),
-                    sort_keys=True,
-                )
+        lines = [
+            json_line(
+                {
+                    "round": number,
+                    "picked": [design.names[i] for i in rnd.picked],
+                    "scores": {design.names[i]: s for i, s in rnd.scores},
+                }
             )
+            for number, rnd in enumerate(result.rounds, start=1)
+        ]
         lines.append(
-            json.dumps(
-                sanitize(
-                    {
-                        "selected": [design.names[i] for i in result.selected],
-                        "skipped": result.skipped,
-                    }
-                ),
-                sort_keys=True,
-            )
+            json_line({"selected": [design.names[i] for i in result.selected], "skipped": result.skipped})
         )
         _write_text(args.out, "\n".join(lines) + "\n")
     return 0

@@ -1,9 +1,10 @@
-"""JSON encoding of results: the one place non-finite floats become strings.
+"""JSON encoding of results: the one module that knows the output encoding.
 
-Reports are written as json.dumps(sanitize(value), sort_keys=True, indent=2).
-``dumps`` writes that text with some values rendered by the caller from
-columns; ``float_texts`` and ``string_text`` give such renderers the exact
-text json.dumps writes for a sanitized float and for a string.
+Non-finite floats become the strings "nan", "inf" and "-inf", numpy scalars
+Python numbers, and keys are sorted. ``report_text`` writes the audit report,
+``json_line`` one JSON-lines record. ``float_texts`` and ``string_text`` give
+the certificate stream's columnar renderer the exact text ``json_line``
+writes for a sanitized float and for a string.
 """
 
 from __future__ import annotations
@@ -34,57 +35,19 @@ def sanitize(value):
     return value
 
 
+def report_text(value) -> str:
+    """A report as indented JSON text with a final newline."""
+    return json.dumps(sanitize(value), sort_keys=True, indent=2) + "\n"
+
+
+def json_line(value) -> str:
+    """A record as one line of JSON, without the newline."""
+    return json.dumps(sanitize(value), sort_keys=True)
+
+
 def float_texts(values: np.ndarray) -> list[str]:
-    """The text json.dumps writes for each sanitized float of a 1-d array."""
+    """The text json_line writes for each float of a 1-d array."""
     texts = list(map(float.__repr__, values.tolist()))
     for at in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[at] = string_text(_non_finite(values[at]))
     return texts
-
-
-class _Slot:
-    def __init__(self, key: int):
-        self.key = key
-
-
-def dumps(value, verbatim: dict) -> str:
-    """json.dumps(sanitize(value), sort_keys=True, indent=2) + "\\n", except
-    that a value whose type is a key of ``verbatim`` is written as
-    verbatim[type](value, depth): the text json.dumps would write for it at
-    that nesting depth, where its closing bracket is indented 2 * depth.
-    """
-    texts: list[str] = []
-    longest = 0
-
-    def walk(v, depth):
-        nonlocal longest
-        write = verbatim.get(type(v))
-        if write is not None:
-            texts.append(write(v, depth))
-            return _Slot(len(texts) - 1)
-        if isinstance(v, dict):
-            longest = max([longest, *map(len, v)])
-            return {k: walk(x, depth + 1) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [walk(x, depth + 1) for x in v]
-        if isinstance(v, str):
-            longest = max(longest, len(v))
-        return sanitize(v)
-
-    tree = walk(value, 0)
-    # Each slot is first written as a string holding more NUL characters than
-    # any other string in the document: its JSON text cannot occur elsewhere.
-    pad = "\0" * (longest + 1)
-
-    def placeholder(slot):
-        if not isinstance(slot, _Slot):
-            raise TypeError(f"Object of type {type(slot).__name__} is not JSON serializable")
-        return f"{pad}{slot.key}"
-
-    text = json.dumps(tree, sort_keys=True, indent=2, default=placeholder)
-    head, *tails = text.split(string_text(pad)[:-1])
-    parts = [head]
-    for tail in tails:
-        key, rest = tail.split('"', 1)
-        parts += [texts[int(key)], rest]
-    return "".join(parts) + "\n"

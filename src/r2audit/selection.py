@@ -8,7 +8,6 @@ so traces are reproducible across platforms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 from . import regress
 from .bitsets import block_masks, indices_of, mask_of, mask_sizes
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
-from .jsonsafe import sanitize
+from .jsonsafe import json_line
 from .regress import (
     DEFAULT_MAX_FEATURES,
     ZERO_RSS_TOL,
@@ -66,23 +65,19 @@ class SelectionTrace:
         return self.steps[-1].cumulative_r2 if self.steps else 0.0
 
     def to_json_lines(self, names: Sequence[str]) -> str:
-        lines = []
-        for rank, step in enumerate(self.steps, start=1):
-            lines.append(
-                json.dumps(
-                    sanitize(
-                        {
-                            "step": rank,
-                            "feature": names[step.feature],
-                            "delta_r2": step.delta_r2,
-                            "cumulative_r2": step.cumulative_r2,
-                            "marginal_t": step.marginal_t,
-                        }
-                    ),
-                    sort_keys=True,
-                )
+        return "".join(
+            json_line(
+                {
+                    "step": rank,
+                    "feature": names[step.feature],
+                    "delta_r2": step.delta_r2,
+                    "cumulative_r2": step.cumulative_r2,
+                    "marginal_t": step.marginal_t,
+                }
             )
-        return "\n".join(lines) + ("\n" if lines else "")
+            + "\n"
+            for rank, step in enumerate(self.steps, start=1)
+        )
 
 
 def _step_t(design: StandardizedDesign, subset: tuple[int, ...], j: int, r2: float) -> float | None:

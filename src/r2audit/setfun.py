@@ -22,13 +22,13 @@ The definition and first-order checks compare blocks of table rows with the
 whole table: O(4^m) and O(m 4^m) time. Argmin ties break toward the first
 comparison in ascending mask order; certificates are ordered by deficit,
 largest first, then by their index sets as tuples, and kept as columns
-(Certificates) from the kernel to the report text. The order is found only
-when read: the report's top N sorts the rows at or above the N-th largest
-deficit, and only a reader of the whole list sorts it all. Second-order
-certificates (A, i, j) and (A, j, i) share the deficit of
-(A, min(i, j), max(i, j)) and sort next to each other. Suppression
-certificates are the second-order rows, selected by the same comparison and
-rendered as square roots of the two gains.
+(Certificates) from the kernel to the certificate stream's renderer. The
+order is found only when read: the report's top N sorts the rows at or above
+the N-th largest deficit, and only a reader of the whole list sorts it all.
+Second-order certificates (A, i, j) and (A, j, i) share the deficit of
+(A, min(i, j), max(i, j)), are selected by it together and sort next to each
+other. Suppression certificates are the second-order rows, rendered as
+square roots of the two gains.
 """
 
 from __future__ import annotations
@@ -267,17 +267,17 @@ def _role_dtype(role: str, m: int) -> np.dtype:
 
 
 def _hits(chunks, tolerance, roles, m) -> list[np.ndarray]:
-    """One column per role, then lhs and rhs, of every comparison with
-    rhs - lhs > tolerance.
+    """One column per role, then lhs, rhs and deficit, of every comparison
+    whose deficit exceeds tolerance.
 
-    ``chunks`` yields one array or scalar per role, then lhs and rhs arrays:
-    masks for the set roles A, B and S, feature indices for i and j. Role
-    columns are stored in their ``_role_dtype``.
+    ``chunks`` yields one array or scalar per role, then lhs, rhs and deficit
+    arrays: masks for the set roles A, B and S, feature indices for i and j.
+    Role columns are stored in their ``_role_dtype``.
     """
-    dtypes = [_role_dtype(role, m) for role in roles] + [np.dtype(float)] * 2
+    dtypes = [_role_dtype(role, m) for role in roles] + [np.dtype(float)] * 3
     kept = []
     for chunk in chunks:
-        hit = chunk[-1] - chunk[-2] > tolerance
+        hit = chunk[-1] > tolerance
         count = np.count_nonzero(hit)
         kept.append(
             [np.full(count, v, t) if np.ndim(v) == 0 else np.asarray(v, t)[hit] for v, t in zip(chunk, dtypes)]
@@ -294,9 +294,9 @@ def _hits(chunks, tolerance, roles, m) -> list[np.ndarray]:
 
 
 def _by_sets(form, roles, hits, m) -> Certificates:
-    """Certificates of the hits with deficit = rhs - lhs, ordered by deficit,
-    largest first, then by their index sets as tuples."""
-    *columns, lhs, rhs = hits
+    """Certificates of the hits, ordered by deficit, largest first, then by
+    their index sets as tuples."""
+    *columns, lhs, rhs, deficit = hits
 
     def ties(rows):
         return [
@@ -304,18 +304,30 @@ def _by_sets(form, roles, hits, m) -> Certificates:
             for role, values in zip(roles, columns)
         ]
 
-    return Certificates(form, roles, columns, lhs, rhs, rhs - lhs, ties)
+    return Certificates(form, roles, columns, lhs, rhs, deficit, ties)
+
+
+def _second_order_pairs(cache: FitCache, m: int):
+    """(A, i, j, gain_A(i), gain_{A+j}(i), deficit) per ordered pair, where
+    (A, i, j) and its mirror (A, j, i) both take the deficit of
+    (A, min(i, j), max(i, j))."""
+    for a, i, j, gain, cond in _pair_gains(cache, m):
+        if i < j:
+            deficit = cond - gain
+        else:
+            deficit = _gains_at(cache, j, a | (1 << i)) - _gains_at(cache, j, a)
+        yield a, i, j, gain, cond, deficit
 
 
 def _second_order_hits(cache: FitCache, m: int, tolerance: float) -> list[np.ndarray]:
-    """(A, i, j, gain_A(i), gain_{A+j}(i)) for every comparison with
-    gain_{A+j}(i) - gain_A(i) > tolerance: the rows of the second-order and
-    of the suppression certificates, found once per filled cache and
-    tolerance."""
+    """(A, i, j, gain_A(i), gain_{A+j}(i), deficit) of every row whose shared
+    deficit exceeds tolerance, so mirror rows are kept or dropped together:
+    the rows of the second-order and of the suppression certificates, found
+    once per filled cache and tolerance."""
     key = ("second_order", tolerance)
     hits = cache.derived.get(key)
     if hits is None:
-        hits = _hits(_pair_gains(cache, m), tolerance, ("A", "i", "j"), m)
+        hits = _hits(_second_order_pairs(cache, m), tolerance, ("A", "i", "j"), m)
         hits = cache.derived.setdefault(key, hits)
     return hits
 
@@ -329,12 +341,19 @@ def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield rows + lo, b
 
 
+def _definition_pairs(table: np.ndarray, m: int):
+    for a, b in _mask_pairs(m, np.less_equal):
+        lhs, rhs = table[a] + table[b], table[a | b] + table[a & b]
+        yield a, b, lhs, rhs, rhs - lhs
+
+
 def _first_order_pairs(cache: FitCache, m: int):
     for a, b in _mask_pairs(m, lambda a, b: ((a | b) == b) & (a < b)):
         for i in range(m):
             gain = _gain_row(cache, i)
             outside = (b >> i) & 1 == 0
-            yield a[outside], b[outside], i, gain[a[outside]], gain[b[outside]]
+            lhs, rhs = gain[a[outside]], gain[b[outside]]
+            yield a[outside], b[outside], i, lhs, rhs, rhs - lhs
 
 
 def check_submodular(
@@ -352,6 +371,12 @@ def check_submodular(
     certificates iff the inequality holds everywhere up to ``tolerance``;
     otherwise certificates ordered by deficit, largest first. Neither the
     length nor the truth value of the result sorts it.
+
+    The second-order rows (A, i, j) and (A, j, i) are mirror images with
+    mathematically equal deficits. Both take the deficit of
+    (A, min(i, j), max(i, j)), are kept when it exceeds ``tolerance`` and
+    dropped otherwise, and sort next to each other: the result holds every
+    row's mirror, and its length is even.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -359,29 +384,16 @@ def check_submodular(
     cache = cache if cache is not None else FitCache()
     table = _table(design, cache, max_features)
     if mode == "definition":
-        chunks = (
-            (a, b, table[a] + table[b], table[a | b] + table[a & b])
-            for a, b in _mask_pairs(m, np.less_equal)
-        )
         roles = ("A", "B")
-        return _by_sets("definition", roles, _hits(chunks, tolerance, roles, m), m)
+        hits = _hits(_definition_pairs(table, m), tolerance, roles, m)
+        return _by_sets("definition", roles, hits, m)
     if mode == "first_order":
         roles = ("A", "B", "i")
         hits = _hits(_first_order_pairs(cache, m), tolerance, roles, m)
         return _by_sets("first_order", roles, hits, m)
-    # The mirror images (A, i, j) and (A, j, i) have mathematically equal
-    # deficits, so both take the deficit of (A, min, max) from the gain
-    # table, and ties sort by A, the unordered pair, then i, so that they
-    # sit together.
-    a, i, j, gain, cond = _second_order_hits(cache, m, tolerance)
+    # Ties sort by A, the unordered pair, then i, so mirror rows sit together.
+    a, i, j, gain, cond, deficit = _second_order_hits(cache, m, tolerance)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    deficit = cond - gain  # the deficit of each row with i < j
-    for start in range(0, deficit.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        rows = start + np.flatnonzero(i[block] > j[block])
-        masks, lower = a[rows].astype(np.intp), j[rows].astype(np.intp)
-        with_i = masks | (1 << i[rows].astype(np.intp))
-        deficit[rows] = _gains_at(cache, lower, with_i) - _gains_at(cache, lower, masks)
 
     def ties(rows):
         return [_lex_rank(a[rows], m), lo[rows], hi[rows], i[rows]]
@@ -400,14 +412,15 @@ def find_suppressors(
     A suppressor raises the absolute adjusted correlation between the
     response and i when j joins the conditioning set S: it is a second-order
     violation (S, i, j) viewed through square roots. The rows are exactly
-    the second-order rows at the same tolerance, found by the same
-    comparison; certificates store the two absolute correlations
+    the second-order rows at the same tolerance, selected by the same
+    shared deficit; certificates store the two absolute correlations
     sqrt(max(gain, 0)), and are ordered by their difference, largest first.
     """
     cache = cache if cache is not None else FitCache()
     _table(design, cache, max_features)
-    a, i, j, gain, cond = _second_order_hits(cache, design.m, tolerance)
-    hits = [a, i, j, np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0))]
+    a, i, j, gain, cond, _ = _second_order_hits(cache, design.m, tolerance)
+    lhs, rhs = np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0))
+    hits = [a, i, j, lhs, rhs, rhs - lhs]
     return _by_sets("suppression", ("S", "i", "j"), hits, design.m)
 
 

@@ -1,9 +1,9 @@
 """Reference encoder of the audit report, and certificate lists as columns.
 
-The CLI writes certificate lists straight from their columns. The reference
-turns every certificate into a dict and the whole report into text with
-json.dumps, the way reports were written before; the two must agree byte for
-byte.
+The CLI renders certificates straight from their columns, as stream lines and,
+parsed back, as the report's top lists. The reference turns every certificate
+into a dict and the whole report into text with json.dumps; the two must agree
+byte for byte.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ def certificate_jsonable(cert: ViolationCertificate, names) -> dict:
 
 
 def _jsonable(value, names):
+    if isinstance(value, ViolationCertificate):
+        return certificate_jsonable(value, names)
     if isinstance(value, Certificates):
         return [certificate_jsonable(c, names) for c in value]
     if isinstance(value, dict):
@@ -45,7 +47,7 @@ def _jsonable(value, names):
 
 def reference_text(report: dict, names) -> str:
     """json.dumps(sanitize(report), sort_keys=True, indent=2) + "\\n", with
-    every certificate written as a dict."""
+    every certificate, alone or in a Certificates, written as a dict."""
     return json.dumps(sanitize(_jsonable(report, names)), sort_keys=True, indent=2) + "\n"
 
 

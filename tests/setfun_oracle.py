@@ -111,10 +111,11 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
                     if j == i:
                         continue
                     rhs = _gain(cache, a_mask | (1 << j), i)
-                    if rhs - gain_a > tolerance:
-                        # (A, i, j) and (A, j, i) share the deficit of (A, lo, hi)
-                        lo, hi = min(i, j), max(i, j)
-                        deficit = _gain(cache, a_mask | (1 << hi), lo) - _gain(cache, a_mask, lo)
+                    # (A, i, j) and (A, j, i) share the deficit of (A, lo, hi),
+                    # and are kept or dropped together by it
+                    lo, hi = min(i, j), max(i, j)
+                    deficit = _gain(cache, a_mask | (1 << hi), lo) - _gain(cache, a_mask, lo)
+                    if deficit > tolerance:
                         found.append(
                             ViolationCertificate(
                                 "second_order",
@@ -153,8 +154,9 @@ def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=N
                     continue
                 gain = _gain(cache, s_mask | (1 << j), i)
                 cond_corr = math.sqrt(max(gain, 0.0))
-                # the second-order comparison, rendered as correlations
-                if gain - base_gain > tolerance:
+                # the second-order row selection, rendered as correlations
+                lo, hi = min(i, j), max(i, j)
+                if _gain(cache, s_mask | (1 << hi), lo) - _gain(cache, s_mask, lo) > tolerance:
                     found.append(
                         ViolationCertificate(
                             "suppression",

@@ -11,7 +11,7 @@ import pytest
 
 import setfun_oracle as oracle
 from report_oracle import certificate_jsonable
-from r2audit import load_csv, standardize
+from r2audit import load_csv, sis_screen, standardize
 from r2audit.cli import main
 from r2audit.datasets import miller_table, write_csv
 from r2audit.jsonsafe import sanitize
@@ -247,6 +247,20 @@ def test_select_best_subset(miller_csv, tmp_path):
     ) == 0
     record = json.loads(out.read_text())
     assert record["subset"] == ["X1", "X2"]
+
+
+def test_select_sis_ranking(tmp_path):
+    path, out = tmp_path / "in.csv", tmp_path / "sis.jsonl"
+    assert main(["gen", "gaussian", "--n", "40", "--m", "6", "--seed", "7", "--out", str(path)]) == 0
+    assert main(["select", str(path), "--response", "Y", "--algo", "sis", "--d", "4", "--out", str(out)]) == 0
+    d = standardize(*load_csv(path, "Y"))
+    corr = d.marginal_correlations()
+    expected = [
+        {"rank": rank, "feature": d.names[i], "abs_correlation": abs(float(corr[i]))}
+        for rank, i in enumerate(sis_screen(d, 4), start=1)
+    ]
+    text = out.read_text()
+    assert text.endswith("\n") and [json.loads(line) for line in text.splitlines()] == expected
 
 
 def test_select_isis_rounds(miller_csv, tmp_path):

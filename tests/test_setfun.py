@@ -115,6 +115,30 @@ def test_second_order_mirror_images_are_adjacent(design):
     assert rounding_differs > 0
 
 
+def test_mirror_rows_are_kept_or_dropped_together_at_the_tolerance_edge():
+    # A tolerance between the two orientations' own differences of a mirror
+    # pair must keep both rows or neither, by their shared deficit. The edges
+    # are the midpoint of one pair on this design, and the smaller own
+    # difference of each pair whose two differences differ.
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 6))
+    d = standardize(X, X[:, 0] + rng.standard_normal(40))
+    own = {}
+    for c in check_submodular(d, tolerance=0.0):
+        sets = c.set_dict()
+        own[sets["A"], sets["i"][0], sets["j"][0]] = c.rhs - c.lhs
+    edges = [6.18786654161e-05]
+    edges += [min(gap, own[a, j, i]) for (a, i, j), gap in own.items() if i < j and gap != own[a, j, i]][:5]
+    assert len(edges) > 1
+    for tolerance in edges:
+        certs = check_submodular(d, tolerance=tolerance)
+        rows = _triples(certs)
+        assert len(certs) % 2 == 0, tolerance
+        assert all(c.deficit > tolerance for c in certs), tolerance
+        assert all((a, j, i) in rows for a, i, j in rows), tolerance
+        assert _triples(find_suppressors(d, tolerance=tolerance)) == rows
+
+
 def test_equivalence_chain_on_small_instances():
     # second-order clean implies first-order clean implies definition clean,
     # and violations appear together on dirty instances.
