@@ -199,9 +199,12 @@ def build_audit_report(
 
     second = check_submodular(design, "second_order", cache=cache, max_features=max_enum)
     suppressors = find_suppressors(design, cache=cache, max_features=max_enum)
+    # The suppression rows are the second-order rows, so both lists share
+    # one set of counts.
+    counts = _row_counts(second, names)
     report["violations"] = {
-        "second_order": _violation_summary(second, names),
-        "suppression": _violation_summary(suppressors, names),
+        "second_order": _violation_summary(second, names, counts),
+        "suppression": _violation_summary(suppressors, names, counts),
     }
     if certificates is not None:
         write_certificates(certificates, (second, suppressors), names)
@@ -240,10 +243,9 @@ def build_audit_report(
     return report, 0
 
 
-def _violation_summary(certs: Certificates, names) -> dict:
-    """An (A or S, i, j) certificate list's count, its first TOP_CERTIFICATES
-    certificates as their stream lines parse, its counts by the size of A
-    (or S), and its nonzero counts by ordered pair (i, j) in index order."""
+def _row_counts(certs: Certificates, names) -> dict:
+    """An (A or S, i, j) certificate list's counts by the size of A (or S),
+    and its nonzero counts by ordered pair (i, j) in index order."""
     m = len(names)
     sets, i, j = certs.columns
     pairs = np.zeros(m * m, dtype=np.intp)
@@ -254,13 +256,21 @@ def _violation_summary(certs: Certificates, names) -> dict:
         pairs += np.bincount(i[rows].astype(np.intp) * m + j[rows], minlength=m * m)
         sizes += np.bincount(mask_sizes(sets[rows], m), minlength=sizes.size)
     return {
-        "count": len(certs),
-        "top": [json.loads(text) for text in _certificate_texts(certs[:TOP_CERTIFICATES], names)],
         "by_size": sizes.tolist(),
         "by_pair": [
             {"i": names[p // m], "j": names[p % m], "count": int(pairs[p])}
             for p in np.flatnonzero(pairs).tolist()
         ],
+    }
+
+
+def _violation_summary(certs: Certificates, names, counts: dict) -> dict:
+    """A certificate list's count, its first TOP_CERTIFICATES certificates as
+    their stream lines parse, and its ``_row_counts``."""
+    return {
+        "count": len(certs),
+        "top": [json.loads(text) for text in _certificate_texts(certs[:TOP_CERTIFICATES], names)],
+        **counts,
     }
 
 

@@ -179,12 +179,6 @@ class StandardizedDesign:
         return self.features.T @ self.features
 
 
-@dataclass(frozen=True)
-class FitEntry:
-    r_squared: float
-    rank: int
-
-
 class FitCache:
     """The dense tables a set-function kernel fills once per design.
 
@@ -499,22 +493,17 @@ def _blocks(rows: np.ndarray, size: int) -> Iterator[np.ndarray]:
         yield rows[lo : lo + size]
 
 
-def fit_entry(design: StandardizedDesign, subset: SubsetLike) -> FitEntry:
-    """(r_squared, rank) of one subset, fitted by :func:`fit_block`."""
-    idx = _as_indices(subset, design.m)
-    if not idx:
-        return FitEntry(0.0, 0)
-    r2, rank = fit_block(design, np.array([idx]))
-    return FitEntry(float(r2[0]), int(rank[0]))
-
-
 def r_squared(design: StandardizedDesign, subset: SubsetLike) -> float:
-    """Squared norm of the response's projection onto the subset's span.
+    """Squared norm of the response's projection onto the subset's span, by
+    one :func:`fit_block` call.
 
     The empty subset evaluates to 0 by convention. Rank-deficient subsets are
     projected onto the space actually spanned.
     """
-    return fit_entry(design, subset).r_squared
+    idx = _as_indices(subset, design.m)
+    if not idx:
+        return 0.0
+    return float(fit_block(design, np.array([idx]))[0][0])
 
 
 def span_basis(design: StandardizedDesign, subset: SubsetLike) -> np.ndarray:

@@ -8,13 +8,15 @@ walk trusts A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept
 matrix, so a small gain on top of a large fit keeps its relative accuracy;
 elsewhere it is the table difference r2[A|i] - r2[A]. Above 20 features
 (regress.GAIN_TABLE_BYTES) no gain table is kept and every gain is that
-difference, one feature's row at a time. Stepwise, the submodularity
-ratio, delta and certificate replay read fits through one reader, _fits:
-that table once it is filled, otherwise one regress.fit_block call per
-block of subsets, kept nowhere.
+difference, taken where it is read. Stepwise, the submodularity ratio
+and delta read fits through one reader, _fits: that table once it is
+filled, otherwise one regress.fit_block call per block of subsets, kept
+nowhere.
 The second-order family (gamma_s2, second-order and suppressor certificates)
-reads one kernel giving, per ordered pair (i, j), the masks A holding neither
-with gain_A(i) and gain_{A+j}(i): O(m^2 2^m) time, O(2^m) memory per pair.
+reads one kernel giving, per unordered pair lo < hi, the masks A holding
+neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi):
+both orientations of the pair from one walk, O(m^2 2^m) time, O(2^m) memory
+per pair.
 gamma_s divides each gain_A(i) by the largest usable gain_B(i) over strict
 supersets B, found by a zeta transform in O(m^2 2^m) rather than a walk over
 all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
@@ -25,10 +27,11 @@ largest first, then by their index sets as tuples, and kept as columns
 (Certificates) from the kernel to the certificate stream's renderer. The
 order is found only when read: the report's top N sorts the rows at or above
 the N-th largest deficit, and only a reader of the whole list sorts it all.
-Second-order certificates (A, i, j) and (A, j, i) share the deficit of
-(A, min(i, j), max(i, j)), are selected by it together and sort next to each
-other. Suppression certificates are the second-order rows, rendered as
-square roots of the two gains.
+Second-order certificates (A, i, j) and (A, j, i) come from the same step
+of that walk and carry its one deficit, that of (A, min(i, j), max(i, j)), so
+they are selected together, and sort next to each other. Suppression
+certificates are the second-order rows, rendered as square roots of the two
+gains.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitsets import block_masks, indices_of, mask_of, mask_sizes
+from .bitsets import block_masks, indices_of, mask_sizes
 from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
@@ -105,19 +108,20 @@ def _gain_row(cache: FitCache, i: int) -> np.ndarray:
     return _gains_at(cache, i, np.arange(cache.table.size))
 
 
-def _pair_gains(cache: FitCache, m: int) -> Iterator[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]:
-    """Yield (A, i, j, gain_A(i), gain_{A+j}(i)) for every ordered pair i != j,
-    where A holds, ascending, every mask containing neither i nor j."""
-    masks = np.arange(1 << m)
-    for i in range(m):
-        bit_i = 1 << i
-        gain = _gain_row(cache, i)
-        for j in range(m):
-            if j == i:
-                continue
-            bit_j = 1 << j
-            a = masks[(masks & (bit_i | bit_j)) == 0]
-            yield a, i, j, gain[a], gain[a | bit_j]
+def _pair_gains(cache: FitCache, m: int) -> Iterator[tuple]:
+    """Yield (A, lo, hi, gain_A(lo), gain_{A+hi}(lo), gain_A(hi), gain_{A+lo}(hi))
+    for every pair lo < hi, where A holds, ascending, every mask containing
+    neither lo nor hi."""
+    rest = np.arange((1 << m) >> 2)  # every mask of m - 2 features
+    for lo in range(m):
+        bit_lo = 1 << lo
+        # x + (x & -bit) inserts a zero at bit into each mask x, keeping their order
+        without_lo = rest + (rest & -bit_lo)
+        for hi in range(lo + 1, m):
+            bit_hi = 1 << hi
+            a = without_lo + (without_lo & -bit_hi)
+            at = ((lo, a), (lo, a | bit_hi), (hi, a), (hi, a | bit_lo))
+            yield a, lo, hi, *[_gains_at(cache, i, b) for i, b in at]
 
 
 def delta(
@@ -307,27 +311,26 @@ def _by_sets(form, roles, hits, m) -> Certificates:
     return Certificates(form, roles, columns, lhs, rhs, deficit, ties)
 
 
-def _second_order_pairs(cache: FitCache, m: int):
-    """(A, i, j, gain_A(i), gain_{A+j}(i), deficit) per ordered pair, where
-    (A, i, j) and its mirror (A, j, i) both take the deficit of
-    (A, min(i, j), max(i, j))."""
-    for a, i, j, gain, cond in _pair_gains(cache, m):
-        if i < j:
-            deficit = cond - gain
-        else:
-            deficit = _gains_at(cache, j, a | (1 << i)) - _gains_at(cache, j, a)
-        yield a, i, j, gain, cond, deficit
-
-
 def _second_order_hits(cache: FitCache, m: int, tolerance: float) -> list[np.ndarray]:
-    """(A, i, j, gain_A(i), gain_{A+j}(i), deficit) of every row whose shared
-    deficit exceeds tolerance, so mirror rows are kept or dropped together:
-    the rows of the second-order and of the suppression certificates, found
-    once per filled cache and tolerance."""
+    """(A, i, j, gain_A(i), gain_{A+j}(i), deficit) of every row whose deficit
+    exceeds tolerance: the rows of the second-order and of the suppression
+    certificates, found once per filled cache and tolerance.
+
+    Each pair lo < hi gives the rows (A, lo, hi) and (A, hi, lo), which carry
+    the one deficit gain_{A+hi}(lo) - gain_A(lo), so mirror rows are kept or
+    dropped together.
+    """
     key = ("second_order", tolerance)
     hits = cache.derived.get(key)
     if hits is None:
-        hits = _hits(_second_order_pairs(cache, m), tolerance, ("A", "i", "j"), m)
+
+        def rows():
+            for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(cache, m):
+                deficit = cond_lo - gain_lo
+                yield a, lo, hi, gain_lo, cond_lo, deficit
+                yield a, hi, lo, gain_hi, cond_hi, deficit
+
+        hits = _hits(rows(), tolerance, ("A", "i", "j"), m)
         hits = cache.derived.setdefault(key, hits)
     return hits
 
@@ -424,44 +427,6 @@ def find_suppressors(
     return _by_sets("suppression", ("S", "i", "j"), hits, design.m)
 
 
-def replay_certificate(
-    design: StandardizedDesign,
-    cert: ViolationCertificate,
-    cache: FitCache | None = None,
-) -> tuple[float, float]:
-    """Recompute (lhs, rhs) of a certificate's inequality from its sets.
-
-    Gains come from the cache's gain table when it is filled, so a filled
-    cache reproduces the certificate; otherwise they are differences of two
-    fits, an independent check. Every set must lie in range(m).
-    """
-    filled = cache is not None and cache.table is not None
-    sets = {role: _as_indices(members, design.m) for role, members in cert.sets}
-
-    def fit(mask):
-        return float(_fits(design, cache, [indices_of(mask)])[0])
-
-    def gain(mask, i):
-        return float(_gains_at(cache, i, mask)) if filled else fit(mask | (1 << i)) - fit(mask)
-
-    if cert.form == "definition":
-        a = mask_of(sets["A"])
-        b = mask_of(sets["B"])
-        return fit(a) + fit(b), fit(a | b) + fit(a & b)
-    if cert.form == "first_order":
-        i = sets["i"][0]
-        return gain(mask_of(sets["A"]), i), gain(mask_of(sets["B"]), i)
-    if cert.form in ("second_order", "suppression"):
-        a = mask_of(sets["A"] if cert.form == "second_order" else sets["S"])
-        i = sets["i"][0]
-        base = gain(a, i)
-        cond = gain(a | (1 << sets["j"][0]), i)
-        if cert.form == "suppression":
-            return math.sqrt(max(base, 0.0)), math.sqrt(max(cond, 0.0))
-        return base, cond
-    raise ValueError(f"unknown certificate form {cert.form!r}")
-
-
 @dataclass(frozen=True)
 class GammaS2Result:
     """Worst-case gain ratio over the second-order comparisons (A, i, j).
@@ -499,13 +464,14 @@ def empirical_gamma_s2(
     _table(design, cache, max_features)
     per_pair = []
     skipped = 0
-    for a, i, j, num, den in _pair_gains(cache, design.m):
-        keep = ~(den < SKIP_DENOM_TOL)
-        skipped += a.size - int(keep.sum())
-        ratio = np.maximum(num[keep], 0.0) / den[keep]
-        if ratio.size:
-            at = int(ratio.argmin())
-            per_pair.append((float(ratio[at]), int(a[keep][at]), i, j))
+    for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(cache, design.m):
+        for i, j, num, den in ((lo, hi, gain_lo, cond_lo), (hi, lo, gain_hi, cond_hi)):
+            keep = ~(den < SKIP_DENOM_TOL)
+            skipped += a.size - int(keep.sum())
+            ratio = np.maximum(num[keep], 0.0) / den[keep]
+            if ratio.size:
+                at = int(ratio.argmin())
+                per_pair.append((float(ratio[at]), int(a[keep][at]), i, j))
     if not per_pair:
         return GammaS2Result(math.inf, None, skipped)
     value, a_mask, i, j = min(per_pair)

@@ -179,14 +179,6 @@ def restricted_eigenvalue(
     return RestrictedEigenResult(value=best_value, certificate=best_beta)
 
 
-def cone_membership_gap(beta: np.ndarray, cone: ConeSpec) -> float:
-    """How far beta sits outside the cone (nonpositive means feasible)."""
-    idx_c = [i for i in range(len(beta)) if i not in cone.subset]
-    on = float(np.abs(beta[list(cone.subset)]).sum())
-    off = float(np.abs(beta[idx_c]).sum()) if idx_c else 0.0
-    return off - cone.alpha * on
-
-
 @dataclass(frozen=True)
 class GammaSpectralComparison:
     gamma_sr: float

@@ -3,23 +3,41 @@ ratio: one subset at a time, as the package computed them before it read
 every fit through one table read or one batched fit_block call.
 
 With a filled cache they read the kernel's fit and gain tables, one mask at
-a time; otherwise each subset is one fit_entry call and each gain the
-difference of two. The differential tests require the package to agree with
-them with ``==``: every step's feature, gain, fit, t statistic and stopping
-reason, and the ratio, its argmin and its skip count.
+a time; otherwise each subset is one fit_entry call (one fit_block row) and
+each gain the difference of two. The differential tests require the package
+to agree with them with ``==``: every step's feature, gain, fit, t statistic
+and stopping reason, and the ratio, its argmin and its skip count.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from r2audit.bitsets import indices_of, mask_of
 from r2audit.errors import EmptyCandidateSet, InsufficientDof, RankDeficient
 from r2audit.gamma import MODE_EXACTLY_K, RatioResult
-from r2audit.regress import ZERO_RSS_TOL, fit_entry, ls_fit
+from r2audit.regress import ZERO_RSS_TOL, _as_indices, fit_block, ls_fit
 from r2audit.selection import SelectionStep, SelectionTrace
 from r2audit.setfun import SKIP_DENOM_TOL, _gains_at
+
+
+@dataclass(frozen=True)
+class FitEntry:
+    r_squared: float
+    rank: int
+
+
+def fit_entry(design, subset):
+    """(r_squared, rank) of one subset, fitted by fit_block."""
+    idx = _as_indices(subset, design.m)
+    if not idx:
+        return FitEntry(0.0, 0)
+    r2, rank = fit_block(design, np.array([idx]))
+    return FitEntry(float(r2[0]), int(rank[0]))
 
 
 def _filled(cache):

@@ -7,14 +7,15 @@ skip counts and certificate order, bit for bit. Both read the same values: the
 oracle fills the kernel's fit table on its cache first and takes every gain
 from the kernel's gain table, so what it checks is the walks, the witnesses,
 the tie-breaks and the order, not the arithmetic of the fits.
+``replay_certificate`` recomputes one certificate's two sides from its sets.
 """
 
 from __future__ import annotations
 
 import math
 
-from r2audit.bitsets import indices_of
-from r2audit.regress import DEFAULT_MAX_FEATURES, FitCache
+from r2audit.bitsets import indices_of, mask_of
+from r2audit.regress import DEFAULT_MAX_FEATURES, FitCache, _as_indices
 from r2audit.setfun import (
     MODES,
     SKIP_DENOM_TOL,
@@ -22,6 +23,7 @@ from r2audit.setfun import (
     GammaS2Result,
     GammaSResult,
     ViolationCertificate,
+    _fits,
     _gains_at,
     _table,
 )
@@ -219,3 +221,37 @@ def empirical_gamma_s(design, cache=None, max_features=None):
                     best = ratio
                     witness = (indices_of(a_mask), indices_of(b_mask), i)
     return GammaSResult(gamma_s=best, witness_s=witness, skipped_s=skipped)
+
+
+def replay_certificate(design, cert, cache=None):
+    """Recompute (lhs, rhs) of a certificate's inequality from its sets.
+
+    Gains come from the cache's gain table when it is filled, so a filled
+    cache reproduces the certificate; otherwise they are differences of two
+    fits, an independent check. Every set must lie in range(m).
+    """
+    filled = cache is not None and cache.table is not None
+    sets = {role: _as_indices(members, design.m) for role, members in cert.sets}
+
+    def fit(mask):
+        return float(_fits(design, cache, [indices_of(mask)])[0])
+
+    def gain(mask, i):
+        return float(_gains_at(cache, i, mask)) if filled else fit(mask | (1 << i)) - fit(mask)
+
+    if cert.form == "definition":
+        a = mask_of(sets["A"])
+        b = mask_of(sets["B"])
+        return fit(a) + fit(b), fit(a | b) + fit(a & b)
+    if cert.form == "first_order":
+        i = sets["i"][0]
+        return gain(mask_of(sets["A"]), i), gain(mask_of(sets["B"]), i)
+    if cert.form in ("second_order", "suppression"):
+        a = mask_of(sets["A"] if cert.form == "second_order" else sets["S"])
+        i = sets["i"][0]
+        base = gain(a, i)
+        cond = gain(a | (1 << sets["j"][0]), i)
+        if cert.form == "suppression":
+            return math.sqrt(max(base, 0.0)), math.sqrt(max(cond, 0.0))
+        return base, cond
+    raise ValueError(f"unknown certificate form {cert.form!r}")

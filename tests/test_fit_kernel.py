@@ -15,18 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import make_noisy_design
+from reader_oracle import FitEntry, fit_entry
 from r2audit import FitCache, gram_factory, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
 from r2audit.bitsets import block_masks, combination_blocks, indices_of
-from r2audit.regress import (
-    RANK_RTOL,
-    SWEEP_PIVOT_RTOL,
-    TABLE_PIVOT_RTOL,
-    FitEntry,
-    fit_block,
-    fit_entry,
-    sweep_walk,
-)
+from r2audit.regress import RANK_RTOL, SWEEP_PIVOT_RTOL, TABLE_PIVOT_RTOL, fit_block, sweep_walk
 from r2audit.selection import SCREEN_BAND
 
 

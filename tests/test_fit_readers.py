@@ -18,7 +18,6 @@ from test_selection import TIE_SEEDS, _duplicated_columns_design
 from r2audit import FitCache, RatioQuery, delta, forward_stepwise, gram_factory, submodularity_ratio
 from r2audit import cli, regress, setfun, suppressor_population
 from r2audit.errors import EmptyCandidateSet
-from r2audit.setfun import ViolationCertificate, replay_certificate
 
 DESIGNS = {
     "suppressor6": lambda: gram_factory(suppressor_population(6, 1.0, 3.0), 10),
@@ -94,9 +93,6 @@ def test_out_of_range_subsets_raise_whether_or_not_the_table_is_filled(filled, s
         delta(d, subset, (), cache)
     with pytest.raises(ValueError):
         delta(d, (0,), subset, cache)
-    cert = ViolationCertificate("second_order", (("A", subset), ("i", (1,)), ("j", (2,))), 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        replay_certificate(d, cert, cache)
 
 
 def test_audit_fits_come_from_the_table(monkeypatch):

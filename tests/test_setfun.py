@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from r2audit import (
     random_gaussian,
     standardize,
 )
+from r2audit import setfun
 from r2audit.errors import OutOfDomain, TooManyFeatures
-from r2audit.setfun import replay_certificate
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from setfun_oracle import replay_certificate
 from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
 
 
@@ -137,6 +140,24 @@ def test_mirror_rows_are_kept_or_dropped_together_at_the_tolerance_edge():
         assert all(c.deficit > tolerance for c in certs), tolerance
         assert all((a, j, i) in rows for a, i, j in rows), tolerance
         assert _triples(find_suppressors(d, tolerance=tolerance)) == rows
+
+
+def test_pair_gains_visit_each_unordered_pair_once():
+    # One yield per pair lo < hi, in order, with A every mask holding neither,
+    # ascending, and the four gains of both orientations from the gain table.
+    for m in range(1, 8):
+        d = make_noisy_design(40 + m, n=12, m=m)
+        cache = FitCache()
+        setfun._table(d, cache, 20)
+        masks = np.arange(1 << m)
+        pairs = []
+        for a, lo, hi, *gains in setfun._pair_gains(cache, m):
+            pairs.append((lo, hi))
+            assert np.array_equal(a, masks[(masks & ((1 << lo) | (1 << hi))) == 0])
+            row_lo, row_hi = cache.gains[lo], cache.gains[hi]
+            expected = [row_lo[a], row_lo[a | (1 << hi)], row_hi[a], row_hi[a | (1 << lo)]]
+            assert all(np.array_equal(got, want) for got, want in zip(gains, expected))
+        assert pairs == list(combinations(range(m), 2))
 
 
 def test_equivalence_chain_on_small_instances():

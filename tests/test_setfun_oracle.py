@@ -11,11 +11,12 @@ import pytest
 
 import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from reader_oracle import fit_entry
 from report_oracle import as_certificates
+from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
 from r2audit import FitCache, gram_factory, standardize, suppressor_population
 from r2audit import cli, regress, setfun
 from r2audit.bitsets import indices_of
-from r2audit.regress import fit_entry
 from r2audit.datasets import write_csv
 
 
@@ -50,6 +51,10 @@ DESIGNS = {
 }
 for _m in range(4, 8):
     DESIGNS[f"noisy_m{_m}"] = lambda m=_m: make_noisy_design(300 + m, n=24, m=m)
+# The fit kernel's degenerate designs: fit_table fits their untrusted subsets
+# by fit_block, and their gains there are table differences.
+for _name in ("near_collinear_pair", "n_below_m_plus_1", "interpolating"):
+    DESIGNS[_name] = FIT_KERNEL_DESIGNS[_name]
 
 
 @pytest.fixture(params=["miller", *DESIGNS])

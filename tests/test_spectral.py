@@ -12,8 +12,15 @@ from r2audit import (
 )
 from r2audit import regress
 from r2audit.errors import TooManyFeatures
-from r2audit.spectral import cone_membership_gap
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+
+
+def cone_membership_gap(beta, cone):
+    """How far beta sits outside the cone (nonpositive means feasible)."""
+    idx_c = [i for i in range(len(beta)) if i not in cone.subset]
+    on = float(np.abs(beta[list(cone.subset)]).sum())
+    off = float(np.abs(beta[idx_c]).sum()) if idx_c else 0.0
+    return off - cone.alpha * on
 
 
 def random_psd(seed, m=8):
