@@ -23,14 +23,16 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .bitsets import indices_of, mask_sizes
+from .bitsets import indices_of
 from .errors import AuditError
 from .gamma import RatioQuery, submodularity_ratio
 from .jsonsafe import float_texts, json_line, report_text, string_text
 from .regress import FitCache, StandardizedDesign, gram_factory, load_csv, standardize
 from .selection import best_subset, forward_stepwise, isis, nwf_verdict, sis_screen, table_best_subset
 from .setfun import (
+    VIOLATION_TOL,
     Certificates,
+    _second_order_summary,
     _table,
     check_submodular,
     empirical_gamma_s,
@@ -40,7 +42,6 @@ from .setfun import (
 from .spectral import ConeSpec, restricted_eigenvalue, sparse_min_eigenvalue
 
 REPORT_SCHEMA = "2"
-TOP_CERTIFICATES = 10
 # Certificates rendered at a time into the --certificates stream.
 STREAM_CHUNK = 1 << 16
 
@@ -88,10 +89,11 @@ def build_audit_report(
     """Assemble the full diagnostic report; returns (report, exit_code).
 
     The report holds only JSON values; ``jsonsafe.report_text`` writes it.
-    Each violation list is summarized by ``_violation_summary``, whose top
-    certificates are the first lines of that list's certificate stream,
-    parsed back. Given a ``certificates`` path, both whole lists are written
-    there by ``write_certificates`` when the violations section is computed.
+    Each violation list is summarized by ``_violation_summary`` from
+    setfun's one walk over the pairs, which keeps no whole list. Given a
+    ``certificates`` path, both whole lists are built and written there by
+    ``write_certificates``; each top list, ordered by the same tie keys, is
+    the first lines of its part of that stream, parsed back.
     """
     names = design.names
     cache = FitCache()
@@ -197,20 +199,20 @@ def build_audit_report(
     gamma_block["gamma_sr"] = ratio_block
     report["gamma"] = gamma_block
 
-    second = check_submodular(design, "second_order", cache=cache, max_features=max_enum)
-    suppressors = find_suppressors(design, cache=cache, max_features=max_enum)
     # The suppression rows are the second-order rows, so both lists share
     # one set of counts.
-    counts = _row_counts(second, names)
+    summary = _second_order_summary(cache, design.m, VIOLATION_TOL)
     report["violations"] = {
-        "second_order": _violation_summary(second, names, counts),
-        "suppression": _violation_summary(suppressors, names, counts),
+        form: _violation_summary(summary.count, getattr(summary, form), summary.by_size, summary.by_pair, names)
+        for form in ("second_order", "suppression")
     }
     if certificates is not None:
+        second = check_submodular(design, "second_order", cache=cache, max_features=max_enum)
+        suppressors = find_suppressors(design, cache=cache, max_features=max_enum)
         write_certificates(certificates, (second, suppressors), names)
 
     best = table_best_subset(table, k)
-    nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=not second)
+    nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=summary.count == 0)
     report["selection"]["best_subset"] = {
         "subset": [names[f] for f in best.subset],
         "r_squared": best.r_squared,
@@ -243,42 +245,23 @@ def build_audit_report(
     return report, 0
 
 
-def _row_counts(certs: Certificates, names) -> dict:
-    """An (A or S, i, j) certificate list's counts by the size of A (or S),
-    and its nonzero counts by ordered pair (i, j) in index order."""
-    m = len(names)
-    sets, i, j = certs.columns
-    pairs = np.zeros(m * m, dtype=np.intp)
-    sizes = np.zeros(max(m - 1, 0), dtype=np.intp)
-    # counted a chunk at a time, so no full-length index copy is made
-    for lo in range(0, len(certs), STREAM_CHUNK):
-        rows = slice(lo, lo + STREAM_CHUNK)
-        pairs += np.bincount(i[rows].astype(np.intp) * m + j[rows], minlength=m * m)
-        sizes += np.bincount(mask_sizes(sets[rows], m), minlength=sizes.size)
+def _violation_summary(count: int, head: Certificates, by_size, by_pair, names) -> dict:
+    """A certificate list's count; its head, as its stream lines parse; its
+    counts by set size, and the nonzero by_pair[i, j] in index order."""
     return {
-        "by_size": sizes.tolist(),
+        "count": count,
+        "top": [json.loads(text) for text in _certificate_texts(head, names)],
+        "by_size": by_size.tolist(),
         "by_pair": [
-            {"i": names[p // m], "j": names[p % m], "count": int(pairs[p])}
-            for p in np.flatnonzero(pairs).tolist()
+            {"i": names[i], "j": names[j], "count": int(by_pair[i, j])} for i, j in np.argwhere(by_pair).tolist()
         ],
-    }
-
-
-def _violation_summary(certs: Certificates, names, counts: dict) -> dict:
-    """A certificate list's count, its first TOP_CERTIFICATES certificates as
-    their stream lines parse, and its ``_row_counts``."""
-    return {
-        "count": len(certs),
-        "top": [json.loads(text) for text in _certificate_texts(certs[:TOP_CERTIFICATES], names)],
-        **counts,
     }
 
 
 def _certificate_texts(certs: Certificates, names) -> list[str]:
     """The json_line text of each certificate's {"deficit", "form", "lhs",
-    "rhs", "sets"} object, in list order: one format for the list, each
-    mask's name list rendered once."""
-    certs = certs[:]
+    "rhs", "sets"} object, of a list stored in its order (a head or a slice):
+    one format for the list, each mask's name list rendered once."""
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
         f'{{"deficit": %s, "form": {string_text(certs.form)}, "lhs": %s, "rhs": %s, "sets": {{'
@@ -302,7 +285,6 @@ def write_certificates(path: str | Path, lists, names) -> None:
     """Write every certificate of the lists, in order, one json_line each."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for certs in lists:
-            certs = certs[:]  # sorted once; the chunks are views of it
             for lo in range(0, len(certs), STREAM_CHUNK):
                 texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names)
                 fh.write("".join(text + "\n" for text in texts))

@@ -29,7 +29,7 @@ from .regress import (
     partial_correlation,
     sweep_walk,
 )
-from .setfun import _fits, _gains_at, _table, check_submodular
+from .setfun import VIOLATION_TOL, _fits, _gains_at, _second_order_summary, _table
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
@@ -316,7 +316,7 @@ def nwf_check(
     table = _table(design, cache, max_features)
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
     optimal = table_best_subset(table, k).r_squared
-    is_submodular = not check_submodular(design, cache=cache, max_features=max_features)
+    is_submodular = _second_order_summary(cache, design.m, VIOLATION_TOL).count == 0
     return nwf_verdict(greedy, optimal, is_submodular, tolerance)
 
 

@@ -9,6 +9,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -61,3 +62,12 @@ def as_certificates(form: str, roles, certs) -> Certificates:
         columns.append(np.array(values, dtype=np.int64))
     floats = [np.array([getattr(c, f) for c in certs], dtype=float) for f in ("lhs", "rhs", "deficit")]
     return Certificates(form, roles, columns, *floats)
+
+
+def row_counts(certs, m: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The count of an (A or S, i, j) certificate list, its counts by set
+    size (m - 1 entries) and by_pair[i, j], one certificate at a time."""
+    sizes = Counter(len(c.sets[0][1]) for c in certs)
+    pairs = Counter((c.sets[1][1][0], c.sets[2][1][0]) for c in certs)
+    by_pair = np.array([[pairs[i, j] for j in range(m)] for i in range(m)], dtype=np.intp)
+    return len(certs), np.array([sizes[size] for size in range(m - 1)], dtype=np.intp), by_pair

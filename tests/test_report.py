@@ -5,26 +5,27 @@ or the feature names."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design
-from report_oracle import as_certificates, certificate_jsonable, reference_text
+from report_oracle import as_certificates, certificate_jsonable, reference_text, row_counts
 from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
 from r2audit import FitCache, gram_factory, nwf_check, setfun, suppressor_population
 from r2audit.bitsets import indices_of
 from r2audit.cli import (
-    TOP_CERTIFICATES,
-    _row_counts,
     _violation_summary,
     build_audit_report,
+    main,
     report_text,
     write_certificates,
 )
 from r2audit.jsonsafe import sanitize
-from r2audit.setfun import Certificates, ViolationCertificate, find_suppressors
+from r2audit.regress import load_csv, standardize
+from r2audit.setfun import TOP_CERTIFICATES, Certificates, ViolationCertificate, find_suppressors
 
 ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5, 0.0, 1e-7]
 ODD_NAMES = ('a"b', "c\\d", "e\tf", "é", "NaN", "\0\0\x000", "", "x")
@@ -48,7 +49,8 @@ def _odd_certificates(form="suppression", roles=("S", "i", "j"), count=12):
 def _summary_and_reference(certs):
     """A report holding the list's _violation_summary, and the same report
     with its top as the list's head, which reference_text writes as dicts."""
-    summary = _violation_summary(certs, ODD_NAMES, _row_counts(certs, ODD_NAMES))
+    count, by_size, by_pair = row_counts(certs, len(ODD_NAMES))
+    summary = _violation_summary(count, certs[:TOP_CERTIFICATES], by_size, by_pair, ODD_NAMES)
     reference = {**summary, "top": certs[:TOP_CERTIFICATES]}
     return {"violations": {certs.form: summary}}, {"violations": {certs.form: reference}}
 
@@ -178,9 +180,8 @@ def test_as_certificates_round_trips(suppressor_design):
 
 
 def _assert_heads_match(make, expected):
-    # Each head comes from a list no read has sorted yet, so it takes the
-    # partial sort wherever 0 < n < len. Rows compare by repr, so that NaN
-    # deficits compare too.
+    # Each head comes from a list no read has sorted yet. Rows compare by
+    # repr, so that NaN deficits compare too.
     def texts(certs):
         return list(map(repr, certs))
 
@@ -188,9 +189,6 @@ def _assert_heads_match(make, expected):
         certs = make()
         head = certs[:n]
         assert isinstance(head, Certificates) and texts(head) == texts(expected[:n]), n
-        # only a head that reaches the end, or whose cut is a NaN, sorts it all
-        whole = min(n, len(expected)) > 0 and (n >= len(expected) or math.isnan(expected[n - 1].deficit))
-        assert (certs._order is not None) is whole, n
     for part in (slice(3, 7), slice(-5, -2), slice(None, None, -3), slice(4, None, 2)):
         assert texts(make()[part]) == texts(expected[part]), part
     for at in (-1, len(expected) // 2) if expected else ():
@@ -262,3 +260,27 @@ def test_audit_nwf_block_equals_nwf_check(design, k, miller_design):
     expected = nwf_check(d, k)
     fields = ("greedy_r2", "optimal_r2", "ratio", "threshold", "guarantee_holds", "is_submodular")
     assert report["selection"]["nwf"] == {f: getattr(expected, f) for f in fields}
+
+
+# ---------------------------------------------------------------------------
+# The audit's memory
+# ---------------------------------------------------------------------------
+
+
+def test_audit_without_certificates_peaks_near_the_table_fill(tmp_path):
+    # Without a certificate stream the audit summarizes the violations as it
+    # walks the pairs, so no step holds memory that grows with the number of
+    # violations: its peak stays near the fill's (O(m 2^m)).
+    path = tmp_path / "in.csv"
+    assert main(["gen", "gaussian", "--n", "200", "--m", "14", "--out", str(path)]) == 0
+    d = standardize(*load_csv(path, "Y"))
+    tracemalloc.start()
+    try:
+        setfun._table(d, FitCache(), 20)
+        fill = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        build_audit_report(d, str(path), "Y", 3, 20)
+        audit = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit <= 1.25 * fill, (audit, fill)

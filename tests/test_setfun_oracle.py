@@ -12,7 +12,7 @@ import pytest
 import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 from reader_oracle import fit_entry
-from report_oracle import as_certificates
+from report_oracle import as_certificates, row_counts
 from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
 from r2audit import FitCache, gram_factory, standardize, suppressor_population
 from r2audit import cli, regress, setfun
@@ -46,6 +46,8 @@ DESIGNS = {
     "duplicated_column": _duplicated_column_design,
     "hadamard_pairs": lambda: _hadamard_design([(1,), (0, 1), (5,), (4, 5)], (0, 4)),
     "hadamard_mix": lambda: _hadamard_design([(0, 2, 5, 6), (0, 1, 3, 5), (1, 6), (1, 3, 5)], (2, 5)),
+    # both violation lists tie between their 10th and 11th rows
+    "hadamard_tie": lambda: _hadamard_design([(3, 6), (1,), (1, 4, 5), (1, 2, 4)], (2, 5)),
     "n_is_m_plus_2": lambda: make_noisy_design(9, n=7, m=5),
     "single_feature": lambda: make_noisy_design(3, n=10, m=1),
 }
@@ -96,6 +98,55 @@ def test_tolerance_edge_matches_oracle(design):
     )
 
 
+def _assert_summary_matches_oracle(d, tolerance):
+    # One walk gives gamma_s2, the row counts and both heads: they must equal
+    # what the oracle's whole lists give, ties at the head's cut included.
+    cache = FitCache()
+    setfun._table(d, cache, regress.DEFAULT_MAX_FEATURES)
+    summary = setfun._second_order_summary(cache, d.m, tolerance)
+    assert summary.gamma == oracle.empirical_gamma_s2(d)
+    second = oracle.check_submodular(d, tolerance=tolerance)
+    suppression = oracle.find_suppressors(d, tolerance=tolerance)
+    for certs in (second, suppression):
+        count, by_size, by_pair = row_counts(certs, d.m)
+        assert summary.count == count
+        assert summary.by_size.tolist() == by_size.tolist() and summary.by_pair.tolist() == by_pair.tolist()
+    top = setfun.TOP_CERTIFICATES
+    assert list(map(repr, summary.second_order)) == list(map(repr, second[:top]))
+    assert list(map(repr, summary.suppression)) == list(map(repr, suppression[:top]))
+
+
+def test_second_order_summary_matches_oracle(design):
+    certs = oracle.check_submodular(design, "second_order", tolerance=0.0)
+    edge = certs[len(certs) // 2].deficit if certs else setfun.VIOLATION_TOL
+    for tolerance in (setfun.VIOLATION_TOL, edge):
+        _assert_summary_matches_oracle(design, tolerance)
+
+
+def test_second_order_summary_matches_oracle_at_the_mirror_edges():
+    # the design and tolerances of test_setfun.py's mirror-row edge test
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 6))
+    d = standardize(X, X[:, 0] + rng.standard_normal(40))
+    own = {}
+    for c in oracle.check_submodular(d, tolerance=0.0):
+        sets = c.set_dict()
+        own[sets["A"], sets["i"][0], sets["j"][0]] = c.rhs - c.lhs
+    edges = [6.18786654161e-05]
+    edges += [min(gap, own[a, j, i]) for (a, i, j), gap in own.items() if i < j and gap != own[a, j, i]][:5]
+    for tolerance in edges:
+        _assert_summary_matches_oracle(d, tolerance)
+
+
+def test_hadamard_tie_ties_at_the_head_cut():
+    # the summary's heads keep every row tied with the running cut; on this
+    # design the last row of each head ties with the first row past it
+    d = DESIGNS["hadamard_tie"]()
+    top = setfun.TOP_CERTIFICATES
+    for certs in (oracle.check_submodular(d), oracle.find_suppressors(d)):
+        assert len(certs) > top and certs[top - 1].deficit == certs[top].deficit
+
+
 def test_kernels_match_oracle_without_a_gain_table(design, monkeypatch):
     # Above regress.GAIN_TABLE_BYTES the fill keeps no gain table and every
     # gain is a table difference; a zero budget sends each design that way.
@@ -142,6 +193,18 @@ def test_lex_rank_orders_index_tuples():
     assert [int(v) for v in np.argsort(ranks)] == expected
 
 
+def _oracle_summary(d, tolerance):
+    """The second-order summary, read off the oracle's whole lists."""
+    second = oracle.check_submodular(d, tolerance=tolerance)
+    top = setfun.TOP_CERTIFICATES
+    return setfun.SecondOrderSummary(
+        oracle.empirical_gamma_s2(d),
+        *row_counts(second, d.m),
+        as_certificates("second_order", ("A", "i", "j"), second[:top]),
+        as_certificates("suppression", ("S", "i", "j"), oracle.find_suppressors(d, tolerance=tolerance)[:top]),
+    )
+
+
 def _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates):
     # The oracle's certificate lists drive a whole report and certificate
     # stream, through the same columnar renderer, and must give the kernel's
@@ -155,6 +218,9 @@ def _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates):
     with monkeypatch.context() as patch:
         for fn in ("empirical_gamma_s2", "empirical_gamma_s"):
             patch.setattr(cli, fn, getattr(oracle, fn))
+        # the design the CLI reads back from the CSV
+        loaded = standardize(*regress.load_csv(path, "Y"))
+        patch.setattr(cli, "_second_order_summary", lambda cache, m, tolerance: _oracle_summary(loaded, tolerance))
         patch.setattr(
             cli,
             "check_submodular",
