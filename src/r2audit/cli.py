@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -305,27 +305,36 @@ def _cmd_audit(args) -> int:
 # grid
 # ---------------------------------------------------------------------------
 
-# Grid rows rendered at a time into the CSV.
-CSV_BLOCK_ROWS = 4096
+# About this many feasible cells are evaluated and rendered at a time, in
+# blocks of whole theta lines: the largest block, not the grid, sets the
+# command's memory.
+GRID_BLOCK_CELLS = 4096
 SVG_FIELDS = ("gamma1", "gamma2", "gamma_s2", "sum_bound", "gamma_sr", "t_ratio_bound")
 
 
 def _cmd_grid(args) -> int:
     from . import geometry2d  # only grid needs it
 
-    cells = geometry2d.grid_evaluate(args.theta_steps, args.v_steps, args.r2_full)
-    # rendered and written a block of rows at a time, so the whole CSV text
-    # never exists at once
-    with _output(args.out) as fh:
-        for start in range(0, len(cells), CSV_BLOCK_ROWS):
-            lines = geometry2d.grid_csv_lines(cells, start, start + CSV_BLOCK_ROWS)
-            fh.writelines(("\n".join(lines), "\n"))
-    if args.svg is not None:
-        svg_dir = Path(args.svg)
-        svg_dir.mkdir(parents=True, exist_ok=True)
-        for field in SVG_FIELDS:
-            doc = geometry2d.svg_heatmap(cells, field, args.theta_steps, args.v_steps)
-            (svg_dir / f"{field}.svg").write_text(doc, encoding="utf-8", newline="\n")
+    theta_steps, v_steps = args.theta_steps, args.v_steps
+    geometry2d.check_grid(theta_steps, v_steps, args.r2_full)
+    # evaluated, rendered and written a block of theta lines at a time, so no
+    # whole-grid column, layout or text ever exists
+    with _output(args.out) as fh, ExitStack() as svgs:
+        docs = []
+        if args.svg is not None:
+            svg_dir = Path(args.svg)
+            svg_dir.mkdir(parents=True, exist_ok=True)
+            docs = [
+                svgs.enter_context(open(svg_dir / f"{field}.svg", "w", encoding="utf-8", newline="\n"))
+                for field in SVG_FIELDS
+            ]
+        for rows in geometry2d.theta_line_blocks(theta_steps, v_steps, GRID_BLOCK_CELLS):
+            block = geometry2d.grid_evaluate(theta_steps, v_steps, args.r2_full, rows)
+            lines = geometry2d.grid_csv_lines(block)
+            if lines:
+                fh.writelines(("\n".join(lines), "\n"))
+            for field, doc in zip(SVG_FIELDS, docs):
+                doc.write(geometry2d.svg_heatmap(block, field, theta_steps, v_steps))
     return 0
 
 

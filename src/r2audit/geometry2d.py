@@ -6,16 +6,19 @@ gives two vertices, the origin the third. The angle between the features
 fixes their correlation, the angle at the first projection fixes relative
 predictive power, and the overall fit level only scales the triangle. All
 gain ratios are scale-free, so grids at different fit levels carry identical
-diagnostic columns. A grid is evaluated column by column, as numpy arrays;
-each value equals the scalar triangle_solve and gamma_pair result bit for
-bit. Rendering takes a block of rows at a time, formats each distinct value
-of a grid-line column once, and lays out the heatmap cells once per grid; the
-text is byte-identical to formatting and drawing every cell on its own.
+diagnostic columns. A grid is evaluated column by column, as numpy arrays,
+for a block of theta lines at a time; each value equals the scalar
+triangle_solve and gamma_pair result bit for bit. A block renders to its
+part of the CSV text and of each heatmap document, formats each distinct
+value of a grid-line column once, and lays out its heatmap cells once for
+every heatmap; the blocks' text, joined in order, is byte-identical to
+formatting and drawing every cell of the whole grid on its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from itertools import starmap
@@ -92,22 +95,21 @@ def _elementwise(fn, values: np.ndarray) -> np.ndarray:
 
 
 def _law_of_sines(
-    theta: np.ndarray, tau: np.ndarray, r2_levels: Sequence[float]
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """r12 and, per fit level, the columns (b, r_y1, r_y2) of feasible angles.
+    r12: np.ndarray, sin_theta: np.ndarray, theta: np.ndarray, tau: np.ndarray, r2_levels: Sequence[float]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per fit level, the columns (b, r_y1, r_y2) of feasible angles, given
+    r12 = cos(theta) and sin(theta).
 
     The angles fix the triangle's shape, so the sines are taken once and the
     fit level only sets the scale b = sqrt((1 - r12^2) r2_full).
     """
-    r12 = _elementwise(math.cos, theta)
-    sin_theta = _elementwise(math.sin, theta)
     sin_first = _elementwise(math.sin, theta + tau)
     sin_second = _elementwise(math.sin, tau)
     sides = []
     for r2_full in r2_levels:
         b = np.sqrt((1.0 - r12 * r12) * r2_full)
         sides.append((b, b * sin_first / sin_theta, b * sin_second / sin_theta))
-    return r12, sides
+    return sides
 
 
 def triangle_solve(theta: float, tau: float, r2_full: float) -> TrianglePoint:
@@ -124,12 +126,15 @@ def triangle_solve(theta: float, tau: float, r2_full: float) -> TrianglePoint:
         raise InfeasibleAngles(f"tau must lie in (0, pi - theta), got {tau}")
     if not 0.0 < r2_full <= 1.0:
         raise InfeasibleAngles(f"r2_full must lie in (0, 1], got {r2_full}")
-    r12, [(b, r_y1, r_y2)] = _law_of_sines(np.array([theta]), np.array([tau]), (r2_full,))
+    r12 = math.cos(theta)
+    [(b, r_y1, r_y2)] = _law_of_sines(
+        np.array([r12]), np.array([math.sin(theta)]), np.array([theta]), np.array([tau]), (r2_full,)
+    )
     return TrianglePoint(
         theta=theta,
         tau=tau,
         r2_full=r2_full,
-        r12=float(r12[0]),
+        r12=r12,
         r_y1=float(r_y1[0]),
         r_y2=float(r_y2[0]),
         b=float(b[0]),
@@ -145,14 +150,17 @@ def t_ratio_bound_from_gamma(gamma_sr):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """The feasible cells of a (theta, v) grid, stored by column.
+    """The feasible cells of a block of theta lines of a (theta, v) grid,
+    stored by column.
 
     ``columns`` maps every name in GRID_COLUMNS to a float64 array with one
-    entry per cell, row-major with theta outer. Iterating yields the cells
-    as GridCell rows.
+    entry per cell, row-major with theta outer. ``theta_rows`` is the range
+    of 0-based theta lines the block holds; a whole grid of theta_steps
+    holds range(theta_steps - 1). Iterating yields the cells as GridCell rows.
     """
 
     columns: dict[str, np.ndarray]
+    theta_rows: range
     # The rect text of every cell, by (theta_steps, v_steps, cell_px): laid
     # out by the first heatmap and shared by the rest.
     _svg_layouts: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
@@ -164,37 +172,71 @@ class Grid:
         return starmap(GridCell, zip(*(self.columns[col].tolist() for col in GRID_COLUMNS)))
 
 
-def grid_evaluate(theta_steps: int, v_steps: int, r2_full: float = 0.5) -> Grid:
-    """Diagnostics over a uniform (theta, v) grid with v = tau + theta / 2.
-
-    Grid lines are at multiples of pi / steps with the open-interval
-    endpoints dropped; infeasible cells (tau outside (0, pi - theta)) are
-    omitted entirely. Cells are produced row-major, theta outer. The
-    diagnostic ratios are evaluated at a fixed reference fit level, so only
-    the geometry columns (r_y1, r_y2, b) depend on ``r2_full``. Every column
-    is computed as one array, with the operations of triangle_solve and
-    gamma_pair in the same order, so each value equals theirs bit for bit.
-    """
+def check_grid(theta_steps: int, v_steps: int, r2_full: float) -> None:
+    """Raise ValueError unless the arguments describe a grid grid_evaluate can
+    evaluate."""
     if theta_steps < 2 or v_steps < 2:
         raise ValueError("need at least 2 steps per axis")
     if not 0.0 < r2_full <= 1.0:
         raise ValueError("r2_full must lie in (0, 1]")
+
+
+def grid_evaluate(theta_steps: int, v_steps: int, r2_full: float = 0.5, theta_rows: range | None = None) -> Grid:
+    """Diagnostics over a uniform (theta, v) grid with v = tau + theta / 2.
+
+    Grid lines are at multiples of pi / steps with the open-interval
+    endpoints dropped; infeasible cells (tau outside (0, pi - theta)) are
+    omitted entirely. Only the theta lines in ``theta_rows``, a range of
+    0-based line indices, are evaluated; the default is every line. Cells are
+    produced row-major, theta outer. The diagnostic ratios are evaluated at a
+    fixed reference fit level, so only the geometry columns (r_y1, r_y2, b)
+    depend on ``r2_full``. Every column is computed as one array, with the
+    operations of triangle_solve and gamma_pair in the same order, so each
+    value equals theirs bit for bit; cos(theta) and sin(theta) are taken once
+    per theta line.
+    """
+    check_grid(theta_steps, v_steps, r2_full)
+    if theta_rows is None:
+        theta_rows = range(theta_steps - 1)
+    elif not (theta_rows.step == 1 and 0 <= theta_rows.start <= theta_rows.stop <= theta_steps - 1):
+        raise ValueError(f"theta_rows must be a range of consecutive lines within 0..{theta_steps - 2}")
     # The ratio first: dyadic fractions like 1/2 stay exact, so an even grid
     # contains the orthogonal column at exactly pi/2.
-    theta_axis = np.array([math.pi * (i / theta_steps) for i in range(1, theta_steps)])
+    theta_axis = np.array([math.pi * ((i + 1) / theta_steps) for i in theta_rows])
     v_axis = np.array([math.pi * (j / v_steps) for j in range(1, v_steps)])
     theta = np.repeat(theta_axis, v_axis.size)
     v = np.tile(v_axis, theta_axis.size)
     tau = v - theta / 2.0
     feasible = (0.0 < tau) & (tau < math.pi - theta)
     theta, v, tau = theta[feasible], v[feasible], tau[feasible]
-    r12, [(b, r_y1, r_y2), (_, ref_y1, ref_y2)] = _law_of_sines(theta, tau, (r2_full, REFERENCE_R2))
+    per_line = np.count_nonzero(feasible.reshape(theta_axis.size, v_axis.size), axis=1)
+    r12 = np.repeat(_elementwise(math.cos, theta_axis), per_line)
+    sin_theta = np.repeat(_elementwise(math.sin, theta_axis), per_line)
+    [(b, r_y1, r_y2), (_, ref_y1, ref_y2)] = _law_of_sines(r12, sin_theta, theta, tau, (r2_full, REFERENCE_R2))
     gamma1, gamma2, gamma_s2, gamma_sr, sum_bound = gamma_pair_columns(ref_y1, ref_y2, r12)
     values = (
         theta, v, tau, r12, r_y1, r_y2, b, gamma1, gamma2, gamma_s2, sum_bound, gamma_sr,
         t_ratio_bound_from_gamma(gamma_sr),
     )
-    return Grid(dict(zip(GRID_COLUMNS, values)))
+    return Grid(dict(zip(GRID_COLUMNS, values)), theta_rows)
+
+
+def theta_line_blocks(theta_steps: int, v_steps: int, cells: int) -> Iterator[range]:
+    """Consecutive ranges of 0-based theta lines covering the grid, each
+    holding about ``cells`` feasible cells, and at least one line.
+
+    Line i has about (v_steps - 1)(1 - (i + 1) / theta_steps) feasible
+    points, the share of the v axis inside (theta / 2, pi - theta / 2), so a
+    block near theta = 0 holds fewer lines than one near theta = pi.
+    """
+    start, held = 0, 0.0
+    for line in range(theta_steps - 1):
+        held += (v_steps - 1) * (1.0 - (line + 1) / theta_steps)
+        if held >= cells:
+            yield range(start, line + 1)
+            start, held = line + 1, 0.0
+    if start < theta_steps - 1:
+        yield range(start, theta_steps - 1)
 
 
 # Columns with few distinct values: theta, v and r12 are constant along grid
@@ -215,16 +257,16 @@ def _distinct_texts(values: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def grid_csv_lines(cells: Grid, start: int = 0, stop: int | None = None) -> list[str]:
-    """CSV lines (12 significant digits, no line endings) of the cells in rows
-    [start, stop), led by the header line when start is 0. Joined with LF
+def grid_csv_lines(cells: Grid) -> list[str]:
+    """CSV lines (12 significant digits, no line endings) of the cells, led
+    by the header line when the block starts at theta line 0. Joined with LF
     endings, the lines of consecutive blocks make one CSV text."""
     columns = []
     for col in GRID_COLUMNS:
-        values = cells.columns[col][start:stop]
+        values = cells.columns[col]
         columns.append(_distinct_texts(values) if col in _FEW_VALUED else values.tolist())
     lines = [_CSV_ROW % values for values in zip(*columns)]
-    if start == 0:
+    if cells.theta_rows.start == 0:
         lines.insert(0, ",".join(GRID_COLUMNS))
     return lines
 
@@ -319,17 +361,31 @@ def _palette(bands: int) -> list[str]:
     return colors
 
 
+# The end of a rect's text, from its fill color, by band (step, top).
+_FILLS = {
+    band: tuple(f'{color}"/>' for color in _palette(int(band[1] / band[0])))
+    for band in (*_BAND_STEPS.values(), _DEFAULT_BAND)
+}
+
+
+@functools.lru_cache(maxsize=4)
+def _rect_texts(theta_steps: int, v_steps: int, cell_px: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Each grid column's and grid row's part of a rect's text, formatted once
+    per grid shape and cell size, so the blocks of one grid share them."""
+    xs = tuple(f'\n<rect x="{col * cell_px}" y="' for col in range(theta_steps - 1))
+    ys = tuple(f'{row * cell_px}" width="{cell_px}" height="{cell_px}" fill="' for row in range(v_steps - 1))
+    return xs, ys
+
+
 def _svg_layout(cells: Grid, theta_steps: int, v_steps: int, cell_px: int) -> list[str]:
     """Text of every cell's rect up to its fill color, from the line break
-    before it; built once per grid and cell size."""
+    before it; built once per block and cell size."""
     key = (theta_steps, v_steps, cell_px)
     layout = cells._svg_layouts.get(key)
     if layout is None:
         cols = np.rint(cells.columns["theta"] / math.pi * theta_steps).astype(np.intp) - 1
         rows = v_steps - 1 - np.rint(cells.columns["v"] / math.pi * v_steps).astype(np.intp)
-        # each grid column's and grid row's text is formatted once
-        xs = [f'\n<rect x="{col * cell_px}" y="' for col in range(theta_steps - 1)]
-        ys = [f'{row * cell_px}" width="{cell_px}" height="{cell_px}" fill="' for row in range(v_steps - 1)]
+        xs, ys = _rect_texts(theta_steps, v_steps, cell_px)
         layout = [xs[c] + ys[r] for c, r in zip(cols.tolist(), rows.tolist())]
         cells._svg_layouts[key] = layout
     return layout
@@ -345,23 +401,27 @@ def svg_heatmap(
     """Banded heatmap of one diagnostic column over the feasible region.
 
     Colors step at fixed level-set thresholds (0.2 apart for gain ratios,
-    0.5 apart for the t-ratio cap) on a linear blue-to-red ramp. Output is a
-    deterministic standalone SVG document.
+    0.5 apart for the t-ratio cap) on a linear blue-to-red ramp. A whole grid
+    gives a deterministic standalone SVG document. A block gives its part:
+    the block at theta line 0 opens the document, the block ending at line
+    theta_steps - 2 closes it, and the parts of consecutive blocks join into
+    the whole grid's document.
     """
     if field not in GRID_COLUMNS:
         raise ValueError(f"unknown field {field!r}")
-    step, top = _BAND_STEPS.get(field, _DEFAULT_BAND)
-    width = (theta_steps - 1) * cell_px
-    height = (v_steps - 1) * cell_px
+    band = _BAND_STEPS.get(field, _DEFAULT_BAND)
     layout = _svg_layout(cells, theta_steps, v_steps, cell_px)
-    fills = [f'{color}"/>' for color in _palette(int(top / step))]
-    parts = [None] * (2 * len(layout) + 2)
-    parts[0] = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>'
-    )
+    parts = [""] * (2 * len(layout) + 2)
+    if cells.theta_rows.start == 0:
+        width = (theta_steps - 1) * cell_px
+        height = (v_steps - 1) * cell_px
+        parts[0] = (
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+            f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>'
+        )
     parts[1:-1:2] = layout
-    parts[2:-1:2] = map(fills.__getitem__, _band_indices(cells.columns[field], step, top).tolist())
-    parts[-1] = "\n</svg>\n"
+    parts[2:-1:2] = map(_FILLS[band].__getitem__, _band_indices(cells.columns[field], *band).tolist())
+    if cells.theta_rows.stop == theta_steps - 1:
+        parts[-1] = "\n</svg>\n"
     return "".join(parts)

@@ -282,13 +282,20 @@ def _by_sets(form, roles, hits, m) -> Certificates:
     return Certificates(form, roles, columns, lhs, rhs, deficit, ties)
 
 
-def _second_order_rows(cache: FitCache, m: int) -> Iterator[tuple]:
-    """Yield (A, i, j, gain_A(i), gain_{A+j}(i), deficit) for (lo, hi), then
-    (hi, lo), of each _pair_gains pair: both with the deficit of (A, lo, hi)."""
+def _pair_orientations(cache: FitCache, m: int) -> Iterator[tuple]:
+    """Yield (A, lo, hi, deficit, orientations) for each _pair_gains pair:
+    the orientations are (i, j, gain_A(i), gain_{A+j}(i)) for (lo, hi), then
+    (hi, lo), and both have the deficit of (A, lo, hi)."""
     for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(cache, m):
-        deficit = cond_lo - gain_lo
-        yield a, lo, hi, gain_lo, cond_lo, deficit
-        yield a, hi, lo, gain_hi, cond_hi, deficit
+        yield a, lo, hi, cond_lo - gain_lo, ((lo, hi, gain_lo, cond_lo), (hi, lo, gain_hi, cond_hi))
+
+
+def _second_order_rows(cache: FitCache, m: int) -> Iterator[tuple]:
+    """Yield (A, i, j, gain_A(i), gain_{A+j}(i), deficit) for each orientation
+    of each _pair_orientations pair."""
+    for a, _, _, deficit, orientations in _pair_orientations(cache, m):
+        for i, j, num, den in orientations:
+            yield a, i, j, num, den, deficit
 
 
 def _second_order_hits(cache: FitCache, m: int, tolerance: float) -> list[np.ndarray]:
@@ -455,7 +462,7 @@ class SecondOrderSummary:
 
 
 def _second_order_summary(cache: FitCache, m: int, tolerance: float) -> SecondOrderSummary:
-    """The summary from one walk over _second_order_rows, found once per
+    """The summary from one walk over _pair_orientations, found once per
     filled cache and tolerance; no row outside the two heads is kept."""
     key = ("summary", tolerance)
     if key in cache.derived:
@@ -464,19 +471,21 @@ def _second_order_summary(cache: FitCache, m: int, tolerance: float) -> SecondOr
     sizes = mask_sizes(np.arange((1 << m) >> 2), m)
     by_size, by_pair = np.zeros(max(m - 1, 0), dtype=np.intp), np.zeros((m, m), dtype=np.intp)
     per_pair, skipped, heads = [], 0, (_Head(), _Head())
-    for a, i, j, num, den, deficit in _second_order_rows(cache, m):
-        keep = ~(den < SKIP_DENOM_TOL)
-        skipped += a.size - int(keep.sum())
-        if keep.any():  # the first smallest ratio of the kept ones: +inf elsewhere
-            ratio = np.divide(np.maximum(num, 0.0), den, out=np.full(a.size, np.inf), where=keep)
-            at = int(ratio.argmin())
-            per_pair.append((float(ratio[at]), int(a[at]), i, j))
+    for a, lo, hi, deficit, orientations in _pair_orientations(cache, m):
+        # both orientations share the deficit, so they hit the same rows
         hit = deficit > tolerance
-        by_size += np.bincount(sizes[hit], minlength=by_size.size)
-        by_pair[i, j] = np.count_nonzero(hit)
-        heads[0].offer(hit, a, i, j, num, den, deficit)
-        lhs, rhs = np.sqrt(np.maximum(num, 0.0)), np.sqrt(np.maximum(den, 0.0))
-        heads[1].offer(hit, a, i, j, lhs, rhs, rhs - lhs)
+        by_size += 2 * np.bincount(sizes[hit], minlength=by_size.size)
+        by_pair[lo, hi] = by_pair[hi, lo] = np.count_nonzero(hit)
+        for i, j, num, den in orientations:
+            keep = ~(den < SKIP_DENOM_TOL)
+            skipped += a.size - int(keep.sum())
+            if keep.any():  # the first smallest ratio of the kept ones: +inf elsewhere
+                ratio = np.divide(np.maximum(num, 0.0), den, out=np.full(a.size, np.inf), where=keep)
+                at = int(ratio.argmin())
+                per_pair.append((float(ratio[at]), int(a[at]), i, j))
+            heads[0].offer(hit, a, i, j, num, den, deficit)
+            lhs, rhs = np.sqrt(np.maximum(num, 0.0)), np.sqrt(np.maximum(den, 0.0))
+            heads[1].offer(hit, a, i, j, lhs, rhs, rhs - lhs)
     value, a_mask, i, j = min(per_pair, default=(math.inf, None, 0, 0))
     gamma = GammaS2Result(value, None if a_mask is None else (indices_of(a_mask), i, j), skipped)
     second = _second_order_certificates(*heads[0].columns, m)[:TOP_CERTIFICATES]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -229,6 +230,30 @@ def test_grid_svg_outputs(tmp_path):
         "sum_bound.svg",
         "t_ratio_bound.svg",
     ]
+
+
+@pytest.mark.parametrize("bad", [["--theta-steps", "1"], ["--r2-full", "0"]])
+def test_grid_checks_arguments_before_writing(tmp_path, capsys, bad):
+    out, svg_dir = tmp_path / "g.csv", tmp_path / "svg"
+    assert main(["grid", *bad, "--out", str(out), "--svg", str(svg_dir)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists() and not svg_dir.exists()
+
+
+def test_grid_memory_does_not_grow_with_the_grid(tmp_path):
+    """The grid is evaluated and written a block of theta lines at a time, so
+    a 600 x 600 grid (9 times the cells) peaks within 2 MiB of a 200 x 200 one."""
+    peaks = []
+    for steps in ("200", "600"):
+        args = ["grid", "--theta-steps", steps, "--v-steps", steps]
+        args += ["--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path / "svg")]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 << 20, peaks
 
 
 def test_select_stepwise_first_line(miller_csv, tmp_path):

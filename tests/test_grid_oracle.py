@@ -4,13 +4,14 @@ Columns must be bit-equal, and the CSV text and every SVG document
 byte-identical.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import grid_oracle as oracle
-from r2audit import cli, gamma_pair, grid_evaluate, triangle_solve
+from r2audit import cli, gamma_pair, geometry2d, grid_evaluate, triangle_solve
 from r2audit.cli import SVG_FIELDS
 from r2audit.errors import InfeasibleAngles, InfeasibleCorrelations
 from r2audit.geometry2d import GRID_COLUMNS, Grid, _band_indices, _palette, grid_csv_lines, svg_heatmap
@@ -26,21 +27,53 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _blocks_of(lines: int, sizes) -> list[range]:
+    """Consecutive ranges covering range(lines), of the given sizes in turn."""
+    blocks, start = [], 0
+    for size in itertools.cycle(sizes):
+        if start >= lines:
+            return blocks
+        blocks.append(range(start, min(start + size, lines)))
+        start += size
+
+
 @pytest.mark.parametrize("steps,r2_full", CASES, ids=lambda c: str(c))
 def test_grid_matches_oracle(steps, r2_full):
+    """The whole grid, and its blocks joined in order, equal the oracle."""
     theta_steps, v_steps = steps
     grid = grid_evaluate(theta_steps, v_steps, r2_full)
     cells = oracle.grid_evaluate(theta_steps, v_steps, r2_full)
     assert isinstance(grid, Grid)
+    assert grid.theta_rows == range(theta_steps - 1)
     assert len(grid) == len(cells) > 0
     for col in GRID_COLUMNS:
         assert grid.columns[col].tobytes() == _bits([getattr(c, col) for c in cells]), col
     assert list(grid) == cells
-    assert grid_csv_lines(grid) == oracle.grid_csv_lines(cells)
+    lines = oracle.grid_csv_lines(cells)
+    assert grid_csv_lines(grid) == lines
+    docs = {field: oracle.svg_heatmap(cells, field, theta_steps, v_steps) for field in SVG_FIELDS}
     for field in SVG_FIELDS:
-        assert svg_heatmap(grid, field, theta_steps, v_steps) == oracle.svg_heatmap(
-            cells, field, theta_steps, v_steps
-        ), field
+        assert svg_heatmap(grid, field, theta_steps, v_steps) == docs[field], field
+    # The blocks' columns, CSV lines and SVG parts, joined in order: one line
+    # per block, uneven blocks, and one block.
+    for sizes in ((1,), (3, 1, 4, 1, 5, 9, 2, 6), (theta_steps - 1,)):
+        line_blocks = _blocks_of(theta_steps - 1, sizes)
+        blocks = [grid_evaluate(theta_steps, v_steps, r2_full, rows) for rows in line_blocks]
+        assert [block.theta_rows for block in blocks] == line_blocks
+        for col in GRID_COLUMNS:
+            joined = np.concatenate([block.columns[col] for block in blocks])
+            assert joined.tobytes() == grid.columns[col].tobytes(), (sizes, col)
+        assert sum((grid_csv_lines(block) for block in blocks), []) == lines, sizes
+        for field in SVG_FIELDS:
+            joined = "".join(svg_heatmap(block, field, theta_steps, v_steps) for block in blocks)
+            assert joined == docs[field], (sizes, field)
+
+
+def test_grid_rejects_rows_outside_the_grid():
+    for rows in (range(-1, 3), range(0, 12), range(0, 11, 2), range(5, 3)):
+        with pytest.raises(ValueError):
+            grid_evaluate(12, 12, 0.5, rows)
+    assert len(grid_evaluate(12, 12, 0.5, range(4, 4))) == 0
 
 
 def test_scalar_wrappers_match_oracle():
@@ -99,16 +132,29 @@ def test_band_indices_match_scalar_color(step, top):
     assert ours == [oracle._band_color(v, step, top) for v in values.tolist()]
 
 
-# (13, 17) has 104 feasible cells: blocks of 105 hold them all, 26 divides
-# them exactly, 103 leaves one cell past a whole block, 7 and 1 make many.
+# (53, 5) has 126 feasible cells on 52 theta lines of 4 points; its last 10
+# lines have none. With 105 cells a block the grid is one block; 26 make 4
+# uneven blocks; 103 leave a last block of 4 lines with no cell; 7 make 13
+# blocks, and 1 makes 44, some with no cell.
 @pytest.mark.parametrize("block", [105, 26, 103, 7, 1])
 def test_cli_grid_blocks_match_oracle(tmp_path, monkeypatch, capsys, block):
-    theta_steps, v_steps, r2_full = 13, 17, 0.5
+    theta_steps, v_steps = 53, 5
+    r2_full = 0.5
     cells = oracle.grid_evaluate(theta_steps, v_steps, r2_full)
-    assert len(cells) == 104
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    assert len(cells) == 126
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", block)
+    evaluated = []
+
+    def evaluate(*args):
+        grid = grid_evaluate(*args)
+        evaluated.append(grid.theta_rows)
+        return grid
+
+    monkeypatch.setattr(geometry2d, "grid_evaluate", evaluate)
     args = ["grid", "--theta-steps", str(theta_steps), "--v-steps", str(v_steps), "--r2-full", str(r2_full)]
     assert cli.main(args + ["--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path / "svg")]) == 0
+    assert len(evaluated) == {105: 1, 26: 4, 103: 2, 7: 13, 1: 44}[block]
+    assert evaluated == _blocks_of(theta_steps - 1, [len(rows) for rows in evaluated])
     expected = ("\n".join(oracle.grid_csv_lines(cells)) + "\n").encode()
     assert (tmp_path / "g.csv").read_bytes() == expected
     for field in SVG_FIELDS:
@@ -126,12 +172,16 @@ def test_csv_formats_each_bit_pattern():
     assert tiny != 0.1 and "%.12g" % tiny == "%.12g" % 0.1
     values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, tiny, -0.0, 0.0, tiny, math.nan]
     assert math.copysign(1.0, -math.nan) == -1.0
-    grid = Grid({col: np.array(values[k:] + values[:k]) for k, col in enumerate(GRID_COLUMNS)})
+    # three theta lines of 5, 5 and 2 cells
+    grid = Grid({col: np.array(values[k:] + values[:k]) for k, col in enumerate(GRID_COLUMNS)}, range(3))
     expected = oracle.grid_csv_lines(list(grid))
     assert grid_csv_lines(grid) == expected
     assert "-0" in expected[1].split(",") and "0" in expected[2].split(",")
-    blocks = [grid_csv_lines(grid, start, start + 5) for start in range(0, len(grid), 5)]
-    assert sum(blocks, []) == expected
+    blocks = [
+        Grid({col: values[5 * line : 5 * line + 5] for col, values in grid.columns.items()}, range(line, line + 1))
+        for line in range(3)
+    ]
+    assert sum(map(grid_csv_lines, blocks), []) == expected
 
 
 def test_svg_layout_per_cell_size():
