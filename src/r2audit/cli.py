@@ -30,14 +30,13 @@ from .jsonsafe import float_texts, json_line, report_text, string_text
 from .regress import FitCache, StandardizedDesign, gram_factory, load_csv, standardize
 from .selection import best_subset, forward_stepwise, isis, nwf_verdict, sis_screen, table_best_subset
 from .setfun import (
+    TOP_CERTIFICATES,
     VIOLATION_TOL,
     Certificates,
     _second_order_summary,
     _table,
-    check_submodular,
     empirical_gamma_s,
     empirical_gamma_s2,
-    find_suppressors,
 )
 from .spectral import ConeSpec, restricted_eigenvalue, sparse_min_eigenvalue
 
@@ -91,9 +90,9 @@ def build_audit_report(
     The report holds only JSON values; ``jsonsafe.report_text`` writes it.
     Each violation list is summarized by ``_violation_summary`` from
     setfun's one walk over the pairs, which keeps no whole list. Given a
-    ``certificates`` path, both whole lists are built and written there by
-    ``write_certificates``; each top list, ordered by the same tie keys, is
-    the first lines of its part of that stream, parsed back.
+    ``certificates`` path, the same walk keeps both whole lists, and
+    ``write_certificates`` writes them there; each top list is the first
+    lines of its part of that stream, parsed back.
     """
     names = design.names
     cache = FitCache()
@@ -153,6 +152,12 @@ def build_audit_report(
     report["partial"] = False
     report["skipped_diagnostics"] = []
 
+    # One walk over the feature pairs gives gamma_s2 and both violation
+    # summaries. For the certificate stream it also keeps both whole lists,
+    # and runs first, so that gamma_s2 reads it from the cache.
+    top = TOP_CERTIFICATES if certificates is None else None
+    if top is None:
+        _second_order_summary(cache, design.m, VIOLATION_TOL, top)
     est2 = empirical_gamma_s2(design, cache=cache, max_features=max_enum)
     est1 = empirical_gamma_s(design, cache=cache, max_features=max_enum)
     gamma_block: dict = {
@@ -201,15 +206,15 @@ def build_audit_report(
 
     # The suppression rows are the second-order rows, so both lists share
     # one set of counts.
-    summary = _second_order_summary(cache, design.m, VIOLATION_TOL)
+    summary = _second_order_summary(cache, design.m, VIOLATION_TOL, top)
     report["violations"] = {
-        form: _violation_summary(summary.count, getattr(summary, form), summary.by_size, summary.by_pair, names)
+        form: _violation_summary(
+            summary.count, getattr(summary, form)[:TOP_CERTIFICATES], summary.by_size, summary.by_pair, names
+        )
         for form in ("second_order", "suppression")
     }
     if certificates is not None:
-        second = check_submodular(design, "second_order", cache=cache, max_features=max_enum)
-        suppressors = find_suppressors(design, cache=cache, max_features=max_enum)
-        write_certificates(certificates, (second, suppressors), names)
+        write_certificates(certificates, (summary.second_order, summary.suppression), names)
 
     best = table_best_subset(table, k)
     nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=summary.count == 0)

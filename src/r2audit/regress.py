@@ -100,14 +100,11 @@ TABLE_PIVOT_RTOL = 3 * np.finfo(float).eps * DEFAULT_MAX_FEATURES / 1e-10
 GAIN_TABLE_BYTES = 256 << 20
 
 # sweep_walk expands FIT_CHUNK // SWEEP_CHUNK_DIVISOR nodes per block. Such a
-# node holds a full (m+1)^2 swept matrix, or its diagonal, response column
-# and member rows and the scores of up to m children. On an n = 2000,
-# m = 24, k = 4 best subset, blocks of FIT_CHUNK raised the process's peak
-# RSS from 36.2 to 37.8 MiB; blocks of 32 left it at 36.3 MiB, no higher
-# than blocks of 4, and the search took 11 ms against 8 ms. Full matrices
-# also at the nodes whose children end the walk raised that process's peak
-# RSS by 0.3 MiB, three times the spread between its runs. fit_table's walk,
-# whose output holds every subset anyway, expands FIT_CHUNK nodes per block:
+# node holds a full (m+1)^2 swept matrix and the scores of up to m children.
+# On an n = 2000, m = 24, k = 4 best subset, blocks of FIT_CHUNK raised the
+# process's peak RSS from 35.7 MiB (blocks of 32) to 38.5-38.7 MiB; blocks
+# of 4 peaked no lower and took 11 ms against 8 ms. fit_table's walk, whose
+# output holds every subset anyway, expands FIT_CHUNK nodes per block:
 # at m = 18 that filled the table in 1.07 s instead of 1.84 s, and raised the
 # peak RSS from 87 to 100 MiB.
 SWEEP_CHUNK_DIVISOR = 8
@@ -338,12 +335,10 @@ def sweep_walk(design: StandardizedDesign, depth: int) -> Iterator[tuple[np.ndar
     feature above its parent's largest, over the Gram matrix G = R^T R of the
     design's triangle, so its cost does not depend on n. Each node A carries
     SWEEP(G, A) (Goodnight 1979): the Schur complement C_A outside A and
-    -G_A^{-1} inside. A child A + i scores r2[A] + C_A[i, y]^2 / C_A[i, i].
-    Only nodes with grandchildren get a full (m+1)^2 matrix; a node whose
-    children end the walk keeps its diagonal, its response column and its
-    own rows. Nodes are expanded depth first, in blocks of at most
-    FIT_CHUNK // SWEEP_CHUNK_DIVISOR, so memory does not grow with the number
-    of subsets.
+    -G_A^{-1} inside, as a full (m+1)^2 matrix. A child A + i scores
+    r2[A] + C_A[i, y]^2 / C_A[i, i]. Nodes are expanded depth first, in
+    blocks of at most FIT_CHUNK // SWEEP_CHUNK_DIVISOR, so memory does not
+    grow with the number of subsets.
 
     A subset S is trusted when each member's pivot against the rest of S,
     1 / [G_S^{-1}]_aa, is at least SWEEP_PIVOT_RTOL * G[a, a], and its parent
@@ -397,9 +392,7 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
     """sweep_walk's blocks, each with a fourth entry: None, or with ``gains``
     a (k, m) array whose row holds C_S[j, y]^2 / C_S[j, j] of the block's
     subset S for every feature j, NaN where S is untrusted or C_S[j, j] is
-    below j's floor (every member of S among them). With ``gains`` every
-    node with children keeps its full matrix, since the children's rows need
-    its columns."""
+    below j's floor (every member of S among them)."""
     m = design.m
     if not 0 <= depth <= m:
         raise ValueError(f"depth must lie in 0..{m}")
@@ -410,17 +403,14 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
     features = np.arange(m)
     block_size = FIT_CHUNK if gains else FIT_CHUNK // SWEEP_CHUNK_DIVISOR
 
-    def below(members, r2, C=None, diag=None, cross=None, rows=None):
+    def below(members, r2, C):
         # The subtrees of a block of trusted nodes of one size. ``members``
-        # holds each node's features as a row. C holds the nodes' swept
-        # matrices, or is None when their children end the walk and only
-        # the diagonals, response columns and member rows were kept.
+        # holds each node's features as a row, C their swept matrices.
         count, size = members.shape
         node = np.arange(count)[:, None]
-        if C is not None:
-            diag = np.diagonal(C, axis1=1, axis2=2)[:, :m]
-            cross = C[:, :m, m]
-            rows = C[node, members, :m]
+        diag = np.diagonal(C, axis1=1, axis2=2)[:, :m]
+        cross = C[:, :m, m]
+        rows = C[node, members, :m]
         last = members[:, -1] if size else np.full(count, -1)
         p, i = np.nonzero(features > last[:, None])
         pivot = diag[p, i]
@@ -441,14 +431,12 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
             usable = trusted[:, None] & (child_diag >= floor)
             child_gains = np.where(usable, np.square(child_cross) / np.where(usable, child_diag, 1.0), np.nan)
         yield idx, r2, trusted, child_gains
-        if C is None or size + 1 == depth:
+        if size + 1 == depth:
             return
         parents = i < m - 1
         for c in np.flatnonzero(parents & ~trusted):
             yield from untrusted_below(idx[c])
-        grow = np.flatnonzero(parents & trusted)
-        full = np.full(grow.size, True) if gains else (i[grow] < m - 2) & (size + 3 <= depth)
-        for block in _blocks(grow[full], block_size):
+        for block in _blocks(np.flatnonzero(parents & trusted), block_size):
             pp, k, d = p[block], i[block], pivot[block]
             col = C[pp, :, k]
             scale = col / d[:, None]
@@ -459,18 +447,6 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
             swept[b, :, k] = scale
             swept[b, k, k] = -1.0 / d
             yield from below(idx[block], r2[block], swept)
-        for block in _blocks(grow[~full], block_size):
-            pp, k, d = p[block], i[block], pivot[block]
-            col = C[pp, :, k]
-            scale = col / d[:, None]
-            col, tail = col[:, :m], scale[:, :m]
-            b = np.arange(block.size)
-            child_diag = diag[pp] - col * tail
-            child_diag[b, k] = -1.0 / d
-            child_cross = cross[pp] - col * scale[:, m, None]
-            kept = rows[pp] - col[b[:, None], members[pp]][:, :, None] * tail[:, None, :]
-            child_rows = np.concatenate([kept, tail[:, None, :]], axis=1)
-            yield from below(idx[block], r2[block], None, child_diag, child_cross, child_rows)
 
     def untrusted_below(node):
         # Every descendant of one untrusted node, unswept.
@@ -617,6 +593,7 @@ def coef_decomposition(design: StandardizedDesign, i: int, j: int) -> Coefficien
     """
     if i == j:
         raise ValueError("need two distinct features")
+    _as_indices((i, j), design.m)  # a ValueError outside range(m)
     xi = design.features[:, i]
     xj = design.features[:, j]
     y = design.response

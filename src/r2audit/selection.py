@@ -23,6 +23,7 @@ from .regress import (
     ZERO_RSS_TOL,
     FitCache,
     StandardizedDesign,
+    _as_indices,
     _check_cap,
     fit_block,
     ls_fit,
@@ -403,7 +404,7 @@ def sis_assumption_check(
     """Check whether every true feature is marginally visible enough to screen."""
     if not 0.0 <= kappa < 0.5:
         raise ValueError("kappa must lie in [0, 1/2)")
-    support = tuple(sorted(set(int(i) for i in true_support)))
+    support = _as_indices(true_support, design.m)
     if not support:
         raise ValueError("true support is empty")
     beta = np.asarray(true_beta, dtype=float)

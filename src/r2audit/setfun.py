@@ -15,8 +15,13 @@ nowhere.
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per unordered pair lo < hi, the masks A holding
 neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi):
-O(m^2 2^m) time, O(2^m) memory per pair. One walk over it gives gamma_s2 and
-the summaries of both violation lists, holding only the rows of their heads.
+O(m^2 2^m) time, O(2^m) memory per pair. One walk over it gives gamma_s2, the
+counts of both violation lists, and either their heads (the rows that can be
+among the first TOP_CERTIFICATES, in one row store per list) or, for
+check_submodular, find_suppressors and the certificate stream, both whole
+lists: the second-order rows in one row store, and the suppression rows
+computed from them. The definition and first-order checks keep their rows in
+the same store.
 gamma_s divides each gain_A(i) by the largest usable gain_B(i) over strict
 supersets B, found by a zeta transform in O(m^2 2^m) rather than a walk over
 all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
@@ -244,31 +249,46 @@ def _role_dtype(role: str, m: int) -> np.dtype:
     return np.dtype(np.int8) if role in ("i", "j") else np.min_scalar_type((1 << m) - 1)
 
 
-def _hits(chunks, tolerance, roles, m) -> list[np.ndarray]:
-    """One column per role, then lhs, rhs and deficit, of every comparison
-    whose deficit exceeds tolerance.
+class _Rows:
+    """The rows of one certificate list, offered a chunk at a time.
 
-    ``chunks`` yields one array or scalar per role, then lhs, rhs and deficit
-    arrays: masks for the set roles A, B and S, feature indices for i and j.
-    Role columns are stored in their ``_role_dtype``.
+    An offer gives a mask of the chunk's rows to keep, then one array or
+    scalar per role (masks for the set roles A, B and S, feature indices for
+    i and j), then lhs, rhs and deficit arrays. Role columns are stored in
+    their ``_role_dtype``. With ``top`` only the rows that can be among the
+    list's first ``top`` are kept: every row not below the top-th largest
+    deficit kept so far, ties at that cut too.
     """
-    dtypes = [_role_dtype(role, m) for role in roles] + [np.dtype(float)] * 3
-    kept = []
-    for chunk in chunks:
-        hit = chunk[-1] > tolerance
-        count = np.count_nonzero(hit)
-        kept.append(
-            [np.full(count, v, t) if np.ndim(v) == 0 else np.asarray(v, t)[hit] for v, t in zip(chunk, dtypes)]
-        )
-    parts = [list(column) for column in zip(*kept)] if kept else [[] for _ in dtypes]
-    del kept
-    # Each column's parts are dropped once joined, so the joined columns and
-    # the parts are not all held at once.
-    columns = []
-    for column, dtype in zip(parts, dtypes):
-        columns.append(np.concatenate(column) if column else np.zeros(0, dtype))
-        column.clear()
-    return columns
+
+    def __init__(self, roles, m, top=None):
+        self.dtypes = [_role_dtype(role, m) for role in roles] + [np.dtype(float)] * 3
+        self.parts = [[] for _ in self.dtypes]
+        self.top, self.cut = top, -math.inf
+
+    def offer(self, hit, *columns) -> None:
+        at = np.flatnonzero(hit & ~(columns[-1] < self.cut))
+        if at.size == 0:
+            return
+        for part, values, dtype in zip(self.parts, columns, self.dtypes):
+            scalar = np.ndim(values) == 0
+            part.append(np.full(at.size, values, dtype) if scalar else values[at].astype(dtype, copy=False))
+        if self.top is not None:
+            columns = self.columns()
+            if columns[-1].size > self.top:
+                self.cut = -np.partition(-columns[-1], self.top - 1)[self.top - 1]
+                keep = ~(columns[-1] < self.cut)
+                columns = [values[keep] for values in columns]
+            self.parts = [[values] for values in columns]
+
+    def columns(self) -> list[np.ndarray]:
+        """Every kept row, one array per column. Each column's parts are
+        dropped once joined, so the joined columns and the parts are not all
+        held at once."""
+        columns = []
+        for part, dtype in zip(self.parts, self.dtypes):
+            columns.append(np.concatenate(part) if part else np.zeros(0, dtype))
+            part.clear()
+        return columns
 
 
 def _by_sets(form, roles, hits, m) -> Certificates:
@@ -280,30 +300,6 @@ def _by_sets(form, roles, hits, m) -> Certificates:
         return [values if role in ("i", "j") else _lex_rank(values, m) for role, values in zip(roles, columns)]
 
     return Certificates(form, roles, columns, lhs, rhs, deficit, ties)
-
-
-def _pair_orientations(cache: FitCache, m: int) -> Iterator[tuple]:
-    """Yield (A, lo, hi, deficit, orientations) for each _pair_gains pair:
-    the orientations are (i, j, gain_A(i), gain_{A+j}(i)) for (lo, hi), then
-    (hi, lo), and both have the deficit of (A, lo, hi)."""
-    for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(cache, m):
-        yield a, lo, hi, cond_lo - gain_lo, ((lo, hi, gain_lo, cond_lo), (hi, lo, gain_hi, cond_hi))
-
-
-def _second_order_rows(cache: FitCache, m: int) -> Iterator[tuple]:
-    """Yield (A, i, j, gain_A(i), gain_{A+j}(i), deficit) for each orientation
-    of each _pair_orientations pair."""
-    for a, _, _, deficit, orientations in _pair_orientations(cache, m):
-        for i, j, num, den in orientations:
-            yield a, i, j, num, den, deficit
-
-
-def _second_order_hits(cache: FitCache, m: int, tolerance: float) -> list[np.ndarray]:
-    """Every _second_order_rows row whose deficit exceeds tolerance, once per cache and tolerance."""
-    key = ("second_order", tolerance)
-    if key not in cache.derived:
-        cache.derived[key] = _hits(_second_order_rows(cache, m), tolerance, ("A", "i", "j"), m)
-    return cache.derived[key]
 
 
 def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -357,15 +353,16 @@ def check_submodular(
     m = design.m
     cache = cache if cache is not None else FitCache()
     table = _table(design, cache, max_features)
+    if mode == "second_order":
+        return _second_order_summary(cache, m, tolerance, top=None).second_order
     if mode == "definition":
-        roles = ("A", "B")
-        hits = _hits(_definition_pairs(table, m), tolerance, roles, m)
-        return _by_sets("definition", roles, hits, m)
-    if mode == "first_order":
-        roles = ("A", "B", "i")
-        hits = _hits(_first_order_pairs(cache, m), tolerance, roles, m)
-        return _by_sets("first_order", roles, hits, m)
-    return _second_order_certificates(*_second_order_hits(cache, m, tolerance), m)
+        roles, chunks = ("A", "B"), _definition_pairs(table, m)
+    else:
+        roles, chunks = ("A", "B", "i"), _first_order_pairs(cache, m)
+    rows = _Rows(roles, m)
+    for chunk in chunks:
+        rows.offer(chunk[-1] > tolerance, *chunk)
+    return _by_sets(mode, roles, rows.columns(), m)
 
 
 def _second_order_certificates(a, i, j, gain, cond, deficit, m) -> Certificates:
@@ -394,9 +391,7 @@ def find_suppressors(
     """
     cache = cache if cache is not None else FitCache()
     _table(design, cache, max_features)
-    a, i, j, gain, cond, _ = _second_order_hits(cache, design.m, tolerance)
-    lhs, rhs = np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0))
-    return _by_sets("suppression", ("S", "i", "j"), [a, i, j, lhs, rhs, rhs - lhs], design.m)
+    return _second_order_summary(cache, design.m, tolerance, top=None).suppression
 
 
 @dataclass(frozen=True)
@@ -429,29 +424,18 @@ class GammaSResult:
 TOP_CERTIFICATES = 10
 
 
-class _Head:
-    """The rows (A, i, j, lhs, rhs, deficit), offered as columns (i and j scalar) and a mask,
-    that can be among their list's first TOP_CERTIFICATES: every row not below
-    the TOP_CERTIFICATES-th largest deficit offered so far, ties at the cut too."""
-
-    def __init__(self):
-        self.cut = -math.inf
-        self.columns = [np.zeros(0, np.intp)] * 3 + [np.zeros(0)] * 3
-
-    def offer(self, rows, *columns) -> None:
-        keep = rows & ~(columns[-1] < self.cut)
-        if keep.any():
-            columns = [np.concatenate((h, v[keep])) for h, v in zip(self.columns, np.broadcast_arrays(*columns))]
-            if columns[-1].size > TOP_CERTIFICATES:
-                self.cut = -np.partition(-columns[-1], TOP_CERTIFICATES - 1)[TOP_CERTIFICATES - 1]
-            keep = ~(columns[-1] < self.cut)
-            self.columns = [values[keep] for values in columns]
+def _roots(gain: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lhs, rhs and deficit of the suppression rows with these gains: the
+    square roots of the two gains, clipped at 0, and their difference."""
+    lhs, rhs = np.sqrt(np.maximum(gain, 0.0)), np.sqrt(np.maximum(cond, 0.0))
+    return lhs, rhs, rhs - lhs
 
 
 @dataclass(frozen=True)
 class SecondOrderSummary:
     """gamma_s2; at one tolerance, the second-order rows' (= suppression rows') count, by_size[|A|] and
-    by_pair[i, j], and the first TOP_CERTIFICATES certificates of check_submodular and find_suppressors."""
+    by_pair[i, j]; and the lists of check_submodular and find_suppressors, whole or cut to their first
+    certificates (see _second_order_summary)."""
 
     gamma: GammaS2Result
     count: int
@@ -461,37 +445,50 @@ class SecondOrderSummary:
     suppression: Certificates
 
 
-def _second_order_summary(cache: FitCache, m: int, tolerance: float) -> SecondOrderSummary:
-    """The summary from one walk over _pair_orientations, found once per
-    filled cache and tolerance; no row outside the two heads is kept."""
-    key = ("summary", tolerance)
-    if key in cache.derived:
-        return cache.derived[key]
+def _second_order_summary(
+    cache: FitCache, m: int, tolerance: float, top: int | None = TOP_CERTIFICATES
+) -> SecondOrderSummary:
+    """The summary from one walk over _pair_gains, with the first ``top``
+    certificates of each list, or the whole lists when ``top`` is None; found
+    once per filled cache, tolerance and ``top``. A summary with the whole
+    lists also answers every later call at its tolerance."""
+    for held in (None, top):
+        if ("summary", tolerance, held) in cache.derived:
+            return cache.derived["summary", tolerance, held]
     # the k-th mask holding neither i nor j is k with two zero bits inserted
     sizes = mask_sizes(np.arange((1 << m) >> 2), m)
     by_size, by_pair = np.zeros(max(m - 1, 0), dtype=np.intp), np.zeros((m, m), dtype=np.intp)
-    per_pair, skipped, heads = [], 0, (_Head(), _Head())
-    for a, lo, hi, deficit, orientations in _pair_orientations(cache, m):
-        # both orientations share the deficit, so they hit the same rows
+    per_pair, skipped = [], 0
+    second = _Rows(("A", "i", "j"), m, top)
+    # The whole suppression list is the second-order rows through square
+    # roots; only its head, ranked by their difference, needs its own rows.
+    suppression = _Rows(("S", "i", "j"), m, top) if top is not None else None
+    for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(cache, m):
+        # both orientations take the deficit of (A, lo, hi), so they hit the same rows
+        deficit = cond_lo - gain_lo
         hit = deficit > tolerance
         by_size += 2 * np.bincount(sizes[hit], minlength=by_size.size)
         by_pair[lo, hi] = by_pair[hi, lo] = np.count_nonzero(hit)
-        for i, j, num, den in orientations:
+        for i, j, num, den in ((lo, hi, gain_lo, cond_lo), (hi, lo, gain_hi, cond_hi)):
             keep = ~(den < SKIP_DENOM_TOL)
             skipped += a.size - int(keep.sum())
             if keep.any():  # the first smallest ratio of the kept ones: +inf elsewhere
                 ratio = np.divide(np.maximum(num, 0.0), den, out=np.full(a.size, np.inf), where=keep)
                 at = int(ratio.argmin())
                 per_pair.append((float(ratio[at]), int(a[at]), i, j))
-            heads[0].offer(hit, a, i, j, num, den, deficit)
-            lhs, rhs = np.sqrt(np.maximum(num, 0.0)), np.sqrt(np.maximum(den, 0.0))
-            heads[1].offer(hit, a, i, j, lhs, rhs, rhs - lhs)
+            second.offer(hit, a, i, j, num, den, deficit)
+            if suppression is not None:
+                suppression.offer(hit, a, i, j, *_roots(num, den))
     value, a_mask, i, j = min(per_pair, default=(math.inf, None, 0, 0))
     gamma = GammaS2Result(value, None if a_mask is None else (indices_of(a_mask), i, j), skipped)
-    second = _second_order_certificates(*heads[0].columns, m)[:TOP_CERTIFICATES]
-    suppression = _by_sets("suppression", ("S", "i", "j"), heads[1].columns, m)[:TOP_CERTIFICATES]
+    a, i, j, gain, cond, deficit = second.columns()
+    second = _second_order_certificates(a, i, j, gain, cond, deficit, m)
+    rows = [a, i, j, *_roots(gain, cond)] if suppression is None else suppression.columns()
+    suppression = _by_sets("suppression", ("S", "i", "j"), rows, m)
+    if top is not None:
+        second, suppression = second[:top], suppression[:top]
     summary = SecondOrderSummary(gamma, int(by_size.sum()), by_size, by_pair, second, suppression)
-    return cache.derived.setdefault(key, summary)
+    return cache.derived.setdefault(("summary", tolerance, top), summary)
 
 
 def empirical_gamma_s2(

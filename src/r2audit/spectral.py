@@ -13,7 +13,7 @@ import numpy as np
 from . import regress
 from .bitsets import combination_blocks
 from .gamma import RatioQuery, submodularity_ratio
-from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _check_cap
+from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,7 @@ def restricted_eigenvalue(
     if restarts < 1:
         raise ValueError("need at least one restart")
     m = S.shape[0]
-    idx_s = list(cone.subset)
-    if idx_s[-1] >= m:
-        raise ValueError("cone subset out of range")
+    idx_s = list(_as_indices(cone.subset, m))
     idx_c = [i for i in range(m) if i not in cone.subset]
 
     S_ss = S[np.ix_(idx_s, idx_s)]

@@ -5,12 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r2audit import (
+    ConeSpec,
     coef_decomposition,
     gram_factory,
     ls_fit,
     partial_correlation,
     r_squared,
     residualize,
+    restricted_eigenvalue,
+    sis_assumption_check,
     standardize,
     suppressor_population,
 )
@@ -311,6 +314,20 @@ def test_coef_decomposition_collinear():
     d = standardize(X, y)
     with pytest.raises(Collinear):
         coef_decomposition(d, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 4])
+@pytest.mark.parametrize("call", ["restricted_eigenvalue", "coef_decomposition", "sis_assumption_check"])
+def test_feature_indices_outside_the_design_are_refused(call, bad):
+    # a negative index must not wrap around to the last features
+    d = make_noisy_design(5, n=20, m=4)
+    run = {
+        "restricted_eigenvalue": lambda: restricted_eigenvalue(d.correlation_matrix(), ConeSpec((bad,), 2.0)),
+        "coef_decomposition": lambda: coef_decomposition(d, bad, 0),
+        "sis_assumption_check": lambda: sis_assumption_check(d, (bad,), np.ones(4), 0.25, 0.01, 0.01),
+    }[call]
+    with pytest.raises(ValueError, match="out of range"):
+        run()
 
 
 # ---------------------------------------------------------------------------

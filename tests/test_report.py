@@ -236,11 +236,48 @@ def _synthetic(deficits, m=5, seed=0):
         [0.25, math.nan, 0.5, 0.25, math.nan, -0.0, 0.0, 0.5, 1e-300, math.nan],  # NaN sorts last
         [],
         [0.75],
+        [math.nan, 0.5, 0.25] * 6,  # NaN rows past the head, ties at 0.25 straddling its cut
     ],
 )
 def test_heads_match_full_sort_on_synthetic_lists(deficits):
     make, expected = _synthetic(deficits)
     _assert_heads_match(make, expected)
+    # The row store with top keeps the head's rows from offers of 3, 1, 4,
+    # 1, 5, 9, 2 and 6 rows in turn, its cut moving between them.
+    certs = make()
+    rows = setfun._Rows(certs.roles, 5, TOP_CERTIFICATES)
+    columns = [*certs.columns, certs.lhs, certs.rhs, certs.deficit]
+    bounds = np.cumsum([0] + [3, 1, 4, 1, 5, 9, 2, 6] * 10)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo < len(certs):
+            rows.offer(np.ones(min(hi, len(certs)) - lo, bool), *[values[lo:hi] for values in columns])
+    head = setfun._by_sets(certs.form, certs.roles, rows.columns(), 5)[:TOP_CERTIFICATES]
+    assert list(map(repr, head)) == list(map(repr, expected[:TOP_CERTIFICATES]))
+
+
+@pytest.mark.parametrize("stream", [True, False])
+def test_audit_walks_the_feature_pairs_once(stream, tmp_path, monkeypatch):
+    # gamma_s2, both violation summaries and the certificate stream come
+    # from one walk over the feature pairs
+    walks = []
+    pair_gains = setfun._pair_gains
+
+    def counted(cache, m):
+        walks.append(m)
+        return pair_gains(cache, m)
+
+    monkeypatch.setattr(setfun, "_pair_gains", counted)
+    path = tmp_path / "in.csv"
+    assert main(["gen", "gaussian", "--n", "40", "--m", "7", "--out", str(path)]) == 0
+    args = ["audit", str(path), "--response", "Y", "--k", "3", "--out", str(tmp_path / "r.json")]
+    if stream:
+        args += ["--certificates", str(tmp_path / "certs.jsonl")]
+    assert main(args) == 0
+    assert walks == [7]
+    if stream:
+        count = json.loads((tmp_path / "r.json").read_text())["violations"]["second_order"]["count"]
+        lines = (tmp_path / "certs.jsonl").read_text().splitlines()
+        assert count > 0 and len(lines) == 2 * count
 
 
 # ---------------------------------------------------------------------------
