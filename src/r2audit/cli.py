@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
+import warnings
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -263,10 +267,12 @@ def _violation_summary(count: int, head: Certificates, by_size, by_pair, names) 
     }
 
 
-def _certificate_texts(certs: Certificates, names) -> list[str]:
+def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None = None) -> list[str]:
     """The json_line text of each certificate's {"deficit", "form", "lhs",
     "rhs", "sets"} object, of a list stored in its order (a head or a slice):
-    one format for the list, each mask's name list rendered once."""
+    one format for the list. ``sets`` maps a mask to its name list's text; a
+    mask it lacks is rendered once and added, so the lists and chunks that
+    share it render each mask once."""
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
         f'{{"deficit": %s, "form": {string_text(certs.form)}, "lhs": %s, "rhs": %s, "sets": {{'
@@ -274,13 +280,16 @@ def _certificate_texts(certs: Certificates, names) -> list[str]:
         + "}}"
     )
     encoded = [string_text(name) for name in names]
+    sets = {} if sets is None else sets
     role_texts = []
     for role, values in roles:
         values = values.tolist()
         if role in ("i", "j"):
             lookup = encoded
         else:
-            lookup = {mask: f"[{', '.join(encoded[f] for f in indices_of(mask))}]" for mask in set(values)}
+            lookup = sets
+            for mask in set(values).difference(sets):
+                sets[mask] = f"[{', '.join(encoded[f] for f in indices_of(mask))}]"
         role_texts.append(map(lookup.__getitem__, values))
     rows = zip(float_texts(certs.deficit), float_texts(certs.lhs), float_texts(certs.rhs), *role_texts)
     return [template % row for row in rows]
@@ -288,10 +297,11 @@ def _certificate_texts(certs: Certificates, names) -> list[str]:
 
 def write_certificates(path: str | Path, lists, names) -> None:
     """Write every certificate of the lists, in order, one json_line each."""
+    sets: dict[int, str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for certs in lists:
             for lo in range(0, len(certs), STREAM_CHUNK):
-                texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names)
+                texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names, sets)
                 fh.write("".join(text + "\n" for text in texts))
 
 
@@ -312,34 +322,112 @@ def _cmd_audit(args) -> int:
 
 # About this many feasible cells are evaluated and rendered at a time, in
 # blocks of whole theta lines: the largest block, not the grid, sets the
-# command's memory.
+# memory of each process that renders.
 GRID_BLOCK_CELLS = 4096
 SVG_FIELDS = ("gamma1", "gamma2", "gamma_s2", "sum_bound", "gamma_sr", "t_ratio_bound")
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork workers."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+
+
+def _grid_spans(blocks: list[range], weights: list[float], workers: int) -> list[list[range]]:
+    """The blocks in at most ``workers`` contiguous nonempty spans of about
+    equal weight: each block joins the span its weight's midpoint is in."""
+    total, before = sum(weights), 0.0
+    spans: list[list[range]] = [[] for _ in range(workers)]
+    for rows, weight in zip(blocks, weights):
+        spans[min(workers - 1, int(workers * (before + weight / 2) / total))].append(rows)
+        before += weight
+    return [span for span in spans if span]
+
+
+def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
+    """Evaluate the span a block at a time and write its CSV lines to
+    outputs[0] and its heatmap parts to the rest."""
+    from . import geometry2d
+
+    for rows in span:
+        block = geometry2d.grid_evaluate(args.theta_steps, args.v_steps, args.r2_full, rows)
+        lines = geometry2d.grid_csv_lines(block)
+        if lines:
+            outputs[0].writelines(("\n".join(lines), "\n"))
+        for field, doc in zip(SVG_FIELDS, outputs[1:]):
+            doc.write(geometry2d.svg_heatmap(block, field, args.theta_steps, args.v_steps))
+
+
+def _grid_part(directory: Path | None) -> TextIO:
+    """An unlinked temporary text file in ``directory``, or in the default
+    temporary directory where that takes no new file (as /dev, for a user
+    who writes the grid to /dev/null or /dev/stdout)."""
+    try:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
+    except OSError:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
+def _fork_grid_worker(args, span: list[range], parts: list[TextIO]) -> int:
+    """Fork a process that renders the span into the parts and leaves only
+    through os._exit; return its pid."""
+    # Python 3.12 warns on forking a process with threads, here numpy's idle
+    # BLAS pool. The worker runs only elementwise ufuncs and text formatting,
+    # never BLAS, so no lock those threads hold is ever taken.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*use of fork\\(\\) may lead to deadlocks", DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        _render_grid(args, span, parts)
+        for part in parts:
+            part.flush()
+        code = 0
+    except BaseException as exc:
+        os.write(2, f"error: {exc}\n".encode())
+    finally:
+        os._exit(code)
 
 
 def _cmd_grid(args) -> int:
     from . import geometry2d  # only grid needs it
 
-    theta_steps, v_steps = args.theta_steps, args.v_steps
-    geometry2d.check_grid(theta_steps, v_steps, args.r2_full)
-    # evaluated, rendered and written a block of theta lines at a time, so no
-    # whole-grid column, layout or text ever exists
-    with _output(args.out) as fh, ExitStack() as svgs:
-        docs = []
+    geometry2d.check_grid(args.theta_steps, args.v_steps, args.r2_full)
+    blocks = list(geometry2d.theta_line_blocks(args.theta_steps, args.v_steps, GRID_BLOCK_CELLS))
+    weights = [geometry2d.estimated_cells(args.theta_steps, args.v_steps, rows) for rows in blocks]
+    spans = _grid_spans(blocks, weights, min(_usable_cores(), len(blocks)))
+    # One worker per span after the first renders it into unlinked temporary
+    # parts beside the outputs; this process renders span 0 straight into the
+    # outputs, then appends each worker's parts in span order. The workers
+    # are forked before any byte is written, so none can flush one.
+    with _output(args.out) as fh, ExitStack() as stack:
+        outputs, part_dirs = [fh], [None if args.out is None else Path(args.out).parent]
         if args.svg is not None:
             svg_dir = Path(args.svg)
             svg_dir.mkdir(parents=True, exist_ok=True)
-            docs = [
-                svgs.enter_context(open(svg_dir / f"{field}.svg", "w", encoding="utf-8", newline="\n"))
-                for field in SVG_FIELDS
-            ]
-        for rows in geometry2d.theta_line_blocks(theta_steps, v_steps, GRID_BLOCK_CELLS):
-            block = geometry2d.grid_evaluate(theta_steps, v_steps, args.r2_full, rows)
-            lines = geometry2d.grid_csv_lines(block)
-            if lines:
-                fh.writelines(("\n".join(lines), "\n"))
-            for field, doc in zip(SVG_FIELDS, docs):
-                doc.write(geometry2d.svg_heatmap(block, field, theta_steps, v_steps))
+            for field in SVG_FIELDS:
+                outputs.append(stack.enter_context(open(svg_dir / f"{field}.svg", "w", encoding="utf-8", newline="\n")))
+                part_dirs.append(svg_dir)
+        # (pid, span, parts) of each worker not yet reaped, reaped on every path
+        workers: list[tuple[int, list[range], list[TextIO]]] = []
+        stack.callback(lambda: [os.waitpid(pid, 0) for pid, _, _ in workers])
+        for span in spans[1:]:
+            parts = [stack.enter_context(_grid_part(d)) for d in part_dirs]
+            workers.append((_fork_grid_worker(args, span, parts), span, parts))
+        _render_grid(args, spans[0], outputs)
+        while workers:
+            pid, span, parts = workers[0]
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status:
+                raise ChildProcessError(
+                    f"grid worker for theta lines {span[0].start}..{span[-1].stop - 1} "
+                    f"exited with status {os.waitstatus_to_exitcode(status)}"
+                )
+            for part, out in zip(parts, outputs):
+                part.seek(0)
+                shutil.copyfileobj(part, out)
     return 0
 
 

@@ -221,17 +221,24 @@ def grid_evaluate(theta_steps: int, v_steps: int, r2_full: float = 0.5, theta_ro
     return Grid(dict(zip(GRID_COLUMNS, values)), theta_rows)
 
 
-def theta_line_blocks(theta_steps: int, v_steps: int, cells: int) -> Iterator[range]:
-    """Consecutive ranges of 0-based theta lines covering the grid, each
-    holding about ``cells`` feasible cells, and at least one line.
+def estimated_cells(theta_steps: int, v_steps: int, theta_rows: range) -> float:
+    """About how many feasible cells the theta lines in ``theta_rows`` hold.
 
     Line i has about (v_steps - 1)(1 - (i + 1) / theta_steps) feasible
-    points, the share of the v axis inside (theta / 2, pi - theta / 2), so a
-    block near theta = 0 holds fewer lines than one near theta = pi.
+    points, the share of the v axis inside (theta / 2, pi - theta / 2).
+    """
+    return sum((v_steps - 1) * (1.0 - (line + 1) / theta_steps) for line in theta_rows)
+
+
+def theta_line_blocks(theta_steps: int, v_steps: int, cells: int) -> Iterator[range]:
+    """Consecutive ranges of 0-based theta lines covering the grid, each
+    holding about ``cells`` feasible cells by ``estimated_cells``, and at
+    least one line; a block near theta = 0 holds fewer lines than one near
+    theta = pi.
     """
     start, held = 0, 0.0
     for line in range(theta_steps - 1):
-        held += (v_steps - 1) * (1.0 - (line + 1) / theta_steps)
+        held += estimated_cells(theta_steps, v_steps, range(line, line + 1))
         if held >= cells:
             yield range(start, line + 1)
             start, held = line + 1, 0.0

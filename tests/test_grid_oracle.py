@@ -4,8 +4,12 @@ Columns must be bit-equal, and the CSV text and every SVG document
 byte-identical.
 """
 
+import errno
 import itertools
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,9 @@ def test_cli_grid_blocks_match_oracle(tmp_path, monkeypatch, capsys, block):
     cells = oracle.grid_evaluate(theta_steps, v_steps, r2_full)
     assert len(cells) == 126
     monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", block)
+    # One process renders every block, so every grid_evaluate call is seen
+    # here; a forked worker's calls would not be.
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     evaluated = []
 
     def evaluate(*args):
@@ -163,6 +170,95 @@ def test_cli_grid_blocks_match_oracle(tmp_path, monkeypatch, capsys, block):
     capsys.readouterr()
     assert cli.main(args) == 0
     assert capsys.readouterr().out.encode() == expected
+
+
+def _run_grid(tmp_path, capsys, theta_steps, v_steps):
+    """main's exit code and stderr for the grid to a file, with heatmaps."""
+    capsys.readouterr()
+    args = ["grid", "--theta-steps", str(theta_steps), "--v-steps", str(v_steps)]
+    code = cli.main(args + ["--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path / "svg")])
+    return code, capsys.readouterr().err
+
+
+# 2 x 2 has one theta line and 3 x 3 two, so both have fewer blocks than
+# three workers; the (53, 5) grid has 44, 13 and 4 blocks.
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("theta_steps,v_steps,block", [(2, 2, 4096), (3, 3, 1), (53, 5, 1), (53, 5, 7), (53, 5, 26)])
+def test_cli_grid_workers_match_oracle(tmp_path, monkeypatch, capsys, workers, theta_steps, v_steps, block):
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", block)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
+    blocks = list(geometry2d.theta_line_blocks(theta_steps, v_steps, block))
+    weights = [geometry2d.estimated_cells(theta_steps, v_steps, rows) for rows in blocks]
+    spans = cli._grid_spans(blocks, weights, min(workers, len(blocks)))
+    assert len(spans) == min(workers, len(blocks)) and sum(spans, []) == blocks
+    cells = oracle.grid_evaluate(theta_steps, v_steps, 0.5)
+    expected = ("\n".join(oracle.grid_csv_lines(cells)) + "\n").encode()
+    assert _run_grid(tmp_path, capsys, theta_steps, v_steps) == (0, "")
+    assert (tmp_path / "g.csv").read_bytes() == expected
+    for field in SVG_FIELDS:
+        doc = oracle.svg_heatmap(cells, field, theta_steps, v_steps)
+        assert (tmp_path / "svg" / f"{field}.svg").read_bytes() == doc.encode(), field
+    assert cli.main(["grid", "--theta-steps", str(theta_steps), "--v-steps", str(v_steps)]) == 0
+    assert capsys.readouterr().out.encode() == expected
+    # the workers' temporary parts were never linked into a directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "svg"]
+
+
+def test_cli_grid_parts_fall_back_to_the_temp_dir(tmp_path, monkeypatch, capsys):
+    """Where the output's directory takes no new file, the workers' parts go
+    to the default temporary directory, and the outputs stay the same."""
+    made = tempfile.TemporaryFile
+
+    def temporary_file(*args, dir=None, **kwargs):
+        if dir is not None and Path(dir) == tmp_path:
+            raise PermissionError(errno.EACCES, "Permission denied", str(dir))
+        return made(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    cells = oracle.grid_evaluate(53, 5, 0.5)
+    assert _run_grid(tmp_path, capsys, 53, 5) == (0, "")
+    assert (tmp_path / "g.csv").read_text() == "\n".join(oracle.grid_csv_lines(cells)) + "\n"
+
+
+def test_usable_cores_without_fork(monkeypatch):
+    assert cli._usable_cores() >= 1
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._usable_cores() == 1
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")), reason="needs fork and /proc")
+@pytest.mark.parametrize(
+    "fails",
+    [
+        lambda in_parent, rows: not in_parent and rows.stop == 52,  # the last block, the last worker's
+        lambda in_parent, rows: in_parent,  # this process's first, after the fork
+    ],
+    ids=["worker", "parent"],
+)
+def test_cli_grid_failure_reaps_every_worker(tmp_path, monkeypatch, capsys, fails):
+    """A heatmap that fails in a worker's span, or in this process after the
+    fork, exits 1 with an error line and leaves no worker and no open file."""
+    parent = os.getpid()
+    heatmap = geometry2d.svg_heatmap
+
+    def svg_heatmap(block, *args):
+        if fails(os.getpid() == parent, block.theta_rows):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return heatmap(block, *args)
+
+    monkeypatch.setattr(geometry2d, "svg_heatmap", svg_heatmap)
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    fds = len(os.listdir("/proc/self/fd"))
+    code, err = _run_grid(tmp_path, capsys, 53, 5)
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_csv_formats_each_bit_pattern():

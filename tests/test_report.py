@@ -14,7 +14,7 @@ import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design
 from report_oracle import as_certificates, certificate_jsonable, reference_text, row_counts
 from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
-from r2audit import FitCache, gram_factory, nwf_check, setfun, suppressor_population
+from r2audit import FitCache, cli, gram_factory, nwf_check, setfun, suppressor_population
 from r2audit.bitsets import indices_of
 from r2audit.cli import (
     _violation_summary,
@@ -78,9 +78,13 @@ def test_odd_floats_render_like_reference():
         ("first_order", ("A", "B", "i")),
     ],
 )
-def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path):
+def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path, monkeypatch):
     certs = _odd_certificates(form, roles)
     lists = [certs, certs[:0], certs[::-2]]
+    # chunks of 5 rows, so that lists and chunks share sets
+    monkeypatch.setattr(cli, "STREAM_CHUNK", 5)
+    rendered = []
+    monkeypatch.setattr(cli, "indices_of", lambda mask: rendered.append(mask) or indices_of(mask))
     write_certificates(tmp_path / "certs.jsonl", lists, ODD_NAMES)
     expected = [
         json.dumps(sanitize(certificate_jsonable(c, ODD_NAMES)), sort_keys=True) + "\n"
@@ -88,6 +92,9 @@ def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path):
         for c in part
     ]
     assert (tmp_path / "certs.jsonl").read_text(encoding="utf-8") == "".join(expected)
+    # each set's name list is rendered once per stream, whatever its roles
+    sets = [values for role, values in zip(roles, certs.columns) if role not in ("i", "j")]
+    assert sorted(rendered) == sorted(set(np.concatenate(sets).tolist()))
 
 
 def test_empty_certificate_lists_render_as_empty_lists():
