@@ -306,8 +306,7 @@ def write_certificates(path: str | Path, lists, names) -> None:
 
 
 def _cmd_audit(args) -> int:
-    raw, response, names = load_csv(args.csv, args.response)
-    design = standardize(raw, response, names)
+    design = standardize(*load_csv(args.csv, args.response))
     report, code = build_audit_report(
         design, str(args.csv), args.response, args.k, args.max_enum,
         mode=args.mode, alpha=args.alpha, certificates=args.certificates,
@@ -437,8 +436,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    raw, response, names = load_csv(args.csv, args.response)
-    design = standardize(raw, response, names)
+    design = standardize(*load_csv(args.csv, args.response))
     if args.algo == "stepwise":
         trace = forward_stepwise(design, min(args.k, design.m))
         _write_text(args.out, trace.to_json_lines(design.names))
@@ -500,8 +498,8 @@ def _cmd_gen(args) -> int:
             args.n, args.m, beta=beta, sigma_noise=args.sigma_noise, seed=args.seed
         )
         names = None
-    text = datasets.csv_text(X, y, names)
-    _write_text(args.out, text)
+    with _output(args.out) as fh:
+        datasets.write_csv(fh, X, y, names)
     return 0
 
 

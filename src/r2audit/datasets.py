@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from typing import Sequence
 
 import numpy as np
@@ -119,16 +118,9 @@ def write_csv(
     fh = open(out, "w", encoding="utf-8", newline="\n") if own else out
     try:
         fh.write(",".join((response_name,) + tuple(cols)) + "\n")
-        for i in range(X.shape[0]):
-            row = [repr(float(y[i]))] + [repr(float(v)) for v in X[i]]
-            fh.write(",".join(row) + "\n")
+        for target, row in zip(y.tolist(), X):
+            fh.write(",".join(map(repr, [target] + row.tolist())) + "\n")
     finally:
         if own:
             fh.close()
 
-
-def csv_text(features, response, names=None, response_name="Y") -> str:
-    """Render a design as CSV text (same format as write_csv)."""
-    buf = io.StringIO()
-    write_csv(buf, features, response, names, response_name)
-    return buf.getvalue()

@@ -34,6 +34,7 @@ evaluated on the column space they actually span instead of failing.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -244,7 +245,9 @@ def standardize(
         raise ConstantColumn(-1)
 
     cols = tuple(names) if names is not None else default_names(X.shape[1])
-    return StandardizedDesign(Xc / norms, yc / ynorm, cols)
+    Xc /= norms
+    yc /= ynorm
+    return StandardizedDesign(Xc, yc, cols)
 
 
 def load_csv(path, response_name: str):
@@ -254,39 +257,83 @@ def load_csv(path, response_name: str):
     distinct; the response column is picked out by header name and removed
     from the feature block. A leading byte-order mark is not part of the
     first name.
+
+    numpy's C reader takes the rows. A file it cannot read, or reads to a
+    width other than the header's, is read again from the start by the csv
+    module and ``float``, which accept quoted cells, ``1_0`` and non-ASCII
+    digits, and name the row of a cell or record they reject.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        header = _header(_records(fh), response_name)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty CSV") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) < len(header):
-            twice = next(h for i, h in enumerate(header) if h in header[:i])
-            raise DataFormatError(f"column {twice!r} appears more than once in header {header}")
-        if response_name not in header:
-            raise DataFormatError(f"response column {response_name!r} not in header {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"row {lineno} has {len(row)} cells, expected {len(header)}")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise DataFormatError(f"row {lineno} contains a non-numeric cell") from None
-    if len(rows) < 2:
+            with warnings.catch_warnings():
+                # a file with no data rows; the row count check names it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:  # also UnicodeDecodeError
+            data = None
+    if data is None or data.shape[1] != len(header):
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            records = _records(fh)
+            next(records)  # the header, checked above
+            data = _python_rows(records, len(header))
+    if data.shape[0] < 2:
         raise DataFormatError("need at least two data rows")
-    data = np.asarray(rows, dtype=float)
     if not np.isfinite(data).all():
         raise DataFormatError("CSV contains NaN or Inf")
     ycol = header.index(response_name)
-    y = data[:, ycol]
-    X = np.delete(data, ycol, axis=1)
+    y = data[:, ycol].copy()
+    # a slice keeps the block's C row order, so every column reduction sums
+    # as it does over np.delete's copy; a fancy index would not
+    X = data[:, :ycol] if ycol == len(header) - 1 else np.delete(data, ycol, axis=1)
     names = tuple(h for i, h in enumerate(header) if i != ycol)
     return X, y, names
+
+
+def _records(fh) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each CSV record in fh; the header is row 1.
+
+    A record the csv module cannot read, such as one with a cell over its
+    field size limit, raises DataFormatError naming the row.
+    """
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            yield lineno, row
+    except csv.Error as exc:
+        raise DataFormatError(f"row {lineno + 1} cannot be read: {exc}") from None
+
+
+def _header(records: Iterator[tuple[int, list[str]]], response_name: str) -> list[str]:
+    """The first record's stripped names, checked to be distinct and to
+    include the response."""
+    try:
+        _, header = next(records)
+    except StopIteration:
+        raise DataFormatError("empty CSV") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        twice = next(h for i, h in enumerate(header) if h in header[:i])
+        raise DataFormatError(f"column {twice!r} appears more than once in header {header}")
+    if response_name not in header:
+        raise DataFormatError(f"response column {response_name!r} not in header {header}")
+    return header
+
+
+def _python_rows(records: Iterator[tuple[int, list[str]]], width: int) -> np.ndarray:
+    """The data records as floats, one Python float per cell; empty records
+    are skipped."""
+    rows = []
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataFormatError(f"row {lineno} has {len(row)} cells, expected {width}")
+        try:
+            rows.append([float(c) for c in row])
+        except ValueError:
+            raise DataFormatError(f"row {lineno} contains a non-numeric cell") from None
+    return np.asarray(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------

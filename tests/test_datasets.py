@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from r2audit import (
     standardize,
     suppressor_population,
 )
-from r2audit.datasets import csv_text
+from r2audit.datasets import write_csv
 from r2audit.errors import NotPSD
 
 
@@ -99,6 +100,13 @@ def test_gaussian_noiseless_single_cause():
     X, y = random_gaussian(20, 3, beta=[1.0, 0.0, 0.0], sigma_noise=0.0, seed=4)
     d = standardize(X, y)
     assert abs(d.marginal_correlations()[0] - 1.0) < 1e-10
+
+
+def csv_text(features, response, names=None, response_name="Y") -> str:
+    """Render a design as CSV text, as write_csv writes it."""
+    buf = io.StringIO()
+    write_csv(buf, features, response, names, response_name)
+    return buf.getvalue()
 
 
 def test_gaussian_seed_determinism():
