@@ -14,9 +14,9 @@ import sys
 _EXPORTS = {
     "datasets": ("miller_table", "random_gaussian", "suppressor_population"),
     "errors": ("AuditError",),
-    "gamma": ("PairDiagnostics", "RatioQuery", "RatioResult", "gamma_pair", "submodularity_ratio"),
-    "geometry2d": ("Grid", "GridCell", "TrianglePoint", "grid_evaluate", "joint_t_extremes",
-                   "t_ratio_empirical", "triangle_solve"),
+    "gamma": ("RatioQuery", "RatioResult", "submodularity_ratio"),
+    "geometry2d": ("Grid", "GridCell", "PairDiagnostics", "TrianglePoint", "gamma_pair", "grid_evaluate",
+                   "joint_t_extremes", "t_ratio_empirical", "triangle_solve"),
     "regress": ("FitCache", "StandardizedDesign", "coef_decomposition", "gram_factory", "load_csv",
                 "ls_fit", "partial_correlation", "r_squared", "residualize", "standardize"),
     "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "l0_path", "nwf_check",

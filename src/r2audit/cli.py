@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -27,22 +28,47 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .bitsets import indices_of
 from .errors import AuditError
-from .gamma import RatioQuery, submodularity_ratio
 from .jsonsafe import float_texts, json_line, report_text, string_text
-from .regress import FitCache, StandardizedDesign, gram_factory, load_csv, standardize
-from .selection import best_subset, forward_stepwise, isis, nwf_verdict, sis_screen, table_best_subset
-from .setfun import (
-    TOP_CERTIFICATES,
-    VIOLATION_TOL,
-    Certificates,
-    _second_order_summary,
-    _table,
-    empirical_gamma_s,
-    empirical_gamma_s2,
-)
-from .spectral import ConeSpec, restricted_eigenvalue, sparse_min_eigenvalue
+
+# The library names the commands call, by the module that defines them. None
+# is imported with this module, so a command loads only the modules it runs:
+# it binds their names here when it starts (_bind). Before that, reading one
+# of them from this module binds it (PEP 562). A name already bound stays
+# bound, so a caller that replaces cli.load_csv and the like, as the
+# benchmark's tracer and the tests do, replaces what the commands call.
+_LIBRARY = {
+    "bitsets": ("indices_of",),
+    "gamma": ("RatioQuery", "submodularity_ratio"),
+    "regress": ("FitCache", "StandardizedDesign", "gram_factory", "load_csv", "standardize"),
+    "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen", "table_best_subset"),
+    "setfun": ("TOP_CERTIFICATES", "VIOLATION_TOL", "Certificates", "_second_order_summary", "_table",
+               "empirical_gamma_s", "empirical_gamma_s2"),
+    "spectral": ("ConeSpec", "restricted_eigenvalue", "sparse_min_eigenvalue"),
+}
+_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
+# The modules build_audit_report calls; its certificate renderer binds bitsets.
+_AUDIT_MODULES = ("regress", "selection", "setfun", "gamma", "spectral")
+
+
+def _bind(*modules: str) -> None:
+    """Import the modules and bind each of their library names not yet bound."""
+    namespace = globals()
+    for module in modules:
+        # the import statement's path, which -X importtime logs
+        __import__(f"{__package__}.{module}")
+        source = sys.modules[f"{__package__}.{module}"]
+        for name in _LIBRARY[module]:
+            if name not in namespace:
+                namespace[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
+
 
 REPORT_SCHEMA = "2"
 # Certificates rendered at a time into the --certificates stream.
@@ -98,6 +124,7 @@ def build_audit_report(
     ``write_certificates`` writes them there; each top list is the first
     lines of its part of that stream, parsed back.
     """
+    _bind(*_AUDIT_MODULES)
     names = design.names
     cache = FitCache()
     corr = design.marginal_correlations()
@@ -273,6 +300,7 @@ def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None =
     one format for the list. ``sets`` maps a mask to its name list's text; a
     mask it lacks is rendered once and added, so the lists and chunks that
     share it render each mask once."""
+    _bind("bitsets")
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
         f'{{"deficit": %s, "form": {string_text(certs.form)}, "lhs": %s, "rhs": %s, "sets": {{'
@@ -306,6 +334,7 @@ def write_certificates(path: str | Path, lists, names) -> None:
 
 
 def _cmd_audit(args) -> int:
+    _bind("regress")
     design = standardize(*load_csv(args.csv, args.response))
     report, code = build_audit_report(
         design, str(args.csv), args.response, args.k, args.max_enum,
@@ -436,6 +465,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    _bind("regress", "selection")
     design = standardize(*load_csv(args.csv, args.response))
     if args.algo == "stepwise":
         trace = forward_stepwise(design, min(args.k, design.m))
@@ -480,20 +510,33 @@ def _cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(flag: str, *values: float) -> None:
+    """Refuse a NaN or infinite value of a gen option before generating."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} must be finite")
+
+
 def _cmd_gen(args) -> int:
     from . import datasets  # only gen needs it
 
     if args.generator == "miller":
         X, y, names = datasets.miller_table()
     elif args.generator == "suppressor":
+        _check_finite("--sz", args.sz)
+        _check_finite("--se", args.se)
+        _bind("regress")
         gram = datasets.suppressor_population(args.p, args.sz, args.se)
         n = args.n if args.n is not None else args.p + 4
         design = gram_factory(gram, n)
         X, y, names = design.features, design.response, design.names
     else:  # gaussian
+        _check_finite("--sigma-noise", args.sigma_noise)
+        if args.sigma_noise < 0:
+            raise ValueError("--sigma-noise must be nonnegative")
         beta = None
         if args.beta is not None:
             beta = [float(p) for p in args.beta.split(",")]
+            _check_finite("--beta", *beta)
         X, y = datasets.random_gaussian(
             args.n, args.m, beta=beta, sigma_noise=args.sigma_noise, seed=args.seed
         )

@@ -1,45 +1,61 @@
-"""Submodularity ratio: exhaustive general form plus two-feature closed forms."""
+"""Submodularity ratio: the exhaustive general form. The two-feature closed
+forms live in geometry2d."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import regress
 from .bitsets import combination_blocks
-from .errors import EmptyCandidateSet, InfeasibleCorrelations
+from .errors import EmptyCandidateSet
 from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap
 from .setfun import SKIP_DENOM_TOL, _fits
 
 MODE_AT_MOST_K = "at_most_k"
 MODE_EXACTLY_K = "exactly_k"
-FEASIBILITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class RatioQuery:
     """One submodularity-ratio request: base set, candidate cardinality, mode.
 
     ``at_most_k`` ranges candidate sets over sizes 1..k (singletons pin the
     minimum at 1 whenever they are admissible); ``exactly_k`` fixes the size.
+    The base is kept sorted and without repeats; attributes are read-only.
     """
 
-    base: tuple[int, ...]
-    k: int
-    mode: str = MODE_AT_MOST_K
+    __slots__ = ("base", "k", "mode")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, base: tuple[int, ...], k: int, mode: str = MODE_AT_MOST_K):
+        if k < 1:
             raise ValueError("k must be at least 1")
-        if self.mode not in (MODE_AT_MOST_K, MODE_EXACTLY_K):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "base", tuple(sorted(set(self.base))))
+        if mode not in (MODE_AT_MOST_K, MODE_EXACTLY_K):
+            raise ValueError(f"unknown mode {mode!r}")
+        object.__setattr__(self, "base", tuple(sorted(set(base))))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mode", mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.k, self.mode) == (other.base, other.k, other.mode)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.k, self.mode))
+
+    def __repr__(self) -> str:
+        return f"RatioQuery(base={self.base!r}, k={self.k!r}, mode={self.mode!r})"
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     gamma_sr: float
     argmin: tuple[int, ...]
     skipped: int
@@ -100,80 +116,3 @@ def submodularity_ratio(
     if not math.isfinite(best):
         raise EmptyCandidateSet("every candidate set had negligible joint gain")
     return RatioResult(gamma_sr=best, argmin=argmin, skipped=skipped)
-
-
-@dataclass(frozen=True)
-class PairDiagnostics:
-    """Closed-form two-feature diagnostics from (r_y1, r_y2, r12).
-
-    gamma1 and gamma2 are the single-step gain ratios for each feature,
-    gamma_s2 their minimum, gamma_sr the two-feature submodularity ratio, and
-    sum_bound the ratio obtained by summing both single-step inequalities
-    (always at least gamma_s2 on feasible inputs). Ratios whose denominator
-    vanishes are reported as +inf sentinels.
-    """
-
-    r_y1: float
-    r_y2: float
-    r12: float
-    gamma1: float
-    gamma2: float
-    gamma_s2: float
-    gamma_sr: float
-    sum_bound: float
-
-
-def _conditional_gain(r_own, r_other, r12):
-    """Fit gain of one feature once the other is already in the model."""
-    residual = r_own - r12 * r_other
-    return residual * residual / (1.0 - r12 * r12)
-
-
-def gamma_pair_columns(
-    r_y1: np.ndarray, r_y2: np.ndarray, r12: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form pair diagnostics for arrays of correlation triples.
-
-    Returns (gamma1, gamma2, gamma_s2, gamma_sr, sum_bound), one float64 array
-    each, with the meanings of PairDiagnostics. Raises InfeasibleCorrelations
-    if any triple is infeasible.
-    """
-    if not ((np.abs(r_y1) < 1.0) & (np.abs(r_y2) < 1.0) & (np.abs(r12) < 1.0)).all():
-        raise InfeasibleCorrelations("correlations must lie strictly inside (-1, 1)")
-    det = 1.0 - r12 * r12
-    joint = (r_y1 * r_y1 - 2.0 * r12 * r_y1 * r_y2 + r_y2 * r_y2) / det
-    over = joint > 1.0 + FEASIBILITY_TOL
-    if over.any():
-        raise InfeasibleCorrelations(f"implied joint fit {joint[over][0]:.6f} exceeds 1")
-
-    delta1 = r_y1 * r_y1
-    delta2 = r_y2 * r_y2
-    gain1 = _conditional_gain(r_y1, r_y2, r12)
-    gain2 = _conditional_gain(r_y2, r_y1, r12)
-    # gain1 + gain2 equals 2 * joint - delta1 - delta2 but without the
-    # cancellation, so the symmetric-case identity sum_bound = gamma_s2 is
-    # exact in floating point as well.
-    spread = gain1 + gain2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma1 = np.where(gain1 > 0.0, delta1 / gain1, math.inf)
-        gamma2 = np.where(gain2 > 0.0, delta2 / gain2, math.inf)
-        gamma_sr = np.where(joint > 0.0, (delta1 + delta2) / joint, math.inf)
-        sum_bound = np.where(spread > 0.0, (delta1 + delta2) / spread, math.inf)
-    gamma_s2 = np.where(gamma2 < gamma1, gamma2, gamma1)
-    return gamma1, gamma2, gamma_s2, gamma_sr, sum_bound
-
-
-def gamma_pair(r_y1: float, r_y2: float, r12: float) -> PairDiagnostics:
-    """Evaluate the closed-form pair diagnostics for one correlation triple."""
-    columns = gamma_pair_columns(*(np.array([r], dtype=float) for r in (r_y1, r_y2, r12)))
-    gamma1, gamma2, gamma_s2, gamma_sr, sum_bound = (float(col[0]) for col in columns)
-    return PairDiagnostics(
-        r_y1=r_y1,
-        r_y2=r_y2,
-        r12=r12,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        gamma_s2=gamma_s2,
-        gamma_sr=gamma_sr,
-        sum_bound=sum_bound,
-    )

@@ -1,5 +1,6 @@
-"""Two-feature feasibility geometry: the angle parameterization, diagnostic
-grids, and the t-statistic ratio against its closed-form cap.
+"""Two-feature feasibility geometry: the closed-form pair diagnostics, the
+angle parameterization, diagnostic grids, and the t-statistic ratio against
+its closed-form cap.
 
 A two-feature problem is a triangle: the response projected on each feature
 gives two vertices, the origin the third. The angle between the features
@@ -17,23 +18,23 @@ formatting and drawing every cell of the whole grid on its own.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleAngles
-from .gamma import PairDiagnostics, gamma_pair, gamma_pair_columns
-from .regress import gram_factory, ls_fit
+from .errors import InfeasibleAngles, InfeasibleCorrelations
 
 # Diagnostics are evaluated at this fixed fit level. They are mathematically
 # invariant to it, and pinning one value makes grids at different requested
 # levels agree bit for bit, including near-singular cells.
 REFERENCE_R2 = 0.25
+
+# A correlation triple is infeasible once its implied joint fit exceeds 1 by
+# more than this.
+FEASIBILITY_TOL = 1e-12
 
 GRID_COLUMNS = (
     "theta",
@@ -52,8 +53,83 @@ GRID_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class TrianglePoint:
+class PairDiagnostics(NamedTuple):
+    """Closed-form two-feature diagnostics from (r_y1, r_y2, r12).
+
+    gamma1 and gamma2 are the single-step gain ratios for each feature,
+    gamma_s2 their minimum, gamma_sr the two-feature submodularity ratio, and
+    sum_bound the ratio obtained by summing both single-step inequalities
+    (always at least gamma_s2 on feasible inputs). Ratios whose denominator
+    vanishes are reported as +inf sentinels.
+    """
+
+    r_y1: float
+    r_y2: float
+    r12: float
+    gamma1: float
+    gamma2: float
+    gamma_s2: float
+    gamma_sr: float
+    sum_bound: float
+
+
+def _conditional_gain(r_own, r_other, r12):
+    """Fit gain of one feature once the other is already in the model."""
+    residual = r_own - r12 * r_other
+    return residual * residual / (1.0 - r12 * r12)
+
+
+def gamma_pair_columns(
+    r_y1: np.ndarray, r_y2: np.ndarray, r12: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form pair diagnostics for arrays of correlation triples.
+
+    Returns (gamma1, gamma2, gamma_s2, gamma_sr, sum_bound), one float64 array
+    each, with the meanings of PairDiagnostics. Raises InfeasibleCorrelations
+    if any triple is infeasible.
+    """
+    if not ((np.abs(r_y1) < 1.0) & (np.abs(r_y2) < 1.0) & (np.abs(r12) < 1.0)).all():
+        raise InfeasibleCorrelations("correlations must lie strictly inside (-1, 1)")
+    det = 1.0 - r12 * r12
+    joint = (r_y1 * r_y1 - 2.0 * r12 * r_y1 * r_y2 + r_y2 * r_y2) / det
+    over = joint > 1.0 + FEASIBILITY_TOL
+    if over.any():
+        raise InfeasibleCorrelations(f"implied joint fit {joint[over][0]:.6f} exceeds 1")
+
+    delta1 = r_y1 * r_y1
+    delta2 = r_y2 * r_y2
+    gain1 = _conditional_gain(r_y1, r_y2, r12)
+    gain2 = _conditional_gain(r_y2, r_y1, r12)
+    # gain1 + gain2 equals 2 * joint - delta1 - delta2 but without the
+    # cancellation, so the symmetric-case identity sum_bound = gamma_s2 is
+    # exact in floating point as well.
+    spread = gain1 + gain2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma1 = np.where(gain1 > 0.0, delta1 / gain1, math.inf)
+        gamma2 = np.where(gain2 > 0.0, delta2 / gain2, math.inf)
+        gamma_sr = np.where(joint > 0.0, (delta1 + delta2) / joint, math.inf)
+        sum_bound = np.where(spread > 0.0, (delta1 + delta2) / spread, math.inf)
+    gamma_s2 = np.where(gamma2 < gamma1, gamma2, gamma1)
+    return gamma1, gamma2, gamma_s2, gamma_sr, sum_bound
+
+
+def gamma_pair(r_y1: float, r_y2: float, r12: float) -> PairDiagnostics:
+    """Evaluate the closed-form pair diagnostics for one correlation triple."""
+    columns = gamma_pair_columns(*(np.array([r], dtype=float) for r in (r_y1, r_y2, r12)))
+    gamma1, gamma2, gamma_s2, gamma_sr, sum_bound = (float(col[0]) for col in columns)
+    return PairDiagnostics(
+        r_y1=r_y1,
+        r_y2=r_y2,
+        r12=r12,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        gamma_s2=gamma_s2,
+        gamma_sr=gamma_sr,
+        sum_bound=sum_bound,
+    )
+
+
+class TrianglePoint(NamedTuple):
     """One feasible two-feature regression problem.
 
     theta is the angle between the features (so r12 = cos theta), tau the
@@ -70,8 +146,7 @@ class TrianglePoint:
     b: float
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     theta: float
     v: float
     tau: float
@@ -148,7 +223,6 @@ def t_ratio_bound_from_gamma(gamma_sr):
     return 2.0 / gamma_sr - 1.0
 
 
-@dataclass(frozen=True, eq=False)
 class Grid:
     """The feasible cells of a block of theta lines of a (theta, v) grid,
     stored by column.
@@ -157,13 +231,27 @@ class Grid:
     entry per cell, row-major with theta outer. ``theta_rows`` is the range
     of 0-based theta lines the block holds; a whole grid of theta_steps
     holds range(theta_steps - 1). Iterating yields the cells as GridCell rows.
+    Attributes are read-only; two grids are equal only if they are the same
+    object.
     """
 
-    columns: dict[str, np.ndarray]
-    theta_rows: range
-    # The rect text of every cell, by (theta_steps, v_steps, cell_px): laid
-    # out by the first heatmap and shared by the rest.
-    _svg_layouts: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("columns", "theta_rows", "_svg_layouts")
+
+    def __init__(self, columns: dict[str, np.ndarray], theta_rows: range):
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "theta_rows", theta_rows)
+        # The rect text of every cell, by (theta_steps, v_steps, cell_px):
+        # laid out by the first heatmap and shared by the rest.
+        object.__setattr__(self, "_svg_layouts", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Grid(columns={self.columns!r}, theta_rows={self.theta_rows!r})"
 
     def __len__(self) -> int:
         return self.columns["theta"].size
@@ -284,8 +372,7 @@ def point_diagnostics(point: TrianglePoint) -> PairDiagnostics:
     return gamma_pair(ref.r_y1, ref.r_y2, ref.r12)
 
 
-@dataclass(frozen=True)
-class TRatioResult:
+class TRatioResult(NamedTuple):
     """Observed joint-to-marginal squared-t ratio against the closed-form cap."""
 
     lhs: float
@@ -304,6 +391,8 @@ def t_ratio_empirical(point: TrianglePoint, n: int, tolerance: float = 1e-9) -> 
     exceed it once the joint fit is strong, because the joint model's smaller
     residual variance inflates joint t statistics (see README notes).
     """
+    from .regress import gram_factory, ls_fit  # the grid never loads regress
+
     if n < 4:
         raise ValueError("need n >= 4 for joint-fit degrees of freedom")
     gram = np.array(

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,23 +119,21 @@ def _check_cap(m: int, max_features: int) -> None:
         raise TooManyFeatures(m, cap)
 
 
-@dataclass(frozen=True, eq=False)
 class StandardizedDesign:
     """Feature matrix and response with mean-zero, unit-norm columns.
 
     Inner products between columns equal sample correlations, which makes the
     geometric formulas used elsewhere literal. Arrays are frozen after
-    construction; use :func:`standardize` or :func:`gram_factory` to build one.
+    construction, and so are the attributes; use :func:`standardize` or
+    :func:`gram_factory` to build one. Two designs are equal only if they are
+    the same object.
     """
 
-    features: np.ndarray
-    response: np.ndarray
-    names: tuple[str, ...]
-    triangle: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("features", "response", "names", "triangle")
 
-    def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.response, dtype=float)
+    def __init__(self, features: np.ndarray, response: np.ndarray, names: tuple[str, ...]):
+        X = np.asarray(features, dtype=float)
+        y = np.asarray(response, dtype=float)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValueError("features must be (n, m) with a length-n response")
         n, m = X.shape
@@ -144,7 +141,7 @@ class StandardizedDesign:
             raise ValueError("need at least two observations")
         if m < 1:
             raise ValueError("need at least one feature")
-        if len(self.names) != m:
+        if len(names) != m:
             raise ValueError("names must match the number of feature columns")
         sums = np.abs(X.sum(axis=0))
         norms = np.abs(np.linalg.norm(X, axis=0) - 1.0)
@@ -152,13 +149,23 @@ class StandardizedDesign:
             raise ValueError("feature columns are not centered to unit norm")
         if abs(y.sum()) > CENTER_TOL or abs(np.linalg.norm(y) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("response is not centered to unit norm")
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "response", y)
         X.setflags(write=False)
         y.setflags(write=False)
         R = np.linalg.qr(np.column_stack([X, y]), mode="r")
         R.setflags(write=False)
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "response", y)
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "triangle", R)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"StandardizedDesign(features={self.features!r}, response={self.response!r}, names={self.names!r})"
 
     @property
     def n(self) -> int:
@@ -577,8 +584,7 @@ def partial_correlation(design: StandardizedDesign, i: int, subset: SubsetLike) 
     return float(np.clip(value, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class LeastSquaresFit:
+class LeastSquaresFit(NamedTuple):
     """Coefficients with standard errors and t statistics for one subset.
 
     A fit whose residual is numerically zero reports every t statistic as the
@@ -625,8 +631,7 @@ def ls_fit(design: StandardizedDesign, subset: SubsetLike) -> LeastSquaresFit:
     return LeastSquaresFit(idx, coef, se, t, rss, dof)
 
 
-@dataclass(frozen=True)
-class CoefficientDecomposition:
+class CoefficientDecomposition(NamedTuple):
     marginal: float
     direct: float
     indirect: float

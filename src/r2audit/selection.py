@@ -9,8 +9,7 @@ so traces are reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,16 +42,14 @@ NWF_THRESHOLD = 1.0 - 1.0 / math.e
 SCREEN_BAND = 1e-7
 
 
-@dataclass(frozen=True)
-class SelectionStep:
+class SelectionStep(NamedTuple):
     feature: int
     delta_r2: float
     cumulative_r2: float
     marginal_t: float | None
 
 
-@dataclass(frozen=True)
-class SelectionTrace:
+class SelectionTrace(NamedTuple):
     """Ordered record of a selection run: one entry per accepted feature."""
 
     algorithm: str
@@ -187,8 +184,7 @@ def _best_per_size(design: StandardizedDesign, depth: int) -> list[tuple[int, fl
     return best
 
 
-@dataclass(frozen=True)
-class BestSubsetResult:
+class BestSubsetResult(NamedTuple):
     subset: tuple[int, ...]
     r_squared: float
 
@@ -233,8 +229,7 @@ def table_best_subset(table: np.ndarray, k: int) -> BestSubsetResult:
     return BestSubsetResult(indices_of(mask), float(table[mask]))
 
 
-@dataclass(frozen=True)
-class L0PathPoint:
+class L0PathPoint(NamedTuple):
     lam: float
     subset: tuple[int, ...]
     objective: float
@@ -272,8 +267,7 @@ def l0_path(
     return path
 
 
-@dataclass(frozen=True)
-class NwfResult:
+class NwfResult(NamedTuple):
     """Greedy-vs-optimal comparison with the (1 - 1/e) factor.
 
     The guarantee is conditional on submodularity, so the exhaustive
@@ -330,14 +324,12 @@ def sis_screen(design: StandardizedDesign, d: int) -> tuple[int, ...]:
     return tuple(order[:d])
 
 
-@dataclass(frozen=True)
-class IsisRound:
+class IsisRound(NamedTuple):
     scores: tuple[tuple[int, float], ...]
     picked: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IsisResult:
+class IsisResult(NamedTuple):
     selected: tuple[int, ...]
     rounds: tuple[IsisRound, ...]
     skipped: int
@@ -378,8 +370,7 @@ def isis(design: StandardizedDesign, d_per_round: int, rounds: int) -> IsisResul
     return IsisResult(selected=selected, rounds=tuple(round_logs), skipped=skipped)
 
 
-@dataclass(frozen=True)
-class ScreeningAssumption:
+class ScreeningAssumption(NamedTuple):
     """Margins for the screening visibility condition on a known support.
 
     ``min_beta_margin`` is min |beta_i| - c2 / n^kappa over the support and

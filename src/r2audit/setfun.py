@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -144,8 +143,7 @@ def delta(
     return float(_fits(design, cache, [joint])[0] - _fits(design, cache, [base])[0])
 
 
-@dataclass(frozen=True)
-class ViolationCertificate:
+class ViolationCertificate(NamedTuple):
     """One witnessed failure of a diminishing-returns inequality.
 
     ``sets`` holds the witnessing index sets keyed by role (A, B, S, i, j
@@ -394,8 +392,7 @@ def find_suppressors(
     return _second_order_summary(cache, design.m, tolerance, top=None).suppression
 
 
-@dataclass(frozen=True)
-class GammaS2Result:
+class GammaS2Result(NamedTuple):
     """Worst-case gain ratio over the second-order comparisons (A, i, j).
 
     gamma_s2 is the minimum of gain_A(i) / gain_{A+j}(i); a ratio whose
@@ -408,8 +405,7 @@ class GammaS2Result:
     skipped_s2: int
 
 
-@dataclass(frozen=True)
-class GammaSResult:
+class GammaSResult(NamedTuple):
     """Worst-case gain ratio over the first-order comparisons (A, B, i).
 
     gamma_s is the minimum of gain_A(i) / gain_B(i) over nested A < B;
@@ -431,8 +427,7 @@ def _roots(gain: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return lhs, rhs, rhs - lhs
 
 
-@dataclass(frozen=True)
-class SecondOrderSummary:
+class SecondOrderSummary(NamedTuple):
     """gamma_s2; at one tolerance, the second-order rows' (= suppression rows') count, by_size[|A|] and
     by_pair[i, j]; and the lists of check_submodular and find_suppressors, whole or cut to their first
     certificates (see _second_order_summary)."""

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -16,23 +15,42 @@ from .gamma import RatioQuery, submodularity_ratio
 from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap
 
 
-@dataclass(frozen=True)
 class ConeSpec:
-    """l1 cone: coordinates off S carry at most alpha times the l1 mass on S."""
+    """l1 cone: coordinates off S carry at most alpha times the l1 mass on S.
 
-    subset: tuple[int, ...]
-    alpha: float
+    The subset is kept sorted and without repeats; alpha is at least 1 (+inf
+    allowed, NaN refused). Attributes are read-only.
+    """
 
-    def __post_init__(self):
-        if not self.subset:
+    __slots__ = ("subset", "alpha")
+
+    def __init__(self, subset: tuple[int, ...], alpha: float):
+        if not subset:
             raise ValueError("cone subset must be nonempty")
-        if self.alpha < 1.0:
+        if not alpha >= 1.0:
             raise ValueError("alpha must be at least 1")
-        object.__setattr__(self, "subset", tuple(sorted(set(self.subset))))
+        object.__setattr__(self, "subset", tuple(sorted(set(subset))))
+        object.__setattr__(self, "alpha", alpha)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subset, self.alpha) == (other.subset, other.alpha)
+
+    def __hash__(self) -> int:
+        return hash((self.subset, self.alpha))
+
+    def __repr__(self) -> str:
+        return f"ConeSpec(subset={self.subset!r}, alpha={self.alpha!r})"
 
 
-@dataclass(frozen=True)
-class SparseEigenResult:
+class SparseEigenResult(NamedTuple):
     value: float
     support: tuple[int, ...]
 
@@ -92,8 +110,7 @@ def _standard_normals(rng: random.Random, count: int) -> list[float]:
     ]
 
 
-@dataclass(frozen=True)
-class RestrictedEigenResult:
+class RestrictedEigenResult(NamedTuple):
     """Best value found for the cone-restricted quadratic; an upper bound on
     the true constant because the outer direction search is a heuristic."""
 
@@ -177,8 +194,7 @@ def restricted_eigenvalue(
     return RestrictedEigenResult(value=best_value, certificate=best_beta)
 
 
-@dataclass(frozen=True)
-class GammaSpectralComparison:
+class GammaSpectralComparison(NamedTuple):
     gamma_sr: float
     lambda_min: float
     holds: bool

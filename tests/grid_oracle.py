@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 
 from r2audit.errors import InfeasibleAngles, InfeasibleCorrelations
-from r2audit.gamma import FEASIBILITY_TOL, PairDiagnostics
 from r2audit.geometry2d import (
     _BAND_STEPS,
     _DEFAULT_BAND,
+    FEASIBILITY_TOL,
     GRID_COLUMNS,
     REFERENCE_R2,
     GridCell,
+    PairDiagnostics,
     TrianglePoint,
 )
 

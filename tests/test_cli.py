@@ -354,3 +354,39 @@ def test_audit_with_alpha_never_loads_numpy_random(miller_csv, tmp_path):
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [], args[0]
     assert "restricted_eigenvalue" in json.loads((tmp_path / "r.json").read_text())["spectral"]
+
+
+def test_audit_alpha_nan_exits_one_and_inf_still_runs(miller_csv, tmp_path, capsys):
+    args = ["audit", str(miller_csv), "--response", "Y", "--k", "2", "--out", str(tmp_path / "r.json")]
+    assert main(args + ["--alpha", "nan"]) == 1
+    assert capsys.readouterr().err == "error: alpha must be at least 1\n"
+    assert main(args + ["--alpha", "inf"]) == 0
+    cone = json.loads((tmp_path / "r.json").read_text())["spectral"]["restricted_eigenvalue"]
+    assert cone["alpha"] == "inf" and cone["subset"] == ["X1", "X2"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["gaussian", "--n", "10", "--m", "3", "--sigma-noise", "nan"], "--sigma-noise must be finite"),
+        (["gaussian", "--n", "10", "--m", "3", "--sigma-noise", "inf"], "--sigma-noise must be finite"),
+        (["gaussian", "--n", "10", "--m", "3", "--sigma-noise", "-1"], "--sigma-noise must be nonnegative"),
+        (["gaussian", "--n", "10", "--m", "3", "--beta", "1,nan,2"], "--beta must be finite"),
+        (["gaussian", "--n", "10", "--m", "3", "--beta", "1,2,-inf"], "--beta must be finite"),
+        (["suppressor", "--sz", "nan"], "--sz must be finite"),
+        (["suppressor", "--se", "nan"], "--se must be finite"),
+        (["suppressor", "--sz", "inf"], "--sz must be finite"),
+    ],
+)
+def test_gen_refuses_non_finite_parameters_before_writing(tmp_path, capsys, args, flag):
+    out = tmp_path / "g.csv"
+    assert main(["gen", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag}\n"
+    assert not out.exists()
+
+
+def test_gen_accepts_zero_noise(tmp_path):
+    out = tmp_path / "g.csv"
+    assert main(["gen", "gaussian", "--n", "6", "--m", "2", "--sigma-noise", "0", "--beta", "1,-2", "--out", str(out)]) == 0
+    X, y, _ = load_csv(out, "Y")
+    assert np.allclose(y, X @ [1.0, -2.0])
