@@ -18,7 +18,7 @@ _EXPORTS = {
     "geometry2d": ("Grid", "GridCell", "PairDiagnostics", "TrianglePoint", "gamma_pair", "grid_evaluate",
                    "joint_t_extremes", "t_ratio_empirical", "triangle_solve"),
     "regress": ("FitCache", "StandardizedDesign", "coef_decomposition", "gram_factory", "load_csv",
-                "ls_fit", "partial_correlation", "r_squared", "residualize", "standardize"),
+                "ls_fit", "partial_correlation", "r_squared", "standardize"),
     "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "l0_path", "nwf_check",
                   "sis_assumption_check", "sis_screen"),
     "setfun": ("Certificates", "GammaS2Result", "GammaSResult", "ViolationCertificate",
@@ -69,7 +69,6 @@ __all__ = [
     "partial_correlation",
     "r_squared",
     "random_gaussian",
-    "residualize",
     "restricted_eigenvalue",
     "sis_assumption_check",
     "sis_screen",

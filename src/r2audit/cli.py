@@ -15,7 +15,6 @@ PATH as JSON lines, second-order first, then suppression.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import shutil
@@ -29,7 +28,6 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import AuditError
-from .jsonsafe import float_texts, json_line, report_text, string_text
 
 # The library names the commands call, by the module that defines them. None
 # is imported with this module, so a command loads only the modules it runs:
@@ -40,11 +38,12 @@ from .jsonsafe import float_texts, json_line, report_text, string_text
 _LIBRARY = {
     "bitsets": ("indices_of",),
     "gamma": ("RatioQuery", "submodularity_ratio"),
-    "regress": ("FitCache", "StandardizedDesign", "gram_factory", "load_csv", "standardize"),
+    "jsonsafe": ("float_texts", "json_line", "report_text", "string_text"),
+    "regress": ("FitCache", "StandardizedDesign", "gram_rows", "load_csv", "standardize"),
     "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen", "table_best_subset"),
     "setfun": ("TOP_CERTIFICATES", "VIOLATION_TOL", "Certificates", "_second_order_summary", "_table",
                "empirical_gamma_s", "empirical_gamma_s2"),
-    "spectral": ("ConeSpec", "restricted_eigenvalue", "sparse_min_eigenvalue"),
+    "spectral": ("ConeSpec", "_check_alpha", "restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
 _MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
 # The modules build_audit_report calls; its certificate renderer binds bitsets.
@@ -125,6 +124,8 @@ def build_audit_report(
     lines of its part of that stream, parsed back.
     """
     _bind(*_AUDIT_MODULES)
+    if alpha is not None:
+        _check_alpha(alpha)  # before the enumeration, not after it
     names = design.names
     cache = FitCache()
     corr = design.marginal_correlations()
@@ -284,6 +285,8 @@ def build_audit_report(
 def _violation_summary(count: int, head: Certificates, by_size, by_pair, names) -> dict:
     """A certificate list's count; its head, as its stream lines parse; its
     counts by set size, and the nonzero by_pair[i, j] in index order."""
+    import json  # only the audit's summaries parse JSON
+
     return {
         "count": count,
         "top": [json.loads(text) for text in _certificate_texts(head, names)],
@@ -300,7 +303,7 @@ def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None =
     one format for the list. ``sets`` maps a mask to its name list's text; a
     mask it lacks is rendered once and added, so the lists and chunks that
     share it render each mask once."""
-    _bind("bitsets")
+    _bind("bitsets", "jsonsafe")
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
         f'{{"deficit": %s, "form": {string_text(certs.form)}, "lhs": %s, "rhs": %s, "sets": {{'
@@ -334,7 +337,7 @@ def write_certificates(path: str | Path, lists, names) -> None:
 
 
 def _cmd_audit(args) -> int:
-    _bind("regress")
+    _bind("regress", "jsonsafe")
     design = standardize(*load_csv(args.csv, args.response))
     report, code = build_audit_report(
         design, str(args.csv), args.response, args.k, args.max_enum,
@@ -465,7 +468,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    _bind("regress", "selection")
+    _bind("regress", "selection", "jsonsafe")
     design = standardize(*load_csv(args.csv, args.response))
     if args.algo == "stepwise":
         trace = forward_stepwise(design, min(args.k, design.m))
@@ -526,9 +529,7 @@ def _cmd_gen(args) -> int:
         _check_finite("--se", args.se)
         _bind("regress")
         gram = datasets.suppressor_population(args.p, args.sz, args.se)
-        n = args.n if args.n is not None else args.p + 4
-        design = gram_factory(gram, n)
-        X, y, names = design.features, design.response, design.names
+        X, y, names = gram_rows(gram, args.n if args.n is not None else args.p + 4)
     else:  # gaussian
         _check_finite("--sigma-noise", args.sigma_noise)
         if args.sigma_noise < 0:

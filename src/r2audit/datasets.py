@@ -77,7 +77,9 @@ def random_gaussian(
     generator seeded with ``seed`` fills the n x m feature block row-major
     first, then the n noise draws, so outputs are reproducible run to run.
     """
-    if m < 1 or n < m + 2:
+    if m < 1:
+        raise ValueError("need at least one feature")
+    if n < m + 2:
         raise ValueError("need n >= m + 2 observations")
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, m))

@@ -8,13 +8,15 @@ the squared norm of the response projected onto the subset's span.
 
 Each design is QR-reduced once to the triangle R of [X | y]
 (at most (m+1) x (m+1)), following the all-subsets regression of Furnival &
-Wilson (1974). Since [X | y] = QR with orthonormal Q, the fit of a subset S is
-||U^T R[:, m]||^2 for the left singular vectors U of R[:, S] above the rank
-cutoff, independent of n. :func:`fit_block` evaluates stacks of equal-size
-subsets that way, so a subset's value does not depend on how it was batched.
-Every fit made outside a table is one such call and is not kept: single fits
-(:func:`r_squared`), the candidates of a stepwise or ratio step, and the
-best-subset judge.
+Wilson (1974), and keeps R instead of its rows. Since [X | y] = QR with
+orthonormal Q, R's columns have the inner products of the rows', and the fit
+of a subset S is ||U^T R[:, m]||^2 for the left singular vectors U of R[:, S]
+above the rank cutoff; the correlations, partial correlations and
+least-squares fits are computed on R too, so no cost depends on n.
+:func:`fit_block` evaluates stacks of equal-size subsets that way, so a
+subset's value does not depend on how it was batched. Every fit made outside
+a table is one such call and is not kept: single fits (:func:`r_squared`),
+the candidates of a stepwise or ratio step, and the best-subset judge.
 
 :func:`sweep_walk` walks the same Furnival-Wilson subset tree over the Gram
 matrix G = R^T R and reads each child's fit off its parent's Schur
@@ -120,16 +122,16 @@ def _check_cap(m: int, max_features: int) -> None:
 
 
 class StandardizedDesign:
-    """Feature matrix and response with mean-zero, unit-norm columns.
+    """The QR triangle R, min(n, m+1) x (m+1), of a standardized [X | y]: its
+    columns are centered to unit norm, so their inner products are correlations.
 
-    Inner products between columns equal sample correlations, which makes the
-    geometric formulas used elsewhere literal. Arrays are frozen after
-    construction, and so are the attributes; use :func:`standardize` or
+    The constructor checks the rows, keeps R, n and the names, and drops the
+    rows. R is frozen, and so are the attributes; use :func:`standardize` or
     :func:`gram_factory` to build one. Two designs are equal only if they are
     the same object.
     """
 
-    __slots__ = ("features", "response", "names", "triangle")
+    __slots__ = ("triangle", "n", "names")
 
     def __init__(self, features: np.ndarray, response: np.ndarray, names: tuple[str, ...]):
         X = np.asarray(features, dtype=float)
@@ -149,14 +151,11 @@ class StandardizedDesign:
             raise ValueError("feature columns are not centered to unit norm")
         if abs(y.sum()) > CENTER_TOL or abs(np.linalg.norm(y) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("response is not centered to unit norm")
-        X.setflags(write=False)
-        y.setflags(write=False)
         R = np.linalg.qr(np.column_stack([X, y]), mode="r")
         R.setflags(write=False)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "response", y)
-        object.__setattr__(self, "names", names)
         object.__setattr__(self, "triangle", R)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "names", names)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -165,23 +164,23 @@ class StandardizedDesign:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        return f"StandardizedDesign(features={self.features!r}, response={self.response!r}, names={self.names!r})"
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
+        return f"StandardizedDesign(triangle={self.triangle!r}, n={self.n!r}, names={self.names!r})"
 
     @property
     def m(self) -> int:
-        return self.features.shape[1]
+        return self.triangle.shape[1] - 1
+
+    def gram(self) -> np.ndarray:
+        """R^T R: the (m+1) x (m+1) correlation matrix of [X | y]."""
+        return self.triangle.T @ self.triangle
 
     def marginal_correlations(self) -> np.ndarray:
         """Correlation of each feature with the response."""
-        return self.features.T @ self.response
+        return self.gram()[: self.m, -1]
 
     def correlation_matrix(self) -> np.ndarray:
         """Feature-by-feature sample correlation matrix."""
-        return self.features.T @ self.features
+        return self.gram()[: self.m, : self.m]
 
 
 class FitCache:
@@ -219,12 +218,14 @@ def default_names(m: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(m))
 
 
-def standardize(
-    raw: np.ndarray,
-    response: np.ndarray,
-    names: Sequence[str] | None = None,
-) -> StandardizedDesign:
-    """Center and scale columns (and the response) to unit length.
+def standardize(raw: np.ndarray, response: np.ndarray, names: Sequence[str] | None = None) -> StandardizedDesign:
+    """The design of :func:`standardized_rows`."""
+    return StandardizedDesign(*standardized_rows(raw, response, names))
+
+
+def standardized_rows(raw: np.ndarray, response: np.ndarray, names: Sequence[str] | None = None):
+    """(features, response, names) with each column centered and scaled to
+    unit length.
 
     Raises ConstantColumn for any zero-variance column; the response is
     reported with index -1. Already-standardized input is a fixed point.
@@ -254,7 +255,7 @@ def standardize(
     cols = tuple(names) if names is not None else default_names(X.shape[1])
     Xc /= norms
     yc /= ynorm
-    return StandardizedDesign(Xc, yc, cols)
+    return Xc, yc, cols
 
 
 def load_csv(path, response_name: str):
@@ -344,7 +345,7 @@ def _python_rows(records: Iterator[tuple[int, list[str]]], width: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Projection machinery
+# Fits on the triangle
 # ---------------------------------------------------------------------------
 
 
@@ -452,7 +453,7 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
         raise ValueError(f"depth must lie in 0..{m}")
     if depth == 0:
         return
-    G = design.triangle.T @ design.triangle
+    G = design.gram()
     floor = floor * np.diagonal(G)[:m]
     features = np.arange(m)
     block_size = FIT_CHUNK if gains else FIT_CHUNK // SWEEP_CHUNK_DIVISOR
@@ -536,51 +537,28 @@ def r_squared(design: StandardizedDesign, subset: SubsetLike) -> float:
     return float(fit_block(design, np.array([idx]))[0][0])
 
 
-def span_basis(design: StandardizedDesign, subset: SubsetLike) -> np.ndarray:
-    """Orthonormal basis (n x rank) for the span of a feature subset."""
-    idx = _as_indices(subset, design.m)
-    if not idx:
-        return np.zeros((design.n, 0))
-    X = design.features[:, idx]
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return U[:, :rank]
-
-
-def residualize(
-    design: StandardizedDesign,
-    targets: SubsetLike,
-    conditioners: SubsetLike,
-) -> np.ndarray:
-    """Columns of the target features with the conditioners projected out.
-
-    Residuals are NOT renormalized; a residual column orthogonalized against a
-    set it (numerically) lies in comes back near zero.
-    """
-    A = _as_indices(targets, design.m)
-    S = _as_indices(conditioners, design.m)
-    if set(A) & set(S):
-        raise ValueError("targets and conditioners overlap")
-    block = design.features[:, A].copy()
-    if not S:
-        return block
-    Q = span_basis(design, S)
-    return block - Q @ (Q.T @ block)
-
-
 def partial_correlation(design: StandardizedDesign, i: int, subset: SubsetLike) -> float:
     """Correlation between the response and feature i adjusted for a subset.
 
-    The squared value equals the fit improvement from adding i to the subset.
+    Column i of R has the span of the subset's columns projected out. The
+    squared value equals the fit improvement from adding i to the subset.
     Raises DegenerateResidual when i lies in the subset's span; callers that
     want a gain treat that case as zero.
     """
+    (i,) = _as_indices((i,), design.m)
     S = _as_indices(subset, design.m)
-    resid = residualize(design, (i,), S)[:, 0]
+    if i in S:
+        raise ValueError("targets and conditioners overlap")
+    R = design.triangle
+    resid = R[:, i]
+    if S:
+        U, s, _ = np.linalg.svd(R[:, S], full_matrices=False)
+        Q = U[:, : int(np.sum(s > RANK_RTOL * s[0]))]
+        resid = resid - Q @ (Q.T @ resid)
     norm = float(np.linalg.norm(resid))
     if norm <= DEGENERATE_TOL:
         raise DegenerateResidual(i, S)
-    value = float(design.response @ resid) / norm
+    value = float(R[:, design.m] @ resid) / norm
     return float(np.clip(value, -1.0, 1.0))
 
 
@@ -603,8 +581,9 @@ class LeastSquaresFit(NamedTuple):
 def ls_fit(design: StandardizedDesign, subset: SubsetLike) -> LeastSquaresFit:
     """Least-squares fit of the response on a feature subset.
 
-    The intercept is absorbed by standardization, so the residual variance
-    uses n - |S| - 1 degrees of freedom.
+    The fit is an SVD of the subset's columns of R. The intercept is absorbed
+    by standardization, so the residual variance uses n - |S| - 1 degrees of
+    freedom.
     """
     idx = _as_indices(subset, design.m)
     if not idx:
@@ -612,11 +591,11 @@ def ls_fit(design: StandardizedDesign, subset: SubsetLike) -> LeastSquaresFit:
     k = len(idx)
     if k > design.n - 2:
         raise InsufficientDof(idx)
-    X = design.features[:, idx]
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    R = design.triangle
+    U, s, Vt = np.linalg.svd(R[:, idx], full_matrices=False)
     if s[-1] <= RANK_RTOL * s[0]:
         raise RankDeficient(idx)
-    proj = U.T @ design.response
+    proj = U.T @ R[:, design.m]
     coef = Vt.T @ (proj / s)
     rss = max(1.0 - float(proj @ proj), 0.0)
     dof = design.n - k - 1
@@ -646,15 +625,13 @@ def coef_decomposition(design: StandardizedDesign, i: int, j: int) -> Coefficien
     if i == j:
         raise ValueError("need two distinct features")
     _as_indices((i, j), design.m)  # a ValueError outside range(m)
-    xi = design.features[:, i]
-    xj = design.features[:, j]
-    y = design.response
-    r_ij = float(xi @ xj)
+    G = design.gram()
+    r_ij = float(G[i, j])
     det = 1.0 - r_ij * r_ij
     if det <= 1e-12:
         raise Collinear(i, j)
-    r_yi = float(y @ xi)
-    r_yj = float(y @ xj)
+    r_yi = float(G[i, design.m])
+    r_yj = float(G[j, design.m])
     direct = (r_yi - r_ij * r_yj) / det
     beta_j = (r_yj - r_ij * r_yi) / det
     return CoefficientDecomposition(marginal=r_yi, direct=direct, indirect=r_ij * beta_j)
@@ -665,26 +642,29 @@ def coef_decomposition(design: StandardizedDesign, i: int, j: int) -> Coefficien
 # ---------------------------------------------------------------------------
 
 
-def _centered_orthonormal_basis(n: int) -> np.ndarray:
-    """Helmert-style orthonormal basis (n x (n-1)) of the mean-zero subspace."""
-    Q = np.zeros((n, n - 1))
-    for j in range(1, n):
+def _centered_orthonormal_basis(n: int, columns: int) -> np.ndarray:
+    """The first ``columns`` vectors (n x columns) of a Helmert-style
+    orthonormal basis of the mean-zero subspace."""
+    Q = np.zeros((n, columns))
+    for j in range(1, columns + 1):
         scale = 1.0 / np.sqrt(j * (j + 1))
         Q[:j, j - 1] = scale
         Q[j, j - 1] = -j * scale
     return Q
 
 
-def gram_factory(
-    gram: np.ndarray,
-    n: int,
-    names: Sequence[str] | None = None,
-) -> StandardizedDesign:
-    """Realize a target correlation matrix as an exact finite sample.
+def gram_factory(gram: np.ndarray, n: int, names: Sequence[str] | None = None) -> StandardizedDesign:
+    """The design of :func:`gram_rows`."""
+    return StandardizedDesign(*gram_rows(gram, n, names))
+
+
+def gram_rows(gram: np.ndarray, n: int, names: Sequence[str] | None = None):
+    """Realize a target correlation matrix as an exact finite sample:
+    (features, response, names).
 
     ``gram`` is (k+1) x (k+1) with the response first. The eigenfactor of the
     gram is embedded into an orthonormal basis of the subspace orthogonal to
-    the constant vector, so the sample correlations of the returned design
+    the constant vector, so the sample correlations of the returned rows
     equal the target entrywise up to floating-point error. Requires
     n >= k + 2 rows.
     """
@@ -702,7 +682,6 @@ def gram_factory(
     if w[0] < -PSD_TOL:
         raise NotPSD(f"gram has eigenvalue {w[0]:.3e}")
     factor = V * np.sqrt(np.clip(w, 0.0, None))
-    Q = _centered_orthonormal_basis(n)
-    columns = Q[:, : k + 1] @ factor.T
+    columns = _centered_orthonormal_basis(n, k + 1) @ factor.T
     cols = tuple(names) if names is not None else default_names(k)
-    return StandardizedDesign(columns[:, 1:], columns[:, 0], cols)
+    return columns[:, 1:], columns[:, 0], cols

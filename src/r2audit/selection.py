@@ -86,8 +86,6 @@ def _step_t(design: StandardizedDesign, subset: tuple[int, ...], j: int, r2: flo
     """
     if 1.0 - r2 <= ZERO_RSS_TOL:
         return math.inf
-    if len(subset) > design.n - 2:
-        return None
     try:
         fit = ls_fit(design, subset)
     except (RankDeficient, InsufficientDof):

@@ -15,6 +15,22 @@ from .gamma import RatioQuery, submodularity_ratio
 from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a cone constant below 1 or NaN."""
+    if not alpha >= 1.0:
+        raise ValueError("alpha must be at least 1")
+
+
+def _symmetric(sigma_hat: np.ndarray) -> np.ndarray:
+    """sigma_hat as a float array, refused unless square and symmetric."""
+    S = np.asarray(sigma_hat, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError("sigma_hat must be square")
+    if np.abs(S - S.T).max() > 1e-8:
+        raise ValueError("sigma_hat must be symmetric")
+    return S
+
+
 class ConeSpec:
     """l1 cone: coordinates off S carry at most alpha times the l1 mass on S.
 
@@ -27,8 +43,7 @@ class ConeSpec:
     def __init__(self, subset: tuple[int, ...], alpha: float):
         if not subset:
             raise ValueError("cone subset must be nonempty")
-        if not alpha >= 1.0:
-            raise ValueError("alpha must be at least 1")
+        _check_alpha(alpha)
         object.__setattr__(self, "subset", tuple(sorted(set(subset))))
         object.__setattr__(self, "alpha", alpha)
 
@@ -65,11 +80,7 @@ def sparse_min_eigenvalue(
     Submatrices are solved in stacks of at most FIT_CHUNK per eigvalsh call;
     the support is the first strict minimum in combinations order.
     """
-    S = np.asarray(sigma_hat, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("sigma_hat must be square")
-    if np.abs(S - S.T).max() > 1e-8:
-        raise ValueError("sigma_hat must be symmetric")
+    S = _symmetric(sigma_hat)
     m = S.shape[0]
     _check_cap(m, max_features)
     if not 1 <= k <= m:
@@ -137,11 +148,7 @@ def restricted_eigenvalue(
     gradient descent with a fixed 1/L step. The returned certificate is
     feasible and reproduces the value.
     """
-    S = np.asarray(sigma_hat, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("sigma_hat must be square")
-    if np.abs(S - S.T).max() > 1e-8:
-        raise ValueError("sigma_hat must be symmetric")
+    S = _symmetric(sigma_hat)
     if restarts < 1:
         raise ValueError("need at least one restart")
     m = S.shape[0]

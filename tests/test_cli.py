@@ -74,11 +74,10 @@ def test_audit_miller_report(miller_csv, tmp_path):
 
 
 def test_audit_orthogonal_design(tmp_path):
-    from conftest import make_orthogonal_design
+    from conftest import make_orthogonal_rows
 
-    d = make_orthogonal_design([0.6, 0.4, 0.2], n=8)
     path = tmp_path / "orth.csv"
-    write_csv(path, d.features, d.response, d.names)
+    write_csv(path, *make_orthogonal_rows([0.6, 0.4, 0.2], n=8))
     out = tmp_path / "report.json"
     assert main(["audit", str(path), "--response", "Y", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -363,6 +362,30 @@ def test_audit_alpha_nan_exits_one_and_inf_still_runs(miller_csv, tmp_path, caps
     assert main(args + ["--alpha", "inf"]) == 0
     cone = json.loads((tmp_path / "r.json").read_text())["spectral"]["restricted_eigenvalue"]
     assert cone["alpha"] == "inf" and cone["subset"] == ["X1", "X2"]
+
+
+def test_audit_checks_alpha_before_the_enumeration(miller_csv, tmp_path, capsys, monkeypatch):
+    from r2audit import cli
+
+    def no_table(*args):
+        raise AssertionError("the fit table was filled before alpha was checked")
+
+    monkeypatch.setattr(cli, "_table", no_table)
+    out = tmp_path / "r.json"
+    assert main(["audit", str(miller_csv), "--response", "Y", "--k", "3", "--alpha", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: alpha must be at least 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [("0", "need at least one feature"), ("-2", "need at least one feature"), ("4", "need n >= m + 2 observations")],
+)
+def test_gen_gaussian_says_what_it_lacks(tmp_path, capsys, m, message):
+    out = tmp_path / "g.csv"
+    assert main(["gen", "gaussian", "--n", "5", "--m", m, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -15,13 +15,13 @@ from r2audit import cli
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
-# Runs the CLI in-process and prints the r2audit modules, and dataclasses if
-# it is loaded, that the run left in sys.modules.
+# Runs the CLI in-process and prints the r2audit modules, and dataclasses
+# and json if they are loaded, that the run left in sys.modules.
 LOADED = (
     "import sys\n"
     "from r2audit.cli import main\n"
     "assert main(sys.argv[1:]) == 0\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('r2audit') or m == 'dataclasses')))\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('r2audit') or m in ('dataclasses', 'json'))))\n"
 )
 
 
@@ -40,7 +40,7 @@ def _loaded(*args) -> set[str]:
 
 def test_grid_loads_only_the_geometry(tmp_path):
     loaded = _loaded("grid", "--theta-steps", 3, "--v-steps", 3, "--out", tmp_path / "g.csv")
-    assert loaded == {"r2audit", "r2audit.cli", "r2audit.errors", "r2audit.jsonsafe", "r2audit.geometry2d"}
+    assert loaded == {"r2audit", "r2audit.cli", "r2audit.errors", "r2audit.geometry2d"}
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from r2audit import (
     suppressor_population,
 )
 from r2audit.datasets import write_csv
+from r2audit.regress import gram_rows
 from r2audit.errors import NotPSD
 
 
@@ -78,8 +79,8 @@ def test_suppressor_full_model_is_exact():
 
 def test_suppressor_realization_reproduces_population_entrywise():
     corr = suppressor_population(4, 1.0, 10.0)
-    d = gram_factory(corr, 8)
-    cols = np.column_stack([d.response, d.features])
+    X, y, _ = gram_rows(corr, 8)
+    cols = np.column_stack([y, X])
     assert_allclose(cols.T @ cols, corr, atol=1e-10)
 
 

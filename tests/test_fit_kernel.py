@@ -1,7 +1,7 @@
 """Differential tests: the triangle-based fit kernel against direct n x |S| fits.
 
 ``evaluate_subset`` is the former per-mask fit: an SVD of the n x |S| slice of
-the standardized features, the same relative rank cutoff and the same clip at
+the standardized rows a design is built from, the same relative rank cutoff and the same clip at
 1. The package now fits every subset on the design's (m+1) x (m+1) triangle;
 the two must agree on R^2 to 1e-12 and on the rank exactly, for every mask.
 The sweep walk's screened values are checked against the kernel on the same
@@ -14,26 +14,35 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_noisy_design
+from conftest import make_noisy_design, make_noisy_rows
 from reader_oracle import FitEntry, fit_entry
-from r2audit import FitCache, gram_factory, miller_table, standardize, suppressor_population
+from row_oracle import Rows
+from r2audit import FitCache, StandardizedDesign, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
 from r2audit.bitsets import block_masks, combination_blocks, indices_of
-from r2audit.regress import RANK_RTOL, SWEEP_PIVOT_RTOL, TABLE_PIVOT_RTOL, fit_block, sweep_walk
+from r2audit.regress import (
+    RANK_RTOL,
+    SWEEP_PIVOT_RTOL,
+    TABLE_PIVOT_RTOL,
+    fit_block,
+    gram_rows,
+    standardized_rows,
+    sweep_walk,
+)
 from r2audit.selection import SCREEN_BAND
 
 
-def evaluate_subset(design, mask):
+def evaluate_subset(rows, mask):
     if mask == 0:
         return FitEntry(0.0, 0)
     idx = indices_of(mask)
     if len(idx) == 1:
-        r = float(design.features[:, idx[0]] @ design.response)
+        r = float(rows.features[:, idx[0]] @ rows.response)
         return FitEntry(min(r * r, 1.0), 1)
-    X = design.features[:, idx]
+    X = rows.features[:, idx]
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * s[0]))
-    proj = U[:, :rank].T @ design.response
+    proj = U[:, :rank].T @ rows.response
     return FitEntry(min(float(proj @ proj), 1.0), rank)
 
 
@@ -41,7 +50,7 @@ def _duplicated_column():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((20, 4))
     X = np.column_stack([X, X[:, 1]])
-    return standardize(X, X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(20))
+    return Rows(*standardized_rows(X, X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(20)))
 
 
 def _near_collinear_pair():
@@ -50,38 +59,42 @@ def _near_collinear_pair():
     gram = np.eye(5)
     gram[1, 2] = gram[2, 1] = r
     gram[0, 1:] = gram[1:, 0] = [0.5, 0.5, 0.3, -0.2]
-    return gram_factory(gram, 9)
+    return Rows(*gram_rows(gram, 9))
 
 
-DESIGNS = {
+# The rows of each design; DESIGNS builds the designs from them.
+ROWS = {
     "duplicated_column": _duplicated_column,
     "near_collinear_pair": _near_collinear_pair,
-    "n_is_m_plus_2": lambda: make_noisy_design(9, n=7, m=5),
-    "n_below_m_plus_1": lambda: make_noisy_design(12, n=4, m=6),
-    "miller": lambda: standardize(*miller_table()),
-    "interpolating": lambda: gram_factory(suppressor_population(4, 1.0, 10.0), 8),
-    "tall": lambda: make_noisy_design(14, n=600, m=6),
+    "n_is_m_plus_2": lambda: make_noisy_rows(9, n=7, m=5),
+    "n_below_m_plus_1": lambda: make_noisy_rows(12, n=4, m=6),
+    "miller": lambda: Rows(*standardized_rows(*miller_table())),
+    "interpolating": lambda: Rows(*gram_rows(suppressor_population(4, 1.0, 10.0), 8)),
+    "tall": lambda: make_noisy_rows(14, n=600, m=6),
 }
+DESIGNS = {name: lambda rows=rows: StandardizedDesign(*rows()) for name, rows in ROWS.items()}
 
 
-@pytest.fixture(params=list(DESIGNS))
-def design(request):
-    return DESIGNS[request.param]()
+@pytest.fixture(params=list(ROWS))
+def rows(request):
+    return ROWS[request.param]()
 
 
-def test_kernel_matches_direct_fit_on_every_mask(design):
+def test_kernel_matches_direct_fit_on_every_mask(rows):
+    design = StandardizedDesign(*rows)
     for mask in range(1 << design.m):
         got = fit_entry(design, indices_of(mask))
-        want = evaluate_subset(design, mask)
+        want = evaluate_subset(rows, mask)
         assert abs(got.r_squared - want.r_squared) <= 1e-12, indices_of(mask)
         assert got.rank == want.rank, indices_of(mask)
 
 
-def test_table_fill_matches_direct_fit_on_every_mask(design):
+def test_table_fill_matches_direct_fit_on_every_mask(rows):
+    design = StandardizedDesign(*rows)
     cache = FitCache()
     table = setfun._table(design, cache, regress.DEFAULT_MAX_FEATURES)
     for mask in range(1 << design.m):
-        want = evaluate_subset(design, mask)
+        want = evaluate_subset(rows, mask)
         assert abs(table[mask] - want.r_squared) <= 1e-12, indices_of(mask)
         assert cache.ranks[mask] == want.rank, indices_of(mask)
 
@@ -92,15 +105,15 @@ def test_designs_reach_their_edge_cases():
     assert fit_entry(DESIGNS["duplicated_column"](), (1, 4)).rank == 1
     assert fit_entry(DESIGNS["n_below_m_plus_1"](), range(6)).rank == 3
     assert fit_entry(DESIGNS["interpolating"](), range(4)).r_squared == pytest.approx(1.0, abs=1e-12)
-    pair = DESIGNS["near_collinear_pair"]()
+    pair = ROWS["near_collinear_pair"]()
     assert 1.0 - pair.features[:, 0] @ pair.features[:, 1] == pytest.approx(1e-9, rel=1e-5)
-    assert fit_entry(pair, (0, 1)).rank == 2
+    assert fit_entry(StandardizedDesign(*pair), (0, 1)).rank == 2
 
 
 def test_triangle_reproduces_the_gram():
-    d = DESIGNS["tall"]()
-    A = np.column_stack([d.features, d.response])
-    R = d.triangle
+    rows = ROWS["tall"]()
+    A = np.column_stack([rows.features, rows.response])
+    R = StandardizedDesign(*rows).triangle
     assert np.allclose(R.T @ R, A.T @ A, atol=1e-13)
     assert np.allclose(np.linalg.svd(R, compute_uv=False), np.linalg.svd(A, compute_uv=False), rtol=1e-13)
     assert not R.flags.writeable

@@ -10,7 +10,8 @@ import csv
 import numpy as np
 import pytest
 
-from r2audit import load_csv, standardize
+from r2audit import StandardizedDesign, load_csv
+from r2audit.regress import standardized_rows
 from r2audit.cli import main
 from r2audit.errors import DataFormatError
 
@@ -116,16 +117,20 @@ def test_loaded_design_keeps_the_row_order_of_the_python_loop(tmp_path, place):
     # feature block sums its columns in another order than a row-major one
     path = tmp_path / "layout.csv"
     _write_layout_design(path, 20_000, place)
-    d = standardize(*load_csv(path, "Y"))
-    assert d.features.flags.c_contiguous and d.response.flags.c_contiguous
+    rows = standardized_rows(*load_csv(path, "Y"))
+    d = StandardizedDesign(*rows)
+    assert rows[0].flags.c_contiguous and rows[1].flags.c_contiguous
 
     # the design as built from the csv module's cells, split by np.delete
     with open(path, newline="") as fh:
         records = list(csv.reader(fh))
     data = np.asarray([[float(c) for c in row] for row in records[1:]], dtype=float)
-    ref = standardize(np.delete(data, place, axis=1), data[:, place], tuple(records[0][:place] + records[0][place + 1:]))
+    ref_rows = standardized_rows(
+        np.delete(data, place, axis=1), data[:, place], tuple(records[0][:place] + records[0][place + 1:])
+    )
+    ref = StandardizedDesign(*ref_rows)
     assert d.names == ref.names
-    for got, want in [(d.features, ref.features), (d.response, ref.response), (d.triangle, ref.triangle)]:
+    for got, want in [(rows[0], ref_rows[0]), (rows[1], ref_rows[1]), (d.triangle, ref.triangle)]:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -11,7 +11,7 @@ import pytest
 from r2audit import ConeSpec, Grid, RatioQuery, StandardizedDesign, grid_evaluate, standardize
 from r2audit.gamma import RatioResult
 from r2audit.geometry2d import GridCell, PairDiagnostics, TrianglePoint, TRatioResult
-from r2audit.regress import CoefficientDecomposition, LeastSquaresFit
+from r2audit.regress import CoefficientDecomposition, LeastSquaresFit, standardized_rows
 from r2audit.selection import (
     NWF_THRESHOLD,
     BestSubsetResult,
@@ -134,21 +134,22 @@ def test_cone_spec_fields_and_validation():
 
 def test_standardized_design_fields_and_validation():
     rng = np.random.default_rng(5)
-    design = standardize(rng.standard_normal((6, 2)), rng.standard_normal(6), ("a", "b"))
-    again = StandardizedDesign(features=design.features, response=design.response, names=design.names)
+    raw = rng.standard_normal((6, 2)), rng.standard_normal(6)
+    X, y, names = standardized_rows(*raw, ("a", "b"))
+    design = standardize(*raw, ("a", "b"))
+    again = StandardizedDesign(features=X, response=y, names=names)
     assert again.names == ("a", "b") and np.array_equal(again.triangle, design.triangle)
+    assert (design.n, design.m, design.triangle.shape) == (6, 2, (3, 3))
     assert again != design and again == again  # equal only to itself
-    assert not again.features.flags.writeable and not again.triangle.flags.writeable
-    assert repr(design) == (
-        f"StandardizedDesign(features={design.features!r}, response={design.response!r}, names=('a', 'b'))"
-    )
+    assert not again.triangle.flags.writeable
+    assert repr(design) == f"StandardizedDesign(triangle={design.triangle!r}, n=6, names=('a', 'b'))"
     with pytest.raises(ValueError, match="names must match"):
-        StandardizedDesign(design.features, design.response, ("a",))
+        StandardizedDesign(X, y, ("a",))
     with pytest.raises(ValueError, match="length-n response"):
-        StandardizedDesign(design.features, design.response[:-1], ("a", "b"))
+        StandardizedDesign(X, y[:-1], ("a", "b"))
     with pytest.raises(ValueError, match="not centered to unit norm"):
-        StandardizedDesign(2 * design.features, design.response, ("a", "b"))
-    _assert_read_only(design, ("features", "response", "names", "triangle"))
+        StandardizedDesign(2 * X, y, ("a", "b"))
+    _assert_read_only(design, ("triangle", "n", "names", "m"))
 
 
 def test_grid_fields():

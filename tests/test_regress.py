@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 from r2audit import (
     ConeSpec,
+    StandardizedDesign,
     coef_decomposition,
     gram_factory,
     ls_fit,
     partial_correlation,
     r_squared,
-    residualize,
     restricted_eigenvalue,
     sis_assumption_check,
     standardize,
@@ -28,7 +28,9 @@ from r2audit.errors import (
     RankDeficient,
     TooFewRows,
 )
-from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from r2audit.regress import gram_rows, standardized_rows
+import row_oracle as oracle
+from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_design, make_pair_rows
 
 
 # ---------------------------------------------------------------------------
@@ -43,22 +45,22 @@ def test_standardize_miller_correlations(miller_design):
     assert abs(r[1] - (-0.0016)) < 5e-4
 
 
-def test_standardize_invariants(miller_design):
-    X = miller_design.features
+def test_standardize_invariants(miller_rows):
+    X = miller_rows.features
     assert np.abs(X.sum(axis=0)).max() < 1e-10
     assert_allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-10)
-    assert abs(miller_design.response.sum()) < 1e-10
-    assert abs(np.linalg.norm(miller_design.response) - 1.0) < 1e-10
+    assert abs(miller_rows.response.sum()) < 1e-10
+    assert abs(np.linalg.norm(miller_rows.response) - 1.0) < 1e-10
 
 
 def test_standardize_idempotent():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((9, 4)) * 50 + 3
     y = rng.standard_normal(9)
-    once = standardize(X, y)
-    twice = standardize(once.features, once.response)
-    assert_allclose(twice.features, once.features, atol=1e-12)
-    assert_allclose(twice.response, once.response, atol=1e-12)
+    once = standardized_rows(X, y)
+    twice = standardized_rows(once[0], once[1])
+    assert_allclose(twice[0], once[0], atol=1e-12)
+    assert_allclose(twice[1], once[1], atol=1e-12)
 
 
 def test_standardize_rejects_constant_column():
@@ -135,11 +137,12 @@ def test_r_squared_matches_normal_equations_oracle():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((5, 3))
     y = X @ np.array([1.0, 0.5, -1.0]) + 0.3 * rng.standard_normal(5)
-    d = standardize(X, y)
-    G = d.features.T @ d.features
-    r = d.features.T @ d.response
-    oracle = float(r @ np.linalg.inv(G) @ r)
-    assert abs(r_squared(d, (0, 1, 2)) - oracle) < 1e-10
+    rows = standardized_rows(X, y)
+    d = StandardizedDesign(*rows)
+    G = rows[0].T @ rows[0]
+    r = rows[0].T @ rows[1]
+    normal = float(r @ np.linalg.inv(G) @ r)
+    assert abs(r_squared(d, (0, 1, 2)) - normal) < 1e-10
 
 
 def test_r_squared_monotone_exhaustive():
@@ -160,53 +163,60 @@ def test_r_squared_order_invariance():
 
 
 def test_r_squared_pythagoras():
-    d = make_noisy_design(13, n=30, m=5)
+    rows = make_noisy_rows(13, n=30, m=5)
+    d = StandardizedDesign(*rows)
     for subset in [(0,), (1, 3), (0, 2, 4)]:
-        resid = d.response - _projection(d, subset)
+        resid = rows.response - _projection(rows, subset)
         assert abs(r_squared(d, subset) + resid @ resid - 1.0) < 1e-10
 
 
-def _projection(design, subset):
-    X = design.features[:, list(subset)]
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return U[:, :rank] @ (U[:, :rank].T @ design.response)
+def _projection(rows, subset):
+    U = oracle.span_basis(rows, subset)
+    return U @ (U.T @ rows.response)
 
 
 # ---------------------------------------------------------------------------
-# residualize / partial_correlation
+# partial_correlation against the row residuals
 # ---------------------------------------------------------------------------
 
 
-def test_residualize_empty_conditioners_is_identity(miller_design):
-    out = residualize(miller_design, (0, 2), ())
-    assert_allclose(out, miller_design.features[:, [0, 2]], atol=0)
+def test_residualize_empty_conditioners_is_identity(miller_design, miller_rows):
+    # with nothing to project out, the residual is the column itself
+    out = oracle.residualize(miller_rows, (0, 2), ())
+    assert_allclose(out, miller_rows.features[:, [0, 2]], atol=0)
+    for i in (0, 2):
+        column = miller_rows.features[:, i]
+        expected = float(miller_rows.response @ column) / np.linalg.norm(column)
+        assert abs(partial_correlation(miller_design, i, ()) - expected) < 1e-12
 
 
-def test_residualize_miller_semi_partial(miller_design):
-    resid = residualize(miller_design, (1,), (2,))[:, 0]
-    corr = float(miller_design.response @ resid) / np.linalg.norm(resid)
+def test_residualize_miller_semi_partial(miller_design, miller_rows):
+    resid = oracle.residualize(miller_rows, (1,), (2,))[:, 0]
+    corr = float(miller_rows.response @ resid) / np.linalg.norm(resid)
     assert abs(corr - (-0.0014)) < 5e-4
+    assert abs(partial_correlation(miller_design, 1, (2,)) - corr) < 1e-12
 
 
-def test_residualize_orthogonal_design_unchanged(orthogonal_design):
-    out = residualize(orthogonal_design, (0,), (1, 2))
-    assert_allclose(out[:, 0], orthogonal_design.features[:, 0], atol=1e-10)
+def test_residualize_orthogonal_design_unchanged(orthogonal_design, orthogonal_rows):
+    out = oracle.residualize(orthogonal_rows, (0,), (1, 2))
+    assert_allclose(out[:, 0], orthogonal_rows.features[:, 0], atol=1e-10)
+    # an unchanged unit column keeps its marginal correlation
+    assert abs(partial_correlation(orthogonal_design, 0, (1, 2)) - 0.6) < 1e-10
 
 
 def test_residualize_projection_idempotent():
-    d = make_noisy_design(4, n=30, m=6)
-    once = residualize(d, (0, 1), (3, 4))
-    basis = _span(d, (3, 4))
+    rows = make_noisy_rows(4, n=30, m=6)
+    d = StandardizedDesign(*rows)
+    once = oracle.residualize(rows, (0, 1), (3, 4))
+    basis = oracle.span_basis(rows, (3, 4))
     again = once - basis @ (basis.T @ once)
     assert_allclose(again, once, atol=1e-10)
     assert np.abs(basis.T @ once).max() < 1e-10
-
-
-def _span(design, subset):
-    X = design.features[:, list(subset)]
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    return U[:, : int(np.sum(s > 1e-10 * s[0]))]
+    # a second projection changes nothing, so conditioning on the span once
+    # gives the row value
+    for k, i in enumerate((0, 1)):
+        expected = float(rows.response @ once[:, k]) / np.linalg.norm(once[:, k])
+        assert abs(partial_correlation(d, i, (3, 4)) - expected) < 1e-12
 
 
 def test_partial_correlation_no_conditioning_is_marginal(miller_design):
@@ -255,12 +265,11 @@ def test_ls_fit_miller_interpolating_sentinel(miller_design):
 
 
 def test_ls_fit_matches_textbook_oracle():
-    d = make_pair_design(0.5, 0.5, 0.5, n=12)
+    X, y, names = make_pair_rows(0.5, 0.5, 0.5, n=12)
+    d = StandardizedDesign(X, y, names)
 
     # Straight-line oracle: solve the two-variable normal equations by hand
     # and form t = beta / se with dof = n - k - 1.
-    X = d.features
-    y = d.response
     G = X.T @ X
     beta = np.linalg.solve(G, X.T @ y)
     rss = float(y @ y - y @ X @ beta)
@@ -344,9 +353,9 @@ def test_gram_factory_identity():
 
 def test_gram_factory_round_trip():
     gram = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
-    d = gram_factory(gram, 8)
+    X, y, _ = gram_rows(gram, 8)
     realized = np.empty((3, 3))
-    cols = [d.response, d.features[:, 0], d.features[:, 1]]
+    cols = [y, X[:, 0], X[:, 1]]
     for i in range(3):
         for j in range(3):
             realized[i, j] = cols[i] @ cols[j]

@@ -5,6 +5,7 @@ import pytest
 
 from r2audit import (
     FitCache,
+    StandardizedDesign,
     chain_lower_bound,
     check_submodular,
     delta,
@@ -16,6 +17,7 @@ from r2audit import (
     standardize,
 )
 from r2audit import setfun
+from r2audit.regress import standardized_rows
 from r2audit.errors import OutOfDomain, TooManyFeatures
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 from setfun_oracle import replay_certificate
@@ -348,13 +350,13 @@ def test_gamma_witnesses_reproduce_minimum():
     assert abs(num / den - est_s.gamma_s) < 1e-10
 
 
-def _mp_r_squared(mp, design, subset):
+def _mp_r_squared(mp, rows, subset):
     """R^2 of a subset at the working mpmath precision, from the design's
-    float columns taken exactly."""
+    standardized float columns taken exactly."""
     if not subset:
         return mp.mpf(0)
-    X = mp.matrix(design.features[:, list(subset)].tolist())
-    y = mp.matrix(design.response.tolist())
+    X = mp.matrix(rows[0][:, list(subset)].tolist())
+    y = mp.matrix(rows[1].tolist())
     b = X.T * y
     return (b.T * mp.lu_solve(X.T * X, b))[0]
 
@@ -363,13 +365,13 @@ def test_gamma_s2_at_m18_is_resolved_against_50_digits():
     # Table differences returned gamma_s2 = 0 here: the witness's gains are
     # far below the rounding of R^2 near 0.5. Direct gains resolve them.
     mpmath = pytest.importorskip("mpmath")
-    d = standardize(*random_gaussian(n=200, m=18, seed=7))
-    est = empirical_gamma_s2(d)
+    rows = standardized_rows(*random_gaussian(n=200, m=18, seed=7))
+    est = empirical_gamma_s2(StandardizedDesign(*rows))
     A, i, j = est.witness_s2
     assert est.gamma_s2 > 0.0
     with mpmath.workdps(50):
         gains = [
-            _mp_r_squared(mpmath, d, sorted(base + (i,))) - _mp_r_squared(mpmath, d, base)
+            _mp_r_squared(mpmath, rows, sorted(base + (i,))) - _mp_r_squared(mpmath, rows, base)
             for base in (tuple(A), tuple(sorted(A + (j,))))
         ]
         exact = gains[0] / gains[1]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import setfun_oracle as oracle
-from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_orthogonal_rows, make_pair_design
 from reader_oracle import fit_entry
 from report_oracle import as_certificates, row_counts
 from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
@@ -18,6 +18,7 @@ from r2audit import FitCache, gram_factory, standardize, suppressor_population
 from r2audit import cli, regress, setfun
 from r2audit.bitsets import indices_of
 from r2audit.datasets import write_csv
+from r2audit.regress import gram_rows
 
 
 def _duplicated_column_design():
@@ -204,12 +205,12 @@ def _oracle_summary(d, tolerance, top):
     )
 
 
-def _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates):
+def _assert_oracle_report_identical(rows, tmp_path, monkeypatch, has_certificates):
     # The oracle's certificate lists drive a whole report and certificate
     # stream, through the same columnar renderer, and must give the kernel's
     # report and stream byte for byte.
     path = tmp_path / "in.csv"
-    write_csv(path, d.features, d.response, d.names)
+    write_csv(path, *rows)
     args = ["audit", str(path), "--response", "Y", "--k", "3", "--alpha", "3"]
     kernel_args = ["--out", str(tmp_path / "kernel.json"), "--certificates", str(tmp_path / "kernel.jsonl")]
     assert cli.main(args + kernel_args) == 0
@@ -233,8 +234,16 @@ def _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates):
 
 
 def test_audit_report_identical_with_oracle(tmp_path, monkeypatch):
-    d = make_noisy_design(88, n=30, m=6)
-    _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates=True)
+    rows = make_noisy_rows(88, n=30, m=6)
+    _assert_oracle_report_identical(rows, tmp_path, monkeypatch, has_certificates=True)
+
+
+# The rows of the fixture designs the report tests write out.
+REPORT_ROWS = {
+    "suppressor6": lambda: gram_rows(suppressor_population(6, 1.0, 3.0), 10),
+    "orthogonal": lambda: make_orthogonal_rows([0.6, 0.4, 0.2], n=8),
+    "single_feature": lambda: make_noisy_rows(3, n=10, m=1),
+}
 
 
 @pytest.mark.parametrize(
@@ -242,7 +251,7 @@ def test_audit_report_identical_with_oracle(tmp_path, monkeypatch):
     [("miller", True), ("suppressor6", True), ("orthogonal", False), ("single_feature", False)],
 )
 def test_audit_report_identical_with_oracle_on_fixtures(
-    name, has_certificates, tmp_path, monkeypatch, miller_design
+    name, has_certificates, tmp_path, monkeypatch, miller_rows
 ):
-    d = miller_design if name == "miller" else DESIGNS[name]()
-    _assert_oracle_report_identical(d, tmp_path, monkeypatch, has_certificates)
+    rows = miller_rows if name == "miller" else REPORT_ROWS[name]()
+    _assert_oracle_report_identical(rows, tmp_path, monkeypatch, has_certificates)

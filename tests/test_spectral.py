@@ -12,7 +12,7 @@ from r2audit import (
 )
 from r2audit import regress
 from r2audit.errors import TooManyFeatures
-from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_design
 
 
 def cone_membership_gap(beta, cone):
@@ -105,8 +105,7 @@ def _repeated_blocks():
 
 
 def _duplicated_columns():
-    d = make_noisy_design(31, n=20, m=4)
-    X = d.features[:, [0, 1, 2, 0, 3, 1]]
+    X = make_noisy_rows(31, n=20, m=4).features[:, [0, 1, 2, 0, 3, 1]]
     return X.T @ X
 
 
