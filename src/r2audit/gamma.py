@@ -11,8 +11,8 @@ import numpy as np
 from . import regress
 from .bitsets import combination_blocks
 from .errors import EmptyCandidateSet
-from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap
-from .setfun import SKIP_DENOM_TOL, _fits
+from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap, _fits
+from .setfun import SKIP_DENOM_TOL
 
 MODE_AT_MOST_K = "at_most_k"
 MODE_EXACTLY_K = "exactly_k"

@@ -24,12 +24,14 @@ from .regress import (
     StandardizedDesign,
     _as_indices,
     _check_cap,
+    _fits,
+    _gains_at,
+    _table,
     fit_block,
     ls_fit,
     partial_correlation,
     sweep_walk,
 )
-from .setfun import VIOLATION_TOL, _fits, _gains_at, _second_order_summary, _table
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
@@ -305,6 +307,8 @@ def nwf_check(
 ) -> NwfResult:
     """Compare k-step greedy fit against the exhaustive size-k optimum, both
     read from the cache's fit table, which is filled first."""
+    from .setfun import VIOLATION_TOL, _second_order_summary  # no command calls nwf_check
+
     cache = cache if cache is not None else FitCache()
     table = _table(design, cache, max_features)
     greedy = forward_stepwise(design, k, cache=cache).final_r_squared()

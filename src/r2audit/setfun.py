@@ -8,10 +8,11 @@ walk trusts A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept
 matrix, so a small gain on top of a large fit keeps its relative accuracy;
 elsewhere it is the table difference r2[A|i] - r2[A]. Above 20 features
 (regress.GAIN_TABLE_BYTES) no gain table is kept and every gain is that
-difference, taken where it is read. Stepwise, the submodularity ratio
-and delta read fits through one reader, _fits: that table once it is
-filled, otherwise one regress.fit_block call per block of subsets, kept
-nowhere.
+difference, taken where it is read. The table and its readers live in
+regress beside the FitCache: _table fills it, _gains_at reads a gain, and
+stepwise, the submodularity ratio and delta read fits through one reader,
+regress._fits: that table once it is filled, otherwise one
+regress.fit_block call per block of subsets, kept nowhere.
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per unordered pair lo < hi, the masks A holding
 neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi):
@@ -45,16 +46,16 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .bitsets import block_masks, indices_of, mask_sizes
+from .bitsets import indices_of, mask_sizes
 from .errors import OutOfDomain
 from .regress import (
     DEFAULT_MAX_FEATURES,
     FitCache,
     StandardizedDesign,
     _as_indices,
-    _check_cap,
-    fit_block,
-    fit_table,
+    _fits,
+    _gains_at,
+    _table,
 )
 
 VIOLATION_TOL = 1e-9
@@ -64,44 +65,6 @@ MODES = ("definition", "first_order", "second_order")
 
 # Comparisons held at once by the definition and first-order checks.
 _BLOCK = 1 << 18
-
-
-def _fits(design: StandardizedDesign, cache: FitCache | None, idx) -> np.ndarray:
-    """R^2 of every row of idx, a (k, s) block of sorted feature indices: read
-    from the cache's table once it is filled, else fitted by one
-    regress.fit_block call (zeros when s = 0), whose value for a row does not
-    depend on the rest of the block."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if cache is not None and cache.table is not None:
-        return cache.table[block_masks(idx)]
-    if idx.shape[1] == 0:
-        return np.zeros(idx.shape[0])
-    return fit_block(design, idx)[0]
-
-
-def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int) -> np.ndarray:
-    """Cap-checked, dense, read-only r2[mask] of all 2^m masks, memoized on the
-    cache with its gain table (``cache.gains``, None above 20 features) by
-    one :func:`fit_table` call."""
-    _check_cap(design.m, max_features)
-    cache = cache if cache is not None else FitCache()
-    table = cache.table
-    if table is None:
-        table, ranks, gains = fit_table(design)
-        for values in (table, ranks, gains):
-            if values is not None:
-                values.setflags(write=False)
-        cache.publish(table, ranks, gains)
-    return table
-
-
-def _gains_at(cache: FitCache, i, masks):
-    """gain_A(i) for features i and masks A (scalars or arrays) of a filled
-    cache: from its gain table, or the table difference where it kept none."""
-    if cache.gains is not None:
-        # one feature's row, then a 1-D gather: about twice as fast as [i, masks]
-        return cache.gains[i][masks] if np.ndim(i) == 0 else cache.gains[i, masks]
-    return cache.table[masks | (1 << i)] - cache.table[masks]
 
 
 def _gain_row(cache: FitCache, i: int) -> np.ndarray:

@@ -47,7 +47,7 @@ def test_grid_loads_only_the_geometry(tmp_path):
     "command, absent",
     [
         (["select", "{csv}", "--response", "Y", "--algo", "best", "--k", "2"],
-         {"gamma", "spectral", "geometry2d", "datasets"}),
+         {"setfun", "gamma", "spectral", "geometry2d", "datasets"}),
         (["audit", "{csv}", "--response", "Y", "--k", "2", "--alpha", "3"], {"geometry2d", "datasets"}),
         (["gen", "gaussian", "--n", "10", "--m", "3"], {"setfun", "selection", "gamma", "spectral", "geometry2d"}),
     ],

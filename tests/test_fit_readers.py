@@ -99,8 +99,23 @@ def test_audit_fits_come_from_the_table(monkeypatch):
     d = make_noisy_design(95, n=40, m=7)
     expected = cli.build_audit_report(d, "x.csv", "Y", 3, 20, alpha=3.0)
 
-    def refuse(*_):
-        raise AssertionError("an audit fit bypassed the table")
+    # fit_table fits the subsets its walk does not trust with fit_block; no
+    # other audit fit may reach it
+    filling = []
+    fill, fit_block = regress.fit_table, regress.fit_block
 
-    monkeypatch.setattr(setfun, "fit_block", refuse)
+    def fit_table(design):
+        filling.append(design)
+        try:
+            return fill(design)
+        finally:
+            filling.pop()
+
+    def refuse(*args):
+        if not filling:
+            raise AssertionError("an audit fit bypassed the table")
+        return fit_block(*args)
+
+    monkeypatch.setattr(regress, "fit_table", fit_table)
+    monkeypatch.setattr(regress, "fit_block", refuse)
     assert cli.build_audit_report(d, "x.csv", "Y", 3, 20, alpha=3.0) == expected
