@@ -17,68 +17,19 @@ _EXPORTS = {
     "gamma": ("RatioQuery", "RatioResult", "submodularity_ratio"),
     "geometry2d": ("Grid", "GridCell", "PairDiagnostics", "TrianglePoint", "gamma_pair", "grid_evaluate",
                    "joint_t_extremes", "t_ratio_empirical", "triangle_solve"),
-    "regress": ("FitCache", "StandardizedDesign", "coef_decomposition", "gram_factory", "load_csv",
-                "ls_fit", "partial_correlation", "r_squared", "standardize"),
-    "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "l0_path", "nwf_check",
+    "regress": ("FitCache", "StandardizedDesign", "gram_factory", "load_csv", "ls_fit",
+                "partial_correlation", "r_squared", "standardize"),
+    "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "nwf_verdict",
                   "sis_assumption_check", "sis_screen"),
     "setfun": ("Certificates", "GammaS2Result", "GammaSResult", "ViolationCertificate",
-               "chain_lower_bound", "check_submodular", "delta", "empirical_gamma_s",
-               "empirical_gamma_s2", "find_suppressors"),
+               "check_submodular", "empirical_gamma_s", "empirical_gamma_s2", "find_suppressors"),
     "spectral": ("ConeSpec", "gamma_vs_spectral", "restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditError",
-    "Certificates",
-    "ConeSpec",
-    "FitCache",
-    "GammaS2Result",
-    "GammaSResult",
-    "Grid",
-    "GridCell",
-    "PairDiagnostics",
-    "RatioQuery",
-    "RatioResult",
-    "SelectionTrace",
-    "StandardizedDesign",
-    "TrianglePoint",
-    "ViolationCertificate",
-    "best_subset",
-    "chain_lower_bound",
-    "check_submodular",
-    "coef_decomposition",
-    "delta",
-    "empirical_gamma_s",
-    "empirical_gamma_s2",
-    "find_suppressors",
-    "forward_stepwise",
-    "gamma_pair",
-    "gamma_vs_spectral",
-    "gram_factory",
-    "grid_evaluate",
-    "isis",
-    "joint_t_extremes",
-    "l0_path",
-    "load_csv",
-    "ls_fit",
-    "miller_table",
-    "nwf_check",
-    "partial_correlation",
-    "r_squared",
-    "random_gaussian",
-    "restricted_eigenvalue",
-    "sis_assumption_check",
-    "sis_screen",
-    "sparse_min_eigenvalue",
-    "standardize",
-    "submodularity_ratio",
-    "suppressor_population",
-    "t_ratio_empirical",
-    "triangle_solve",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

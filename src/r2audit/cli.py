@@ -86,8 +86,12 @@ class _Parser(argparse.ArgumentParser):
 @contextmanager
 def _output(out_path: str | None) -> Iterator[TextIO]:
     """Standard output, or the file at out_path opened for UTF-8 text with LF
-    endings and closed on exit."""
+    endings and closed on exit. A process started with standard output
+    closed has none (sys.stdout is None), an I/O error raised here, where
+    the command opens its output: grid opens it before forking workers."""
     if out_path is None:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -124,8 +128,11 @@ def build_audit_report(
     lines of its part of that stream, parsed back.
     """
     _bind(*_AUDIT_MODULES)
+    # the arguments are checked before the enumeration, not after it
+    if k < 1:
+        raise ValueError(f"k must lie in 1..{design.m}")
     if alpha is not None:
-        _check_alpha(alpha)  # before the enumeration, not after it
+        _check_alpha(alpha)
     names = design.names
     cache = FitCache()
     corr = design.marginal_correlations()

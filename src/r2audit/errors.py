@@ -47,15 +47,6 @@ class InsufficientDof(AuditError):
         super().__init__(f"subset {list(subset)} leaves no residual degrees of freedom")
 
 
-class Collinear(AuditError):
-    """Two features are (numerically) collinear."""
-
-    def __init__(self, i: int, j: int):
-        self.i = i
-        self.j = j
-        super().__init__(f"features {i} and {j} are collinear")
-
-
 class NotPSD(AuditError):
     """A matrix required to be positive semidefinite is not."""
 
@@ -83,10 +74,6 @@ class InfeasibleCorrelations(AuditError):
 
 class InfeasibleAngles(AuditError):
     """Angles do not describe a valid two-feature regression triangle."""
-
-
-class OutOfDomain(AuditError):
-    """Scalar argument outside the domain of a closed-form bound."""
 
 
 class ZeroBeta(AuditError):

@@ -44,7 +44,6 @@ import numpy as np
 
 from .bitsets import block_masks, combination_blocks, mask_sizes
 from .errors import (
-    Collinear,
     ConstantColumn,
     DataFormatError,
     DegenerateResidual,
@@ -647,33 +646,6 @@ def ls_fit(design: StandardizedDesign, subset: SubsetLike) -> LeastSquaresFit:
         se = np.sqrt(sigma2 * gram_inv_diag)
         t = coef / se
     return LeastSquaresFit(idx, coef, se, t, rss, dof)
-
-
-class CoefficientDecomposition(NamedTuple):
-    marginal: float
-    direct: float
-    indirect: float
-
-
-def coef_decomposition(design: StandardizedDesign, i: int, j: int) -> CoefficientDecomposition:
-    """Split the simple-regression slope of i into direct and indirect parts.
-
-    marginal = direct + indirect, where direct is i's coefficient in the
-    two-feature model with j, and indirect routes through regressing i on j.
-    """
-    if i == j:
-        raise ValueError("need two distinct features")
-    _as_indices((i, j), design.m)  # a ValueError outside range(m)
-    G = design.gram()
-    r_ij = float(G[i, j])
-    det = 1.0 - r_ij * r_ij
-    if det <= 1e-12:
-        raise Collinear(i, j)
-    r_yi = float(G[i, design.m])
-    r_yj = float(G[j, design.m])
-    direct = (r_yi - r_ij * r_yj) / det
-    beta_j = (r_yj - r_ij * r_yi) / det
-    return CoefficientDecomposition(marginal=r_yi, direct=direct, indirect=r_ij * beta_j)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Selection algorithms the diagnostics explain: greedy stepwise, exhaustive
-best subset, the sparsity-penalized path, the greedy guarantee check, and
-(iterated) marginal-correlation screening.
+best subset, the greedy guarantee verdict, and (iterated) marginal-correlation
+screening.
 
 Ties always break toward the lowest feature index, then the smallest mask,
 so traces are reproducible across platforms.
@@ -26,7 +26,6 @@ from .regress import (
     _check_cap,
     _fits,
     _gains_at,
-    _table,
     fit_block,
     ls_fit,
     partial_correlation,
@@ -35,7 +34,7 @@ from .regress import (
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
-# best_subset and l0_path re-fit every trusted subset whose screened fit lies
+# best_subset re-fits every trusted subset whose screened fit lies
 # within this distance of its size's screened maximum. A screened value is
 # within 3 eps |S| / regress.SWEEP_PIVOT_RTOL of fit_block's, 1.6e-8 at 24
 # features, so the band is more than twice that: it holds the subset
@@ -229,44 +228,6 @@ def table_best_subset(table: np.ndarray, k: int) -> BestSubsetResult:
     return BestSubsetResult(indices_of(mask), float(table[mask]))
 
 
-class L0PathPoint(NamedTuple):
-    lam: float
-    subset: tuple[int, ...]
-    objective: float
-
-
-def l0_path(
-    design: StandardizedDesign,
-    lambda_grid: Iterable[float],
-    *,
-    max_features: int = DEFAULT_MAX_FEATURES,
-) -> list[L0PathPoint]:
-    """Exact sparsity-penalized path: argmin of ESS(S) + lambda |S| per lambda.
-
-    With the response standardized, ESS(S) is 1 - r_squared(S), so the
-    per-cardinality best subsets are computed once and reused across the
-    whole grid. Objective ties break toward the smallest mask. The empty
-    subset carries no penalty, so lambda = +inf selects it with objective 1.
-    """
-    _check_cap(design.m, max_features)
-    lambdas = list(lambda_grid)
-    if not all(lam >= 0 for lam in lambdas):
-        raise ValueError("lambda values must be nonnegative and not NaN")
-    per_size = _best_per_size(design, design.m)
-
-    path = []
-    for lam in lambdas:
-        chosen_mask = 0
-        chosen_obj = math.inf
-        for size, (mask, r2v) in enumerate(per_size):
-            objective = (1.0 - r2v) + (lam * size if size else 0.0)
-            if objective < chosen_obj or (objective == chosen_obj and mask < chosen_mask):
-                chosen_obj = objective
-                chosen_mask = mask
-        path.append(L0PathPoint(lam=lam, subset=indices_of(chosen_mask), objective=chosen_obj))
-    return path
-
-
 class NwfResult(NamedTuple):
     """Greedy-vs-optimal comparison with the (1 - 1/e) factor.
 
@@ -296,25 +257,6 @@ def nwf_verdict(
         guarantee_holds=ratio >= NWF_THRESHOLD - tolerance,
         is_submodular=is_submodular,
     )
-
-
-def nwf_check(
-    design: StandardizedDesign,
-    k: int,
-    cache: FitCache | None = None,
-    max_features: int = DEFAULT_MAX_FEATURES,
-    tolerance: float = 1e-9,
-) -> NwfResult:
-    """Compare k-step greedy fit against the exhaustive size-k optimum, both
-    read from the cache's fit table, which is filled first."""
-    from .setfun import VIOLATION_TOL, _second_order_summary  # no command calls nwf_check
-
-    cache = cache if cache is not None else FitCache()
-    table = _table(design, cache, max_features)
-    greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
-    optimal = table_best_subset(table, k).r_squared
-    is_submodular = _second_order_summary(cache, design.m, VIOLATION_TOL).count == 0
-    return nwf_verdict(greedy, optimal, is_submodular, tolerance)
 
 
 def sis_screen(design: StandardizedDesign, d: int) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
-"""The fit function viewed as a set function: gains, violation certificates,
-empirical approximate-submodularity constants, and the chain lower bound.
+"""The fit function viewed as a set function: gains, violation certificates
+and empirical approximate-submodularity constants.
 
 Every exhaustive diagnostic reads one dense table r2[mask] of all 2^m subset
 fits and one gain table gain[i, A], filled together by one sweep walk
@@ -9,10 +9,7 @@ matrix, so a small gain on top of a large fit keeps its relative accuracy;
 elsewhere it is the table difference r2[A|i] - r2[A]. Above 20 features
 (regress.GAIN_TABLE_BYTES) no gain table is kept and every gain is that
 difference, taken where it is read. The table and its readers live in
-regress beside the FitCache: _table fills it, _gains_at reads a gain, and
-stepwise, the submodularity ratio and delta read fits through one reader,
-regress._fits: that table once it is filled, otherwise one
-regress.fit_block call per block of subsets, kept nowhere.
+regress beside the FitCache: _table fills it and _gains_at reads a gain.
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per unordered pair lo < hi, the masks A holding
 neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi):
@@ -21,50 +18,33 @@ counts of both violation lists, and either their heads (the rows that can be
 among the first TOP_CERTIFICATES, in one row store per list) or, for
 check_submodular, find_suppressors and the certificate stream, both whole
 lists: the second-order rows in one row store, and the suppression rows
-computed from them. The definition and first-order checks keep their rows in
-the same store.
+computed from them.
 gamma_s divides each gain_A(i) by the largest usable gain_B(i) over strict
 supersets B, found by a zeta transform in O(m^2 2^m) rather than a walk over
 all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
-The definition and first-order checks compare blocks of table rows with the
-whole table: O(4^m) and O(m 4^m) time. Argmin ties break toward the first
-comparison in ascending mask order; certificates are ordered by deficit,
-largest first, then by their index sets as tuples, and kept as columns
-(Certificates) from the kernel to the certificate stream's renderer.
+Argmin ties break toward the first comparison in ascending mask order;
+certificates are ordered by deficit, largest first, then by their index sets
+as tuples, and kept as columns (Certificates) from the kernel to the
+certificate stream's renderer.
 Second-order certificates (A, i, j) and (A, j, i) come from the same step
 of that walk and carry its one deficit, that of (A, min(i, j), max(i, j)), so
 they are selected together, and sort next to each other. Suppression
 certificates are the second-order rows, rendered as square roots of the two
 gains.
 """
-
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .bitsets import indices_of, mask_sizes
-from .errors import OutOfDomain
-from .regress import (
-    DEFAULT_MAX_FEATURES,
-    FitCache,
-    StandardizedDesign,
-    _as_indices,
-    _fits,
-    _gains_at,
-    _table,
-)
+from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _gains_at, _table
 
 VIOLATION_TOL = 1e-9
 SKIP_DENOM_TOL = 1e-12
-
-MODES = ("definition", "first_order", "second_order")
-
-# Comparisons held at once by the definition and first-order checks.
-_BLOCK = 1 << 18
 
 
 def _gain_row(cache: FitCache, i: int) -> np.ndarray:
@@ -88,22 +68,6 @@ def _pair_gains(cache: FitCache, m: int) -> Iterator[tuple]:
             a = without_lo + (without_lo & -bit_hi)
             at = ((lo, a), (lo, a | bit_hi), (hi, a), (hi, a | bit_lo))
             yield a, lo, hi, *[_gains_at(cache, i, b) for i, b in at]
-
-
-def delta(
-    design: StandardizedDesign,
-    added: Iterable[int],
-    base: Iterable[int],
-    cache: FitCache | None = None,
-) -> float:
-    """Gain in fit from adding a feature set to a base model.
-
-    Overlap between the two sets is allowed and contributes nothing. Both
-    sets must lie in range(m), whether or not the cache's table is filled.
-    """
-    base = _as_indices(base, design.m)
-    joint = _as_indices((*added, *base), design.m)
-    return float(_fits(design, cache, [joint])[0] - _fits(design, cache, [base])[0])
 
 
 class ViolationCertificate(NamedTuple):
@@ -214,7 +178,7 @@ class _Rows:
     """The rows of one certificate list, offered a chunk at a time.
 
     An offer gives a mask of the chunk's rows to keep, then one array or
-    scalar per role (masks for the set roles A, B and S, feature indices for
+    scalar per role (masks for the set roles A and S, feature indices for
     i and j), then lhs, rhs and deficit arrays. Role columns are stored in
     their ``_role_dtype``. With ``top`` only the rows that can be among the
     list's first ``top`` are kept: every row not below the top-th largest
@@ -263,67 +227,28 @@ def _by_sets(form, roles, hits, m) -> Certificates:
     return Certificates(form, roles, columns, lhs, rhs, deficit, ties)
 
 
-def _mask_pairs(m: int, keep) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the mask pairs (A, B) with keep(A, B), a block of rows A at a time."""
-    masks = np.arange(1 << m)
-    step = max(1, _BLOCK >> m)
-    for lo in range(0, masks.size, step):
-        rows, b = np.nonzero(keep(masks[lo : lo + step, None], masks))
-        yield rows + lo, b
-
-
-def _definition_pairs(table: np.ndarray, m: int):
-    for a, b in _mask_pairs(m, np.less_equal):
-        lhs, rhs = table[a] + table[b], table[a | b] + table[a & b]
-        yield a, b, lhs, rhs, rhs - lhs
-
-
-def _first_order_pairs(cache: FitCache, m: int):
-    for a, b in _mask_pairs(m, lambda a, b: ((a | b) == b) & (a < b)):
-        for i in range(m):
-            gain = _gain_row(cache, i)
-            outside = (b >> i) & 1 == 0
-            lhs, rhs = gain[a[outside]], gain[b[outside]]
-            yield a[outside], b[outside], i, lhs, rhs, rhs - lhs
-
-
 def check_submodular(
     design: StandardizedDesign,
-    mode: str = "second_order",
     tolerance: float = VIOLATION_TOL,
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> Certificates:
-    """Exhaustively certify one of the three diminishing-returns inequalities.
+    """Exhaustively certify the second-order diminishing-returns inequality:
+    every gain_A(i) against gain_{A+j}(i), one extra conditioning feature j.
 
-    mode "definition" checks F(A) + F(B) >= F(A|B) + F(A&B) over all pairs,
-    "first_order" checks gains against nested base sets, and "second_order"
-    checks gains against a single extra conditioning feature. Returns no
-    certificates iff the inequality holds everywhere up to ``tolerance``;
-    otherwise certificates ordered by deficit, largest first. Neither the
-    length nor the truth value of the result sorts it.
+    Returns no certificates iff the inequality holds everywhere up to
+    ``tolerance``; otherwise certificates ordered by deficit, largest first.
+    Neither the length nor the truth value of the result sorts it.
 
-    The second-order rows (A, i, j) and (A, j, i) are mirror images with
-    mathematically equal deficits. Both take the deficit of
-    (A, min(i, j), max(i, j)), are kept when it exceeds ``tolerance`` and
-    dropped otherwise, and sort next to each other: the result holds every
-    row's mirror, and its length is even.
+    The rows (A, i, j) and (A, j, i) are mirror images with mathematically
+    equal deficits. Both take the deficit of (A, min(i, j), max(i, j)), are
+    kept when it exceeds ``tolerance`` and dropped otherwise, and sort next
+    to each other: the result holds every row's mirror, and its length is
+    even.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    m = design.m
     cache = cache if cache is not None else FitCache()
-    table = _table(design, cache, max_features)
-    if mode == "second_order":
-        return _second_order_summary(cache, m, tolerance, top=None).second_order
-    if mode == "definition":
-        roles, chunks = ("A", "B"), _definition_pairs(table, m)
-    else:
-        roles, chunks = ("A", "B", "i"), _first_order_pairs(cache, m)
-    rows = _Rows(roles, m)
-    for chunk in chunks:
-        rows.offer(chunk[-1] > tolerance, *chunk)
-    return _by_sets(mode, roles, rows.columns(), m)
+    _table(design, cache, max_features)
+    return _second_order_summary(cache, design.m, tolerance, top=None).second_order
 
 
 def _second_order_certificates(a, i, j, gain, cond, deficit, m) -> Certificates:
@@ -518,20 +443,3 @@ def empirical_gamma_s(
         candidates.append((int(b[hit.argmax()]), i))
     b_mask, i = min(candidates)
     return GammaSResult(value, (indices_of(a_mask), indices_of(b_mask), i), skipped)
-
-
-def chain_lower_bound(gamma_s2: float, k: int) -> float:
-    """Worst-case first-order constant implied by k second-order steps.
-
-    Telescoping a chain of k single-feature conditioning steps, each at the
-    worst ratio, multiplies the gain by gamma_s2 at every step, so the
-    implied constant is gamma_s2 ** k. Exactly submodular input (gamma_s2 = 1)
-    propagates unchanged.
-    """
-    if k < 1 or int(k) != k:
-        raise OutOfDomain(f"chain length must be a positive integer, got {k}")
-    if gamma_s2 == 1.0:
-        return 1.0
-    if not 0.0 < gamma_s2 < 1.0:
-        raise OutOfDomain(f"gamma_s2 must lie in (0, 1), got {gamma_s2}")
-    return gamma_s2 ** int(k)

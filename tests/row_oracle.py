@@ -15,12 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from r2audit.errors import Collinear, DegenerateResidual, InsufficientDof, RankDeficient
+from r2audit.errors import DegenerateResidual, InsufficientDof, RankDeficient
 from r2audit.regress import (
     DEGENERATE_TOL,
     RANK_RTOL,
     ZERO_RSS_TOL,
-    CoefficientDecomposition,
     LeastSquaresFit,
     _as_indices,
 )
@@ -107,17 +106,3 @@ def ls_fit(rows: Rows, subset) -> LeastSquaresFit:
         t = coef / se
     return LeastSquaresFit(idx, coef, se, t, rss, dof)
 
-
-def coef_decomposition(rows: Rows, i: int, j: int) -> CoefficientDecomposition:
-    xi = rows.features[:, i]
-    xj = rows.features[:, j]
-    y = rows.response
-    r_ij = float(xi @ xj)
-    det = 1.0 - r_ij * r_ij
-    if det <= 1e-12:
-        raise Collinear(i, j)
-    r_yi = float(y @ xi)
-    r_yj = float(y @ xj)
-    direct = (r_yi - r_ij * r_yj) / det
-    beta_j = (r_yj - r_ij * r_yi) / det
-    return CoefficientDecomposition(marginal=r_yi, direct=direct, indirect=r_ij * beta_j)

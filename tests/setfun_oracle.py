@@ -15,18 +15,14 @@ from __future__ import annotations
 import math
 
 from r2audit.bitsets import indices_of, mask_of
-from r2audit.regress import DEFAULT_MAX_FEATURES, FitCache, _as_indices
-from r2audit.setfun import (
-    MODES,
-    SKIP_DENOM_TOL,
-    VIOLATION_TOL,
-    GammaS2Result,
-    GammaSResult,
-    ViolationCertificate,
-    _fits,
-    _gains_at,
-    _table,
-)
+from r2audit.regress import DEFAULT_MAX_FEATURES, FitCache, _as_indices, _fits, _gains_at, _table
+from r2audit.setfun import SKIP_DENOM_TOL, VIOLATION_TOL, GammaS2Result, GammaSResult, ViolationCertificate
+
+# The three equivalent diminishing-returns inequalities. The package checks
+# only the second-order one; the definition (O(4^m) pairs of sets) and
+# first-order (O(m 4^m) nested pairs) checks live here, as references for
+# their equivalence.
+MODES = ("definition", "first_order", "second_order")
 
 
 def _filled(design, cache, max_features):

@@ -377,6 +377,20 @@ def test_audit_checks_alpha_before_the_enumeration(miller_csv, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_audit_checks_k_before_the_enumeration(miller_csv, tmp_path, capsys, monkeypatch, k):
+    from r2audit import cli
+
+    def no_table(*args):
+        raise AssertionError("the fit table was filled before k was checked")
+
+    monkeypatch.setattr(cli, "_table", no_table)
+    out = tmp_path / "r.json"
+    assert main(["audit", str(miller_csv), "--response", "Y", "--k", k, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: k must lie in 1..3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "m, message",
     [("0", "need at least one feature"), ("-2", "need at least one feature"), ("4", "need n >= m + 2 observations")],

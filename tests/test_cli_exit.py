@@ -45,6 +45,7 @@ COMMANDS = {
     "select-isis": ["select", "{csv}", "--response", "Y", "--algo", "isis", "--d", "1", "--rounds", "2"],
     "grid": ["grid", "--theta-steps", "20", "--v-steps", "20"],
     "gen-gaussian": ["gen", "gaussian", "--n", "30", "--m", "4", "--seed", "5"],
+    "gen-miller": ["gen", "miller"],
 }
 
 
@@ -113,6 +114,26 @@ def test_stdout_into_a_full_device_is_an_io_error(small_csv, name):
         result = _script(*_args(name, small_csv), stdout=full, text=True)
     _assert_io_error(result)
     assert "No space left on device" in result.stderr
+
+
+# a process started with standard output closed (`>&-`) has sys.stdout None
+@pytest.mark.parametrize("name", ["gen-miller", "grid", "select-best", "audit"])
+def test_closed_stdout_is_an_io_error(small_csv, name):
+    closed = ["sh", "-c", 'exec "$@" >&-', "sh", *SCRIPT, *_args(name, small_csv)]
+    result = subprocess.run(closed, env=ENV, stderr=subprocess.PIPE, text=True)
+    assert (result.returncode, result.stderr) == (1, "error: standard output is closed\n")
+
+
+def test_closed_stdout_fails_the_grid_before_it_forks(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("a grid worker was forked")
+
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["grid", "--theta-steps", "20", "--v-steps", "20"]) == 1
+    assert capsys.readouterr().err == "error: standard output is closed\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,11 @@ row oracle, on tall designs and on designs with n <= m + 1, where R is not
 square.
 
 The two agree to TOL times the condition of what they compute: the rounding
-of a correlation of order eps is amplified by 1 / (1 - r_ij^2) in a
-two-feature coefficient, by 1 / ||residual|| in a partial correlation, and by
-the condition number of the subset's columns in a least-squares fit. On the
-Miller pair (1 - r_ij^2 = 2.5e-6) and on the wide design's nearly spanned
-columns (residual norms of 1e-5) the row and triangle values differ by up to
-1.7e-7 and 1.2e-10, and each errs from a 50-digit value by the same order:
-the Miller pair's direct coefficient by 1.1e-7 on R and 5.6e-8 on the rows.
+of a correlation of order eps is amplified by 1 / ||residual|| in a partial
+correlation, and by the condition number of the subset's columns in a
+least-squares fit. On the wide design's nearly spanned columns (residual
+norms of 1e-5) the row and triangle values differ by up to 1.2e-10.
 """
-
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +17,6 @@ import row_oracle as oracle
 from row_oracle import Rows
 from r2audit import (
     StandardizedDesign,
-    coef_decomposition,
     gram_factory,
     ls_fit,
     miller_table,
@@ -124,15 +119,6 @@ def test_partial_correlation_matches_the_rows(rows):
     assert resolved > 0
     with pytest.raises(ValueError, match="overlap"):
         partial_correlation(d, 0, (0,))
-
-
-def test_coef_decomposition_matches_the_rows(rows):
-    d = StandardizedDesign(*rows)
-    for i, j in combinations(range(rows.m), 2):
-        pair = _same_outcome(lambda: coef_decomposition(d, i, j), lambda: oracle.coef_decomposition(rows, i, j))
-        if pair is not None:
-            det = 1.0 - oracle.correlation_matrix(rows)[i, j] ** 2
-            assert np.abs(np.subtract(pair[0], pair[1])).max() <= TOL / det, (i, j)
 
 
 def test_a_design_does_not_grow_with_n():

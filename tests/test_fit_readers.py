@@ -15,7 +15,7 @@ import reader_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design
 from test_fit_kernel import DESIGNS as KERNEL_DESIGNS
 from test_selection import TIE_SEEDS, _duplicated_columns_design
-from r2audit import FitCache, RatioQuery, delta, forward_stepwise, gram_factory, submodularity_ratio
+from r2audit import FitCache, RatioQuery, forward_stepwise, gram_factory, submodularity_ratio
 from r2audit import cli, regress, setfun, suppressor_population
 from r2audit.errors import EmptyCandidateSet
 
@@ -89,10 +89,6 @@ def test_out_of_range_subsets_raise_whether_or_not_the_table_is_filled(filled, s
     cache = _cache(d, filled)
     with pytest.raises(ValueError):
         submodularity_ratio(d, RatioQuery(subset, 1, "exactly_k"), cache)
-    with pytest.raises(ValueError):
-        delta(d, subset, (), cache)
-    with pytest.raises(ValueError):
-        delta(d, (0,), subset, cache)
 
 
 def test_audit_fits_come_from_the_table(monkeypatch):

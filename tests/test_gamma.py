@@ -46,15 +46,15 @@ def test_ratio_matches_direct_enumeration():
     cache = FitCache()
     from itertools import combinations
 
-    from r2audit import delta
+    from r2audit import r_squared
 
     base = (1,)
     best = math.inf
     for team in combinations((0, 2, 3, 4), 2):
-        den = delta(d, team, base, cache)
+        den = r_squared(d, tuple(sorted(team + base))) - r_squared(d, base)
         if den < 1e-12:
             continue
-        num = sum(delta(d, (t,), base, cache) for t in team)
+        num = sum(r_squared(d, tuple(sorted((t, *base)))) - r_squared(d, base) for t in team)
         best = min(best, num / den)
     res = submodularity_ratio(d, RatioQuery(base, 2, "exactly_k"), cache=cache)
     assert abs(res.gamma_sr - best) < 1e-12

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +76,26 @@ def test_star_import_binds_every_export(fresh, monkeypatch):
 def test_submodule_resolves_from_the_namespace(fresh):
     assert fresh.setfun is sys.modules["r2audit.setfun"]
     assert fresh.geometry2d is sys.modules["r2audit.geometry2d"]
+
+
+def _readme_public_names() -> dict[str, tuple[str, str]]:
+    """name -> (module, use) of each row of README's public-name table."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("| name | module | use |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        match = re.fullmatch(r"\| `(\w+)` \| `(\w+)` \| (.+) \|", line)
+        assert match, line
+        name, module, use = match.groups()
+        assert name not in rows, name
+        rows[name] = (module, use)
+    return rows
+
+
+def test_readme_lists_every_public_name_with_its_use(fresh):
+    rows = _readme_public_names()
+    assert sorted(rows) == fresh.__all__
+    for name, (module, use) in rows.items():
+        assert module == fresh._MODULE_OF[name], name
+        # reached from a command, named first, or library-only with a reason
+        assert re.fullmatch(r"command: `(audit|grid|select|gen)\b.*|library-only: \w.*", use), (name, use)

@@ -11,13 +11,12 @@ import pytest
 from r2audit import ConeSpec, Grid, RatioQuery, StandardizedDesign, grid_evaluate, standardize
 from r2audit.gamma import RatioResult
 from r2audit.geometry2d import GridCell, PairDiagnostics, TrianglePoint, TRatioResult
-from r2audit.regress import CoefficientDecomposition, LeastSquaresFit, standardized_rows
+from r2audit.regress import LeastSquaresFit, standardized_rows
 from r2audit.selection import (
     NWF_THRESHOLD,
     BestSubsetResult,
     IsisResult,
     IsisRound,
-    L0PathPoint,
     NwfResult,
     ScreeningAssumption,
     SelectionStep,
@@ -31,7 +30,6 @@ RECORDS = [
     (LeastSquaresFit, {"subset": (0, 2), "coefficients": np.array([0.5, -0.25]),
                        "standard_errors": np.array([0.1, 0.2]), "t_statistics": np.array([5.0, -1.25]),
                        "rss": 0.7, "dof": 7}, {}),
-    (CoefficientDecomposition, {"marginal": 0.5, "direct": 0.4, "indirect": 0.1}, {}),
     (ViolationCertificate, {"form": "second_order", "sets": (("A", (0,)), ("i", (1,)), ("j", (2,))),
                             "lhs": 0.1, "rhs": 0.3, "deficit": 0.2}, {}),
     (GammaS2Result, {"gamma_s2": 0.5, "witness_s2": ((0,), 1, 2), "skipped_s2": 1}, {}),
@@ -43,7 +41,6 @@ RECORDS = [
     (SelectionTrace, {"algorithm": "forward_stepwise", "steps": (SelectionStep(2, 0.5, 0.5, None),),
                       "stopping_reason": "max_steps"}, {}),
     (BestSubsetResult, {"subset": (0, 1), "r_squared": 0.9}, {}),
-    (L0PathPoint, {"lam": 0.1, "subset": (0,), "objective": 0.6}, {}),
     (NwfResult, {"greedy_r2": 0.5, "optimal_r2": 0.8, "ratio": 0.625, "guarantee_holds": False,
                  "is_submodular": False, "threshold": NWF_THRESHOLD}, {"threshold": NWF_THRESHOLD}),
     (IsisRound, {"scores": ((1, 0.5), (0, 0.25)), "picked": (1,)}, {}),

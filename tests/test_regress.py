@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from r2audit import (
     ConeSpec,
     StandardizedDesign,
-    coef_decomposition,
     gram_factory,
     ls_fit,
     partial_correlation,
@@ -19,7 +18,6 @@ from r2audit import (
 )
 from r2audit.bitsets import indices_of
 from r2audit.errors import (
-    Collinear,
     ConstantColumn,
     DataFormatError,
     DegenerateResidual,
@@ -30,7 +28,7 @@ from r2audit.errors import (
 )
 from r2audit.regress import gram_rows, standardized_rows
 import row_oracle as oracle
-from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_design, make_pair_rows
+from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_rows
 
 
 # ---------------------------------------------------------------------------
@@ -293,46 +291,14 @@ def test_ls_fit_errors():
         ls_fit(dd, (0, 1))
 
 
-# ---------------------------------------------------------------------------
-# coef_decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_coef_decomposition_orthogonal_kills_indirect(orthogonal_design):
-    dec = coef_decomposition(orthogonal_design, 0, 1)
-    assert abs(dec.indirect) < 1e-10
-    assert abs(dec.marginal - dec.direct) < 1e-10
-
-
-def test_coef_decomposition_closed_form_instance():
-    d = make_pair_design(0.5, 0.5, 0.5, n=8)
-    dec = coef_decomposition(d, 0, 1)
-    # closed forms: direct = (r_yi - r12 r_yj) / (1 - r12^2), indirect fills the gap
-    assert abs(dec.direct - (0.5 - 0.5 * 0.5) / 0.75) < 1e-10
-    assert abs(dec.marginal - (dec.direct + dec.indirect)) < 1e-10
-
-
-def test_coef_decomposition_miller_identity(miller_design):
-    dec = coef_decomposition(miller_design, 0, 1)
-    assert abs(dec.marginal - (dec.direct + dec.indirect)) < 1e-10
-
-
-def test_coef_decomposition_collinear():
-    X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [5.0, 10.0]])
-    y = np.array([0.0, 1.0, 0.5, 2.0])
-    d = standardize(X, y)
-    with pytest.raises(Collinear):
-        coef_decomposition(d, 0, 1)
-
-
 @pytest.mark.parametrize("bad", [-1, -4, 4])
-@pytest.mark.parametrize("call", ["restricted_eigenvalue", "coef_decomposition", "sis_assumption_check"])
+@pytest.mark.parametrize("call", ["restricted_eigenvalue", "ls_fit", "sis_assumption_check"])
 def test_feature_indices_outside_the_design_are_refused(call, bad):
     # a negative index must not wrap around to the last features
     d = make_noisy_design(5, n=20, m=4)
     run = {
         "restricted_eigenvalue": lambda: restricted_eigenvalue(d.correlation_matrix(), ConeSpec((bad,), 2.0)),
-        "coef_decomposition": lambda: coef_decomposition(d, bad, 0),
+        "ls_fit": lambda: ls_fit(d, (bad, 0)),
         "sis_assumption_check": lambda: sis_assumption_check(d, (bad,), np.ones(4), 0.25, 0.01, 0.01),
     }[call]
     with pytest.raises(ValueError, match="out of range"):

@@ -14,7 +14,16 @@ import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design
 from report_oracle import as_certificates, certificate_jsonable, reference_text, row_counts
 from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
-from r2audit import FitCache, cli, gram_factory, nwf_check, setfun, suppressor_population
+from r2audit import (
+    FitCache,
+    check_submodular,
+    cli,
+    forward_stepwise,
+    gram_factory,
+    nwf_verdict,
+    setfun,
+    suppressor_population,
+)
 from r2audit.bitsets import indices_of
 from r2audit.cli import (
     _violation_summary,
@@ -25,6 +34,7 @@ from r2audit.cli import (
 )
 from r2audit.jsonsafe import sanitize
 from r2audit.regress import load_csv, standardize
+from r2audit.selection import table_best_subset
 from r2audit.setfun import TOP_CERTIFICATES, Certificates, ViolationCertificate, find_suppressors
 
 ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5, 0.0, 1e-7]
@@ -78,9 +88,11 @@ def test_odd_floats_render_like_reference():
         ("first_order", ("A", "B", "i")),
     ],
 )
-def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path, monkeypatch):
+def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path, monkeypatch, miller_design):
     certs = _odd_certificates(form, roles)
     lists = [certs, certs[:0], certs[::-2]]
+    if form in oracle.MODES:  # and the list the form's check finds on Miller
+        lists.append(as_certificates(form, roles, oracle.check_submodular(miller_design, form)))
     # chunks of 5 rows, so that lists and chunks share sets
     monkeypatch.setattr(cli, "STREAM_CHUNK", 5)
     rendered = []
@@ -93,7 +105,7 @@ def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path, 
     ]
     assert (tmp_path / "certs.jsonl").read_text(encoding="utf-8") == "".join(expected)
     # each set's name list is rendered once per stream, whatever its roles
-    sets = [values for role, values in zip(roles, certs.columns) if role not in ("i", "j")]
+    sets = [values for part in lists for role, values in zip(roles, part.columns) if role not in ("i", "j")]
     assert sorted(rendered) == sorted(set(np.concatenate(sets).tolist()))
 
 
@@ -301,7 +313,11 @@ def test_audit_nwf_block_equals_nwf_check(design, k, miller_design):
         "suppressor6": lambda: gram_factory(suppressor_population(6, 1.0, 3.0), 10),
     }[design]()
     report, _ = build_audit_report(d, "in.csv", "Y", k, 20)
-    expected = nwf_check(d, k)
+    # greedy and optimal fits read from one filled table, as the audit reads them
+    cache = FitCache()
+    table = setfun._table(d, cache, 20)
+    greedy = forward_stepwise(d, k, cache=cache).final_r_squared()
+    expected = nwf_verdict(greedy, table_best_subset(table, k).r_squared, not check_submodular(d, cache=cache))
     fields = ("greedy_r2", "optimal_r2", "ratio", "threshold", "guarantee_holds", "is_submodular")
     assert report["selection"]["nwf"] == {f: getattr(expected, f) for f in fields}
 

@@ -6,11 +6,11 @@ import pytest
 
 from r2audit import (
     best_subset,
+    check_submodular,
     forward_stepwise,
     gram_factory,
     isis,
-    l0_path,
-    nwf_check,
+    nwf_verdict,
     r_squared,
     sis_assumption_check,
     sis_screen,
@@ -156,7 +156,6 @@ def _scalar_best_per_size(d):
 
 
 TIE_SEEDS = (4, 6, 7)
-LAMBDAS = [0.0, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0]
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 256])
@@ -168,9 +167,6 @@ def test_best_subset_ties_across_chunks(seed, chunk, monkeypatch):
     for k in range(d.m + 1):
         value, mask = max(per_size[: k + 1], key=lambda vm: (vm[0], -vm[1]))
         assert best_subset(d, k) == BestSubsetResult(indices_of(mask), value)
-    for lam, point in zip(LAMBDAS, l0_path(d, LAMBDAS)):
-        objective, mask = min(((1.0 - v) + lam * size, mk) for size, (v, mk) in enumerate(per_size))
-        assert (point.subset, point.objective) == (indices_of(mask), objective)
 
 
 def test_tie_designs_have_ties_out_of_mask_order():
@@ -192,8 +188,6 @@ def test_tie_designs_have_ties_out_of_mask_order():
 def _assert_matches_oracle(d, ks):
     for k in ks:
         assert best_subset(d, k) == BestSubsetResult(*selection_oracle.best_subset(d, k))
-    got = [(p.lam, p.subset, p.objective) for p in l0_path(d, LAMBDAS)]
-    assert got == selection_oracle.l0_path(d, LAMBDAS)
 
 
 def test_screened_search_matches_the_oracle_on_a_random_design():
@@ -244,87 +238,21 @@ def test_best_subset_cap():
 
 
 # ---------------------------------------------------------------------------
-# l0_path
-# ---------------------------------------------------------------------------
-
-
-def test_l0_zero_penalty_maximizes_fit(miller_design):
-    point = l0_path(miller_design, [0.0])[0]
-    assert abs((1.0 - point.objective) - r_squared(miller_design, point.subset)) < 1e-12
-    assert abs(r_squared(miller_design, point.subset) - 1.0) < 1e-9
-
-
-def test_l0_large_penalty_empties_model():
-    d = make_orthogonal_design([0.5, 0.3, 0.2], n=8)
-    max_marginal_gain = max(d.marginal_correlations() ** 2)
-    point = l0_path(d, [max_marginal_gain + 1e-9])[0]
-    assert point.subset == ()
-    # and a penalty of 1 empties any model
-    dd = make_noisy_design(80, n=25, m=5)
-    assert l0_path(dd, [1.0])[0].subset == ()
-
-
-def test_l0_path_rejects_nan_penalty():
-    d = make_noisy_design(82, n=20, m=4)
-    with pytest.raises(ValueError):
-        l0_path(d, [0.1, math.nan])
-    with pytest.raises(ValueError):
-        l0_path(d, [-0.1])
-
-
-def test_l0_path_infinite_penalty_selects_the_empty_model():
-    d = make_noisy_design(83, n=20, m=4)
-    point = l0_path(d, [math.inf])[0]
-    assert (point.subset, point.objective) == ((), 1.0)
-
-
-def test_l0_miller_middle_penalty(miller_design):
-    # Enumeration oracle at lambda = 0.1: objectives over all subsets.
-    from itertools import combinations
-
-    lam = 0.1
-    best = (math.inf, None)
-    for size in range(4):
-        for combo in combinations(range(3), size):
-            obj = (1.0 - r_squared(miller_design, combo)) + lam * size
-            if obj < best[0]:
-                best = (obj, combo)
-    point = l0_path(miller_design, [lam])[0]
-    assert point.subset == best[1] == (0, 1)
-
-
-def test_l0_path_monotone_in_lambda():
-    d = make_noisy_design(81, n=30, m=6)
-    lams = [0.0, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0]
-    path = l0_path(d, lams)
-    sizes = [len(p.subset) for p in path]
-    assert sizes == sorted(sizes, reverse=True)
-    # at lambda = 0 the per-size objectives are nonincreasing in size
-    per_size = [min(1.0 - r_squared(d, c) for c in _combos(6, s)) for s in range(1, 7)]
-    assert per_size == sorted(per_size, reverse=True)
-
-
-def _combos(m, size):
-    from itertools import combinations
-
-    return list(combinations(range(m), size))
-
-
-# ---------------------------------------------------------------------------
-# nwf_check
+# the greedy guarantee verdict
 # ---------------------------------------------------------------------------
 
 
 def test_nwf_orthogonal_ratio_one():
     d = make_orthogonal_design([0.6, 0.4, 0.2], n=8)
-    res = nwf_check(d, 2)
+    res = nwf_verdict(forward_stepwise(d, 2).final_r_squared(), best_subset(d, 2).r_squared, not check_submodular(d))
     assert abs(res.ratio - 1.0) < 1e-10
     assert res.guarantee_holds
     assert res.is_submodular
 
 
 def test_nwf_miller_violation(miller_design):
-    res = nwf_check(miller_design, 2)
+    greedy = forward_stepwise(miller_design, 2).final_r_squared()
+    res = nwf_verdict(greedy, best_subset(miller_design, 2).r_squared, not check_submodular(miller_design))
     assert abs(res.ratio - 0.2) < 1e-3
     assert not res.guarantee_holds
     assert not res.is_submodular
@@ -353,12 +281,10 @@ def test_optimal_is_at_least_greedy_by_construction(name, miller_design):
     else:
         d = _duplicated_columns_design(int(name[4:]))
     for k in range(1, d.m + 1):
-        res = nwf_check(d, k)
-        assert res.optimal_r2 >= res.greedy_r2
-        assert res.ratio <= 1.0
         report, _ = build_audit_report(d, "in.csv", "Y", k, 20)
         nwf = report["selection"]["nwf"]
         assert nwf["optimal_r2"] >= nwf["greedy_r2"]
+        assert nwf["ratio"] <= 1.0
         assert report["selection"]["best_subset"]["r_squared"] == nwf["optimal_r2"]
 
 

@@ -6,9 +6,7 @@ import pytest
 from r2audit import (
     FitCache,
     StandardizedDesign,
-    chain_lower_bound,
     check_submodular,
-    delta,
     empirical_gamma_s,
     empirical_gamma_s2,
     find_suppressors,
@@ -17,40 +15,38 @@ from r2audit import (
     standardize,
 )
 from r2audit import setfun
+from r2audit.bitsets import mask_of
 from r2audit.regress import standardized_rows
-from r2audit.errors import OutOfDomain, TooManyFeatures
+from r2audit.errors import TooManyFeatures
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+import setfun_oracle as oracle
 from setfun_oracle import replay_certificate
 from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
 
 
 # ---------------------------------------------------------------------------
-# delta
+# gains as differences of two fits
 # ---------------------------------------------------------------------------
 
 
 def test_delta_single_feature_is_squared_marginal(miller_design):
     r = miller_design.marginal_correlations()
     for i in range(3):
-        assert abs(delta(miller_design, (i,), ()) - r[i] ** 2) < 1e-12
+        assert abs(r_squared(miller_design, (i,)) - r[i] ** 2) < 1e-12
 
 
 def test_delta_miller_pair_on_x3(miller_design):
-    got = delta(miller_design, (0, 1), (2,))
+    got = r_squared(miller_design, (0, 1, 2)) - r_squared(miller_design, (2,))
     assert abs(got - (1.0 - 0.4472**2)) < 1e-3
 
 
 def test_delta_matches_two_evaluations():
+    # gains read from a filled fit table against two direct fits
     d = make_noisy_design(31, n=30, m=5)
-    cache = FitCache()
+    table = setfun._table(d, FitCache(), 20)
     for added, base in [((0, 2), (1,)), ((3,), (0, 4)), ((1, 2, 3), ())]:
         expected = r_squared(d, tuple(set(added) | set(base))) - r_squared(d, base)
-        assert abs(delta(d, added, base, cache) - expected) < 1e-10
-
-
-def test_delta_overlap_contributes_nothing():
-    d = make_noisy_design(32, n=25, m=4)
-    assert abs(delta(d, (0, 1), (1, 2)) - delta(d, (0,), (1, 2))) < 1e-12
+        assert abs(table[mask_of(added) | mask_of(base)] - table[mask_of(base)] - expected) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +55,13 @@ def test_delta_overlap_contributes_nothing():
 
 
 def test_orthogonal_design_clean_in_all_modes(orthogonal_design):
-    for mode in ("definition", "first_order", "second_order"):
-        assert check_submodular(orthogonal_design, mode) == []
+    assert check_submodular(orthogonal_design) == []
+    for mode in ("definition", "first_order"):
+        assert oracle.check_submodular(orthogonal_design, mode) == []
 
 
 def test_miller_second_order_certificate(miller_design):
-    certs = check_submodular(miller_design, "second_order")
+    certs = check_submodular(miller_design)
     assert certs
     witnessed = {(c.set_dict()["A"], c.set_dict()["i"][0], c.set_dict()["j"][0]) for c in certs}
     assert ((), 0, 1) in witnessed or ((), 1, 0) in witnessed
@@ -74,20 +71,25 @@ def test_miller_second_order_certificate(miller_design):
 
 
 def test_miller_violates_all_modes(miller_design):
-    for mode in ("definition", "first_order", "second_order"):
-        assert check_submodular(miller_design, mode)
+    assert check_submodular(miller_design)
+    for mode in ("definition", "first_order"):
+        assert oracle.check_submodular(miller_design, mode)
 
 
 def test_suppressor_population_is_supermodular():
     from r2audit import gram_factory, suppressor_population
 
     d = gram_factory(suppressor_population(3, 1.0, 3.0), 8)
-    assert check_submodular(d, "second_order")
+    assert check_submodular(d)
 
 
 def test_certificates_replay(miller_design):
-    for mode in ("definition", "first_order", "second_order"):
-        for cert in check_submodular(miller_design, mode):
+    # the definition and first-order lists are the oracle's; replayed without
+    # a cache, every side is recomputed from direct fits
+    lists = [oracle.check_submodular(miller_design, mode) for mode in ("definition", "first_order")]
+    for certs in [*lists, check_submodular(miller_design)]:
+        assert certs
+        for cert in certs:
             lhs, rhs = replay_certificate(miller_design, cert)
             assert abs(lhs - cert.lhs) < 1e-10
             assert abs(rhs - cert.rhs) < 1e-10
@@ -105,7 +107,7 @@ def test_second_order_mirror_images_are_adjacent(design):
         d = make_noisy_design(2, n=30, m=6)
     else:
         d = gram_factory(suppressor_population(6, 1.0, 3.0), 10)
-    certs = check_submodular(d, "second_order")
+    certs = check_submodular(d)
     pos = {}
     for k, c in enumerate(certs):
         sets = c.set_dict()
@@ -164,12 +166,14 @@ def test_pair_gains_visit_each_unordered_pair_once():
 
 def test_equivalence_chain_on_small_instances():
     # second-order clean implies first-order clean implies definition clean,
-    # and violations appear together on dirty instances.
+    # and violations appear together on dirty instances. The definition and
+    # first-order verdicts are the oracle's, the second-order one the package's.
     designs = [make_noisy_design(seed, n=20, m=4) for seed in range(6)]
     designs.append(make_orthogonal_design([0.5, 0.3, 0.2], n=7))
     designs.append(make_pair_design(0.5, 0.5, 0.5, n=8))
     for d in designs:
-        clean = {mode: not check_submodular(d, mode) for mode in ("definition", "first_order", "second_order")}
+        clean = {mode: not oracle.check_submodular(d, mode) for mode in ("definition", "first_order")}
+        clean["second_order"] = not check_submodular(d)
         if clean["second_order"]:
             assert clean["first_order"]
         if clean["first_order"]:
@@ -194,24 +198,21 @@ def test_sub_stat_sum_inequality_when_submodular():
         gram_factory(equi, 8),
     ]
     for d in designs:
-        assert not check_submodular(d, "definition")
-        cache = FitCache()
+        assert not oracle.check_submodular(d, "definition")
         features = range(d.m)
-        subsets = [tuple(c) for size in range(d.m + 1) for c in combinations(features, size)]
-        for A in subsets:
-            for B in subsets:
+        fit = {c: r_squared(d, c) for size in range(d.m + 1) for c in combinations(features, size)}
+        for A in fit:
+            for B in fit:
                 inter = tuple(sorted(set(A) & set(B)))
                 union = tuple(sorted(set(A) | set(B)))
-                lhs = sum(delta(d, (a,), inter, cache) for a in A) + sum(
-                    delta(d, (b,), inter, cache) for b in B
-                )
-                assert lhs >= delta(d, union, inter, cache) - 1e-9
+                lhs = sum(fit[tuple(sorted({*inter, f}))] - fit[inter] for f in (*A, *B))
+                assert lhs >= fit[union] - fit[inter] - 1e-9
 
 
 def test_enumeration_cap():
     d = make_noisy_design(40, n=30, m=6)
     with pytest.raises(TooManyFeatures):
-        check_submodular(d, "second_order", max_features=5)
+        check_submodular(d, max_features=5)
 
 
 def test_concurrent_enumeration_shares_cache():
@@ -221,14 +222,11 @@ def test_concurrent_enumeration_shares_cache():
     d = make_noisy_design(41, n=25, m=6)
     shared = FitCache()
 
-    def run(mode):
-        return check_submodular(d, mode, cache=shared)
-
-    modes = ["second_order", "first_order", "definition"] * 2
+    checks = [check_submodular, find_suppressors, empirical_gamma_s2] * 2
     with ThreadPoolExecutor(max_workers=6) as pool:
-        results = list(pool.map(run, modes))
-    for mode, got in zip(modes, results):
-        assert got == check_submodular(d, mode)
+        results = list(pool.map(lambda check: check(d, cache=shared), checks))
+    for check, got in zip(checks, results):
+        assert got == check(d)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,7 @@ def test_suppression_iff_second_order_violation():
     designs.append(make_orthogonal_design([0.5, 0.3, 0.2], n=7))
     for d in designs:
         has_suppressor = bool(find_suppressors(d))
-        violates = bool(check_submodular(d, "second_order"))
+        violates = bool(check_submodular(d))
         assert has_suppressor == violates
 
 
@@ -340,13 +338,16 @@ def test_gamma_witnesses_reproduce_minimum():
     cache = FitCache()
     est = empirical_gamma_s2(d, cache=cache)
     A, i, j = est.witness_s2
-    num = delta(d, (i,), A, cache)
-    den = delta(d, (i,), tuple(A) + (j,), cache)
+    table = cache.table
+    a, ja = mask_of(A), mask_of(A) | 1 << j
+    num = table[a | 1 << i] - table[a]
+    den = table[ja | 1 << i] - table[ja]
     assert abs(num / den - est.gamma_s2) < 1e-10
     est_s = empirical_gamma_s(d, cache=cache)
     A, B, i = est_s.witness_s
-    num = delta(d, (i,), A, cache)
-    den = delta(d, (i,), B, cache)
+    a, b = mask_of(A), mask_of(B)
+    num = table[a | 1 << i] - table[a]
+    den = table[b | 1 << i] - table[b]
     assert abs(num / den - est_s.gamma_s) < 1e-10
 
 
@@ -384,8 +385,8 @@ def test_certificate_columns_are_small():
         assert certs
         sets, i, j = certs.columns
         assert (sets.dtype, i.dtype, j.dtype) == (np.uint16, np.int8, np.int8)
-    sets, i = check_submodular(make_noisy_design(2, n=30, m=6), "first_order").columns[1:]
-    assert (sets.dtype, i.dtype) == (np.uint8, np.int8)
+    sets, i, j = check_submodular(make_noisy_design(2, n=30, m=6)).columns
+    assert (sets.dtype, i.dtype, j.dtype) == (np.uint8, np.int8, np.int8)
 
 
 def test_gamma_s_dominates_chain_bound():
@@ -395,45 +396,6 @@ def test_gamma_s_dominates_chain_bound():
         if not 0.0 < s2 < 1.0:
             continue
         s1 = empirical_gamma_s(d).gamma_s
-        assert s1 >= chain_lower_bound(s2, d.m) - 1e-9
+        # k worst-case second-order steps multiply a gain by gamma_s2 ** k
+        assert s1 >= s2**d.m - 1e-9
 
-
-# ---------------------------------------------------------------------------
-# chain_lower_bound
-# ---------------------------------------------------------------------------
-
-
-def test_chain_bound_exact_submodularity_propagates():
-    assert chain_lower_bound(1.0, 10) == 1.0
-
-
-def test_chain_bound_single_step_returns_gamma():
-    for g in (0.1, 0.25, 0.7, 0.999):
-        assert abs(chain_lower_bound(g, 1) - g) < 1e-12
-
-
-def test_chain_bound_matches_telescoped_simulation():
-    # Worst-case chain: every second-order step shrinks the gain by the same
-    # factor, so k steps multiply to gamma ** k.
-    gamma, k = 0.5, 3
-    gain = 1.0
-    for _ in range(k):
-        gain *= gamma
-    assert abs(chain_lower_bound(gamma, k) - gain) < 1e-12
-
-
-def test_chain_bound_nonincreasing_in_k():
-    values = [chain_lower_bound(0.8, k) for k in range(1, 12)]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-    assert all(v > 0 for v in values)
-
-
-def test_chain_bound_domain():
-    with pytest.raises(OutOfDomain):
-        chain_lower_bound(0.0, 2)
-    with pytest.raises(OutOfDomain):
-        chain_lower_bound(1.5, 2)
-    with pytest.raises(OutOfDomain):
-        chain_lower_bound(-0.1, 2)
-    with pytest.raises(OutOfDomain):
-        chain_lower_bound(0.5, 0)
