@@ -27,7 +27,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import AuditError
+from .errors import AuditError, TooManyFeatures
 
 # The library names the commands call, by the module that defines them. None
 # is imported with this module, so a command loads only the modules it runs:
@@ -41,8 +41,7 @@ _LIBRARY = {
     "jsonsafe": ("float_texts", "json_line", "report_text", "string_text"),
     "regress": ("FitCache", "StandardizedDesign", "_table", "gram_rows", "load_csv", "standardize"),
     "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen", "table_best_subset"),
-    "setfun": ("TOP_CERTIFICATES", "VIOLATION_TOL", "Certificates", "_second_order_summary",
-               "empirical_gamma_s", "empirical_gamma_s2"),
+    "setfun": ("TOP_CERTIFICATES", "VIOLATION_TOL", "Certificates", "_second_order_summary", "empirical_gamma_s"),
     "spectral": ("ConeSpec", "_check_alpha", "restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
 _MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
@@ -86,12 +85,8 @@ class _Parser(argparse.ArgumentParser):
 @contextmanager
 def _output(out_path: str | None) -> Iterator[TextIO]:
     """Standard output, or the file at out_path opened for UTF-8 text with LF
-    endings and closed on exit. A process started with standard output
-    closed has none (sys.stdout is None), an I/O error raised here, where
-    the command opens its output: grid opens it before forking workers."""
+    endings and closed on exit."""
     if out_path is None:
-        if sys.stdout is None:
-            raise OSError("standard output is closed")
         yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -151,11 +146,13 @@ def build_audit_report(
     }
 
     k = min(k, design.m)
-    exhaustive = design.m <= max_enum
-    if exhaustive:
-        # The fit table is the run's one value of record: stepwise, the best
-        # subset and every set-function kernel read it.
+    # The fit table is the run's one value of record: stepwise, the best
+    # subset and every set-function kernel read it. A design over the cap
+    # gets a partial report.
+    try:
         table = _table(design, cache, max_enum)
+    except TooManyFeatures:
+        table = None
     stepwise = forward_stepwise(design, k, cache=cache)
     report["selection"] = {
         "forward_stepwise": {
@@ -178,7 +175,7 @@ def build_audit_report(
         ]
     }
 
-    if not exhaustive:
+    if table is None:
         report["partial"] = True
         report["skipped_diagnostics"] = [
             "gamma",
@@ -192,12 +189,10 @@ def build_audit_report(
     report["skipped_diagnostics"] = []
 
     # One walk over the feature pairs gives gamma_s2 and both violation
-    # summaries. For the certificate stream it also keeps both whole lists,
-    # and runs first, so that gamma_s2 reads it from the cache.
+    # summaries; for the certificate stream it also keeps both whole lists.
     top = TOP_CERTIFICATES if certificates is None else None
-    if top is None:
-        _second_order_summary(cache, design.m, VIOLATION_TOL, top)
-    est2 = empirical_gamma_s2(design, cache=cache, max_features=max_enum)
+    summary = _second_order_summary(cache, design.m, VIOLATION_TOL, top)
+    est2 = summary.gamma
     est1 = empirical_gamma_s(design, cache=cache, max_features=max_enum)
     gamma_block: dict = {
         "gamma_s2": {
@@ -245,7 +240,6 @@ def build_audit_report(
 
     # The suppression rows are the second-order rows, so both lists share
     # one set of counts.
-    summary = _second_order_summary(cache, design.m, VIOLATION_TOL, top)
     report["violations"] = {
         form: _violation_summary(
             summary.count, getattr(summary, form)[:TOP_CERTIFICATES], summary.by_size, summary.by_pair, names
@@ -619,6 +613,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     if args.command == "gen" and args.generator == "gaussian" and args.n is None:
         sys.stderr.write("error: gen gaussian requires --n\n")
+        return 1
+    # A process started with standard output closed (`>&-`) has none: refused
+    # before a command reads its input, draws a row or forks a grid worker.
+    if args.out is None and sys.stdout is None:
+        sys.stderr.write("error: standard output is closed\n")
         return 1
     try:
         return args.func(args)

@@ -190,16 +190,15 @@ class FitCache:
     filled it, ``ranks`` the matching ranks, and ``gains`` the (m, 2^m) gain
     table, or None when fit_table kept none (see GAIN_TABLE_BYTES). All three
     are published by :meth:`publish`, table last, so readers see None or a
-    full table. ``derived`` holds what kernels compute from the table and
-    share, keyed by the kernel and its parameters. Without a table, fits are
-    made by :func:`fit_block` and not kept.
+    full table. Without a table, fits are made by :func:`fit_block` and not
+    kept. Nothing computed from the tables is kept: each kernel call walks
+    them again.
     """
 
     def __init__(self):
         self.ranks: np.ndarray | None = None
         self.gains: np.ndarray | None = None
         self.table: np.ndarray | None = None
-        self.derived: dict = {}
 
     def publish(self, table: np.ndarray, ranks: np.ndarray, gains: np.ndarray | None) -> None:
         self.ranks = ranks
@@ -306,8 +305,10 @@ def load_csv(path, response_name: str):
 
     numpy's C reader takes the rows. A file it cannot read, or reads to a
     width other than the header's, is read again from the start by the csv
-    module and ``float``, which accept quoted cells, ``1_0`` and non-ASCII
-    digits, and name the row of a cell or record they reject.
+    module and ``float`` of each stripped cell, which accept quoted cells,
+    ``1_0`` and non-ASCII digits, and name the row of a cell or record they
+    reject. The two accept the same files but for the csv module's
+    131,072-character field limit: a longer number only the C reader takes.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = _header(_records(fh), response_name)
@@ -376,7 +377,7 @@ def _python_rows(records: Iterator[tuple[int, list[str]]], width: int) -> np.nda
         if len(row) != width:
             raise DataFormatError(f"row {lineno} has {len(row)} cells, expected {width}")
         try:
-            rows.append([float(c) for c in row])
+            rows.append([float(c.strip()) for c in row])
         except ValueError:
             raise DataFormatError(f"row {lineno} contains a non-numeric cell") from None
     return np.asarray(rows, dtype=float)

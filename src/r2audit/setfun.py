@@ -332,12 +332,8 @@ def _second_order_summary(
     cache: FitCache, m: int, tolerance: float, top: int | None = TOP_CERTIFICATES
 ) -> SecondOrderSummary:
     """The summary from one walk over _pair_gains, with the first ``top``
-    certificates of each list, or the whole lists when ``top`` is None; found
-    once per filled cache, tolerance and ``top``. A summary with the whole
-    lists also answers every later call at its tolerance."""
-    for held in (None, top):
-        if ("summary", tolerance, held) in cache.derived:
-            return cache.derived["summary", tolerance, held]
+    certificates of each list, or the whole lists when ``top`` is None. Each
+    call walks the pairs again: nothing is kept on the cache."""
     # the k-th mask holding neither i nor j is k with two zero bits inserted
     sizes = mask_sizes(np.arange((1 << m) >> 2), m)
     by_size, by_pair = np.zeros(max(m - 1, 0), dtype=np.intp), np.zeros((m, m), dtype=np.intp)
@@ -370,8 +366,7 @@ def _second_order_summary(
     suppression = _by_sets("suppression", ("S", "i", "j"), rows, m)
     if top is not None:
         second, suppression = second[:top], suppression[:top]
-    summary = SecondOrderSummary(gamma, int(by_size.sum()), by_size, by_pair, second, suppression)
-    return cache.derived.setdefault(("summary", tolerance, top), summary)
+    return SecondOrderSummary(gamma, int(by_size.sum()), by_size, by_pair, second, suppression)
 
 
 def empirical_gamma_s2(
@@ -379,7 +374,8 @@ def empirical_gamma_s2(
     cache: FitCache | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> GammaS2Result:
-    """Minimum of gain_A(i) / gain_{A+j}(i) over all eligible (A, i, j)."""
+    """Minimum of gain_A(i) / gain_{A+j}(i) over all eligible (A, i, j): the
+    gamma of one walk over the feature pairs, walked again on every call."""
     cache = cache if cache is not None else FitCache()
     _table(design, cache, max_features)
     return _second_order_summary(cache, design.m, VIOLATION_TOL).gamma

@@ -167,6 +167,18 @@ def test_audit_partial_when_too_wide(tmp_path):
     assert "forward_stepwise" in report["selection"]  # cheap sections still present
 
 
+@pytest.mark.parametrize("max_enum", ["100", "63"])
+def test_audit_over_the_hard_cap_is_partial(tmp_path, max_enum):
+    # 64 features exceed the bitmask cap of 63 whatever --max-enum says
+    path = tmp_path / "g64.csv"
+    assert main(["gen", "gaussian", "--n", "100", "--m", "64", "--seed", "1", "--out", str(path)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["audit", str(path), "--response", "Y", "--max-enum", max_enum, "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["partial"] is True
+    assert report["skipped_diagnostics"] == ["gamma", "violations", "best_subset", "nwf", "spectral"]
+
+
 def test_audit_missing_file(tmp_path, capsys):
     assert main(["audit", str(tmp_path / "nope.csv"), "--response", "Y"]) == 1
     assert "error" in capsys.readouterr().err

@@ -136,6 +136,25 @@ def test_closed_stdout_fails_the_grid_before_it_forks(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: standard output is closed\n"
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran with standard output closed")
+
+
+@pytest.mark.parametrize(
+    "args, step",
+    [
+        (["audit", "{csv}", "--response", "Y", "--k", "3"], "r2audit.cli._table"),
+        (["gen", "gaussian", "--n", "30", "--m", "4"], "r2audit.datasets.random_gaussian"),
+    ],
+    ids=["audit", "gen-gaussian"],
+)
+def test_closed_stdout_is_refused_before_the_command_runs(small_csv, monkeypatch, capsys, args, step):
+    monkeypatch.setattr(step, _refuse)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main([str(small_csv) if arg == "{csv}" else arg for arg in args]) == 1
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+
+
 # ---------------------------------------------------------------------------
 # what os._exit skips
 # ---------------------------------------------------------------------------

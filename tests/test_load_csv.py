@@ -57,6 +57,7 @@ CORPUS = {
     "imaginary": _lines("1j,2,3", *BODY[1:]).encode(),
     "empty cell": _lines(*BODY[:2], ",1,2", BODY[3]).encode(),
     "trailing comma": _lines(*BODY[:2], BODY[2] + ",", BODY[3]).encode(),
+    "ascii separator after a number": _lines("1.5\x1c,2.0,-3.25", *BODY[1:]).encode(),
     # line shapes
     "whitespace-only line": _lines(*BODY[:2], "   ", *BODY[2:]).encode(),
     "tab-only line": _lines(*BODY[:2], "\t", *BODY[2:]).encode(),
@@ -74,7 +75,8 @@ CORPUS = {
     "one data row": _lines(BODY[0]).encode(),
 }
 CLEAN = {"plain", "spaces around cells", "overflow to inf", "nan", "inf", "infinity", "blank lines",
-         "crlf", "cr only", "no final newline", "byte-order mark", "one data row"}
+         "crlf", "cr only", "no final newline", "byte-order mark", "one data row",
+         "ascii separator after a number"}
 HEADERS = {"first": "Y,X1,X2", "middle": "X1,Y,X2", "last": "X1,X2,Y"}
 
 
@@ -98,6 +100,26 @@ def test_c_reader_agrees_with_the_python_loop(tmp_path, monkeypatch, case, place
     assert _outcome(path, "Y") == expected
     if case in CLEAN:  # the C reader, not the rerun, read these
         assert read and read[0][1] == 3
+
+
+@pytest.mark.parametrize("cell, c_reader", [("1\x1c", True), ('"1\x1c"', False)])
+def test_both_readers_strip_an_ascii_separator(tmp_path, monkeypatch, cell, c_reader):
+    # numpy's C reader strips 0x1C-0x1F around a number; the csv-module
+    # loop, which takes the quoted cell, strips them too
+    path = tmp_path / "sep.csv"
+    path.write_text(f"Y,X1\n{cell},2\n3,4\n5,7\n", encoding="utf-8")
+    real = np.loadtxt
+    read = []
+
+    def spy(*args, **kwargs):
+        data = real(*args, **kwargs)
+        read.append(data.shape)
+        return data
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    X, y, names = load_csv(path, "Y")
+    assert y.tolist() == [1.0, 3.0, 5.0] and X[:, 0].tolist() == [2.0, 4.0, 7.0] and names == ("X1",)
+    assert bool(read) is c_reader
 
 
 def _write_layout_design(path, n, place):

@@ -299,6 +299,27 @@ def test_audit_walks_the_feature_pairs_once(stream, tmp_path, monkeypatch):
         assert count > 0 and len(lines) == 2 * count
 
 
+@pytest.mark.parametrize("stream", [True, False])
+def test_audit_asks_for_the_second_order_summary_once(stream, tmp_path, monkeypatch):
+    # counted wherever it is called from: the audit or a setfun kernel
+    calls = []
+    summary = setfun._second_order_summary
+
+    def counted(cache, m, tolerance, top=TOP_CERTIFICATES):
+        calls.append(top)
+        return summary(cache, m, tolerance, top)
+
+    monkeypatch.setattr(cli, "_second_order_summary", counted)
+    monkeypatch.setattr(setfun, "_second_order_summary", counted)
+    path = tmp_path / "in.csv"
+    assert main(["gen", "gaussian", "--n", "40", "--m", "6", "--out", str(path)]) == 0
+    args = ["audit", str(path), "--response", "Y", "--k", "3", "--out", str(tmp_path / "r.json")]
+    if stream:
+        args += ["--certificates", str(tmp_path / "certs.jsonl")]
+    assert main(args) == 0
+    assert calls == [None if stream else TOP_CERTIFICATES]
+
+
 # ---------------------------------------------------------------------------
 # The audit's greedy guarantee check
 # ---------------------------------------------------------------------------
