@@ -352,10 +352,12 @@ def _cmd_audit(args) -> int:
 # grid
 # ---------------------------------------------------------------------------
 
-# About this many feasible cells are evaluated and rendered at a time, in
-# blocks of whole theta lines: the largest block, not the grid, sets the
-# memory of each process that renders.
+# About this many feasible cells are evaluated at a time, in blocks of whole
+# theta lines, and at most GRID_CHUNK_CELLS of a block's cells are rendered
+# into each output at a time: the largest block's columns and the chunk's
+# text, not the grid, set the memory of each process that renders.
 GRID_BLOCK_CELLS = 4096
+GRID_CHUNK_CELLS = 512
 SVG_FIELDS = ("gamma1", "gamma2", "gamma_s2", "sum_bound", "gamma_sr", "t_ratio_bound")
 
 
@@ -376,17 +378,22 @@ def _grid_spans(blocks: list[range], weights: list[float], workers: int) -> list
 
 
 def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
-    """Evaluate the span a block at a time and write its CSV lines to
-    outputs[0] and its heatmap parts to the rest."""
+    """Evaluate the span a block at a time and write each chunk of a block's
+    cells, as its CSV lines to outputs[0] and its heatmap parts to the rest.
+    A block with no cell is one empty chunk: it may still open or close a
+    document."""
     from . import geometry2d
 
     for rows in span:
         block = geometry2d.grid_evaluate(args.theta_steps, args.v_steps, args.r2_full, rows)
-        lines = geometry2d.grid_csv_lines(block)
-        if lines:
-            outputs[0].writelines(("\n".join(lines), "\n"))
-        for field, doc in zip(SVG_FIELDS, outputs[1:]):
-            doc.write(geometry2d.svg_heatmap(block, field, args.theta_steps, args.v_steps))
+        for start in range(0, max(len(block), 1), GRID_CHUNK_CELLS):
+            chunk = range(start, min(start + GRID_CHUNK_CELLS, len(block)))
+            lines = geometry2d.grid_csv_lines(block, chunk)
+            if lines:
+                outputs[0].write("\n".join(lines) + "\n")
+            for field, doc in zip(SVG_FIELDS, outputs[1:]):
+                doc.write(geometry2d.svg_heatmap(block, field, args.theta_steps, args.v_steps, cell_range=chunk))
+        del block  # freed before the next block is evaluated
 
 
 def _grid_part(directory: Path | None) -> TextIO:
@@ -397,6 +404,21 @@ def _grid_part(directory: Path | None) -> TextIO:
         return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
     except OSError:
         return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
+def _append_part(part: TextIO, out: TextIO) -> None:
+    """Append a worker's whole part to an output as bytes, below both text
+    layers: the text is ASCII, so its bytes are the same in the part's UTF-8
+    and in any encoding the output has. An output with no byte layer below
+    it, as io.StringIO, takes the text."""
+    target = getattr(out, "buffer", None)
+    if target is None:
+        part.seek(0)
+        shutil.copyfileobj(part, out)
+        return
+    out.flush()
+    part.buffer.seek(0)
+    shutil.copyfileobj(part.buffer, target)
 
 
 def _fork_grid_worker(args, span: list[range], parts: list[TextIO]) -> int:
@@ -458,8 +480,7 @@ def _cmd_grid(args) -> int:
                     f"exited with status {os.waitstatus_to_exitcode(status)}"
                 )
             for part, out in zip(parts, outputs):
-                part.seek(0)
-                shutil.copyfileobj(part, out)
+                _append_part(part, out)
     return 0
 
 
@@ -475,6 +496,8 @@ def _cmd_select(args) -> int:
         trace = forward_stepwise(design, min(args.k, design.m))
         _write_text(args.out, trace.to_json_lines(design.names))
     elif args.algo == "best":
+        if args.k < 1:  # as stepwise and the audit refuse it
+            raise ValueError(f"k must lie in 1..{design.m}")
         result = best_subset(design, min(args.k, design.m), max_features=args.max_enum)
         record = {
             "algorithm": "best_subset",

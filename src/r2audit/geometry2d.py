@@ -9,11 +9,12 @@ predictive power, and the overall fit level only scales the triangle. All
 gain ratios are scale-free, so grids at different fit levels carry identical
 diagnostic columns. A grid is evaluated column by column, as numpy arrays,
 for a block of theta lines at a time; each value equals the scalar
-triangle_solve and gamma_pair result bit for bit. A block renders to its
-part of the CSV text and of each heatmap document, formats each distinct
-value of a grid-line column once, and lays out its heatmap cells once for
-every heatmap; the blocks' text, joined in order, is byte-identical to
-formatting and drawing every cell of the whole grid on its own.
+triangle_solve and gamma_pair result bit for bit. A range of a block's
+cells renders to its part of the CSV text and of each heatmap document; a
+block formats each distinct value of a grid-line column once, and lays out
+its heatmap cells once for every heatmap, whatever ranges it renders in. The
+parts, joined in order, are byte-identical to formatting and drawing every
+cell of the whole grid on its own.
 """
 
 from __future__ import annotations
@@ -235,14 +236,18 @@ class Grid:
     object.
     """
 
-    __slots__ = ("columns", "theta_rows", "_svg_layouts")
+    __slots__ = ("columns", "theta_rows", "_csv_texts", "_svg_layouts", "_svg_bands")
 
     def __init__(self, columns: dict[str, np.ndarray], theta_rows: range):
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "theta_rows", theta_rows)
-        # The rect text of every cell, by (theta_steps, v_steps, cell_px):
-        # laid out by the first heatmap and shared by the rest.
+        # Built by the first render call that needs them and shared by the
+        # rest: the CSV text of every cell of each grid-line column, by
+        # column; the rect text of every cell, by (theta_steps, v_steps,
+        # cell_px); and every cell's color band, by field.
+        object.__setattr__(self, "_csv_texts", {})
         object.__setattr__(self, "_svg_layouts", {})
+        object.__setattr__(self, "_svg_bands", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -341,6 +346,16 @@ _FEW_VALUED = frozenset({"theta", "v", "tau", "r12", "r_y1", "r_y2", "b"})
 _CSV_ROW = ",".join("%s" if col in _FEW_VALUED else "%.12g" for col in GRID_COLUMNS)
 
 
+def _cell_bounds(cells: Grid, cell_range: range | None) -> tuple[int, int]:
+    """(start, stop) of a range of consecutive cells of the block; the
+    default is every cell."""
+    if cell_range is None:
+        return 0, len(cells)
+    if not (cell_range.step == 1 and 0 <= cell_range.start <= cell_range.stop <= len(cells)):
+        raise ValueError(f"cell_range must be a range of consecutive cells within 0..{len(cells)}")
+    return cell_range.start, cell_range.stop
+
+
 def _distinct_texts(values: np.ndarray) -> list[str]:
     """'%.12g' of every value, each distinct bit pattern formatted once.
 
@@ -352,16 +367,18 @@ def _distinct_texts(values: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def grid_csv_lines(cells: Grid) -> list[str]:
-    """CSV lines (12 significant digits, no line endings) of the cells, led
-    by the header line when the block starts at theta line 0. Joined with LF
-    endings, the lines of consecutive blocks make one CSV text."""
-    columns = []
-    for col in GRID_COLUMNS:
-        values = cells.columns[col]
-        columns.append(_distinct_texts(values) if col in _FEW_VALUED else values.tolist())
+def grid_csv_lines(cells: Grid, cell_range: range | None = None) -> list[str]:
+    """CSV lines (12 significant digits, no line endings) of the block's
+    cells in ``cell_range`` (by default all of them), led by the header line
+    when they start the grid. Joined with LF endings, the lines of
+    consecutive ranges and blocks make one CSV text."""
+    lo, hi = _cell_bounds(cells, cell_range)
+    texts = cells._csv_texts
+    if not texts:
+        texts.update((col, _distinct_texts(cells.columns[col])) for col in _FEW_VALUED)
+    columns = [texts[col][lo:hi] if col in _FEW_VALUED else cells.columns[col][lo:hi].tolist() for col in GRID_COLUMNS]
     lines = [_CSV_ROW % values for values in zip(*columns)]
-    if cells.theta_rows.start == 0:
+    if cells.theta_rows.start == 0 and lo == 0:
         lines.insert(0, ",".join(GRID_COLUMNS))
     return lines
 
@@ -438,11 +455,12 @@ _DEFAULT_BAND = (0.2, 2.0)
 
 
 def _band_indices(values: np.ndarray, step: float, top: float) -> np.ndarray:
-    """Band of each value: floor(value / step) clamped to [0, top / step];
-    +inf lands in the top band, -inf and NaN in band 0."""
+    """Band of each value, as uint8 (every band table has under 256 bands):
+    floor(value / step) clamped to [0, top / step]; +inf lands in the top
+    band, -inf and NaN in band 0."""
     values = np.where(np.isfinite(values), values, np.where(values > 0, top, 0.0))
     # Clamp before the cast: a huge value would overflow the integer type.
-    return np.minimum(np.maximum(values, 0.0) / step, int(top / step)).astype(np.intp)
+    return np.minimum(np.maximum(values, 0.0) / step, int(top / step)).astype(np.uint8)
 
 
 def _palette(bands: int) -> list[str]:
@@ -493,22 +511,28 @@ def svg_heatmap(
     theta_steps: int,
     v_steps: int,
     cell_px: int = 6,
+    cell_range: range | None = None,
 ) -> str:
     """Banded heatmap of one diagnostic column over the feasible region.
 
     Colors step at fixed level-set thresholds (0.2 apart for gain ratios,
     0.5 apart for the t-ratio cap) on a linear blue-to-red ramp. A whole grid
-    gives a deterministic standalone SVG document. A block gives its part:
-    the block at theta line 0 opens the document, the block ending at line
-    theta_steps - 2 closes it, and the parts of consecutive blocks join into
-    the whole grid's document.
+    gives a deterministic standalone SVG document. The block's cells in
+    ``cell_range`` (by default all of them) give their part: the first cell
+    of the grid opens the document, its last closes it (a grid with no cell
+    in its last block closes it there), and the parts of consecutive ranges
+    and blocks join into the whole grid's document.
     """
     if field not in GRID_COLUMNS:
         raise ValueError(f"unknown field {field!r}")
+    lo, hi = _cell_bounds(cells, cell_range)
     band = _BAND_STEPS.get(field, _DEFAULT_BAND)
     layout = _svg_layout(cells, theta_steps, v_steps, cell_px)
-    parts = [""] * (2 * len(layout) + 2)
-    if cells.theta_rows.start == 0:
+    bands = cells._svg_bands.get(field)
+    if bands is None:
+        bands = cells._svg_bands[field] = _band_indices(cells.columns[field], *band)
+    parts = [""] * (2 * (hi - lo) + 2)
+    if cells.theta_rows.start == 0 and lo == 0:
         width = (theta_steps - 1) * cell_px
         height = (v_steps - 1) * cell_px
         parts[0] = (
@@ -516,8 +540,8 @@ def svg_heatmap(
             f'viewBox="0 0 {width} {height}">\n'
             f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>'
         )
-    parts[1:-1:2] = layout
-    parts[2:-1:2] = map(_FILLS[band].__getitem__, _band_indices(cells.columns[field], *band).tolist())
-    if cells.theta_rows.stop == theta_steps - 1:
+    parts[1:-1:2] = layout[lo:hi]
+    parts[2:-1:2] = map(_FILLS[band].__getitem__, bands[lo:hi].tolist())
+    if cells.theta_rows.stop == theta_steps - 1 and hi == len(cells):
         parts[-1] = "\n</svg>\n"
     return "".join(parts)

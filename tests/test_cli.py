@@ -335,7 +335,10 @@ def test_unwritable_output_exits_one(capsys):
 
 def test_out_of_range_values_exit_one(miller_csv, capsys):
     assert main(["grid", "--theta-steps", "1"]) == 1
-    assert main(["select", str(miller_csv), "--response", "Y", "--algo", "stepwise", "--k", "0"]) == 1
+    capsys.readouterr()
+    for algo in ("stepwise", "best"):
+        assert main(["select", str(miller_csv), "--response", "Y", "--algo", algo, "--k", "0"]) == 1
+        assert capsys.readouterr().err == "error: k must lie in 1..3\n", algo
     assert main(["gen", "suppressor", "--p", "1"]) == 1
     assert main(["gen", "gaussian", "--n", "4", "--m", "5"]) == 1
     capsys.readouterr()

@@ -44,6 +44,8 @@ COMMANDS = {
     "select-sis": ["select", "{csv}", "--response", "Y", "--algo", "sis", "--d", "3"],
     "select-isis": ["select", "{csv}", "--response", "Y", "--algo", "isis", "--d", "1", "--rounds", "2"],
     "grid": ["grid", "--theta-steps", "20", "--v-steps", "20"],
+    # two blocks: a second process renders one where it may run on a core
+    "grid-two-blocks": ["grid", "--theta-steps", "100", "--v-steps", "100"],
     "gen-gaussian": ["gen", "gaussian", "--n", "30", "--m", "4", "--seed", "5"],
     "gen-miller": ["gen", "miller"],
 }
@@ -179,6 +181,7 @@ def _open_fds() -> set[str]:
 )
 def test_main_closes_every_file_it_opens(small_csv, tmp_path, monkeypatch, args, workers):
     monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+    monkeypatch.setattr(cli, "GRID_CHUNK_CELLS", 3)
     monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
     argv = [arg.replace("{csv}", str(small_csv)).replace("{out}", str(tmp_path)) for arg in args]
     before = _open_fds()
@@ -195,6 +198,7 @@ ATEXIT = textwrap.dedent(
         importlib.import_module(f"r2audit.{module.name}")
     from r2audit import cli
     cli.GRID_BLOCK_CELLS = 7
+    cli.GRID_CHUNK_CELLS = 3
     csv, out = sys.argv[1:]
     for argv in (
         ["gen", "gaussian", "--n", "30", "--m", "4", "--out", f"{out}/d.csv"],

@@ -4,7 +4,9 @@ Columns must be bit-equal, and the CSV text and every SVG document
 byte-identical.
 """
 
+import argparse
 import errno
+import io
 import itertools
 import math
 import os
@@ -71,6 +73,13 @@ def test_grid_matches_oracle(steps, r2_full):
         for field in SVG_FIELDS:
             joined = "".join(svg_heatmap(block, field, theta_steps, v_steps) for block in blocks)
             assert joined == docs[field], (sizes, field)
+    # The cell ranges of one block, joined in order: uneven ranges of one
+    # cell and more, with empty ranges between them.
+    ranges = _blocks_of(len(grid), (1, 0, 3, 0, 512))
+    assert sum((grid_csv_lines(grid, cells) for cells in ranges), []) == lines
+    for field in SVG_FIELDS:
+        joined = "".join(svg_heatmap(grid, field, theta_steps, v_steps, 6, cells) for cells in ranges)
+        assert joined == docs[field], field
 
 
 def test_grid_rejects_rows_outside_the_grid():
@@ -78,6 +87,16 @@ def test_grid_rejects_rows_outside_the_grid():
         with pytest.raises(ValueError):
             grid_evaluate(12, 12, 0.5, rows)
     assert len(grid_evaluate(12, 12, 0.5, range(4, 4))) == 0
+
+
+def test_render_rejects_cells_outside_the_block():
+    grid = grid_evaluate(12, 12, 0.5, range(2, 5))
+    for cells in (range(-1, 3), range(0, len(grid) + 1), range(0, 6, 2), range(5, 3)):
+        with pytest.raises(ValueError):
+            grid_csv_lines(grid, cells)
+        with pytest.raises(ValueError):
+            svg_heatmap(grid, "gamma1", 12, 12, 6, cells)
+    assert grid_csv_lines(grid, range(4, 4)) == []
 
 
 def test_scalar_wrappers_match_oracle():
@@ -159,17 +178,21 @@ def test_cli_grid_blocks_match_oracle(tmp_path, monkeypatch, capsys, block):
 
     monkeypatch.setattr(geometry2d, "grid_evaluate", evaluate)
     args = ["grid", "--theta-steps", str(theta_steps), "--v-steps", str(v_steps), "--r2-full", str(r2_full)]
-    assert cli.main(args + ["--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path / "svg")]) == 0
-    assert len(evaluated) == {105: 1, 26: 4, 103: 2, 7: 13, 1: 44}[block]
-    assert evaluated == _blocks_of(theta_steps - 1, [len(rows) for rows in evaluated])
     expected = ("\n".join(oracle.grid_csv_lines(cells)) + "\n").encode()
-    assert (tmp_path / "g.csv").read_bytes() == expected
-    for field in SVG_FIELDS:
-        doc = oracle.svg_heatmap(cells, field, theta_steps, v_steps)
-        assert (tmp_path / "svg" / f"{field}.svg").read_bytes() == doc.encode(), field
-    capsys.readouterr()
-    assert cli.main(args) == 0
-    assert capsys.readouterr().out.encode() == expected
+    # one cell a chunk, several chunks a block, and more than any block
+    for chunk in (1, 7, 4097):
+        monkeypatch.setattr(cli, "GRID_CHUNK_CELLS", chunk)
+        evaluated.clear()
+        assert cli.main(args + ["--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path / "svg")]) == 0
+        assert len(evaluated) == {105: 1, 26: 4, 103: 2, 7: 13, 1: 44}[block]
+        assert evaluated == _blocks_of(theta_steps - 1, [len(rows) for rows in evaluated])
+        assert (tmp_path / "g.csv").read_bytes() == expected, chunk
+        for field in SVG_FIELDS:
+            doc = oracle.svg_heatmap(cells, field, theta_steps, v_steps)
+            assert (tmp_path / "svg" / f"{field}.svg").read_bytes() == doc.encode(), (chunk, field)
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.encode() == expected, chunk
 
 
 def _run_grid(tmp_path, capsys, theta_steps, v_steps):
@@ -193,15 +216,68 @@ def test_cli_grid_workers_match_oracle(tmp_path, monkeypatch, capsys, workers, t
     assert len(spans) == min(workers, len(blocks)) and sum(spans, []) == blocks
     cells = oracle.grid_evaluate(theta_steps, v_steps, 0.5)
     expected = ("\n".join(oracle.grid_csv_lines(cells)) + "\n").encode()
-    assert _run_grid(tmp_path, capsys, theta_steps, v_steps) == (0, "")
-    assert (tmp_path / "g.csv").read_bytes() == expected
-    for field in SVG_FIELDS:
-        doc = oracle.svg_heatmap(cells, field, theta_steps, v_steps)
-        assert (tmp_path / "svg" / f"{field}.svg").read_bytes() == doc.encode(), field
-    assert cli.main(["grid", "--theta-steps", str(theta_steps), "--v-steps", str(v_steps)]) == 0
-    assert capsys.readouterr().out.encode() == expected
+    # one cell a chunk, 7 cells (about a block at GRID_BLOCK_CELLS = 7), and
+    # more than any block
+    for chunk in (1, 7, 4097):
+        monkeypatch.setattr(cli, "GRID_CHUNK_CELLS", chunk)
+        assert _run_grid(tmp_path, capsys, theta_steps, v_steps) == (0, "")
+        assert (tmp_path / "g.csv").read_bytes() == expected, chunk
+        for field in SVG_FIELDS:
+            doc = oracle.svg_heatmap(cells, field, theta_steps, v_steps)
+            assert (tmp_path / "svg" / f"{field}.svg").read_bytes() == doc.encode(), (chunk, field)
+        assert cli.main(["grid", "--theta-steps", str(theta_steps), "--v-steps", str(v_steps)]) == 0
+        assert capsys.readouterr().out.encode() == expected, chunk
     # the workers' temporary parts were never linked into a directory
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "svg"]
+
+
+class _Recorder:
+    """An output that keeps each text written to it."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+def test_render_grid_writes_a_chunk_at_a_time():
+    """No write to any output holds more than one chunk of cells' text: a
+    CSV line is at most 13 fields of 19 characters and their separators, a
+    rect far less. The writes, joined, are the whole grid's outputs."""
+    theta_steps, v_steps = 120, 120
+    blocks = list(geometry2d.theta_line_blocks(theta_steps, v_steps, cli.GRID_BLOCK_CELLS))
+    cells = oracle.grid_evaluate(theta_steps, v_steps, 0.5)
+    assert len(blocks) > 1 and len(cells) > 2 * cli.GRID_CHUNK_CELLS
+    outputs = [_Recorder() for _ in range(1 + len(SVG_FIELDS))]
+    args = argparse.Namespace(theta_steps=theta_steps, v_steps=v_steps, r2_full=0.5)
+    cli._render_grid(args, blocks, outputs)
+    bound = cli.GRID_CHUNK_CELLS * len(GRID_COLUMNS) * 20 + 256
+    for output in outputs:
+        assert len(output.writes) > len(cells) // cli.GRID_CHUNK_CELLS
+        assert max(map(len, output.writes)) <= bound
+    assert "".join(outputs[0].writes) == "\n".join(oracle.grid_csv_lines(cells)) + "\n"
+    for field, output in zip(SVG_FIELDS, outputs[1:]):
+        assert "".join(output.writes) == oracle.svg_heatmap(cells, field, theta_steps, v_steps), field
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [io.StringIO, lambda: io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")],
+    ids=["text-only", "buffered-bytes"],
+)
+def test_cli_grid_parts_append_to_any_stdout(monkeypatch, stdout):
+    """The workers' parts join what this process wrote to a standard output
+    that keeps text of its own until flushed, or has no byte layer at all."""
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+    monkeypatch.setattr(cli, "GRID_CHUNK_CELLS", 3)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    out = stdout()
+    monkeypatch.setattr("sys.stdout", out)
+    assert cli.main(["grid", "--theta-steps", "53", "--v-steps", "5"]) == 0
+    out.flush()
+    text = out.getvalue() if isinstance(out, io.StringIO) else out.buffer.getvalue().decode()
+    assert text == "\n".join(oracle.grid_csv_lines(oracle.grid_evaluate(53, 5, 0.5))) + "\n"
 
 
 def test_cli_grid_parts_fall_back_to_the_temp_dir(tmp_path, monkeypatch, capsys):
@@ -243,10 +319,10 @@ def test_cli_grid_failure_reaps_every_worker(tmp_path, monkeypatch, capsys, fail
     parent = os.getpid()
     heatmap = geometry2d.svg_heatmap
 
-    def svg_heatmap(block, *args):
+    def svg_heatmap(block, *args, **kwargs):
         if fails(os.getpid() == parent, block.theta_rows):
             raise OSError(errno.ENOSPC, "No space left on device")
-        return heatmap(block, *args)
+        return heatmap(block, *args, **kwargs)
 
     monkeypatch.setattr(geometry2d, "svg_heatmap", svg_heatmap)
     monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
