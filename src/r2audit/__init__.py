@@ -17,7 +17,7 @@ _EXPORTS = {
     "gamma": ("RatioQuery", "RatioResult", "submodularity_ratio"),
     "geometry2d": ("Grid", "GridCell", "PairDiagnostics", "TrianglePoint", "gamma_pair", "grid_evaluate",
                    "joint_t_extremes", "t_ratio_empirical", "triangle_solve"),
-    "regress": ("FitCache", "StandardizedDesign", "gram_factory", "load_csv", "ls_fit",
+    "regress": ("StandardizedDesign", "fit_table", "gram_factory", "load_csv", "ls_fit",
                 "partial_correlation", "r_squared", "standardize"),
     "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "nwf_verdict",
                   "sis_assumption_check", "sis_screen"),

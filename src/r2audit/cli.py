@@ -39,7 +39,7 @@ _LIBRARY = {
     "bitsets": ("indices_of",),
     "gamma": ("RatioQuery", "submodularity_ratio"),
     "jsonsafe": ("float_texts", "json_line", "report_text", "string_text"),
-    "regress": ("FitCache", "StandardizedDesign", "_table", "gram_rows", "load_csv", "standardize"),
+    "regress": ("StandardizedDesign", "fit_table", "gram_rows", "load_csv", "standardize"),
     "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen", "table_best_subset"),
     "setfun": ("TOP_CERTIFICATES", "VIOLATION_TOL", "Certificates", "_second_order_summary", "empirical_gamma_s"),
     "spectral": ("ConeSpec", "_check_alpha", "restricted_eigenvalue", "sparse_min_eigenvalue"),
@@ -129,7 +129,6 @@ def build_audit_report(
     if alpha is not None:
         _check_alpha(alpha)
     names = design.names
-    cache = FitCache()
     corr = design.marginal_correlations()
     report: dict = {
         "schema": REPORT_SCHEMA,
@@ -150,10 +149,10 @@ def build_audit_report(
     # subset and every set-function kernel read it. A design over the cap
     # gets a partial report.
     try:
-        table = _table(design, cache, max_enum)
+        table = fit_table(design, max_enum)
     except TooManyFeatures:
         table = None
-    stepwise = forward_stepwise(design, k, cache=cache)
+    stepwise = forward_stepwise(design, k, table=table)
     report["selection"] = {
         "forward_stepwise": {
             "steps": [
@@ -191,9 +190,9 @@ def build_audit_report(
     # One walk over the feature pairs gives gamma_s2 and both violation
     # summaries; for the certificate stream it also keeps both whole lists.
     top = TOP_CERTIFICATES if certificates is None else None
-    summary = _second_order_summary(cache, design.m, VIOLATION_TOL, top)
+    summary = _second_order_summary(table, VIOLATION_TOL, top)
     est2 = summary.gamma
-    est1 = empirical_gamma_s(design, cache=cache, max_features=max_enum)
+    est1 = empirical_gamma_s(design, table=table)
     gamma_block: dict = {
         "gamma_s2": {
             "value": est2.gamma_s2,
@@ -225,7 +224,7 @@ def build_audit_report(
             res = submodularity_ratio(
                 design,
                 RatioQuery(base=(), k=min(2, design.m), mode=ratio_mode),
-                cache=cache,
+                table=table,
                 max_features=max_enum,
             )
             ratio_block[ratio_mode] = {
@@ -391,8 +390,10 @@ def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
             lines = geometry2d.grid_csv_lines(block, chunk)
             if lines:
                 outputs[0].write("\n".join(lines) + "\n")
-            for field, doc in zip(SVG_FIELDS, outputs[1:]):
-                doc.write(geometry2d.svg_heatmap(block, field, args.theta_steps, args.v_steps, cell_range=chunk))
+            if len(outputs) > 1:
+                parts = geometry2d.svg_heatmap(block, SVG_FIELDS, args.theta_steps, args.v_steps, cell_range=chunk)
+                for doc, part in zip(outputs[1:], parts):
+                    doc.write(part)
         del block  # freed before the next block is evaluated
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import regress
 from .bitsets import combination_blocks
 from .errors import EmptyCandidateSet
-from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _as_indices, _check_cap, _fits
+from .regress import DEFAULT_MAX_FEATURES, FitTable, StandardizedDesign, _as_indices, _check_cap, _fits
 from .setfun import SKIP_DENOM_TOL
 
 MODE_AT_MOST_K = "at_most_k"
@@ -64,15 +64,15 @@ class RatioResult(NamedTuple):
 def submodularity_ratio(
     design: StandardizedDesign,
     query: RatioQuery,
-    cache: FitCache | None = None,
+    table: FitTable | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> RatioResult:
     """Worst-case ratio of summed single-feature gains to the joint gain.
 
     For each admissible candidate set T disjoint from the base S, compares
     sum_i gain_S(t_i), summed in index order, against gain_S(T). Each gain is
-    a difference of two fits, read from the cache's table once it is filled
-    and otherwise fitted, a block of candidate sets per fit_block call. The
+    a difference of two fits, read from the table when one is given and
+    otherwise fitted, a block of candidate sets per fit_block call. The
     argmin is the first strict minimum in combinations order. Candidates
     whose joint gain is negligible are skipped and counted; if everything is
     skipped there is no ratio to report and EmptyCandidateSet is raised.
@@ -84,7 +84,7 @@ def submodularity_ratio(
         raise ValueError("base set plus k exceeds the number of features")
 
     candidates = np.delete(np.arange(m), base)
-    fs = _fits(design, cache, [base])[0]
+    fs = _fits(design, table, [base])[0]
 
     def gains(teams):
         # gain_S(T) of each row T of a block of candidate sets; np.nonzero
@@ -92,7 +92,7 @@ def submodularity_ratio(
         member = np.zeros((len(teams), m), dtype=bool)
         member[:, base] = True
         member[np.arange(len(teams))[:, None], teams] = True
-        return _fits(design, cache, np.nonzero(member)[1].reshape(len(teams), -1)) - fs
+        return _fits(design, table, np.nonzero(member)[1].reshape(len(teams), -1)) - fs
 
     singles = gains(candidates[:, None])
 

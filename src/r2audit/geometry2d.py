@@ -507,30 +507,28 @@ def _svg_layout(cells: Grid, theta_steps: int, v_steps: int, cell_px: int) -> li
 
 def svg_heatmap(
     cells: Grid,
-    field: str,
+    fields: Sequence[str],
     theta_steps: int,
     v_steps: int,
     cell_px: int = 6,
     cell_range: range | None = None,
-) -> str:
-    """Banded heatmap of one diagnostic column over the feasible region.
+) -> list[str]:
+    """Banded heatmaps of diagnostic columns over the feasible region, one
+    per field, in the order of ``fields``.
 
     Colors step at fixed level-set thresholds (0.2 apart for gain ratios,
     0.5 apart for the t-ratio cap) on a linear blue-to-red ramp. A whole grid
-    gives a deterministic standalone SVG document. The block's cells in
-    ``cell_range`` (by default all of them) give their part: the first cell
-    of the grid opens the document, its last closes it (a grid with no cell
-    in its last block closes it there), and the parts of consecutive ranges
-    and blocks join into the whole grid's document.
+    gives a deterministic standalone SVG document per field. The block's
+    cells in ``cell_range`` (by default all of them) give their part: the
+    first cell of the grid opens the document, its last closes it (a grid
+    with no cell in its last block closes it there), and the parts of
+    consecutive ranges and blocks join into the whole grid's document. The
+    fields share one layout slice and one list of parts.
     """
-    if field not in GRID_COLUMNS:
-        raise ValueError(f"unknown field {field!r}")
+    for field in fields:
+        if field not in GRID_COLUMNS:
+            raise ValueError(f"unknown field {field!r}")
     lo, hi = _cell_bounds(cells, cell_range)
-    band = _BAND_STEPS.get(field, _DEFAULT_BAND)
-    layout = _svg_layout(cells, theta_steps, v_steps, cell_px)
-    bands = cells._svg_bands.get(field)
-    if bands is None:
-        bands = cells._svg_bands[field] = _band_indices(cells.columns[field], *band)
     parts = [""] * (2 * (hi - lo) + 2)
     if cells.theta_rows.start == 0 and lo == 0:
         width = (theta_steps - 1) * cell_px
@@ -540,8 +538,15 @@ def svg_heatmap(
             f'viewBox="0 0 {width} {height}">\n'
             f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>'
         )
-    parts[1:-1:2] = layout[lo:hi]
-    parts[2:-1:2] = map(_FILLS[band].__getitem__, bands[lo:hi].tolist())
+    parts[1:-1:2] = _svg_layout(cells, theta_steps, v_steps, cell_px)[lo:hi]
     if cells.theta_rows.stop == theta_steps - 1 and hi == len(cells):
         parts[-1] = "\n</svg>\n"
-    return "".join(parts)
+    docs = []
+    for field in fields:
+        band = _BAND_STEPS.get(field, _DEFAULT_BAND)
+        bands = cells._svg_bands.get(field)
+        if bands is None:
+            bands = cells._svg_bands[field] = _band_indices(cells.columns[field], *band)
+        parts[2:-1:2] = map(_FILLS[band].__getitem__, bands[lo:hi].tolist())
+        docs.append("".join(parts))
+    return docs

@@ -26,9 +26,10 @@ its values as screens and re-fits the finalists with :func:`fit_block`.
 subset's fit and every single-feature gain C_A[i, y]^2 / C_A[i, i], read off
 the swept matrices rather than as a difference of two fits, up to 20
 features (GAIN_TABLE_BYTES). Subsets the walk does not trust are fitted by
-:func:`fit_block`. That table, published on a :class:`FitCache` by
-``_table``, is the exhaustive audit's value of record, and the fit
-function's one stored form; ``_fits`` and ``_gains_at`` read it.
+:func:`fit_block`. That read-only :class:`FitTable`, built once per audit
+and handed to every kernel, is the exhaustive audit's value of record, and
+the fit function's one stored form; ``_fits`` and :meth:`FitTable.gain`
+read it.
 
 Rank decisions use a relative singular-value cutoff, so collinear subsets are
 evaluated on the column space they actually span instead of failing.
@@ -42,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitsets import block_masks, combination_blocks, mask_sizes
+from .bitsets import block_masks, combination_blocks
 from .errors import (
     ConstantColumn,
     DataFormatError,
@@ -97,8 +98,9 @@ TABLE_PIVOT_RTOL = 3 * np.finfo(float).eps * DEFAULT_MAX_FEATURES / 1e-10
 
 # fit_table keeps its (m, 2^m) float gain table only while it fits in this
 # many bytes, that is up to m = 20 (160 MiB; m = 21 would take 336 MiB and
-# m = 24 3 GiB). Above it the table holds r2 alone, and setfun reads each
-# gain as the difference of two table values, in O(2^m) memory per feature.
+# m = 24 3 GiB). Above it the table holds r2 alone, and FitTable.gain reads
+# each gain as the difference of two table values, in O(2^m) memory per
+# feature.
 GAIN_TABLE_BYTES = 256 << 20
 
 # sweep_walk expands FIT_CHUNK // SWEEP_CHUNK_DIVISOR nodes per block. Such a
@@ -183,65 +185,44 @@ class StandardizedDesign:
         return self.gram()[: self.m, : self.m]
 
 
-class FitCache:
-    """The dense tables a set-function kernel fills once per design.
-
-    ``table`` holds r_squared by subset mask once :func:`fit_table` has
-    filled it, ``ranks`` the matching ranks, and ``gains`` the (m, 2^m) gain
-    table, or None when fit_table kept none (see GAIN_TABLE_BYTES). All three
-    are published by :meth:`publish`, table last, so readers see None or a
-    full table. Without a table, fits are made by :func:`fit_block` and not
-    kept. Nothing computed from the tables is kept: each kernel call walks
-    them again.
+class FitTable(NamedTuple):
+    """The fit function of one design as a value: r2[mask] of every subset
+    mask, and the (m, 2^m) gain table gains[i, A], or None when
+    :func:`fit_table` kept none (see GAIN_TABLE_BYTES). Both arrays are
+    read-only, so one table serves any number of kernels and threads.
     """
 
-    def __init__(self):
-        self.ranks: np.ndarray | None = None
-        self.gains: np.ndarray | None = None
-        self.table: np.ndarray | None = None
+    r2: np.ndarray
+    gains: np.ndarray | None
 
-    def publish(self, table: np.ndarray, ranks: np.ndarray, gains: np.ndarray | None) -> None:
-        self.ranks = ranks
-        self.gains = gains
-        self.table = table
+    @property
+    def m(self) -> int:
+        return self.r2.size.bit_length() - 1
+
+    def gain(self, i, masks=None):
+        """gain_A(i) for features i and masks A (scalars or arrays; every
+        mask when None, a view of the gain row where there is one): from the
+        gain table, or the table difference where there is none."""
+        if self.gains is None:
+            masks = np.arange(self.r2.size) if masks is None else masks
+            return self.r2[masks | (1 << i)] - self.r2[masks]
+        if masks is None:
+            return self.gains[i]
+        # one feature's row, then a 1-D gather: about twice as fast as [i, masks]
+        return self.gains[i][masks] if np.ndim(i) == 0 else self.gains[i, masks]
 
 
-def _fits(design: StandardizedDesign, cache: FitCache | None, idx) -> np.ndarray:
+def _fits(design: StandardizedDesign, table: FitTable | None, idx) -> np.ndarray:
     """R^2 of every row of idx, a (k, s) block of sorted feature indices: read
-    from the cache's table once it is filled, else fitted by one
-    :func:`fit_block` call (zeros when s = 0), whose value for a row does not
-    depend on the rest of the block."""
+    from the table when there is one, else fitted by one :func:`fit_block`
+    call (zeros when s = 0), whose value for a row does not depend on the
+    rest of the block."""
     idx = np.asarray(idx, dtype=np.intp)
-    if cache is not None and cache.table is not None:
-        return cache.table[block_masks(idx)]
+    if table is not None:
+        return table.r2[block_masks(idx)]
     if idx.shape[1] == 0:
         return np.zeros(idx.shape[0])
     return fit_block(design, idx)[0]
-
-
-def _table(design: StandardizedDesign, cache: FitCache | None, max_features: int) -> np.ndarray:
-    """Cap-checked, dense, read-only r2[mask] of all 2^m masks, memoized on the
-    cache with its gain table (``cache.gains``, None above 20 features) by
-    one :func:`fit_table` call."""
-    _check_cap(design.m, max_features)
-    cache = cache if cache is not None else FitCache()
-    table = cache.table
-    if table is None:
-        table, ranks, gains = fit_table(design)
-        for values in (table, ranks, gains):
-            if values is not None:
-                values.setflags(write=False)
-        cache.publish(table, ranks, gains)
-    return table
-
-
-def _gains_at(cache: FitCache, i, masks):
-    """gain_A(i) for features i and masks A (scalars or arrays) of a filled
-    cache: from its gain table, or the table difference where it kept none."""
-    if cache.gains is not None:
-        # one feature's row, then a 1-D gather: about twice as fast as [i, masks]
-        return cache.gains[i][masks] if np.ndim(i) == 0 else cache.gains[i, masks]
-    return cache.table[masks | (1 << i)] - cache.table[masks]
 
 
 def _as_indices(subset: SubsetLike, m: int) -> tuple[int, ...]:
@@ -445,22 +426,22 @@ def sweep_walk(design: StandardizedDesign, depth: int) -> Iterator[tuple[np.ndar
         yield idx, r2, trusted
 
 
-def fit_table(design: StandardizedDesign) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(r2, rank, gain) of every subset mask, from one full-depth sweep walk.
+def fit_table(design: StandardizedDesign, max_features: int = DEFAULT_MAX_FEATURES) -> FitTable:
+    """The cap-checked :class:`FitTable` of every subset mask, from one
+    full-depth sweep walk.
 
-    r2 and rank are indexed by mask; gain is (m, 2^m) with gain[i, A] the fit
-    gained by adding feature i to A (0 when A holds i), or None when it would
-    take more than GAIN_TABLE_BYTES. A subset the walk trusts at
-    TABLE_PIVOT_RTOL takes its swept value, clipped at 1 like fit_block's,
-    and rank |S|; fit_block fits every other subset. Where A and A + i are
-    both trusted, gain[i, A] is C_A[i, y]^2 / C_A[i, i] from A's swept
-    matrix, not a difference of two nearly equal fits; elsewhere it is the
-    difference r2[A + i] - r2[A].
+    gains[i, A] is the fit gained by adding feature i to A (0 when A holds
+    i); the gain table is None when it would take more than
+    GAIN_TABLE_BYTES. A subset the walk trusts at TABLE_PIVOT_RTOL takes its
+    swept value, clipped at 1 like fit_block's; fit_block fits every other
+    subset. Where A and A + i are both trusted, gains[i, A] is
+    C_A[i, y]^2 / C_A[i, i] from A's swept matrix, not a difference of two
+    nearly equal fits; elsewhere it is the difference r2[A + i] - r2[A].
     """
+    _check_cap(design.m, max_features)
     m = design.m
     keep_gains = 8 * m << m <= GAIN_TABLE_BYTES
     r2 = np.zeros(1 << m)
-    rank = mask_sizes(np.arange(1 << m), m).astype(np.uint8)
     trusted = np.ones(1 << m, dtype=bool)
     gain = np.full((m, 1 << m), np.nan) if keep_gains else None
     for idx, values, ok, rows in _sweep_blocks(design, m, TABLE_PIVOT_RTOL, keep_gains):
@@ -470,8 +451,9 @@ def fit_table(design: StandardizedDesign) -> tuple[np.ndarray, np.ndarray, np.nd
         if keep_gains:
             gain[:, at] = rows.T
         if not ok.all():
-            r2[at[~ok]], rank[at[~ok]] = fit_block(design, idx[~ok])
+            r2[at[~ok]] = fit_block(design, idx[~ok])[0]
     np.minimum(r2, 1.0, out=r2)
+    r2.setflags(write=False)
     if keep_gains:
         masks = np.arange(1 << m)
         for i in range(m):
@@ -479,7 +461,8 @@ def fit_table(design: StandardizedDesign) -> tuple[np.ndarray, np.ndarray, np.nd
             row = gain[i]
             fallback = np.flatnonzero(np.isnan(row) | ~trusted[with_i])
             row[fallback] = r2[with_i[fallback]] - r2[fallback]
-    return r2, rank, gain
+        gain.setflags(write=False)
+    return FitTable(r2, gain)
 
 
 def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: bool):

@@ -20,12 +20,11 @@ from .jsonsafe import json_line
 from .regress import (
     DEFAULT_MAX_FEATURES,
     ZERO_RSS_TOL,
-    FitCache,
+    FitTable,
     StandardizedDesign,
     _as_indices,
     _check_cap,
     _fits,
-    _gains_at,
     fit_block,
     ls_fit,
     partial_correlation,
@@ -35,11 +34,11 @@ from .regress import (
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
 # best_subset re-fits every trusted subset whose screened fit lies
-# within this distance of its size's screened maximum. A screened value is
+# within this distance of the largest screened fit. A screened value is
 # within 3 eps |S| / regress.SWEEP_PIVOT_RTOL of fit_block's, 1.6e-8 at 24
 # features, so the band is more than twice that: it holds the subset
 # fit_block ranks first, and every subset tied with it. On an n = 2000,
-# m = 24 Gaussian design only each size's screened maximum lies within it.
+# m = 24, k = 4 Gaussian design only the screened maximum lies within it.
 SCREEN_BAND = 1e-7
 
 
@@ -98,14 +97,15 @@ def forward_stepwise(
     design: StandardizedDesign,
     k: int,
     t_stop: float | None = None,
-    cache: FitCache | None = None,
+    table: FitTable | None = None,
 ) -> SelectionTrace:
     """Greedy selection: each step adds the feature with the largest fit gain.
 
-    Each step fits every candidate model in one read of the cache's table
-    when a kernel has filled it, else in one fit_block call. A candidate's
-    gain is then read from the gain table, or is its fit minus the current
-    model's. Ties go to the lowest feature index. Runs for k steps
+    Each step fits every candidate model in one read of the table when one
+    is given, else in one fit_block call. A candidate's gain is then read
+    from the table (FitTable.gain), or is its fit minus the current model's,
+    so the two can differ in the last bits and, on near-ties, in the feature
+    picked. Ties go to the lowest feature index. Runs for k steps
     regardless of how small the gains get, unless ``t_stop`` is set, in
     which case the run ends early once no remaining feature's per-step t
     statistic reaches the threshold in absolute value. The threshold
@@ -113,7 +113,6 @@ def forward_stepwise(
     """
     if not 1 <= k <= design.m:
         raise ValueError(f"k must lie in 1..{design.m}")
-    filled = cache is not None and cache.table is not None
     model: tuple[int, ...] = ()
     fit = 0.0
     steps: list[SelectionStep] = []
@@ -121,13 +120,13 @@ def forward_stepwise(
     while len(model) < k:
         candidates = [j for j in range(design.m) if j not in model]
         subsets = [tuple(sorted(model + (j,))) for j in candidates]
-        fits = _fits(design, cache, subsets)
+        fits = _fits(design, table, subsets)
         if t_stop is not None and model:
             ts = (_step_t(design, *step) for step in zip(subsets, candidates, fits))
             if not any(t is not None and abs(t) >= t_stop for t in ts):
                 reason = "t_threshold"
                 break
-        gains = _gains_at(cache, np.array(candidates), mask_of(model)) if filled else fits - fit
+        gains = table.gain(np.array(candidates), mask_of(model)) if table is not None else fits - fit
         best = int(np.argmax(gains))
         model, fit = subsets[best], float(fits[best])
         steps.append(
@@ -141,48 +140,6 @@ def forward_stepwise(
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
-def _best_per_size(design: StandardizedDesign, depth: int) -> list[tuple[int, float]]:
-    """(mask, fit) of the best subset of each size 0..depth; ties go to the
-    smallest mask.
-
-    sweep_walk screens every subset. For each size, fit_block then re-fits
-    the trusted subsets within SCREEN_BAND of the size's screened maximum
-    and every untrusted subset, and the judgement reads re-fitted values
-    only. So the answer is the one a fit_block call on every subset gives.
-    """
-    best = [(0, 0.0)] + [(-1, -1.0)] * depth
-    top = np.full(depth + 1, -np.inf)
-    pending = [(np.zeros((0, size), np.intp), np.zeros(0)) for size in range(depth + 1)]
-
-    def judge(idx: np.ndarray) -> None:
-        values = fit_block(design, idx)[0]
-        value = float(values.max())
-        mask = int(block_masks(idx)[values == value].min())
-        best_mask, best_value = best[idx.shape[1]]
-        if value > best_value or (value == best_value and mask < best_mask):
-            best[idx.shape[1]] = (mask, value)
-
-    # Re-fitting a subset that later falls out of the band cannot change the
-    # answer, so pending finalists are judged whenever FIT_CHUNK of them
-    # gather; memory stays bounded even when many subsets tie.
-    for idx, r2, trusted in sweep_walk(design, depth):
-        size = idx.shape[1]
-        top[size] = max(top[size], np.max(r2, where=trusted, initial=-np.inf))
-        held, screened = pending[size]
-        idx = np.concatenate([held, idx])
-        screened = np.concatenate([screened, np.where(trusted, r2, np.inf)])
-        keep = screened >= top[size] - SCREEN_BAND
-        idx, screened = idx[keep], screened[keep]
-        if len(idx) >= regress.FIT_CHUNK:
-            judge(idx)
-            idx, screened = idx[:0], screened[:0]
-        pending[size] = (idx, screened)
-    for idx, _ in pending[1:]:
-        if len(idx):
-            judge(idx)
-    return best
-
-
 class BestSubsetResult(NamedTuple):
     subset: tuple[int, ...]
     r_squared: float
@@ -194,38 +151,63 @@ def best_subset(
     *,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> BestSubsetResult:
-    """Exhaustive maximizer of the fit over all subsets of size at most k.
+    """Exhaustive maximizer of the fit over all subsets of size at most k;
+    ties go to the smallest mask.
 
-    Subsets are ranked by a sweep screen and the finalists fitted by
-    fit_block (see ``_best_per_size``), so the value and subset are those of
-    fitting every subset; ties go to the smallest mask. Memory stays bounded
-    by a few blocks of FIT_CHUNK subsets.
+    sweep_walk screens every subset. fit_block then re-fits the trusted
+    subsets within SCREEN_BAND of the largest screened value and every
+    untrusted subset, and the judgement reads re-fitted values only. So the
+    answer is the one a fit_block call on every subset gives. Memory stays
+    bounded by a few blocks of FIT_CHUNK subsets per size.
     """
     _check_cap(design.m, max_features)
     if not 0 <= k <= design.m:
         raise ValueError(f"k must lie in 0..{design.m}")
-    best_mask = 0
-    best_r2 = 0.0
-    for mask, value in _best_per_size(design, k)[1:]:
-        if value > best_r2 or (value == best_r2 and mask < best_mask):
-            best_r2 = value
-            best_mask = mask
-    return BestSubsetResult(indices_of(best_mask), best_r2)
+    best = (0.0, 0)  # (fit, -mask) of the empty subset
+    top = -np.inf
+    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def judge(idx: np.ndarray) -> None:
+        nonlocal best
+        values = fit_block(design, idx)[0]
+        value = float(values.max())
+        best = max(best, (value, -int(block_masks(idx)[values == value].min())))
+
+    # Re-fitting a subset that later falls out of the band cannot change the
+    # answer, so finalists are judged whenever FIT_CHUNK of one size gather
+    # (fit_block stacks subsets of one size); memory stays bounded even when
+    # many subsets tie.
+    for idx, r2, trusted in sweep_walk(design, k):
+        top = max(top, np.max(r2, where=trusted, initial=-np.inf))
+        held, screened = pending.get(idx.shape[1], (idx[:0], r2[:0]))
+        idx = np.concatenate([held, idx])
+        screened = np.concatenate([screened, np.where(trusted, r2, np.inf)])
+        keep = screened >= top - SCREEN_BAND
+        idx, screened = idx[keep], screened[keep]
+        if len(idx) >= regress.FIT_CHUNK:
+            judge(idx)
+            idx, screened = idx[:0], screened[:0]
+        pending[idx.shape[1]] = (idx, screened)
+    for idx, screened in pending.values():
+        idx = idx[screened >= top - SCREEN_BAND]
+        if len(idx):
+            judge(idx)
+    return BestSubsetResult(indices_of(-best[1]), best[0])
 
 
-def table_best_subset(table: np.ndarray, k: int) -> BestSubsetResult:
-    """Best subset of size at most k in a filled fit table (r2 by mask): the
-    table's largest value over those masks, ties to the smallest mask.
+def table_best_subset(table: FitTable, k: int) -> BestSubsetResult:
+    """Best subset of size at most k in a fit table: the table's largest
+    value over those masks, ties to the smallest mask.
 
-    Read from the same table as a stepwise run on its cache, the optimum is
-    at least the greedy fit by construction.
+    Read from the same table as a stepwise run on it, the optimum is at
+    least the greedy fit by construction.
     """
-    m = table.size.bit_length() - 1
+    m = table.m
     if not 0 <= k <= m:
         raise ValueError(f"k must lie in 0..{m}")
-    values = np.where(mask_sizes(np.arange(table.size), m) <= k, table, -np.inf)
+    values = np.where(mask_sizes(np.arange(table.r2.size), m) <= k, table.r2, -np.inf)
     mask = int(values.argmax())
-    return BestSubsetResult(indices_of(mask), float(table[mask]))
+    return BestSubsetResult(indices_of(mask), float(table.r2[mask]))
 
 
 class NwfResult(NamedTuple):

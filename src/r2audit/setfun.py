@@ -1,15 +1,15 @@
 """The fit function viewed as a set function: gains, violation certificates
 and empirical approximate-submodularity constants.
 
-Every exhaustive diagnostic reads one dense table r2[mask] of all 2^m subset
-fits and one gain table gain[i, A], filled together by one sweep walk
-(regress.fit_table) and published on the FitCache (O(m 2^m) memory). Where the
-walk trusts A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept
-matrix, so a small gain on top of a large fit keeps its relative accuracy;
-elsewhere it is the table difference r2[A|i] - r2[A]. Above 20 features
+Every exhaustive diagnostic reads one regress.FitTable: a dense table
+r2[mask] of all 2^m subset fits and a gain table gain[i, A], filled together
+by one sweep walk (regress.fit_table, O(m 2^m) memory). Where the walk trusts
+A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept matrix, so a
+small gain on top of a large fit keeps its relative accuracy; elsewhere it is
+the table difference r2[A|i] - r2[A]. Above 20 features
 (regress.GAIN_TABLE_BYTES) no gain table is kept and every gain is that
-difference, taken where it is read. The table and its readers live in
-regress beside the FitCache: _table fills it and _gains_at reads a gain.
+difference, taken where FitTable.gain reads it. A kernel given no table
+builds its own.
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per unordered pair lo < hi, the masks A holding
 neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi):
@@ -41,23 +41,17 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bitsets import indices_of, mask_sizes
-from .regress import DEFAULT_MAX_FEATURES, FitCache, StandardizedDesign, _gains_at, _table
+from .regress import DEFAULT_MAX_FEATURES, FitTable, StandardizedDesign, fit_table
 
 VIOLATION_TOL = 1e-9
 SKIP_DENOM_TOL = 1e-12
 
 
-def _gain_row(cache: FitCache, i: int) -> np.ndarray:
-    """gain_A(i) of a filled cache for every mask A (zero where A holds i)."""
-    if cache.gains is not None:
-        return cache.gains[i]
-    return _gains_at(cache, i, np.arange(cache.table.size))
-
-
-def _pair_gains(cache: FitCache, m: int) -> Iterator[tuple]:
+def _pair_gains(table: FitTable) -> Iterator[tuple]:
     """Yield (A, lo, hi, gain_A(lo), gain_{A+hi}(lo), gain_A(hi), gain_{A+lo}(hi))
     for every pair lo < hi, where A holds, ascending, every mask containing
     neither lo nor hi."""
+    m = table.m
     rest = np.arange((1 << m) >> 2)  # every mask of m - 2 features
     for lo in range(m):
         bit_lo = 1 << lo
@@ -67,7 +61,7 @@ def _pair_gains(cache: FitCache, m: int) -> Iterator[tuple]:
             bit_hi = 1 << hi
             a = without_lo + (without_lo & -bit_hi)
             at = ((lo, a), (lo, a | bit_hi), (hi, a), (hi, a | bit_lo))
-            yield a, lo, hi, *[_gains_at(cache, i, b) for i, b in at]
+            yield a, lo, hi, *[table.gain(i, b) for i, b in at]
 
 
 class ViolationCertificate(NamedTuple):
@@ -230,7 +224,7 @@ def _by_sets(form, roles, hits, m) -> Certificates:
 def check_submodular(
     design: StandardizedDesign,
     tolerance: float = VIOLATION_TOL,
-    cache: FitCache | None = None,
+    table: FitTable | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> Certificates:
     """Exhaustively certify the second-order diminishing-returns inequality:
@@ -246,9 +240,8 @@ def check_submodular(
     to each other: the result holds every row's mirror, and its length is
     even.
     """
-    cache = cache if cache is not None else FitCache()
-    _table(design, cache, max_features)
-    return _second_order_summary(cache, design.m, tolerance, top=None).second_order
+    table = fit_table(design, max_features) if table is None else table
+    return _second_order_summary(table, tolerance, top=None).second_order
 
 
 def _second_order_certificates(a, i, j, gain, cond, deficit, m) -> Certificates:
@@ -263,7 +256,7 @@ def _second_order_certificates(a, i, j, gain, cond, deficit, m) -> Certificates:
 def find_suppressors(
     design: StandardizedDesign,
     tolerance: float = VIOLATION_TOL,
-    cache: FitCache | None = None,
+    table: FitTable | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> Certificates:
     """Certify every (S, i, j) where conditioning on j amplifies feature i.
@@ -275,9 +268,8 @@ def find_suppressors(
     shared deficit; certificates store the two absolute correlations
     sqrt(max(gain, 0)), and are ordered by their difference, largest first.
     """
-    cache = cache if cache is not None else FitCache()
-    _table(design, cache, max_features)
-    return _second_order_summary(cache, design.m, tolerance, top=None).suppression
+    table = fit_table(design, max_features) if table is None else table
+    return _second_order_summary(table, tolerance, top=None).suppression
 
 
 class GammaS2Result(NamedTuple):
@@ -329,11 +321,12 @@ class SecondOrderSummary(NamedTuple):
 
 
 def _second_order_summary(
-    cache: FitCache, m: int, tolerance: float, top: int | None = TOP_CERTIFICATES
+    table: FitTable, tolerance: float, top: int | None = TOP_CERTIFICATES
 ) -> SecondOrderSummary:
-    """The summary from one walk over _pair_gains, with the first ``top``
-    certificates of each list, or the whole lists when ``top`` is None. Each
-    call walks the pairs again: nothing is kept on the cache."""
+    """The summary from one walk over the table's _pair_gains, with the first
+    ``top`` certificates of each list, or the whole lists when ``top`` is
+    None. Each call walks the pairs again."""
+    m = table.m
     # the k-th mask holding neither i nor j is k with two zero bits inserted
     sizes = mask_sizes(np.arange((1 << m) >> 2), m)
     by_size, by_pair = np.zeros(max(m - 1, 0), dtype=np.intp), np.zeros((m, m), dtype=np.intp)
@@ -342,7 +335,7 @@ def _second_order_summary(
     # The whole suppression list is the second-order rows through square
     # roots; only its head, ranked by their difference, needs its own rows.
     suppression = _Rows(("S", "i", "j"), m, top) if top is not None else None
-    for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(cache, m):
+    for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(table):
         # both orientations take the deficit of (A, lo, hi), so they hit the same rows
         deficit = cond_lo - gain_lo
         hit = deficit > tolerance
@@ -371,14 +364,13 @@ def _second_order_summary(
 
 def empirical_gamma_s2(
     design: StandardizedDesign,
-    cache: FitCache | None = None,
+    table: FitTable | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> GammaS2Result:
     """Minimum of gain_A(i) / gain_{A+j}(i) over all eligible (A, i, j): the
     gamma of one walk over the feature pairs, walked again on every call."""
-    cache = cache if cache is not None else FitCache()
-    _table(design, cache, max_features)
-    return _second_order_summary(cache, design.m, VIOLATION_TOL).gamma
+    table = fit_table(design, max_features) if table is None else table
+    return _second_order_summary(table, VIOLATION_TOL).gamma
 
 
 def _strict_superset_max(values: np.ndarray, m: int) -> np.ndarray:
@@ -394,7 +386,7 @@ def _strict_superset_max(values: np.ndarray, m: int) -> np.ndarray:
 
 def empirical_gamma_s(
     design: StandardizedDesign,
-    cache: FitCache | None = None,
+    table: FitTable | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> GammaSResult:
     """Minimum of gain_A(i) / gain_B(i) over nested pairs A < B with i outside B.
@@ -404,15 +396,14 @@ def empirical_gamma_s(
     nested pairs. A denominator below SKIP_DENOM_TOL is skipped once for each
     of its 2^|B| - 1 proper subsets A.
     """
-    m = design.m
-    cache = cache if cache is not None else FitCache()
-    _table(design, cache, max_features)
+    table = fit_table(design, max_features) if table is None else table
+    m = table.m
     masks = np.arange(1 << m)
     sizes = mask_sizes(masks, m)
     per_feature = []
     skipped = 0
     for i in range(m):
-        gain = _gain_row(cache, i)
+        gain = table.gain(i)
         outside = (masks >> i) & 1 == 0
         small = outside & (gain < SKIP_DENOM_TOL)
         skipped += int(((1 << sizes[small]) - 1).sum())
@@ -432,7 +423,7 @@ def empirical_gamma_s(
     for ratio_i, at, i in per_feature:
         if (ratio_i, at) != (value, a_mask):
             continue
-        gain = _gain_row(cache, i)
+        gain = table.gain(i)
         b = masks[((masks & a_mask) == a_mask) & (masks != a_mask) & ((masks >> i) & 1 == 0)]
         b = b[~(gain[b] < SKIP_DENOM_TOL)]
         hit = np.maximum(gain[a_mask], 0.0) / gain[b] == value

@@ -1,12 +1,12 @@
 """Scalar reference implementations of the exhaustive set-function walks.
 
-These are the original one-comparison-at-a-time loops over a FitCache. The
+These are the original one-comparison-at-a-time loops over a FitTable. The
 package computes the same quantities with dense-table numpy kernels; the
 differential tests require the two to agree with ``==``: values, witnesses,
 skip counts and certificate order, bit for bit. Both read the same values: the
-oracle fills the kernel's fit table on its cache first and takes every gain
-from the kernel's gain table, so what it checks is the walks, the witnesses,
-the tie-breaks and the order, not the arithmetic of the fits.
+oracle builds the kernel's fit table first, when it is given none, and takes
+every gain from the kernel's gain table, so what it checks is the walks, the
+witnesses, the tie-breaks and the order, not the arithmetic of the fits.
 ``replay_certificate`` recomputes one certificate's two sides from its sets.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from r2audit.bitsets import indices_of, mask_of
-from r2audit.regress import DEFAULT_MAX_FEATURES, FitCache, _as_indices, _fits, _gains_at, _table
+from r2audit.regress import DEFAULT_MAX_FEATURES, _as_indices, _fits, fit_table
 from r2audit.setfun import SKIP_DENOM_TOL, VIOLATION_TOL, GammaS2Result, GammaSResult, ViolationCertificate
 
 # The three equivalent diminishing-returns inequalities. The package checks
@@ -25,21 +25,19 @@ from r2audit.setfun import SKIP_DENOM_TOL, VIOLATION_TOL, GammaS2Result, GammaSR
 MODES = ("definition", "first_order", "second_order")
 
 
-def _filled(design, cache, max_features):
-    """The cache, new if None, with the kernel's fit and gain tables filled."""
-    cache = cache if cache is not None else FitCache()
-    _table(design, cache, max_features or DEFAULT_MAX_FEATURES)
-    return cache
+def _filled(design, table, max_features):
+    """The table, or the kernel's fit and gain tables when it is None."""
+    return fit_table(design, max_features or DEFAULT_MAX_FEATURES) if table is None else table
 
 
-def _r2(cache, mask):
+def _r2(table, mask):
     """R^2 of mask as the kernel reads it from its table."""
-    return float(cache.table[mask])
+    return float(table.r2[mask])
 
 
-def _gain(cache, mask, i):
+def _gain(table, mask, i):
     """gain_mask(i) as the kernel reads it from its tables."""
-    return float(_gains_at(cache, i, mask))
+    return float(table.gain(i, mask))
 
 
 def iter_submasks(mask: int):
@@ -56,20 +54,20 @@ def _sets(**kwargs):
     return tuple(kwargs.items())
 
 
-def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache=None, max_features=None):
+def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, table=None, max_features=None):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = design.m
-    cache = _filled(design, cache, max_features)
+    table = _filled(design, table, max_features)
     full = (1 << m) - 1
     found = []
 
     if mode == "definition":
         for a_mask in range(full + 1):
-            fa = _r2(cache, a_mask)
+            fa = _r2(table, a_mask)
             for b_mask in range(a_mask, full + 1):
-                lhs = fa + _r2(cache, b_mask)
-                rhs = _r2(cache, a_mask | b_mask) + _r2(cache, a_mask & b_mask)
+                lhs = fa + _r2(table, b_mask)
+                rhs = _r2(table, a_mask | b_mask) + _r2(table, a_mask & b_mask)
                 if rhs - lhs > tolerance:
                     found.append(
                         ViolationCertificate(
@@ -88,8 +86,8 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
                     continue
                 b_mask = a_mask | extra
                 for i in indices_of(full & ~b_mask):
-                    lhs = _gain(cache, a_mask, i)
-                    rhs = _gain(cache, b_mask, i)
+                    lhs = _gain(table, a_mask, i)
+                    rhs = _gain(table, b_mask, i)
                     if rhs - lhs > tolerance:
                         found.append(
                             ViolationCertificate(
@@ -104,15 +102,15 @@ def check_submodular(design, mode="second_order", tolerance=VIOLATION_TOL, cache
         for a_mask in range(full + 1):
             outside = indices_of(full & ~a_mask)
             for i in outside:
-                gain_a = _gain(cache, a_mask, i)
+                gain_a = _gain(table, a_mask, i)
                 for j in outside:
                     if j == i:
                         continue
-                    rhs = _gain(cache, a_mask | (1 << j), i)
+                    rhs = _gain(table, a_mask | (1 << j), i)
                     # (A, i, j) and (A, j, i) share the deficit of (A, lo, hi),
                     # and are kept or dropped together by it
                     lo, hi = min(i, j), max(i, j)
-                    deficit = _gain(cache, a_mask | (1 << hi), lo) - _gain(cache, a_mask, lo)
+                    deficit = _gain(table, a_mask | (1 << hi), lo) - _gain(table, a_mask, lo)
                     if deficit > tolerance:
                         found.append(
                             ViolationCertificate(
@@ -137,24 +135,24 @@ def _mirror_key(cert):
     return (-cert.deficit, sets["A"], min(i, j), max(i, j), i)
 
 
-def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=None):
+def find_suppressors(design, tolerance=VIOLATION_TOL, table=None, max_features=None):
     m = design.m
-    cache = _filled(design, cache, max_features)
+    table = _filled(design, table, max_features)
     full = (1 << m) - 1
     found = []
     for s_mask in range(full + 1):
         outside = indices_of(full & ~s_mask)
         for i in outside:
-            base_gain = _gain(cache, s_mask, i)
+            base_gain = _gain(table, s_mask, i)
             base_corr = math.sqrt(max(base_gain, 0.0))
             for j in outside:
                 if j == i:
                     continue
-                gain = _gain(cache, s_mask | (1 << j), i)
+                gain = _gain(table, s_mask | (1 << j), i)
                 cond_corr = math.sqrt(max(gain, 0.0))
                 # the second-order row selection, rendered as correlations
                 lo, hi = min(i, j), max(i, j)
-                if _gain(cache, s_mask | (1 << hi), lo) - _gain(cache, s_mask, lo) > tolerance:
+                if _gain(table, s_mask | (1 << hi), lo) - _gain(table, s_mask, lo) > tolerance:
                     found.append(
                         ViolationCertificate(
                             "suppression",
@@ -168,9 +166,9 @@ def find_suppressors(design, tolerance=VIOLATION_TOL, cache=None, max_features=N
     return found
 
 
-def empirical_gamma_s2(design, cache=None, max_features=None):
+def empirical_gamma_s2(design, table=None, max_features=None):
     m = design.m
-    cache = _filled(design, cache, max_features)
+    table = _filled(design, table, max_features)
     full = (1 << m) - 1
     best = math.inf
     witness = None
@@ -178,11 +176,11 @@ def empirical_gamma_s2(design, cache=None, max_features=None):
     for a_mask in range(full + 1):
         outside = indices_of(full & ~a_mask)
         for i in outside:
-            num = _gain(cache, a_mask, i)
+            num = _gain(table, a_mask, i)
             for j in outside:
                 if j == i:
                     continue
-                den = _gain(cache, a_mask | (1 << j), i)
+                den = _gain(table, a_mask | (1 << j), i)
                 if den < SKIP_DENOM_TOL:
                     skipped += 1
                     continue
@@ -193,9 +191,9 @@ def empirical_gamma_s2(design, cache=None, max_features=None):
     return GammaS2Result(gamma_s2=best, witness_s2=witness, skipped_s2=skipped)
 
 
-def empirical_gamma_s(design, cache=None, max_features=None):
+def empirical_gamma_s(design, table=None, max_features=None):
     m = design.m
-    cache = _filled(design, cache, max_features)
+    table = _filled(design, table, max_features)
     full = (1 << m) - 1
     best = math.inf
     witness = None
@@ -207,11 +205,11 @@ def empirical_gamma_s(design, cache=None, max_features=None):
                 continue
             b_mask = a_mask | extra
             for i in indices_of(full & ~b_mask):
-                den = _gain(cache, b_mask, i)
+                den = _gain(table, b_mask, i)
                 if den < SKIP_DENOM_TOL:
                     skipped += 1
                     continue
-                num = _gain(cache, a_mask, i)
+                num = _gain(table, a_mask, i)
                 ratio = max(num, 0.0) / den
                 if ratio < best:
                     best = ratio
@@ -219,21 +217,20 @@ def empirical_gamma_s(design, cache=None, max_features=None):
     return GammaSResult(gamma_s=best, witness_s=witness, skipped_s=skipped)
 
 
-def replay_certificate(design, cert, cache=None):
+def replay_certificate(design, cert, table=None):
     """Recompute (lhs, rhs) of a certificate's inequality from its sets.
 
-    Gains come from the cache's gain table when it is filled, so a filled
-    cache reproduces the certificate; otherwise they are differences of two
-    fits, an independent check. Every set must lie in range(m).
+    Gains come from the table's gain table when a table is given, so the
+    kernel's table reproduces the certificate; otherwise they are differences
+    of two fits, an independent check. Every set must lie in range(m).
     """
-    filled = cache is not None and cache.table is not None
     sets = {role: _as_indices(members, design.m) for role, members in cert.sets}
 
     def fit(mask):
-        return float(_fits(design, cache, [indices_of(mask)])[0])
+        return float(_fits(design, table, [indices_of(mask)])[0])
 
     def gain(mask, i):
-        return float(_gains_at(cache, i, mask)) if filled else fit(mask | (1 << i)) - fit(mask)
+        return float(table.gain(i, mask)) if table is not None else fit(mask | (1 << i)) - fit(mask)
 
     if cert.form == "definition":
         a = mask_of(sets["A"])

@@ -11,11 +11,11 @@ from itertools import combinations
 import numpy as np
 
 from r2audit import (
-    FitCache,
     best_subset,
     check_submodular,
     empirical_gamma_s,
     empirical_gamma_s2,
+    fit_table,
     forward_stepwise,
     gamma_pair,
     gamma_vs_spectral,
@@ -188,12 +188,12 @@ def test_criterion_4_nwf_guarantee():
             attempts += 1
             assert attempts < 400, "could not assemble verified-submodular instances"
             design = next(source)
-            cache = FitCache()
-            if check_submodular(design, cache=cache):
+            table = fit_table(design)
+            if check_submodular(design, table=table):
                 continue
             verified += 1
             for k in (1, 2, 3):
-                greedy = forward_stepwise(design, k, cache=cache).final_r_squared()
+                greedy = forward_stepwise(design, k, table=table).final_r_squared()
                 res = nwf_verdict(greedy, best_subset(design, k).r_squared, True)
                 assert res.ratio >= 1.0 - 1.0 / math.e - 1e-9, (k, res)
         # the bundled supermodular counterexample violates the bound and is
@@ -220,11 +220,11 @@ def test_criterion_5_chain_bound():
         for seed in range(24):
             m = 3 + seed % 4
             design = make_noisy_design(seed + 900, n=25, m=m)
-            cache = FitCache()
-            s2 = empirical_gamma_s2(design, cache=cache).gamma_s2
+            table = fit_table(design)
+            s2 = empirical_gamma_s2(design, table=table).gamma_s2
             if not 0.0 < s2 < 1.0:
                 continue
-            s1 = empirical_gamma_s(design, cache=cache).gamma_s
+            s1 = empirical_gamma_s(design, table=table).gamma_s
             assert s1 >= s2**m - 1e-9
             checked += 1
         assert checked >= 12
@@ -241,9 +241,8 @@ def test_criterion_6_spectral_ordering():
     def body():
         for seed in range(50):
             design = make_noisy_design(seed + 1500, n=40, m=8)
-            cache = FitCache()
-            assert gamma_vs_spectral(design, (), 2, cache=cache).holds
-            assert gamma_vs_spectral(design, (0,), 2, cache=cache).holds
+            assert gamma_vs_spectral(design, (), 2).holds
+            assert gamma_vs_spectral(design, (0,), 2).holds
             C = design.correlation_matrix()
             values = [sparse_min_eigenvalue(C, k).value for k in range(1, 5)]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))

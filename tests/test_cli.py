@@ -385,7 +385,7 @@ def test_audit_checks_alpha_before_the_enumeration(miller_csv, tmp_path, capsys,
     def no_table(*args):
         raise AssertionError("the fit table was filled before alpha was checked")
 
-    monkeypatch.setattr(cli, "_table", no_table)
+    monkeypatch.setattr(cli, "fit_table", no_table)
     out = tmp_path / "r.json"
     assert main(["audit", str(miller_csv), "--response", "Y", "--k", "3", "--alpha", "0.5", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: alpha must be at least 1\n"
@@ -399,7 +399,7 @@ def test_audit_checks_k_before_the_enumeration(miller_csv, tmp_path, capsys, mon
     def no_table(*args):
         raise AssertionError("the fit table was filled before k was checked")
 
-    monkeypatch.setattr(cli, "_table", no_table)
+    monkeypatch.setattr(cli, "fit_table", no_table)
     out = tmp_path / "r.json"
     assert main(["audit", str(miller_csv), "--response", "Y", "--k", k, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: k must lie in 1..3\n"

@@ -145,7 +145,7 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize(
     "args, step",
     [
-        (["audit", "{csv}", "--response", "Y", "--k", "3"], "r2audit.cli._table"),
+        (["audit", "{csv}", "--response", "Y", "--k", "3"], "r2audit.cli.fit_table"),
         (["gen", "gaussian", "--n", "30", "--m", "4"], "r2audit.datasets.random_gaussian"),
     ],
     ids=["audit", "gen-gaussian"],

@@ -17,7 +17,7 @@ import pytest
 from conftest import make_noisy_design, make_noisy_rows
 from reader_oracle import FitEntry, fit_entry
 from row_oracle import Rows
-from r2audit import FitCache, StandardizedDesign, miller_table, standardize, suppressor_population
+from r2audit import StandardizedDesign, fit_table, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
 from r2audit.bitsets import block_masks, combination_blocks, indices_of
 from r2audit.regress import (
@@ -90,13 +90,16 @@ def test_kernel_matches_direct_fit_on_every_mask(rows):
 
 
 def test_table_fill_matches_direct_fit_on_every_mask(rows):
+    # the table takes a trusted subset's swept value, which is right only for
+    # a subset of full rank |S| by fit_block's cutoff
     design = StandardizedDesign(*rows)
-    cache = FitCache()
-    table = setfun._table(design, cache, regress.DEFAULT_MAX_FEATURES)
+    table = fit_table(design).r2
+    trusted = _table_walk(design)
     for mask in range(1 << design.m):
         want = evaluate_subset(rows, mask)
         assert abs(table[mask] - want.r_squared) <= 1e-12, indices_of(mask)
-        assert cache.ranks[mask] == want.rank, indices_of(mask)
+        if trusted[mask]:
+            assert fit_entry(design, indices_of(mask)).rank == bin(mask).count("1"), indices_of(mask)
 
 
 def test_designs_reach_their_edge_cases():
@@ -228,14 +231,13 @@ def _table_walk(design):
 @pytest.mark.parametrize("seed", [3, 17, 40])
 def test_direct_gains_match_fit_differences_on_gaussian_designs(seed):
     d = make_noisy_design(seed, n=50, m=8)
-    cache = FitCache()
-    setfun._table(d, cache, regress.DEFAULT_MAX_FEATURES)
+    gains = fit_table(d).gains
     assert all(_table_walk(d).values())
     fits = [fit_entry(d, indices_of(mask)).r_squared for mask in range(1 << d.m)]
     for i in range(d.m):
         for mask in range(1 << d.m):
             difference = fits[mask | (1 << i)] - fits[mask]
-            assert abs(cache.gains[i, mask] - difference) <= 1e-12, (i, indices_of(mask))
+            assert abs(gains[i, mask] - difference) <= 1e-12, (i, indices_of(mask))
 
 
 @pytest.mark.parametrize("name", [*DESIGNS, "nested_near_null"])
@@ -244,8 +246,7 @@ def test_gains_are_table_differences_wherever_the_walk_distrusts(name):
     # trusts, so the swept gains are checked on the ill-conditioned designs
     # too, not only where every subset is trusted.
     design = _nested_near_null() if name == "nested_near_null" else DESIGNS[name]()
-    cache = FitCache()
-    table = setfun._table(design, cache, regress.DEFAULT_MAX_FEATURES)
+    table, gains = fit_table(design)
     trusted = _table_walk(design)
     fits = [fit_entry(design, indices_of(mask)).r_squared for mask in range(1 << design.m)]
     untrusted = 0
@@ -253,13 +254,13 @@ def test_gains_are_table_differences_wherever_the_walk_distrusts(name):
         for mask in range(1 << design.m):
             with_i = mask | (1 << i)
             if with_i == mask:
-                assert cache.gains[i, mask] == 0.0
+                assert gains[i, mask] == 0.0
             elif not (trusted[mask] and trusted[with_i]):
                 untrusted += 1
-                assert cache.gains[i, mask] == table[with_i] - table[mask], (i, indices_of(mask))
+                assert gains[i, mask] == table[with_i] - table[mask], (i, indices_of(mask))
             else:
                 difference = fits[with_i] - fits[mask]
-                assert abs(cache.gains[i, mask] - difference) <= 1e-11, (i, indices_of(mask))
+                assert abs(gains[i, mask] - difference) <= 1e-11, (i, indices_of(mask))
     if name in ("duplicated_column", "near_collinear_pair", "n_below_m_plus_1", "nested_near_null"):
         assert untrusted > 0
 
@@ -282,10 +283,9 @@ def test_gain_table_is_kept_up_to_20_features(monkeypatch):
     assert 8 * 20 << 20 <= regress.GAIN_TABLE_BYTES < 8 * 21 << 21
     design = DESIGNS["n_below_m_plus_1"]()
     m = design.m
-    r2, rank, gains = regress.fit_table(design)
+    r2, gains = regress.fit_table(design)
     assert gains.shape == (m, 1 << m)
     monkeypatch.setattr(regress, "GAIN_TABLE_BYTES", (8 * m << m) - 1)
-    r2_alone, rank_alone, none = regress.fit_table(design)
+    r2_alone, none = regress.fit_table(design)
     assert none is None
-    np.testing.assert_array_equal(rank_alone, rank)
     assert np.abs(r2_alone - r2).max() <= 1e-15

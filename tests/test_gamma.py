@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from r2audit import (
-    FitCache,
     RatioQuery,
     empirical_gamma_s2,
     gamma_pair,
@@ -43,7 +42,6 @@ def test_ratio_pair_at_most_k_includes_singletons():
 
 def test_ratio_matches_direct_enumeration():
     d = make_noisy_design(55, n=25, m=5)
-    cache = FitCache()
     from itertools import combinations
 
     from r2audit import r_squared
@@ -56,7 +54,7 @@ def test_ratio_matches_direct_enumeration():
             continue
         num = sum(r_squared(d, tuple(sorted((t, *base)))) - r_squared(d, base) for t in team)
         best = min(best, num / den)
-    res = submodularity_ratio(d, RatioQuery(base, 2, "exactly_k"), cache=cache)
+    res = submodularity_ratio(d, RatioQuery(base, 2, "exactly_k"))
     assert abs(res.gamma_sr - best) < 1e-12
 
 

@@ -141,11 +141,11 @@ def test_bound_identity_against_middle_expression():
 
 def test_svg_heatmap_renders():
     cells = grid_evaluate(10, 10, 0.5)
-    doc = svg_heatmap(cells, "gamma_sr", 10, 10)
+    (doc,) = svg_heatmap(cells, ["gamma_sr"], 10, 10)
     assert doc.startswith("<svg")
     assert doc.count("<rect") == len(cells) + 1
     with pytest.raises(ValueError):
-        svg_heatmap(cells, "nope", 10, 10)
+        svg_heatmap(cells, ["gamma_sr", "nope"], 10, 10)
 
 
 # ---------------------------------------------------------------------------

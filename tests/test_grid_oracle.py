@@ -57,9 +57,8 @@ def test_grid_matches_oracle(steps, r2_full):
     assert list(grid) == cells
     lines = oracle.grid_csv_lines(cells)
     assert grid_csv_lines(grid) == lines
-    docs = {field: oracle.svg_heatmap(cells, field, theta_steps, v_steps) for field in SVG_FIELDS}
-    for field in SVG_FIELDS:
-        assert svg_heatmap(grid, field, theta_steps, v_steps) == docs[field], field
+    docs = [oracle.svg_heatmap(cells, field, theta_steps, v_steps) for field in SVG_FIELDS]
+    assert svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps) == docs
     # The blocks' columns, CSV lines and SVG parts, joined in order: one line
     # per block, uneven blocks, and one block.
     for sizes in ((1,), (3, 1, 4, 1, 5, 9, 2, 6), (theta_steps - 1,)):
@@ -70,16 +69,14 @@ def test_grid_matches_oracle(steps, r2_full):
             joined = np.concatenate([block.columns[col] for block in blocks])
             assert joined.tobytes() == grid.columns[col].tobytes(), (sizes, col)
         assert sum((grid_csv_lines(block) for block in blocks), []) == lines, sizes
-        for field in SVG_FIELDS:
-            joined = "".join(svg_heatmap(block, field, theta_steps, v_steps) for block in blocks)
-            assert joined == docs[field], (sizes, field)
+        parts = [svg_heatmap(block, SVG_FIELDS, theta_steps, v_steps) for block in blocks]
+        assert ["".join(doc) for doc in zip(*parts)] == docs, sizes
     # The cell ranges of one block, joined in order: uneven ranges of one
     # cell and more, with empty ranges between them.
     ranges = _blocks_of(len(grid), (1, 0, 3, 0, 512))
     assert sum((grid_csv_lines(grid, cells) for cells in ranges), []) == lines
-    for field in SVG_FIELDS:
-        joined = "".join(svg_heatmap(grid, field, theta_steps, v_steps, 6, cells) for cells in ranges)
-        assert joined == docs[field], field
+    parts = [svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps, 6, cells) for cells in ranges]
+    assert ["".join(doc) for doc in zip(*parts)] == docs
 
 
 def test_grid_rejects_rows_outside_the_grid():
@@ -95,7 +92,7 @@ def test_render_rejects_cells_outside_the_block():
         with pytest.raises(ValueError):
             grid_csv_lines(grid, cells)
         with pytest.raises(ValueError):
-            svg_heatmap(grid, "gamma1", 12, 12, 6, cells)
+            svg_heatmap(grid, ["gamma1"], 12, 12, 6, cells)
     assert grid_csv_lines(grid, range(4, 4)) == []
 
 
@@ -361,5 +358,6 @@ def test_svg_layout_per_cell_size():
     grid = grid_evaluate(12, 12, 0.5)
     cells = oracle.grid_evaluate(12, 12, 0.5)
     for cell_px in (6, 3, 6):
-        for field in ("gamma1", "t_ratio_bound"):
-            assert svg_heatmap(grid, field, 12, 12, cell_px) == oracle.svg_heatmap(cells, field, 12, 12, cell_px)
+        fields = ("gamma1", "t_ratio_bound")
+        expected = [oracle.svg_heatmap(cells, field, 12, 12, cell_px) for field in fields]
+        assert svg_heatmap(grid, fields, 12, 12, cell_px) == expected

@@ -15,9 +15,9 @@ from conftest import make_noisy_design, make_orthogonal_design
 from report_oracle import as_certificates, certificate_jsonable, reference_text, row_counts
 from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
 from r2audit import (
-    FitCache,
     check_submodular,
     cli,
+    fit_table,
     forward_stepwise,
     gram_factory,
     nwf_verdict,
@@ -217,7 +217,7 @@ def _assert_heads_match(make, expected):
 @pytest.mark.parametrize("name", ["miller", "suppressor6", "hadamard_pairs", "hadamard_mix", "noisy_m6"])
 def test_heads_match_full_sort_on_designs(name, miller_design):
     d = miller_design if name == "miller" else ORACLE_DESIGNS[name]()
-    cache = FitCache()
+    table = fit_table(d)
     second = oracle.check_submodular(d)
     # mirror images (A, i, j) and (A, j, i) share a deficit and sit together,
     # so some cut falls between the two
@@ -226,8 +226,8 @@ def test_heads_match_full_sort_on_designs(name, miller_design):
         for a, b in zip(second, second[1:])
     ]
     assert any(mirrors)
-    _assert_heads_match(lambda: setfun.check_submodular(d, cache=cache), second)
-    _assert_heads_match(lambda: setfun.find_suppressors(d, cache=cache), oracle.find_suppressors(d))
+    _assert_heads_match(lambda: setfun.check_submodular(d, table=table), second)
+    _assert_heads_match(lambda: setfun.find_suppressors(d, table=table), oracle.find_suppressors(d))
 
 
 def _synthetic(deficits, m=5, seed=0):
@@ -281,9 +281,9 @@ def test_audit_walks_the_feature_pairs_once(stream, tmp_path, monkeypatch):
     walks = []
     pair_gains = setfun._pair_gains
 
-    def counted(cache, m):
-        walks.append(m)
-        return pair_gains(cache, m)
+    def counted(table):
+        walks.append(table.m)
+        return pair_gains(table)
 
     monkeypatch.setattr(setfun, "_pair_gains", counted)
     path = tmp_path / "in.csv"
@@ -305,9 +305,9 @@ def test_audit_asks_for_the_second_order_summary_once(stream, tmp_path, monkeypa
     calls = []
     summary = setfun._second_order_summary
 
-    def counted(cache, m, tolerance, top=TOP_CERTIFICATES):
+    def counted(table, tolerance, top=TOP_CERTIFICATES):
         calls.append(top)
-        return summary(cache, m, tolerance, top)
+        return summary(table, tolerance, top)
 
     monkeypatch.setattr(cli, "_second_order_summary", counted)
     monkeypatch.setattr(setfun, "_second_order_summary", counted)
@@ -335,10 +335,9 @@ def test_audit_nwf_block_equals_nwf_check(design, k, miller_design):
     }[design]()
     report, _ = build_audit_report(d, "in.csv", "Y", k, 20)
     # greedy and optimal fits read from one filled table, as the audit reads them
-    cache = FitCache()
-    table = setfun._table(d, cache, 20)
-    greedy = forward_stepwise(d, k, cache=cache).final_r_squared()
-    expected = nwf_verdict(greedy, table_best_subset(table, k).r_squared, not check_submodular(d, cache=cache))
+    table = fit_table(d, 20)
+    greedy = forward_stepwise(d, k, table=table).final_r_squared()
+    expected = nwf_verdict(greedy, table_best_subset(table, k).r_squared, not check_submodular(d, table=table))
     fields = ("greedy_r2", "optimal_r2", "ratio", "threshold", "guarantee_holds", "is_submodular")
     assert report["selection"]["nwf"] == {f: getattr(expected, f) for f in fields}
 
@@ -357,7 +356,7 @@ def test_audit_without_certificates_peaks_near_the_table_fill(tmp_path):
     d = standardize(*load_csv(path, "Y"))
     tracemalloc.start()
     try:
-        setfun._table(d, FitCache(), 20)
+        fit_table(d, 20)
         fill = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         build_audit_report(d, str(path), "Y", 3, 20)

@@ -19,7 +19,7 @@ from r2audit import (
 )
 from r2audit import regress
 from r2audit.bitsets import block_masks, indices_of, mask_of
-from r2audit.regress import sweep_walk
+from r2audit.regress import FitTable, sweep_walk
 from r2audit.errors import TooManyFeatures, ZeroBeta
 from r2audit.selection import BestSubsetResult, table_best_subset
 from conftest import make_noisy_design, make_orthogonal_design
@@ -289,10 +289,11 @@ def test_optimal_is_at_least_greedy_by_construction(name, miller_design):
 
 
 def test_table_best_subset_breaks_ties_to_the_smallest_mask():
-    table = np.array([0.0, 0.5, 0.5, 0.5, 0.25, 0.5, 0.5, 0.5])
+    r2 = np.array([0.0, 0.5, 0.5, 0.5, 0.25, 0.5, 0.5, 0.5])
+    table = FitTable(r2, None)
     assert table_best_subset(table, 0) == BestSubsetResult((), 0.0)
     assert table_best_subset(table, 1) == BestSubsetResult((0,), 0.5)
-    assert table_best_subset(table[[0, 4, 2, 6, 1, 5, 3, 7]], 3) == BestSubsetResult((1,), 0.5)
+    assert table_best_subset(FitTable(r2[[0, 4, 2, 6, 1, 5, 3, 7]], None), 3) == BestSubsetResult((1,), 0.5)
     with pytest.raises(ValueError):
         table_best_subset(table, 4)
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from r2audit import (
-    FitCache,
     StandardizedDesign,
     check_submodular,
     empirical_gamma_s,
     empirical_gamma_s2,
     find_suppressors,
+    fit_table,
     r_squared,
     random_gaussian,
     standardize,
@@ -43,7 +43,7 @@ def test_delta_miller_pair_on_x3(miller_design):
 def test_delta_matches_two_evaluations():
     # gains read from a filled fit table against two direct fits
     d = make_noisy_design(31, n=30, m=5)
-    table = setfun._table(d, FitCache(), 20)
+    table = fit_table(d, 20).r2
     for added, base in [((0, 2), (1,)), ((3,), (0, 4)), ((1, 2, 3), ())]:
         expected = r_squared(d, tuple(set(added) | set(base))) - r_squared(d, base)
         assert abs(table[mask_of(added) | mask_of(base)] - table[mask_of(base)] - expected) < 1e-10
@@ -151,14 +151,13 @@ def test_pair_gains_visit_each_unordered_pair_once():
     # ascending, and the four gains of both orientations from the gain table.
     for m in range(1, 8):
         d = make_noisy_design(40 + m, n=12, m=m)
-        cache = FitCache()
-        setfun._table(d, cache, 20)
+        table = fit_table(d, 20)
         masks = np.arange(1 << m)
         pairs = []
-        for a, lo, hi, *gains in setfun._pair_gains(cache, m):
+        for a, lo, hi, *gains in setfun._pair_gains(table):
             pairs.append((lo, hi))
             assert np.array_equal(a, masks[(masks & ((1 << lo) | (1 << hi))) == 0])
-            row_lo, row_hi = cache.gains[lo], cache.gains[hi]
+            row_lo, row_hi = table.gains[lo], table.gains[hi]
             expected = [row_lo[a], row_lo[a | (1 << hi)], row_hi[a], row_hi[a | (1 << lo)]]
             assert all(np.array_equal(got, want) for got, want in zip(gains, expected))
         assert pairs == list(combinations(range(m), 2))
@@ -216,15 +215,15 @@ def test_enumeration_cap():
 
 
 def test_concurrent_enumeration_shares_cache():
-    # Several enumerations racing on one cache must agree with a solo run.
+    # Several enumerations racing on one table must agree with a solo run.
     from concurrent.futures import ThreadPoolExecutor
 
     d = make_noisy_design(41, n=25, m=6)
-    shared = FitCache()
+    shared = fit_table(d)
 
     checks = [check_submodular, find_suppressors, empirical_gamma_s2] * 2
     with ThreadPoolExecutor(max_workers=6) as pool:
-        results = list(pool.map(lambda check: check(d, cache=shared), checks))
+        results = list(pool.map(lambda check: check(d, table=shared), checks))
     for check, got in zip(checks, results):
         assert got == check(d)
 
@@ -270,16 +269,16 @@ def _triples(certs):
 def test_suppression_rows_are_the_second_order_rows(name):
     # One comparison selects both lists, so they hold the same (A, i, j) at
     # any tolerance, the tolerance edge included, whether or not they share
-    # a cache.
+    # a table.
     if name == "random_m10":
         d = standardize(*random_gaussian(60, 10, seed=10))
     else:
         d = FIT_KERNEL_DESIGNS[name]()
-    cache = FitCache()
-    second = check_submodular(d, cache=cache)
+    table = fit_table(d)
+    second = check_submodular(d, table=table)
     triples = _triples(second)
     assert len(triples) == len(second)
-    assert _triples(find_suppressors(d, cache=cache)) == triples
+    assert _triples(find_suppressors(d, table=table)) == triples
     assert _triples(find_suppressors(d)) == triples
     if second:
         gaps = np.sort(second.rhs - second.lhs)
@@ -335,15 +334,15 @@ def test_positivity_linkage():
 
 def test_gamma_witnesses_reproduce_minimum():
     d = make_noisy_design(77, n=25, m=5)
-    cache = FitCache()
-    est = empirical_gamma_s2(d, cache=cache)
+    fits = fit_table(d)
+    est = empirical_gamma_s2(d, table=fits)
     A, i, j = est.witness_s2
-    table = cache.table
+    table = fits.r2
     a, ja = mask_of(A), mask_of(A) | 1 << j
     num = table[a | 1 << i] - table[a]
     den = table[ja | 1 << i] - table[ja]
     assert abs(num / den - est.gamma_s2) < 1e-10
-    est_s = empirical_gamma_s(d, cache=cache)
+    est_s = empirical_gamma_s(d, table=fits)
     A, B, i = est_s.witness_s
     a, b = mask_of(A), mask_of(B)
     num = table[a | 1 << i] - table[a]

@@ -13,8 +13,8 @@ import setfun_oracle as oracle
 from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_orthogonal_rows, make_pair_design
 from reader_oracle import fit_entry
 from report_oracle import as_certificates, row_counts
-from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
-from r2audit import FitCache, gram_factory, standardize, suppressor_population
+from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS, _table_walk
+from r2audit import fit_table, gram_factory, standardize, suppressor_population
 from r2audit import cli, regress, setfun
 from r2audit.bitsets import indices_of
 from r2audit.datasets import write_csv
@@ -111,9 +111,7 @@ def test_tolerance_edge_matches_oracle(design):
 def _assert_summary_matches_oracle(d, tolerance):
     # One walk gives gamma_s2, the row counts and both heads: they must equal
     # what the oracle's whole lists give, ties at the head's cut included.
-    cache = FitCache()
-    setfun._table(d, cache, regress.DEFAULT_MAX_FEATURES)
-    summary = setfun._second_order_summary(cache, d.m, tolerance)
+    summary = setfun._second_order_summary(fit_table(d), tolerance)
     assert summary.gamma == oracle.empirical_gamma_s2(d)
     second = oracle.check_submodular(d, tolerance=tolerance)
     suppression = oracle.find_suppressors(d, tolerance=tolerance)
@@ -161,35 +159,39 @@ def test_kernels_match_oracle_without_a_gain_table(design, monkeypatch):
     # Above regress.GAIN_TABLE_BYTES the fill keeps no gain table and every
     # gain is a table difference; a zero budget sends each design that way.
     monkeypatch.setattr(regress, "GAIN_TABLE_BYTES", 0)
-    cache = FitCache()
-    table = setfun._table(design, cache, regress.DEFAULT_MAX_FEATURES)
-    assert cache.gains is None
+    table = fit_table(design)
+    assert table.gains is None
     masks = np.arange(1 << design.m)
     for i in range(design.m):
-        assert np.array_equal(setfun._gain_row(cache, i), table[masks | (1 << i)] - table)
-    assert setfun.check_submodular(design, cache=cache) == oracle.check_submodular(design, cache=cache)
-    assert setfun.find_suppressors(design, cache=cache) == oracle.find_suppressors(design, cache=cache)
-    assert setfun.empirical_gamma_s2(design, cache=cache) == oracle.empirical_gamma_s2(design, cache=cache)
-    assert setfun.empirical_gamma_s(design, cache=cache) == oracle.empirical_gamma_s(design, cache=cache)
+        assert np.array_equal(table.gain(i), table.r2[masks | (1 << i)] - table.r2)
+    assert setfun.check_submodular(design, table=table) == oracle.check_submodular(design, table=table)
+    assert setfun.find_suppressors(design, table=table) == oracle.find_suppressors(design, table=table)
+    assert setfun.empirical_gamma_s2(design, table=table) == oracle.empirical_gamma_s2(design, table=table)
+    assert setfun.empirical_gamma_s(design, table=table) == oracle.empirical_gamma_s(design, table=table)
 
 
-def test_table_is_filled_once_per_cache():
+def test_one_table_serves_every_kernel():
     d = make_noisy_design(61, n=20, m=5)
-    cache = FitCache()
-    first = setfun.empirical_gamma_s2(d, cache=cache)
-    table = cache.table
-    assert table.size == 1 << d.m
-    assert not table.flags.writeable
-    setfun.find_suppressors(d, cache=cache)
-    setfun.check_submodular(d, cache=cache)
-    assert cache.table is table
-    assert setfun.empirical_gamma_s2(d, cache=cache) == first
+    table = fit_table(d)
+    r2, gains = table.r2.copy(), table.gains.copy()
+    assert r2.size == 1 << d.m and table.m == d.m
+    assert not table.r2.flags.writeable and not table.gains.flags.writeable
+    first = setfun.empirical_gamma_s2(d, table=table)
+    assert first == setfun.empirical_gamma_s2(d)
+    setfun.find_suppressors(d, table=table)
+    setfun.check_submodular(d, table=table)
+    setfun.empirical_gamma_s(d, table=table)
+    assert np.array_equal(table.r2, r2) and np.array_equal(table.gains, gains)
+    assert setfun.empirical_gamma_s2(d, table=table) == first
     # The table is the sweep walk's, held to the fit kernel's contract: R^2
-    # within 1e-12 of a direct fit and the same rank.
+    # within 1e-12 of a direct fit, and every subset it takes from the walk
+    # of full rank |S|.
+    trusted = _table_walk(d)
     for mask in range(1 << d.m):
         direct = fit_entry(d, indices_of(mask))
-        assert abs(table[mask] - direct.r_squared) <= 1e-12
-        assert cache.ranks[mask] == direct.rank
+        assert abs(table.r2[mask] - direct.r_squared) <= 1e-12
+        if trusted[mask]:
+            assert direct.rank == bin(mask).count("1")
 
 
 def test_lex_rank_orders_index_tuples():
@@ -227,7 +229,7 @@ def _assert_oracle_report_identical(rows, tmp_path, monkeypatch, has_certificate
         loaded = standardize(*regress.load_csv(path, "Y"))
         # with top=None the summary holds the stream's whole lists; its gamma is the oracle's gamma_s2
         patch.setattr(
-            cli, "_second_order_summary", lambda cache, m, tolerance, top: _oracle_summary(loaded, tolerance, top)
+            cli, "_second_order_summary", lambda table, tolerance, top: _oracle_summary(loaded, tolerance, top)
         )
         oracle_args = ["--out", str(tmp_path / "oracle.json"), "--certificates", str(tmp_path / "oracle.jsonl")]
         assert cli.main(args + oracle_args) == 0
