@@ -6,13 +6,15 @@ those evaluations cheap and exact: columns are centered and scaled to unit
 length, so inner products are sample correlations and the fit of a subset is
 the squared norm of the response projected onto the subset's span.
 
-Each design is QR-reduced once to the triangle R of [X | y]
+Each design is QR-reduced once to the triangle R of its standardized [X | y]
 (at most (m+1) x (m+1)), following the all-subsets regression of Furnival &
-Wilson (1974), and keeps R instead of its rows. Since [X | y] = QR with
-orthonormal Q, R's columns have the inner products of the rows', and the fit
-of a subset S is ||U^T R[:, m]||^2 for the left singular vectors U of R[:, S]
-above the rank cutoff; the correlations, partial correlations and
-least-squares fits are computed on R too, so no cost depends on n.
+Wilson (1974), and keeps R instead of its rows. R is folded in from row
+blocks of [1 | X | y] (see :func:`_fold_rows`), so no column is centered
+and no n-row copy is made. R's columns have the inner products of the
+standardized columns, and the fit of a subset S is ||U^T R[:, m]||^2 for
+the left singular vectors U of R[:, S] above the rank cutoff; the
+correlations, partial correlations and least-squares fits are computed on R
+too, so no cost depends on n.
 :func:`fit_block` evaluates stacks of equal-size subsets that way, so a
 subset's value does not depend on how it was batched. Every fit made outside
 a table is one such call and is not kept: single fits (:func:`r_squared`),
@@ -113,6 +115,11 @@ GAIN_TABLE_BYTES = 256 << 20
 # peak RSS from 87 to 100 MiB.
 SWEEP_CHUNK_DIVISOR = 8
 
+# Rows of [1 | X | y] per QR call of _fold_rows. Each call factors the running
+# triangle, at most m + 2 rows, stacked on one block, so building a design
+# allocates nothing of n rows.
+TRIANGLE_BLOCK = 256
+
 SubsetLike = Iterable[int]
 
 
@@ -124,38 +131,35 @@ def _check_cap(m: int, max_features: int) -> None:
 
 
 class StandardizedDesign:
-    """The QR triangle R, min(n, m+1) x (m+1), of a standardized [X | y]: its
-    columns are centered to unit norm, so their inner products are correlations.
+    """The QR triangle R, min(n-1, m+1) x (m+1), of a standardized [X | y]:
+    its columns are centered to unit norm, so their inner products are
+    correlations.
 
-    The constructor checks the rows, keeps R, n and the names, and drops the
-    rows. R is frozen, and so are the attributes; use :func:`standardize` or
-    :func:`gram_factory` to build one. Two designs are equal only if they are
-    the same object.
+    The constructor takes rows already so standardized, checks them, keeps
+    R, n and the names, and drops the rows. R is frozen, and so are the
+    attributes; use :func:`standardize` or :func:`gram_factory` to build one.
+    Two designs are equal only if they are the same object.
     """
 
     __slots__ = ("triangle", "n", "names")
 
     def __init__(self, features: np.ndarray, response: np.ndarray, names: tuple[str, ...]):
-        X = np.asarray(features, dtype=float)
-        y = np.asarray(response, dtype=float)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ValueError("features must be (n, m) with a length-n response")
-        n, m = X.shape
-        if n < 2:
-            raise ValueError("need at least two observations")
-        if m < 1:
-            raise ValueError("need at least one feature")
-        if len(names) != m:
-            raise ValueError("names must match the number of feature columns")
-        sums = np.abs(X.sum(axis=0))
-        norms = np.abs(np.linalg.norm(X, axis=0) - 1.0)
-        if sums.max() > CENTER_TOL or norms.max() > UNIT_NORM_TOL:
+        X, y, names = _checked_rows(features, response, names, "features")
+        R, shift = _fold_rows(X, y, centered=True)
+        sums, norms = _column_moments(R, shift, X.shape[0])
+        off = (np.abs(sums) > CENTER_TOL) | (np.abs(norms - 1.0) > UNIT_NORM_TOL)
+        if off[:-1].any():
             raise ValueError("feature columns are not centered to unit norm")
-        if abs(y.sum()) > CENTER_TOL or abs(np.linalg.norm(y) - 1.0) > UNIT_NORM_TOL:
+        if off[-1]:
             raise ValueError("response is not centered to unit norm")
-        R = np.linalg.qr(np.column_stack([X, y]), mode="r")
-        R.setflags(write=False)
-        object.__setattr__(self, "triangle", R)
+        self._keep(R, X.shape[0], names)
+
+    def _keep(self, R: np.ndarray, n: int, names: tuple[str, ...]) -> None:
+        """Keep the centered block of a :func:`_fold_rows` triangle, scaled to
+        unit columns, with n and the names."""
+        triangle = R[1:, 1:] / np.linalg.norm(R[1:, 1:], axis=0)
+        triangle.setflags(write=False)
+        object.__setattr__(self, "triangle", triangle)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "names", names)
 
@@ -237,43 +241,87 @@ def default_names(m: int) -> tuple[str, ...]:
 
 
 def standardize(raw: np.ndarray, response: np.ndarray, names: Sequence[str] | None = None) -> StandardizedDesign:
-    """The design of :func:`standardized_rows`."""
-    return StandardizedDesign(*standardized_rows(raw, response, names))
+    """The design of raw rows: each column centered and scaled to unit length.
 
-
-def standardized_rows(raw: np.ndarray, response: np.ndarray, names: Sequence[str] | None = None):
-    """(features, response, names) with each column centered and scaled to
-    unit length.
-
-    Raises ConstantColumn for any zero-variance column; the response is
-    reported with index -1. Already-standardized input is a fixed point.
+    Raises ConstantColumn for any column whose centered norm is below 1e-12
+    of its raw norm (or of 1); the response is reported with index -1.
     """
     X = np.asarray(raw, dtype=float)
-    y = np.asarray(response, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    X, y, names = _checked_rows(X, response, names, "raw")
+    R, shift = _fold_rows(X, y, centered=False)
+    _, norms = _column_moments(R, shift, X.shape[0])
+    constant = np.flatnonzero(np.linalg.norm(R[1:, 1:], axis=0) <= 1e-12 * np.maximum(1.0, norms))
+    if constant.size:
+        raise ConstantColumn(-1 if constant[0] == X.shape[1] else int(constant[0]))
+    design = object.__new__(StandardizedDesign)
+    design._keep(R, X.shape[0], names)
+    return design
+
+
+def _checked_rows(features, response, names, label: str):
+    """(X, y, names) as float arrays and a tuple, checked for shape: n >= 2
+    rows, m >= 1 features and m names (default X1..Xm)."""
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(response, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("raw must be (n, m) with a length-n response")
-    if X.shape[0] < 2:
+        raise ValueError(f"{label} must be (n, m) with a length-n response")
+    n, m = X.shape
+    if n < 2:
         raise ValueError("need at least two observations")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise DataFormatError("input contains NaN or Inf")
+    if m < 1:
+        raise ValueError("need at least one feature")
+    names = tuple(names) if names is not None else default_names(m)
+    if len(names) != m:
+        raise ValueError("names must match the number of feature columns")
+    return X, y, names
 
-    Xc = X - X.mean(axis=0)
-    scale = np.maximum(1.0, np.linalg.norm(X, axis=0))
-    norms = np.linalg.norm(Xc, axis=0)
-    for j in range(X.shape[1]):
-        if norms[j] <= 1e-12 * scale[j]:
-            raise ConstantColumn(j)
-    yc = y - y.mean()
-    ynorm = np.linalg.norm(yc)
-    if ynorm <= 1e-12 * max(1.0, np.linalg.norm(y)):
-        raise ConstantColumn(-1)
 
-    cols = tuple(names) if names is not None else default_names(X.shape[1])
-    Xc /= norms
-    yc /= ynorm
-    return Xc, yc, cols
+def _fold_rows(X: np.ndarray, y: np.ndarray, centered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(R, shift): the QR triangle R, min(n, m+2) x (m+2), of
+    [1 | X - shift[:m] | y - shift[m]]. The shift is the column means of the
+    first TRIANGLE_BLOCK rows, or 0 when the rows are ``centered`` already.
+
+    R is folded in from blocks of TRIANGLE_BLOCK rows, each stacked under
+    the R of the rows before it and QR-reduced (TSQR; Demmel et al. 2012), so
+    no array has more than TRIANGLE_BLOCK + m + 2 rows. Column 0 spans the
+    constant, so R[1:, 1:] is the triangle of the centered columns, and no
+    column is centered as a whole. The shift keeps the rounding at the scale
+    of each column's spread, not of its offset: on the Miller table plus 1e6
+    the unshifted fold's R^2 were off by up to 1.6e-10. A design of at most
+    TRIANGLE_BLOCK rows is shifted by its exact column means, and a column
+    constant in the first block folds to an exact zero.
+
+    Raises DataFormatError on a block with a NaN or Inf cell.
+    """
+    n, m = X.shape
+    shift = np.zeros(m + 1)
+    R = np.empty((0, m + 2))
+    for lo in range(0, n, TRIANGLE_BLOCK):
+        rows = slice(lo, lo + TRIANGLE_BLOCK)
+        top = R.shape[0]
+        stack = np.empty((top + y[rows].size, m + 2))
+        stack[:top] = R
+        stack[top:, 0] = 1.0
+        stack[top:, 1:-1] = X[rows]
+        stack[top:, -1] = y[rows]
+        if not np.isfinite(stack[top:]).all():
+            raise DataFormatError("input contains NaN or Inf")
+        if lo == 0 and not centered:
+            shift = np.append(X[rows].mean(axis=0), y[rows].mean())
+        stack[top:, 1:] -= shift
+        R = np.linalg.qr(stack, mode="r")
+    return R, shift
+
+
+def _column_moments(R: np.ndarray, shift: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums and the norms of the columns of [X | y], read off the
+    :func:`_fold_rows` triangle: column 0 of R is its only constant column,
+    so a shifted column sums to R[0, 0] R[0, j]."""
+    sums = R[0, 0] * R[0, 1:] + n * shift
+    squares = np.einsum("ij,ij->j", R[:, 1:], R[:, 1:]) + shift * (2.0 * sums - n * shift)
+    return sums, np.sqrt(np.maximum(squares, 0.0))
 
 
 def load_csv(path, response_name: str):
@@ -311,9 +359,13 @@ def load_csv(path, response_name: str):
         raise DataFormatError("CSV contains NaN or Inf")
     ycol = header.index(response_name)
     y = data[:, ycol].copy()
-    # a slice keeps the block's C row order, so every column reduction sums
-    # as it does over np.delete's copy; a fancy index would not
-    X = data[:, :ycol] if ycol == len(header) - 1 else np.delete(data, ycol, axis=1)
+    # The features are a view of the parsed block: the columns after the
+    # response move left one place, a row block at a time, so the rows are
+    # held once; a copy would double the peak of a large load
+    for lo in range(0, data.shape[0], TRIANGLE_BLOCK):
+        block = data[lo : lo + TRIANGLE_BLOCK]
+        block[:, ycol:-1] = block[:, ycol + 1 :].copy()
+    X = data[:, :-1]
     names = tuple(h for i, h in enumerate(header) if i != ycol)
     return X, y, names
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from r2audit import StandardizedDesign, miller_table, standardize
-from r2audit.regress import gram_rows, standardized_rows
-from row_oracle import Rows
+from r2audit.regress import gram_rows
+from row_oracle import Rows, standardized_rows
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,9 @@ residuals as the rows with that span projected out, and the least-squares
 fit as an SVD of the n x |S| slice. They take a :class:`Rows`, the
 standardized rows a design is built from, and keep the package's tolerances
 and errors, so the triangle's versions must agree with them to rounding.
+:func:`standardized_rows` builds those rows by explicit centering: the
+reference for ``standardize``, which folds [1 | X | y] into its triangle
+without centering a column.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from r2audit.errors import DegenerateResidual, InsufficientDof, RankDeficient
+from r2audit.errors import ConstantColumn, DataFormatError, DegenerateResidual, InsufficientDof, RankDeficient
 from r2audit.regress import (
     DEGENERATE_TOL,
     RANK_RTOL,
     ZERO_RSS_TOL,
     LeastSquaresFit,
     _as_indices,
+    default_names,
 )
 
 
@@ -39,6 +43,41 @@ class Rows(NamedTuple):
     @property
     def m(self) -> int:
         return self.features.shape[1]
+
+
+def standardized_rows(raw, response, names=None):
+    """(features, response, names) with each column centered and scaled to
+    unit length.
+
+    Raises ConstantColumn for any zero-variance column; the response is
+    reported with index -1. Already-standardized input is a fixed point.
+    """
+    X = np.asarray(raw, dtype=float)
+    y = np.asarray(response, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("raw must be (n, m) with a length-n response")
+    if X.shape[0] < 2:
+        raise ValueError("need at least two observations")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataFormatError("input contains NaN or Inf")
+
+    Xc = X - X.mean(axis=0)
+    scale = np.maximum(1.0, np.linalg.norm(X, axis=0))
+    norms = np.linalg.norm(Xc, axis=0)
+    for j in range(X.shape[1]):
+        if norms[j] <= 1e-12 * scale[j]:
+            raise ConstantColumn(j)
+    yc = y - y.mean()
+    ynorm = np.linalg.norm(yc)
+    if ynorm <= 1e-12 * max(1.0, np.linalg.norm(y)):
+        raise ConstantColumn(-1)
+
+    cols = tuple(names) if names is not None else default_names(X.shape[1])
+    Xc /= norms
+    yc /= ynorm
+    return Xc, yc, cols
 
 
 def marginal_correlations(rows: Rows) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import make_noisy_design, make_noisy_rows
 from reader_oracle import FitEntry, fit_entry
-from row_oracle import Rows
+from row_oracle import Rows, standardized_rows
 from r2audit import StandardizedDesign, fit_table, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
 from r2audit.bitsets import block_masks, combination_blocks, indices_of
@@ -26,7 +26,6 @@ from r2audit.regress import (
     TABLE_PIVOT_RTOL,
     fit_block,
     gram_rows,
-    standardized_rows,
     sweep_walk,
 )
 from r2audit.selection import SCREEN_BAND

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from r2audit import StandardizedDesign, load_csv
-from r2audit.regress import standardized_rows
+from row_oracle import standardized_rows
 from r2audit.cli import main
 from r2audit.errors import DataFormatError
 

@@ -26,8 +26,9 @@ from r2audit.errors import (
     RankDeficient,
     TooFewRows,
 )
-from r2audit.regress import gram_rows, standardized_rows
+from r2audit.regress import gram_rows
 import row_oracle as oracle
+from row_oracle import standardized_rows
 from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_rows
 
 

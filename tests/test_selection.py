@@ -202,10 +202,11 @@ def test_screened_search_matches_the_oracle_on_ties(seed, chunk, monkeypatch):
 
 
 def test_band_brings_the_best_subset_the_screen_ranks_lower():
-    # On this design nine pairs tie up to rounding. fit_block ranks one first
-    # by a few ulps while the screen ranks another first, so the band, not
-    # the screen's order, must bring the winner to the judge.
-    d = _duplicated_columns_design(0)
+    # On this design pairs tie up to rounding. fit_block ranks one first by a
+    # few ulps while the screen ranks another first, so the band, not the
+    # screen's order, must bring the winner to the judge. Which seeds rank so
+    # depends on the triangle's last bits: 14 of seeds 0-39 do.
+    d = _duplicated_columns_design(2)
     screened = {}
     for idx, r2, _ in sweep_walk(d, 2):
         screened.update(zip(block_masks(idx).tolist(), r2.tolist()))

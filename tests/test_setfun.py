@@ -16,7 +16,7 @@ from r2audit import (
 )
 from r2audit import setfun
 from r2audit.bitsets import mask_of
-from r2audit.regress import standardized_rows
+from row_oracle import standardized_rows
 from r2audit.errors import TooManyFeatures
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 import setfun_oracle as oracle
