@@ -40,7 +40,7 @@ _LIBRARY = {
     "gamma": ("RatioQuery", "submodularity_ratio"),
     "jsonsafe": ("float_texts", "json_line", "report_text", "string_text"),
     "regress": ("StandardizedDesign", "fit_table", "gram_rows", "load_csv", "standardize"),
-    "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen", "table_best_subset"),
+    "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen"),
     "setfun": ("TOP_CERTIFICATES", "VIOLATION_TOL", "Certificates", "_second_order_summary", "empirical_gamma_s"),
     "spectral": ("ConeSpec", "_check_alpha", "restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
@@ -145,14 +145,15 @@ def build_audit_report(
     }
 
     k = min(k, design.m)
-    # The fit table is the run's one value of record: stepwise, the best
-    # subset and every set-function kernel read it. A design over the cap
-    # gets a partial report.
+    # The fit table is the value of record of the kernels that read every
+    # mask: gamma_s2, gamma_s and the certificates. Stepwise, the best subset
+    # and the ratio are the calls select and the library make. A design over
+    # the cap gets a partial report.
     try:
         table = fit_table(design, max_enum)
     except TooManyFeatures:
         table = None
-    stepwise = forward_stepwise(design, k, table=table)
+    stepwise = forward_stepwise(design, k)
     report["selection"] = {
         "forward_stepwise": {
             "steps": [
@@ -224,7 +225,6 @@ def build_audit_report(
             res = submodularity_ratio(
                 design,
                 RatioQuery(base=(), k=min(2, design.m), mode=ratio_mode),
-                table=table,
                 max_features=max_enum,
             )
             ratio_block[ratio_mode] = {
@@ -248,7 +248,7 @@ def build_audit_report(
     if certificates is not None:
         write_certificates(certificates, (summary.second_order, summary.suppression), names)
 
-    best = table_best_subset(table, k)
+    best = best_subset(design, k, max_features=max_enum)
     nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=summary.count == 0)
     report["selection"]["best_subset"] = {
         "subset": [names[f] for f in best.subset],

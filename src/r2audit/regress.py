@@ -18,7 +18,8 @@ too, so no cost depends on n.
 :func:`fit_block` evaluates stacks of equal-size subsets that way, so a
 subset's value does not depend on how it was batched. Every fit made outside
 a table is one such call and is not kept: single fits (:func:`r_squared`),
-the candidates of a stepwise or ratio step, and the best-subset judge.
+each stepwise model, the candidate sets of the submodularity ratio, and the
+best-subset judge.
 
 :func:`sweep_walk` walks the same Furnival-Wilson subset tree over the Gram
 matrix G = R^T R and reads each child's fit off its parent's Schur
@@ -28,10 +29,11 @@ its values as screens and re-fits the finalists with :func:`fit_block`.
 subset's fit and every single-feature gain C_A[i, y]^2 / C_A[i, i], read off
 the swept matrices rather than as a difference of two fits, up to 20
 features (GAIN_TABLE_BYTES). Subsets the walk does not trust are fitted by
-:func:`fit_block`. That read-only :class:`FitTable`, built once per audit
-and handed to every kernel, is the exhaustive audit's value of record, and
-the fit function's one stored form; ``_fits`` and :meth:`FitTable.gain`
-read it.
+:func:`fit_block`. That read-only :class:`FitTable`, built once per audit, is
+the value of record of the kernels that read every mask: gamma_s2, gamma_s
+and the violation certificates. :meth:`FitTable.gain` reads it. Both walks
+and greedy stepwise sweep with one update (:func:`_sweep`) and trust a swept
+subset by one test (:func:`_pivots`).
 
 Rank decisions use a relative singular-value cutoff, so collinear subsets are
 evaluated on the column space they actually span instead of failing.
@@ -204,29 +206,14 @@ class FitTable(NamedTuple):
         return self.r2.size.bit_length() - 1
 
     def gain(self, i, masks=None):
-        """gain_A(i) for features i and masks A (scalars or arrays; every
+        """gain_A(i) for feature i and masks A (a scalar or an array; every
         mask when None, a view of the gain row where there is one): from the
         gain table, or the table difference where there is none."""
         if self.gains is None:
             masks = np.arange(self.r2.size) if masks is None else masks
             return self.r2[masks | (1 << i)] - self.r2[masks]
-        if masks is None:
-            return self.gains[i]
         # one feature's row, then a 1-D gather: about twice as fast as [i, masks]
-        return self.gains[i][masks] if np.ndim(i) == 0 else self.gains[i, masks]
-
-
-def _fits(design: StandardizedDesign, table: FitTable | None, idx) -> np.ndarray:
-    """R^2 of every row of idx, a (k, s) block of sorted feature indices: read
-    from the table when there is one, else fitted by one :func:`fit_block`
-    call (zeros when s = 0), whose value for a row does not depend on the
-    rest of the block."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if table is not None:
-        return table.r2[block_masks(idx)]
-    if idx.shape[1] == 0:
-        return np.zeros(idx.shape[0])
-    return fit_block(design, idx)[0]
+        return self.gains[i] if masks is None else self.gains[i][masks]
 
 
 def _as_indices(subset: SubsetLike, m: int) -> tuple[int, ...]:
@@ -536,24 +523,17 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
         # The subtrees of a block of trusted nodes of one size. ``members``
         # holds each node's features as a row, C their swept matrices.
         count, size = members.shape
-        node = np.arange(count)[:, None]
-        diag = np.diagonal(C, axis1=1, axis2=2)[:, :m]
         cross = C[:, :m, m]
-        rows = C[node, members, :m]
         last = members[:, -1] if size else np.full(count, -1)
         p, i = np.nonzero(features > last[:, None])
-        pivot = diag[p, i]
-        ok = pivot >= floor[i]
-        pivot = np.where(ok, pivot, 1.0)
-        # [G_S^{-1}]_aa of each member a of the child S, against a's floor
-        inverse = np.square(rows[p, :, i]) / pivot[:, None] - diag[node, members][p]
-        trusted = ok & (inverse * floor[members][p] <= 1.0).all(axis=1)
+        pivot, trusted = _pivots(C, members, p, i, floor)
         r2 = np.where(trusted, r2[p] + np.square(cross[p, i]) / pivot, np.nan)
         idx = np.concatenate([members[p], i[:, None]], axis=1)
         child_gains = None
         if gains:
             # The children's diagonals and response columns, as the sweeps
             # below compute them
+            diag = np.diagonal(C, axis1=1, axis2=2)[:, :m]
             col = C[p, :m, i]
             child_diag = diag[p] - col * (col / pivot[:, None])
             child_cross = cross[p] - col * (cross[p, i] / pivot)[:, None]
@@ -566,16 +546,7 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
         for c in np.flatnonzero(parents & ~trusted):
             yield from untrusted_below(idx[c])
         for block in _blocks(np.flatnonzero(parents & trusted), block_size):
-            pp, k, d = p[block], i[block], pivot[block]
-            col = C[pp, :, k]
-            scale = col / d[:, None]
-            swept = C[pp]
-            swept -= col[:, :, None] * scale[:, None, :]
-            b = np.arange(block.size)
-            swept[b, k, :] = scale
-            swept[b, :, k] = scale
-            swept[b, k, k] = -1.0 / d
-            yield from below(idx[block], r2[block], swept)
+            yield from below(idx[block], r2[block], _sweep(C[p[block]], i[block], pivot[block]))
 
     def untrusted_below(node):
         # Every descendant of one untrusted node, unswept.
@@ -589,6 +560,36 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: b
                 yield idx, np.full(len(idx), np.nan), np.zeros(len(idx), bool), unknown
 
     yield from below(np.zeros((1, 0), np.intp), np.zeros(1), G[None])
+
+
+def _pivots(C: np.ndarray, members: np.ndarray, p: np.ndarray, i: np.ndarray, floor: np.ndarray):
+    """(pivot, trusted) of each child S + i[c] of node p[c], with features
+    members[p[c]] and swept matrix C[p[c]]: pivot is C_S[i, i], or 1 below
+    i's floor, and the child is trusted when every member a of S + i keeps a
+    pivot against the rest, 1 / [G_{S+i}^{-1}]_aa, of at least a's floor."""
+    m = floor.size
+    diag = np.diagonal(C, axis1=1, axis2=2)[:, :m]
+    pivot = diag[p, i]
+    ok = pivot >= floor[i]
+    pivot = np.where(ok, pivot, 1.0)
+    # [G_{S+i}^{-1}]_aa of each member a, against a's floor
+    held = members[p]
+    inverse = np.square(C[p[:, None], held, i[:, None]]) / pivot[:, None] - diag[p[:, None], held]
+    trusted = ok & (inverse * floor[held] <= 1.0).all(axis=1)
+    return pivot, trusted
+
+
+def _sweep(C: np.ndarray, k: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """SWEEP (Goodnight 1979) each matrix C[b] of a stack, in place, on its
+    feature k[b], whose pivot C[b, k[b], k[b]] is d[b]; returns C."""
+    b = np.arange(k.size)
+    col = C[b, :, k]
+    scale = col / d[:, None]
+    C -= col[:, :, None] * scale[:, None, :]
+    C[b, k, :] = scale
+    C[b, :, k] = scale
+    C[b, k, k] = -1.0 / d
+    return C
 
 
 def _blocks(rows: np.ndarray, size: int) -> Iterator[np.ndarray]:

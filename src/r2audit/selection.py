@@ -14,20 +14,22 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import regress
-from .bitsets import block_masks, indices_of, mask_of, mask_sizes
-from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
+from .bitsets import block_masks, indices_of
+from .errors import DegenerateResidual, RankDeficient, ZeroBeta
 from .jsonsafe import json_line
 from .regress import (
     DEFAULT_MAX_FEATURES,
+    TABLE_PIVOT_RTOL,
     ZERO_RSS_TOL,
-    FitTable,
     StandardizedDesign,
     _as_indices,
     _check_cap,
-    _fits,
+    _pivots,
+    _sweep,
     fit_block,
     ls_fit,
     partial_correlation,
+    r_squared,
     sweep_walk,
 )
 
@@ -78,65 +80,78 @@ class SelectionTrace(NamedTuple):
         )
 
 
-def _step_t(design: StandardizedDesign, subset: tuple[int, ...], j: int, r2: float) -> float | None:
-    """t statistic of feature j in the fit on subset, whose R^2 is r2.
+def _step_t(design: StandardizedDesign, subset: list[int], j: int, r2: float, C: np.ndarray | None) -> float | None:
+    """t statistic of feature j in the fit on subset, which holds j and whose
+    R^2 is r2: C[j, y] / sqrt(C[j, j] rss / dof) from C, the Gram matrix swept
+    on the rest of subset, when given; else from :func:`ls_fit`.
 
     Interpolating fits report the +inf sentinel; fits without residual
     degrees of freedom or with j degenerate report None.
     """
     if 1.0 - r2 <= ZERO_RSS_TOL:
         return math.inf
+    dof = design.n - len(subset) - 1
+    if dof < 1:
+        return None
+    if C is not None:
+        return float(C[j, -1] / math.sqrt(C[j, j] * (1.0 - r2) / dof))
     try:
         fit = ls_fit(design, subset)
-    except (RankDeficient, InsufficientDof):
+    except RankDeficient:
         return None
     return float(fit.t_statistics[subset.index(j)])
 
 
-def forward_stepwise(
-    design: StandardizedDesign,
-    k: int,
-    t_stop: float | None = None,
-    table: FitTable | None = None,
-) -> SelectionTrace:
+def forward_stepwise(design: StandardizedDesign, k: int, t_stop: float | None = None) -> SelectionTrace:
     """Greedy selection: each step adds the feature with the largest fit gain.
 
-    Each step fits every candidate model in one read of the table when one
-    is given, else in one fit_block call. A candidate's gain is then read
-    from the table (FitTable.gain), or is its fit minus the current model's,
-    so the two can differ in the last bits and, on near-ties, in the feature
-    picked. Ties go to the lowest feature index. Runs for k steps
-    regardless of how small the gains get, unless ``t_stop`` is set, in
-    which case the run ends early once no remaining feature's per-step t
-    statistic reaches the threshold in absolute value. The threshold
-    governs continuation, so the first step is always taken.
+    The run sweeps the Gram matrix G = R^T R on each pick (Goodnight 1979).
+    A candidate j whose model S + j passes fit_table's trust test
+    (regress._pivots at TABLE_PIVOT_RTOL) gains C_S[j, y]^2 / C_S[j, j] and
+    takes its t statistic from the same swept matrix C_S; any other gains
+    fit_block(S + j) - fit_block(S), with ls_fit's t, and once one is picked
+    no later model is trusted. Each step's cumulative R^2 is its model's own
+    fit_block value. Ties go to the lowest feature index. Runs for k steps
+    unless ``t_stop`` is set: then the run ends once no remaining feature's
+    t statistic, with fit(S + j) taken as fit(S) plus j's gain, reaches the
+    threshold in absolute value. The first step is always taken.
     """
-    if not 1 <= k <= design.m:
-        raise ValueError(f"k must lie in 1..{design.m}")
-    model: tuple[int, ...] = ()
+    m = design.m
+    if not 1 <= k <= m:
+        raise ValueError(f"k must lie in 1..{m}")
+    C = design.gram()
+    floor = TABLE_PIVOT_RTOL * np.diagonal(C)[:m]
+    model: list[int] = []
+    swept = True  # C is G swept on the model; False once an untrusted pick is made
     fit = 0.0
     steps: list[SelectionStep] = []
     reason = "max_steps"
     while len(model) < k:
-        candidates = [j for j in range(design.m) if j not in model]
-        subsets = [tuple(sorted(model + (j,))) for j in candidates]
-        fits = _fits(design, table, subsets)
+        candidates = np.delete(np.arange(m), model)
+        members = np.array([model], dtype=np.intp)
+        pivot, trusted = _pivots(C[None], members, np.zeros(candidates.size, np.intp), candidates, floor)
+        trusted &= swept
+        gains = np.square(C[candidates, m]) / pivot
+        fitted = np.flatnonzero(~trusted)
+        if fitted.size:
+            idx = np.sort(np.hstack([members.repeat(fitted.size, axis=0), candidates[fitted, None]]), axis=1)
+            gains[fitted] = fit_block(design, idx)[0] - fit
         if t_stop is not None and model:
-            ts = (_step_t(design, *step) for step in zip(subsets, candidates, fits))
+            rows = zip(candidates.tolist(), gains, trusted)
+            ts = (_step_t(design, sorted(model + [j]), j, fit + g, C if ok else None) for j, g, ok in rows)
             if not any(t is not None and abs(t) >= t_stop for t in ts):
                 reason = "t_threshold"
                 break
-        gains = table.gain(np.array(candidates), mask_of(model)) if table is not None else fits - fit
         best = int(np.argmax(gains))
-        model, fit = subsets[best], float(fits[best])
-        steps.append(
-            SelectionStep(
-                feature=candidates[best],
-                delta_r2=float(gains[best]),
-                cumulative_r2=fit,
-                marginal_t=_step_t(design, model, candidates[best], fit),
-            )
-        )
+        j = int(candidates[best])
+        subset = sorted(model + [j])
+        swept = bool(trusted[best])
+        fit = r_squared(design, subset)
+        t = _step_t(design, subset, j, fit, C if swept else None)
+        steps.append(SelectionStep(feature=j, delta_r2=float(gains[best]), cumulative_r2=fit, marginal_t=t))
+        if swept:
+            _sweep(C[None], np.array([j]), pivot[best : best + 1])
+        model.append(j)
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
@@ -193,21 +208,6 @@ def best_subset(
         if len(idx):
             judge(idx)
     return BestSubsetResult(indices_of(-best[1]), best[0])
-
-
-def table_best_subset(table: FitTable, k: int) -> BestSubsetResult:
-    """Best subset of size at most k in a fit table: the table's largest
-    value over those masks, ties to the smallest mask.
-
-    Read from the same table as a stepwise run on it, the optimum is at
-    least the greedy fit by construction.
-    """
-    m = table.m
-    if not 0 <= k <= m:
-        raise ValueError(f"k must lie in 0..{m}")
-    values = np.where(mask_sizes(np.arange(table.r2.size), m) <= k, table.r2, -np.inf)
-    mask = int(values.argmax())
-    return BestSubsetResult(indices_of(mask), float(table.r2[mask]))
 
 
 class NwfResult(NamedTuple):

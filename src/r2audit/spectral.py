@@ -12,7 +12,7 @@ import numpy as np
 from . import regress
 from .bitsets import combination_blocks
 from .gamma import RatioQuery, submodularity_ratio
-from .regress import DEFAULT_MAX_FEATURES, FitTable, StandardizedDesign, _as_indices, _check_cap
+from .regress import DEFAULT_MAX_FEATURES, StandardizedDesign, _as_indices, _check_cap
 
 
 def _check_alpha(alpha: float) -> None:
@@ -211,14 +211,13 @@ def gamma_vs_spectral(
     design: StandardizedDesign,
     subset: Iterable[int],
     k: int,
-    table: FitTable | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
     tolerance: float = 1e-9,
 ) -> GammaSpectralComparison:
     """Check the ordering: submodularity ratio at (S, k) dominates the sparse
     minimum eigenvalue at size |S| + k."""
     query = RatioQuery(base=tuple(subset), k=k, mode="exactly_k")
-    ratio = submodularity_ratio(design, query, table=table, max_features=max_features)
+    ratio = submodularity_ratio(design, query, max_features=max_features)
     size = min(len(query.base) + k, design.m)
     lam = sparse_min_eigenvalue(design.correlation_matrix(), size, max_features=max_features)
     return GammaSpectralComparison(

@@ -1,12 +1,15 @@
 """Scalar reference implementations of greedy stepwise and the submodularity
-ratio: one subset at a time, as the package computed them before it read
-every fit through one table read or one batched fit_block call.
+ratio: one subset and one matrix entry at a time.
 
-Given a FitTable they read its fit and gain tables, one mask at a time;
-otherwise each subset is one fit_entry call (one fit_block row) and each
-gain the difference of two. The differential tests require the package
-to agree with them with ``==``: every step's feature, gain, fit, t statistic
-and stopping reason, and the ratio, its argmin and its skip count.
+Stepwise sweeps a list-of-lists Gram matrix on each pick and applies the
+package's trust test, gains and t statistics entry by entry, so that every
+value is the same floating-point expression as in the package; candidates
+the test does not trust gain the difference of two fit_entry calls (one
+fit_block row each), and their t statistics come from ls_fit. The ratio takes
+every gain as the difference of two fits, from fit_entry or, when given, a
+``fit`` of masks such as a FitTable's r2. The differential tests require the
+package to agree with them with ``==``: every step's feature, gain, fit, t
+statistic and stopping reason, and the ratio, its argmin and its skip count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from r2audit.bitsets import indices_of, mask_of
 from r2audit.errors import EmptyCandidateSet, InsufficientDof, RankDeficient
 from r2audit.gamma import MODE_EXACTLY_K, RatioResult
-from r2audit.regress import ZERO_RSS_TOL, _as_indices, fit_block, ls_fit
+from r2audit.regress import TABLE_PIVOT_RTOL, ZERO_RSS_TOL, _as_indices, fit_block, ls_fit
 from r2audit.selection import SelectionStep, SelectionTrace
 from r2audit.setfun import SKIP_DENOM_TOL
 
@@ -40,25 +43,35 @@ def fit_entry(design, subset):
     return FitEntry(float(r2[0]), int(rank[0]))
 
 
-def _r2(design, mask, table):
-    if table is not None:
-        return float(table.r2[mask])
-    return fit_entry(design, indices_of(mask)).r_squared
+def _sweep(C, k):
+    """C swept on feature k (Goodnight 1979), entry by entry as regress._sweep
+    computes it."""
+    size = len(C)
+    d = C[k][k]
+    col = [C[a][k] for a in range(size)]
+    out = [[C[a][b] - col[a] * (col[b] / d) for b in range(size)] for a in range(size)]
+    for b in range(size):
+        out[k][b] = out[b][k] = col[b] / d
+    out[k][k] = -1.0 / d
+    return out
 
 
-def _gain(design, mask, i, table):
-    if table is not None:
-        return float(table.gain(i, mask))
-    return _r2(design, mask | (1 << i), table) - _r2(design, mask, table)
+def _trusted(C, model, j, floor):
+    """Whether S + j passes fit_table's trust test, C being G swept on S."""
+    pivot = C[j][j]
+    if not pivot >= floor[j]:
+        return False
+    return all((C[a][j] * C[a][j] / pivot - C[a][a]) * floor[a] <= 1.0 for a in model)
 
 
-def _step_t(design, model, j, table):
-    subset = tuple(sorted(model + (j,)))
-    rss = 1.0 - _r2(design, mask_of(subset), table)
-    if rss <= ZERO_RSS_TOL:
+def _step_t(design, subset, j, r2, C):
+    if 1.0 - r2 <= ZERO_RSS_TOL:
         return math.inf
-    if len(subset) > design.n - 2:
+    dof = design.n - len(subset) - 1
+    if dof < 1:
         return None
+    if C is not None:
+        return float(C[j][-1] / math.sqrt(C[j][j] * (1.0 - r2) / dof))
     try:
         fit = ls_fit(design, subset)
     except (RankDeficient, InsufficientDof):
@@ -66,42 +79,60 @@ def _step_t(design, model, j, table):
     return float(fit.t_statistics[subset.index(j)])
 
 
-def forward_stepwise(design, k, t_stop=None, table=None):
-    model = ()
+def forward_stepwise(design, k, t_stop=None):
+    m = design.m
+    C = design.gram().tolist()
+    floor = [TABLE_PIVOT_RTOL * C[a][a] for a in range(m)]
+    model = []
+    swept = True
+    fit = 0.0
     steps = []
     reason = "max_steps"
     while len(model) < k:
-        candidates = [j for j in range(design.m) if j not in model]
+        candidates = [j for j in range(m) if j not in model]
+        trusted = {j: swept and _trusted(C, model, j, floor) for j in candidates}
+        gains = {
+            j: C[j][m] * C[j][m] / C[j][j] if trusted[j] else fit_entry(design, model + [j]).r_squared - fit
+            for j in candidates
+        }
         if t_stop is not None and model:
-            ts = {j: _step_t(design, model, j, table) for j in candidates}
-            if not any(t is not None and abs(t) >= t_stop for t in ts.values()):
+            ts = [
+                _step_t(design, sorted(model + [j]), j, fit + gains[j], C if trusted[j] else None)
+                for j in candidates
+            ]
+            if not any(t is not None and abs(t) >= t_stop for t in ts):
                 reason = "t_threshold"
                 break
         best_j = -1
         best_gain = -math.inf
         for j in candidates:
-            gain = _gain(design, mask_of(model), j, table)
-            if gain > best_gain:
-                best_gain = gain
+            if gains[j] > best_gain:
+                best_gain = gains[j]
                 best_j = j
-        t_val = _step_t(design, model, best_j, table)
-        model = tuple(sorted(model + (best_j,)))
-        steps.append(SelectionStep(best_j, best_gain, _r2(design, mask_of(model), table), t_val))
+        subset = sorted(model + [best_j])
+        swept = trusted[best_j]
+        fit = fit_entry(design, subset).r_squared
+        steps.append(SelectionStep(best_j, best_gain, fit, _step_t(design, subset, best_j, fit, C if swept else None)))
+        if swept:
+            C = _sweep(C, best_j)
+        model.append(best_j)
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
-def submodularity_ratio(design, query, table=None):
-    s_mask = mask_of(query.base)
-    fs = _r2(design, s_mask, table)
+def submodularity_ratio(design, query, fit=None):
+    if fit is None:
+        fit = lambda mask: fit_entry(design, indices_of(mask)).r_squared  # noqa: E731
+    s_mask = mask_of(_as_indices(query.base, design.m))
+    fs = fit(s_mask)
     candidates = [i for i in range(design.m) if not (s_mask >> i) & 1]
-    singles = {i: _r2(design, s_mask | (1 << i), table) - fs for i in candidates}
+    singles = {i: fit(s_mask | (1 << i)) - fs for i in candidates}
     sizes = [query.k] if query.mode == MODE_EXACTLY_K else list(range(1, query.k + 1))
     best = math.inf
     argmin = ()
     skipped = 0
     for size in sizes:
         for team in combinations(candidates, size):
-            joint = _r2(design, s_mask | mask_of(team), table) - fs
+            joint = fit(s_mask | mask_of(team)) - fs
             if joint < SKIP_DENOM_TOL:
                 skipped += 1
                 continue

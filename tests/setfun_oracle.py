@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from r2audit.bitsets import indices_of, mask_of
-from r2audit.regress import DEFAULT_MAX_FEATURES, _as_indices, _fits, fit_table
+from r2audit.regress import DEFAULT_MAX_FEATURES, _as_indices, fit_table, r_squared
 from r2audit.setfun import SKIP_DENOM_TOL, VIOLATION_TOL, GammaS2Result, GammaSResult, ViolationCertificate
 
 # The three equivalent diminishing-returns inequalities. The package checks
@@ -227,7 +227,7 @@ def replay_certificate(design, cert, table=None):
     sets = {role: _as_indices(members, design.m) for role, members in cert.sets}
 
     def fit(mask):
-        return float(_fits(design, table, [indices_of(mask)])[0])
+        return float(table.r2[mask]) if table is not None else r_squared(design, indices_of(mask))
 
     def gain(mask, i):
         return float(table.gain(i, mask)) if table is not None else fit(mask | (1 << i)) - fit(mask)

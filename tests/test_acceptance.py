@@ -193,7 +193,7 @@ def test_criterion_4_nwf_guarantee():
                 continue
             verified += 1
             for k in (1, 2, 3):
-                greedy = forward_stepwise(design, k, table=table).final_r_squared()
+                greedy = forward_stepwise(design, k).final_r_squared()
                 res = nwf_verdict(greedy, best_subset(design, k).r_squared, True)
                 assert res.ratio >= 1.0 - 1.0 / math.e - 1e-9, (k, res)
         # the bundled supermodular counterexample violates the bound and is

@@ -79,6 +79,7 @@ def test_tracer_spans_every_layer_the_audit_calls(small_csv, tmp_path):
         "regress.standardize",
         "cli.build_audit_report",
         "selection.forward_stepwise",
+        "selection.best_subset",
         "setfun.empirical_gamma_s",
         "gamma.submodularity_ratio",
         "spectral.sparse_min_eigenvalue",

@@ -5,8 +5,9 @@ square.
 The two agree to TOL times the condition of what they compute: the rounding
 of a correlation of order eps is amplified by 1 / ||residual|| in a partial
 correlation, and by the condition number of the subset's columns in a
-least-squares fit. On the wide design's nearly spanned columns (residual
-norms of 1e-5) the row and triangle values differ by up to 1.2e-10.
+least-squares fit, and a t statistic also by 1 / rss (see _t_tol). On the
+wide design's nearly spanned columns (residual norms of 1e-5) the row and
+triangle values differ by up to 1.2e-10.
 """
 from itertools import combinations
 
@@ -17,6 +18,7 @@ import row_oracle as oracle
 from row_oracle import Rows
 from r2audit import (
     StandardizedDesign,
+    forward_stepwise,
     gram_factory,
     ls_fit,
     miller_table,
@@ -25,7 +27,7 @@ from r2audit import (
     suppressor_population,
 )
 from r2audit.errors import AuditError
-from r2audit.regress import gram_rows
+from r2audit.regress import ZERO_RSS_TOL, gram_rows
 from row_oracle import standardized_rows
 
 TOL = 1e-12
@@ -83,6 +85,19 @@ def test_correlations_match_the_rows(rows):
     assert np.abs(gram - gram.T).max() <= TOL
 
 
+def _t_tol(cond, rss):
+    """Relative bound on a standard error or t statistic computed from
+    columns of condition cond, in a fit whose residual sum of squares is rss.
+
+    Both scale as rss^(1/2) or rss^(-1/2), and rss = 1 - ||U^T y||^2 is a
+    difference of order-1 terms: its rounding of order eps (eps cond where
+    the projection's basis carries it) is relative to rss. With the
+    coefficient's own TOL cond, the bound TOL cond / rss covers them all,
+    as rss <= 1 <= cond. An interpolating fit's t is +inf on both sides.
+    """
+    return TOL * cond / max(rss, ZERO_RSS_TOL)
+
+
 def test_ls_fit_matches_the_rows(rows):
     d = StandardizedDesign(*rows)
     fitted = 0
@@ -94,16 +109,41 @@ def test_ls_fit_matches_the_rows(rows):
             continue
         got, want = pair
         fitted += 1
-        tol = TOL * np.linalg.cond(rows.features[:, subset])
+        cond = np.linalg.cond(rows.features[:, subset])
         assert (got.subset, got.dof) == (want.subset, want.dof)
-        assert abs(got.rss - want.rss) <= tol, subset
+        assert abs(got.rss - want.rss) <= TOL * cond, subset
         for field in ("coefficients", "standard_errors", "t_statistics"):
             a, b = getattr(got, field), getattr(want, field)
             assert np.array_equal(np.isinf(a), np.isinf(b)), (subset, field)
             finite = np.isfinite(b)
             scale = np.maximum(np.abs(b[finite]), 1.0)
+            tol = TOL * cond if field == "coefficients" else _t_tol(cond, want.rss)
             assert (np.abs(a[finite] - b[finite]) <= tol * scale).all(), (subset, field, a, b)
     assert fitted > 0
+
+
+def test_stepwise_t_matches_the_rows(rows):
+    # A trusted step's t is read off the Gram matrix swept on its model,
+    # whose condition is the square of the columns'; an untrusted step's
+    # comes from ls_fit on the triangle. An interpolating fit reports +inf
+    # whatever its degrees of freedom.
+    d = StandardizedDesign(*rows)
+    model = []
+    for step in forward_stepwise(d, min(rows.m, rows.n - 1)).steps:
+        model = sorted(model + [step.feature])
+        if step.marginal_t == np.inf and 1.0 - step.cumulative_r2 <= ZERO_RSS_TOL:
+            continue
+        try:
+            want = oracle.ls_fit(rows, model)
+        except AuditError:
+            assert step.marginal_t is None, model
+            continue
+        t = float(want.t_statistics[model.index(step.feature)])
+        if np.isinf(t):
+            assert step.marginal_t == t, model
+            continue
+        cond = np.linalg.cond(rows.features[:, model])
+        assert abs(step.marginal_t - t) <= _t_tol(cond**2, want.rss) * max(abs(t), 1.0), (model, step, t)
 
 
 def test_partial_correlation_matches_the_rows(rows):

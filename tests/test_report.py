@@ -15,6 +15,7 @@ from conftest import make_noisy_design, make_orthogonal_design
 from report_oracle import as_certificates, certificate_jsonable, reference_text, row_counts
 from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
 from r2audit import (
+    best_subset,
     check_submodular,
     cli,
     fit_table,
@@ -34,7 +35,6 @@ from r2audit.cli import (
 )
 from r2audit.jsonsafe import sanitize
 from r2audit.regress import load_csv, standardize
-from r2audit.selection import table_best_subset
 from r2audit.setfun import TOP_CERTIFICATES, Certificates, ViolationCertificate, find_suppressors
 
 ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5, 0.0, 1e-7]
@@ -334,10 +334,9 @@ def test_audit_nwf_block_equals_nwf_check(design, k, miller_design):
         "suppressor6": lambda: gram_factory(suppressor_population(6, 1.0, 3.0), 10),
     }[design]()
     report, _ = build_audit_report(d, "in.csv", "Y", k, 20)
-    # greedy and optimal fits read from one filled table, as the audit reads them
-    table = fit_table(d, 20)
-    greedy = forward_stepwise(d, k, table=table).final_r_squared()
-    expected = nwf_verdict(greedy, table_best_subset(table, k).r_squared, not check_submodular(d, table=table))
+    # the greedy and optimal fits of select's two searches
+    greedy = forward_stepwise(d, k).final_r_squared()
+    expected = nwf_verdict(greedy, best_subset(d, k).r_squared, not check_submodular(d))
     fields = ("greedy_r2", "optimal_r2", "ratio", "threshold", "guarantee_holds", "is_submodular")
     assert report["selection"]["nwf"] == {f: getattr(expected, f) for f in fields}
 

@@ -19,9 +19,9 @@ from r2audit import (
 )
 from r2audit import regress
 from r2audit.bitsets import block_masks, indices_of, mask_of
-from r2audit.regress import FitTable, sweep_walk
+from r2audit.regress import sweep_walk
 from r2audit.errors import TooManyFeatures, ZeroBeta
-from r2audit.selection import BestSubsetResult, table_best_subset
+from r2audit.selection import BestSubsetResult
 from conftest import make_noisy_design, make_orthogonal_design
 import selection_oracle
 
@@ -169,20 +169,38 @@ def test_best_subset_ties_across_chunks(seed, chunk, monkeypatch):
         assert best_subset(d, k) == BestSubsetResult(indices_of(mask), value)
 
 
-def test_tie_designs_have_ties_out_of_mask_order():
-    # In combinations order, some size's first maximum is not its smallest
-    # mask, so keeping the first maximum found would fail the test above.
+def _first_tie_design(has_property):
+    """The first duplicated-columns design of seeds 0-39 with the property:
+    which designs have it depends on the triangle's last bits."""
+    for seed in range(40):
+        d = _duplicated_columns_design(seed)
+        if has_property(d):
+            return d
+    raise AssertionError("no duplicated-columns design of seeds 0-39 has the property")
+
+
+def _ties_out_of_mask_order(d):
+    # In combinations order, some size's first maximum is not its smallest mask
     from itertools import combinations
 
-    inverted = 0
-    for seed in TIE_SEEDS:
-        d = _duplicated_columns_design(seed)
-        for size in range(2, d.m + 1):
-            fits = [(r_squared(d, c), mask_of(c)) for c in combinations(range(d.m), size)]
-            best = max(v for v, _ in fits)
-            tied = [mk for v, mk in fits if v == best]
-            inverted += tied[0] != min(tied)
-    assert inverted > 0
+    for size in range(2, d.m + 1):
+        fits = [(r_squared(d, c), mask_of(c)) for c in combinations(range(d.m), size)]
+        best = max(v for v, _ in fits)
+        tied = [mk for v, mk in fits if v == best]
+        if tied[0] != min(tied):
+            return True
+    return False
+
+
+def test_tie_designs_have_ties_out_of_mask_order(monkeypatch):
+    # so keeping the first maximum found would return another subset
+    d = _first_tie_design(_ties_out_of_mask_order)
+    per_size = _scalar_best_per_size(d)
+    for chunk in (2, 3, 256):
+        monkeypatch.setattr(regress, "FIT_CHUNK", chunk)
+        for k in range(d.m + 1):
+            value, mask = max(per_size[: k + 1], key=lambda vm: (vm[0], -vm[1]))
+            assert best_subset(d, k) == BestSubsetResult(indices_of(mask), value)
 
 
 def _assert_matches_oracle(d, ks):
@@ -201,17 +219,19 @@ def test_screened_search_matches_the_oracle_on_ties(seed, chunk, monkeypatch):
     _assert_matches_oracle(_duplicated_columns_design(seed), range(5))
 
 
-def test_band_brings_the_best_subset_the_screen_ranks_lower():
-    # On this design pairs tie up to rounding. fit_block ranks one first by a
-    # few ulps while the screen ranks another first, so the band, not the
-    # screen's order, must bring the winner to the judge. Which seeds rank so
-    # depends on the triangle's last bits: 14 of seeds 0-39 do.
-    d = _duplicated_columns_design(2)
+def _screen_ranks_the_best_pair_lower(d):
     screened = {}
     for idx, r2, _ in sweep_walk(d, 2):
         screened.update(zip(block_masks(idx).tolist(), r2.tolist()))
     mask, _ = selection_oracle.best_of_size(d, 2)
-    assert screened[mask] < max(v for mk, v in screened.items() if mk.bit_count() == 2 and v == v)
+    return screened[mask] < max(v for mk, v in screened.items() if mk.bit_count() == 2 and v == v)
+
+
+def test_band_brings_the_best_subset_the_screen_ranks_lower():
+    # Pairs of these designs tie up to rounding. On this one fit_block ranks
+    # one first by a few ulps while the screen ranks another first, so the
+    # band, not the screen's order, must bring the winner to the judge.
+    d = _first_tie_design(_screen_ranks_the_best_pair_lower)
     _assert_matches_oracle(d, range(d.m + 1))
 
 
@@ -271,8 +291,9 @@ def test_greedy_dominated_by_best_subset():
 
 @pytest.mark.parametrize("name", ["miller", "suppressor6", *(f"ties{seed}" for seed in TIE_SEEDS)])
 def test_optimal_is_at_least_greedy_by_construction(name, miller_design):
-    # Greedy and optimal fits are read from one table, so the optimum is at
-    # least the greedy fit bit for bit; no tolerance is allowed.
+    # Greedy's fit is its model's fit_block value, and best subset's is the
+    # largest fit_block value of a subset of at most k features, so the
+    # optimum is at least the greedy fit bit for bit; no tolerance is allowed.
     from r2audit.cli import build_audit_report
 
     if name == "miller":
@@ -287,16 +308,6 @@ def test_optimal_is_at_least_greedy_by_construction(name, miller_design):
         assert nwf["optimal_r2"] >= nwf["greedy_r2"]
         assert nwf["ratio"] <= 1.0
         assert report["selection"]["best_subset"]["r_squared"] == nwf["optimal_r2"]
-
-
-def test_table_best_subset_breaks_ties_to_the_smallest_mask():
-    r2 = np.array([0.0, 0.5, 0.5, 0.5, 0.25, 0.5, 0.5, 0.5])
-    table = FitTable(r2, None)
-    assert table_best_subset(table, 0) == BestSubsetResult((), 0.0)
-    assert table_best_subset(table, 1) == BestSubsetResult((0,), 0.5)
-    assert table_best_subset(FitTable(r2[[0, 4, 2, 6, 1, 5, 3, 7]], None), 3) == BestSubsetResult((1,), 0.5)
-    with pytest.raises(ValueError):
-        table_best_subset(table, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,32 @@ def _hadamard_design(columns, response):
     return standardize(X, h[:, list(response)].sum(axis=1))
 
 
+def _ties_at_the_head_cut(design):
+    # the last row of each violation list's head ties with the first row past it
+    top = setfun.TOP_CERTIFICATES
+    lists = (oracle.check_submodular(design), oracle.find_suppressors(design))
+    return all(len(certs) > top and certs[top - 1].deficit == certs[top].deficit for certs in lists)
+
+
+def _hadamard_tie_design():
+    # Three Hadamard sums, a response of two of their columns, and two lone
+    # Hadamard columns orthogonal to all of them. A lone column added to a
+    # conditioning set leaves every gain as it was, so each violation comes
+    # as eight rows with one deficit (four sets, both orders), and rows 10
+    # and 11 share one once there are two violations. The first seed whose
+    # design ties there is used: 7 of seeds 0-19 have two or more violations,
+    # and each of them does.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(7)
+        lone, rest = order[:2].tolist(), order[2:]
+        sums = [rng.choice(rest, size=int(rng.integers(1, 4)), replace=False).tolist() for _ in range(3)]
+        design = _hadamard_design([*sums, lone[:1], lone[1:]], rng.choice(rest, size=2, replace=False).tolist())
+        if _ties_at_the_head_cut(design):
+            return design
+    raise AssertionError("no design of seeds 0-19 ties at the head cut")
+
+
 DESIGNS = {
     "orthogonal": lambda: make_orthogonal_design([0.6, 0.4, 0.2], n=8),
     "pair": lambda: make_pair_design(0.5, 0.5, 0.5, n=8),
@@ -48,7 +74,7 @@ DESIGNS = {
     "hadamard_pairs": lambda: _hadamard_design([(1,), (0, 1), (5,), (4, 5)], (0, 4)),
     "hadamard_mix": lambda: _hadamard_design([(0, 2, 5, 6), (0, 1, 3, 5), (1, 6), (1, 3, 5)], (2, 5)),
     # both violation lists tie between their 10th and 11th rows
-    "hadamard_tie": lambda: _hadamard_design([(3, 6), (1,), (1, 4, 5), (1, 2, 4)], (2, 5)),
+    "hadamard_tie": _hadamard_tie_design,
     "n_is_m_plus_2": lambda: make_noisy_design(9, n=7, m=5),
     "single_feature": lambda: make_noisy_design(3, n=10, m=1),
 }
@@ -147,12 +173,9 @@ def test_second_order_summary_matches_oracle_at_the_mirror_edges():
 
 
 def test_hadamard_tie_ties_at_the_head_cut():
-    # the summary's heads keep every row tied with the running cut; on this
-    # design the last row of each head ties with the first row past it
-    d = DESIGNS["hadamard_tie"]()
-    top = setfun.TOP_CERTIFICATES
-    for certs in (oracle.check_submodular(d), oracle.find_suppressors(d)):
-        assert len(certs) > top and certs[top - 1].deficit == certs[top].deficit
+    # the summary's heads keep every row tied with the running cut, so the
+    # other tests run a design whose heads end in such a tie
+    assert _ties_at_the_head_cut(DESIGNS["hadamard_tie"]())
 
 
 def test_kernels_match_oracle_without_a_gain_table(design, monkeypatch):
