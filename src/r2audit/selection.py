@@ -15,7 +15,7 @@ import numpy as np
 
 from . import regress
 from .bitsets import block_masks, indices_of
-from .errors import DegenerateResidual, RankDeficient, ZeroBeta
+from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
 from .jsonsafe import json_line
 from .regress import (
     DEFAULT_MAX_FEATURES,
@@ -80,24 +80,17 @@ class SelectionTrace(NamedTuple):
         )
 
 
-def _step_t(design: StandardizedDesign, subset: list[int], j: int, r2: float, C: np.ndarray | None) -> float | None:
-    """t statistic of feature j in the fit on subset, which holds j and whose
-    R^2 is r2: C[j, y] / sqrt(C[j, j] rss / dof) from C, the Gram matrix swept
-    on the rest of subset, when given; else from :func:`ls_fit`.
+def _step_t(design: StandardizedDesign, subset: list[int], j: int, r2: float) -> float | None:
+    """t statistic of feature j in the fit on subset, whose R^2 is r2.
 
     Interpolating fits report the +inf sentinel; fits without residual
     degrees of freedom or with j degenerate report None.
     """
     if 1.0 - r2 <= ZERO_RSS_TOL:
         return math.inf
-    dof = design.n - len(subset) - 1
-    if dof < 1:
-        return None
-    if C is not None:
-        return float(C[j, -1] / math.sqrt(C[j, j] * (1.0 - r2) / dof))
     try:
         fit = ls_fit(design, subset)
-    except RankDeficient:
+    except (RankDeficient, InsufficientDof):
         return None
     return float(fit.t_statistics[subset.index(j)])
 
@@ -107,14 +100,14 @@ def forward_stepwise(design: StandardizedDesign, k: int, t_stop: float | None = 
 
     The run sweeps the Gram matrix G = R^T R on each pick (Goodnight 1979).
     A candidate j whose model S + j passes fit_table's trust test
-    (regress._pivots at TABLE_PIVOT_RTOL) gains C_S[j, y]^2 / C_S[j, j] and
-    takes its t statistic from the same swept matrix C_S; any other gains
-    fit_block(S + j) - fit_block(S), with ls_fit's t, and once one is picked
+    (regress._pivots at TABLE_PIVOT_RTOL) gains C_S[j, y]^2 / C_S[j, j];
+    any other gains fit_block(S + j) - fit_block(S), and once one is picked
     no later model is trusted. Each step's cumulative R^2 is its model's own
-    fit_block value. Ties go to the lowest feature index. Runs for k steps
-    unless ``t_stop`` is set: then the run ends once no remaining feature's
-    t statistic, with fit(S + j) taken as fit(S) plus j's gain, reaches the
-    threshold in absolute value. The first step is always taken.
+    fit_block value and its t statistic comes from ls_fit. Ties go to the
+    lowest feature index. Runs for k steps unless ``t_stop`` is set: then
+    the run ends once no remaining feature's t statistic, with fit(S + j)
+    taken as fit(S) plus j's gain, reaches the threshold in absolute value.
+    The first step is always taken.
     """
     m = design.m
     if not 1 <= k <= m:
@@ -137,8 +130,7 @@ def forward_stepwise(design: StandardizedDesign, k: int, t_stop: float | None = 
             idx = np.sort(np.hstack([members.repeat(fitted.size, axis=0), candidates[fitted, None]]), axis=1)
             gains[fitted] = fit_block(design, idx)[0] - fit
         if t_stop is not None and model:
-            rows = zip(candidates.tolist(), gains, trusted)
-            ts = (_step_t(design, sorted(model + [j]), j, fit + g, C if ok else None) for j, g, ok in rows)
+            ts = (_step_t(design, sorted(model + [j]), j, fit + g) for j, g in zip(candidates.tolist(), gains))
             if not any(t is not None and abs(t) >= t_stop for t in ts):
                 reason = "t_threshold"
                 break
@@ -147,7 +139,7 @@ def forward_stepwise(design: StandardizedDesign, k: int, t_stop: float | None = 
         subset = sorted(model + [j])
         swept = bool(trusted[best])
         fit = r_squared(design, subset)
-        t = _step_t(design, subset, j, fit, C if swept else None)
+        t = _step_t(design, subset, j, fit)
         steps.append(SelectionStep(feature=j, delta_r2=float(gains[best]), cumulative_r2=fit, marginal_t=t))
         if swept:
             _sweep(C[None], np.array([j]), pivot[best : best + 1])

@@ -2,10 +2,10 @@
 ratio: one subset and one matrix entry at a time.
 
 Stepwise sweeps a list-of-lists Gram matrix on each pick and applies the
-package's trust test, gains and t statistics entry by entry, so that every
-value is the same floating-point expression as in the package; candidates
-the test does not trust gain the difference of two fit_entry calls (one
-fit_block row each), and their t statistics come from ls_fit. The ratio takes
+package's trust test and gains entry by entry, so that every value is the
+same floating-point expression as in the package; candidates the test does
+not trust gain the difference of two fit_entry calls (one fit_block row
+each), and every t statistic comes from ls_fit. The ratio takes
 every gain as the difference of two fits, from fit_entry or, when given, a
 ``fit`` of masks such as a FitTable's r2. The differential tests require the
 package to agree with them with ``==``: every step's feature, gain, fit, t
@@ -64,14 +64,9 @@ def _trusted(C, model, j, floor):
     return all((C[a][j] * C[a][j] / pivot - C[a][a]) * floor[a] <= 1.0 for a in model)
 
 
-def _step_t(design, subset, j, r2, C):
+def _step_t(design, subset, j, r2):
     if 1.0 - r2 <= ZERO_RSS_TOL:
         return math.inf
-    dof = design.n - len(subset) - 1
-    if dof < 1:
-        return None
-    if C is not None:
-        return float(C[j][-1] / math.sqrt(C[j][j] * (1.0 - r2) / dof))
     try:
         fit = ls_fit(design, subset)
     except (RankDeficient, InsufficientDof):
@@ -96,10 +91,7 @@ def forward_stepwise(design, k, t_stop=None):
             for j in candidates
         }
         if t_stop is not None and model:
-            ts = [
-                _step_t(design, sorted(model + [j]), j, fit + gains[j], C if trusted[j] else None)
-                for j in candidates
-            ]
+            ts = [_step_t(design, sorted(model + [j]), j, fit + gains[j]) for j in candidates]
             if not any(t is not None and abs(t) >= t_stop for t in ts):
                 reason = "t_threshold"
                 break
@@ -112,7 +104,7 @@ def forward_stepwise(design, k, t_stop=None):
         subset = sorted(model + [best_j])
         swept = trusted[best_j]
         fit = fit_entry(design, subset).r_squared
-        steps.append(SelectionStep(best_j, best_gain, fit, _step_t(design, subset, best_j, fit, C if swept else None)))
+        steps.append(SelectionStep(best_j, best_gain, fit, _step_t(design, subset, best_j, fit)))
         if swept:
             C = _sweep(C, best_j)
         model.append(best_j)

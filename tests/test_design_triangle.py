@@ -123,10 +123,8 @@ def test_ls_fit_matches_the_rows(rows):
 
 
 def test_stepwise_t_matches_the_rows(rows):
-    # A trusted step's t is read off the Gram matrix swept on its model,
-    # whose condition is the square of the columns'; an untrusted step's
-    # comes from ls_fit on the triangle. An interpolating fit reports +inf
-    # whatever its degrees of freedom.
+    # Every step's t comes from ls_fit on the triangle. An interpolating fit
+    # reports +inf whatever its degrees of freedom.
     d = StandardizedDesign(*rows)
     model = []
     for step in forward_stepwise(d, min(rows.m, rows.n - 1)).steps:
@@ -143,7 +141,7 @@ def test_stepwise_t_matches_the_rows(rows):
             assert step.marginal_t == t, model
             continue
         cond = np.linalg.cond(rows.features[:, model])
-        assert abs(step.marginal_t - t) <= _t_tol(cond**2, want.rss) * max(abs(t), 1.0), (model, step, t)
+        assert abs(step.marginal_t - t) <= _t_tol(cond, want.rss) * max(abs(t), 1.0), (model, step, t)
 
 
 def test_partial_correlation_matches_the_rows(rows):

@@ -122,12 +122,8 @@ def test_stepwise_fits_each_model_once(monkeypatch):
         calls.append(len(idx))
         return fit_block(design, idx)
 
-    def refuse(*args):
-        raise AssertionError("ls_fit called on a trusted run")
-
     monkeypatch.setattr(selection, "fit_block", counted)
     monkeypatch.setattr(regress, "fit_block", counted)
-    monkeypatch.setattr(selection, "ls_fit", refuse)
     forward_stepwise(d, 3)
     assert calls == [1, 1, 1]
 
