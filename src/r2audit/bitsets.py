@@ -3,19 +3,9 @@
 from __future__ import annotations
 
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    """Pack feature indices into a bitmask."""
-    mask = 0
-    for i in indices:
-        if i < 0:
-            raise ValueError(f"negative feature index {i}")
-        mask |= 1 << i
-    return mask
 
 
 def indices_of(mask: int) -> tuple[int, ...]:

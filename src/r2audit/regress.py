@@ -147,7 +147,7 @@ class StandardizedDesign:
 
     def __init__(self, features: np.ndarray, response: np.ndarray, names: tuple[str, ...]):
         X, y, names = _checked_rows(features, response, names, "features")
-        R, shift = _fold_rows(X, y, centered=True)
+        R, shift = _fold_rows(X, y)
         sums, norms = _column_moments(R, shift, X.shape[0])
         off = (np.abs(sums) > CENTER_TOL) | (np.abs(norms - 1.0) > UNIT_NORM_TOL)
         if off[:-1].any():
@@ -205,15 +205,19 @@ class FitTable(NamedTuple):
     def m(self) -> int:
         return self.r2.size.bit_length() - 1
 
-    def gain(self, i, masks=None):
-        """gain_A(i) for feature i and masks A (a scalar or an array; every
-        mask when None, a view of the gain row where there is one): from the
-        gain table, or the table difference where there is none."""
-        if self.gains is None:
-            masks = np.arange(self.r2.size) if masks is None else masks
-            return self.r2[masks | (1 << i)] - self.r2[masks]
-        # one feature's row, then a 1-D gather: about twice as fast as [i, masks]
-        return self.gains[i] if masks is None else self.gains[i][masks]
+    def gain(self, i: int) -> np.ndarray:
+        """gain_A(i) of feature i at every mask A, 0 where A holds i: the gain
+        table's row, a read-only view, or without one :func:`_difference_row`."""
+        return _difference_row(self.r2, i) if self.gains is None else self.gains[i]
+
+
+def _difference_row(r2: np.ndarray, i: int) -> np.ndarray:
+    """r2[A + i] - r2[A] at every mask A, 0 where A holds i: the upper half of
+    each block of r2.reshape(-1, 2, 1 << i) less its lower half."""
+    halves = r2.reshape(-1, 2, 1 << i)
+    row = np.zeros(r2.size)
+    np.subtract(halves[:, 1], halves[:, 0], out=row.reshape(halves.shape)[:, 0])
+    return row
 
 
 def _as_indices(subset: SubsetLike, m: int) -> tuple[int, ...]:
@@ -237,7 +241,7 @@ def standardize(raw: np.ndarray, response: np.ndarray, names: Sequence[str] | No
     if X.ndim == 1:
         X = X[:, None]
     X, y, names = _checked_rows(X, response, names, "raw")
-    R, shift = _fold_rows(X, y, centered=False)
+    R, shift = _fold_rows(X, y)
     _, norms = _column_moments(R, shift, X.shape[0])
     constant = np.flatnonzero(np.linalg.norm(R[1:, 1:], axis=0) <= 1e-12 * np.maximum(1.0, norms))
     if constant.size:
@@ -265,10 +269,10 @@ def _checked_rows(features, response, names, label: str):
     return X, y, names
 
 
-def _fold_rows(X: np.ndarray, y: np.ndarray, centered: bool) -> tuple[np.ndarray, np.ndarray]:
+def _fold_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, shift): the QR triangle R, min(n, m+2) x (m+2), of
     [1 | X - shift[:m] | y - shift[m]]. The shift is the column means of the
-    first TRIANGLE_BLOCK rows, or 0 when the rows are ``centered`` already.
+    first TRIANGLE_BLOCK rows.
 
     R is folded in from blocks of TRIANGLE_BLOCK rows, each stacked under
     the R of the rows before it and QR-reduced (TSQR; Demmel et al. 2012), so
@@ -283,7 +287,6 @@ def _fold_rows(X: np.ndarray, y: np.ndarray, centered: bool) -> tuple[np.ndarray
     Raises DataFormatError on a block with a NaN or Inf cell.
     """
     n, m = X.shape
-    shift = np.zeros(m + 1)
     R = np.empty((0, m + 2))
     for lo in range(0, n, TRIANGLE_BLOCK):
         rows = slice(lo, lo + TRIANGLE_BLOCK)
@@ -295,7 +298,7 @@ def _fold_rows(X: np.ndarray, y: np.ndarray, centered: bool) -> tuple[np.ndarray
         stack[top:, -1] = y[rows]
         if not np.isfinite(stack[top:]).all():
             raise DataFormatError("input contains NaN or Inf")
-        if lo == 0 and not centered:
+        if lo == 0:
             shift = np.append(X[rows].mean(axis=0), y[rows].mean())
         stack[top:, 1:] -= shift
         R = np.linalg.qr(stack, mode="r")
@@ -494,12 +497,10 @@ def fit_table(design: StandardizedDesign, max_features: int = DEFAULT_MAX_FEATUR
     np.minimum(r2, 1.0, out=r2)
     r2.setflags(write=False)
     if keep_gains:
-        masks = np.arange(1 << m)
         for i in range(m):
-            with_i = masks | (1 << i)
-            row = gain[i]
-            fallback = np.flatnonzero(np.isnan(row) | ~trusted[with_i])
-            row[fallback] = r2[with_i[fallback]] - r2[fallback]
+            # trusted[A + i] of every A, with or without i, is the upper half
+            fallback = np.isnan(gain[i]).reshape(-1, 2, 1 << i) | ~trusted.reshape(-1, 2, 1 << i)[:, 1:]
+            np.copyto(gain[i], _difference_row(r2, i), where=fallback.ravel())
         gain.setflags(write=False)
     return FitTable(r2, gain)
 

@@ -7,21 +7,23 @@ by one sweep walk (regress.fit_table, O(m 2^m) memory). Where the walk trusts
 A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept matrix, so a
 small gain on top of a large fit keeps its relative accuracy; elsewhere it is
 the table difference r2[A|i] - r2[A]. Above 20 features
-(regress.GAIN_TABLE_BYTES) no gain table is kept and every gain is that
-difference, taken where FitTable.gain reads it. A kernel given no table
-builds its own.
+(regress.GAIN_TABLE_BYTES) no gain table is kept and FitTable.gain takes each
+feature's gain row as that difference, a whole row at a time. A kernel given
+no table builds its own.
 The second-order family (gamma_s2, second-order and suppressor certificates)
 reads one kernel giving, per unordered pair lo < hi, the masks A holding
-neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi):
-O(m^2 2^m) time, O(2^m) memory per pair. One walk over it gives gamma_s2, the
+neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi), as
+strided views of the masks and of the two features' gain rows, with no index
+array: O(m^2 2^m) time, O(2^m) memory. One walk over it gives gamma_s2, the
 counts of both violation lists, and either their heads (the rows that can be
 among the first TOP_CERTIFICATES, in one row store per list) or, for
 check_submodular, find_suppressors and the certificate stream, both whole
 lists: the second-order rows in one row store, and the suppression rows
 computed from them.
 gamma_s divides each gain_A(i) by the largest usable gain_B(i) over strict
-supersets B, found by a zeta transform in O(m^2 2^m) rather than a walk over
-all O(m 3^m) nested pairs; fl(a / d) is monotone in a and d, so this is exact.
+supersets B, found by a zeta transform over the 2^(m-1) masks without i in
+O(m^2 2^m) rather than a walk over all O(m 3^m) nested pairs; fl(a / d) is
+monotone in a and d, so this is exact.
 Argmin ties break toward the first comparison in ascending mask order;
 certificates are ordered by deficit, largest first, then by their index sets
 as tuples, and kept as columns (Certificates) from the kernel to the
@@ -50,18 +52,18 @@ SKIP_DENOM_TOL = 1e-12
 def _pair_gains(table: FitTable) -> Iterator[tuple]:
     """Yield (A, lo, hi, gain_A(lo), gain_{A+hi}(lo), gain_A(hi), gain_{A+lo}(hi))
     for every pair lo < hi, where A holds, ascending, every mask containing
-    neither lo nor hi."""
+    neither lo nor hi. Each array is a strided view, split on bits hi and lo
+    and raveled, of the masks or of one of the two gain rows held."""
     m = table.m
-    rest = np.arange((1 << m) >> 2)  # every mask of m - 2 features
+    masks = np.arange(1 << m)
     for lo in range(m):
-        bit_lo = 1 << lo
-        # x + (x & -bit) inserts a zero at bit into each mask x, keeping their order
-        without_lo = rest + (rest & -bit_lo)
+        gain_lo = table.gain(lo)
         for hi in range(lo + 1, m):
-            bit_hi = 1 << hi
-            a = without_lo + (without_lo & -bit_hi)
-            at = ((lo, a), (lo, a | bit_hi), (hi, a), (hi, a | bit_lo))
-            yield a, lo, hi, *[table.gain(i, b) for i, b in at]
+            # axis 1 is bit hi of a mask, axis 3 bit lo
+            split = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+            a, row_lo, row_hi = (row.reshape(split) for row in (masks, gain_lo, table.gain(hi)))
+            at = ((row_lo, 0, 0), (row_lo, 1, 0), (row_hi, 0, 0), (row_hi, 0, 1))
+            yield a[:, 0, :, 0].ravel(), lo, hi, *[row[:, h, :, l].ravel() for row, h, l in at]
 
 
 class ViolationCertificate(NamedTuple):
@@ -373,6 +375,12 @@ def empirical_gamma_s2(
     return _second_order_summary(table, VIOLATION_TOL).gamma
 
 
+def _without(values: np.ndarray, i: int) -> np.ndarray:
+    """The entries of a row over every mask at the masks without feature i,
+    in ascending mask order: the lower half of each block of 2^(i+1)."""
+    return values.reshape(-1, 2, 1 << i)[:, 0].ravel()
+
+
 def _strict_superset_max(values: np.ndarray, m: int) -> np.ndarray:
     """out[S] = max of values[T] over masks T strictly containing S (-inf if none)."""
     upper = values.copy()  # max over supersets, S included, seen so far
@@ -403,17 +411,17 @@ def empirical_gamma_s(
     per_feature = []
     skipped = 0
     for i in range(m):
-        gain = table.gain(i)
-        outside = (masks >> i) & 1 == 0
-        small = outside & (gain < SKIP_DENOM_TOL)
-        skipped += int(((1 << sizes[small]) - 1).sum())
-        den = _strict_superset_max(np.where(outside & ~small, gain, -np.inf), m)
+        # every array is over the masks without i, ascending
+        gain, b, size = (_without(values, i) for values in (table.gain(i), masks, sizes))
+        small = gain < SKIP_DENOM_TOL
+        skipped += int(((1 << size[small]) - 1).sum())
+        den = _strict_superset_max(np.where(small, -np.inf, gain), m - 1)
         usable = den > -np.inf
-        ratio = np.full(masks.size, np.inf)
+        ratio = np.full(gain.size, np.inf)
         ratio[usable] = np.maximum(gain[usable], 0.0) / den[usable]
         at = int(ratio.argmin())
         if usable[at]:
-            per_feature.append((float(ratio[at]), at, i))
+            per_feature.append((float(ratio[at]), int(b[at]), i))
     if not per_feature:
         return GammaSResult(math.inf, None, skipped)
     # The witness is the first (A, B, i) in mask order whose ratio is the
@@ -423,10 +431,10 @@ def empirical_gamma_s(
     for ratio_i, at, i in per_feature:
         if (ratio_i, at) != (value, a_mask):
             continue
-        gain = table.gain(i)
-        b = masks[((masks & a_mask) == a_mask) & (masks != a_mask) & ((masks >> i) & 1 == 0)]
-        b = b[~(gain[b] < SKIP_DENOM_TOL)]
-        hit = np.maximum(gain[a_mask], 0.0) / gain[b] == value
-        candidates.append((int(b[hit.argmax()]), i))
+        row = table.gain(i)
+        gain, b = _without(row, i), _without(masks, i)
+        usable = ((b & a_mask) == a_mask) & (b != a_mask) & ~(gain < SKIP_DENOM_TOL)
+        hit = np.maximum(row[a_mask], 0.0) / gain[usable] == value
+        candidates.append((int(b[usable][hit.argmax()]), i))
     b_mask, i = min(candidates)
     return GammaSResult(value, (indices_of(a_mask), indices_of(b_mask), i), skipped)

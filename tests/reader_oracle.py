@@ -20,12 +20,13 @@ from itertools import combinations
 
 import numpy as np
 
-from r2audit.bitsets import indices_of, mask_of
+from r2audit.bitsets import indices_of
 from r2audit.errors import EmptyCandidateSet, InsufficientDof, RankDeficient
 from r2audit.gamma import MODE_EXACTLY_K, RatioResult
 from r2audit.regress import TABLE_PIVOT_RTOL, ZERO_RSS_TOL, _as_indices, fit_block, ls_fit
 from r2audit.selection import SelectionStep, SelectionTrace
 from r2audit.setfun import SKIP_DENOM_TOL
+from setfun_oracle import mask_of
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from collections import Counter
 
 import numpy as np
 
-from r2audit.bitsets import mask_of
 from r2audit.jsonsafe import sanitize
 from r2audit.setfun import Certificates, ViolationCertificate
+from setfun_oracle import mask_of
 
 
 def certificate_jsonable(cert: ViolationCertificate, names) -> dict:

@@ -4,9 +4,11 @@ These are the original one-comparison-at-a-time loops over a FitTable. The
 package computes the same quantities with dense-table numpy kernels; the
 differential tests require the two to agree with ``==``: values, witnesses,
 skip counts and certificate order, bit for bit. Both read the same values: the
-oracle builds the kernel's fit table first, when it is given none, and takes
-every gain from the kernel's gain table, so what it checks is the walks, the
-witnesses, the tie-breaks and the order, not the arithmetic of the fits.
+oracle builds the kernel's fit table first, when it is given none, and reads
+every gain from the kernel's gain table, or takes the table difference where
+there is none, itself rather than through FitTable.gain, so what it checks is
+the walks, the witnesses, the tie-breaks and the order, not the arithmetic of
+the fits.
 ``replay_certificate`` recomputes one certificate's two sides from its sets.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from r2audit.bitsets import indices_of, mask_of
+from r2audit.bitsets import indices_of
 from r2audit.regress import DEFAULT_MAX_FEATURES, _as_indices, fit_table, r_squared
 from r2audit.setfun import SKIP_DENOM_TOL, VIOLATION_TOL, GammaS2Result, GammaSResult, ViolationCertificate
 
@@ -36,8 +38,21 @@ def _r2(table, mask):
 
 
 def _gain(table, mask, i):
-    """gain_mask(i) as the kernel reads it from its tables."""
-    return float(table.gain(i, mask))
+    """gain_mask(i) as the kernel reads it from its tables: the gain table's
+    entry, or the table difference when there is no gain table."""
+    if table.gains is None:
+        return float(table.r2[mask | 1 << i] - table.r2[mask])
+    return float(table.gains[i, mask])
+
+
+def mask_of(indices) -> int:
+    """Pack feature indices into a bitmask."""
+    mask = 0
+    for i in indices:
+        if i < 0:
+            raise ValueError(f"negative feature index {i}")
+        mask |= 1 << i
+    return mask
 
 
 def iter_submasks(mask: int):
@@ -230,7 +245,7 @@ def replay_certificate(design, cert, table=None):
         return float(table.r2[mask]) if table is not None else r_squared(design, indices_of(mask))
 
     def gain(mask, i):
-        return float(table.gain(i, mask)) if table is not None else fit(mask | (1 << i)) - fit(mask)
+        return _gain(table, mask, i) if table is not None else fit(mask | (1 << i)) - fit(mask)
 
     if cert.form == "definition":
         a = mask_of(sets["A"])

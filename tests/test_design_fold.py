@@ -8,6 +8,7 @@ finite-cell test off that triangle or that block. These tests hold it to
 to one triangle however the rows reach it, and to the CLI's error lines.
 """
 
+import json
 import tracemalloc
 from itertools import combinations
 
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from row_oracle import standardized_rows
-from r2audit import StandardizedDesign, forward_stepwise, load_csv, miller_table, r_squared, standardize
-from r2audit import regress
+from r2audit import StandardizedDesign, best_subset, forward_stepwise, gram_factory, load_csv, miller_table
+from r2audit import r_squared, regress, standardize, suppressor_population
 from r2audit.cli import build_audit_report, main
 from r2audit.errors import ConstantColumn
+from r2audit.regress import gram_rows
 from r2audit.jsonsafe import report_text
 
 
@@ -156,6 +158,31 @@ def test_one_triangle_whichever_way_the_rows_arrive(arrivals, tmp_path):
         assert main(["select", source, "--response", "Y", "--algo", "stepwise", "--k", "3", "--out", str(select)]) == 0
         assert audit.read_text(encoding="utf-8") == report
         assert select.read_text(encoding="utf-8") == steps
+
+
+def test_the_library_and_the_commands_fold_one_triangle(tmp_path):
+    # The constructor shifts its rows by the first block's means, as
+    # standardize does, so a gram_factory design is the triangle the commands
+    # build from the same rows, and the suppressor design's ties, which its
+    # last bits decide, go the same way in both
+    gram = suppressor_population(6, 1.0, 3.0)
+    for n in (10, 300):
+        rows = gram_rows(gram, n)
+        assert gram_factory(gram, n).triangle.tobytes() == standardize(*rows).triangle.tobytes()
+        assert StandardizedDesign(*rows).triangle.tobytes() == standardize(*rows).triangle.tobytes()
+    design = gram_factory(gram, 10)
+    names = design.names
+    csv = tmp_path / "suppressor.csv"
+    assert main(["gen", "suppressor", "--p", "6", "--out", str(csv)]) == 0
+    picks = {}
+    for algo in ("stepwise", "best"):
+        out = tmp_path / f"{algo}.jsonl"
+        assert main(["select", str(csv), "--response", "Y", "--algo", algo, "--k", "3", "--out", str(out)]) == 0
+        picks[algo] = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    stepwise = [names[step.feature] for step in forward_stepwise(design, 3).steps]
+    assert stepwise == [line["feature"] for line in picks["stepwise"]] == ["X3", "X1", "X6"]
+    best = [names[i] for i in best_subset(design, 3).subset]
+    assert best == picks["best"][0]["subset"] == ["X3", "X4", "X6"]
 
 
 ERRORS = {

@@ -80,8 +80,8 @@ def _assert_near_the_table(design, trace):
     mask = 0
     for step in trace.steps:
         candidates = [j for j in range(design.m) if not mask >> j & 1]
-        gains = np.array([table.gain(j, mask) for j in candidates])
-        assert abs(step.delta_r2 - float(table.gain(step.feature, mask))) <= GAIN_TOL
+        gains = np.array([table.gain(j)[mask] for j in candidates])
+        assert abs(step.delta_r2 - float(table.gain(step.feature)[mask])) <= GAIN_TOL
         top = np.sort(gains)[-2:]
         if top.size < 2 or top[1] - top[0] > TIE_TOL:
             assert step.feature == candidates[int(np.argmax(gains))]

@@ -1,5 +1,6 @@
 """The package namespace resolves each exported name on first use."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -99,3 +100,27 @@ def test_readme_lists_every_public_name_with_its_use(fresh):
         assert module == fresh._MODULE_OF[name], name
         # reached from a command, named first, or library-only with a reason
         assert re.fullmatch(r"command: `(audit|grid|select|gen)\b.*|library-only: \w.*", use), (name, use)
+
+
+def test_every_top_level_definition_in_src_is_exported_or_used():
+    # A top-level function or class of src/ is in __all__ or read by another
+    # top-level statement of src/; dunder module hooks such as __getattr__
+    # are exempt. A name only its own body reads is unused.
+    defined, reads = [], []
+    for path in sorted((SRC / "r2audit").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.name, node.name)
+                defined.append(owner)
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            reads.append((owner, names))
+    unused = [
+        f"{module}: {name}"
+        for module, name in defined
+        if name not in r2audit.__all__
+        and not (name.startswith("__") and name.endswith("__"))
+        and not any(name in names for owner, names in reads if owner != (module, name))
+    ]
+    assert not unused

@@ -18,12 +18,13 @@ from r2audit import (
     suppressor_population,
 )
 from r2audit import regress
-from r2audit.bitsets import block_masks, indices_of, mask_of
+from r2audit.bitsets import block_masks, indices_of
 from r2audit.regress import sweep_walk
 from r2audit.errors import TooManyFeatures, ZeroBeta
 from r2audit.selection import BestSubsetResult
 from conftest import make_noisy_design, make_orthogonal_design
 import selection_oracle
+from setfun_oracle import mask_of
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ from r2audit import (
     standardize,
 )
 from r2audit import setfun
-from r2audit.bitsets import mask_of
 from row_oracle import standardized_rows
 from r2audit.errors import TooManyFeatures
+from r2audit.regress import FitTable
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 import setfun_oracle as oracle
-from setfun_oracle import replay_certificate
+from setfun_oracle import mask_of, replay_certificate
 from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
 
 
@@ -148,19 +148,24 @@ def test_mirror_rows_are_kept_or_dropped_together_at_the_tolerance_edge():
 
 def test_pair_gains_visit_each_unordered_pair_once():
     # One yield per pair lo < hi, in order, with A every mask holding neither,
-    # ascending, and the four gains of both orientations from the gain table.
+    # ascending, and the four gains of both orientations: from the gain table,
+    # or without one the table differences, bit for bit.
     for m in range(1, 8):
         d = make_noisy_design(40 + m, n=12, m=m)
-        table = fit_table(d, 20)
+        kept = fit_table(d, 20)
         masks = np.arange(1 << m)
-        pairs = []
-        for a, lo, hi, *gains in setfun._pair_gains(table):
-            pairs.append((lo, hi))
-            assert np.array_equal(a, masks[(masks & ((1 << lo) | (1 << hi))) == 0])
-            row_lo, row_hi = table.gains[lo], table.gains[hi]
-            expected = [row_lo[a], row_lo[a | (1 << hi)], row_hi[a], row_hi[a | (1 << lo)]]
-            assert all(np.array_equal(got, want) for got, want in zip(gains, expected))
-        assert pairs == list(combinations(range(m), 2))
+        for table in (kept, FitTable(kept.r2, None)):
+            pairs = []
+            for a, lo, hi, *gains in setfun._pair_gains(table):
+                pairs.append((lo, hi))
+                assert np.array_equal(a, masks[(masks & ((1 << lo) | (1 << hi))) == 0])
+                at = [(lo, a), (lo, a | (1 << hi)), (hi, a), (hi, a | (1 << lo))]
+                if table.gains is None:
+                    expected = [table.r2[b | (1 << i)] - table.r2[b] for i, b in at]
+                else:
+                    expected = [table.gains[i, b] for i, b in at]
+                assert all(np.array_equal(got, want) for got, want in zip(gains, expected))
+            assert pairs == list(combinations(range(m), 2))
 
 
 def test_equivalence_chain_on_small_instances():
