@@ -22,7 +22,7 @@ _EXPORTS = {
     "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "nwf_verdict",
                   "sis_assumption_check", "sis_screen"),
     "setfun": ("Certificates", "GammaS2Result", "GammaSResult", "ViolationCertificate",
-               "check_submodular", "empirical_gamma_s", "empirical_gamma_s2", "find_suppressors"),
+               "empirical_gamma_s", "empirical_gamma_s2"),
     "spectral": ("ConeSpec", "gamma_vs_spectral", "restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

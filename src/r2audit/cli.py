@@ -9,7 +9,8 @@ The audit report (schema "2") has a size set by the feature count, not by
 the number of violation certificates: each violation list appears as its
 count, its top 10 certificates, and its counts by conditioning-set size and
 by feature pair. ``audit --certificates PATH`` writes both whole lists to
-PATH as JSON lines, second-order first, then suppression.
+PATH as JSON lines, second-order first, then suppression, each in the order
+of setfun's pair walk, which hands them over a chunk at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import tempfile
 import warnings
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -41,7 +42,7 @@ _LIBRARY = {
     "jsonsafe": ("float_texts", "json_line", "report_text", "string_text"),
     "regress": ("StandardizedDesign", "fit_table", "gram_rows", "load_csv", "standardize"),
     "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen"),
-    "setfun": ("TOP_CERTIFICATES", "VIOLATION_TOL", "Certificates", "_second_order_summary", "empirical_gamma_s"),
+    "setfun": ("VIOLATION_TOL", "Certificates", "_second_order_summary", "empirical_gamma_s"),
     "spectral": ("ConeSpec", "_check_alpha", "restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
 _MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
@@ -117,10 +118,10 @@ def build_audit_report(
 
     The report holds only JSON values; ``jsonsafe.report_text`` writes it.
     Each violation list is summarized by ``_violation_summary`` from
-    setfun's one walk over the pairs, which keeps no whole list. Given a
-    ``certificates`` path, the same walk keeps both whole lists, and
-    ``write_certificates`` writes them there; each top list is the first
-    lines of its part of that stream, parsed back.
+    setfun's one walk over the pairs, which keeps only each list's head.
+    Given a ``certificates`` path, the same walk hands its violating rows to
+    ``_certificate_stream`` as it goes, which writes them there in walk
+    order; the path is opened once the fit table is filled, before the walk.
     """
     _bind(*_AUDIT_MODULES)
     # the arguments are checked before the enumeration, not after it
@@ -189,9 +190,9 @@ def build_audit_report(
     report["skipped_diagnostics"] = []
 
     # One walk over the feature pairs gives gamma_s2 and both violation
-    # summaries; for the certificate stream it also keeps both whole lists.
-    top = TOP_CERTIFICATES if certificates is None else None
-    summary = _second_order_summary(table, VIOLATION_TOL, top)
+    # summaries, and writes the certificate stream as it goes.
+    with _certificate_stream(certificates, names) as sink:
+        summary = _second_order_summary(table, VIOLATION_TOL, sink)
     est2 = summary.gamma
     est1 = empirical_gamma_s(design, table=table)
     gamma_block: dict = {
@@ -240,13 +241,9 @@ def build_audit_report(
     # The suppression rows are the second-order rows, so both lists share
     # one set of counts.
     report["violations"] = {
-        form: _violation_summary(
-            summary.count, getattr(summary, form)[:TOP_CERTIFICATES], summary.by_size, summary.by_pair, names
-        )
+        form: _violation_summary(summary.count, getattr(summary, form), summary.by_size, summary.by_pair, names)
         for form in ("second_order", "suppression")
     }
-    if certificates is not None:
-        write_certificates(certificates, (summary.second_order, summary.suppression), names)
 
     best = best_subset(design, k, max_features=max_enum)
     nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=summary.count == 0)
@@ -283,7 +280,7 @@ def build_audit_report(
 
 
 def _violation_summary(count: int, head: Certificates, by_size, by_pair, names) -> dict:
-    """A certificate list's count; its head, as its stream lines parse; its
+    """A certificate list's count; its head, as stream lines parse; its
     counts by set size, and the nonzero by_pair[i, j] in index order."""
     import json  # only the audit's summaries parse JSON
 
@@ -299,10 +296,10 @@ def _violation_summary(count: int, head: Certificates, by_size, by_pair, names) 
 
 def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None = None) -> list[str]:
     """The json_line text of each certificate's {"deficit", "form", "lhs",
-    "rhs", "sets"} object, of a list stored in its order (a head or a slice):
-    one format for the list. ``sets`` maps a mask to its name list's text; a
-    mask it lacks is rendered once and added, so the lists and chunks that
-    share it render each mask once."""
+    "rhs", "sets"} object, in order: one format for a head and for the
+    stream. ``sets`` maps a mask to its name list's text; a mask it lacks is
+    rendered once and added, so the lists and chunks that share it render
+    each mask once."""
     _bind("bitsets", "jsonsafe")
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
@@ -326,14 +323,30 @@ def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None =
     return [template % row for row in rows]
 
 
-def write_certificates(path: str | Path, lists, names) -> None:
-    """Write every certificate of the lists, in order, one json_line each."""
+@contextmanager
+def _certificate_stream(path: str | None, names) -> Iterator[Callable | None]:
+    """None without a path; otherwise a sink for setfun._second_order_summary
+    that writes each chunk of rows it is handed, STREAM_CHUNK rows at a time:
+    second-order rows into the file at ``path``, suppression rows into an
+    unlinked part beside it, appended to the file on a normal exit. Both
+    share one cache of rendered sets."""
+    if path is None:
+        yield None
+        return
     sets: dict[int, str] = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for certs in lists:
+    with open(path, "w", encoding="utf-8", newline="\n") as stream, _part(Path(path).parent) as part:
+
+        def write(out: TextIO, certs: Certificates) -> None:
             for lo in range(0, len(certs), STREAM_CHUNK):
                 texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names, sets)
-                fh.write("".join(text + "\n" for text in texts))
+                out.write("".join(text + "\n" for text in texts))
+
+        def sink(second: Certificates, suppression: Certificates) -> None:
+            write(stream, second)
+            write(part, suppression)
+
+        yield sink
+        _append_part(part, stream)
 
 
 def _cmd_audit(args) -> int:
@@ -397,10 +410,10 @@ def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
         del block  # freed before the next block is evaluated
 
 
-def _grid_part(directory: Path | None) -> TextIO:
+def _part(directory: Path | None) -> TextIO:
     """An unlinked temporary text file in ``directory``, or in the default
     temporary directory where that takes no new file (as /dev, for a user
-    who writes the grid to /dev/null or /dev/stdout)."""
+    who writes to /dev/null or /dev/stdout)."""
     try:
         return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
     except OSError:
@@ -408,10 +421,11 @@ def _grid_part(directory: Path | None) -> TextIO:
 
 
 def _append_part(part: TextIO, out: TextIO) -> None:
-    """Append a worker's whole part to an output as bytes, below both text
+    """Append a whole part, flushed, to an output as bytes, below both text
     layers: the text is ASCII, so its bytes are the same in the part's UTF-8
     and in any encoding the output has. An output with no byte layer below
     it, as io.StringIO, takes the text."""
+    part.flush()
     target = getattr(out, "buffer", None)
     if target is None:
         part.seek(0)
@@ -468,7 +482,7 @@ def _cmd_grid(args) -> int:
         workers: list[tuple[int, list[range], list[TextIO]]] = []
         stack.callback(lambda: [os.waitpid(pid, 0) for pid, _, _ in workers])
         for span in spans[1:]:
-            parts = [stack.enter_context(_grid_part(d)) for d in part_dirs]
+            parts = [stack.enter_context(_part(d)) for d in part_dirs]
             workers.append((_fork_grid_worker(args, span, parts), span, parts))
         _render_grid(args, spans[0], outputs)
         while workers:

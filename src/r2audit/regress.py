@@ -78,26 +78,21 @@ HARD_MAX_FEATURES = 63
 # 41.6 MiB.
 FIT_CHUNK = 256
 
-# sweep_walk trusts a subset S when every member a keeps a pivot of at least
-# this fraction of G[a, a] against the rest of S: 1 / [G_S^{-1}]_aa, the
-# squared residual norm a leaves when swept last. Then the smallest
-# eigenvalue of G_S is at least SWEEP_PIVOT_RTOL / |S|, so fit_block never
-# calls a trusted subset rank-deficient, and a screened value is off by at
-# most about 3 eps trace(G_S^{-1}) <= 3 eps |S| / SWEEP_PIVOT_RTOL (3 is the
+# The one trust floor of every sweep (fit_table's walk, sweep_walk's screen
+# and stepwise): a subset S is trusted when every member a keeps a pivot of
+# at least this fraction of G[a, a] against the rest of S, 1 / [G_S^{-1}]_aa,
+# the squared residual norm a leaves when swept last. Then the smallest
+# eigenvalue of G_S is at least TABLE_PIVOT_RTOL / |S|, so fit_block never
+# calls a trusted subset rank-deficient, and a swept value is off by at most
+# about 3 eps trace(G_S^{-1}) <= 3 eps |S| / TABLE_PIVOT_RTOL (3 is the
 # largest ratio measured on 120 designs built from near-collinear and nested
-# near-null columns). At 1e-6 that is 1.6e-8 for 24 features, under half of
-# selection.SCREEN_BAND, and only a member that the others explain to an R^2
-# above 1 - 1e-6 sends a subset to fit_block. Checking just the pivot each
-# feature meets on its own tree path is not enough: a nested design passed
-# that check with pivots of 1.4e-6 and screened values off by 1.6e-6.
-SWEEP_PIVOT_RTOL = 1e-6
-
-# fit_table's floor, from the same bound: at DEFAULT_MAX_FEATURES a trusted
-# table value is off by at most 3 eps * 24 / TABLE_PIVOT_RTOL = 1e-10, a tenth
-# of setfun.VIOLATION_TOL (1e-9), so no certificate turns on the sweep's
-# rounding: 1.6e-4. The bound is loose: on the fit kernel's seven test
-# designs the largest error against a direct fit is 3.7e-15 at this floor,
-# and 2.6e-13 (the Miller table) at SWEEP_PIVOT_RTOL.
+# near-null columns). At DEFAULT_MAX_FEATURES that is 1e-10, a tenth of
+# setfun.VIOLATION_TOL (1e-9), so no certificate turns on the sweep's
+# rounding, and a thousandth of selection.SCREEN_BAND; the floor is 1.6e-4.
+# Checking just the pivot each feature meets on its own tree path is not
+# enough: a nested design passes that check with path pivots of 3.7e-4 and
+# is rank-deficient. The bound is loose: on the fit kernel's seven test
+# designs the largest error against a direct fit is 3.7e-15.
 TABLE_PIVOT_RTOL = 3 * np.finfo(float).eps * DEFAULT_MAX_FEATURES / 1e-10
 
 # fit_table keeps its (m, 2^m) float gain table only while it fits in this
@@ -112,9 +107,11 @@ GAIN_TABLE_BYTES = 256 << 20
 # On an n = 2000, m = 24, k = 4 best subset, blocks of FIT_CHUNK raised the
 # process's peak RSS from 35.7 MiB (blocks of 32) to 38.5-38.7 MiB; blocks
 # of 4 peaked no lower and took 11 ms against 8 ms. fit_table's walk, whose
-# output holds every subset anyway, expands FIT_CHUNK nodes per block:
-# at m = 18 that filled the table in 1.07 s instead of 1.84 s, and raised the
-# peak RSS from 87 to 100 MiB.
+# output holds every subset anyway, expands FIT_CHUNK nodes per block, with
+# or without a gain table: at m = 18 that filled the table in 1.07 s instead
+# of 1.84 s, and raised the peak RSS from 87 to 100 MiB; at m = 21, with no
+# gain table, in 2.7 s instead of 5.4 s, and the fill's peak went from 51 to
+# 65 MiB.
 SWEEP_CHUNK_DIVISOR = 8
 
 # Rows of [1 | X | y] per QR call of _fold_rows. Each call factors the running
@@ -458,13 +455,13 @@ def sweep_walk(design: StandardizedDesign, depth: int) -> Iterator[tuple[np.ndar
     grow with the number of subsets.
 
     A subset S is trusted when each member's pivot against the rest of S,
-    1 / [G_S^{-1}]_aa, is at least SWEEP_PIVOT_RTOL * G[a, a], and its parent
+    1 / [G_S^{-1}]_aa, is at least TABLE_PIVOT_RTOL * G[a, a], and its parent
     is trusted. An untrusted subset is not swept further: it and its whole
     subtree come back with trusted False and r2 NaN, for the caller to fit
     with :func:`fit_block`. Trusted values agree with fit_block's to
-    rounding, not bit for bit (see SWEEP_PIVOT_RTOL).
+    rounding, not bit for bit (see TABLE_PIVOT_RTOL).
     """
-    for idx, r2, trusted, _ in _sweep_blocks(design, depth, SWEEP_PIVOT_RTOL, False):
+    for idx, r2, trusted, _ in _sweep_blocks(design, depth, FIT_CHUNK // SWEEP_CHUNK_DIVISOR, False):
         yield idx, r2, trusted
 
 
@@ -486,7 +483,7 @@ def fit_table(design: StandardizedDesign, max_features: int = DEFAULT_MAX_FEATUR
     r2 = np.zeros(1 << m)
     trusted = np.ones(1 << m, dtype=bool)
     gain = np.full((m, 1 << m), np.nan) if keep_gains else None
-    for idx, values, ok, rows in _sweep_blocks(design, m, TABLE_PIVOT_RTOL, keep_gains):
+    for idx, values, ok, rows in _sweep_blocks(design, m, FIT_CHUNK, keep_gains):
         at = block_masks(idx)
         r2[at] = values
         trusted[at] = ok
@@ -505,20 +502,20 @@ def fit_table(design: StandardizedDesign, max_features: int = DEFAULT_MAX_FEATUR
     return FitTable(r2, gain)
 
 
-def _sweep_blocks(design: StandardizedDesign, depth: int, floor: float, gains: bool):
-    """sweep_walk's blocks, each with a fourth entry: None, or with ``gains``
-    a (k, m) array whose row holds C_S[j, y]^2 / C_S[j, j] of the block's
-    subset S for every feature j, NaN where S is untrusted or C_S[j, j] is
-    below j's floor (every member of S among them)."""
+def _sweep_blocks(design: StandardizedDesign, depth: int, block_size: int, gains: bool):
+    """sweep_walk's blocks, expanding ``block_size`` nodes at a time, each
+    with a fourth entry: None, or with ``gains`` a (k, m) array whose row
+    holds C_S[j, y]^2 / C_S[j, j] of the block's subset S for every feature
+    j, NaN where S is untrusted or C_S[j, j] is below j's floor (every member
+    of S among them)."""
     m = design.m
     if not 0 <= depth <= m:
         raise ValueError(f"depth must lie in 0..{m}")
     if depth == 0:
         return
     G = design.gram()
-    floor = floor * np.diagonal(G)[:m]
+    floor = TABLE_PIVOT_RTOL * np.diagonal(G)[:m]
     features = np.arange(m)
-    block_size = FIT_CHUNK if gains else FIT_CHUNK // SWEEP_CHUNK_DIVISOR
 
     def below(members, r2, C):
         # The subtrees of a block of trusted nodes of one size. ``members``

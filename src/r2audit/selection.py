@@ -37,8 +37,8 @@ NWF_THRESHOLD = 1.0 - 1.0 / math.e
 
 # best_subset re-fits every trusted subset whose screened fit lies
 # within this distance of the largest screened fit. A screened value is
-# within 3 eps |S| / regress.SWEEP_PIVOT_RTOL of fit_block's, 1.6e-8 at 24
-# features, so the band is more than twice that: it holds the subset
+# within 3 eps |S| / regress.TABLE_PIVOT_RTOL of fit_block's, 1e-10 at 24
+# features, so the band is a thousand times that: it holds the subset
 # fit_block ranks first, and every subset tied with it. On an n = 2000,
 # m = 24, k = 4 Gaussian design only the screened maximum lies within it.
 SCREEN_BAND = 1e-7

@@ -10,35 +10,33 @@ the table difference r2[A|i] - r2[A]. Above 20 features
 (regress.GAIN_TABLE_BYTES) no gain table is kept and FitTable.gain takes each
 feature's gain row as that difference, a whole row at a time. A kernel given
 no table builds its own.
-The second-order family (gamma_s2, second-order and suppressor certificates)
+The second-order family (gamma_s2, second-order and suppression certificates)
 reads one kernel giving, per unordered pair lo < hi, the masks A holding
 neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi), as
 strided views of the masks and of the two features' gain rows, with no index
 array: O(m^2 2^m) time, O(2^m) memory. One walk over it gives gamma_s2, the
-counts of both violation lists, and either their heads (the rows that can be
-among the first TOP_CERTIFICATES, in one row store per list) or, for
-check_submodular, find_suppressors and the certificate stream, both whole
-lists: the second-order rows in one row store, and the suppression rows
-computed from them.
+counts of both violation lists and their heads (the rows that can be among
+the first TOP_CERTIFICATES, in one row store per list), and can hand every
+violating row to a sink as it goes, one pair and orientation at a time; no
+whole list is ever held.
 gamma_s divides each gain_A(i) by the largest usable gain_B(i) over strict
 supersets B, found by a zeta transform over the 2^(m-1) masks without i in
 O(m^2 2^m) rather than a walk over all O(m 3^m) nested pairs; fl(a / d) is
 monotone in a and d, so this is exact.
-Argmin ties break toward the first comparison in ascending mask order;
-certificates are ordered by deficit, largest first, then by their index sets
-as tuples, and kept as columns (Certificates) from the kernel to the
-certificate stream's renderer.
+Argmin ties break toward the first comparison in ascending mask order; a
+head is ordered by deficit, largest first, then by its index sets as tuples,
+and kept as columns (Certificates) from the kernel to the renderer.
 Second-order certificates (A, i, j) and (A, j, i) come from the same step
 of that walk and carry its one deficit, that of (A, min(i, j), max(i, j)), so
 they are selected together, and sort next to each other. Suppression
 certificates are the second-order rows, rendered as square roots of the two
-gains.
+gains (_roots).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,9 +51,10 @@ def _pair_gains(table: FitTable) -> Iterator[tuple]:
     """Yield (A, lo, hi, gain_A(lo), gain_{A+hi}(lo), gain_A(hi), gain_{A+lo}(hi))
     for every pair lo < hi, where A holds, ascending, every mask containing
     neither lo nor hi. Each array is a strided view, split on bits hi and lo
-    and raveled, of the masks or of one of the two gain rows held."""
+    and raveled, of the masks, in a set column's dtype (_role_dtype), or of
+    one of the two gain rows held."""
     m = table.m
-    masks = np.arange(1 << m)
+    masks = np.arange(1 << m, dtype=_role_dtype("A", m))
     for lo in range(m):
         gain_lo = table.gain(lo)
         for hi in range(lo + 1, m):
@@ -85,28 +84,23 @@ class ViolationCertificate(NamedTuple):
 
 
 class Certificates(Sequence):
-    """A list of certificates of one form, stored by column, read-only.
+    """A list of certificates of one form, stored by column in list order,
+    read-only.
 
     ``columns`` holds one array per role in ``roles``: masks for the set roles
     A, B and S, feature indices for i and j; ``lhs``, ``rhs`` and ``deficit``
-    are float64 arrays, all in storage order. Without ``ties`` that is the
-    list's order; with it, the list is ordered by deficit, largest first, then
-    by the per-row keys ``ties()`` gives, most significant first, found by one
-    sort of the whole list on its first read (not by its length or truth
-    value). An int index and iteration yield ViolationCertificate; a slice is
-    again a Certificates, in order. It equals any sequence holding the same
+    are float64 arrays. An int index and iteration yield ViolationCertificate;
+    a slice is again a Certificates. It equals any sequence holding the same
     certificates in the same order.
     """
 
-    def __init__(self, form: str, roles, columns, lhs, rhs, deficit, ties=None):
+    def __init__(self, form: str, roles, columns, lhs, rhs, deficit):
         self.form = form
         self.roles = tuple(roles)
         self.columns = tuple(columns)
         self.lhs, self.rhs, self.deficit = lhs, rhs, deficit
         for values in (*self.columns, lhs, rhs, deficit):
             values.setflags(write=False)
-        self._ties = ties
-        self._order: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.deficit.size
@@ -115,10 +109,6 @@ class Certificates(Sequence):
         if not isinstance(index, slice):
             row = range(len(self))[index]
             return next(iter(self[row : row + 1]))
-        if self._ties is not None:
-            if self._order is None:  # sorted once, on the first read
-                self._order = np.lexsort(self._ties()[::-1] + [-self.deficit])
-            index = self._order[index]
         return Certificates(
             self.form,
             self.roles,
@@ -129,15 +119,14 @@ class Certificates(Sequence):
         )
 
     def __iter__(self) -> Iterator[ViolationCertificate]:
-        certs = self if self._ties is None else self[:]
         parts = []
-        for role, values in zip(certs.roles, certs.columns):
+        for role, values in zip(self.roles, self.columns):
             values = values.tolist()
             as_set = (lambda v: (v,)) if role in ("i", "j") else indices_of
             lookup = {v: (role, as_set(v)) for v in set(values)}
             parts.append(map(lookup.__getitem__, values))
         for sets, lhs, rhs, deficit in zip(
-            zip(*parts), certs.lhs.tolist(), certs.rhs.tolist(), certs.deficit.tolist()
+            zip(*parts), self.lhs.tolist(), self.rhs.tolist(), self.deficit.tolist()
         ):
             yield ViolationCertificate(self.form, sets, lhs, rhs, deficit)
 
@@ -170,108 +159,51 @@ def _role_dtype(role: str, m: int) -> np.dtype:
     return np.dtype(np.int8) if role in ("i", "j") else np.min_scalar_type((1 << m) - 1)
 
 
+TOP_CERTIFICATES = 10
+
+
 class _Rows:
-    """The rows of one certificate list, offered a chunk at a time.
+    """The head of one (set, i, j) certificate list, offered a chunk at a time.
 
     An offer gives a mask of the chunk's rows to keep, then one array or
-    scalar per role (masks for the set roles A and S, feature indices for
-    i and j), then lhs, rhs and deficit arrays. Role columns are stored in
-    their ``_role_dtype``. With ``top`` only the rows that can be among the
-    list's first ``top`` are kept: every row not below the top-th largest
-    deficit kept so far, ties at that cut too.
+    scalar per role (masks for the set role A or S, feature indices for i
+    and j), then lhs, rhs and deficit arrays. ``columns`` holds the rows
+    kept: every row not below the TOP_CERTIFICATES-th largest deficit offered
+    so far, ties at that cut too, role columns in their ``_role_dtype``.
     """
 
-    def __init__(self, roles, m, top=None):
-        self.dtypes = [_role_dtype(role, m) for role in roles] + [np.dtype(float)] * 3
-        self.parts = [[] for _ in self.dtypes]
-        self.top, self.cut = top, -math.inf
+    def __init__(self, form: str, roles, m: int):
+        self.form, self.roles, self.m = form, tuple(roles), m
+        self.columns = [np.zeros(0, _role_dtype(role, m)) for role in roles] + [np.zeros(0)] * 3
+        self.cut = -math.inf
 
     def offer(self, hit, *columns) -> None:
         at = np.flatnonzero(hit & ~(columns[-1] < self.cut))
         if at.size == 0:
             return
-        for part, values, dtype in zip(self.parts, columns, self.dtypes):
+        kept = []
+        for old, values in zip(self.columns, columns):
             scalar = np.ndim(values) == 0
-            part.append(np.full(at.size, values, dtype) if scalar else values[at].astype(dtype, copy=False))
-        if self.top is not None:
-            columns = self.columns()
-            if columns[-1].size > self.top:
-                self.cut = -np.partition(-columns[-1], self.top - 1)[self.top - 1]
-                keep = ~(columns[-1] < self.cut)
-                columns = [values[keep] for values in columns]
-            self.parts = [[values] for values in columns]
+            new = np.full(at.size, values, old.dtype) if scalar else values[at].astype(old.dtype, copy=False)
+            kept.append(np.concatenate([old, new]))
+        deficit = kept[-1]
+        if deficit.size > TOP_CERTIFICATES:
+            self.cut = -np.partition(-deficit, TOP_CERTIFICATES - 1)[TOP_CERTIFICATES - 1]
+            keep = ~(deficit < self.cut)
+            kept = [values[keep] for values in kept]
+        self.columns = kept
 
-    def columns(self) -> list[np.ndarray]:
-        """Every kept row, one array per column. Each column's parts are
-        dropped once joined, so the joined columns and the parts are not all
-        held at once."""
-        columns = []
-        for part, dtype in zip(self.parts, self.dtypes):
-            columns.append(np.concatenate(part) if part else np.zeros(0, dtype))
-            part.clear()
-        return columns
-
-
-def _by_sets(form, roles, hits, m) -> Certificates:
-    """Certificates of the hits, ordered by deficit, largest first, then by
-    their index sets as tuples."""
-    *columns, lhs, rhs, deficit = hits
-
-    def ties():
-        return [values if role in ("i", "j") else _lex_rank(values, m) for role, values in zip(roles, columns)]
-
-    return Certificates(form, roles, columns, lhs, rhs, deficit, ties)
-
-
-def check_submodular(
-    design: StandardizedDesign,
-    tolerance: float = VIOLATION_TOL,
-    table: FitTable | None = None,
-    max_features: int = DEFAULT_MAX_FEATURES,
-) -> Certificates:
-    """Exhaustively certify the second-order diminishing-returns inequality:
-    every gain_A(i) against gain_{A+j}(i), one extra conditioning feature j.
-
-    Returns no certificates iff the inequality holds everywhere up to
-    ``tolerance``; otherwise certificates ordered by deficit, largest first.
-    Neither the length nor the truth value of the result sorts it.
-
-    The rows (A, i, j) and (A, j, i) are mirror images with mathematically
-    equal deficits. Both take the deficit of (A, min(i, j), max(i, j)), are
-    kept when it exceeds ``tolerance`` and dropped otherwise, and sort next
-    to each other: the result holds every row's mirror, and its length is
-    even.
-    """
-    table = fit_table(design, max_features) if table is None else table
-    return _second_order_summary(table, tolerance, top=None).second_order
-
-
-def _second_order_certificates(a, i, j, gain, cond, deficit, m) -> Certificates:
-    """Second-order certificates ordered by deficit, largest first, then by A,
-    the unordered pair, then i, so mirror rows sit together."""
-    def ties():
-        return [_lex_rank(a, m), np.minimum(i, j), np.maximum(i, j), i]
-
-    return Certificates("second_order", ("A", "i", "j"), (a, i, j), gain, cond, deficit, ties)
-
-
-def find_suppressors(
-    design: StandardizedDesign,
-    tolerance: float = VIOLATION_TOL,
-    table: FitTable | None = None,
-    max_features: int = DEFAULT_MAX_FEATURES,
-) -> Certificates:
-    """Certify every (S, i, j) where conditioning on j amplifies feature i.
-
-    A suppressor raises the absolute adjusted correlation between the
-    response and i when j joins the conditioning set S: it is a second-order
-    violation (S, i, j) viewed through square roots. The rows are exactly
-    the second-order rows at the same tolerance, selected by the same
-    shared deficit; certificates store the two absolute correlations
-    sqrt(max(gain, 0)), and are ordered by their difference, largest first.
-    """
-    table = fit_table(design, max_features) if table is None else table
-    return _second_order_summary(table, tolerance, top=None).suppression
+    def head(self) -> Certificates:
+        """The first TOP_CERTIFICATES rows kept, ordered by deficit, largest
+        first, then by their index sets as tuples; second-order rows by A,
+        then the unordered pair, then i, so mirror rows sit together."""
+        s, i, j, *_, deficit = self.columns
+        ties = [_lex_rank(s, self.m), i, j]
+        if self.form == "second_order":
+            ties[1:] = [np.minimum(i, j), np.maximum(i, j), i]
+        order = np.lexsort([*ties[::-1], -deficit])[:TOP_CERTIFICATES]
+        *sets, lhs, rhs, deficit = (values[order] for values in self.columns)
+        return Certificates(self.form, self.roles, sets, lhs, rhs, deficit)
 
 
 class GammaS2Result(NamedTuple):
@@ -299,9 +231,6 @@ class GammaSResult(NamedTuple):
     skipped_s: int
 
 
-TOP_CERTIFICATES = 10
-
-
 def _roots(gain: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lhs, rhs and deficit of the suppression rows with these gains: the
     square roots of the two gains, clipped at 0, and their difference."""
@@ -310,9 +239,11 @@ def _roots(gain: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 class SecondOrderSummary(NamedTuple):
-    """gamma_s2; at one tolerance, the second-order rows' (= suppression rows') count, by_size[|A|] and
-    by_pair[i, j]; and the lists of check_submodular and find_suppressors, whole or cut to their first
-    certificates (see _second_order_summary)."""
+    """gamma_s2; at one tolerance, the second-order rows' (= suppression
+    rows') count, by_size[|A|] and by_pair[i, j]; and the heads of both
+    lists: the second-order list (A, i, j), and the suppression list (S, i, j)
+    of the same rows through _roots, each cut to its first TOP_CERTIFICATES
+    certificates."""
 
     gamma: GammaS2Result
     count: int
@@ -323,45 +254,53 @@ class SecondOrderSummary(NamedTuple):
 
 
 def _second_order_summary(
-    table: FitTable, tolerance: float, top: int | None = TOP_CERTIFICATES
+    table: FitTable, tolerance: float, sink: Callable[[Certificates, Certificates], None] | None = None
 ) -> SecondOrderSummary:
-    """The summary from one walk over the table's _pair_gains, with the first
-    ``top`` certificates of each list, or the whole lists when ``top`` is
-    None. Each call walks the pairs again."""
+    """The summary from one walk over the table's _pair_gains, walked again
+    on each call.
+
+    Given a ``sink``, the walk also hands it every row that violates, as it
+    goes: for each pair and orientation with such rows, one call with its
+    second-order rows and the same rows as suppression certificates. The
+    calls come in walk order: pairs (lo, hi) ascending; for each pair its
+    (A, lo, hi) rows, then its (A, hi, lo) rows; within each, masks
+    ascending. No whole list is held.
+    """
     m = table.m
     # the k-th mask holding neither i nor j is k with two zero bits inserted
     sizes = mask_sizes(np.arange((1 << m) >> 2), m)
     by_size, by_pair = np.zeros(max(m - 1, 0), dtype=np.intp), np.zeros((m, m), dtype=np.intp)
     per_pair, skipped = [], 0
-    second = _Rows(("A", "i", "j"), m, top)
-    # The whole suppression list is the second-order rows through square
-    # roots; only its head, ranked by their difference, needs its own rows.
-    suppression = _Rows(("S", "i", "j"), m, top) if top is not None else None
+    second = _Rows("second_order", ("A", "i", "j"), m)
+    # the suppression head ranks the same rows by the difference of their
+    # roots, so it has its own store
+    suppression = _Rows("suppression", ("S", "i", "j"), m)
     for a, lo, hi, gain_lo, cond_lo, gain_hi, cond_hi in _pair_gains(table):
         # both orientations take the deficit of (A, lo, hi), so they hit the same rows
         deficit = cond_lo - gain_lo
         hit = deficit > tolerance
         by_size += 2 * np.bincount(sizes[hit], minlength=by_size.size)
         by_pair[lo, hi] = by_pair[hi, lo] = np.count_nonzero(hit)
+        at = np.flatnonzero(hit) if sink is not None else None
         for i, j, num, den in ((lo, hi, gain_lo, cond_lo), (hi, lo, gain_hi, cond_hi)):
             keep = ~(den < SKIP_DENOM_TOL)
             skipped += a.size - int(keep.sum())
             if keep.any():  # the first smallest ratio of the kept ones: +inf elsewhere
                 ratio = np.divide(np.maximum(num, 0.0), den, out=np.full(a.size, np.inf), where=keep)
-                at = int(ratio.argmin())
-                per_pair.append((float(ratio[at]), int(a[at]), i, j))
+                first = int(ratio.argmin())
+                per_pair.append((float(ratio[first]), int(a[first]), i, j))
+            roots = _roots(num, den)
             second.offer(hit, a, i, j, num, den, deficit)
-            if suppression is not None:
-                suppression.offer(hit, a, i, j, *_roots(num, den))
+            suppression.offer(hit, a, i, j, *roots)
+            if at is not None and at.size:
+                sets = (a[at], np.full(at.size, i, np.int8), np.full(at.size, j, np.int8))
+                sink(
+                    Certificates("second_order", second.roles, sets, num[at], den[at], deficit[at]),
+                    Certificates("suppression", suppression.roles, sets, *(values[at] for values in roots)),
+                )
     value, a_mask, i, j = min(per_pair, default=(math.inf, None, 0, 0))
     gamma = GammaS2Result(value, None if a_mask is None else (indices_of(a_mask), i, j), skipped)
-    a, i, j, gain, cond, deficit = second.columns()
-    second = _second_order_certificates(a, i, j, gain, cond, deficit, m)
-    rows = [a, i, j, *_roots(gain, cond)] if suppression is None else suppression.columns()
-    suppression = _by_sets("suppression", ("S", "i", "j"), rows, m)
-    if top is not None:
-        second, suppression = second[:top], suppression[:top]
-    return SecondOrderSummary(gamma, int(by_size.sum()), by_size, by_pair, second, suppression)
+    return SecondOrderSummary(gamma, int(by_size.sum()), by_size, by_pair, second.head(), suppression.head())
 
 
 def empirical_gamma_s2(

@@ -12,7 +12,7 @@ import pytest
 
 import setfun_oracle as oracle
 from report_oracle import certificate_jsonable
-from r2audit import load_csv, sis_screen, standardize
+from r2audit import cli, load_csv, sis_screen, standardize
 from r2audit.cli import main
 from r2audit.datasets import miller_table, write_csv
 from r2audit.jsonsafe import sanitize
@@ -116,7 +116,21 @@ def test_certificate_stream_is_json_dumps_of_each_certificate(generator, tmp_pat
         for key, certs in lists.items()
     }
     assert stream.endswith("\n")
-    assert stream.splitlines() == lines["second_order"] + lines["suppression"]
+    stream_lines = stream.splitlines()
+    count = len(lines["second_order"])
+    parts = {"second_order": stream_lines[:count], "suppression": stream_lines[count:]}
+    for key, part in parts.items():
+        # each part holds exactly the oracle's lines, in walk order: pairs
+        # (lo, hi) ascending; for each, its (A, lo, hi) rows, then its
+        # (A, hi, lo) rows; within each, masks ascending
+        assert sorted(part) == sorted(lines[key])
+        places = []
+        for line in part:
+            sets = json.loads(line)["sets"]
+            i, j = d.names.index(sets["i"]), d.names.index(sets["j"])
+            mask = sum(1 << d.names.index(name) for name in sets["A" if key == "second_order" else "S"])
+            places.append((min(i, j), max(i, j), i > j, mask))
+        assert places == sorted(places) and len(set(places)) == len(places)
 
     report = json.loads(report_bytes)
     for key, certs in lists.items():
@@ -165,6 +179,18 @@ def test_audit_partial_when_too_wide(tmp_path):
     assert report["partial"] is True
     assert "gamma" in report["skipped_diagnostics"]
     assert "forward_stepwise" in report["selection"]  # cheap sections still present
+
+
+def test_audit_refuses_an_unwritable_certificate_path_before_the_pair_walk(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "in.csv"
+    assert main(["gen", "gaussian", "--n", "40", "--m", "6", "--out", str(path)]) == 0
+    walks = []
+    monkeypatch.setattr(cli, "_second_order_summary", lambda *args: walks.append(args))
+    certs = tmp_path / "missing" / "certs.jsonl"
+    args = ["audit", str(path), "--response", "Y", "--out", str(tmp_path / "r.json"), "--certificates", str(certs)]
+    assert main(args) == 1
+    assert "error" in capsys.readouterr().err
+    assert walks == [] and not certs.exists()
 
 
 @pytest.mark.parametrize("max_enum", ["100", "63"])

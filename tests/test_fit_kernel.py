@@ -22,7 +22,6 @@ from r2audit import regress, setfun
 from r2audit.bitsets import block_masks, combination_blocks, indices_of
 from r2audit.regress import (
     RANK_RTOL,
-    SWEEP_PIVOT_RTOL,
     TABLE_PIVOT_RTOL,
     fit_block,
     gram_rows,
@@ -135,19 +134,20 @@ def test_fit_block_does_not_depend_on_batching(monkeypatch):
 
 
 def _nested_near_null():
-    # Each column is the previous columns' near-null combination plus 1.2e-3
+    # Each column is the previous columns' near-null combination plus 2e-2
     # of a new direction: every pivot a column meets on its own tree path is
-    # about 1.4e-6, yet the smallest singular value shrinks by about 1e-3 per
-    # column, and the five-column subset is rank-deficient for fit_block.
+    # at least 3.7e-4, above the trust floor, yet the smallest singular value
+    # shrinks with each column, and the seven-column subset is rank-deficient
+    # for fit_block.
     rng = np.random.default_rng(1)
-    Q, _ = np.linalg.qr(rng.standard_normal((40, 7)))
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 8)))
     cols = [Q[:, 0]]
-    for j in range(1, 6):
+    for j in range(1, 7):
         U = np.column_stack(cols)
         _, s, Vt = np.linalg.svd(U, full_matrices=False)
-        cols.append(U @ (Vt[-1] / s[-1]) + 1.2e-3 * Q[:, j])
+        cols.append(U @ (Vt[-1] / s[-1]) + 2e-2 * Q[:, j])
     X = np.column_stack(cols)
-    return standardize(X, X @ rng.standard_normal(6) + Q[:, 6])
+    return standardize(X, X @ rng.standard_normal(7) + Q[:, 7])
 
 
 def _pivots(R, order):
@@ -191,17 +191,17 @@ def test_sweep_walk_screens_every_subset_within_the_band(name):
             assert rank[0] == len(idx), idx
         else:
             assert math.isnan(value), idx
-        if collapsed < SWEEP_PIVOT_RTOL / 2:
+        if collapsed < TABLE_PIVOT_RTOL / 2:
             assert not trusted, idx
 
 
 def test_nested_design_collapses_only_off_its_paths():
-    # Every pivot on the tree path of {0..4} clears the floor, yet the subset
+    # Every pivot on the tree path of {0..6} clears the floor, yet the subset
     # is rank-deficient: the walk must distrust it by its other pivots.
     design = _nested_near_null()
-    assert _pivots(design.triangle, range(5)).min() > SWEEP_PIVOT_RTOL
-    assert fit_entry(design, range(5)).rank == 4
-    assert not _walk(design)[0b11111][1]
+    assert _pivots(design.triangle, range(7)).min() > TABLE_PIVOT_RTOL
+    assert fit_entry(design, range(7)).rank == 6
+    assert not _walk(design)[0b1111111][1]
 
 
 def test_sweep_walk_does_not_depend_on_blocking(monkeypatch):
@@ -220,9 +220,9 @@ def test_sweep_walk_does_not_depend_on_blocking(monkeypatch):
 
 
 def _table_walk(design):
-    """{mask: trusted} of the walk the table fill makes, at the table's floor."""
+    """{mask: trusted} of the walk the table fill makes."""
     seen = {0: True}
-    for idx, _, trusted, _ in regress._sweep_blocks(design, design.m, TABLE_PIVOT_RTOL, False):
+    for idx, _, trusted, _ in regress._sweep_blocks(design, design.m, regress.FIT_CHUNK, False):
         seen.update(zip(block_masks(idx).tolist(), trusted.tolist()))
     return seen
 
@@ -264,15 +264,6 @@ def test_gains_are_table_differences_wherever_the_walk_distrusts(name):
         assert untrusted > 0
 
 
-def test_a_higher_floor_trusts_no_more_subsets():
-    design = _nested_near_null()
-    screen = _walk(design)
-    table = _table_walk(design)
-    assert TABLE_PIVOT_RTOL > SWEEP_PIVOT_RTOL
-    assert {mask for mask, ok in table.items() if ok and mask} <= {mask for mask, (_, ok) in screen.items() if ok}
-    assert sum(not ok for ok in table.values()) > sum(not ok for _, ok in screen.values())
-
-
 def test_table_floor_holds_its_error_bound_to_a_tenth_of_the_violation_tolerance():
     bound = 3 * np.finfo(float).eps * regress.DEFAULT_MAX_FEATURES / TABLE_PIVOT_RTOL
     assert bound == pytest.approx(setfun.VIOLATION_TOL / 10, rel=1e-12)
@@ -288,3 +279,23 @@ def test_gain_table_is_kept_up_to_20_features(monkeypatch):
     r2_alone, none = regress.fit_table(design)
     assert none is None
     assert np.abs(r2_alone - r2).max() <= 1e-15
+
+
+def test_fill_walks_the_same_blocks_without_a_gain_table(monkeypatch):
+    # The fill expands FIT_CHUNK nodes per block whether or not it keeps a
+    # gain table; only sweep_walk's screen takes smaller blocks.
+    design = make_noisy_design(17, n=40, m=10)
+    blocks = []
+    sweep_blocks = regress._sweep_blocks
+
+    def recorded(*args):
+        for idx, *rest in sweep_blocks(*args):
+            blocks[-1].append(block_masks(idx).tolist())
+            yield (idx, *rest)
+
+    monkeypatch.setattr(regress, "_sweep_blocks", recorded)
+    for budget in (regress.GAIN_TABLE_BYTES, 0):
+        monkeypatch.setattr(regress, "GAIN_TABLE_BYTES", budget)
+        blocks.append([])
+        assert (regress.fit_table(design).gains is None) is (budget == 0)
+    assert len(blocks[0]) > 1 and blocks[0] == blocks[1]

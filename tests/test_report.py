@@ -16,7 +16,6 @@ from report_oracle import as_certificates, certificate_jsonable, reference_text,
 from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
 from r2audit import (
     best_subset,
-    check_submodular,
     cli,
     fit_table,
     forward_stepwise,
@@ -27,15 +26,16 @@ from r2audit import (
 )
 from r2audit.bitsets import indices_of
 from r2audit.cli import (
+    _certificate_texts,
     _violation_summary,
     build_audit_report,
     main,
     report_text,
-    write_certificates,
 )
 from r2audit.jsonsafe import sanitize
 from r2audit.regress import load_csv, standardize
-from r2audit.setfun import TOP_CERTIFICATES, Certificates, ViolationCertificate, find_suppressors
+from r2audit.setfun import TOP_CERTIFICATES, VIOLATION_TOL, Certificates, ViolationCertificate
+from walk_lists import whole_lists
 
 ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5, 0.0, 1e-7]
 ODD_NAMES = ('a"b', "c\\d", "e\tf", "é", "NaN", "\0\0\x000", "", "x")
@@ -88,22 +88,22 @@ def test_odd_floats_render_like_reference():
         ("first_order", ("A", "B", "i")),
     ],
 )
-def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, tmp_path, monkeypatch, miller_design):
+def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, monkeypatch, miller_design):
     certs = _odd_certificates(form, roles)
     lists = [certs, certs[:0], certs[::-2]]
     if form in oracle.MODES:  # and the list the form's check finds on Miller
         lists.append(as_certificates(form, roles, oracle.check_submodular(miller_design, form)))
-    # chunks of 5 rows, so that lists and chunks share sets
-    monkeypatch.setattr(cli, "STREAM_CHUNK", 5)
-    rendered = []
+    # chunks of 5 rows with one cache of rendered sets, as the stream renders
+    # them, so that lists and chunks share sets
+    rendered, cache, texts = [], {}, []
     monkeypatch.setattr(cli, "indices_of", lambda mask: rendered.append(mask) or indices_of(mask))
-    write_certificates(tmp_path / "certs.jsonl", lists, ODD_NAMES)
+    for part in lists:
+        for lo in range(0, len(part), 5):
+            texts += _certificate_texts(part[lo : lo + 5], ODD_NAMES, cache)
     expected = [
-        json.dumps(sanitize(certificate_jsonable(c, ODD_NAMES)), sort_keys=True) + "\n"
-        for part in lists
-        for c in part
+        json.dumps(sanitize(certificate_jsonable(c, ODD_NAMES)), sort_keys=True) for part in lists for c in part
     ]
-    assert (tmp_path / "certs.jsonl").read_text(encoding="utf-8") == "".join(expected)
+    assert texts == expected
     # each set's name list is rendered once per stream, whatever its roles
     sets = [values for part in lists for role, values in zip(roles, part.columns) if role not in ("i", "j")]
     assert sorted(rendered) == sorted(set(np.concatenate(sets).tolist()))
@@ -147,7 +147,7 @@ def suppressor_design():
 
 
 def test_certificates_sequence_contract(suppressor_design):
-    certs = find_suppressors(suppressor_design)
+    certs = whole_lists(suppressor_design)[1]
     expected = oracle.find_suppressors(suppressor_design)
     n = len(expected)
     assert n > 10 and len(certs) == n
@@ -171,7 +171,7 @@ def test_certificates_sequence_contract(suppressor_design):
 
 
 def test_yielded_certificates_replay(suppressor_design):
-    certs = find_suppressors(suppressor_design)
+    certs = whole_lists(suppressor_design)[1]
     for cert in [*certs[:5], certs[-1], *certs[::-7]]:
         lhs, rhs = oracle.replay_certificate(suppressor_design, cert)
         assert abs(lhs - cert.lhs) < 1e-10
@@ -179,7 +179,7 @@ def test_yielded_certificates_replay(suppressor_design):
 
 
 def test_empty_result_is_falsy_and_equals_empty_list(orthogonal_design):
-    certs = find_suppressors(orthogonal_design)
+    certs = whole_lists(orthogonal_design)[1]
     assert isinstance(certs, Certificates)
     assert not certs and len(certs) == 0
     assert certs == [] and [] == certs and certs == ()
@@ -198,27 +198,16 @@ def test_as_certificates_round_trips(suppressor_design):
 # ---------------------------------------------------------------------------
 
 
-def _assert_heads_match(make, expected):
-    # Each head comes from a list no read has sorted yet. Rows compare by
-    # repr, so that NaN deficits compare too.
-    def texts(certs):
-        return list(map(repr, certs))
-
-    for n in [*range(len(expected) + 2), len(expected) + 10]:
-        certs = make()
-        head = certs[:n]
-        assert isinstance(head, Certificates) and texts(head) == texts(expected[:n]), n
-    for part in (slice(3, 7), slice(-5, -2), slice(None, None, -3), slice(4, None, 2)):
-        assert texts(make()[part]) == texts(expected[part]), part
-    for at in (-1, len(expected) // 2) if expected else ():
-        assert repr(make()[at]) == repr(expected[at])
+def _texts(certs):
+    # rows compare by repr, so that NaN deficits compare too
+    return list(map(repr, certs))
 
 
 @pytest.mark.parametrize("name", ["miller", "suppressor6", "hadamard_pairs", "hadamard_mix", "noisy_m6"])
-def test_heads_match_full_sort_on_designs(name, miller_design):
+def test_heads_match_full_sort_on_designs(name, miller_design, monkeypatch):
     d = miller_design if name == "miller" else ORACLE_DESIGNS[name]()
     table = fit_table(d)
-    second = oracle.check_submodular(d)
+    second, suppression = oracle.check_submodular(d), oracle.find_suppressors(d)
     # mirror images (A, i, j) and (A, j, i) share a deficit and sit together,
     # so some cut falls between the two
     mirrors = [
@@ -226,14 +215,20 @@ def test_heads_match_full_sort_on_designs(name, miller_design):
         for a, b in zip(second, second[1:])
     ]
     assert any(mirrors)
-    _assert_heads_match(lambda: setfun.check_submodular(d, table=table), second)
-    _assert_heads_match(lambda: setfun.find_suppressors(d, table=table), oracle.find_suppressors(d))
+    # the heads the walk keeps are the first rows of the full sort, at every
+    # cut up to three default heads and at the list's end
+    for top in sorted({*range(3 * TOP_CERTIFICATES), *range(len(second) - 1, len(second) + 2), len(second) + 10}):
+        monkeypatch.setattr(setfun, "TOP_CERTIFICATES", top)
+        summary = setfun._second_order_summary(table, VIOLATION_TOL)
+        assert isinstance(summary.second_order, Certificates) and isinstance(summary.suppression, Certificates)
+        assert _texts(summary.second_order) == _texts(second[:top]), top
+        assert _texts(summary.suppression) == _texts(suppression[:top]), top
 
 
 def _synthetic(deficits, m=5, seed=0):
-    """Certificates over random (S, i, j) with the given deficits, made
-    fresh on each call, and the list a full sort gives: by deficit, largest
-    first and NaN last, then by the index sets, stable in storage order."""
+    """Certificates over random (S, i, j) with the given deficits, in
+    storage order, and the list a full sort gives: by deficit, largest first
+    and NaN last, then by the index sets, stable in storage order."""
     rng = np.random.default_rng(seed)
     count = len(deficits)
     s, i, j = rng.integers(0, 1 << m, count), rng.integers(0, m, count), rng.integers(0, m, count)
@@ -243,7 +238,7 @@ def _synthetic(deficits, m=5, seed=0):
         for a, b, c, d in zip(s.tolist(), i.tolist(), j.tolist(), rhs.tolist())
     ]
     expected = sorted(rows, key=lambda c: (math.isnan(c.deficit), -c.deficit if c.deficit == c.deficit else 0.0, c.sets))
-    return lambda: setfun._by_sets("suppression", ("S", "i", "j"), [s, i, j, lhs, rhs, rhs - lhs], m), expected
+    return Certificates("suppression", ("S", "i", "j"), [s, i, j], lhs, rhs, rhs - lhs), expected
 
 
 @pytest.mark.parametrize(
@@ -258,20 +253,22 @@ def _synthetic(deficits, m=5, seed=0):
         [math.nan, 0.5, 0.25] * 6,  # NaN rows past the head, ties at 0.25 straddling its cut
     ],
 )
-def test_heads_match_full_sort_on_synthetic_lists(deficits):
-    make, expected = _synthetic(deficits)
-    _assert_heads_match(make, expected)
-    # The row store with top keeps the head's rows from offers of 3, 1, 4,
-    # 1, 5, 9, 2 and 6 rows in turn, its cut moving between them.
-    certs = make()
-    rows = setfun._Rows(certs.roles, 5, TOP_CERTIFICATES)
+def test_heads_match_full_sort_on_synthetic_lists(deficits, monkeypatch):
+    # The row store keeps the head's rows from one offer of the whole list,
+    # and from offers of 3, 1, 4, 1, 5, 9, 2 and 6 rows in turn, its cut
+    # moving between them, at every cut.
+    certs, expected = _synthetic(deficits)
     columns = [*certs.columns, certs.lhs, certs.rhs, certs.deficit]
-    bounds = np.cumsum([0] + [3, 1, 4, 1, 5, 9, 2, 6] * 10)
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo < len(certs):
-            rows.offer(np.ones(min(hi, len(certs)) - lo, bool), *[values[lo:hi] for values in columns])
-    head = setfun._by_sets(certs.form, certs.roles, rows.columns(), 5)[:TOP_CERTIFICATES]
-    assert list(map(repr, head)) == list(map(repr, expected[:TOP_CERTIFICATES]))
+    for top in [*range(len(expected) + 2), len(expected) + 10]:
+        monkeypatch.setattr(setfun, "TOP_CERTIFICATES", top)
+        for sizes in ([len(certs)], [3, 1, 4, 1, 5, 9, 2, 6] * 10):
+            rows = setfun._Rows(certs.form, certs.roles, 5)
+            bounds = np.cumsum([0, *sizes])
+            for lo, hi in zip(bounds, bounds[1:]):
+                if lo < len(certs):
+                    rows.offer(np.ones(min(hi, len(certs)) - lo, bool), *[values[lo:hi] for values in columns])
+            head = rows.head()
+            assert isinstance(head, Certificates) and _texts(head) == _texts(expected[:top]), (top, sizes)
 
 
 @pytest.mark.parametrize("stream", [True, False])
@@ -305,9 +302,9 @@ def test_audit_asks_for_the_second_order_summary_once(stream, tmp_path, monkeypa
     calls = []
     summary = setfun._second_order_summary
 
-    def counted(table, tolerance, top=TOP_CERTIFICATES):
-        calls.append(top)
-        return summary(table, tolerance, top)
+    def counted(table, tolerance, sink=None):
+        calls.append(sink is not None)
+        return summary(table, tolerance, sink)
 
     monkeypatch.setattr(cli, "_second_order_summary", counted)
     monkeypatch.setattr(setfun, "_second_order_summary", counted)
@@ -317,7 +314,7 @@ def test_audit_asks_for_the_second_order_summary_once(stream, tmp_path, monkeypa
     if stream:
         args += ["--certificates", str(tmp_path / "certs.jsonl")]
     assert main(args) == 0
-    assert calls == [None if stream else TOP_CERTIFICATES]
+    assert calls == [stream]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +333,7 @@ def test_audit_nwf_block_equals_nwf_check(design, k, miller_design):
     report, _ = build_audit_report(d, "in.csv", "Y", k, 20)
     # the greedy and optimal fits of select's two searches
     greedy = forward_stepwise(d, k).final_r_squared()
-    expected = nwf_verdict(greedy, best_subset(d, k).r_squared, not check_submodular(d))
+    expected = nwf_verdict(greedy, best_subset(d, k).r_squared, not whole_lists(d)[0])
     fields = ("greedy_r2", "optimal_r2", "ratio", "threshold", "guarantee_holds", "is_submodular")
     assert report["selection"]["nwf"] == {f: getattr(expected, f) for f in fields}
 

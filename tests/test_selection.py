@@ -6,7 +6,6 @@ import pytest
 
 from r2audit import (
     best_subset,
-    check_submodular,
     forward_stepwise,
     gram_factory,
     isis,
@@ -25,6 +24,7 @@ from r2audit.selection import BestSubsetResult
 from conftest import make_noisy_design, make_orthogonal_design
 import selection_oracle
 from setfun_oracle import mask_of
+from walk_lists import whole_lists
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_best_subset_cap():
 
 def test_nwf_orthogonal_ratio_one():
     d = make_orthogonal_design([0.6, 0.4, 0.2], n=8)
-    res = nwf_verdict(forward_stepwise(d, 2).final_r_squared(), best_subset(d, 2).r_squared, not check_submodular(d))
+    res = nwf_verdict(forward_stepwise(d, 2).final_r_squared(), best_subset(d, 2).r_squared, not whole_lists(d)[0])
     assert abs(res.ratio - 1.0) < 1e-10
     assert res.guarantee_holds
     assert res.is_submodular
@@ -274,7 +274,7 @@ def test_nwf_orthogonal_ratio_one():
 
 def test_nwf_miller_violation(miller_design):
     greedy = forward_stepwise(miller_design, 2).final_r_squared()
-    res = nwf_verdict(greedy, best_subset(miller_design, 2).r_squared, not check_submodular(miller_design))
+    res = nwf_verdict(greedy, best_subset(miller_design, 2).r_squared, not whole_lists(miller_design)[0])
     assert abs(res.ratio - 0.2) < 1e-3
     assert not res.guarantee_holds
     assert not res.is_submodular

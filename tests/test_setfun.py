@@ -5,10 +5,8 @@ import pytest
 
 from r2audit import (
     StandardizedDesign,
-    check_submodular,
     empirical_gamma_s,
     empirical_gamma_s2,
-    find_suppressors,
     fit_table,
     r_squared,
     random_gaussian,
@@ -22,6 +20,7 @@ from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 import setfun_oracle as oracle
 from setfun_oracle import mask_of, replay_certificate
 from test_fit_kernel import DESIGNS as FIT_KERNEL_DESIGNS
+from walk_lists import whole_lists
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +49,18 @@ def test_delta_matches_two_evaluations():
 
 
 # ---------------------------------------------------------------------------
-# check_submodular
+# the second-order list
 # ---------------------------------------------------------------------------
 
 
 def test_orthogonal_design_clean_in_all_modes(orthogonal_design):
-    assert check_submodular(orthogonal_design) == []
+    assert whole_lists(orthogonal_design)[0] == []
     for mode in ("definition", "first_order"):
         assert oracle.check_submodular(orthogonal_design, mode) == []
 
 
 def test_miller_second_order_certificate(miller_design):
-    certs = check_submodular(miller_design)
+    certs = whole_lists(miller_design)[0]
     assert certs
     witnessed = {(c.set_dict()["A"], c.set_dict()["i"][0], c.set_dict()["j"][0]) for c in certs}
     assert ((), 0, 1) in witnessed or ((), 1, 0) in witnessed
@@ -71,7 +70,7 @@ def test_miller_second_order_certificate(miller_design):
 
 
 def test_miller_violates_all_modes(miller_design):
-    assert check_submodular(miller_design)
+    assert whole_lists(miller_design)[0]
     for mode in ("definition", "first_order"):
         assert oracle.check_submodular(miller_design, mode)
 
@@ -80,14 +79,14 @@ def test_suppressor_population_is_supermodular():
     from r2audit import gram_factory, suppressor_population
 
     d = gram_factory(suppressor_population(3, 1.0, 3.0), 8)
-    assert check_submodular(d)
+    assert whole_lists(d)[0]
 
 
 def test_certificates_replay(miller_design):
     # the definition and first-order lists are the oracle's; replayed without
     # a cache, every side is recomputed from direct fits
     lists = [oracle.check_submodular(miller_design, mode) for mode in ("definition", "first_order")]
-    for certs in [*lists, check_submodular(miller_design)]:
+    for certs in [*lists, whole_lists(miller_design)[0]]:
         assert certs
         for cert in certs:
             lhs, rhs = replay_certificate(miller_design, cert)
@@ -107,7 +106,7 @@ def test_second_order_mirror_images_are_adjacent(design):
         d = make_noisy_design(2, n=30, m=6)
     else:
         d = gram_factory(suppressor_population(6, 1.0, 3.0), 10)
-    certs = check_submodular(d)
+    certs = whole_lists(d)[0]
     pos = {}
     for k, c in enumerate(certs):
         sets = c.set_dict()
@@ -131,19 +130,19 @@ def test_mirror_rows_are_kept_or_dropped_together_at_the_tolerance_edge():
     X = rng.standard_normal((40, 6))
     d = standardize(X, X[:, 0] + rng.standard_normal(40))
     own = {}
-    for c in check_submodular(d, tolerance=0.0):
+    for c in whole_lists(d, tolerance=0.0)[0]:
         sets = c.set_dict()
         own[sets["A"], sets["i"][0], sets["j"][0]] = c.rhs - c.lhs
     edges = [6.18786654161e-05]
     edges += [min(gap, own[a, j, i]) for (a, i, j), gap in own.items() if i < j and gap != own[a, j, i]][:5]
     assert len(edges) > 1
     for tolerance in edges:
-        certs = check_submodular(d, tolerance=tolerance)
+        certs, suppression = whole_lists(d, tolerance=tolerance)
         rows = _triples(certs)
         assert len(certs) % 2 == 0, tolerance
         assert all(c.deficit > tolerance for c in certs), tolerance
         assert all((a, j, i) in rows for a, i, j in rows), tolerance
-        assert _triples(find_suppressors(d, tolerance=tolerance)) == rows
+        assert _triples(suppression) == rows
 
 
 def test_pair_gains_visit_each_unordered_pair_once():
@@ -177,7 +176,7 @@ def test_equivalence_chain_on_small_instances():
     designs.append(make_pair_design(0.5, 0.5, 0.5, n=8))
     for d in designs:
         clean = {mode: not oracle.check_submodular(d, mode) for mode in ("definition", "first_order")}
-        clean["second_order"] = not check_submodular(d)
+        clean["second_order"] = not whole_lists(d)[0]
         if clean["second_order"]:
             assert clean["first_order"]
         if clean["first_order"]:
@@ -216,7 +215,7 @@ def test_sub_stat_sum_inequality_when_submodular():
 def test_enumeration_cap():
     d = make_noisy_design(40, n=30, m=6)
     with pytest.raises(TooManyFeatures):
-        check_submodular(d, max_features=5)
+        whole_lists(d, max_features=5)[0]
 
 
 def test_concurrent_enumeration_shares_cache():
@@ -226,7 +225,7 @@ def test_concurrent_enumeration_shares_cache():
     d = make_noisy_design(41, n=25, m=6)
     shared = fit_table(d)
 
-    checks = [check_submodular, find_suppressors, empirical_gamma_s2] * 2
+    checks = [whole_lists, empirical_gamma_s2] * 3
     with ThreadPoolExecutor(max_workers=6) as pool:
         results = list(pool.map(lambda check: check(d, table=shared), checks))
     for check, got in zip(checks, results):
@@ -234,16 +233,16 @@ def test_concurrent_enumeration_shares_cache():
 
 
 # ---------------------------------------------------------------------------
-# find_suppressors
+# the suppression list
 # ---------------------------------------------------------------------------
 
 
 def test_orthogonal_design_has_no_suppressors(orthogonal_design):
-    assert find_suppressors(orthogonal_design) == []
+    assert whole_lists(orthogonal_design)[1] == []
 
 
 def test_miller_suppressor_pair(miller_design):
-    certs = find_suppressors(miller_design)
+    certs = whole_lists(miller_design)[1]
     assert certs
     top = certs[0]
     sets = top.set_dict()
@@ -261,9 +260,8 @@ def test_suppression_iff_second_order_violation():
     designs = [make_noisy_design(seed, n=18, m=4) for seed in range(8)]
     designs.append(make_orthogonal_design([0.5, 0.3, 0.2], n=7))
     for d in designs:
-        has_suppressor = bool(find_suppressors(d))
-        violates = bool(check_submodular(d))
-        assert has_suppressor == violates
+        second, suppression = whole_lists(d)
+        assert bool(suppression) == bool(second)
 
 
 def _triples(certs):
@@ -280,17 +278,17 @@ def test_suppression_rows_are_the_second_order_rows(name):
     else:
         d = FIT_KERNEL_DESIGNS[name]()
     table = fit_table(d)
-    second = check_submodular(d, table=table)
+    second, suppression = whole_lists(d, table=table)
     triples = _triples(second)
     assert len(triples) == len(second)
-    assert _triples(find_suppressors(d, table=table)) == triples
-    assert _triples(find_suppressors(d)) == triples
+    assert _triples(suppression) == triples
+    assert _triples(whole_lists(d)[1]) == triples
     if second:
         gaps = np.sort(second.rhs - second.lhs)
         edge = float(gaps[gaps.size // 2])
-        at_edge = _triples(check_submodular(d, tolerance=edge))
-        assert at_edge == _triples(find_suppressors(d, tolerance=edge))
-        assert len(at_edge) < len(triples)
+        at_edge = [_triples(certs) for certs in whole_lists(d, tolerance=edge)]
+        assert at_edge[0] == at_edge[1]
+        assert len(at_edge[0]) < len(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +383,11 @@ def test_gamma_s2_at_m18_is_resolved_against_50_digits():
 
 def test_certificate_columns_are_small():
     d = make_noisy_design(2, n=30, m=9)
-    for certs in (check_submodular(d), find_suppressors(d)):
+    for certs in whole_lists(d):
         assert certs
         sets, i, j = certs.columns
         assert (sets.dtype, i.dtype, j.dtype) == (np.uint16, np.int8, np.int8)
-    sets, i, j = check_submodular(make_noisy_design(2, n=30, m=6)).columns
+    sets, i, j = whole_lists(make_noisy_design(2, n=30, m=6))[0].columns
     assert (sets.dtype, i.dtype, j.dtype) == (np.uint8, np.int8, np.int8)
 
 

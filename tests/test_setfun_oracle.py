@@ -5,6 +5,7 @@ of certificate lists must agree bit for bit.
 """
 
 import json
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from r2audit import cli, regress, setfun
 from r2audit.bitsets import indices_of
 from r2audit.datasets import write_csv
 from r2audit.regress import gram_rows
+from walk_lists import whole_lists
 
 
 def _duplicated_column_design():
@@ -99,7 +101,7 @@ def test_check_submodular_matches_oracle(design, mode):
     # first-order forms are equivalent inequalities the package does not
     # check: on every design the oracle finds them violated iff the
     # package's second-order list is nonempty.
-    got = setfun.check_submodular(design)
+    got = whole_lists(design)[0]
     expected = oracle.check_submodular(design, mode)
     if mode == "second_order":
         assert got == expected
@@ -108,7 +110,7 @@ def test_check_submodular_matches_oracle(design, mode):
 
 
 def test_find_suppressors_matches_oracle(design):
-    assert setfun.find_suppressors(design) == oracle.find_suppressors(design)
+    assert whole_lists(design)[1] == oracle.find_suppressors(design)
 
 
 def test_gamma_s2_matches_oracle(design):
@@ -121,7 +123,7 @@ def test_gamma_s_matches_oracle(design):
 
 def test_any_violation_matches_certificate_list(design):
     expected = bool(oracle.check_submodular(design, "second_order"))
-    assert bool(setfun.check_submodular(design)) is expected
+    assert bool(whole_lists(design)[0]) is expected
 
 
 def test_tolerance_edge_matches_oracle(design):
@@ -129,7 +131,7 @@ def test_tolerance_edge_matches_oracle(design):
     # comparison in both implementations.
     certs = oracle.check_submodular(design, "second_order", tolerance=0.0)
     edge = certs[len(certs) // 2].deficit if certs else setfun.VIOLATION_TOL
-    assert setfun.check_submodular(design, tolerance=edge) == oracle.check_submodular(
+    assert whole_lists(design, tolerance=edge)[0] == oracle.check_submodular(
         design, tolerance=edge
     )
 
@@ -187,8 +189,9 @@ def test_kernels_match_oracle_without_a_gain_table(design, monkeypatch):
     masks = np.arange(1 << design.m)
     for i in range(design.m):
         assert np.array_equal(table.gain(i), table.r2[masks | (1 << i)] - table.r2)
-    assert setfun.check_submodular(design, table=table) == oracle.check_submodular(design, table=table)
-    assert setfun.find_suppressors(design, table=table) == oracle.find_suppressors(design, table=table)
+    second, suppression = whole_lists(design, table=table)
+    assert second == oracle.check_submodular(design, table=table)
+    assert suppression == oracle.find_suppressors(design, table=table)
     assert setfun.empirical_gamma_s2(design, table=table) == oracle.empirical_gamma_s2(design, table=table)
     assert setfun.empirical_gamma_s(design, table=table) == oracle.empirical_gamma_s(design, table=table)
 
@@ -201,8 +204,7 @@ def test_one_table_serves_every_kernel():
     assert not table.r2.flags.writeable and not table.gains.flags.writeable
     first = setfun.empirical_gamma_s2(d, table=table)
     assert first == setfun.empirical_gamma_s2(d)
-    setfun.find_suppressors(d, table=table)
-    setfun.check_submodular(d, table=table)
+    whole_lists(d, table=table)
     setfun.empirical_gamma_s(d, table=table)
     assert np.array_equal(table.r2, r2) and np.array_equal(table.gains, gains)
     assert setfun.empirical_gamma_s2(d, table=table) == first
@@ -225,14 +227,33 @@ def test_lex_rank_orders_index_tuples():
     assert [int(v) for v in np.argsort(ranks)] == expected
 
 
-def _oracle_summary(d, tolerance, top):
-    """The second-order summary, read off the oracle's whole lists."""
+def _walk_order(cert):
+    """A certificate's place in the pair walk: its pair (lo, hi), then its
+    orientation, (A, lo, hi) before (A, hi, lo), then its set's mask."""
+    (_, sets), (_, (i,)), (_, (j,)) = cert.sets
+    return min(i, j), max(i, j), i > j, oracle.mask_of(sets)
+
+
+def _oracle_summary(d, tolerance, sink):
+    """The second-order summary, read off the oracle's whole lists, whose
+    rows it hands the sink as the walk does: in walk order, one pair and
+    orientation at a time."""
     second = oracle.check_submodular(d, tolerance=tolerance)
+    suppression = oracle.find_suppressors(d, tolerance=tolerance)
+    if sink is not None:
+        rows = zip(sorted(second, key=_walk_order), sorted(suppression, key=_walk_order))
+        for _, chunk in groupby(rows, key=lambda pair: _walk_order(pair[0])[:3]):
+            chunk = list(chunk)
+            sink(
+                as_certificates("second_order", ("A", "i", "j"), [row for row, _ in chunk]),
+                as_certificates("suppression", ("S", "i", "j"), [row for _, row in chunk]),
+            )
+    top = setfun.TOP_CERTIFICATES
     return setfun.SecondOrderSummary(
         oracle.empirical_gamma_s2(d),
         *row_counts(second, d.m),
         as_certificates("second_order", ("A", "i", "j"), second[:top]),
-        as_certificates("suppression", ("S", "i", "j"), oracle.find_suppressors(d, tolerance=tolerance)[:top]),
+        as_certificates("suppression", ("S", "i", "j"), suppression[:top]),
     )
 
 
@@ -250,9 +271,9 @@ def _assert_oracle_report_identical(rows, tmp_path, monkeypatch, has_certificate
         patch.setattr(cli, "empirical_gamma_s", oracle.empirical_gamma_s)
         # the design the CLI reads back from the CSV
         loaded = standardize(*regress.load_csv(path, "Y"))
-        # with top=None the summary holds the stream's whole lists; its gamma is the oracle's gamma_s2
+        # the oracle's rows reach the stream through the sink; its gamma is the oracle's gamma_s2
         patch.setattr(
-            cli, "_second_order_summary", lambda table, tolerance, top: _oracle_summary(loaded, tolerance, top)
+            cli, "_second_order_summary", lambda table, tolerance, sink: _oracle_summary(loaded, tolerance, sink)
         )
         oracle_args = ["--out", str(tmp_path / "oracle.json"), "--certificates", str(tmp_path / "oracle.jsonl")]
         assert cli.main(args + oracle_args) == 0
