@@ -99,6 +99,27 @@ def _write_text(out_path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _check_run(args) -> None:
+    """Refuse before a CSV is read, a row drawn or a grid worker forked: gen
+    gaussian without --n, standard output closed (`>&-`) without --out, and
+    an --out at the regular file or new path of another output of the run."""
+    if args.command == "gen" and args.generator == "gaussian" and args.n is None:
+        raise ValueError("gen gaussian requires --n")
+    if args.out is None and sys.stdout is None:
+        raise ValueError("standard output is closed")
+    other = {"audit": "certificates", "grid": "svg"}.get(args.command)
+    if args.out is None or other is None or getattr(args, other) is None:
+        return
+    paths = [os.path.join(args.svg, f"{field}.svg") for field in SVG_FIELDS] if other == "svg" else [args.certificates]
+    for path in paths:
+        if os.path.exists(args.out) and os.path.exists(path):
+            shared = os.path.samefile(args.out, path) and os.path.isfile(path)
+        else:
+            shared = os.path.realpath(args.out) == os.path.realpath(path)
+        if shared:
+            raise ValueError(f"--out and --{other} both write {path}")
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -649,15 +670,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "gen" and args.generator == "gaussian" and args.n is None:
-        sys.stderr.write("error: gen gaussian requires --n\n")
-        return 1
-    # A process started with standard output closed (`>&-`) has none: refused
-    # before a command reads its input, draws a row or forks a grid worker.
-    if args.out is None and sys.stdout is None:
-        sys.stderr.write("error: standard output is closed\n")
-        return 1
     try:
+        _check_run(args)
         return args.func(args)
     except (AuditError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

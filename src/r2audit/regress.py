@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitsets import block_masks, combination_blocks
+from .bitsets import block_masks
 from .errors import (
     ConstantColumn,
     DataFormatError,
@@ -456,10 +456,10 @@ def sweep_walk(design: StandardizedDesign, depth: int) -> Iterator[tuple[np.ndar
 
     A subset S is trusted when each member's pivot against the rest of S,
     1 / [G_S^{-1}]_aa, is at least TABLE_PIVOT_RTOL * G[a, a], and its parent
-    is trusted. An untrusted subset is not swept further: it and its whole
-    subtree come back with trusted False and r2 NaN, for the caller to fit
-    with :func:`fit_block`. Trusted values agree with fit_block's to
-    rounding, not bit for bit (see TABLE_PIVOT_RTOL).
+    is trusted. An untrusted subset's swept matrix is NaN, which fails every
+    pivot test, so it and its whole subtree come back with trusted False and
+    r2 NaN, for the caller to fit with :func:`fit_block`. Trusted values
+    agree with fit_block's to rounding, not bit for bit (see TABLE_PIVOT_RTOL).
     """
     for idx, r2, trusted, _ in _sweep_blocks(design, depth, FIT_CHUNK // SWEEP_CHUNK_DIVISOR, False):
         yield idx, r2, trusted
@@ -507,7 +507,8 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, block_size: int, gains
     with a fourth entry: None, or with ``gains`` a (k, m) array whose row
     holds C_S[j, y]^2 / C_S[j, j] of the block's subset S for every feature
     j, NaN where S is untrusted or C_S[j, j] is below j's floor (every member
-    of S among them)."""
+    of S among them). An untrusted node's swept matrix is NaN, so one path
+    expands every node, and its whole subtree comes back untrusted."""
     m = design.m
     if not 0 <= depth <= m:
         raise ValueError(f"depth must lie in 0..{m}")
@@ -516,16 +517,19 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, block_size: int, gains
     G = design.gram()
     floor = TABLE_PIVOT_RTOL * np.diagonal(G)[:m]
     features = np.arange(m)
+    block_size = max(1, block_size)
 
     def below(members, r2, C):
-        # The subtrees of a block of trusted nodes of one size. ``members``
-        # holds each node's features as a row, C their swept matrices.
+        # The subtrees of a block of nodes of one size. ``members`` holds each
+        # node's features as a row, C their swept matrices.
         count, size = members.shape
         cross = C[:, :m, m]
         last = members[:, -1] if size else np.full(count, -1)
         p, i = np.nonzero(features > last[:, None])
         pivot, trusted = _pivots(C, members, p, i, floor)
-        r2 = np.where(trusted, r2[p] + np.square(cross[p, i]) / pivot, np.nan)
+        # NaN for an untrusted child, so its r2, gains and subtree are NaN too
+        pivot[~trusted] = np.nan
+        r2 = r2[p] + np.square(cross[p, i]) / pivot
         idx = np.concatenate([members[p], i[:, None]], axis=1)
         child_gains = None
         if gains:
@@ -535,27 +539,15 @@ def _sweep_blocks(design: StandardizedDesign, depth: int, block_size: int, gains
             col = C[p, :m, i]
             child_diag = diag[p] - col * (col / pivot[:, None])
             child_cross = cross[p] - col * (cross[p, i] / pivot)[:, None]
-            usable = trusted[:, None] & (child_diag >= floor)
+            usable = child_diag >= floor
             child_gains = np.where(usable, np.square(child_cross) / np.where(usable, child_diag, 1.0), np.nan)
         yield idx, r2, trusted, child_gains
         if size + 1 == depth:
             return
-        parents = i < m - 1
-        for c in np.flatnonzero(parents & ~trusted):
-            yield from untrusted_below(idx[c])
-        for block in _blocks(np.flatnonzero(parents & trusted), block_size):
+        parents = np.flatnonzero(i < m - 1)
+        for lo in range(0, parents.size, block_size):
+            block = parents[lo : lo + block_size]
             yield from below(idx[block], r2[block], _sweep(C[p[block]], i[block], pivot[block]))
-
-    def untrusted_below(node):
-        # Every descendant of one untrusted node, unswept.
-        last = int(node[-1])
-        free = m - last - 1
-        for extra in range(1, min(depth - node.size, free) + 1):
-            for tail in combination_blocks(free, extra, FIT_CHUNK):
-                head = np.broadcast_to(node, (len(tail), node.size))
-                idx = np.concatenate([head, tail + (last + 1)], axis=1)
-                unknown = np.full((len(idx), m), np.nan) if gains else None
-                yield idx, np.full(len(idx), np.nan), np.zeros(len(idx), bool), unknown
 
     yield from below(np.zeros((1, 0), np.intp), np.zeros(1), G[None])
 
@@ -588,13 +580,6 @@ def _sweep(C: np.ndarray, k: np.ndarray, d: np.ndarray) -> np.ndarray:
     C[b, :, k] = scale
     C[b, k, k] = -1.0 / d
     return C
-
-
-def _blocks(rows: np.ndarray, size: int) -> Iterator[np.ndarray]:
-    """Split an index array into blocks of at most ``size`` consecutive nodes."""
-    size = max(1, size)
-    for lo in range(0, rows.size, size):
-        yield rows[lo : lo + size]
 
 
 def r_squared(design: StandardizedDesign, subset: SubsetLike) -> float:

@@ -139,7 +139,7 @@ def test_closed_stdout_fails_the_grid_before_it_forks(monkeypatch, capsys):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("ran with standard output closed")
+    raise AssertionError("the command ran although it should have been refused")
 
 
 @pytest.mark.parametrize(
@@ -155,6 +155,52 @@ def test_closed_stdout_is_refused_before_the_command_runs(small_csv, monkeypatch
     monkeypatch.setattr(sys, "stdout", None)
     assert cli.main([str(small_csv) if arg == "{csv}" else arg for arg in args]) == 1
     assert capsys.readouterr().err == "error: standard output is closed\n"
+
+
+# ---------------------------------------------------------------------------
+# two outputs of one run at one file
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, flag, shared",
+    [
+        (["audit", "{csv}", "--response", "Y", "--out", "{out}/same.json", "--certificates", "{out}/same.json"],
+         "--certificates", "{out}/same.json"),
+        # a hard link to a file already there
+        (["audit", "{csv}", "--response", "Y", "--out", "{out}/hard.json", "--certificates", "{out}/kept.json"],
+         "--certificates", "{out}/kept.json"),
+        # a symbolic link to a file not there yet
+        (["audit", "{csv}", "--response", "Y", "--out", "{out}/dangling.json", "--certificates", "{out}/new.json"],
+         "--certificates", "{out}/new.json"),
+        (["grid", "--theta-steps", "20", "--v-steps", "20", "--out", "{out}/gd/gamma1.svg", "--svg", "{out}/gd"],
+         "--svg", "{out}/gd/gamma1.svg"),
+        (["grid", "--theta-steps", "20", "--v-steps", "20", "--out", "{out}/gd/../t_ratio_bound.svg", "--svg", "{out}"],
+         "--svg", "{out}/t_ratio_bound.svg"),
+    ],
+    ids=["audit-same-path", "audit-hard-link", "audit-dangling-link", "grid-heatmap", "grid-dotdot"],
+)
+def test_outputs_at_one_file_are_refused_before_the_command_runs(small_csv, tmp_path, monkeypatch, capsys, args,
+                                                                 flag, shared):
+    (tmp_path / "gd").mkdir()
+    (tmp_path / "kept.json").write_text("kept\n")
+    os.link(tmp_path / "kept.json", tmp_path / "hard.json")
+    os.symlink(tmp_path / "new.json", tmp_path / "dangling.json")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr("r2audit.cli.load_csv", _refuse)
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse)
+    argv = [arg.replace("{csv}", str(small_csv)).replace("{out}", str(tmp_path)) for arg in args]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: --out and {flag} both write {shared.replace('{out}', str(tmp_path))}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "kept.json").read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_a_device_takes_both_audit_outputs(small_csv):
+    assert cli.main(["audit", str(small_csv), "--response", "Y", "--out", "/dev/null", "--certificates", "/dev/null"]) == 0
 
 
 # ---------------------------------------------------------------------------

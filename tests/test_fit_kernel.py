@@ -51,6 +51,15 @@ def _duplicated_column():
     return Rows(*standardized_rows(X, X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(20)))
 
 
+def _front_duplicated():
+    # A copy of X1 as the first column, at m = 8: the node {0, 1} is
+    # untrusted, and its subtree, a quarter of the tree, is walked below it.
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((30, 7))
+    X = np.column_stack([X[:, 0], X])
+    return Rows(*standardized_rows(X, X @ rng.uniform(-1.0, 1.0, 8) + 0.6 * rng.standard_normal(30)))
+
+
 def _near_collinear_pair():
     # The first two features correlate at 1 - 1e-9; the last two are independent.
     r = 1.0 - 1e-9
@@ -63,6 +72,7 @@ def _near_collinear_pair():
 # The rows of each design; DESIGNS builds the designs from them.
 ROWS = {
     "duplicated_column": _duplicated_column,
+    "front_duplicated": _front_duplicated,
     "near_collinear_pair": _near_collinear_pair,
     "n_is_m_plus_2": lambda: make_noisy_rows(9, n=7, m=5),
     "n_below_m_plus_1": lambda: make_noisy_rows(12, n=4, m=6),
@@ -103,6 +113,8 @@ def test_table_fill_matches_direct_fit_on_every_mask(rows):
 def test_designs_reach_their_edge_cases():
     for name in ("duplicated_column", "near_collinear_pair", "n_below_m_plus_1"):
         assert not all(trusted for _, trusted in _walk(DESIGNS[name]()).values()), name
+    front = _walk(DESIGNS["front_duplicated"]())
+    assert {mask for mask, (_, ok) in front.items() if not ok} == {mask for mask in front if mask & 3 == 3}
     assert fit_entry(DESIGNS["duplicated_column"](), (1, 4)).rank == 1
     assert fit_entry(DESIGNS["n_below_m_plus_1"](), range(6)).rank == 3
     assert fit_entry(DESIGNS["interpolating"](), range(4)).r_squared == pytest.approx(1.0, abs=1e-12)
@@ -193,6 +205,9 @@ def test_sweep_walk_screens_every_subset_within_the_band(name):
             assert math.isnan(value), idx
         if collapsed < TABLE_PIVOT_RTOL / 2:
             assert not trusted, idx
+    # distrust is closed under supersets
+    untrusted = {mask for mask, (_, trusted) in seen.items() if not trusted}
+    assert all(mask | 1 << j in untrusted for mask in untrusted for j in range(design.m))
 
 
 def test_nested_design_collapses_only_off_its_paths():
@@ -205,7 +220,7 @@ def test_nested_design_collapses_only_off_its_paths():
 
 
 def test_sweep_walk_does_not_depend_on_blocking(monkeypatch):
-    for design in (DESIGNS["duplicated_column"](), make_noisy_design(16, n=40, m=7)):
+    for design in (DESIGNS["duplicated_column"](), DESIGNS["front_duplicated"](), make_noisy_design(16, n=40, m=7)):
         for depth in range(design.m + 1):
             whole = _walk(design, depth)
             monkeypatch.setattr(regress, "FIT_CHUNK", 2)
@@ -260,7 +275,7 @@ def test_gains_are_table_differences_wherever_the_walk_distrusts(name):
             else:
                 difference = fits[with_i] - fits[mask]
                 assert abs(gains[i, mask] - difference) <= 1e-11, (i, indices_of(mask))
-    if name in ("duplicated_column", "near_collinear_pair", "n_below_m_plus_1", "nested_near_null"):
+    if name in ("duplicated_column", "front_duplicated", "near_collinear_pair", "n_below_m_plus_1", "nested_near_null"):
         assert untrusted > 0
 
 
