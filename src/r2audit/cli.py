@@ -99,24 +99,36 @@ def _write_text(out_path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one regular file (a hard or symbolic link to
+    it counts), or one path that does not exist yet. A device such as
+    /dev/null is not one file: it takes any number of outputs."""
+    if os.path.exists(path) and os.path.exists(other):
+        return os.path.samefile(path, other) and os.path.isfile(other)
+    return os.path.realpath(path) == os.path.realpath(other)
+
+
 def _check_run(args) -> None:
     """Refuse before a CSV is read, a row drawn or a grid worker forked: gen
-    gaussian without --n, standard output closed (`>&-`) without --out, and
-    an --out at the regular file or new path of another output of the run."""
+    gaussian without --n, standard output closed (`>&-`) without --out, an
+    --out or --certificates at the input CSV, and an --out at the regular
+    file or new path of another output of the run."""
     if args.command == "gen" and args.generator == "gaussian" and args.n is None:
         raise ValueError("gen gaussian requires --n")
     if args.out is None and sys.stdout is None:
         raise ValueError("standard output is closed")
+    source = getattr(args, "csv", None)
+    if source is not None:
+        for flag in ("out", "certificates"):
+            path = getattr(args, flag, None)
+            if path is not None and _same_file(path, source):
+                raise ValueError(f"--{flag} would overwrite the input {source}")
     other = {"audit": "certificates", "grid": "svg"}.get(args.command)
     if args.out is None or other is None or getattr(args, other) is None:
         return
     paths = [os.path.join(args.svg, f"{field}.svg") for field in SVG_FIELDS] if other == "svg" else [args.certificates]
     for path in paths:
-        if os.path.exists(args.out) and os.path.exists(path):
-            shared = os.path.samefile(args.out, path) and os.path.isfile(path)
-        else:
-            shared = os.path.realpath(args.out) == os.path.realpath(path)
-        if shared:
+        if _same_file(args.out, path):
             raise ValueError(f"--out and --{other} both write {path}")
 
 
@@ -412,7 +424,7 @@ def _grid_spans(blocks: list[range], weights: list[float], workers: int) -> list
 
 def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
     """Evaluate the span a block at a time and write each chunk of a block's
-    cells, as its CSV lines to outputs[0] and its heatmap parts to the rest.
+    cells, as its CSV text to outputs[0] and its heatmap parts to the rest.
     A block with no cell is one empty chunk: it may still open or close a
     document."""
     from . import geometry2d
@@ -421,9 +433,7 @@ def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
         block = geometry2d.grid_evaluate(args.theta_steps, args.v_steps, args.r2_full, rows)
         for start in range(0, max(len(block), 1), GRID_CHUNK_CELLS):
             chunk = range(start, min(start + GRID_CHUNK_CELLS, len(block)))
-            lines = geometry2d.grid_csv_lines(block, chunk)
-            if lines:
-                outputs[0].write("\n".join(lines) + "\n")
+            outputs[0].write(geometry2d.grid_csv_text(block, chunk))
             if len(outputs) > 1:
                 parts = geometry2d.svg_heatmap(block, SVG_FIELDS, args.theta_steps, args.v_steps, cell_range=chunk)
                 for doc, part in zip(outputs[1:], parts):

@@ -10,11 +10,13 @@ gain ratios are scale-free, so grids at different fit levels carry identical
 diagnostic columns. A grid is evaluated column by column, as numpy arrays,
 for a block of theta lines at a time; each value equals the scalar
 triangle_solve and gamma_pair result bit for bit. A range of a block's
-cells renders to its part of the CSV text and of each heatmap document; a
-block formats each distinct value of a grid-line column once, and lays out
-its heatmap cells once for every heatmap, whatever ranges it renders in. The
-parts, joined in order, are byte-identical to formatting and drawing every
-cell of the whole grid on its own.
+cells renders to its part of the CSV text and of each heatmap document. The
+CSV text of a range is formatted in one columnar pass that writes what
+'%.12g' writes, falling back to '%.12g' itself for the values it cannot
+certify; a block lays out its heatmap cells once for every heatmap,
+whatever ranges it renders in. The parts, joined in order, are
+byte-identical to formatting and drawing every cell of the whole grid on
+its own.
 """
 
 from __future__ import annotations
@@ -236,16 +238,16 @@ class Grid:
     object.
     """
 
-    __slots__ = ("columns", "theta_rows", "_csv_texts", "_svg_layouts", "_svg_bands")
+    __slots__ = ("columns", "theta_rows", "_csv_work", "_svg_layouts", "_svg_bands")
 
     def __init__(self, columns: dict[str, np.ndarray], theta_rows: range):
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "theta_rows", theta_rows)
         # Built by the first render call that needs them and shared by the
-        # rest: the CSV text of every cell of each grid-line column, by
-        # column; the rect text of every cell, by (theta_steps, v_steps,
-        # cell_px); and every cell's color band, by field.
-        object.__setattr__(self, "_csv_texts", {})
+        # rest: the CSV kernel's work arrays; the rect text of every cell,
+        # by (theta_steps, v_steps, cell_px); and every cell's color band,
+        # by field.
+        object.__setattr__(self, "_csv_work", None)
         object.__setattr__(self, "_svg_layouts", {})
         object.__setattr__(self, "_svg_bands", {})
 
@@ -339,13 +341,6 @@ def theta_line_blocks(theta_steps: int, v_steps: int, cells: int) -> Iterator[ra
         yield range(start, theta_steps - 1)
 
 
-# Columns with few distinct values: theta, v and r12 are constant along grid
-# lines, tau = v - theta / 2 along diagonals, and b / sin(theta) is nearly
-# constant, so r_y1 and r_y2 repeat with tau. The gamma columns hardly repeat.
-_FEW_VALUED = frozenset({"theta", "v", "tau", "r12", "r_y1", "r_y2", "b"})
-_CSV_ROW = ",".join("%s" if col in _FEW_VALUED else "%.12g" for col in GRID_COLUMNS)
-
-
 def _cell_bounds(cells: Grid, cell_range: range | None) -> tuple[int, int]:
     """(start, stop) of a range of consecutive cells of the block; the
     default is every cell."""
@@ -356,31 +351,202 @@ def _cell_bounds(cells: Grid, cell_range: range | None) -> tuple[int, int]:
     return cell_range.start, cell_range.stop
 
 
-def _distinct_texts(values: np.ndarray) -> list[str]:
-    """'%.12g' of every value, each distinct bit pattern formatted once.
+# ---------------------------------------------------------------------------
+# CSV text: '%.12g' of a chunk's values in one columnar pass
+# ---------------------------------------------------------------------------
+#
+# Each value becomes one 32-byte record of four little-endian uint64 words
+# ("<u8", whatever the platform's order), zero bytes where it has no
+# character: the sign and any "0.000" prefix, the significant digits with
+# their point, the "e+XX" suffix, and the separator in the last byte.
+# Deleting the zero bytes of the records joins them into the text.
+#
+# A value x with decimal exponent e = floor(log10|x|) has the 12-digit
+# significand D = rint(p), p = |x| * 10^(11 - e), the power of ten
+# correctly rounded. p carries two roundings, so it lies within 2.3e-4 of
+# the exact product while p < 1e12. D is then the correctly rounded
+# significand whenever |p - D| < 0.499, and no rounding carries into
+# another decade while p >= 1e11 + 1 and D <= 1e12 - 2. Every other value
+# (zeros, infinities, NaN, subnormals and exponents beyond the table, the
+# tie band and the decade edges) is formatted by '%.12g' itself.
 
-    Keyed on bits, not on values: 0.0 and -0.0 compare equal but print as
-    "0" and "-0", and NaN equals nothing.
-    """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(["%.12g" % x for x in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+_E_MIN, _E_MAX = -308, 308
+_EXPONENTS = range(_E_MIN, _E_MAX + 1)
+
+# By e - _E_MIN: 10^(11 - e); the record of a value before its sign,
+# significand and separator go in: a byte left for the sign, the "0." and
+# zeros that lead a value below 1e-1 in fixed notation, and the suffix of
+# exponent notation; and the value's row block in _LAYOUT.
+_TEN = np.array([float("1e%d" % (11 - e)) for e in _EXPONENTS])
+_AFFIXES = np.frombuffer(
+    b"".join(
+        (b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(24, b"\0")
+        + (b"" if -4 <= e < 12 else b"e%+03d" % e).ljust(8, b"\0")
+        for e in _EXPONENTS
+    ),
+    dtype="<u8",
+).reshape(-1, 4)
+_NOTATION = np.array([12 * (e + 4) if -4 <= e < 12 else 12 * 16 for e in _EXPONENTS], dtype=np.intp)
 
 
-def grid_csv_lines(cells: Grid, cell_range: range | None = None) -> list[str]:
-    """CSV lines (12 significant digits, no line endings) of the block's
-    cells in ``cell_range`` (by default all of them), led by the header line
-    when they start the grid. Joined with LF endings, the lines of
-    consecutive ranges and blocks make one CSV text."""
+def _layout(e: int | None, digits: int) -> bytes:
+    """The three 16-byte masks that lay out a significand with ``digits``
+    significant digits: '0' bits over the digits written, the bytes before
+    the point, and the point. ``e`` is the exponent in fixed notation, None
+    in exponent notation."""
+    if e is None:
+        kept, point = digits, 1
+    elif e < 0:
+        kept, point = digits, None  # the point is in the prefix
+    else:
+        kept, point = max(digits, e + 1), e + 1
+    if point is None or point >= kept:
+        point = 16  # no digit after the point: no point
+    return b"".join(mask[:16].ljust(16, b"\0") for mask in (b"0" * kept, b"\xff" * point, b"\0" * point + b"."))
+
+
+# By (notation, digits - 1): fixed notation at e = -4..11, then exponent
+# notation.
+_LAYOUT = np.frombuffer(
+    b"".join(_layout(e, digits) for e in [*range(-4, 12), None] for digits in range(1, 13)), dtype="<u8"
+).reshape(-1, 6)
+# The separator after each column, in a record's last byte.
+_SEPARATORS = np.array([ord(",") << 56] * (len(GRID_COLUMNS) - 1) + [ord("\n") << 56], dtype=np.uint64)
+
+
+class _CsvWork:
+    """Work arrays of the CSV kernel for up to ``rows`` cells, made once
+    and reused by every chunk of a block: fresh temporaries per chunk cost
+    more in page faults than the arithmetic."""
+
+    __slots__ = ("rows", "matrix", "real", "index", "fails", "words", "parts", "top", "layout", "records")
+
+    def __init__(self, rows: int):
+        n = rows * len(GRID_COLUMNS)
+        self.rows = rows
+        self.matrix = np.empty((rows, len(GRID_COLUMNS)))
+        self.real = np.empty((3, n))
+        self.index = np.empty((2, n), dtype=np.intp)
+        self.fails = np.empty((2, n), dtype=bool)
+        self.words = np.empty((2, n), dtype="<u8")
+        self.parts = np.empty((2, n), dtype="<u8")
+        self.top = np.empty(n, dtype=np.int32)
+        self.layout = np.empty((n, 6), dtype=np.uint64)
+        self.records = np.empty((n, 4), dtype="<u8")
+
+
+def _csv_records(work: _CsvWork, rows: int) -> np.ndarray:
+    """The records of the first ``rows`` rows of ``work.matrix``, row-major."""
+    n = rows * len(GRID_COLUMNS)
+    x = work.matrix[:rows].reshape(n)
+    a, p, d = (row[:n] for row in work.real)
+    e, at = (row[:n] for row in work.index)
+    fails, flag = (row[:n] for row in work.fails)
+    w, q = work.words[:, :n], work.parts[:, :n]
+    top, lay, rec = work.top[:n], work.layout[:n], work.records[:n]
+
+    # The filter. log10 of 0 and the products and differences that 0, inf
+    # and NaN lead to are harmless here: those values fail the filter.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.abs(x, out=a)
+        np.log10(a, out=p)
+        np.floor(p, out=p)
+        np.fmax(p, _E_MIN, out=p)  # NaN -> _E_MIN
+        np.fmin(p, _E_MAX, out=p)
+        np.subtract(p, _E_MIN, out=p)
+        np.copyto(e, p, casting="unsafe")
+        np.take(_TEN, e, out=p, mode="clip")
+        np.multiply(a, p, out=p)
+        np.rint(p, out=d)
+        np.subtract(p, d, out=a)
+        np.abs(a, out=a)
+        np.less(a, 0.499, out=fails)  # passes, so far: NaN passes no test
+        np.greater_equal(p, 1e11 + 1, out=flag)
+        fails &= flag
+        np.less_equal(d, 1e12 - 2, out=flag)
+        fails &= flag
+        np.logical_not(fails, out=fails)
+    np.copyto(d, 1e11 + 1, where=fails)
+    np.take(_AFFIXES, e, axis=0, out=rec, mode="clip")
+
+    # The digits: D = v * 10^4 + r goes in as the uint64 lanes [v, r * 10^4].
+    # Each lane is split in two, by 10^4, 100 and 10, each time into lanes
+    # half as wide, until every byte holds one digit, most significant
+    # first. Splitting a lane y into q = y // k and y - k q, with q as the
+    # low half, is (y << s) - q ((k << s) - 1).
+    np.divide(d, 1e4, out=p)
+    np.floor(p, out=p)
+    np.copyto(w[0], p, casting="unsafe")
+    np.multiply(p, 1e4, out=p)
+    np.subtract(d, p, out=p)
+    np.multiply(p, 1e4, out=p)
+    np.copyto(w[1], p, casting="unsafe")
+    for lane, multiplier, shift, k, s in (
+        (np.dtype("<u8"), 109951163, 40, 10000, 32),
+        (np.dtype("<u4"), 10486, 20, 100, 16),
+        (np.dtype("<u2"), 103, 10, 10, 8),
+    ):
+        y, z = w.view(lane), q.view(lane)
+        np.multiply(y, lane.type(multiplier), out=z)
+        np.right_shift(z, lane.type(shift), out=z)  # y // k
+        np.multiply(z, lane.type((k << s) - 1), out=z)
+        np.left_shift(y, lane.type(s), out=y)
+        np.subtract(y, z, out=y)
+
+    # The layout: the top nonzero digit byte from the exponent of the
+    # 128-bit digit word as a float (bytes hold at most 9, so rounding never
+    # reaches a new power of two), then fill, point and trim by table.
+    np.multiply(w[1], 2.0**64, out=a)
+    np.add(a, w[0], out=a)
+    np.frexp(a, out=(p, top))
+    np.subtract(top, 1, out=top)
+    np.right_shift(top, 3, out=top)
+    np.take(_NOTATION, e, out=at, mode="clip")
+    np.add(at, top, out=at)
+    np.take(_LAYOUT, at, axis=0, out=lay, mode="clip")
+    w |= lay[:, 0:2].T
+    np.bitwise_and(w, lay[:, 2:4].T, out=q)
+    w ^= q
+    q |= lay[:, 4:6].T
+    # The bytes from the point's place on move up one byte, and the point
+    # goes in. Each record word is its own call: an (n, 2) operation would
+    # loop over pairs.
+    np.left_shift(w[1], np.uint64(8), out=rec[:, 2])
+    np.right_shift(w[0], np.uint64(56), out=w[1])
+    rec[:, 2] |= w[1]
+    np.left_shift(w[0], np.uint64(8), out=rec[:, 1])
+    rec[:, 1] |= q[0]
+    rec[:, 2] |= q[1]
+    np.right_shift(x.view(np.uint64), np.uint64(63), out=w[0])
+    np.multiply(w[0], np.uint64(ord("-")), out=w[0])
+    rec[:, 0] |= w[0]
+    rec.reshape(rows, len(GRID_COLUMNS), 4)[:, :, 3] |= _SEPARATORS
+
+    fallback = np.flatnonzero(fails)
+    if fallback.size:
+        texts = b"".join([(b"%.12g" % v).ljust(24, b"\0") for v in x[fallback].tolist()])
+        rec[fallback, :3] = np.frombuffer(texts, dtype="<u8").reshape(-1, 3)
+        rec[fallback, 3] &= np.uint64(0xFF << 56)
+    return rec
+
+
+def grid_csv_text(cells: Grid, cell_range: range | None = None) -> str:
+    """CSV text (12 significant digits, LF line endings) of the block's cells
+    in ``cell_range`` (by default all of them), led by the header line when
+    they start the grid. The texts of consecutive ranges and blocks join
+    into one CSV text, byte-identical to '%.12g' of every value."""
     lo, hi = _cell_bounds(cells, cell_range)
-    texts = cells._csv_texts
-    if not texts:
-        texts.update((col, _distinct_texts(cells.columns[col])) for col in _FEW_VALUED)
-    columns = [texts[col][lo:hi] if col in _FEW_VALUED else cells.columns[col][lo:hi].tolist() for col in GRID_COLUMNS]
-    lines = [_CSV_ROW % values for values in zip(*columns)]
-    if cells.theta_rows.start == 0 and lo == 0:
-        lines.insert(0, ",".join(GRID_COLUMNS))
-    return lines
+    head = ",".join(GRID_COLUMNS) + "\n" if cells.theta_rows.start == 0 and lo == 0 else ""
+    rows = hi - lo
+    if not rows:
+        return head
+    work = cells._csv_work
+    if work is None or work.rows < rows:
+        work = _CsvWork(rows)
+        object.__setattr__(cells, "_csv_work", work)
+    for k, col in enumerate(GRID_COLUMNS):
+        work.matrix[:rows, k] = cells.columns[col][lo:hi]
+    return head + _csv_records(work, rows).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def point_diagnostics(point: TrianglePoint) -> PairDiagnostics:

@@ -203,6 +203,35 @@ def test_a_device_takes_both_audit_outputs(small_csv):
     assert cli.main(["audit", str(small_csv), "--response", "Y", "--out", "/dev/null", "--certificates", "/dev/null"]) == 0
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["select", "m.csv", "--response", "Y", "--algo", "best", "--k", "2", "--out", "m.csv"], "--out"),
+        (["select", "m.csv", "--response", "Y", "--algo", "best", "--k", "2", "--out", "./m.csv"], "--out"),
+        (["select", "m.csv", "--response", "Y", "--algo", "stepwise", "--k", "2", "--out", "hard.csv"], "--out"),
+        (["audit", "m.csv", "--response", "Y", "--k", "2", "--out", "m.csv"], "--out"),
+        (["audit", "m.csv", "--response", "Y", "--certificates", "m.csv"], "--certificates"),
+        (["audit", "./m.csv", "--response", "Y", "--out", "r.json", "--certificates", "link.csv"], "--certificates"),
+    ],
+    ids=["select-same", "select-dot-slash", "select-hard-link", "audit-out", "audit-certificates",
+         "audit-symbolic-link"],
+)
+def test_an_output_at_the_input_csv_is_refused_before_it_is_read(tmp_path, monkeypatch, capsys, args, flag):
+    """An --out or --certificates that names the input CSV, by the same path,
+    another spelling of it or a link to it, exits 1 with one error line
+    before the CSV is read, and leaves the CSV as it was."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "miller", "--out", "m.csv"]) == 0
+    data = (tmp_path / "m.csv").read_bytes()
+    os.link("m.csv", "hard.csv")
+    os.symlink("m.csv", "link.csv")
+    monkeypatch.setattr("r2audit.cli.load_csv", _refuse)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {flag} would overwrite the input {args[1]}\n"
+    assert (tmp_path / "m.csv").read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.csv", "link.csv", "m.csv"]
+
+
 # ---------------------------------------------------------------------------
 # what os._exit skips
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from r2audit import (
 from r2audit.errors import InfeasibleAngles
 from r2audit.geometry2d import (
     GRID_COLUMNS,
-    grid_csv_lines,
+    grid_csv_text,
     point_diagnostics,
     svg_heatmap,
     t_ratio_bound_from_gamma,
@@ -113,7 +113,9 @@ def test_grid_cells_feasible_and_ordered():
 
 def test_grid_csv_shape():
     cells = grid_evaluate(12, 12, 0.5)
-    lines = grid_csv_lines(cells)
+    text = grid_csv_text(cells)
+    assert text.endswith("\n") and "\r" not in text
+    lines = text[:-1].split("\n")
     assert lines[0] == ",".join(GRID_COLUMNS)
     assert len(lines) == len(cells) + 1
     assert all(len(line.split(",")) == len(GRID_COLUMNS) for line in lines)

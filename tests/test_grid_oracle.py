@@ -20,7 +20,7 @@ import grid_oracle as oracle
 from r2audit import cli, gamma_pair, geometry2d, grid_evaluate, triangle_solve
 from r2audit.cli import SVG_FIELDS
 from r2audit.errors import InfeasibleAngles, InfeasibleCorrelations
-from r2audit.geometry2d import GRID_COLUMNS, Grid, _band_indices, _palette, grid_csv_lines, svg_heatmap
+from r2audit.geometry2d import GRID_COLUMNS, Grid, _band_indices, _palette, grid_csv_text, svg_heatmap
 
 CASES = [
     (steps, r2_full)
@@ -55,11 +55,11 @@ def test_grid_matches_oracle(steps, r2_full):
     for col in GRID_COLUMNS:
         assert grid.columns[col].tobytes() == _bits([getattr(c, col) for c in cells]), col
     assert list(grid) == cells
-    lines = oracle.grid_csv_lines(cells)
-    assert grid_csv_lines(grid) == lines
+    text = "\n".join(oracle.grid_csv_lines(cells)) + "\n"
+    assert grid_csv_text(grid) == text
     docs = [oracle.svg_heatmap(cells, field, theta_steps, v_steps) for field in SVG_FIELDS]
     assert svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps) == docs
-    # The blocks' columns, CSV lines and SVG parts, joined in order: one line
+    # The blocks' columns, CSV texts and SVG parts, joined in order: one line
     # per block, uneven blocks, and one block.
     for sizes in ((1,), (3, 1, 4, 1, 5, 9, 2, 6), (theta_steps - 1,)):
         line_blocks = _blocks_of(theta_steps - 1, sizes)
@@ -68,13 +68,13 @@ def test_grid_matches_oracle(steps, r2_full):
         for col in GRID_COLUMNS:
             joined = np.concatenate([block.columns[col] for block in blocks])
             assert joined.tobytes() == grid.columns[col].tobytes(), (sizes, col)
-        assert sum((grid_csv_lines(block) for block in blocks), []) == lines, sizes
+        assert "".join(grid_csv_text(block) for block in blocks) == text, sizes
         parts = [svg_heatmap(block, SVG_FIELDS, theta_steps, v_steps) for block in blocks]
         assert ["".join(doc) for doc in zip(*parts)] == docs, sizes
     # The cell ranges of one block, joined in order: uneven ranges of one
     # cell and more, with empty ranges between them.
     ranges = _blocks_of(len(grid), (1, 0, 3, 0, 512))
-    assert sum((grid_csv_lines(grid, cells) for cells in ranges), []) == lines
+    assert "".join(grid_csv_text(grid, cells) for cells in ranges) == text
     parts = [svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps, 6, cells) for cells in ranges]
     assert ["".join(doc) for doc in zip(*parts)] == docs
 
@@ -90,10 +90,10 @@ def test_render_rejects_cells_outside_the_block():
     grid = grid_evaluate(12, 12, 0.5, range(2, 5))
     for cells in (range(-1, 3), range(0, len(grid) + 1), range(0, 6, 2), range(5, 3)):
         with pytest.raises(ValueError):
-            grid_csv_lines(grid, cells)
+            grid_csv_text(grid, cells)
         with pytest.raises(ValueError):
             svg_heatmap(grid, ["gamma1"], 12, 12, 6, cells)
-    assert grid_csv_lines(grid, range(4, 4)) == []
+    assert grid_csv_text(grid, range(4, 4)) == ""
 
 
 def test_scalar_wrappers_match_oracle():
@@ -343,14 +343,68 @@ def test_csv_formats_each_bit_pattern():
     assert math.copysign(1.0, -math.nan) == -1.0
     # three theta lines of 5, 5 and 2 cells
     grid = Grid({col: np.array(values[k:] + values[:k]) for k, col in enumerate(GRID_COLUMNS)}, range(3))
-    expected = oracle.grid_csv_lines(list(grid))
-    assert grid_csv_lines(grid) == expected
-    assert "-0" in expected[1].split(",") and "0" in expected[2].split(",")
+    lines = oracle.grid_csv_lines(list(grid))
+    expected = "\n".join(lines) + "\n"
+    assert grid_csv_text(grid) == expected
+    assert "-0" in lines[1].split(",") and "0" in lines[2].split(",")
     blocks = [
         Grid({col: values[5 * line : 5 * line + 5] for col, values in grid.columns.items()}, range(line, line + 1))
         for line in range(3)
     ]
-    assert sum(map(grid_csv_lines, blocks), []) == expected
+    assert "".join(map(grid_csv_text, blocks)) == expected
+
+
+def _kernel_cases() -> np.ndarray:
+    """Over 500,000 values, each also negated, that probe the CSV kernel's
+    filter and layout."""
+    rng = np.random.default_rng(31)
+    values = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    # 17 random significant digits in every decade from 1e-320 to 1e308,
+    # subnormals included (past the largest double they read as inf), and
+    # more around the switch between fixed and exponent notation at e = -5,
+    # -4, 11 and 12
+    decades = [*range(-320, 309), *range(-7, 15)]
+    significands = rng.integers(10**16, 10**17, size=(len(decades), 300)).tolist()
+    values += [float(f"{s}e{e - 16}") for e, row in zip(decades, significands) for s in row]
+    # exact 12-digit ties: k + 0.5 and 13- and 14-digit integers ending in 5
+    # and 50, all exact in binary
+    values += (rng.integers(10**11, 10**12, 20000) + 0.5).tolist()
+    values += (rng.integers(10**11, 10**12, 20000) * 10 + 5).astype(float).tolist()
+    values += (rng.integers(10**11, 10**12, 20000) * 100 + 50).astype(float).tolist()
+    values += [100000000000.5, 999999999999.5, 9.999999999995e99, 9.99999999999e-5]
+    # decade edges: every power of ten, its neighbours, and the largest
+    # 12-digit significands before it
+    for e in range(-320, 309):
+        for text in (f"1e{e}", f"9.999999999995e{e - 1}", f"9.99999999999e{e - 1}", f"9.999999999994999e{e - 1}"):
+            edge = float(text)
+            values += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, 0.0)]
+    # values rounded to a few decimals, and float32 values
+    uniform = rng.uniform(0.0, 1000.0, 100000)
+    values += np.concatenate([np.round(uniform[k::13], k) for k in range(13)]).tolist()
+    values += rng.standard_normal(50000).astype(np.float32).astype(float).tolist()
+    values += (rng.standard_normal(20000) * 10.0 ** rng.integers(-40, 37, 20000)).astype(np.float32).astype(float).tolist()
+    cases = np.array(values)
+    return np.concatenate([cases, -cases])
+
+
+def test_csv_kernel_matches_percent_g():
+    """The CSV of any values, in chunks of 512 cells and fewer, is '%.12g' of
+    each value: the kernel's fast path and its '%.12g' fallback."""
+    values = _kernel_cases()
+    assert values.size >= 500_000
+    values = np.concatenate([values, values[: -values.size % len(GRID_COLUMNS)]])
+    matrix = values.reshape(-1, len(GRID_COLUMNS))
+    # not the grid's first theta line, so no header
+    grid = Grid({col: matrix[:, k].copy() for k, col in enumerate(GRID_COLUMNS)}, range(1, 2))
+    ranges = _blocks_of(len(grid), (512, 512, 300, 1, 512))
+    text = "".join(grid_csv_text(grid, cells) for cells in ranges)
+    seps = [","] * (len(GRID_COLUMNS) - 1) + ["\n"]
+    expected = "".join(["%.12g%s" % pair for pair in zip(values.tolist(), itertools.cycle(seps))])
+    if text != expected:
+        ours = text.replace("\n", ",").split(",")
+        theirs = expected.replace("\n", ",").split(",")
+        mismatches = [(v, a, b) for v, a, b in zip(values.tolist(), ours, theirs) if a != b]
+        pytest.fail(f"{len(mismatches)} mismatches, first {mismatches[:5]}")
 
 
 def test_svg_layout_per_cell_size():
