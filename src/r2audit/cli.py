@@ -70,6 +70,13 @@ def __getattr__(name: str):
 
 
 REPORT_SCHEMA = "2"
+# The report's sections that enumerate subsets: a design over the cap gets a
+# partial report without them, whose skipped_diagnostics names them.
+EXHAUSTIVE_SECTIONS = ("gamma", "violations", "best_subset", "nwf", "spectral")
+# The default --max-enum of audit and select. It stays below
+# regress.DEFAULT_MAX_FEATURES (24): above 20 features the fill keeps no gain
+# table, and the reported gamma is not resolved there (ROADMAP item 3).
+DEFAULT_MAX_ENUM = 20
 # Certificates rendered at a time into the --certificates stream.
 STREAM_CHUNK = 1 << 16
 
@@ -150,11 +157,14 @@ def build_audit_report(
     """Assemble the full diagnostic report; returns (report, exit_code).
 
     The report holds only JSON values; ``jsonsafe.report_text`` writes it.
-    Each violation list is summarized by ``_violation_summary`` from
-    setfun's one walk over the pairs, which keeps only each list's head.
-    Given a ``certificates`` path, the same walk hands its violating rows to
-    ``_certificate_stream`` as it goes, which writes them there in walk
-    order; the path is opened once the fit table is filled, before the walk.
+    Its stepwise, best-subset and screening records are the ones select
+    writes. A design over the cap gets a partial report (exit 2) without the
+    EXHAUSTIVE_SECTIONS, which it names. Each violation list is summarized
+    by ``_violation_summary`` from setfun's one walk over the pairs, which
+    keeps only each list's head. Given a ``certificates`` path, the same
+    walk hands its violating rows to ``_certificate_stream`` as it goes,
+    which writes them there in walk order; the path is opened once the fit
+    table is filled, before the walk.
     """
     _bind(*_AUDIT_MODULES)
     # the arguments are checked before the enumeration, not after it
@@ -164,152 +174,110 @@ def build_audit_report(
         _check_alpha(alpha)
     names = design.names
     corr = design.marginal_correlations()
-    report: dict = {
-        "schema": REPORT_SCHEMA,
-        "input": {
-            "path": source,
-            "response": response_name,
-            "n": design.n,
-            "m": design.m,
-            "features": list(names),
-        },
-        "standardization": {
-            "marginal_correlations": {names[i]: float(corr[i]) for i in range(design.m)},
-        },
-    }
-
     k = min(k, design.m)
     # The fit table is the value of record of the kernels that read every
     # mask: gamma_s2, gamma_s and the certificates. Stepwise, the best subset
-    # and the ratio are the calls select and the library make. A design over
-    # the cap gets a partial report.
+    # and the ratio are the calls select and the library make.
     try:
         table = fit_table(design, max_enum)
     except TooManyFeatures:
         table = None
     stepwise = forward_stepwise(design, k)
-    report["selection"] = {
-        "forward_stepwise": {
-            "steps": [
-                {
-                    "feature": names[s.feature],
-                    "delta_r2": s.delta_r2,
-                    "cumulative_r2": s.cumulative_r2,
-                    "marginal_t": s.marginal_t,
-                }
-                for s in stepwise.steps
-            ],
-            "stopping_reason": stepwise.stopping_reason,
-        }
+    report: dict = {
+        "schema": REPORT_SCHEMA,
+        "input": {"path": source, "response": response_name, "n": design.n, "m": design.m, "features": list(names)},
+        "standardization": {"marginal_correlations": {names[i]: float(corr[i]) for i in range(design.m)}},
+        "selection": {
+            "forward_stepwise": {"steps": _step_records(stepwise, names), "stopping_reason": stepwise.stopping_reason}
+        },
+        "sis": {"ranking": _ranking_records(sis_screen(design, design.m), corr, names)},
+        "partial": table is None,
+        "skipped_diagnostics": list(EXHAUSTIVE_SECTIONS) if table is None else [],
     }
-    ranking = sis_screen(design, design.m)
-    report["sis"] = {
-        "ranking": [
-            {"feature": names[i], "abs_correlation": abs(float(corr[i]))} for i in ranking
-        ]
-    }
-
     if table is None:
-        report["partial"] = True
-        report["skipped_diagnostics"] = [
-            "gamma",
-            "violations",
-            "best_subset",
-            "nwf",
-            "spectral",
-        ]
         return report, 2
-    report["partial"] = False
-    report["skipped_diagnostics"] = []
 
     # One walk over the feature pairs gives gamma_s2 and both violation
     # summaries, and writes the certificate stream as it goes.
     with _certificate_stream(certificates, names) as sink:
         summary = _second_order_summary(table, VIOLATION_TOL, sink)
-    est2 = summary.gamma
-    est1 = empirical_gamma_s(design, table=table)
-    gamma_block: dict = {
-        "gamma_s2": {
-            "value": est2.gamma_s2,
-            "witness": None
-            if est2.witness_s2 is None
-            else {
-                "A": [names[f] for f in est2.witness_s2[0]],
-                "i": names[est2.witness_s2[1]],
-                "j": names[est2.witness_s2[2]],
-            },
-            "skipped": est2.skipped_s2,
-        },
-        "gamma_s": {
-            "value": est1.gamma_s,
-            "witness": None
-            if est1.witness_s is None
-            else {
-                "A": [names[f] for f in est1.witness_s[0]],
-                "B": [names[f] for f in est1.witness_s[1]],
-                "i": names[est1.witness_s[2]],
-            },
-            "skipped": est1.skipped_s,
-        },
-    }
-    modes = {"atmost": ("at_most_k",), "exact": ("exactly_k",)}.get(mode, ("at_most_k", "exactly_k"))
-    ratio_block: dict = {"base": [], "k": min(2, design.m)}
-    for ratio_mode in modes:
-        try:
-            res = submodularity_ratio(
-                design,
-                RatioQuery(base=(), k=min(2, design.m), mode=ratio_mode),
-                max_features=max_enum,
-            )
-            ratio_block[ratio_mode] = {
-                "value": res.gamma_sr,
-                "argmin": [names[f] for f in res.argmin],
-                "skipped": res.skipped,
-            }
-        except AuditError as exc:
-            ratio_block[ratio_mode] = {"error": str(exc)}
-    gamma_block["gamma_sr"] = ratio_block
-    report["gamma"] = gamma_block
-
+    report["gamma"] = _gamma_section(design, table, summary.gamma, mode, max_enum)
     # The suppression rows are the second-order rows, so both lists share
     # one set of counts.
     report["violations"] = {
         form: _violation_summary(summary.count, getattr(summary, form), summary.by_size, summary.by_pair, names)
         for form in ("second_order", "suppression")
     }
-
     best = best_subset(design, k, max_features=max_enum)
     nwf = nwf_verdict(stepwise.final_r_squared(), best.r_squared, is_submodular=summary.count == 0)
-    report["selection"]["best_subset"] = {
-        "subset": [names[f] for f in best.subset],
-        "r_squared": best.r_squared,
-    }
-    report["selection"]["nwf"] = {
-        "greedy_r2": nwf.greedy_r2,
-        "optimal_r2": nwf.optimal_r2,
-        "ratio": nwf.ratio,
-        "threshold": nwf.threshold,
-        "guarantee_holds": nwf.guarantee_holds,
-        "is_submodular": nwf.is_submodular,
+    report["selection"].update(best_subset=_best_record(best, names), nwf=nwf._asdict())
+    report["spectral"] = _spectral_section(design, k, best.subset, alpha, max_enum)
+    return report, 0
+
+
+def _names(indices, names) -> list[str]:
+    return [names[f] for f in indices]
+
+
+def _step_records(trace, names) -> list[dict]:
+    """Each step of a stepwise trace, as the audit and select write it."""
+    return [{**step._asdict(), "feature": names[step.feature]} for step in trace.steps]
+
+
+def _best_record(best, names) -> dict:
+    return {"subset": _names(best.subset, names), "r_squared": best.r_squared}
+
+
+def _ranking_records(ranking, corr: np.ndarray, names) -> list[dict]:
+    """Each screened feature in rank order, with its |marginal correlation|."""
+    return [{"feature": names[i], "abs_correlation": abs(float(corr[i]))} for i in ranking]
+
+
+def _witness(witness, roles: str, names) -> dict | None:
+    """A gamma witness by role, one letter of ``roles`` per part: the names
+    of an index tuple, the name of an index."""
+    if witness is None:
+        return None
+    return {role: names[part] if isinstance(part, int) else _names(part, names) for role, part in zip(roles, witness)}
+
+
+def _gamma_section(design, table, e2, mode: str | None, max_enum: int) -> dict:
+    """gamma_s2 from the summary pass, gamma_s from the table, and the
+    submodularity ratio at k = 2 in the modes asked for."""
+    names = design.names
+    e1 = empirical_gamma_s(design, table=table)
+    ratio_k = min(2, design.m)
+    ratio: dict = {"base": [], "k": ratio_k}
+    for ratio_mode in {"atmost": ("at_most_k",), "exact": ("exactly_k",)}.get(mode, ("at_most_k", "exactly_k")):
+        try:
+            query = RatioQuery(base=(), k=ratio_k, mode=ratio_mode)
+            res = submodularity_ratio(design, query, max_features=max_enum)
+            ratio[ratio_mode] = {"value": res.gamma_sr, "argmin": _names(res.argmin, names), "skipped": res.skipped}
+        except AuditError as exc:
+            ratio[ratio_mode] = {"error": str(exc)}
+    return {
+        "gamma_s2": {"value": e2.gamma_s2, "witness": _witness(e2.witness_s2, "Aij", names), "skipped": e2.skipped_s2},
+        "gamma_s": {"value": e1.gamma_s, "witness": _witness(e1.witness_s, "ABi", names), "skipped": e1.skipped_s},
+        "gamma_sr": ratio,
     }
 
-    spectral_size = min(2 * k, design.m)
-    lam = sparse_min_eigenvalue(design.correlation_matrix(), spectral_size, max_features=max_enum)
-    report["spectral"] = {
-        "size": spectral_size,
-        "lambda_min": lam.value,
-        "witness": [names[f] for f in lam.support],
-    }
-    if alpha is not None and best.subset:
-        cone = ConeSpec(best.subset, alpha)
+
+def _spectral_section(design, k: int, best: tuple[int, ...], alpha: float | None, max_enum: int) -> dict:
+    """The sparse minimum eigenvalue at size 2k and, given alpha, the
+    restricted eigenvalue on the best subset's cone."""
+    size = min(2 * k, design.m)
+    lam = sparse_min_eigenvalue(design.correlation_matrix(), size, max_features=max_enum)
+    section = {"size": size, "lambda_min": lam.value, "witness": _names(lam.support, design.names)}
+    if alpha is not None and best:
+        cone = ConeSpec(best, alpha)
         re = restricted_eigenvalue(design.correlation_matrix(), cone)
-        report["spectral"]["restricted_eigenvalue"] = {
+        section["restricted_eigenvalue"] = {
             "alpha": alpha,
-            "subset": [names[f] for f in cone.subset],
+            "subset": _names(cone.subset, design.names),
             "value": re.value,
             "is_heuristic": re.is_heuristic,
         }
-    return report, 0
+    return section
 
 
 def _violation_summary(count: int, head: Certificates, by_size, by_pair, names) -> dict:
@@ -497,6 +465,11 @@ def _cmd_grid(args) -> int:
     blocks = list(geometry2d.theta_line_blocks(args.theta_steps, args.v_steps, GRID_BLOCK_CELLS))
     weights = [geometry2d.estimated_cells(args.theta_steps, args.v_steps, rows) for rows in blocks]
     spans = _grid_spans(blocks, weights, min(_usable_cores(), len(blocks)))
+    # The heatmap directory is made before --out is opened, so a --svg that
+    # cannot be one leaves the file at --out as it was.
+    if args.svg is not None:
+        svg_dir = Path(args.svg)
+        svg_dir.mkdir(parents=True, exist_ok=True)
     # One worker per span after the first renders it into unlinked temporary
     # parts beside the outputs; this process renders span 0 straight into the
     # outputs, then appends each worker's parts in span order. The workers
@@ -504,8 +477,6 @@ def _cmd_grid(args) -> int:
     with _output(args.out) as fh, ExitStack() as stack:
         outputs, part_dirs = [fh], [None if args.out is None else Path(args.out).parent]
         if args.svg is not None:
-            svg_dir = Path(args.svg)
-            svg_dir.mkdir(parents=True, exist_ok=True)
             for field in SVG_FIELDS:
                 outputs.append(stack.enter_context(open(svg_dir / f"{field}.svg", "w", encoding="utf-8", newline="\n")))
                 part_dirs.append(svg_dir)
@@ -538,43 +509,26 @@ def _cmd_grid(args) -> int:
 def _cmd_select(args) -> int:
     _bind("regress", "selection", "jsonsafe")
     design = standardize(*load_csv(args.csv, args.response))
+    names = design.names
     if args.algo == "stepwise":
-        trace = forward_stepwise(design, min(args.k, design.m))
-        _write_text(args.out, trace.to_json_lines(design.names))
+        steps = _step_records(forward_stepwise(design, min(args.k, design.m)), names)
+        records = [{"step": rank, **step} for rank, step in enumerate(steps, start=1)]
     elif args.algo == "best":
         if args.k < 1:  # as stepwise and the audit refuse it
             raise ValueError(f"k must lie in 1..{design.m}")
-        result = best_subset(design, min(args.k, design.m), max_features=args.max_enum)
-        record = {
-            "algorithm": "best_subset",
-            "subset": [design.names[f] for f in result.subset],
-            "r_squared": result.r_squared,
-        }
-        _write_text(args.out, json_line(record) + "\n")
+        best = best_subset(design, min(args.k, design.m), max_features=args.max_enum)
+        records = [{"algorithm": "best_subset", **_best_record(best, names)}]
     elif args.algo == "sis":
-        picked = sis_screen(design, min(args.d, design.m))
-        corr = design.marginal_correlations()
-        lines = [
-            json_line({"rank": pos + 1, "feature": design.names[i], "abs_correlation": abs(float(corr[i]))})
-            for pos, i in enumerate(picked)
-        ]
-        _write_text(args.out, "\n".join(lines) + "\n")
+        ranking = _ranking_records(sis_screen(design, min(args.d, design.m)), design.marginal_correlations(), names)
+        records = [{"rank": rank, **line} for rank, line in enumerate(ranking, start=1)]
     else:  # isis
         result = isis(design, args.d, args.rounds)
-        lines = [
-            json_line(
-                {
-                    "round": number,
-                    "picked": [design.names[i] for i in rnd.picked],
-                    "scores": {design.names[i]: s for i, s in rnd.scores},
-                }
-            )
+        records = [
+            {"round": number, "picked": _names(rnd.picked, names), "scores": {names[i]: s for i, s in rnd.scores}}
             for number, rnd in enumerate(result.rounds, start=1)
         ]
-        lines.append(
-            json_line({"selected": [design.names[i] for i in result.selected], "skipped": result.skipped})
-        )
-        _write_text(args.out, "\n".join(lines) + "\n")
+        records.append({"selected": _names(result.selected, names), "skipped": result.skipped})
+    _write_text(args.out, "".join(json_line(record) + "\n" for record in records))
     return 0
 
 
@@ -634,7 +588,7 @@ def _build_parser() -> _Parser:
                        help="report only one submodularity-ratio mode")
     audit.add_argument("--alpha", type=float, default=None,
                        help="also report the restricted eigenvalue on the best subset's cone")
-    audit.add_argument("--max-enum", type=int, default=20, dest="max_enum")
+    audit.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM, dest="max_enum")
     audit.add_argument("--out", default=None)
     audit.add_argument("--certificates", default=None,
                        help="also write every second-order, then suppression certificate here as JSON lines")
@@ -655,7 +609,7 @@ def _build_parser() -> _Parser:
     select.add_argument("--k", type=int, default=2)
     select.add_argument("--d", type=int, default=1)
     select.add_argument("--rounds", type=int, default=1)
-    select.add_argument("--max-enum", type=int, default=20, dest="max_enum")
+    select.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM, dest="max_enum")
     select.add_argument("--out", default=None)
     select.set_defaults(func=_cmd_select)
 

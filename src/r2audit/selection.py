@@ -16,7 +16,6 @@ import numpy as np
 from . import regress
 from .bitsets import block_masks, indices_of
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
-from .jsonsafe import json_line
 from .regress import (
     DEFAULT_MAX_FEATURES,
     TABLE_PIVOT_RTOL,
@@ -63,21 +62,6 @@ class SelectionTrace(NamedTuple):
 
     def final_r_squared(self) -> float:
         return self.steps[-1].cumulative_r2 if self.steps else 0.0
-
-    def to_json_lines(self, names: Sequence[str]) -> str:
-        return "".join(
-            json_line(
-                {
-                    "step": rank,
-                    "feature": names[step.feature],
-                    "delta_r2": step.delta_r2,
-                    "cumulative_r2": step.cumulative_r2,
-                    "marginal_t": step.marginal_t,
-                }
-            )
-            + "\n"
-            for rank, step in enumerate(self.steps, start=1)
-        )
 
 
 def _step_t(design: StandardizedDesign, subset: list[int], j: int, r2: float) -> float | None:

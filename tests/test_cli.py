@@ -181,6 +181,31 @@ def test_audit_partial_when_too_wide(tmp_path):
     assert "forward_stepwise" in report["selection"]  # cheap sections still present
 
 
+def _report_keys(report):
+    """A report's top-level keys, and its selection's keys as "selection.KEY"."""
+    return set(report) | {f"selection.{key}" for key in report["selection"]}
+
+
+@pytest.mark.parametrize(
+    "gen, cap",
+    [(["miller"], ["--max-enum", "2"]), (["gaussian", "--n", "200", "--m", "21", "--seed", "7"], [])],
+    ids=["miller", "above_the_default_cap"],
+)
+def test_each_report_key_comes_from_one_section(miller_csv, tmp_path, gen, cap):
+    # the full report is the partial one plus the EXHAUSTIVE_SECTIONS, with
+    # best_subset and nwf under selection, and no key is in both
+    full, partial, csv = tmp_path / "full.json", tmp_path / "partial.json", tmp_path / "in.csv"
+    assert main(["audit", str(miller_csv), "--response", "Y", "--alpha", "3", "--out", str(full)]) == 0
+    assert main(["gen", *gen, "--out", str(csv)]) == 0
+    assert main(["audit", str(csv), "--response", "Y", "--alpha", "3", *cap, "--out", str(partial)]) == 2
+    full, partial = json.loads(full.read_text()), json.loads(partial.read_text())
+    sections = {f"selection.{name}" if name in ("best_subset", "nwf") else name for name in cli.EXHAUSTIVE_SECTIONS}
+    assert len(sections) == 5 and not sections & _report_keys(partial)
+    assert _report_keys(full) == _report_keys(partial) | sections
+    assert (partial["partial"], partial["skipped_diagnostics"]) == (True, list(cli.EXHAUSTIVE_SECTIONS))
+    assert (full["partial"], full["skipped_diagnostics"]) == (False, [])
+
+
 def test_audit_refuses_an_unwritable_certificate_path_before_the_pair_walk(tmp_path, monkeypatch, capsys):
     path = tmp_path / "in.csv"
     assert main(["gen", "gaussian", "--n", "40", "--m", "6", "--out", str(path)]) == 0

@@ -232,6 +232,17 @@ def test_an_output_at_the_input_csv_is_refused_before_it_is_read(tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.csv", "link.csv", "m.csv"]
 
 
+def test_a_bad_svg_directory_leaves_the_out_file_as_it_was(tmp_path, monkeypatch, capsys):
+    """A --svg that names a file fails the grid, exit 1 with one error line,
+    before --out is opened: the file there keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    Path("out.csv").write_bytes(b"precious\n")
+    Path("notadir").touch()
+    assert cli.main(["grid", "--theta-steps", "3", "--v-steps", "3", "--out", "out.csv", "--svg", "notadir"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert Path("out.csv").read_bytes() == b"precious\n"
+
+
 # ---------------------------------------------------------------------------
 # what os._exit skips
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Each CLI command loads only its own modules, and the names the benchmark's
 tracer wraps on ``r2audit.cli`` still reach the functions the commands call."""
 
+import ast
 import json
 import os
 import subprocess
@@ -58,6 +59,26 @@ def test_command_loads_none_of_the_others_modules(small_csv, tmp_path, command, 
     forbidden = {f"r2audit.{module}" for module in absent} | {"dataclasses"}
     assert "r2audit.cli" in loaded
     assert not loaded & forbidden, loaded & forbidden
+
+
+def test_only_the_cli_loads_the_output_encoding():
+    """jsonsafe is the one module that knows the output encoding, and cli,
+    which writes every output, is the one module that loads it (through its
+    library table): no module in src/ imports it, at its top or in a
+    function."""
+    importers = set()
+    for path in sorted((ROOT / "src" / "r2audit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(module.rsplit(".", 1)[-1] == "jsonsafe" for module in modules):
+                importers.add(path.name)
+    assert importers == set()
+    assert "jsonsafe" in cli._LIBRARY
 
 
 def _traced_spans(tmp_path, *args) -> Counter:

@@ -196,9 +196,11 @@ def test_audit_and_select_give_one_answer(name, tmp_path, monkeypatch):
     else:
         assert cli.main(["gen", *CROSS_COMMAND[name], "--out", str(csv)]) == 0
     select = {}
-    for algo in ("stepwise", "best"):
+    for algo in ("stepwise", "best", "sis"):
         out = tmp_path / f"{algo}.jsonl"
-        assert cli.main(["select", str(csv), "--response", "Y", "--algo", algo, "--k", "3", "--out", str(out)]) == 0
+        # a --d above m screens every feature, as the audit's ranking does
+        argv = ["select", str(csv), "--response", "Y", "--algo", algo, "--k", "3", "--d", "64", "--out", str(out)]
+        assert cli.main(argv) == 0
         select[algo] = _lines(out)
 
     # fit_table fits the subsets its walk does not trust with fit_block;
@@ -236,7 +238,8 @@ def test_audit_and_select_give_one_answer(name, tmp_path, monkeypatch):
     report = tmp_path / "report.json"
     argv = ["audit", str(csv), "--response", "Y", "--k", "3", "--out", str(report)]
     assert cli.main([*argv, "--certificates", str(tmp_path / "certs.jsonl")]) == 0
-    selection = json.loads(report.read_text())["selection"]
+    audit = json.loads(report.read_text())
+    selection = audit["selection"]
 
     steps = selection["forward_stepwise"]["steps"]
     assert [{"step": rank, **step} for rank, step in enumerate(steps, start=1)] == select["stepwise"]
@@ -245,3 +248,6 @@ def test_audit_and_select_give_one_answer(name, tmp_path, monkeypatch):
     nwf = selection["nwf"]
     assert (nwf["greedy_r2"], nwf["optimal_r2"]) == (steps[-1]["cumulative_r2"], best["r_squared"])
     assert nwf["greedy_r2"] <= nwf["optimal_r2"]
+    ranking = audit["sis"]["ranking"]
+    assert len(ranking) == audit["input"]["m"]
+    assert [{"rank": rank, **line} for rank, line in enumerate(ranking, start=1)] == select["sis"]

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from r2audit import ConeSpec, Grid, RatioQuery, StandardizedDesign, grid_evaluate, standardize
+from r2audit import ConeSpec, Grid, RatioQuery, StandardizedDesign, cli, grid_evaluate, standardize
+from r2audit.datasets import write_csv
 from r2audit.gamma import RatioResult
 from r2audit.geometry2d import GridCell, PairDiagnostics, TrianglePoint, TRatioResult
 from r2audit.regress import LeastSquaresFit
@@ -81,12 +82,17 @@ def test_record_is_a_named_tuple(cls, values, defaults):
         cls(*values.values(), None)
 
 
-def test_record_methods_survive_the_conversion():
+def test_record_methods_survive_the_conversion(tmp_path, monkeypatch):
     steps = (SelectionStep(2, 0.5, 0.5, 3.0), SelectionStep(0, 0.25, 0.75, None))
     trace = SelectionTrace("forward_stepwise", steps, "max_steps")
     assert trace.selected() == (2, 0) and trace.final_r_squared() == 0.75
     assert SelectionTrace("forward_stepwise", (), "max_steps").final_r_squared() == 0.0
-    lines = [json.loads(line) for line in trace.to_json_lines(["a", "b", "c"]).splitlines()]
+    # select writes the trace's steps in order, each with its rank
+    csv, out = tmp_path / "abc.csv", tmp_path / "steps.jsonl"
+    write_csv(csv, np.random.default_rng(0).standard_normal((8, 3)), np.arange(8.0), ["a", "b", "c"])
+    monkeypatch.setattr(cli, "forward_stepwise", lambda design, k: trace)
+    assert cli.main(["select", str(csv), "--response", "Y", "--algo", "stepwise", "--k", "2", "--out", str(out)]) == 0
+    lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     assert [(line["step"], line["feature"]) for line in lines] == [(1, "c"), (2, "a")]
     cert = ViolationCertificate("second_order", (("A", (0,)), ("i", (1,)), ("j", (2,))), 0.1, 0.3, 0.2)
     assert cert.set_dict() == {"A": (0,), "i": (1,), "j": (2,)}

@@ -16,7 +16,7 @@ from r2audit import (
     standardize,
     suppressor_population,
 )
-from r2audit import regress
+from r2audit import cli, regress
 from r2audit.bitsets import block_masks, indices_of
 from r2audit.regress import sweep_walk
 from r2audit.errors import TooManyFeatures, ZeroBeta
@@ -73,9 +73,16 @@ def test_stepwise_interpolating_fit_reports_sentinel(miller_design):
     assert trace.steps[-1].marginal_t == math.inf
 
 
-def test_stepwise_json_lines(miller_design):
-    trace = forward_stepwise(miller_design, 3)
-    lines = trace.to_json_lines(miller_design.names).splitlines()
+def _select_stepwise(tmp_path, *gen_args, k):
+    """The lines select --algo stepwise writes on a CSV gen writes."""
+    csv, out = tmp_path / "in.csv", tmp_path / "steps.jsonl"
+    assert cli.main(["gen", *gen_args, "--out", str(csv)]) == 0
+    assert cli.main(["select", str(csv), "--response", "Y", "--algo", "stepwise", "--k", str(k), "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8").splitlines()
+
+
+def test_stepwise_json_lines(tmp_path):
+    lines = _select_stepwise(tmp_path, "miller", k=3)
     assert len(lines) == 3
     import json
 
@@ -85,18 +92,18 @@ def test_stepwise_json_lines(miller_design):
     assert last["marginal_t"] == "inf"
 
 
-def test_stepwise_json_lines_encode_non_finite_like_reports():
-    # The trace goes through the report encoder: NaN is "nan" (it used to come
-    # out as "-inf"), infinities keep their sign, None stays null.
+def test_stepwise_json_lines_encode_non_finite_like_reports(tmp_path, monkeypatch):
+    # select writes the trace through the report encoder: NaN is "nan" (it
+    # used to come out as "-inf"), infinities keep their sign, None stays null.
     import json
 
     from r2audit.selection import SelectionStep, SelectionTrace
 
     values = [math.nan, math.inf, -math.inf, None, 2.5]
     steps = tuple(SelectionStep(k, 0.1, 0.1 * (k + 1), t) for k, t in enumerate(values))
-    trace = SelectionTrace("forward_stepwise", steps, "budget")
-    names = tuple(f"x{k}" for k in range(len(values)))
-    decoded = [json.loads(line)["marginal_t"] for line in trace.to_json_lines(names).splitlines()]
+    monkeypatch.setattr(cli, "forward_stepwise", lambda design, k: SelectionTrace("forward_stepwise", steps, "budget"))
+    lines = _select_stepwise(tmp_path, "gaussian", "--n", "20", "--m", str(len(values)), k=len(values))
+    decoded = [json.loads(line)["marginal_t"] for line in lines]
     assert decoded == ["nan", "inf", "-inf", None, 2.5]
 
 
