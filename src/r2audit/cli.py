@@ -16,6 +16,7 @@ of setfun's pair walk, which hands them over a chunk at a time.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import shutil
@@ -24,7 +25,7 @@ import tempfile
 import warnings
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -99,6 +100,23 @@ def _output(out_path: str | None) -> Iterator[TextIO]:
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+
+
+@contextmanager
+def _byte_output(out_path: str | None) -> Iterator[BinaryIO]:
+    """For ASCII bytes: the file at out_path, closed on exit, or standard
+    output's byte layer, its text layer flushed first; one with no byte
+    layer, as io.StringIO, takes them decoded once, on a normal exit."""
+    if out_path is not None:
+        with open(out_path, "wb") as fh:
+            yield fh
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+    else:
+        fh = io.BytesIO()
+        yield fh
+        sys.stdout.write(fh.getvalue().decode("ascii"))
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -335,12 +353,12 @@ def _certificate_stream(path: str | None, names) -> Iterator[Callable | None]:
         yield None
         return
     sets: dict[int, str] = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as stream, _part(Path(path).parent) as part:
+    with open(path, "wb") as stream, _part(Path(path).parent) as part:
 
-        def write(out: TextIO, certs: Certificates) -> None:
+        def write(out: BinaryIO, certs: Certificates) -> None:
             for lo in range(0, len(certs), STREAM_CHUNK):
                 texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names, sets)
-                out.write("".join(text + "\n" for text in texts))
+                out.write("".join(text + "\n" for text in texts).encode("ascii"))
 
         def sink(second: Certificates, suppression: Certificates) -> None:
             write(stream, second)
@@ -390,7 +408,7 @@ def _grid_spans(blocks: list[range], weights: list[float], workers: int) -> list
     return [span for span in spans if span]
 
 
-def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
+def _render_grid(args, span: list[range], outputs: list[BinaryIO]) -> None:
     """Evaluate the span a block at a time and write each chunk of a block's
     cells, as its CSV text to outputs[0] and its heatmap parts to the rest.
     A block with no cell is one empty chunk: it may still open or close a
@@ -409,33 +427,23 @@ def _render_grid(args, span: list[range], outputs: list[TextIO]) -> None:
         del block  # freed before the next block is evaluated
 
 
-def _part(directory: Path | None) -> TextIO:
-    """An unlinked temporary text file in ``directory``, or in the default
+def _part(directory: Path | None) -> BinaryIO:
+    """An unlinked temporary byte file in ``directory``, or in the default
     temporary directory where that takes no new file (as /dev, for a user
     who writes to /dev/null or /dev/stdout)."""
     try:
-        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
+        return tempfile.TemporaryFile("w+b", dir=directory)
     except OSError:
-        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+        return tempfile.TemporaryFile("w+b")
 
 
-def _append_part(part: TextIO, out: TextIO) -> None:
-    """Append a whole part, flushed, to an output as bytes, below both text
-    layers: the text is ASCII, so its bytes are the same in the part's UTF-8
-    and in any encoding the output has. An output with no byte layer below
-    it, as io.StringIO, takes the text."""
-    part.flush()
-    target = getattr(out, "buffer", None)
-    if target is None:
-        part.seek(0)
-        shutil.copyfileobj(part, out)
-        return
-    out.flush()
-    part.buffer.seek(0)
-    shutil.copyfileobj(part.buffer, target)
+def _append_part(part: BinaryIO, out: BinaryIO) -> None:
+    """Append a whole part to a byte output; the seek flushes the part."""
+    part.seek(0)
+    shutil.copyfileobj(part, out)
 
 
-def _fork_grid_worker(args, span: list[range], parts: list[TextIO]) -> int:
+def _fork_grid_worker(args, span: list[range], parts: list[BinaryIO]) -> int:
     """Fork a process that renders the span into the parts and leaves only
     through os._exit; return its pid."""
     # Python 3.12 warns on forking a process with threads, here numpy's idle
@@ -474,14 +482,14 @@ def _cmd_grid(args) -> int:
     # parts beside the outputs; this process renders span 0 straight into the
     # outputs, then appends each worker's parts in span order. The workers
     # are forked before any byte is written, so none can flush one.
-    with _output(args.out) as fh, ExitStack() as stack:
+    with _byte_output(args.out) as fh, ExitStack() as stack:
         outputs, part_dirs = [fh], [None if args.out is None else Path(args.out).parent]
         if args.svg is not None:
             for field in SVG_FIELDS:
-                outputs.append(stack.enter_context(open(svg_dir / f"{field}.svg", "w", encoding="utf-8", newline="\n")))
+                outputs.append(stack.enter_context(open(svg_dir / f"{field}.svg", "wb")))
                 part_dirs.append(svg_dir)
         # (pid, span, parts) of each worker not yet reaped, reaped on every path
-        workers: list[tuple[int, list[range], list[TextIO]]] = []
+        workers: list[tuple[int, list[range], list[BinaryIO]]] = []
         stack.callback(lambda: [os.waitpid(pid, 0) for pid, _, _ in workers])
         for span in spans[1:]:
             parts = [stack.enter_context(_part(d)) for d in part_dirs]

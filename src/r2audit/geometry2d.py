@@ -10,18 +10,18 @@ gain ratios are scale-free, so grids at different fit levels carry identical
 diagnostic columns. A grid is evaluated column by column, as numpy arrays,
 for a block of theta lines at a time; each value equals the scalar
 triangle_solve and gamma_pair result bit for bit. A range of a block's
-cells renders to its part of the CSV text and of each heatmap document. The
-CSV text of a range is formatted in one columnar pass that writes what
-'%.12g' writes, falling back to '%.12g' itself for the values it cannot
-certify; a block lays out its heatmap cells once for every heatmap,
-whatever ranges it renders in. The parts, joined in order, are
-byte-identical to formatting and drawing every cell of the whole grid on
-its own.
+cells renders to its part of the CSV text and of each heatmap document, as
+ASCII bytes. The CSV text of a range is formatted in one columnar pass that
+writes what '%.12g' writes, falling back to '%.12g' itself for the values
+it cannot certify. A block builds one rect template for all six heatmaps,
+every cell's rect with a placeholder fill, whatever ranges it renders in;
+each heatmap writes only its cells' six hex color digits into it. The
+parts, joined in order, are byte-identical to formatting and drawing every
+cell of the whole grid on its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import starmap
 from typing import Iterator, NamedTuple, Sequence
@@ -39,21 +39,26 @@ REFERENCE_R2 = 0.25
 # more than this.
 FEASIBILITY_TOL = 1e-12
 
-GRID_COLUMNS = (
-    "theta",
-    "v",
-    "tau",
-    "r12",
-    "r_y1",
-    "r_y2",
-    "b",
-    "gamma1",
-    "gamma2",
-    "gamma_s2",
-    "sum_bound",
-    "gamma_sr",
-    "t_ratio_bound",
-)
+
+class GridCell(NamedTuple):
+    """One cell of a grid; its fields are the grid's CSV columns, in order."""
+
+    theta: float
+    v: float
+    tau: float
+    r12: float
+    r_y1: float
+    r_y2: float
+    b: float
+    gamma1: float
+    gamma2: float
+    gamma_s2: float
+    sum_bound: float
+    gamma_sr: float
+    t_ratio_bound: float
+
+
+GRID_COLUMNS = GridCell._fields
 
 
 class PairDiagnostics(NamedTuple):
@@ -119,17 +124,8 @@ def gamma_pair_columns(
 def gamma_pair(r_y1: float, r_y2: float, r12: float) -> PairDiagnostics:
     """Evaluate the closed-form pair diagnostics for one correlation triple."""
     columns = gamma_pair_columns(*(np.array([r], dtype=float) for r in (r_y1, r_y2, r12)))
-    gamma1, gamma2, gamma_s2, gamma_sr, sum_bound = (float(col[0]) for col in columns)
-    return PairDiagnostics(
-        r_y1=r_y1,
-        r_y2=r_y2,
-        r12=r12,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        gamma_s2=gamma_s2,
-        gamma_sr=gamma_sr,
-        sum_bound=sum_bound,
-    )
+    # gamma_pair_columns returns its columns in PairDiagnostics' field order
+    return PairDiagnostics(r_y1, r_y2, r12, *(float(col[0]) for col in columns))
 
 
 class TrianglePoint(NamedTuple):
@@ -147,22 +143,6 @@ class TrianglePoint(NamedTuple):
     r_y1: float
     r_y2: float
     b: float
-
-
-class GridCell(NamedTuple):
-    theta: float
-    v: float
-    tau: float
-    r12: float
-    r_y1: float
-    r_y2: float
-    b: float
-    gamma1: float
-    gamma2: float
-    gamma_s2: float
-    sum_bound: float
-    gamma_sr: float
-    t_ratio_bound: float
 
 
 def _elementwise(fn, values: np.ndarray) -> np.ndarray:
@@ -238,18 +218,18 @@ class Grid:
     object.
     """
 
-    __slots__ = ("columns", "theta_rows", "_csv_work", "_svg_layouts", "_svg_bands")
+    __slots__ = ("columns", "theta_rows", "_csv_work", "_svg_templates", "_svg_fills")
 
     def __init__(self, columns: dict[str, np.ndarray], theta_rows: range):
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "theta_rows", theta_rows)
         # Built by the first render call that needs them and shared by the
-        # rest: the CSV kernel's work arrays; the rect text of every cell,
-        # by (theta_steps, v_steps, cell_px); and every cell's color band,
-        # by field.
+        # rest: the CSV kernel's work arrays; the rect template of every
+        # cell, by (theta_steps, v_steps, cell_px); and the six hex digits
+        # of every cell's fill color, by field.
         object.__setattr__(self, "_csv_work", None)
-        object.__setattr__(self, "_svg_layouts", {})
-        object.__setattr__(self, "_svg_bands", {})
+        object.__setattr__(self, "_svg_templates", {})
+        object.__setattr__(self, "_svg_fills", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -530,13 +510,14 @@ def _csv_records(work: _CsvWork, rows: int) -> np.ndarray:
     return rec
 
 
-def grid_csv_text(cells: Grid, cell_range: range | None = None) -> str:
-    """CSV text (12 significant digits, LF line endings) of the block's cells
-    in ``cell_range`` (by default all of them), led by the header line when
-    they start the grid. The texts of consecutive ranges and blocks join
-    into one CSV text, byte-identical to '%.12g' of every value."""
+def grid_csv_text(cells: Grid, cell_range: range | None = None) -> bytes:
+    """CSV text as ASCII bytes (12 significant digits, LF line endings) of
+    the block's cells in ``cell_range`` (by default all of them), led by the
+    header line when they start the grid. The texts of consecutive ranges
+    and blocks join into one CSV text, byte-identical to '%.12g' of every
+    value."""
     lo, hi = _cell_bounds(cells, cell_range)
-    head = ",".join(GRID_COLUMNS) + "\n" if cells.theta_rows.start == 0 and lo == 0 else ""
+    head = ",".join(GRID_COLUMNS).encode() + b"\n" if cells.theta_rows.start == 0 and lo == 0 else b""
     rows = hi - lo
     if not rows:
         return head
@@ -546,7 +527,7 @@ def grid_csv_text(cells: Grid, cell_range: range | None = None) -> str:
         object.__setattr__(cells, "_csv_work", work)
     for k, col in enumerate(GRID_COLUMNS):
         work.matrix[:rows, k] = cells.columns[col][lo:hi]
-    return head + _csv_records(work, rows).tobytes().translate(None, b"\0").decode("ascii")
+    return head + _csv_records(work, rows).tobytes().translate(None, b"\0")
 
 
 def point_diagnostics(point: TrianglePoint) -> PairDiagnostics:
@@ -641,34 +622,38 @@ def _palette(bands: int) -> list[str]:
     return colors
 
 
-# The end of a rect's text, from its fill color, by band (step, top).
-_FILLS = {
-    band: tuple(f'{color}"/>' for color in _palette(int(band[1] / band[0])))
+# The six hex digits of each band's fill color, as a (bands + 1, 6) uint8
+# table, by band (step, top).
+_FILL_DIGITS = {
+    band: np.frombuffer("".join(_palette(int(band[1] / band[0]))).replace("#", "").encode(), np.uint8).reshape(-1, 6)
     for band in (*_BAND_STEPS.values(), _DEFAULT_BAND)
 }
+# Where a rect's fill digits lie, from the end of its text '#rrggbb"/>'.
+_FILL_AT = np.arange(-9, -3)
 
 
-@functools.lru_cache(maxsize=4)
-def _rect_texts(theta_steps: int, v_steps: int, cell_px: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Each grid column's and grid row's part of a rect's text, formatted once
-    per grid shape and cell size, so the blocks of one grid share them."""
-    xs = tuple(f'\n<rect x="{col * cell_px}" y="' for col in range(theta_steps - 1))
-    ys = tuple(f'{row * cell_px}" width="{cell_px}" height="{cell_px}" fill="' for row in range(v_steps - 1))
-    return xs, ys
-
-
-def _svg_layout(cells: Grid, theta_steps: int, v_steps: int, cell_px: int) -> list[str]:
-    """Text of every cell's rect up to its fill color, from the line break
-    before it; built once per block and cell size."""
-    key = (theta_steps, v_steps, cell_px)
-    layout = cells._svg_layouts.get(key)
-    if layout is None:
-        cols = np.rint(cells.columns["theta"] / math.pi * theta_steps).astype(np.intp) - 1
-        rows = v_steps - 1 - np.rint(cells.columns["v"] / math.pi * v_steps).astype(np.intp)
-        xs, ys = _rect_texts(theta_steps, v_steps, cell_px)
-        layout = [xs[c] + ys[r] for c, r in zip(cols.tolist(), rows.tolist())]
-        cells._svg_layouts[key] = layout
-    return layout
+def _svg_template(cells: Grid, theta_steps: int, v_steps: int, cell_px: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's rects as one writable byte array, whose fill digits each
+    heatmap writes over, and each rect's offset in it, then the end. A run
+    of cells on one theta line and consecutive rows (bottom to top) shares
+    one x prefix, so it is one join of its rows' texts."""
+    cols = np.rint(cells.columns["theta"] / math.pi * theta_steps).astype(np.intp) - 1
+    rows = v_steps - 1 - np.rint(cells.columns["v"] / math.pi * v_steps).astype(np.intp)
+    if not cols.size:
+        return np.zeros(0, np.uint8), np.zeros(1, np.intp)
+    heads = np.flatnonzero((np.diff(cols, prepend=-1) != 0) | (np.diff(rows, prepend=-1) != -1))
+    top = int(rows.max())
+    # ys[k] is the end of a rect on row top - k.
+    ys = [
+        b'%d" width="%d" height="%d" fill="#000000"/>' % (row * cell_px, cell_px, cell_px)
+        for row in range(top, int(rows.min()) - 1, -1)
+    ]
+    texts = []
+    for col, row, size in zip(cols[heads].tolist(), rows[heads].tolist(), np.diff(heads, append=cols.size).tolist()):
+        x = b'\n<rect x="%d" y="' % (col * cell_px)
+        texts += (x, x.join(ys[top - row : top - row + size]))
+    text = np.frombuffer(bytearray().join(texts), np.uint8)
+    return text, np.concatenate(([0], np.flatnonzero(text == ord(">")) + 1))  # a rect's one ">" ends it
 
 
 def svg_heatmap(
@@ -678,9 +663,9 @@ def svg_heatmap(
     v_steps: int,
     cell_px: int = 6,
     cell_range: range | None = None,
-) -> list[str]:
+) -> list[bytes]:
     """Banded heatmaps of diagnostic columns over the feasible region, one
-    per field, in the order of ``fields``.
+    ASCII document part per field, in the order of ``fields``.
 
     Colors step at fixed level-set thresholds (0.2 apart for gain ratios,
     0.5 apart for the t-ratio cap) on a linear blue-to-red ramp. A whole grid
@@ -689,30 +674,37 @@ def svg_heatmap(
     first cell of the grid opens the document, its last closes it (a grid
     with no cell in its last block closes it there), and the parts of
     consecutive ranges and blocks join into the whole grid's document. The
-    fields share one layout slice and one list of parts.
+    fields share the block's one rect template (per cell size): each writes
+    its cells' fill digits into it and copies the range out.
     """
     for field in fields:
         if field not in GRID_COLUMNS:
             raise ValueError(f"unknown field {field!r}")
     lo, hi = _cell_bounds(cells, cell_range)
-    parts = [""] * (2 * (hi - lo) + 2)
+    key = (theta_steps, v_steps, cell_px)
+    template = cells._svg_templates.get(key)
+    if template is None:
+        template = cells._svg_templates[key] = _svg_template(cells, theta_steps, v_steps, cell_px)
+    head = tail = b""
     if cells.theta_rows.start == 0 and lo == 0:
         width = (theta_steps - 1) * cell_px
         height = (v_steps - 1) * cell_px
-        parts[0] = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">\n'
-            f'<rect width="{width}" height="{height}" fill="#f0f0f0"/>'
+        head = (
+            b'<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">\n'
+            b'<rect width="%d" height="%d" fill="#f0f0f0"/>' % (width, height, width, height, width, height)
         )
-    parts[1:-1:2] = _svg_layout(cells, theta_steps, v_steps, cell_px)[lo:hi]
     if cells.theta_rows.stop == theta_steps - 1 and hi == len(cells):
-        parts[-1] = "\n</svg>\n"
+        tail = b"\n</svg>\n"
+    text, offsets = template
+    digits = offsets[lo + 1 : hi + 1, None] + _FILL_AT
+    body = text[offsets[lo] : offsets[hi]]
     docs = []
     for field in fields:
-        band = _BAND_STEPS.get(field, _DEFAULT_BAND)
-        bands = cells._svg_bands.get(field)
-        if bands is None:
-            bands = cells._svg_bands[field] = _band_indices(cells.columns[field], *band)
-        parts[2:-1:2] = map(_FILLS[band].__getitem__, bands[lo:hi].tolist())
-        docs.append("".join(parts))
+        fills = cells._svg_fills.get(field)
+        if fills is None:
+            band = _BAND_STEPS.get(field, _DEFAULT_BAND)
+            bands = _band_indices(cells.columns[field], *band)
+            fills = cells._svg_fills[field] = np.take(_FILL_DIGITS[band], bands, axis=0)
+        text[digits] = fills[lo:hi]
+        docs.append(b"".join((head, body, tail)))
     return docs

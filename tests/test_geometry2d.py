@@ -113,7 +113,7 @@ def test_grid_cells_feasible_and_ordered():
 
 def test_grid_csv_shape():
     cells = grid_evaluate(12, 12, 0.5)
-    text = grid_csv_text(cells)
+    text = grid_csv_text(cells).decode("ascii")
     assert text.endswith("\n") and "\r" not in text
     lines = text[:-1].split("\n")
     assert lines[0] == ",".join(GRID_COLUMNS)
@@ -144,8 +144,8 @@ def test_bound_identity_against_middle_expression():
 def test_svg_heatmap_renders():
     cells = grid_evaluate(10, 10, 0.5)
     (doc,) = svg_heatmap(cells, ["gamma_sr"], 10, 10)
-    assert doc.startswith("<svg")
-    assert doc.count("<rect") == len(cells) + 1
+    assert doc.startswith(b"<svg")
+    assert doc.count(b"<rect") == len(cells) + 1
     with pytest.raises(ValueError):
         svg_heatmap(cells, ["gamma_sr", "nope"], 10, 10)
 

@@ -55,10 +55,13 @@ def test_grid_matches_oracle(steps, r2_full):
     for col in GRID_COLUMNS:
         assert grid.columns[col].tobytes() == _bits([getattr(c, col) for c in cells]), col
     assert list(grid) == cells
-    text = "\n".join(oracle.grid_csv_lines(cells)) + "\n"
+    text = ("\n".join(oracle.grid_csv_lines(cells)) + "\n").encode("ascii")
     assert grid_csv_text(grid) == text
-    docs = [oracle.svg_heatmap(cells, field, theta_steps, v_steps) for field in SVG_FIELDS]
-    assert svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps) == docs
+    docs = [oracle.svg_heatmap(cells, field, theta_steps, v_steps).encode("ascii") for field in SVG_FIELDS]
+    ours = svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps)
+    assert ours == docs
+    # bytes, not a bytearray or a view of the block's template
+    assert {type(grid_csv_text(grid)), *map(type, ours)} == {bytes}
     # The blocks' columns, CSV texts and SVG parts, joined in order: one line
     # per block, uneven blocks, and one block.
     for sizes in ((1,), (3, 1, 4, 1, 5, 9, 2, 6), (theta_steps - 1,)):
@@ -68,15 +71,15 @@ def test_grid_matches_oracle(steps, r2_full):
         for col in GRID_COLUMNS:
             joined = np.concatenate([block.columns[col] for block in blocks])
             assert joined.tobytes() == grid.columns[col].tobytes(), (sizes, col)
-        assert "".join(grid_csv_text(block) for block in blocks) == text, sizes
+        assert b"".join(grid_csv_text(block) for block in blocks) == text, sizes
         parts = [svg_heatmap(block, SVG_FIELDS, theta_steps, v_steps) for block in blocks]
-        assert ["".join(doc) for doc in zip(*parts)] == docs, sizes
+        assert [b"".join(doc) for doc in zip(*parts)] == docs, sizes
     # The cell ranges of one block, joined in order: uneven ranges of one
     # cell and more, with empty ranges between them.
     ranges = _blocks_of(len(grid), (1, 0, 3, 0, 512))
-    assert "".join(grid_csv_text(grid, cells) for cells in ranges) == text
+    assert b"".join(grid_csv_text(grid, cells) for cells in ranges) == text
     parts = [svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps, 6, cells) for cells in ranges]
-    assert ["".join(doc) for doc in zip(*parts)] == docs
+    assert [b"".join(doc) for doc in zip(*parts)] == docs
 
 
 def test_grid_rejects_rows_outside_the_grid():
@@ -93,7 +96,7 @@ def test_render_rejects_cells_outside_the_block():
             grid_csv_text(grid, cells)
         with pytest.raises(ValueError):
             svg_heatmap(grid, ["gamma1"], 12, 12, 6, cells)
-    assert grid_csv_text(grid, range(4, 4)) == ""
+    assert grid_csv_text(grid, range(4, 4)) == b""
 
 
 def test_scalar_wrappers_match_oracle():
@@ -229,13 +232,13 @@ def test_cli_grid_workers_match_oracle(tmp_path, monkeypatch, capsys, workers, t
 
 
 class _Recorder:
-    """An output that keeps each text written to it."""
+    """An output that keeps each byte string written to it."""
 
     def __init__(self):
-        self.writes: list[str] = []
+        self.writes: list[bytes] = []
 
-    def write(self, text: str) -> None:
-        self.writes.append(text)
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
 
 
 def test_render_grid_writes_a_chunk_at_a_time():
@@ -253,9 +256,10 @@ def test_render_grid_writes_a_chunk_at_a_time():
     for output in outputs:
         assert len(output.writes) > len(cells) // cli.GRID_CHUNK_CELLS
         assert max(map(len, output.writes)) <= bound
-    assert "".join(outputs[0].writes) == "\n".join(oracle.grid_csv_lines(cells)) + "\n"
+    assert b"".join(outputs[0].writes) == ("\n".join(oracle.grid_csv_lines(cells)) + "\n").encode("ascii")
     for field, output in zip(SVG_FIELDS, outputs[1:]):
-        assert "".join(output.writes) == oracle.svg_heatmap(cells, field, theta_steps, v_steps), field
+        doc = oracle.svg_heatmap(cells, field, theta_steps, v_steps)
+        assert b"".join(output.writes) == doc.encode("ascii"), field
 
 
 @pytest.mark.parametrize(
@@ -273,8 +277,8 @@ def test_cli_grid_parts_append_to_any_stdout(monkeypatch, stdout):
     monkeypatch.setattr("sys.stdout", out)
     assert cli.main(["grid", "--theta-steps", "53", "--v-steps", "5"]) == 0
     out.flush()
-    text = out.getvalue() if isinstance(out, io.StringIO) else out.buffer.getvalue().decode()
-    assert text == "\n".join(oracle.grid_csv_lines(oracle.grid_evaluate(53, 5, 0.5))) + "\n"
+    data = out.getvalue().encode("ascii") if isinstance(out, io.StringIO) else out.buffer.getvalue()
+    assert data == ("\n".join(oracle.grid_csv_lines(oracle.grid_evaluate(53, 5, 0.5))) + "\n").encode("ascii")
 
 
 def test_cli_grid_parts_fall_back_to_the_temp_dir(tmp_path, monkeypatch, capsys):
@@ -344,14 +348,14 @@ def test_csv_formats_each_bit_pattern():
     # three theta lines of 5, 5 and 2 cells
     grid = Grid({col: np.array(values[k:] + values[:k]) for k, col in enumerate(GRID_COLUMNS)}, range(3))
     lines = oracle.grid_csv_lines(list(grid))
-    expected = "\n".join(lines) + "\n"
+    expected = ("\n".join(lines) + "\n").encode("ascii")
     assert grid_csv_text(grid) == expected
     assert "-0" in lines[1].split(",") and "0" in lines[2].split(",")
     blocks = [
         Grid({col: values[5 * line : 5 * line + 5] for col, values in grid.columns.items()}, range(line, line + 1))
         for line in range(3)
     ]
-    assert "".join(map(grid_csv_text, blocks)) == expected
+    assert b"".join(map(grid_csv_text, blocks)) == expected
 
 
 def _kernel_cases() -> np.ndarray:
@@ -397,7 +401,7 @@ def test_csv_kernel_matches_percent_g():
     # not the grid's first theta line, so no header
     grid = Grid({col: matrix[:, k].copy() for k, col in enumerate(GRID_COLUMNS)}, range(1, 2))
     ranges = _blocks_of(len(grid), (512, 512, 300, 1, 512))
-    text = "".join(grid_csv_text(grid, cells) for cells in ranges)
+    text = b"".join(grid_csv_text(grid, cells) for cells in ranges).decode("ascii")
     seps = [","] * (len(GRID_COLUMNS) - 1) + ["\n"]
     expected = "".join(["%.12g%s" % pair for pair in zip(values.tolist(), itertools.cycle(seps))])
     if text != expected:
@@ -407,11 +411,33 @@ def test_csv_kernel_matches_percent_g():
         pytest.fail(f"{len(mismatches)} mismatches, first {mismatches[:5]}")
 
 
+def test_svg_template_built_once_per_block(tmp_path, monkeypatch):
+    """The six heatmaps of every chunk of a block draw from one rect
+    template, built on the block's first chunk."""
+    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+    monkeypatch.setattr(cli, "GRID_CHUNK_CELLS", 3)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    blocks = list(geometry2d.theta_line_blocks(53, 5, 7))
+    chunks = sum(max(1, -(-len(grid_evaluate(53, 5, 0.5, rows)) // 3)) for rows in blocks)
+    assert len(blocks) == 13 and chunks > len(blocks)
+    built = []
+    template = geometry2d._svg_template
+
+    def build(block, *args):
+        built.append(block.theta_rows)
+        return template(block, *args)
+
+    monkeypatch.setattr(geometry2d, "_svg_template", build)
+    args = ["grid", "--theta-steps", "53", "--v-steps", "5", "--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert built == blocks
+
+
 def test_svg_layout_per_cell_size():
     """Heatmaps of one grid at two cell sizes each match the oracle."""
     grid = grid_evaluate(12, 12, 0.5)
     cells = oracle.grid_evaluate(12, 12, 0.5)
     for cell_px in (6, 3, 6):
         fields = ("gamma1", "t_ratio_bound")
-        expected = [oracle.svg_heatmap(cells, field, 12, 12, cell_px) for field in fields]
+        expected = [oracle.svg_heatmap(cells, field, 12, 12, cell_px).encode("ascii") for field in fields]
         assert svg_heatmap(grid, fields, 12, 12, cell_px) == expected
