@@ -39,12 +39,12 @@ from .errors import AuditError, TooManyFeatures
 # benchmark's tracer and the tests do, replaces what the commands call.
 _LIBRARY = {
     "bitsets": ("indices_of",),
-    "gamma": ("RatioQuery", "submodularity_ratio"),
+    "gamma": ("submodularity_ratio",),
     "jsonsafe": ("float_texts", "json_line", "report_text", "string_text"),
-    "regress": ("StandardizedDesign", "fit_table", "gram_rows", "load_csv", "standardize"),
+    "regress": ("fit_table", "gram_rows", "load_csv", "standardize"),
     "selection": ("best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen"),
-    "setfun": ("VIOLATION_TOL", "Certificates", "_second_order_summary", "empirical_gamma_s"),
-    "spectral": ("ConeSpec", "_check_alpha", "restricted_eigenvalue", "sparse_min_eigenvalue"),
+    "setfun": ("VIOLATION_TOL", "_second_order_summary", "empirical_gamma_s"),
+    "spectral": ("_check_alpha", "restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
 _MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
 # The modules build_audit_report calls; its certificate renderer binds bitsets.
@@ -268,8 +268,7 @@ def _gamma_section(design, table, e2, mode: str | None, max_enum: int) -> dict:
     ratio: dict = {"base": [], "k": ratio_k}
     for ratio_mode in {"atmost": ("at_most_k",), "exact": ("exactly_k",)}.get(mode, ("at_most_k", "exactly_k")):
         try:
-            query = RatioQuery(base=(), k=ratio_k, mode=ratio_mode)
-            res = submodularity_ratio(design, query, max_features=max_enum)
+            res = submodularity_ratio(design, ratio_k, mode=ratio_mode, max_features=max_enum)
             ratio[ratio_mode] = {"value": res.gamma_sr, "argmin": _names(res.argmin, names), "skipped": res.skipped}
         except AuditError as exc:
             ratio[ratio_mode] = {"error": str(exc)}
@@ -287,11 +286,10 @@ def _spectral_section(design, k: int, best: tuple[int, ...], alpha: float | None
     lam = sparse_min_eigenvalue(design.correlation_matrix(), size, max_features=max_enum)
     section = {"size": size, "lambda_min": lam.value, "witness": _names(lam.support, design.names)}
     if alpha is not None and best:
-        cone = ConeSpec(best, alpha)
-        re = restricted_eigenvalue(design.correlation_matrix(), cone)
+        re = restricted_eigenvalue(design.correlation_matrix(), best, alpha)
         section["restricted_eigenvalue"] = {
             "alpha": alpha,
-            "subset": _names(cone.subset, design.names),
+            "subset": _names(best, design.names),
             "value": re.value,
             "is_heuristic": re.is_heuristic,
         }
@@ -313,12 +311,14 @@ def _violation_summary(count: int, head: Certificates, by_size, by_pair, names) 
     }
 
 
-def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None = None) -> list[str]:
+def _certificate_texts(
+    certs: Certificates, names, sets: dict[int, str] | None = None, rows: slice = slice(None)
+) -> list[str]:
     """The json_line text of each certificate's {"deficit", "form", "lhs",
-    "rhs", "sets"} object, in order: one format for a head and for the
-    stream. ``sets`` maps a mask to its name list's text; a mask it lacks is
-    rendered once and added, so the lists and chunks that share it render
-    each mask once."""
+    "rhs", "sets"} object among ``rows``, in order: one format for a head and
+    for the stream. ``sets`` maps a mask to its name list's text; a mask it
+    lacks is rendered once and added, so the lists and chunks that share it
+    render each mask once."""
     _bind("bitsets", "jsonsafe")
     roles = sorted(zip(certs.roles, certs.columns), key=lambda pair: pair[0])
     template = (
@@ -330,7 +330,7 @@ def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None =
     sets = {} if sets is None else sets
     role_texts = []
     for role, values in roles:
-        values = values.tolist()
+        values = values[rows].tolist()
         if role in ("i", "j"):
             lookup = encoded
         else:
@@ -338,8 +338,8 @@ def _certificate_texts(certs: Certificates, names, sets: dict[int, str] | None =
             for mask in set(values).difference(sets):
                 sets[mask] = f"[{', '.join(encoded[f] for f in indices_of(mask))}]"
         role_texts.append(map(lookup.__getitem__, values))
-    rows = zip(float_texts(certs.deficit), float_texts(certs.lhs), float_texts(certs.rhs), *role_texts)
-    return [template % row for row in rows]
+    floats = (float_texts(values[rows]) for values in (certs.deficit, certs.lhs, certs.rhs))
+    return [template % row for row in zip(*floats, *role_texts)]
 
 
 @contextmanager
@@ -357,7 +357,7 @@ def _certificate_stream(path: str | None, names) -> Iterator[Callable | None]:
 
         def write(out: BinaryIO, certs: Certificates) -> None:
             for lo in range(0, len(certs), STREAM_CHUNK):
-                texts = _certificate_texts(certs[lo : lo + STREAM_CHUNK], names, sets)
+                texts = _certificate_texts(certs, names, sets, slice(lo, lo + STREAM_CHUNK))
                 out.write("".join(text + "\n" for text in texts).encode("ascii"))
 
         def sink(second: Certificates, suppression: Certificates) -> None:

@@ -1,10 +1,11 @@
-"""Submodularity ratio: the exhaustive general form. The two-feature closed
-forms live in geometry2d."""
+"""Submodularity ratio: the exhaustive general form, asked for by plain
+arguments (k, the base set and the mode) that submodularity_ratio checks
+itself. The two-feature closed forms live in geometry2d."""
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -18,43 +19,6 @@ MODE_AT_MOST_K = "at_most_k"
 MODE_EXACTLY_K = "exactly_k"
 
 
-class RatioQuery:
-    """One submodularity-ratio request: base set, candidate cardinality, mode.
-
-    ``at_most_k`` ranges candidate sets over sizes 1..k (singletons pin the
-    minimum at 1 whenever they are admissible); ``exactly_k`` fixes the size.
-    The base is kept sorted and without repeats; attributes are read-only.
-    """
-
-    __slots__ = ("base", "k", "mode")
-
-    def __init__(self, base: tuple[int, ...], k: int, mode: str = MODE_AT_MOST_K):
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        if mode not in (MODE_AT_MOST_K, MODE_EXACTLY_K):
-            raise ValueError(f"unknown mode {mode!r}")
-        object.__setattr__(self, "base", tuple(sorted(set(base))))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.k, self.mode) == (other.base, other.k, other.mode)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.k, self.mode))
-
-    def __repr__(self) -> str:
-        return f"RatioQuery(base={self.base!r}, k={self.k!r}, mode={self.mode!r})"
-
-
 class RatioResult(NamedTuple):
     gamma_sr: float
     argmin: tuple[int, ...]
@@ -63,11 +27,15 @@ class RatioResult(NamedTuple):
 
 def submodularity_ratio(
     design: StandardizedDesign,
-    query: RatioQuery,
+    k: int,
+    base: Iterable[int] = (),
+    mode: str = MODE_AT_MOST_K,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> RatioResult:
     """Worst-case ratio of summed single-feature gains to the joint gain.
 
+    ``at_most_k`` ranges candidate sets over sizes 1..k (singletons pin the
+    minimum at 1 whenever they are admissible); ``exactly_k`` fixes the size.
     For each admissible candidate set T disjoint from the base S, compares
     sum_i gain_S(t_i), summed in index order, against gain_S(T). Each gain is
     a difference of two fits, a block of candidate sets per fit_block call. The
@@ -75,10 +43,14 @@ def submodularity_ratio(
     whose joint gain is negligible are skipped and counted; if everything is
     skipped there is no ratio to report and EmptyCandidateSet is raised.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if mode not in (MODE_AT_MOST_K, MODE_EXACTLY_K):
+        raise ValueError(f"unknown mode {mode!r}")
     m = design.m
     _check_cap(m, max_features)
-    base = np.array(_as_indices(query.base, m), dtype=np.intp)
-    if base.size + query.k > m:
+    base = np.array(_as_indices(base, m), dtype=np.intp)
+    if base.size + k > m:
         raise ValueError("base set plus k exceeds the number of features")
 
     candidates = np.delete(np.arange(m), base)
@@ -94,7 +66,7 @@ def submodularity_ratio(
 
     singles = gains(candidates[:, None])
 
-    sizes = [query.k] if query.mode == MODE_EXACTLY_K else list(range(1, query.k + 1))
+    sizes = [k] if mode == MODE_EXACTLY_K else list(range(1, k + 1))
     best = math.inf
     argmin: tuple[int, ...] = ()
     skipped = 0

@@ -25,7 +25,9 @@ O(m^2 2^m) rather than a walk over all O(m 3^m) nested pairs; fl(a / d) is
 monotone in a and d, so this is exact.
 Argmin ties break toward the first comparison in ascending mask order; a
 head is ordered by deficit, largest first, then by its index sets as tuples,
-and kept as columns (Certificates) from the kernel to the renderer.
+and kept as columns (Certificates) from the kernel to the renderer. A
+Certificates is the read-only columns, form, roles and length the renderer
+reads, and no more: no function here builds a row.
 Second-order certificates (A, i, j) and (A, j, i) come from the same step
 of that walk and carry its one deficit, that of (A, min(i, j), max(i, j)), so
 they are selected together, and sort next to each other. Suppression
@@ -35,7 +37,6 @@ gains (_roots).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -65,33 +66,14 @@ def _pair_gains(table: FitTable) -> Iterator[tuple]:
             yield a[:, 0, :, 0].ravel(), lo, hi, *[row[:, h, :, l].ravel() for row, h, l in at]
 
 
-class ViolationCertificate(NamedTuple):
-    """One witnessed failure of a diminishing-returns inequality.
-
-    ``sets`` holds the witnessing index sets keyed by role (A, B, S, i, j
-    depending on ``form``); lhs/rhs are the two sides of the inequality that
-    should have satisfied lhs >= rhs, and deficit = rhs - lhs > 0.
-    """
-
-    form: str
-    sets: tuple[tuple[str, tuple[int, ...]], ...]
-    lhs: float
-    rhs: float
-    deficit: float
-
-    def set_dict(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.sets)
-
-
-class Certificates(Sequence):
+class Certificates:
     """A list of certificates of one form, stored by column in list order,
     read-only.
 
     ``columns`` holds one array per role in ``roles``: masks for the set roles
     A, B and S, feature indices for i and j; ``lhs``, ``rhs`` and ``deficit``
-    are float64 arrays. An int index and iteration yield ViolationCertificate;
-    a slice is again a Certificates. It equals any sequence holding the same
-    certificates in the same order.
+    are float64 arrays: each row, the two sides of a diminishing-returns
+    inequality lhs >= rhs that failed, and its positive deficit.
     """
 
     def __init__(self, form: str, roles, columns, lhs, rhs, deficit):
@@ -104,41 +86,6 @@ class Certificates(Sequence):
 
     def __len__(self) -> int:
         return self.deficit.size
-
-    def __getitem__(self, index):
-        if not isinstance(index, slice):
-            row = range(len(self))[index]
-            return next(iter(self[row : row + 1]))
-        return Certificates(
-            self.form,
-            self.roles,
-            [values[index] for values in self.columns],
-            self.lhs[index],
-            self.rhs[index],
-            self.deficit[index],
-        )
-
-    def __iter__(self) -> Iterator[ViolationCertificate]:
-        parts = []
-        for role, values in zip(self.roles, self.columns):
-            values = values.tolist()
-            as_set = (lambda v: (v,)) if role in ("i", "j") else indices_of
-            lookup = {v: (role, as_set(v)) for v in set(values)}
-            parts.append(map(lookup.__getitem__, values))
-        for sets, lhs, rhs, deficit in zip(
-            zip(*parts), self.lhs.tolist(), self.rhs.tolist(), self.deficit.tolist()
-        ):
-            yield ViolationCertificate(self.form, sets, lhs, rhs, deficit)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Certificates({self.form!r}, {len(self)} certificates)"
 
 
 def _lex_rank(masks: np.ndarray, m: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Sparse minimum eigenvalues, the restricted eigenvalue over an l1 cone, and
-their ordering against the submodularity ratio."""
+their ordering against the submodularity ratio. The cone is given by its
+subset and alpha, which restricted_eigenvalue checks; its heuristic search is
+set by module constants, not by arguments."""
 
 from __future__ import annotations
 
@@ -11,8 +13,17 @@ import numpy as np
 
 from . import regress
 from .bitsets import combination_blocks
-from .gamma import RatioQuery, submodularity_ratio
+from .gamma import MODE_EXACTLY_K, submodularity_ratio
 from .regress import DEFAULT_MAX_FEATURES, StandardizedDesign, _as_indices, _check_cap
+
+
+# restricted_eigenvalue's outer candidates (the S block's eigenvector, then
+# random directions), the seed of their stream, and each inner descent's
+# step cap and stopping tolerance
+RESTARTS = 8
+SEED = 0
+ITERATIONS = 2000
+TOLERANCE = 1e-10
 
 
 def _check_alpha(alpha: float) -> None:
@@ -29,40 +40,6 @@ def _symmetric(sigma_hat: np.ndarray) -> np.ndarray:
     if np.abs(S - S.T).max() > 1e-8:
         raise ValueError("sigma_hat must be symmetric")
     return S
-
-
-class ConeSpec:
-    """l1 cone: coordinates off S carry at most alpha times the l1 mass on S.
-
-    The subset is kept sorted and without repeats; alpha is at least 1 (+inf
-    allowed, NaN refused). Attributes are read-only.
-    """
-
-    __slots__ = ("subset", "alpha")
-
-    def __init__(self, subset: tuple[int, ...], alpha: float):
-        if not subset:
-            raise ValueError("cone subset must be nonempty")
-        _check_alpha(alpha)
-        object.__setattr__(self, "subset", tuple(sorted(set(subset))))
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.subset, self.alpha) == (other.subset, other.alpha)
-
-    def __hash__(self) -> int:
-        return hash((self.subset, self.alpha))
-
-    def __repr__(self) -> str:
-        return f"ConeSpec(subset={self.subset!r}, alpha={self.alpha!r})"
 
 
 class SparseEigenResult(NamedTuple):
@@ -130,35 +107,33 @@ class RestrictedEigenResult(NamedTuple):
     is_heuristic: bool = True
 
 
-def restricted_eigenvalue(
-    sigma_hat: np.ndarray,
-    cone: ConeSpec,
-    restarts: int = 8,
-    iters: int = 2000,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> RestrictedEigenResult:
-    """Minimize beta' Sigma beta / ||beta_S||^2 over the cone, heuristically.
+def restricted_eigenvalue(sigma_hat: np.ndarray, subset: Iterable[int], alpha: float) -> RestrictedEigenResult:
+    """Minimize beta' Sigma beta / ||beta_S||^2, heuristically, over the l1
+    cone where the coordinates off S carry at most alpha (at least 1, +inf
+    allowed) times the l1 mass on S.
 
     The quotient is scale-free, so beta_S is normalized to the unit sphere.
     The outer loop tries deterministic candidates (the smallest eigenvector
-    of the S block first) plus random directions drawn from the stdlib
-    ``random.Random(seed)``, so numpy.random is never loaded; for each, the
-    off-S coordinates solve a convex quadratic over the l1 ball by projected
-    gradient descent with a fixed 1/L step. The returned certificate is
-    feasible and reproduces the value.
+    of the S block first) plus RESTARTS - 1 random directions drawn from the
+    stdlib ``random.Random(SEED)``, so numpy.random is never loaded; for
+    each, the off-S coordinates solve a convex quadratic over the l1 ball by
+    projected gradient descent with a fixed 1/L step, for at most ITERATIONS
+    steps or until the value moves by at most TOLERANCE. The returned
+    certificate is feasible and reproduces the value.
     """
+    subset = tuple(subset)
+    if not subset:
+        raise ValueError("cone subset must be nonempty")
+    _check_alpha(alpha)
     S = _symmetric(sigma_hat)
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     m = S.shape[0]
-    idx_s = list(_as_indices(cone.subset, m))
-    idx_c = [i for i in range(m) if i not in cone.subset]
+    idx_s = list(_as_indices(subset, m))
+    idx_c = [i for i in range(m) if i not in idx_s]
 
     S_ss = S[np.ix_(idx_s, idx_s)]
     candidates = [np.linalg.eigh(S_ss)[1][:, 0]]
-    rng = random.Random(seed)
-    for _ in range(restarts - 1):
+    rng = random.Random(SEED)
+    for _ in range(RESTARTS - 1):
         v = np.array(_standard_normals(rng, len(idx_s)))
         candidates.append(v / np.linalg.norm(v))
 
@@ -178,11 +153,11 @@ def restricted_eigenvalue(
     best_value = math.inf
     best_beta = np.zeros(m)
     for beta_s in candidates:
-        radius = cone.alpha * float(np.abs(beta_s).sum())
+        radius = alpha * float(np.abs(beta_s).sum())
         b = S_cs @ beta_s
         z = np.zeros(len(idx_c))
         value = float(beta_s @ S_ss @ beta_s)
-        for _ in range(iters):
+        for _ in range(ITERATIONS):
             grad = 2.0 * (S_cc @ z + b)
             z_next = _project_l1_ball(z - step * grad, radius)
             next_value = float(
@@ -191,7 +166,7 @@ def restricted_eigenvalue(
             shift = abs(next_value - value)
             z = z_next
             value = next_value
-            if shift <= tol:
+            if shift <= TOLERANCE:
                 break
         if value < best_value:
             best_value = value
@@ -216,9 +191,9 @@ def gamma_vs_spectral(
 ) -> GammaSpectralComparison:
     """Check the ordering: submodularity ratio at (S, k) dominates the sparse
     minimum eigenvalue at size |S| + k."""
-    query = RatioQuery(base=tuple(subset), k=k, mode="exactly_k")
-    ratio = submodularity_ratio(design, query, max_features=max_features)
-    size = min(len(query.base) + k, design.m)
+    base = tuple(subset)
+    ratio = submodularity_ratio(design, k, base=base, mode=MODE_EXACTLY_K, max_features=max_features)
+    size = min(len(set(base)) + k, design.m)
     lam = sparse_min_eigenvalue(design.correlation_matrix(), size, max_features=max_features)
     return GammaSpectralComparison(
         gamma_sr=ratio.gamma_sr,

@@ -22,7 +22,7 @@ import numpy as np
 
 from r2audit.bitsets import indices_of
 from r2audit.errors import EmptyCandidateSet, InsufficientDof, RankDeficient
-from r2audit.gamma import MODE_EXACTLY_K, RatioResult
+from r2audit.gamma import MODE_AT_MOST_K, MODE_EXACTLY_K, RatioResult
 from r2audit.regress import TABLE_PIVOT_RTOL, ZERO_RSS_TOL, _as_indices, fit_block, ls_fit
 from r2audit.selection import SelectionStep, SelectionTrace
 from r2audit.setfun import SKIP_DENOM_TOL
@@ -112,14 +112,14 @@ def forward_stepwise(design, k, t_stop=None):
     return SelectionTrace("forward_stepwise", tuple(steps), reason)
 
 
-def submodularity_ratio(design, query, fit=None):
+def submodularity_ratio(design, k, base=(), mode=MODE_AT_MOST_K, fit=None):
     if fit is None:
         fit = lambda mask: fit_entry(design, indices_of(mask)).r_squared  # noqa: E731
-    s_mask = mask_of(_as_indices(query.base, design.m))
+    s_mask = mask_of(_as_indices(base, design.m))
     fs = fit(s_mask)
     candidates = [i for i in range(design.m) if not (s_mask >> i) & 1]
     singles = {i: fit(s_mask | (1 << i)) - fs for i in candidates}
-    sizes = [query.k] if query.mode == MODE_EXACTLY_K else list(range(1, query.k + 1))
+    sizes = [k] if mode == MODE_EXACTLY_K else list(range(1, k + 1))
     best = math.inf
     argmin = ()
     skipped = 0

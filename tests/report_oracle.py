@@ -14,8 +14,8 @@ from collections import Counter
 import numpy as np
 
 from r2audit.jsonsafe import sanitize
-from r2audit.setfun import Certificates, ViolationCertificate
-from setfun_oracle import mask_of
+from r2audit.setfun import Certificates
+from setfun_oracle import ViolationCertificate, mask_of, rows
 
 
 def certificate_jsonable(cert: ViolationCertificate, names) -> dict:
@@ -38,7 +38,7 @@ def _jsonable(value, names):
     if isinstance(value, ViolationCertificate):
         return certificate_jsonable(value, names)
     if isinstance(value, Certificates):
-        return [certificate_jsonable(c, names) for c in value]
+        return [certificate_jsonable(c, names) for c in rows(value)]
     if isinstance(value, dict):
         return {k: _jsonable(v, names) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -62,6 +62,12 @@ def as_certificates(form: str, roles, certs) -> Certificates:
         columns.append(np.array(values, dtype=np.int64))
     floats = [np.array([getattr(c, f) for c in certs], dtype=float) for f in ("lhs", "rhs", "deficit")]
     return Certificates(form, roles, columns, *floats)
+
+
+def sliced(certs: Certificates, part: slice) -> Certificates:
+    """A Certificates holding the rows of a slice of the list, in order."""
+    columns = [values[part] for values in certs.columns]
+    return Certificates(certs.form, certs.roles, columns, certs.lhs[part], certs.rhs[part], certs.deficit[part])
 
 
 def row_counts(certs, m: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -9,22 +9,57 @@ every gain from the kernel's gain table, or takes the table difference where
 there is none, itself rather than through FitTable.gain, so what it checks is
 the walks, the witnesses, the tie-breaks and the order, not the arithmetic of
 the fits.
+The oracle's lists hold ViolationCertificate rows; ``rows`` reads a
+setfun.Certificates, whose columns the package keeps, as the same rows, so
+whole lists and heads compare row for row with ``==``.
 ``replay_certificate`` recomputes one certificate's two sides from its sets.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from r2audit.bitsets import indices_of
 from r2audit.regress import DEFAULT_MAX_FEATURES, _as_indices, fit_table, r_squared
-from r2audit.setfun import SKIP_DENOM_TOL, VIOLATION_TOL, GammaS2Result, GammaSResult, ViolationCertificate
+from r2audit.setfun import SKIP_DENOM_TOL, VIOLATION_TOL, GammaS2Result, GammaSResult
 
 # The three equivalent diminishing-returns inequalities. The package checks
 # only the second-order one; the definition (O(4^m) pairs of sets) and
 # first-order (O(m 4^m) nested pairs) checks live here, as references for
 # their equivalence.
 MODES = ("definition", "first_order", "second_order")
+
+
+class ViolationCertificate(NamedTuple):
+    """One witnessed failure of a diminishing-returns inequality.
+
+    ``sets`` holds the witnessing index sets keyed by role (A, B, S, i, j
+    depending on ``form``); lhs/rhs are the two sides of the inequality that
+    should have satisfied lhs >= rhs, and deficit = rhs - lhs > 0.
+    """
+
+    form: str
+    sets: tuple[tuple[str, tuple[int, ...]], ...]
+    lhs: float
+    rhs: float
+    deficit: float
+
+    def set_dict(self) -> dict[str, tuple[int, ...]]:
+        return dict(self.sets)
+
+
+def rows(certs) -> list[ViolationCertificate]:
+    """A Certificates' rows in list order: each role's mask as its index
+    tuple, each feature index as a 1-tuple, each float as a Python float."""
+    parts = []
+    for role, values in zip(certs.roles, certs.columns):
+        values = values.tolist()
+        as_set = (lambda v: (v,)) if role in ("i", "j") else indices_of
+        lookup = {v: (role, as_set(v)) for v in set(values)}
+        parts.append(map(lookup.__getitem__, values))
+    floats = (values.tolist() for values in (certs.lhs, certs.rhs, certs.deficit))
+    return [ViolationCertificate(certs.form, sets, *row) for sets, *row in zip(zip(*parts), *floats)]
 
 
 def _filled(design, table, max_features):

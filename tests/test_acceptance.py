@@ -28,6 +28,7 @@ from r2audit import (
     sis_assumption_check,
     sparse_min_eigenvalue,
     standardize,
+    submodularity_ratio,
     suppressor_population,
     t_ratio_empirical,
     triangle_solve,
@@ -237,6 +238,23 @@ def test_criterion_5_chain_bound():
 # ---------------------------------------------------------------------------
 
 
+def _adversarial_designs(seed, m=8):
+    """ROADMAP item 4's degenerate designs over one draw: a duplicated column,
+    a near-collinear pair (1e-7 noise), n = m + 2 rows, and offsets of 1e3."""
+    rng = np.random.default_rng(seed + 1600)
+    X = rng.standard_normal((40, m))
+    y = X @ rng.uniform(-1.0, 1.0, m) + 0.6 * rng.standard_normal(40)
+    duplicated, near = X.copy(), X.copy()
+    duplicated[:, 3] = X[:, 1]
+    near[:, 3] = X[:, 1] + 1e-7 * rng.standard_normal(40)
+    return {
+        "duplicated_column": standardize(duplicated, y),
+        "near_collinear_pair": standardize(near, y),
+        "n_is_m_plus_2": standardize(X[: m + 2], y[: m + 2]),
+        "offset_1e3": standardize(X + 1e3, y + 1e3),
+    }
+
+
 def test_criterion_6_spectral_ordering():
     def body():
         for seed in range(50):
@@ -246,6 +264,17 @@ def test_criterion_6_spectral_ordering():
             C = design.correlation_matrix()
             values = [sparse_min_eigenvalue(C, k).value for k in range(1, 5)]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+        # the ordering and gamma_s <= gamma_s2 on degenerate designs, and on Miller
+        designs = [("miller", standardize(*miller_table()))]
+        designs += [(name, d) for seed in range(6) for name, d in _adversarial_designs(seed).items()]
+        for name, design in designs:
+            for base in ((), (0,), (1,)):
+                res = gamma_vs_spectral(design, base, 2)
+                assert res.holds, (name, base, res)
+                assert res.gamma_sr == submodularity_ratio(design, 2, base=base, mode="exactly_k").gamma_sr
+            table = fit_table(design)
+            gamma_s = empirical_gamma_s(design, table=table).gamma_s
+            assert gamma_s <= empirical_gamma_s2(design, table=table).gamma_s2, name
 
     _check(6, "spectral ordering", body)
 

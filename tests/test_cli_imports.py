@@ -81,6 +81,28 @@ def test_only_the_cli_loads_the_output_encoding():
     assert "jsonsafe" in cli._LIBRARY
 
 
+def test_the_library_table_binds_only_names_a_command_reads():
+    """Each name in cli's library table is read when a command runs, not
+    only in an annotation, which `from __future__ import annotations` leaves
+    unevaluated."""
+    tree = ast.parse((ROOT / "src" / "r2audit" / "cli.py").read_text(encoding="utf-8"))
+    in_annotations = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            in_annotations.update(map(id, ast.walk(node.annotation)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            in_annotations.update(map(id, ast.walk(node.returns)))
+        elif isinstance(node, ast.AnnAssign):
+            in_annotations.update(map(id, ast.walk(node.annotation)))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in in_annotations
+    }
+    bound = {name for names in cli._LIBRARY.values() for name in names}
+    assert bound <= read, bound - read
+
+
 def _traced_spans(tmp_path, *args) -> Counter:
     spans = tmp_path / "spans.json"
     result = subprocess.run(

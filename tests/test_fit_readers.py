@@ -19,7 +19,7 @@ import reader_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design
 from test_fit_kernel import DESIGNS as KERNEL_DESIGNS
 from test_selection import TIE_SEEDS, _duplicated_columns_design
-from r2audit import RatioQuery, fit_table, forward_stepwise, gram_factory, submodularity_ratio
+from r2audit import fit_table, forward_stepwise, gram_factory, submodularity_ratio
 from r2audit import cli, random_gaussian, regress, selection, standardize, suppressor_population
 from r2audit.datasets import write_csv
 from r2audit.errors import EmptyCandidateSet
@@ -139,10 +139,10 @@ def test_ratio_matches_the_scalar_loop(design, chunk, filled):
     fit = _table_fit(design, filled)
     for base in ((), (0,)):
         for mode in ("at_most_k", "exactly_k"):
-            query = RatioQuery(base, 2, mode)
-            got, want = submodularity_ratio(design, query), oracle.submodularity_ratio(design, query, fit)
+            got = submodularity_ratio(design, 2, base=base, mode=mode)
+            want = oracle.submodularity_ratio(design, 2, base, mode, fit)
             if filled:
-                assert abs(got.gamma_sr - want.gamma_sr) <= RATIO_TOL * max(1.0, want.gamma_sr), query
+                assert abs(got.gamma_sr - want.gamma_sr) <= RATIO_TOL * max(1.0, want.gamma_sr), (base, mode)
             else:
                 assert got == want
 
@@ -150,22 +150,20 @@ def test_ratio_matches_the_scalar_loop(design, chunk, filled):
 @pytest.mark.parametrize("filled", [False, True])
 def test_ratio_empty_candidate_set_matches_the_scalar_loop(chunk, filled):
     d = make_orthogonal_design([0.0, 0.0], n=6)
-    query = RatioQuery((), 2, "exactly_k")
     with pytest.raises(EmptyCandidateSet):
-        oracle.submodularity_ratio(d, query, _table_fit(d, filled))
+        oracle.submodularity_ratio(d, 2, (), "exactly_k", _table_fit(d, filled))
     with pytest.raises(EmptyCandidateSet):
-        submodularity_ratio(d, query)
+        submodularity_ratio(d, 2, mode="exactly_k")
 
 
 @pytest.mark.parametrize("filled", [False, True])
 @pytest.mark.parametrize("subset", [(7,), (5,), (-1,), (3, -2)])
 def test_out_of_range_subsets_raise_whether_or_not_the_table_is_filled(filled, subset):
     d = make_noisy_design(94, n=20, m=5)
-    query = RatioQuery(subset, 1, "exactly_k")
     with pytest.raises(ValueError):
-        oracle.submodularity_ratio(d, query, _table_fit(d, filled))
+        oracle.submodularity_ratio(d, 1, subset, "exactly_k", _table_fit(d, filled))
     with pytest.raises(ValueError):
-        submodularity_ratio(d, query)
+        submodularity_ratio(d, 1, base=subset, mode="exactly_k")
 
 
 def _write_duplicated_column(path):

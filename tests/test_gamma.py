@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from r2audit import (
-    RatioQuery,
     empirical_gamma_s2,
     gamma_pair,
     submodularity_ratio,
@@ -20,22 +19,22 @@ from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
 
 def test_ratio_orthogonal_is_one(orthogonal_design):
     for mode in ("at_most_k", "exactly_k"):
-        res = submodularity_ratio(orthogonal_design, RatioQuery((), 2, mode))
+        res = submodularity_ratio(orthogonal_design, 2, mode=mode)
         assert abs(res.gamma_sr - 1.0) < 1e-10
-    res = submodularity_ratio(orthogonal_design, RatioQuery((0,), 2, "exactly_k"))
+    res = submodularity_ratio(orthogonal_design, 2, base=(0,), mode="exactly_k")
     assert abs(res.gamma_sr - 1.0) < 1e-10
 
 
 def test_ratio_pair_exactly_k():
     d = make_pair_design(0.5, 0.5, 0.5, n=8)
-    res = submodularity_ratio(d, RatioQuery((), 2, "exactly_k"))
+    res = submodularity_ratio(d, 2, mode="exactly_k")
     assert abs(res.gamma_sr - 1.5) < 1e-9
     assert res.argmin == (0, 1)
 
 
 def test_ratio_pair_at_most_k_includes_singletons():
     d = make_pair_design(0.5, 0.5, 0.5, n=8)
-    res = submodularity_ratio(d, RatioQuery((), 2, "at_most_k"))
+    res = submodularity_ratio(d, 2, mode="at_most_k")
     assert abs(res.gamma_sr - 1.0) < 1e-10
     assert len(res.argmin) == 1
 
@@ -54,7 +53,7 @@ def test_ratio_matches_direct_enumeration():
             continue
         num = sum(r_squared(d, tuple(sorted((t, *base)))) - r_squared(d, base) for t in team)
         best = min(best, num / den)
-    res = submodularity_ratio(d, RatioQuery(base, 2, "exactly_k"))
+    res = submodularity_ratio(d, 2, base=base, mode="exactly_k")
     assert abs(res.gamma_sr - best) < 1e-12
 
 
@@ -62,13 +61,32 @@ def test_ratio_empty_candidate_set():
     # Response correlates with nothing: every joint gain is negligible.
     d = make_orthogonal_design([0.0, 0.0], n=6)
     with pytest.raises(EmptyCandidateSet):
-        submodularity_ratio(d, RatioQuery((), 2, "exactly_k"))
+        submodularity_ratio(d, 2, mode="exactly_k")
 
 
 def test_ratio_validates_budget():
     d = make_noisy_design(60, n=20, m=4)
     with pytest.raises(ValueError):
-        submodularity_ratio(d, RatioQuery((0, 1, 2), 2, "exactly_k"))
+        submodularity_ratio(d, 2, base=(0, 1, 2), mode="exactly_k")
+
+
+def test_ratio_refuses_a_bad_k_or_mode():
+    d = make_noisy_design(60, n=20, m=4)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            submodularity_ratio(d, k)
+    with pytest.raises(ValueError, match="^unknown mode 'some'$"):
+        submodularity_ratio(d, 1, mode="some")
+
+
+def test_ratio_base_is_a_set():
+    # the base is read as a set: its order and repeats change nothing
+    d = make_noisy_design(55, n=25, m=5)
+    for mode in ("at_most_k", "exactly_k"):
+        expected = submodularity_ratio(d, 2, base=(1, 3), mode=mode)
+        assert submodularity_ratio(d, 2, base=[3, 1, 3], mode=mode) == expected
+        assert submodularity_ratio(d, 2, base=iter((3, 1)), mode=mode) == expected
+    assert submodularity_ratio(d, 2) == submodularity_ratio(d, 2, base=(), mode="at_most_k")
 
 
 # ---------------------------------------------------------------------------

@@ -124,3 +124,20 @@ def test_every_top_level_definition_in_src_is_exported_or_used():
         and not any(name in names for owner, names in reads if owner != (module, name))
     ]
     assert not unused
+
+
+def test_readme_library_example_runs():
+    # README's Library block, run as written on a fixed design
+    from r2audit import random_gaussian
+    from r2audit.selection import NwfResult
+
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```\n", 1)[0]
+    X, y = random_gaussian(200, 8, seed=7)
+    namespace = {"X": X, "y": y}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["table"].m == 8
+    assert 0.0 <= namespace["gamma_s"].gamma_s <= namespace["gamma"].gamma_s2
+    assert namespace["ratio"].gamma_sr > 0.0 and len(namespace["ratio"].argmin) == 2
+    assert namespace["optimal"].r_squared >= namespace["trace"].final_r_squared()
+    assert isinstance(namespace["guarantee"], NwfResult)

@@ -1,4 +1,4 @@
-"""The result records are NamedTuples, and the four classes with construction
+"""The result records are NamedTuples, and the two classes with construction
 logic or a cache are plain read-only classes: their fields, order, defaults,
 validation, repr and immutability."""
 
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from r2audit import ConeSpec, Grid, RatioQuery, StandardizedDesign, cli, grid_evaluate, standardize
+from r2audit import Grid, StandardizedDesign, cli, grid_evaluate, standardize
 from r2audit.datasets import write_csv
 from r2audit.gamma import RatioResult
 from r2audit.geometry2d import GridCell, PairDiagnostics, TrianglePoint, TRatioResult
@@ -24,7 +24,8 @@ from r2audit.selection import (
     SelectionStep,
     SelectionTrace,
 )
-from r2audit.setfun import GammaS2Result, GammaSResult, SecondOrderSummary, ViolationCertificate
+from r2audit.setfun import GammaS2Result, GammaSResult, SecondOrderSummary
+from setfun_oracle import ViolationCertificate
 from r2audit.spectral import GammaSpectralComparison, RestrictedEigenResult, SparseEigenResult
 
 # (class, every field in order with a sample value, the defaults)
@@ -106,34 +107,6 @@ def _assert_read_only(obj, fields):
             delattr(obj, field)
     with pytest.raises(AttributeError):
         obj.extra = 1
-
-
-def test_ratio_query_fields_defaults_and_validation():
-    query = RatioQuery(base=(3, 1, 3), k=2)
-    assert (query.base, query.k, query.mode) == ((1, 3), 2, "at_most_k")
-    assert RatioQuery((1, 3), 2, "at_most_k") == query and hash(RatioQuery((3, 1), 2)) == hash(query)
-    assert RatioQuery((1, 3), 2, "exactly_k") != query
-    assert repr(query) == "RatioQuery(base=(1, 3), k=2, mode='at_most_k')"
-    with pytest.raises(ValueError, match="k must be at least 1"):
-        RatioQuery((), 0)
-    with pytest.raises(ValueError, match="unknown mode 'some'"):
-        RatioQuery((), 1, "some")
-    _assert_read_only(query, ("base", "k", "mode"))
-
-
-def test_cone_spec_fields_and_validation():
-    cone = ConeSpec(subset=(2, 0, 2), alpha=3.0)
-    assert (cone.subset, cone.alpha) == ((0, 2), 3.0)
-    assert ConeSpec((0, 2), 3.0) == cone and hash(ConeSpec((2, 0), 3.0)) == hash(cone)
-    assert ConeSpec((0, 2), 4.0) != cone
-    assert repr(cone) == "ConeSpec(subset=(0, 2), alpha=3.0)"
-    assert ConeSpec((0,), math.inf).alpha == math.inf
-    with pytest.raises(ValueError, match="nonempty"):
-        ConeSpec((), 2.0)
-    for alpha in (0.5, math.nan, -math.inf):
-        with pytest.raises(ValueError, match="alpha must be at least 1"):
-            ConeSpec((0,), alpha)
-    _assert_read_only(cone, ("subset", "alpha"))
 
 
 def test_standardized_design_fields_and_validation():

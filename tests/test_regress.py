@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r2audit import (
-    ConeSpec,
     StandardizedDesign,
     gram_factory,
     ls_fit,
@@ -298,7 +297,7 @@ def test_feature_indices_outside_the_design_are_refused(call, bad):
     # a negative index must not wrap around to the last features
     d = make_noisy_design(5, n=20, m=4)
     run = {
-        "restricted_eigenvalue": lambda: restricted_eigenvalue(d.correlation_matrix(), ConeSpec((bad,), 2.0)),
+        "restricted_eigenvalue": lambda: restricted_eigenvalue(d.correlation_matrix(), (bad,), 2.0),
         "ls_fit": lambda: ls_fit(d, (bad, 0)),
         "sis_assumption_check": lambda: sis_assumption_check(d, (bad,), np.ones(4), 0.25, 0.01, 0.01),
     }[call]

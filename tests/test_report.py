@@ -12,7 +12,7 @@ import pytest
 
 import setfun_oracle as oracle
 from conftest import make_noisy_design, make_orthogonal_design
-from report_oracle import as_certificates, certificate_jsonable, reference_text, row_counts
+from report_oracle import as_certificates, certificate_jsonable, reference_text, row_counts, sliced
 from test_setfun_oracle import DESIGNS as ORACLE_DESIGNS
 from r2audit import (
     best_subset,
@@ -34,7 +34,7 @@ from r2audit.cli import (
 )
 from r2audit.jsonsafe import sanitize
 from r2audit.regress import load_csv, standardize
-from r2audit.setfun import TOP_CERTIFICATES, VIOLATION_TOL, Certificates, ViolationCertificate
+from r2audit.setfun import TOP_CERTIFICATES, VIOLATION_TOL, Certificates
 from walk_lists import whole_lists
 
 ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5, 0.0, 1e-7]
@@ -59,9 +59,10 @@ def _odd_certificates(form="suppression", roles=("S", "i", "j"), count=12):
 def _summary_and_reference(certs):
     """A report holding the list's _violation_summary, and the same report
     with its top as the list's head, which reference_text writes as dicts."""
-    count, by_size, by_pair = row_counts(certs, len(ODD_NAMES))
-    summary = _violation_summary(count, certs[:TOP_CERTIFICATES], by_size, by_pair, ODD_NAMES)
-    reference = {**summary, "top": certs[:TOP_CERTIFICATES]}
+    count, by_size, by_pair = row_counts(oracle.rows(certs), len(ODD_NAMES))
+    head = sliced(certs, slice(TOP_CERTIFICATES))
+    summary = _violation_summary(count, head, by_size, by_pair, ODD_NAMES)
+    reference = {**summary, "top": head}
     return {"violations": {certs.form: summary}}, {"violations": {certs.form: reference}}
 
 
@@ -90,7 +91,7 @@ def test_odd_floats_render_like_reference():
 )
 def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, monkeypatch, miller_design):
     certs = _odd_certificates(form, roles)
-    lists = [certs, certs[:0], certs[::-2]]
+    lists = [certs, sliced(certs, slice(0)), sliced(certs, slice(None, None, -2))]
     if form in oracle.MODES:  # and the list the form's check finds on Miller
         lists.append(as_certificates(form, roles, oracle.check_submodular(miller_design, form)))
     # chunks of 5 rows with one cache of rendered sets, as the stream renders
@@ -99,9 +100,11 @@ def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, monkeypatc
     monkeypatch.setattr(cli, "indices_of", lambda mask: rendered.append(mask) or indices_of(mask))
     for part in lists:
         for lo in range(0, len(part), 5):
-            texts += _certificate_texts(part[lo : lo + 5], ODD_NAMES, cache)
+            texts += _certificate_texts(part, ODD_NAMES, cache, slice(lo, lo + 5))
     expected = [
-        json.dumps(sanitize(certificate_jsonable(c, ODD_NAMES)), sort_keys=True) for part in lists for c in part
+        json.dumps(sanitize(certificate_jsonable(c, ODD_NAMES)), sort_keys=True)
+        for part in lists
+        for c in oracle.rows(part)
     ]
     assert texts == expected
     # each set's name list is rendered once per stream, whatever its roles
@@ -110,7 +113,7 @@ def test_stream_lines_are_json_dumps_of_each_certificate(form, roles, monkeypatc
 
 
 def test_empty_certificate_lists_render_as_empty_lists():
-    report, reference = _summary_and_reference(_odd_certificates()[4:4])
+    report, reference = _summary_and_reference(sliced(_odd_certificates(), slice(4, 4)))
     text = report_text(report)
     assert text == reference_text(reference, ODD_NAMES)
     assert '"count": 0' in text and '"top": []' in text
@@ -137,7 +140,7 @@ def test_audit_report_text_matches_reference(design, max_enum, miller_design):
 
 
 # ---------------------------------------------------------------------------
-# Certificates as a sequence
+# Certificates as columns, read as rows
 # ---------------------------------------------------------------------------
 
 
@@ -146,32 +149,29 @@ def suppressor_design():
     return gram_factory(suppressor_population(6, 1.0, 3.0), 10)
 
 
-def test_certificates_sequence_contract(suppressor_design):
+def test_certificates_columns_contract(suppressor_design):
+    # The package keeps a list as read-only columns and a length; its rows
+    # are read through the tests' row view, and must be the oracle's list in
+    # order, whole and sliced.
     certs = whole_lists(suppressor_design)[1]
     expected = oracle.find_suppressors(suppressor_design)
     n = len(expected)
     assert n > 10 and len(certs) == n
-    assert expected == certs  # the list's comparison defers to Certificates
-    assert certs != expected[:-1] and certs != expected[::-1]
-    for k in (0, 3, n - 1, -1, -2, -n):
-        assert isinstance(certs[k], ViolationCertificate)
-        assert certs[k] == expected[k]
-    for k in (n, -n - 1):
-        with pytest.raises(IndexError):
-            certs[k]
+    got = oracle.rows(certs)
+    assert got == expected and got != expected[:-1] and got != expected[::-1]
+    assert all(isinstance(c, oracle.ViolationCertificate) for c in got)
     for part in (slice(2, 5), slice(None, None, -3), slice(-4, None), slice(5, 5), slice(n, None)):
-        assert isinstance(certs[part], Certificates)
-        assert certs[part] == expected[part]
-        assert list(certs[part]) == expected[part]
-    empty = certs[5:5]
-    assert len(empty) == 0 and not empty and empty == [] and list(empty) == []
-    assert certs and certs[-3:][1:] == expected[-2:]
-    with pytest.raises(ValueError):
-        certs.deficit[0] = 0.0
+        assert oracle.rows(sliced(certs, part)) == expected[part]
+    # no row protocol of its own: no iteration, no index, no == with rows
+    assert not any(hasattr(certs, name) for name in ("__iter__", "__getitem__", "__contains__"))
+    assert "__eq__" not in vars(Certificates) and certs != expected and certs == certs
+    for values in (*certs.columns, certs.lhs, certs.rhs, certs.deficit):
+        with pytest.raises(ValueError):
+            values[0] = 0
 
 
 def test_yielded_certificates_replay(suppressor_design):
-    certs = whole_lists(suppressor_design)[1]
+    certs = oracle.rows(whole_lists(suppressor_design)[1])
     for cert in [*certs[:5], certs[-1], *certs[::-7]]:
         lhs, rhs = oracle.replay_certificate(suppressor_design, cert)
         assert abs(lhs - cert.lhs) < 1e-10
@@ -182,15 +182,12 @@ def test_empty_result_is_falsy_and_equals_empty_list(orthogonal_design):
     certs = whole_lists(orthogonal_design)[1]
     assert isinstance(certs, Certificates)
     assert not certs and len(certs) == 0
-    assert certs == [] and [] == certs and certs == ()
-    assert certs[:3] == [] and list(certs) == []
-    with pytest.raises(IndexError):
-        certs[0]
+    assert oracle.rows(certs) == [] and oracle.rows(sliced(certs, slice(3))) == []
 
 
 def test_as_certificates_round_trips(suppressor_design):
     expected = oracle.find_suppressors(suppressor_design)
-    assert as_certificates("suppression", ("S", "i", "j"), expected) == expected
+    assert oracle.rows(as_certificates("suppression", ("S", "i", "j"), expected)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +218,8 @@ def test_heads_match_full_sort_on_designs(name, miller_design, monkeypatch):
         monkeypatch.setattr(setfun, "TOP_CERTIFICATES", top)
         summary = setfun._second_order_summary(table, VIOLATION_TOL)
         assert isinstance(summary.second_order, Certificates) and isinstance(summary.suppression, Certificates)
-        assert _texts(summary.second_order) == _texts(second[:top]), top
-        assert _texts(summary.suppression) == _texts(suppression[:top]), top
+        assert _texts(oracle.rows(summary.second_order)) == _texts(second[:top]), top
+        assert _texts(oracle.rows(summary.suppression)) == _texts(suppression[:top]), top
 
 
 def _synthetic(deficits, m=5, seed=0):
@@ -234,7 +231,7 @@ def _synthetic(deficits, m=5, seed=0):
     s, i, j = rng.integers(0, 1 << m, count), rng.integers(0, m, count), rng.integers(0, m, count)
     lhs, rhs = np.zeros(count), np.array(deficits, dtype=float)
     rows = [
-        ViolationCertificate("suppression", (("S", indices_of(a)), ("i", (b,)), ("j", (c,))), 0.0, d, d)
+        oracle.ViolationCertificate("suppression", (("S", indices_of(a)), ("i", (b,)), ("j", (c,))), 0.0, d, d)
         for a, b, c, d in zip(s.tolist(), i.tolist(), j.tolist(), rhs.tolist())
     ]
     expected = sorted(rows, key=lambda c: (math.isnan(c.deficit), -c.deficit if c.deficit == c.deficit else 0.0, c.sets))
@@ -268,7 +265,7 @@ def test_heads_match_full_sort_on_synthetic_lists(deficits, monkeypatch):
                 if lo < len(certs):
                     rows.offer(np.ones(min(hi, len(certs)) - lo, bool), *[values[lo:hi] for values in columns])
             head = rows.head()
-            assert isinstance(head, Certificates) and _texts(head) == _texts(expected[:top]), (top, sizes)
+            assert isinstance(head, Certificates) and _texts(oracle.rows(head)) == _texts(expected[:top]), (top, sizes)
 
 
 @pytest.mark.parametrize("stream", [True, False])

@@ -54,13 +54,13 @@ def test_delta_matches_two_evaluations():
 
 
 def test_orthogonal_design_clean_in_all_modes(orthogonal_design):
-    assert whole_lists(orthogonal_design)[0] == []
+    assert oracle.rows(whole_lists(orthogonal_design)[0]) == []
     for mode in ("definition", "first_order"):
         assert oracle.check_submodular(orthogonal_design, mode) == []
 
 
 def test_miller_second_order_certificate(miller_design):
-    certs = whole_lists(miller_design)[0]
+    certs = oracle.rows(whole_lists(miller_design)[0])
     assert certs
     witnessed = {(c.set_dict()["A"], c.set_dict()["i"][0], c.set_dict()["j"][0]) for c in certs}
     assert ((), 0, 1) in witnessed or ((), 1, 0) in witnessed
@@ -86,7 +86,7 @@ def test_certificates_replay(miller_design):
     # the definition and first-order lists are the oracle's; replayed without
     # a cache, every side is recomputed from direct fits
     lists = [oracle.check_submodular(miller_design, mode) for mode in ("definition", "first_order")]
-    for certs in [*lists, whole_lists(miller_design)[0]]:
+    for certs in [*lists, oracle.rows(whole_lists(miller_design)[0])]:
         assert certs
         for cert in certs:
             lhs, rhs = replay_certificate(miller_design, cert)
@@ -106,7 +106,7 @@ def test_second_order_mirror_images_are_adjacent(design):
         d = make_noisy_design(2, n=30, m=6)
     else:
         d = gram_factory(suppressor_population(6, 1.0, 3.0), 10)
-    certs = whole_lists(d)[0]
+    certs = oracle.rows(whole_lists(d)[0])
     pos = {}
     for k, c in enumerate(certs):
         sets = c.set_dict()
@@ -130,7 +130,7 @@ def test_mirror_rows_are_kept_or_dropped_together_at_the_tolerance_edge():
     X = rng.standard_normal((40, 6))
     d = standardize(X, X[:, 0] + rng.standard_normal(40))
     own = {}
-    for c in whole_lists(d, tolerance=0.0)[0]:
+    for c in oracle.rows(whole_lists(d, tolerance=0.0)[0]):
         sets = c.set_dict()
         own[sets["A"], sets["i"][0], sets["j"][0]] = c.rhs - c.lhs
     edges = [6.18786654161e-05]
@@ -140,7 +140,7 @@ def test_mirror_rows_are_kept_or_dropped_together_at_the_tolerance_edge():
         certs, suppression = whole_lists(d, tolerance=tolerance)
         rows = _triples(certs)
         assert len(certs) % 2 == 0, tolerance
-        assert all(c.deficit > tolerance for c in certs), tolerance
+        assert all(c.deficit > tolerance for c in oracle.rows(certs)), tolerance
         assert all((a, j, i) in rows for a, i, j in rows), tolerance
         assert _triples(suppression) == rows
 
@@ -225,7 +225,10 @@ def test_concurrent_enumeration_shares_cache():
     d = make_noisy_design(41, n=25, m=6)
     shared = fit_table(d)
 
-    checks = [whole_lists, empirical_gamma_s2] * 3
+    def lists(d, table=None):
+        return [oracle.rows(certs) for certs in whole_lists(d, table=table)]
+
+    checks = [lists, empirical_gamma_s2] * 3
     with ThreadPoolExecutor(max_workers=6) as pool:
         results = list(pool.map(lambda check: check(d, table=shared), checks))
     for check, got in zip(checks, results):
@@ -238,11 +241,11 @@ def test_concurrent_enumeration_shares_cache():
 
 
 def test_orthogonal_design_has_no_suppressors(orthogonal_design):
-    assert whole_lists(orthogonal_design)[1] == []
+    assert oracle.rows(whole_lists(orthogonal_design)[1]) == []
 
 
 def test_miller_suppressor_pair(miller_design):
-    certs = whole_lists(miller_design)[1]
+    certs = oracle.rows(whole_lists(miller_design)[1])
     assert certs
     top = certs[0]
     sets = top.set_dict()

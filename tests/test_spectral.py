@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r2audit import (
-    ConeSpec,
     gamma_vs_spectral,
     restricted_eigenvalue,
     sparse_min_eigenvalue,
@@ -15,12 +14,12 @@ from r2audit.errors import TooManyFeatures
 from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_design
 
 
-def cone_membership_gap(beta, cone):
+def cone_membership_gap(beta, subset, alpha):
     """How far beta sits outside the cone (nonpositive means feasible)."""
-    idx_c = [i for i in range(len(beta)) if i not in cone.subset]
-    on = float(np.abs(beta[list(cone.subset)]).sum())
+    idx_c = [i for i in range(len(beta)) if i not in subset]
+    on = float(np.abs(beta[list(subset)]).sum())
     off = float(np.abs(beta[idx_c]).sum()) if idx_c else 0.0
-    return off - cone.alpha * on
+    return off - alpha * on
 
 
 def random_psd(seed, m=8):
@@ -140,7 +139,7 @@ def test_sparse_witness_is_first_of_tied_minima(monkeypatch):
 
 
 def test_restricted_identity_cone():
-    res = restricted_eigenvalue(np.eye(4), ConeSpec((0, 1), 2.0))
+    res = restricted_eigenvalue(np.eye(4), (0, 1), 2.0)
     assert abs(res.value - 1.0) < 1e-10
     assert_allclose(res.certificate[2:], 0.0, atol=1e-10)
     assert res.is_heuristic
@@ -151,7 +150,7 @@ def test_restricted_two_by_two_exact():
     # quadratic over [-alpha, alpha]; a dense grid is the oracle.
     for rho, alpha in [(0.6, 1.0), (0.6, 2.0), (-0.8, 1.0), (0.3, 4.0)]:
         S = np.array([[1.0, rho], [rho, 1.0]])
-        res = restricted_eigenvalue(S, ConeSpec((0,), alpha), restarts=4, iters=5000)
+        res = restricted_eigenvalue(S, (0,), alpha)
         z = np.linspace(-alpha, alpha, 400001)
         oracle = float((1.0 + 2.0 * z * rho + z * z).min())
         assert abs(res.value - oracle) < 1e-8
@@ -160,7 +159,7 @@ def test_restricted_two_by_two_exact():
 def test_restricted_nonincreasing_in_alpha():
     S = random_psd(11, m=5)
     values = [
-        restricted_eigenvalue(S, ConeSpec((0, 2), alpha), restarts=6).value
+        restricted_eigenvalue(S, (0, 2), alpha).value
         for alpha in (1.0, 2.0, 4.0)
     ]
     assert values[0] >= values[1] - 1e-8
@@ -169,30 +168,49 @@ def test_restricted_nonincreasing_in_alpha():
 
 def test_restricted_upper_bounded_by_block_eigenvalue():
     S = random_psd(19, m=6)
-    cone = ConeSpec((1, 3, 4), 1.5)
-    res = restricted_eigenvalue(S, cone)
-    block = S[np.ix_(cone.subset, cone.subset)]
+    subset = (1, 3, 4)
+    res = restricted_eigenvalue(S, subset, 1.5)
+    block = S[np.ix_(subset, subset)]
     assert res.value <= float(np.linalg.eigvalsh(block)[0]) + 1e-10
 
 
 def test_restricted_certificate_feasible_and_reproduces():
     S = random_psd(23, m=5)
-    cone = ConeSpec((0, 1), 2.0)
-    res = restricted_eigenvalue(S, cone)
+    res = restricted_eigenvalue(S, (0, 1), 2.0)
     beta = res.certificate
-    assert cone_membership_gap(beta, cone) <= 1e-10
-    norm_s = float(np.sum(beta[list(cone.subset)] ** 2))
+    assert cone_membership_gap(beta, (0, 1), 2.0) <= 1e-10
+    norm_s = float(np.sum(beta[[0, 1]] ** 2))
     assert abs(norm_s - 1.0) < 1e-10
     assert abs(float(beta @ S @ beta) / norm_s - res.value) < 1e-10
 
 
 def test_restricted_deterministic():
     S = random_psd(29, m=6)
-    cone = ConeSpec((0, 2), 3.0)
-    a = restricted_eigenvalue(S, cone, seed=1)
-    b = restricted_eigenvalue(S, cone, seed=1)
+    a = restricted_eigenvalue(S, (0, 2), 3.0)
+    b = restricted_eigenvalue(S, (0, 2), 3.0)
     assert a.value == b.value
     assert_allclose(a.certificate, b.certificate, atol=0)
+
+
+def test_restricted_subset_is_a_set():
+    # the subset is read as a set: its order and repeats change nothing
+    S = random_psd(29, m=6)
+    expected = restricted_eigenvalue(S, (0, 2), 3.0)
+    for subset in ((2, 0, 2), [2, 0], iter((0, 2))):
+        got = restricted_eigenvalue(S, subset, 3.0)
+        assert got.value == expected.value and np.array_equal(got.certificate, expected.certificate)
+
+
+def test_restricted_refuses_an_empty_subset_or_a_bad_alpha():
+    S = random_psd(29, m=6)
+    for subset in ((), [], iter(())):
+        with pytest.raises(ValueError, match="^cone subset must be nonempty$"):
+            restricted_eigenvalue(S, subset, 2.0)
+    for alpha in (0.5, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^alpha must be at least 1$"):
+            restricted_eigenvalue(S, (0,), alpha)
+    # an unbounded cone is allowed, and can only lower the value
+    assert restricted_eigenvalue(S, (0,), math.inf).value <= restricted_eigenvalue(S, (0,), 1.0).value + 1e-8
 
 
 # ---------------------------------------------------------------------------

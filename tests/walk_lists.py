@@ -6,6 +6,8 @@ violating row to a sink, one pair and orientation at a time, in walk order.
 scalar oracle's lists (setfun_oracle): by deficit, largest first, then by the
 index sets as tuples, second-order rows by A, the unordered pair, then i, so
 that mirror rows sit together. This is the one place a whole list is sorted.
+The lists stay columns, as the package keeps them; ``setfun_oracle.rows``
+reads them as the oracle's rows.
 """
 
 from __future__ import annotations
