@@ -263,7 +263,7 @@ def _gamma_section(design, table, e2, mode: str | None, max_enum: int) -> dict:
     """gamma_s2 from the summary pass, gamma_s from the table, and the
     submodularity ratio at k = 2 in the modes asked for."""
     names = design.names
-    e1 = empirical_gamma_s(design, table=table)
+    e1 = empirical_gamma_s(table)
     ratio_k = min(2, design.m)
     ratio: dict = {"base": [], "k": ratio_k}
     for ratio_mode in {"atmost": ("at_most_k",), "exact": ("exactly_k",)}.get(mode, ("at_most_k", "exactly_k")):

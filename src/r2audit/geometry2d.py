@@ -39,6 +39,9 @@ REFERENCE_R2 = 0.25
 # more than this.
 FEASIBILITY_TOL = 1e-12
 
+# t_ratio_empirical's observed ratio holds when it is at most the cap plus this.
+T_RATIO_TOL = 1e-9
+
 
 class GridCell(NamedTuple):
     """One cell of a grid; its fields are the grid's CSV columns, in order."""
@@ -546,7 +549,7 @@ class TRatioResult(NamedTuple):
     t_joint_sq: tuple[float, float]
 
 
-def t_ratio_empirical(point: TrianglePoint, n: int, tolerance: float = 1e-9) -> TRatioResult:
+def t_ratio_empirical(point: TrianglePoint, n: int) -> TRatioResult:
     """Realize a triangle point as data and compare t statistics to the cap.
 
     Builds an exact-Gram sample of size n, fits each feature alone and both
@@ -576,7 +579,7 @@ def t_ratio_empirical(point: TrianglePoint, n: int, tolerance: float = 1e-9) -> 
     return TRatioResult(
         lhs=lhs,
         bound=bound,
-        holds=lhs <= bound + tolerance,
+        holds=lhs <= bound + T_RATIO_TOL,
         t_marginal_sq=(tm1 * tm1, tm2 * tm2),
         t_joint_sq=(tj1 * tj1, tj2 * tj2),
     )

@@ -6,15 +6,15 @@ those evaluations cheap and exact: columns are centered and scaled to unit
 length, so inner products are sample correlations and the fit of a subset is
 the squared norm of the response projected onto the subset's span.
 
-Each design is QR-reduced once to the triangle R of its standardized [X | y]
-(at most (m+1) x (m+1)), following the all-subsets regression of Furnival &
-Wilson (1974), and keeps R instead of its rows. R is folded in from row
-blocks of [1 | X | y] (see :func:`_fold_rows`), so no column is centered
-and no n-row copy is made. R's columns have the inner products of the
-standardized columns, and the fit of a subset S is ||U^T R[:, m]||^2 for
-the left singular vectors U of R[:, S] above the rank cutoff; the
-correlations, partial correlations and least-squares fits are computed on R
-too, so no cost depends on n.
+Each design is QR-reduced once, by :func:`standardize`, to the triangle R of
+its standardized [X | y] (at most (m+1) x (m+1)), following the all-subsets
+regression of Furnival & Wilson (1974), and keeps R instead of its rows. R
+is folded in from row blocks of [1 | X | y] (see :func:`_fold_rows`), so no
+column is centered and no n-row copy is made. R's columns have the inner
+products of the standardized columns, and the fit of a subset S is
+||U^T R[:, m]||^2 for the left singular vectors U of R[:, S] above the rank
+cutoff; the correlations, partial correlations and least-squares fits are
+computed on R too, so no cost depends on n.
 :func:`fit_block` evaluates stacks of equal-size subsets that way, so a
 subset's value does not depend on how it was batched. Every fit made outside
 a table is one such call and is not kept: single fits (:func:`r_squared`),
@@ -61,8 +61,6 @@ from .errors import (
 
 # Shared numeric tolerances. Enumeration caps live here because subsets are
 # 64-bit masks; HARD_MAX_FEATURES is the absolute ceiling for them.
-CENTER_TOL = 1e-10
-UNIT_NORM_TOL = 1e-10
 RANK_RTOL = 1e-10
 DEGENERATE_TOL = 1e-10
 ZERO_RSS_TOL = 1e-12
@@ -71,8 +69,8 @@ DEFAULT_MAX_FEATURES = 24
 HARD_MAX_FEATURES = 63
 
 # Subsets per stacked LAPACK call and per streamed block: fit_block's SVDs,
-# the table fill, sparse_min_eigenvalue's eigvalsh and best-subset
-# finalists; divided by SWEEP_CHUNK_DIVISOR, sweep_walk's nodes per block.
+# the table fill and sparse_min_eigenvalue's eigvalsh; divided by
+# SWEEP_CHUNK_DIVISOR, sweep_walk's nodes per block.
 # When best subset fitted every subset, 4096-subset stacks ran no faster on
 # an n = 2000, m = 24, k = 4 search and raised its peak RSS from 35.0 to
 # 41.6 MiB.
@@ -134,29 +132,15 @@ class StandardizedDesign:
     its columns are centered to unit norm, so their inner products are
     correlations.
 
-    The constructor takes rows already so standardized, checks them, keeps
-    R, n and the names, and drops the rows. R is frozen, and so are the
-    attributes; use :func:`standardize` or :func:`gram_factory` to build one.
-    Two designs are equal only if they are the same object.
+    A value holding what it is given, as :class:`FitTable` is: R, kept
+    read-only, n and the names; the attributes are frozen too. Use
+    :func:`standardize` or :func:`gram_factory` to build one from rows. Two
+    designs are equal only if they are the same object.
     """
 
     __slots__ = ("triangle", "n", "names")
 
-    def __init__(self, features: np.ndarray, response: np.ndarray, names: tuple[str, ...]):
-        X, y, names = _checked_rows(features, response, names, "features")
-        R, shift = _fold_rows(X, y)
-        sums, norms = _column_moments(R, shift, X.shape[0])
-        off = (np.abs(sums) > CENTER_TOL) | (np.abs(norms - 1.0) > UNIT_NORM_TOL)
-        if off[:-1].any():
-            raise ValueError("feature columns are not centered to unit norm")
-        if off[-1]:
-            raise ValueError("response is not centered to unit norm")
-        self._keep(R, X.shape[0], names)
-
-    def _keep(self, R: np.ndarray, n: int, names: tuple[str, ...]) -> None:
-        """Keep the centered block of a :func:`_fold_rows` triangle, scaled to
-        unit columns, with n and the names."""
-        triangle = R[1:, 1:] / np.linalg.norm(R[1:, 1:], axis=0)
+    def __init__(self, triangle: np.ndarray, n: int, names: tuple[str, ...]):
         triangle.setflags(write=False)
         object.__setattr__(self, "triangle", triangle)
         object.__setattr__(self, "n", n)
@@ -231,30 +215,17 @@ def default_names(m: int) -> tuple[str, ...]:
 def standardize(raw: np.ndarray, response: np.ndarray, names: Sequence[str] | None = None) -> StandardizedDesign:
     """The design of raw rows: each column centered and scaled to unit length.
 
-    Raises ConstantColumn for any column whose centered norm is below 1e-12
-    of its raw norm (or of 1); the response is reported with index -1.
+    The rows must be (n, m) with n >= 2, m >= 1 and a length-n response, and
+    the names, default X1..Xm, must number m. Raises ConstantColumn for any
+    column whose centered norm is below 1e-12 of its raw norm (or of 1); the
+    response is reported with index -1.
     """
     X = np.asarray(raw, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    X, y, names = _checked_rows(X, response, names, "raw")
-    R, shift = _fold_rows(X, y)
-    _, norms = _column_moments(R, shift, X.shape[0])
-    constant = np.flatnonzero(np.linalg.norm(R[1:, 1:], axis=0) <= 1e-12 * np.maximum(1.0, norms))
-    if constant.size:
-        raise ConstantColumn(-1 if constant[0] == X.shape[1] else int(constant[0]))
-    design = object.__new__(StandardizedDesign)
-    design._keep(R, X.shape[0], names)
-    return design
-
-
-def _checked_rows(features, response, names, label: str):
-    """(X, y, names) as float arrays and a tuple, checked for shape: n >= 2
-    rows, m >= 1 features and m names (default X1..Xm)."""
-    X = np.asarray(features, dtype=float)
     y = np.asarray(response, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"{label} must be (n, m) with a length-n response")
+        raise ValueError("raw must be (n, m) with a length-n response")
     n, m = X.shape
     if n < 2:
         raise ValueError("need at least two observations")
@@ -263,7 +234,12 @@ def _checked_rows(features, response, names, label: str):
     names = tuple(names) if names is not None else default_names(m)
     if len(names) != m:
         raise ValueError("names must match the number of feature columns")
-    return X, y, names
+    R, shift = _fold_rows(X, y)
+    norms = np.linalg.norm(R[1:, 1:], axis=0)
+    constant = np.flatnonzero(norms <= 1e-12 * np.maximum(1.0, _column_norms(R, shift, n)))
+    if constant.size:
+        raise ConstantColumn(-1 if constant[0] == m else int(constant[0]))
+    return StandardizedDesign(R[1:, 1:] / norms, n, names)
 
 
 def _fold_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,13 +278,13 @@ def _fold_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, shift
 
 
-def _column_moments(R: np.ndarray, shift: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sums and the norms of the columns of [X | y], read off the
-    :func:`_fold_rows` triangle: column 0 of R is its only constant column,
-    so a shifted column sums to R[0, 0] R[0, j]."""
+def _column_norms(R: np.ndarray, shift: np.ndarray, n: int) -> np.ndarray:
+    """The norms of the columns of [X | y], read off the :func:`_fold_rows`
+    triangle: column 0 of R is its only constant column, so a shifted column
+    sums to R[0, 0] R[0, j]."""
     sums = R[0, 0] * R[0, 1:] + n * shift
     squares = np.einsum("ij,ij->j", R[:, 1:], R[:, 1:]) + shift * (2.0 * sums - n * shift)
-    return sums, np.sqrt(np.maximum(squares, 0.0))
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
 def load_csv(path, response_name: str):
@@ -686,7 +662,7 @@ def _centered_orthonormal_basis(n: int, columns: int) -> np.ndarray:
 
 def gram_factory(gram: np.ndarray, n: int, names: Sequence[str] | None = None) -> StandardizedDesign:
     """The design of :func:`gram_rows`."""
-    return StandardizedDesign(*gram_rows(gram, n, names))
+    return standardize(*gram_rows(gram, n, names))
 
 
 def gram_rows(gram: np.ndarray, n: int, names: Sequence[str] | None = None):

@@ -13,7 +13,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import regress
 from .bitsets import block_masks, indices_of
 from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
 from .regress import (
@@ -33,9 +32,11 @@ from .regress import (
 )
 
 NWF_THRESHOLD = 1.0 - 1.0 / math.e
+# the greedy guarantee holds when greedy over optimal fit reaches the threshold less this
+NWF_TOL = 1e-9
 
-# best_subset re-fits every trusted subset whose screened fit lies
-# within this distance of the largest screened fit. A screened value is
+# best_subset re-fits every trusted subset whose screened fit lies within
+# this distance of the largest screened fit so far. A screened value is
 # within 3 eps |S| / regress.TABLE_PIVOT_RTOL of fit_block's, 1e-10 at 24
 # features, so the band is a thousand times that: it holds the subset
 # fit_block ranks first, and every subset tied with it. On an n = 2000,
@@ -145,44 +146,25 @@ def best_subset(
     """Exhaustive maximizer of the fit over all subsets of size at most k;
     ties go to the smallest mask.
 
-    sweep_walk screens every subset. fit_block then re-fits the trusted
-    subsets within SCREEN_BAND of the largest screened value and every
-    untrusted subset, and the judgement reads re-fitted values only. So the
-    answer is the one a fit_block call on every subset gives. Memory stays
-    bounded by a few blocks of FIT_CHUNK subsets per size.
+    sweep_walk screens every subset, a block of one size at a time. fit_block
+    then re-fits the block's untrusted subsets and its trusted subsets within
+    SCREEN_BAND of the largest screened value so far, and the judgement reads
+    re-fitted values only. A subset below the band stays below it, since the
+    largest value only rises, so the answer is the one a fit_block call on
+    every subset gives. Memory stays bounded by one sweep block's finalists.
     """
     _check_cap(design.m, max_features)
     if not 0 <= k <= design.m:
         raise ValueError(f"k must lie in 0..{design.m}")
     best = (0.0, 0)  # (fit, -mask) of the empty subset
     top = -np.inf
-    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def judge(idx: np.ndarray) -> None:
-        nonlocal best
-        values = fit_block(design, idx)[0]
-        value = float(values.max())
-        best = max(best, (value, -int(block_masks(idx)[values == value].min())))
-
-    # Re-fitting a subset that later falls out of the band cannot change the
-    # answer, so finalists are judged whenever FIT_CHUNK of one size gather
-    # (fit_block stacks subsets of one size); memory stays bounded even when
-    # many subsets tie.
     for idx, r2, trusted in sweep_walk(design, k):
         top = max(top, np.max(r2, where=trusted, initial=-np.inf))
-        held, screened = pending.get(idx.shape[1], (idx[:0], r2[:0]))
-        idx = np.concatenate([held, idx])
-        screened = np.concatenate([screened, np.where(trusted, r2, np.inf)])
-        keep = screened >= top - SCREEN_BAND
-        idx, screened = idx[keep], screened[keep]
-        if len(idx) >= regress.FIT_CHUNK:
-            judge(idx)
-            idx, screened = idx[:0], screened[:0]
-        pending[idx.shape[1]] = (idx, screened)
-    for idx, screened in pending.values():
-        idx = idx[screened >= top - SCREEN_BAND]
+        idx = idx[np.where(trusted, r2, np.inf) >= top - SCREEN_BAND]
         if len(idx):
-            judge(idx)
+            values = fit_block(design, idx)[0]
+            value = float(values.max())
+            best = max(best, (value, -int(block_masks(idx)[values == value].min())))
     return BestSubsetResult(indices_of(-best[1]), best[0])
 
 
@@ -202,17 +184,16 @@ class NwfResult(NamedTuple):
     threshold: float = NWF_THRESHOLD
 
 
-def nwf_verdict(
-    greedy_r2: float, optimal_r2: float, is_submodular: bool, tolerance: float = 1e-9
-) -> NwfResult:
+def nwf_verdict(greedy_r2: float, optimal_r2: float, is_submodular: bool) -> NwfResult:
     """The greedy guarantee check from its inputs: greedy over optimal fit (1
-    when the optimum is not positive) against the (1 - 1/e) threshold."""
+    when the optimum is not positive) against the (1 - 1/e) threshold, less
+    NWF_TOL."""
     ratio = 1.0 if optimal_r2 <= 0.0 else greedy_r2 / optimal_r2
     return NwfResult(
         greedy_r2=greedy_r2,
         optimal_r2=optimal_r2,
         ratio=ratio,
-        guarantee_holds=ratio >= NWF_THRESHOLD - tolerance,
+        guarantee_holds=ratio >= NWF_THRESHOLD - NWF_TOL,
         is_submodular=is_submodular,
     )
 

@@ -8,8 +8,8 @@ A and A + i, the gain is C_A[i, y]^2 / C_A[i, i] from A's swept matrix, so a
 small gain on top of a large fit keeps its relative accuracy; elsewhere it is
 the table difference r2[A|i] - r2[A]. Above 20 features
 (regress.GAIN_TABLE_BYTES) no gain table is kept and FitTable.gain takes each
-feature's gain row as that difference, a whole row at a time. A kernel given
-no table builds its own.
+feature's gain row as that difference, a whole row at a time. Each kernel
+takes the table alone, so its cap was checked where the table was filled.
 The second-order family (gamma_s2, second-order and suppression certificates)
 reads one kernel giving, per unordered pair lo < hi, the masks A holding
 neither with gain_A(lo), gain_{A+hi}(lo), gain_A(hi) and gain_{A+lo}(hi), as
@@ -42,7 +42,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .bitsets import indices_of, mask_sizes
-from .regress import DEFAULT_MAX_FEATURES, FitTable, StandardizedDesign, fit_table
+from .regress import FitTable
 
 VIOLATION_TOL = 1e-9
 SKIP_DENOM_TOL = 1e-12
@@ -250,14 +250,9 @@ def _second_order_summary(
     return SecondOrderSummary(gamma, int(by_size.sum()), by_size, by_pair, second.head(), suppression.head())
 
 
-def empirical_gamma_s2(
-    design: StandardizedDesign,
-    table: FitTable | None = None,
-    max_features: int = DEFAULT_MAX_FEATURES,
-) -> GammaS2Result:
+def empirical_gamma_s2(table: FitTable) -> GammaS2Result:
     """Minimum of gain_A(i) / gain_{A+j}(i) over all eligible (A, i, j): the
     gamma of one walk over the feature pairs, walked again on every call."""
-    table = fit_table(design, max_features) if table is None else table
     return _second_order_summary(table, VIOLATION_TOL).gamma
 
 
@@ -278,11 +273,7 @@ def _strict_superset_max(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def empirical_gamma_s(
-    design: StandardizedDesign,
-    table: FitTable | None = None,
-    max_features: int = DEFAULT_MAX_FEATURES,
-) -> GammaSResult:
+def empirical_gamma_s(table: FitTable) -> GammaSResult:
     """Minimum of gain_A(i) / gain_B(i) over nested pairs A < B with i outside B.
 
     For fixed A and i the smallest ratio uses the largest usable denominator
@@ -290,7 +281,6 @@ def empirical_gamma_s(
     nested pairs. A denominator below SKIP_DENOM_TOL is skipped once for each
     of its 2^|B| - 1 proper subsets A.
     """
-    table = fit_table(design, max_features) if table is None else table
     m = table.m
     masks = np.arange(1 << m)
     sizes = mask_sizes(masks, m)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from r2audit import StandardizedDesign, miller_table, standardize
+from r2audit import miller_table, standardize
 from r2audit.regress import gram_rows
 from row_oracle import Rows, standardized_rows
 
@@ -29,7 +29,7 @@ def make_orthogonal_rows(r_y, n=None):
 
 
 def make_orthogonal_design(r_y, n=None):
-    return StandardizedDesign(*make_orthogonal_rows(r_y, n))
+    return standardize(*make_orthogonal_rows(r_y, n))
 
 
 def make_pair_rows(r_y1, r_y2, r12, n=8):
@@ -38,7 +38,7 @@ def make_pair_rows(r_y1, r_y2, r12, n=8):
 
 
 def make_pair_design(r_y1, r_y2, r12, n=8):
-    return StandardizedDesign(*make_pair_rows(r_y1, r_y2, r12, n))
+    return standardize(*make_pair_rows(r_y1, r_y2, r12, n))
 
 
 def make_noisy_rows(seed, n=30, m=5, scale=0.6):
@@ -51,7 +51,7 @@ def make_noisy_rows(seed, n=30, m=5, scale=0.6):
 
 
 def make_noisy_design(seed, n=30, m=5, scale=0.6):
-    return StandardizedDesign(*make_noisy_rows(seed, n, m, scale))
+    return standardize(*make_noisy_rows(seed, n, m, scale))
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from r2audit.regress import (
 
 
 class Rows(NamedTuple):
-    """Standardized rows: ``StandardizedDesign(*rows)`` is their design."""
+    """Standardized rows: ``standardize(*rows)`` is their design."""
 
     features: np.ndarray
     response: np.ndarray

@@ -216,9 +216,8 @@ def find_suppressors(design, tolerance=VIOLATION_TOL, table=None, max_features=N
     return found
 
 
-def empirical_gamma_s2(design, table=None, max_features=None):
-    m = design.m
-    table = _filled(design, table, max_features)
+def empirical_gamma_s2(table):
+    m = table.m
     full = (1 << m) - 1
     best = math.inf
     witness = None
@@ -241,9 +240,8 @@ def empirical_gamma_s2(design, table=None, max_features=None):
     return GammaS2Result(gamma_s2=best, witness_s2=witness, skipped_s2=skipped)
 
 
-def empirical_gamma_s(design, table=None, max_features=None):
-    m = design.m
-    table = _filled(design, table, max_features)
+def empirical_gamma_s(table):
+    m = table.m
     full = (1 << m) - 1
     best = math.inf
     witness = None

@@ -146,7 +146,7 @@ def test_criterion_3_closed_form_vs_empirical():
         for r1, r2, r12 in triples:
             closed = gamma_pair(r1, r2, r12).gamma_s2
             gram = np.array([[1.0, r1, r2], [r1, 1.0, r12], [r2, r12, 1.0]])
-            empirical = empirical_gamma_s2(gram_factory(gram, 8)).gamma_s2
+            empirical = empirical_gamma_s2(fit_table(gram_factory(gram, 8))).gamma_s2
             assert abs(closed - empirical) < 1e-8
 
     _check(3, "closed form vs empirical gamma", body)
@@ -222,10 +222,10 @@ def test_criterion_5_chain_bound():
             m = 3 + seed % 4
             design = make_noisy_design(seed + 900, n=25, m=m)
             table = fit_table(design)
-            s2 = empirical_gamma_s2(design, table=table).gamma_s2
+            s2 = empirical_gamma_s2(table).gamma_s2
             if not 0.0 < s2 < 1.0:
                 continue
-            s1 = empirical_gamma_s(design, table=table).gamma_s
+            s1 = empirical_gamma_s(table).gamma_s
             assert s1 >= s2**m - 1e-9
             checked += 1
         assert checked >= 12
@@ -273,8 +273,8 @@ def test_criterion_6_spectral_ordering():
                 assert res.holds, (name, base, res)
                 assert res.gamma_sr == submodularity_ratio(design, 2, base=base, mode="exactly_k").gamma_sr
             table = fit_table(design)
-            gamma_s = empirical_gamma_s(design, table=table).gamma_s
-            assert gamma_s <= empirical_gamma_s2(design, table=table).gamma_s2, name
+            gamma_s = empirical_gamma_s(table).gamma_s
+            assert gamma_s <= empirical_gamma_s2(table).gamma_s2, name
 
     _check(6, "spectral ordering", body)
 

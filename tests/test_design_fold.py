@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from row_oracle import standardized_rows
-from r2audit import StandardizedDesign, best_subset, forward_stepwise, gram_factory, load_csv, miller_table
+from r2audit import best_subset, forward_stepwise, gram_factory, load_csv, miller_table
 from r2audit import r_squared, regress, standardize, suppressor_population
 from r2audit.cli import build_audit_report, main
 from r2audit.errors import ConstantColumn
@@ -87,7 +87,7 @@ def test_the_fold_agrees_with_centering_for_any_block(monkeypatch, block, n, m):
     Xc, yc, _ = standardized_rows(X, y)
     rows = np.column_stack([Xc, yc])
     assert np.abs(d.gram() - rows.T @ rows).max() <= 1e-13
-    again = StandardizedDesign(Xc, yc, d.names)
+    again = standardize(Xc, yc, d.names)
     assert np.abs(again.gram() - d.gram()).max() <= 1e-13
 
 
@@ -96,7 +96,7 @@ def test_building_a_design_holds_no_copy_of_the_rows():
     X = rng.standard_normal((40_000, 6)) + 3.0
     y = X[:, 0] + rng.standard_normal(40_000)
     Xc, yc, names = standardized_rows(X, y)
-    for build in (lambda: standardize(X, y), lambda: StandardizedDesign(Xc, yc, names)):
+    for build in (lambda: standardize(X, y), lambda: standardize(Xc, yc, names)):
         tracemalloc.start()
         try:
             build()
@@ -164,15 +164,13 @@ def test_one_triangle_whichever_way_the_rows_arrive(arrivals, tmp_path):
 
 
 def test_the_library_and_the_commands_fold_one_triangle(tmp_path):
-    # The constructor shifts its rows by the first block's means, as
-    # standardize does, so a gram_factory design is the triangle the commands
-    # build from the same rows, and the suppressor design's ties, which its
-    # last bits decide, go the same way in both
+    # gram_factory standardizes its rows as the commands do, so its design is
+    # the triangle the commands build from the same rows, and the suppressor
+    # design's ties, which its last bits decide, go the same way in both
     gram = suppressor_population(6, 1.0, 3.0)
     for n in (10, 300):
         rows = gram_rows(gram, n)
         assert gram_factory(gram, n).triangle.tobytes() == standardize(*rows).triangle.tobytes()
-        assert StandardizedDesign(*rows).triangle.tobytes() == standardize(*rows).triangle.tobytes()
     design = gram_factory(gram, 10)
     names = design.names
     csv = tmp_path / "suppressor.csv"

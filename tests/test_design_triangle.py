@@ -24,6 +24,7 @@ from r2audit import (
     miller_table,
     partial_correlation,
     random_gaussian,
+    standardize,
     suppressor_population,
 )
 from r2audit.errors import AuditError
@@ -70,7 +71,7 @@ def _same_outcome(got, want):
 
 
 def test_the_design_keeps_only_its_triangle(rows):
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     assert StandardizedDesign.__slots__ == ("triangle", "n", "names")
     # centered columns span at most n - 1 dimensions
     assert d.triangle.shape == (min(rows.n - 1, rows.m + 1), rows.m + 1)
@@ -78,7 +79,7 @@ def test_the_design_keeps_only_its_triangle(rows):
 
 
 def test_correlations_match_the_rows(rows):
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     assert np.abs(d.marginal_correlations() - oracle.marginal_correlations(rows)).max() <= TOL
     assert np.abs(d.correlation_matrix() - oracle.correlation_matrix(rows)).max() <= TOL
     gram = d.gram()
@@ -99,7 +100,7 @@ def _t_tol(cond, rss):
 
 
 def test_ls_fit_matches_the_rows(rows):
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     fitted = 0
     for subset in _subsets(rows.m, min(rows.m, rows.n - 1)):
         if not subset:
@@ -125,7 +126,7 @@ def test_ls_fit_matches_the_rows(rows):
 def test_stepwise_t_matches_the_rows(rows):
     # Every step's t comes from ls_fit on the triangle. An interpolating fit
     # reports +inf whatever its degrees of freedom.
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     model = []
     for step in forward_stepwise(d, min(rows.m, rows.n - 1)).steps:
         model = sorted(model + [step.feature])
@@ -145,7 +146,7 @@ def test_stepwise_t_matches_the_rows(rows):
 
 
 def test_partial_correlation_matches_the_rows(rows):
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     resolved = 0
     for subset in _subsets(rows.m, min(3, rows.m - 1)):
         for i in set(range(rows.m)) - set(subset):

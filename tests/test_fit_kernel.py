@@ -17,7 +17,7 @@ import pytest
 from conftest import make_noisy_design, make_noisy_rows
 from reader_oracle import FitEntry, fit_entry
 from row_oracle import Rows, standardized_rows
-from r2audit import StandardizedDesign, fit_table, miller_table, standardize, suppressor_population
+from r2audit import fit_table, miller_table, standardize, suppressor_population
 from r2audit import regress, setfun
 from r2audit.bitsets import block_masks, combination_blocks, indices_of
 from r2audit.regress import (
@@ -80,7 +80,7 @@ ROWS = {
     "interpolating": lambda: Rows(*gram_rows(suppressor_population(4, 1.0, 10.0), 8)),
     "tall": lambda: make_noisy_rows(14, n=600, m=6),
 }
-DESIGNS = {name: lambda rows=rows: StandardizedDesign(*rows()) for name, rows in ROWS.items()}
+DESIGNS = {name: lambda rows=rows: standardize(*rows()) for name, rows in ROWS.items()}
 
 
 @pytest.fixture(params=list(ROWS))
@@ -89,7 +89,7 @@ def rows(request):
 
 
 def test_kernel_matches_direct_fit_on_every_mask(rows):
-    design = StandardizedDesign(*rows)
+    design = standardize(*rows)
     for mask in range(1 << design.m):
         got = fit_entry(design, indices_of(mask))
         want = evaluate_subset(rows, mask)
@@ -100,7 +100,7 @@ def test_kernel_matches_direct_fit_on_every_mask(rows):
 def test_table_fill_matches_direct_fit_on_every_mask(rows):
     # the table takes a trusted subset's swept value, which is right only for
     # a subset of full rank |S| by fit_block's cutoff
-    design = StandardizedDesign(*rows)
+    design = standardize(*rows)
     table = fit_table(design).r2
     trusted = _table_walk(design)
     for mask in range(1 << design.m):
@@ -120,13 +120,13 @@ def test_designs_reach_their_edge_cases():
     assert fit_entry(DESIGNS["interpolating"](), range(4)).r_squared == pytest.approx(1.0, abs=1e-12)
     pair = ROWS["near_collinear_pair"]()
     assert 1.0 - pair.features[:, 0] @ pair.features[:, 1] == pytest.approx(1e-9, rel=1e-5)
-    assert fit_entry(StandardizedDesign(*pair), (0, 1)).rank == 2
+    assert fit_entry(standardize(*pair), (0, 1)).rank == 2
 
 
 def test_triangle_reproduces_the_gram():
     rows = ROWS["tall"]()
     A = np.column_stack([rows.features, rows.response])
-    R = StandardizedDesign(*rows).triangle
+    R = standardize(*rows).triangle
     assert np.allclose(R.T @ R, A.T @ A, atol=1e-13)
     assert np.allclose(np.linalg.svd(R, compute_uv=False), np.linalg.svd(A, compute_uv=False), rtol=1e-13)
     assert not R.flags.writeable

@@ -5,6 +5,7 @@ import pytest
 
 from r2audit import (
     empirical_gamma_s2,
+    fit_table,
     gamma_pair,
     submodularity_ratio,
 )
@@ -192,7 +193,7 @@ def test_pair_matches_empirical_on_realizations():
     for r1, r2, r12 in _feasible_triples(40, seed=7):
         diag = gamma_pair(r1, r2, r12)
         d = make_pair_design(r1, r2, r12, n=8)
-        est = empirical_gamma_s2(d)
+        est = empirical_gamma_s2(fit_table(d))
         assert abs(diag.gamma_s2 - est.gamma_s2) < 1e-8
 
 

@@ -10,7 +10,7 @@ import csv
 import numpy as np
 import pytest
 
-from r2audit import StandardizedDesign, load_csv
+from r2audit import load_csv, standardize
 from row_oracle import standardized_rows
 from r2audit.cli import main
 from r2audit.errors import DataFormatError
@@ -140,7 +140,7 @@ def test_loaded_design_keeps_the_row_order_of_the_python_loop(tmp_path, place):
     path = tmp_path / "layout.csv"
     _write_layout_design(path, 20_000, place)
     rows = standardized_rows(*load_csv(path, "Y"))
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     assert rows[0].flags.c_contiguous and rows[1].flags.c_contiguous
 
     # the design as built from the csv module's cells, split by np.delete
@@ -150,7 +150,7 @@ def test_loaded_design_keeps_the_row_order_of_the_python_loop(tmp_path, place):
     ref_rows = standardized_rows(
         np.delete(data, place, axis=1), data[:, place], tuple(records[0][:place] + records[0][place + 1:])
     )
-    ref = StandardizedDesign(*ref_rows)
+    ref = standardize(*ref_rows)
     assert d.names == ref.names
     for got, want in [(rows[0], ref_rows[0]), (rows[1], ref_rows[1]), (d.triangle, ref.triangle)]:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -103,25 +103,30 @@ def test_readme_lists_every_public_name_with_its_use(fresh):
 
 
 def test_every_top_level_definition_in_src_is_exported_or_used():
-    # A top-level function or class of src/ is in __all__ or read by another
-    # top-level statement of src/; dunder module hooks such as __getattr__
-    # are exempt. A name only its own body reads is unused.
+    # A top-level function, class or assigned name of src/ is in __all__ or
+    # read by another top-level statement of src/; dunder names such as
+    # __getattr__ and __version__ are exempt. A name only its own body reads
+    # is unused.
     defined, reads = [], []
     for path in sorted((SRC / "r2audit").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = None
+            owned = set()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = (path.name, node.name)
-                defined.append(owner)
+                owned = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                owned = {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+            owners = {(path.name, name) for name in owned}
+            defined += owners
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            reads.append((owner, names))
+            reads.append((owners, names))
     unused = [
         f"{module}: {name}"
-        for module, name in defined
+        for module, name in sorted(defined)
         if name not in r2audit.__all__
         and not (name.startswith("__") and name.endswith("__"))
-        and not any(name in names for owner, names in reads if owner != (module, name))
+        and not any(name in names for owners, names in reads if (module, name) not in owners)
     ]
     assert not unused
 

@@ -114,20 +114,22 @@ def test_standardized_design_fields_and_validation():
     raw = rng.standard_normal((6, 2)), rng.standard_normal(6)
     X, y, names = standardized_rows(*raw, ("a", "b"))
     design = standardize(*raw, ("a", "b"))
-    again = StandardizedDesign(features=X, response=y, names=names)
+    again = standardize(X, y, names)
     # both fold their rows into a triangle, but from differently rounded
     # columns, and R's row signs are arbitrary: compare R^T R
     assert again.names == ("a", "b") and np.abs(again.gram() - design.gram()).max() <= 1e-14
     assert (design.n, design.m, design.triangle.shape) == (6, 2, (3, 3))
     assert again != design and again == again  # equal only to itself
     assert not again.triangle.flags.writeable
+    # the constructor holds what it is given, the triangle made read-only
+    triangle = design.triangle.copy()
+    held = StandardizedDesign(triangle, 6, names)
+    assert held.triangle is triangle and (held.n, held.names) == (6, names) and not triangle.flags.writeable
     assert repr(design) == f"StandardizedDesign(triangle={design.triangle!r}, n=6, names=('a', 'b'))"
     with pytest.raises(ValueError, match="names must match"):
-        StandardizedDesign(X, y, ("a",))
+        standardize(X, y, ("a",))
     with pytest.raises(ValueError, match="length-n response"):
-        StandardizedDesign(X, y[:-1], ("a", "b"))
-    with pytest.raises(ValueError, match="not centered to unit norm"):
-        StandardizedDesign(2 * X, y, ("a", "b"))
+        standardize(X, y[:-1], ("a", "b"))
     _assert_read_only(design, ("triangle", "n", "names", "m"))
 
 

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r2audit import (
-    StandardizedDesign,
     gram_factory,
     ls_fit,
     partial_correlation,
@@ -136,7 +135,7 @@ def test_r_squared_matches_normal_equations_oracle():
     X = rng.standard_normal((5, 3))
     y = X @ np.array([1.0, 0.5, -1.0]) + 0.3 * rng.standard_normal(5)
     rows = standardized_rows(X, y)
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     G = rows[0].T @ rows[0]
     r = rows[0].T @ rows[1]
     normal = float(r @ np.linalg.inv(G) @ r)
@@ -162,7 +161,7 @@ def test_r_squared_order_invariance():
 
 def test_r_squared_pythagoras():
     rows = make_noisy_rows(13, n=30, m=5)
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     for subset in [(0,), (1, 3), (0, 2, 4)]:
         resid = rows.response - _projection(rows, subset)
         assert abs(r_squared(d, subset) + resid @ resid - 1.0) < 1e-10
@@ -204,7 +203,7 @@ def test_residualize_orthogonal_design_unchanged(orthogonal_design, orthogonal_r
 
 def test_residualize_projection_idempotent():
     rows = make_noisy_rows(4, n=30, m=6)
-    d = StandardizedDesign(*rows)
+    d = standardize(*rows)
     once = oracle.residualize(rows, (0, 1), (3, 4))
     basis = oracle.span_basis(rows, (3, 4))
     again = once - basis @ (basis.T @ once)
@@ -264,7 +263,7 @@ def test_ls_fit_miller_interpolating_sentinel(miller_design):
 
 def test_ls_fit_matches_textbook_oracle():
     X, y, names = make_pair_rows(0.5, 0.5, 0.5, n=12)
-    d = StandardizedDesign(X, y, names)
+    d = standardize(X, y, names)
 
     # Straight-line oracle: solve the two-variable normal equations by hand
     # and form t = beta / se with dof = n - k - 1.

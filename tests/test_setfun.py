@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from r2audit import (
-    StandardizedDesign,
     empirical_gamma_s,
     empirical_gamma_s2,
     fit_table,
@@ -225,14 +224,14 @@ def test_concurrent_enumeration_shares_cache():
     d = make_noisy_design(41, n=25, m=6)
     shared = fit_table(d)
 
-    def lists(d, table=None):
+    def lists(table):
         return [oracle.rows(certs) for certs in whole_lists(d, table=table)]
 
     checks = [lists, empirical_gamma_s2] * 3
     with ThreadPoolExecutor(max_workers=6) as pool:
-        results = list(pool.map(lambda check: check(d, table=shared), checks))
+        results = list(pool.map(lambda check: check(shared), checks))
     for check, got in zip(checks, results):
-        assert got == check(d)
+        assert got == check(fit_table(d))
 
 
 # ---------------------------------------------------------------------------
@@ -301,31 +300,31 @@ def test_suppression_rows_are_the_second_order_rows(name):
 
 def test_gamma_s2_closed_form_pair():
     d = make_pair_design(0.5, 0.5, 0.5, n=8)
-    est = empirical_gamma_s2(d)
+    est = empirical_gamma_s2(fit_table(d))
     assert abs(est.gamma_s2 - 3.0) < 1e-9
 
 
 def test_gamma_s2_orthogonal_is_one(orthogonal_design):
-    est = empirical_gamma_s2(orthogonal_design)
+    est = empirical_gamma_s2(fit_table(orthogonal_design))
     assert abs(est.gamma_s2 - 1.0) < 1e-9
     assert est.skipped_s2 == 0
 
 
 def test_gamma_s2_miller_near_zero(miller_design):
-    est = empirical_gamma_s2(miller_design)
+    est = empirical_gamma_s2(fit_table(miller_design))
     assert est.gamma_s2 < 1e-3
 
 
 def test_gamma_s_orthogonal_is_one(orthogonal_design):
-    est = empirical_gamma_s(orthogonal_design)
+    est = empirical_gamma_s(fit_table(orthogonal_design))
     assert abs(est.gamma_s - 1.0) < 1e-9
 
 
 def test_gamma_s_below_gamma_s2():
     for seed in range(6):
         d = make_noisy_design(seed + 100, n=22, m=5)
-        s2 = empirical_gamma_s2(d).gamma_s2
-        s1 = empirical_gamma_s(d).gamma_s
+        s2 = empirical_gamma_s2(fit_table(d)).gamma_s2
+        s1 = empirical_gamma_s(fit_table(d)).gamma_s
         assert s1 <= s2 + 1e-10
 
 
@@ -333,22 +332,22 @@ def test_positivity_linkage():
     designs = [make_noisy_design(seed + 50, n=20, m=4) for seed in range(6)]
     designs.append(make_pair_design(0.4, 0.5, 0.3, n=8))
     for d in designs:
-        s2 = empirical_gamma_s2(d).gamma_s2
-        s1 = empirical_gamma_s(d).gamma_s
+        s2 = empirical_gamma_s2(fit_table(d)).gamma_s2
+        s1 = empirical_gamma_s(fit_table(d)).gamma_s
         assert (s2 > 0) == (s1 > 0)
 
 
 def test_gamma_witnesses_reproduce_minimum():
     d = make_noisy_design(77, n=25, m=5)
     fits = fit_table(d)
-    est = empirical_gamma_s2(d, table=fits)
+    est = empirical_gamma_s2(fits)
     A, i, j = est.witness_s2
     table = fits.r2
     a, ja = mask_of(A), mask_of(A) | 1 << j
     num = table[a | 1 << i] - table[a]
     den = table[ja | 1 << i] - table[ja]
     assert abs(num / den - est.gamma_s2) < 1e-10
-    est_s = empirical_gamma_s(d, table=fits)
+    est_s = empirical_gamma_s(fits)
     A, B, i = est_s.witness_s
     a, b = mask_of(A), mask_of(B)
     num = table[a | 1 << i] - table[a]
@@ -372,7 +371,7 @@ def test_gamma_s2_at_m18_is_resolved_against_50_digits():
     # far below the rounding of R^2 near 0.5. Direct gains resolve them.
     mpmath = pytest.importorskip("mpmath")
     rows = standardized_rows(*random_gaussian(n=200, m=18, seed=7))
-    est = empirical_gamma_s2(StandardizedDesign(*rows))
+    est = empirical_gamma_s2(fit_table(standardize(*rows)))
     A, i, j = est.witness_s2
     assert est.gamma_s2 > 0.0
     with mpmath.workdps(50):
@@ -397,10 +396,10 @@ def test_certificate_columns_are_small():
 def test_gamma_s_dominates_chain_bound():
     for seed in range(8):
         d = make_noisy_design(seed + 200, n=20, m=5)
-        s2 = empirical_gamma_s2(d).gamma_s2
+        s2 = empirical_gamma_s2(fit_table(d)).gamma_s2
         if not 0.0 < s2 < 1.0:
             continue
-        s1 = empirical_gamma_s(d).gamma_s
+        s1 = empirical_gamma_s(fit_table(d)).gamma_s
         # k worst-case second-order steps multiply a gain by gamma_s2 ** k
         assert s1 >= s2**d.m - 1e-9
 

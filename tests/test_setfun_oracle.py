@@ -114,11 +114,13 @@ def test_find_suppressors_matches_oracle(design):
 
 
 def test_gamma_s2_matches_oracle(design):
-    assert setfun.empirical_gamma_s2(design) == oracle.empirical_gamma_s2(design)
+    table = fit_table(design)
+    assert setfun.empirical_gamma_s2(table) == oracle.empirical_gamma_s2(table)
 
 
 def test_gamma_s_matches_oracle(design):
-    assert setfun.empirical_gamma_s(design) == oracle.empirical_gamma_s(design)
+    table = fit_table(design)
+    assert setfun.empirical_gamma_s(table) == oracle.empirical_gamma_s(table)
 
 
 def test_any_violation_matches_certificate_list(design):
@@ -140,7 +142,7 @@ def _assert_summary_matches_oracle(d, tolerance):
     # One walk gives gamma_s2, the row counts and both heads: they must equal
     # what the oracle's whole lists give, ties at the head's cut included.
     summary = setfun._second_order_summary(fit_table(d), tolerance)
-    assert summary.gamma == oracle.empirical_gamma_s2(d)
+    assert summary.gamma == oracle.empirical_gamma_s2(fit_table(d))
     second = oracle.check_submodular(d, tolerance=tolerance)
     suppression = oracle.find_suppressors(d, tolerance=tolerance)
     for certs in (second, suppression):
@@ -192,8 +194,8 @@ def test_kernels_match_oracle_without_a_gain_table(design, monkeypatch):
     second, suppression = whole_lists(design, table=table)
     assert oracle.rows(second) == oracle.check_submodular(design, table=table)
     assert oracle.rows(suppression) == oracle.find_suppressors(design, table=table)
-    assert setfun.empirical_gamma_s2(design, table=table) == oracle.empirical_gamma_s2(design, table=table)
-    assert setfun.empirical_gamma_s(design, table=table) == oracle.empirical_gamma_s(design, table=table)
+    assert setfun.empirical_gamma_s2(table) == oracle.empirical_gamma_s2(table)
+    assert setfun.empirical_gamma_s(table) == oracle.empirical_gamma_s(table)
 
 
 def test_one_table_serves_every_kernel():
@@ -202,12 +204,12 @@ def test_one_table_serves_every_kernel():
     r2, gains = table.r2.copy(), table.gains.copy()
     assert r2.size == 1 << d.m and table.m == d.m
     assert not table.r2.flags.writeable and not table.gains.flags.writeable
-    first = setfun.empirical_gamma_s2(d, table=table)
-    assert first == setfun.empirical_gamma_s2(d)
+    first = setfun.empirical_gamma_s2(table)
+    assert first == setfun.empirical_gamma_s2(fit_table(d))
     whole_lists(d, table=table)
-    setfun.empirical_gamma_s(d, table=table)
+    setfun.empirical_gamma_s(table)
     assert np.array_equal(table.r2, r2) and np.array_equal(table.gains, gains)
-    assert setfun.empirical_gamma_s2(d, table=table) == first
+    assert setfun.empirical_gamma_s2(table) == first
     # The table is the sweep walk's, held to the fit kernel's contract: R^2
     # within 1e-12 of a direct fit, and every subset it takes from the walk
     # of full rank |S|.
@@ -250,7 +252,7 @@ def _oracle_summary(d, tolerance, sink):
             )
     top = setfun.TOP_CERTIFICATES
     return setfun.SecondOrderSummary(
-        oracle.empirical_gamma_s2(d),
+        oracle.empirical_gamma_s2(fit_table(d)),
         *row_counts(second, d.m),
         as_certificates("second_order", ("A", "i", "j"), second[:top]),
         as_certificates("suppression", ("S", "i", "j"), suppression[:top]),
