@@ -15,18 +15,16 @@ _EXPORTS = {
     "datasets": ("miller_table", "random_gaussian", "suppressor_population"),
     "errors": ("AuditError",),
     "gamma": ("RatioResult", "submodularity_ratio"),
-    "geometry2d": ("Grid", "GridCell", "PairDiagnostics", "TrianglePoint", "gamma_pair", "grid_evaluate",
-                   "joint_t_extremes", "t_ratio_empirical", "triangle_solve"),
+    "geometry2d": ("Grid", "GridCell", "grid_evaluate"),
     "regress": ("StandardizedDesign", "fit_table", "gram_factory", "load_csv", "ls_fit",
                 "partial_correlation", "r_squared", "standardize"),
-    "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "nwf_verdict",
-                  "sis_assumption_check", "sis_screen"),
+    "selection": ("SelectionTrace", "best_subset", "forward_stepwise", "isis", "nwf_verdict", "sis_screen"),
     "setfun": ("Certificates", "GammaS2Result", "GammaSResult", "empirical_gamma_s", "empirical_gamma_s2"),
-    "spectral": ("gamma_vs_spectral", "restricted_eigenvalue", "sparse_min_eigenvalue"),
+    "spectral": ("restricted_eigenvalue", "sparse_min_eigenvalue"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = sorted(_MODULE_OF)
 

@@ -70,15 +70,3 @@ class EmptyCandidateSet(AuditError):
 
 class InfeasibleCorrelations(AuditError):
     """A correlation triple implies a joint fit above 1."""
-
-
-class InfeasibleAngles(AuditError):
-    """Angles do not describe a valid two-feature regression triangle."""
-
-
-class ZeroBeta(AuditError):
-    """A coefficient claimed to be in the true support is zero."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"true coefficient at index {index} is zero")

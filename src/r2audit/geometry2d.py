@@ -1,6 +1,6 @@
 """Two-feature feasibility geometry: the closed-form pair diagnostics, the
-angle parameterization, diagnostic grids, and the t-statistic ratio against
-its closed-form cap.
+angle parameterization, diagnostic grids, and the cap on the t-statistic
+ratio.
 
 A two-feature problem is a triangle: the response projected on each feature
 gives two vertices, the origin the third. The angle between the features
@@ -8,8 +8,8 @@ fixes their correlation, the angle at the first projection fixes relative
 predictive power, and the overall fit level only scales the triangle. All
 gain ratios are scale-free, so grids at different fit levels carry identical
 diagnostic columns. A grid is evaluated column by column, as numpy arrays,
-for a block of theta lines at a time; each value equals the scalar
-triangle_solve and gamma_pair result bit for bit. A range of a block's
+for a block of theta lines at a time; each value equals the one-cell
+closed forms on Python floats bit for bit. A range of a block's
 cells renders to its part of the CSV text and of each heatmap document, as
 ASCII bytes. The CSV text of a range is formatted in one columnar pass that
 writes what '%.12g' writes, falling back to '%.12g' itself for the values
@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleAngles, InfeasibleCorrelations
+from .errors import InfeasibleCorrelations
 
 # Diagnostics are evaluated at this fixed fit level. They are mathematically
 # invariant to it, and pinning one value makes grids at different requested
@@ -38,9 +38,6 @@ REFERENCE_R2 = 0.25
 # A correlation triple is infeasible once its implied joint fit exceeds 1 by
 # more than this.
 FEASIBILITY_TOL = 1e-12
-
-# t_ratio_empirical's observed ratio holds when it is at most the cap plus this.
-T_RATIO_TOL = 1e-9
 
 
 class GridCell(NamedTuple):
@@ -64,26 +61,6 @@ class GridCell(NamedTuple):
 GRID_COLUMNS = GridCell._fields
 
 
-class PairDiagnostics(NamedTuple):
-    """Closed-form two-feature diagnostics from (r_y1, r_y2, r12).
-
-    gamma1 and gamma2 are the single-step gain ratios for each feature,
-    gamma_s2 their minimum, gamma_sr the two-feature submodularity ratio, and
-    sum_bound the ratio obtained by summing both single-step inequalities
-    (always at least gamma_s2 on feasible inputs). Ratios whose denominator
-    vanishes are reported as +inf sentinels.
-    """
-
-    r_y1: float
-    r_y2: float
-    r12: float
-    gamma1: float
-    gamma2: float
-    gamma_s2: float
-    gamma_sr: float
-    sum_bound: float
-
-
 def _conditional_gain(r_own, r_other, r12):
     """Fit gain of one feature once the other is already in the model."""
     residual = r_own - r12 * r_other
@@ -96,8 +73,12 @@ def gamma_pair_columns(
     """Closed-form pair diagnostics for arrays of correlation triples.
 
     Returns (gamma1, gamma2, gamma_s2, gamma_sr, sum_bound), one float64 array
-    each, with the meanings of PairDiagnostics. Raises InfeasibleCorrelations
-    if any triple is infeasible.
+    each: gamma1 and gamma2 are the single-step gain ratios for each feature,
+    gamma_s2 their minimum, gamma_sr the two-feature submodularity ratio, and
+    sum_bound the ratio obtained by summing both single-step inequalities
+    (always at least gamma_s2 on feasible inputs). Ratios whose denominator
+    vanishes are +inf sentinels. Raises InfeasibleCorrelations if any triple
+    is infeasible.
     """
     if not ((np.abs(r_y1) < 1.0) & (np.abs(r_y2) < 1.0) & (np.abs(r12) < 1.0)).all():
         raise InfeasibleCorrelations("correlations must lie strictly inside (-1, 1)")
@@ -124,30 +105,6 @@ def gamma_pair_columns(
     return gamma1, gamma2, gamma_s2, gamma_sr, sum_bound
 
 
-def gamma_pair(r_y1: float, r_y2: float, r12: float) -> PairDiagnostics:
-    """Evaluate the closed-form pair diagnostics for one correlation triple."""
-    columns = gamma_pair_columns(*(np.array([r], dtype=float) for r in (r_y1, r_y2, r12)))
-    # gamma_pair_columns returns its columns in PairDiagnostics' field order
-    return PairDiagnostics(r_y1, r_y2, r12, *(float(col[0]) for col in columns))
-
-
-class TrianglePoint(NamedTuple):
-    """One feasible two-feature regression problem.
-
-    theta is the angle between the features (so r12 = cos theta), tau the
-    interior angle at the first projection vertex, r2_full the joint fit, and
-    b the side length between the two projection vertices.
-    """
-
-    theta: float
-    tau: float
-    r2_full: float
-    r12: float
-    r_y1: float
-    r_y2: float
-    b: float
-
-
 def _elementwise(fn, values: np.ndarray) -> np.ndarray:
     """Apply a math-module function to every element. The platform libm gives
     the same bits in the array and the scalar paths; numpy's own ufuncs may
@@ -171,35 +128,6 @@ def _law_of_sines(
         b = np.sqrt((1.0 - r12 * r12) * r2_full)
         sides.append((b, b * sin_first / sin_theta, b * sin_second / sin_theta))
     return sides
-
-
-def triangle_solve(theta: float, tau: float, r2_full: float) -> TrianglePoint:
-    """Solve the triangle for the marginal correlations.
-
-    By the law of sines on the (origin, projection 1, projection 2) triangle,
-    the side to the second projection is b sin(tau) / sin(theta) and the side
-    to the first is b sin(theta + tau) / sin(theta), with
-    b = sqrt((1 - r12^2) r2_full).
-    """
-    if not 0.0 < theta < math.pi:
-        raise InfeasibleAngles(f"theta must lie in (0, pi), got {theta}")
-    if not 0.0 < tau < math.pi - theta:
-        raise InfeasibleAngles(f"tau must lie in (0, pi - theta), got {tau}")
-    if not 0.0 < r2_full <= 1.0:
-        raise InfeasibleAngles(f"r2_full must lie in (0, 1], got {r2_full}")
-    r12 = math.cos(theta)
-    [(b, r_y1, r_y2)] = _law_of_sines(
-        np.array([r12]), np.array([math.sin(theta)]), np.array([theta]), np.array([tau]), (r2_full,)
-    )
-    return TrianglePoint(
-        theta=theta,
-        tau=tau,
-        r2_full=r2_full,
-        r12=r12,
-        r_y1=float(r_y1[0]),
-        r_y2=float(r_y2[0]),
-        b=float(b[0]),
-    )
 
 
 def t_ratio_bound_from_gamma(gamma_sr):
@@ -269,9 +197,9 @@ def grid_evaluate(theta_steps: int, v_steps: int, r2_full: float = 0.5, theta_ro
     produced row-major, theta outer. The diagnostic ratios are evaluated at a
     fixed reference fit level, so only the geometry columns (r_y1, r_y2, b)
     depend on ``r2_full``. Every column is computed as one array, with the
-    operations of triangle_solve and gamma_pair in the same order, so each
-    value equals theirs bit for bit; cos(theta) and sin(theta) are taken once
-    per theta line.
+    operations of the one-cell closed forms in the same order, so each value
+    equals theirs bit for bit; cos(theta) and sin(theta) are taken once per
+    theta line.
     """
     check_grid(theta_steps, v_steps, r2_full)
     if theta_rows is None:
@@ -531,69 +459,6 @@ def grid_csv_text(cells: Grid, cell_range: range | None = None) -> bytes:
     for k, col in enumerate(GRID_COLUMNS):
         work.matrix[:rows, k] = cells.columns[col][lo:hi]
     return head + _csv_records(work, rows).tobytes().translate(None, b"\0")
-
-
-def point_diagnostics(point: TrianglePoint) -> PairDiagnostics:
-    """Pair diagnostics of a triangle point at the reference fit level."""
-    ref = triangle_solve(point.theta, point.tau, REFERENCE_R2)
-    return gamma_pair(ref.r_y1, ref.r_y2, ref.r12)
-
-
-class TRatioResult(NamedTuple):
-    """Observed joint-to-marginal squared-t ratio against the closed-form cap."""
-
-    lhs: float
-    bound: float
-    holds: bool
-    t_marginal_sq: tuple[float, float]
-    t_joint_sq: tuple[float, float]
-
-
-def t_ratio_empirical(point: TrianglePoint, n: int) -> TRatioResult:
-    """Realize a triangle point as data and compare t statistics to the cap.
-
-    Builds an exact-Gram sample of size n, fits each feature alone and both
-    jointly, and forms (t_j1^2 + t_j2^2) / (t_m1^2 + t_m2^2). The reported
-    bound is the scale-free cap 2 / gamma_sr - 1; the observed ratio can
-    exceed it once the joint fit is strong, because the joint model's smaller
-    residual variance inflates joint t statistics (see README notes).
-    """
-    from .regress import gram_factory, ls_fit  # the grid never loads regress
-
-    if n < 4:
-        raise ValueError("need n >= 4 for joint-fit degrees of freedom")
-    gram = np.array(
-        [
-            [1.0, point.r_y1, point.r_y2],
-            [point.r_y1, 1.0, point.r12],
-            [point.r_y2, point.r12, 1.0],
-        ]
-    )
-    design = gram_factory(gram, n)
-    tm1 = float(ls_fit(design, (0,)).t_statistics[0])
-    tm2 = float(ls_fit(design, (1,)).t_statistics[0])
-    joint = ls_fit(design, (0, 1)).t_statistics
-    tj1, tj2 = float(joint[0]), float(joint[1])
-    lhs = (tj1 * tj1 + tj2 * tj2) / (tm1 * tm1 + tm2 * tm2)
-    bound = t_ratio_bound_from_gamma(point_diagnostics(point).gamma_sr)
-    return TRatioResult(
-        lhs=lhs,
-        bound=bound,
-        holds=lhs <= bound + T_RATIO_TOL,
-        t_marginal_sq=(tm1 * tm1, tm2 * tm2),
-        t_joint_sq=(tj1 * tj1, tj2 * tj2),
-    )
-
-
-def joint_t_extremes(marginal_t: float, gamma_sr: float) -> tuple[float, float]:
-    """Largest joint t statistics compatible with the cap at a marginal level.
-
-    With both marginal t statistics at ``marginal_t``, the cap limits the sum
-    of squared joint t statistics; the first value concentrates it all on one
-    feature, the second splits it evenly.
-    """
-    total = t_ratio_bound_from_gamma(gamma_sr) * 2.0 * marginal_t * marginal_t
-    return math.sqrt(total), math.sqrt(total / 2.0)
 
 
 # ---------------------------------------------------------------------------

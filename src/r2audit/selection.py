@@ -2,25 +2,26 @@
 best subset, the greedy guarantee verdict, and (iterated) marginal-correlation
 screening.
 
-Ties always break toward the lowest feature index, then the smallest mask,
-so traces are reproducible across platforms.
+Exact floating-point ties break toward the lowest feature index, then the
+smallest mask. Values that tie in the model, such as equal population
+correlations, seldom tie once computed: rounding orders them (ROADMAP item
+13).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .bitsets import block_masks, indices_of
-from .errors import DegenerateResidual, InsufficientDof, RankDeficient, ZeroBeta
+from .errors import DegenerateResidual, InsufficientDof, RankDeficient
 from .regress import (
     DEFAULT_MAX_FEATURES,
     TABLE_PIVOT_RTOL,
     ZERO_RSS_TOL,
     StandardizedDesign,
-    _as_indices,
     _check_cap,
     _pivots,
     _sweep,
@@ -88,8 +89,8 @@ def forward_stepwise(design: StandardizedDesign, k: int, t_stop: float | None = 
     (regress._pivots at TABLE_PIVOT_RTOL) gains C_S[j, y]^2 / C_S[j, j];
     any other gains fit_block(S + j) - fit_block(S), and once one is picked
     no later model is trusted. Each step's cumulative R^2 is its model's own
-    fit_block value and its t statistic comes from ls_fit. Ties go to the
-    lowest feature index. Runs for k steps unless ``t_stop`` is set: then
+    fit_block value and its t statistic comes from ls_fit. Exact ties go to
+    the lowest feature index. Runs for k steps unless ``t_stop`` is set: then
     the run ends once no remaining feature's t statistic, with fit(S + j)
     taken as fit(S) plus j's gain, reaches the threshold in absolute value.
     The first step is always taken.
@@ -199,7 +200,8 @@ def nwf_verdict(greedy_r2: float, optimal_r2: float, is_submodular: bool) -> Nwf
 
 
 def sis_screen(design: StandardizedDesign, d: int) -> tuple[int, ...]:
-    """Top d features by absolute marginal correlation (ties by index)."""
+    """Top d features by absolute marginal correlation; exact ties go to the
+    lower index."""
     if not 1 <= d <= design.m:
         raise ValueError(f"d must lie in 1..{design.m}")
     corr = design.marginal_correlations()
@@ -251,51 +253,3 @@ def isis(design: StandardizedDesign, d_per_round: int, rounds: int) -> IsisResul
         round_logs.append(IsisRound(scores=tuple(scores), picked=picked))
         selected = tuple(sorted(selected + picked))
     return IsisResult(selected=selected, rounds=tuple(round_logs), skipped=skipped)
-
-
-class ScreeningAssumption(NamedTuple):
-    """Margins for the screening visibility condition on a known support.
-
-    ``min_beta_margin`` is min |beta_i| - c2 / n^kappa over the support and
-    ``min_visibility`` is the smallest |beta_i^-1 r_Yi|; the condition holds
-    when the former is nonnegative and the latter reaches c3.
-    """
-
-    min_beta_margin: float
-    min_visibility: float
-    holds: bool
-    visibilities: tuple[tuple[int, float], ...]
-
-
-def sis_assumption_check(
-    design: StandardizedDesign,
-    true_support: Iterable[int],
-    true_beta: Sequence[float],
-    kappa: float,
-    c2: float,
-    c3: float,
-) -> ScreeningAssumption:
-    """Check whether every true feature is marginally visible enough to screen."""
-    if not 0.0 <= kappa < 0.5:
-        raise ValueError("kappa must lie in [0, 1/2)")
-    support = _as_indices(true_support, design.m)
-    if not support:
-        raise ValueError("true support is empty")
-    beta = np.asarray(true_beta, dtype=float)
-    if beta.shape != (design.m,):
-        raise ValueError("true_beta must have one entry per feature")
-    corr = design.marginal_correlations()
-    visibilities = []
-    for i in support:
-        if beta[i] == 0.0:
-            raise ZeroBeta(i)
-        visibilities.append((i, float(abs(corr[i] / beta[i]))))
-    min_beta = min(float(abs(beta[i])) for i in support)
-    margin = min_beta - c2 / design.n**kappa
-    min_vis = min(v for _, v in visibilities)
-    return ScreeningAssumption(
-        min_beta_margin=margin,
-        min_visibility=min_vis,
-        holds=bool(margin >= 0.0 and min_vis >= c3),
-        visibilities=tuple(visibilities),
-    )

@@ -1,7 +1,6 @@
-"""Sparse minimum eigenvalues, the restricted eigenvalue over an l1 cone, and
-their ordering against the submodularity ratio. The cone is given by its
-subset and alpha, which restricted_eigenvalue checks; its heuristic search is
-set by module constants, not by arguments."""
+"""Sparse minimum eigenvalues and the restricted eigenvalue over an l1 cone.
+The cone is given by its subset and alpha, which restricted_eigenvalue
+checks; its heuristic search is set by module constants, not by arguments."""
 
 from __future__ import annotations
 
@@ -13,9 +12,7 @@ import numpy as np
 
 from . import regress
 from .bitsets import combination_blocks
-from .gamma import MODE_EXACTLY_K, submodularity_ratio
-from .regress import DEFAULT_MAX_FEATURES, StandardizedDesign, _as_indices, _check_cap
-
+from .regress import DEFAULT_MAX_FEATURES, _as_indices, _check_cap
 
 # restricted_eigenvalue's outer candidates (the S block's eigenvector, then
 # random directions), the seed of their stream, and each inner descent's
@@ -24,10 +21,6 @@ RESTARTS = 8
 SEED = 0
 ITERATIONS = 2000
 TOLERANCE = 1e-10
-
-# gamma_vs_spectral's ordering holds when the ratio reaches the eigenvalue
-# less this
-ORDERING_TOL = 1e-9
 
 
 def _check_alpha(alpha: float) -> None:
@@ -178,24 +171,3 @@ def restricted_eigenvalue(sigma_hat: np.ndarray, subset: Iterable[int], alpha: f
             best_beta[idx_s] = beta_s
             best_beta[idx_c] = z
     return RestrictedEigenResult(value=best_value, certificate=best_beta)
-
-
-class GammaSpectralComparison(NamedTuple):
-    gamma_sr: float
-    lambda_min: float
-    holds: bool
-
-
-def gamma_vs_spectral(design: StandardizedDesign, subset: Iterable[int], k: int) -> GammaSpectralComparison:
-    """Check the ordering: submodularity ratio at (S, k) dominates the sparse
-    minimum eigenvalue at size |S| + k, both under the default enumeration
-    cap."""
-    base = tuple(subset)
-    ratio = submodularity_ratio(design, k, base=base, mode=MODE_EXACTLY_K)
-    size = min(len(set(base)) + k, design.m)
-    lam = sparse_min_eigenvalue(design.correlation_matrix(), size)
-    return GammaSpectralComparison(
-        gamma_sr=ratio.gamma_sr,
-        lambda_min=lam.value,
-        holds=ratio.gamma_sr >= lam.value - ORDERING_TOL,
-    )

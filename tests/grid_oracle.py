@@ -5,13 +5,18 @@ pair diagnostics in closed form on Python floats, the grid as a list of
 GridCell rows, CSV rows formatted attribute by attribute, and SVG rects
 colored cell by cell. The package evaluates the grid as numpy columns; the
 differential tests require the two to agree bit for bit and byte for byte.
+The scalar forms and their records are also the tests' way to read one
+two-feature problem.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from r2audit.errors import InfeasibleAngles, InfeasibleCorrelations
+import numpy as np
+
+from r2audit.errors import InfeasibleCorrelations
 from r2audit.geometry2d import (
     _BAND_STEPS,
     _DEFAULT_BAND,
@@ -19,18 +24,49 @@ from r2audit.geometry2d import (
     GRID_COLUMNS,
     REFERENCE_R2,
     GridCell,
-    PairDiagnostics,
-    TrianglePoint,
+    gamma_pair_columns,
 )
 
 
+class PairDiagnostics(NamedTuple):
+    """Closed-form two-feature diagnostics from (r_y1, r_y2, r12), with the
+    meanings of geometry2d.gamma_pair_columns' columns."""
+
+    r_y1: float
+    r_y2: float
+    r12: float
+    gamma1: float
+    gamma2: float
+    gamma_s2: float
+    gamma_sr: float
+    sum_bound: float
+
+
+class TrianglePoint(NamedTuple):
+    """One feasible two-feature regression problem.
+
+    theta is the angle between the features (so r12 = cos theta), tau the
+    interior angle at the first projection vertex, r2_full the joint fit, and
+    b the side length between the two projection vertices.
+    """
+
+    theta: float
+    tau: float
+    r2_full: float
+    r12: float
+    r_y1: float
+    r_y2: float
+    b: float
+
+
 def triangle_solve(theta, tau, r2_full):
-    if not 0.0 < theta < math.pi:
-        raise InfeasibleAngles(f"theta must lie in (0, pi), got {theta}")
-    if not 0.0 < tau < math.pi - theta:
-        raise InfeasibleAngles(f"tau must lie in (0, pi - theta), got {tau}")
-    if not 0.0 < r2_full <= 1.0:
-        raise InfeasibleAngles(f"r2_full must lie in (0, 1], got {r2_full}")
+    """Solve the triangle of feasible angles for the marginal correlations.
+
+    By the law of sines on the (origin, projection 1, projection 2) triangle,
+    the side to the second projection is b sin(tau) / sin(theta) and the side
+    to the first is b sin(theta + tau) / sin(theta), with
+    b = sqrt((1 - r12^2) r2_full).
+    """
     r12 = math.cos(theta)
     b = math.sqrt((1.0 - r12 * r12) * r2_full)
     sin_theta = math.sin(theta)
@@ -45,6 +81,7 @@ def _conditional_gain(r_own, r_other, r12):
 
 
 def gamma_pair(r_y1, r_y2, r12):
+    """The closed-form pair diagnostics of one correlation triple."""
     if not (abs(r_y1) < 1.0 and abs(r_y2) < 1.0 and abs(r12) < 1.0):
         raise InfeasibleCorrelations("correlations must lie strictly inside (-1, 1)")
     det = 1.0 - r12 * r12
@@ -72,6 +109,20 @@ def gamma_pair(r_y1, r_y2, r12):
     )
 
 
+def pair_columns(r_y1, r_y2, r12):
+    """The package's geometry2d.gamma_pair_columns on one correlation triple,
+    as a PairDiagnostics record: how the tests read the package's closed
+    forms for one problem."""
+    columns = gamma_pair_columns(*(np.array([r], dtype=float) for r in (r_y1, r_y2, r12)))
+    return PairDiagnostics(r_y1, r_y2, r12, *(float(col[0]) for col in columns))
+
+
+def point_diagnostics(point):
+    """Pair diagnostics of a triangle point at the reference fit level."""
+    ref = triangle_solve(point.theta, point.tau, REFERENCE_R2)
+    return gamma_pair(ref.r_y1, ref.r_y2, ref.r12)
+
+
 def grid_evaluate(theta_steps, v_steps, r2_full=0.5):
     if theta_steps < 2 or v_steps < 2:
         raise ValueError("need at least 2 steps per axis")
@@ -86,8 +137,7 @@ def grid_evaluate(theta_steps, v_steps, r2_full=0.5):
             if not 0.0 < tau < math.pi - theta:
                 continue
             point = triangle_solve(theta, tau, r2_full)
-            ref = triangle_solve(theta, tau, REFERENCE_R2)
-            diag = gamma_pair(ref.r_y1, ref.r_y2, ref.r12)
+            diag = point_diagnostics(point)
             cells.append(
                 GridCell(
                     theta=point.theta,

@@ -16,26 +16,22 @@ from r2audit import (
     empirical_gamma_s2,
     fit_table,
     forward_stepwise,
-    gamma_pair,
-    gamma_vs_spectral,
     gram_factory,
     grid_evaluate,
-    joint_t_extremes,
     miller_table,
     nwf_verdict,
     partial_correlation,
     r_squared,
-    sis_assumption_check,
     sparse_min_eigenvalue,
     standardize,
     submodularity_ratio,
     suppressor_population,
-    t_ratio_empirical,
-    triangle_solve,
 )
 from r2audit.cli import main
-from r2audit.geometry2d import point_diagnostics
 from conftest import make_noisy_design
+from grid_oracle import gamma_pair, point_diagnostics, triangle_solve
+from population_checks import gamma_vs_spectral, sis_assumption_check
+from t_ratio import joint_t_extremes, t_ratio_empirical
 from walk_lists import whole_lists
 
 

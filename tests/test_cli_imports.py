@@ -61,24 +61,37 @@ def test_command_loads_none_of_the_others_modules(small_csv, tmp_path, command, 
     assert not loaded & forbidden, loaded & forbidden
 
 
+def _imports(path: Path) -> set[str]:
+    """The last dotted part of every module and name a source file imports,
+    at its top or in a function."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        names.update(module.rsplit(".", 1)[-1] for module in modules)
+    return names
+
+
 def test_only_the_cli_loads_the_output_encoding():
     """jsonsafe is the one module that knows the output encoding, and cli,
     which writes every output, is the one module that loads it (through its
     library table): no module in src/ imports it, at its top or in a
     function."""
-    importers = set()
-    for path in sorted((ROOT / "src" / "r2audit").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                modules = [node.module or "", *(alias.name for alias in node.names)]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            if any(module.rsplit(".", 1)[-1] == "jsonsafe" for module in modules):
-                importers.add(path.name)
+    importers = {path.name for path in (ROOT / "src" / "r2audit").glob("*.py") if "jsonsafe" in _imports(path)}
     assert importers == set()
     assert "jsonsafe" in cli._LIBRARY
+
+
+def test_the_geometry_imports_nothing_from_the_fit_layer():
+    """No grid path can load regress: geometry2d imports neither the module
+    nor a name from it, at its top or in a function."""
+    imports = _imports(ROOT / "src" / "r2audit" / "geometry2d.py")
+    assert {"numpy", "errors"} <= imports
+    assert "regress" not in imports
 
 
 def test_the_library_table_binds_only_names_a_command_reads():

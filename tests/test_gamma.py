@@ -6,11 +6,11 @@ import pytest
 from r2audit import (
     empirical_gamma_s2,
     fit_table,
-    gamma_pair,
     submodularity_ratio,
 )
 from r2audit.errors import EmptyCandidateSet, InfeasibleCorrelations
 from conftest import make_noisy_design, make_orthogonal_design, make_pair_design
+from grid_oracle import pair_columns
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +91,20 @@ def test_ratio_base_is_a_set():
 
 
 # ---------------------------------------------------------------------------
-# gamma_pair closed forms
+# the two-feature closed forms, on one-element columns
 # ---------------------------------------------------------------------------
 
 
 def test_pair_orthogonal_features_are_modular():
     for r1, r2 in [(0.3, 0.6), (0.1, 0.1), (0.7, 0.2)]:
-        diag = gamma_pair(r1, r2, 0.0)
+        diag = pair_columns(r1, r2, 0.0)
         assert diag.gamma1 == 1.0
         assert diag.gamma2 == 1.0
         assert abs(diag.gamma_sr - 1.0) < 1e-12
 
 
 def test_pair_symmetric_instance():
-    diag = gamma_pair(0.5, 0.5, 0.5)
+    diag = pair_columns(0.5, 0.5, 0.5)
     assert abs(diag.gamma1 - 3.0) < 1e-12
     assert abs(diag.gamma2 - 3.0) < 1e-12
     assert diag.gamma_s2 == min(diag.gamma1, diag.gamma2)
@@ -119,7 +119,7 @@ def test_pair_sign_rule():
         r1, r2 = rng.uniform(0.05, 0.6, 2)
         r12 = -rng.uniform(0.05, 0.8)
         try:
-            diag = gamma_pair(r1, r2, r12)
+            diag = pair_columns(r1, r2, r12)
         except InfeasibleCorrelations:
             continue
         assert diag.gamma_s2 < 1.0
@@ -131,8 +131,8 @@ def test_pair_exchange_symmetry_is_exact():
         r1, r2 = rng.uniform(-0.6, 0.6, 2)
         r12 = rng.uniform(-0.7, 0.7)
         try:
-            a = gamma_pair(r1, r2, r12)
-            b = gamma_pair(r2, r1, r12)
+            a = pair_columns(r1, r2, r12)
+            b = pair_columns(r2, r1, r12)
         except InfeasibleCorrelations:
             continue
         assert a.gamma1 == b.gamma2
@@ -145,7 +145,7 @@ def test_pair_gamma_sr_formula_reproducible():
         r1, r2 = rng.uniform(-0.5, 0.5, 2)
         r12 = rng.uniform(-0.6, 0.6)
         try:
-            diag = gamma_pair(r1, r2, r12)
+            diag = pair_columns(r1, r2, r12)
         except InfeasibleCorrelations:
             continue
         expected = (r1**2 + r2**2) * (1 - r12**2) / (r1**2 - 2 * r1 * r2 * r12 + r2**2)
@@ -154,14 +154,14 @@ def test_pair_gamma_sr_formula_reproducible():
 
 def test_pair_infeasible_rejected():
     with pytest.raises(InfeasibleCorrelations):
-        gamma_pair(0.9, 0.9, -0.5)
+        pair_columns(0.9, 0.9, -0.5)
     with pytest.raises(InfeasibleCorrelations):
-        gamma_pair(1.0, 0.2, 0.1)
+        pair_columns(1.0, 0.2, 0.1)
 
 
 def test_pair_degenerate_denominator_sentinel():
     # r_y1 exactly equal to r12 * r_y2 makes the conditional gain vanish.
-    diag = gamma_pair(0.25, 0.5, 0.5)
+    diag = pair_columns(0.25, 0.5, 0.5)
     assert math.isinf(diag.gamma1)
     assert math.isfinite(diag.gamma2)
 
@@ -191,7 +191,7 @@ def _feasible_triples(count, seed):
 
 def test_pair_matches_empirical_on_realizations():
     for r1, r2, r12 in _feasible_triples(40, seed=7):
-        diag = gamma_pair(r1, r2, r12)
+        diag = pair_columns(r1, r2, r12)
         d = make_pair_design(r1, r2, r12, n=8)
         est = empirical_gamma_s2(fit_table(d))
         assert abs(diag.gamma_s2 - est.gamma_s2) < 1e-8
@@ -201,13 +201,13 @@ def test_gamma_sr_dominates_gamma_s2_when_small():
     # Wherever the single-step constant is at most 1, the ratio form is at
     # least as large.
     for r1, r2, r12 in _feasible_triples(60, seed=19):
-        diag = gamma_pair(r1, r2, r12)
+        diag = pair_columns(r1, r2, r12)
         if diag.gamma_s2 <= 1.0:
             assert diag.gamma_sr >= diag.gamma_s2 - 1e-10
 
 
 def test_sum_bound_dominates_gamma_s2():
     for r1, r2, r12 in _feasible_triples(60, seed=43):
-        diag = gamma_pair(r1, r2, r12)
+        diag = pair_columns(r1, r2, r12)
         if math.isfinite(diag.sum_bound) and math.isfinite(diag.gamma_s2):
             assert diag.sum_bound >= diag.gamma_s2 - 1e-10

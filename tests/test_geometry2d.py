@@ -3,24 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from r2audit import (
-    grid_evaluate,
-    joint_t_extremes,
-    t_ratio_empirical,
-    triangle_solve,
-)
-from r2audit.errors import InfeasibleAngles
+from r2audit import grid_evaluate
 from r2audit.geometry2d import (
     GRID_COLUMNS,
     grid_csv_text,
-    point_diagnostics,
     svg_heatmap,
     t_ratio_bound_from_gamma,
 )
+from grid_oracle import point_diagnostics, triangle_solve
+from t_ratio import joint_t_extremes, t_ratio_empirical
 
 
 # ---------------------------------------------------------------------------
-# triangle_solve
+# triangle_solve (the grid oracle's; the grid's columns equal it bit for bit)
 # ---------------------------------------------------------------------------
 
 
@@ -54,18 +49,17 @@ def test_triangle_law_of_cosines():
 
 
 def test_triangle_feasibility_boundary():
-    with pytest.raises(InfeasibleAngles):
-        triangle_solve(0.0, 0.5, 0.5)
-    with pytest.raises(InfeasibleAngles):
-        triangle_solve(1.0, math.pi - 1.0, 0.5)
-    with pytest.raises(InfeasibleAngles):
-        triangle_solve(1.0, 0.0, 0.5)
-    with pytest.raises(InfeasibleAngles):
-        triangle_solve(1.0, 0.5, 0.0)
-    with pytest.raises(InfeasibleAngles):
-        triangle_solve(1.0, 0.5, 1.1)
-    # interior point is fine
-    triangle_solve(1.0, 0.5, 1.0)
+    # The grid keeps a cell only strictly inside the feasible angles. At
+    # theta = pi/2 a 4-step v axis puts tau at exactly 0, pi/4 and
+    # pi/2 = pi - theta, and only pi/4 stays.
+    grid = grid_evaluate(2, 4, 0.5)
+    assert grid.columns["theta"].tolist() == [math.pi / 2]
+    assert grid.columns["tau"].tolist() == [math.pi / 4]
+    for r2_full in (0.0, 1.1, math.nan):
+        with pytest.raises(ValueError, match=r"r2_full must lie in \(0, 1\]"):
+            grid_evaluate(2, 4, r2_full)
+    # the whole fit is a feasible level
+    assert len(grid_evaluate(2, 4, 1.0)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,20 @@ import numpy as np
 import pytest
 
 import grid_oracle as oracle
-from r2audit import cli, gamma_pair, geometry2d, grid_evaluate, triangle_solve
+from r2audit import cli, geometry2d, grid_evaluate
 from r2audit.cli import SVG_FIELDS
-from r2audit.errors import InfeasibleAngles, InfeasibleCorrelations
-from r2audit.geometry2d import GRID_COLUMNS, Grid, _band_indices, _palette, grid_csv_text, svg_heatmap
+from r2audit.errors import InfeasibleCorrelations
+from r2audit.geometry2d import (
+    GRID_COLUMNS,
+    REFERENCE_R2,
+    Grid,
+    _band_indices,
+    _law_of_sines,
+    _palette,
+    gamma_pair_columns,
+    grid_csv_text,
+    svg_heatmap,
+)
 
 CASES = [
     (steps, r2_full)
@@ -99,33 +109,29 @@ def test_render_rejects_cells_outside_the_block():
     assert grid_csv_text(grid, range(4, 4)) == b""
 
 
-def test_scalar_wrappers_match_oracle():
+def _columns_of(*values):
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
+def test_one_element_columns_match_oracle():
+    """The grid's two column kernels on one cell: the triangle's sides at
+    two fit levels, and the pair diagnostics at the reference level."""
     rng = np.random.default_rng(17)
     for _ in range(300):
         theta = float(rng.uniform(1e-3, math.pi - 1e-3))
         tau = float(rng.uniform(0.0, math.pi - theta))
         r2_full = float(rng.uniform(1e-3, 1.0))
-        point = triangle_solve(theta, tau, r2_full)
-        assert point == oracle.triangle_solve(theta, tau, r2_full)
-        assert all(type(getattr(point, f)) is float for f in ("r12", "r_y1", "r_y2", "b"))
-        diag = gamma_pair(point.r_y1, point.r_y2, point.r12)
-        assert diag == oracle.gamma_pair(point.r_y1, point.r_y2, point.r12)
+        point = oracle.triangle_solve(theta, tau, r2_full)
+        ref = oracle.triangle_solve(theta, tau, REFERENCE_R2)
+        sides = _law_of_sines(*_columns_of(point.r12, math.sin(theta), theta, tau), (r2_full, REFERENCE_R2))
+        assert [[float(col[0]) for col in level] for level in sides] == [
+            [point.b, point.r_y1, point.r_y2], [ref.b, ref.r_y1, ref.r_y2]
+        ]
+        assert oracle.pair_columns(ref.r_y1, ref.r_y2, ref.r12) == oracle.point_diagnostics(point)
     # Exact zero denominators give the +inf sentinels on both paths: one
     # conditional gain, then both gains and the joint fit.
     for triple in ((0.25, 0.5, 0.5), (0.0, 0.0, 0.3)):
-        assert gamma_pair(*triple) == oracle.gamma_pair(*triple)
-
-
-@pytest.mark.parametrize(
-    "args",
-    [(0.0, 0.5, 0.5), (1.0, math.pi - 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 0.5, 1.1), (1.0, 0.5, math.nan)],
-)
-def test_triangle_errors_match_oracle(args):
-    with pytest.raises(InfeasibleAngles) as ours:
-        triangle_solve(*args)
-    with pytest.raises(InfeasibleAngles) as theirs:
-        oracle.triangle_solve(*args)
-    assert str(ours.value) == str(theirs.value)
+        assert oracle.pair_columns(*triple) == oracle.gamma_pair(*triple)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +139,7 @@ def test_triangle_errors_match_oracle(args):
 )
 def test_pair_errors_match_oracle(args):
     with pytest.raises(InfeasibleCorrelations) as ours:
-        gamma_pair(*args)
+        gamma_pair_columns(*_columns_of(*args))
     with pytest.raises(InfeasibleCorrelations) as theirs:
         oracle.gamma_pair(*args)
     assert str(ours.value) == str(theirs.value)

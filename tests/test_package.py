@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import r2audit
+from r2audit import cli
+from r2audit.errors import AuditError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -100,6 +102,104 @@ def test_readme_lists_every_public_name_with_its_use(fresh):
         assert module == fresh._MODULE_OF[name], name
         # reached from a command, named first, or library-only with a reason
         assert re.fullmatch(r"command: `(audit|grid|select|gen)\b.*|library-only: \w.*", use), (name, use)
+
+
+# Tiny runs of each command: every option the table's rows name, each
+# --algo and each generator. Then one refused run per command; a refusal
+# that raises an AuditError reaches AuditError, which has no constructor of
+# its own to see called.
+RUNS = {
+    "audit": [["audit", "{csv}", "--response", "Y", "--k", "2", "--alpha", "3",
+               "--certificates", "{tmp}/certs.jsonl", "--out", "{tmp}/report.json"]],
+    "select": [["select", "{csv}", "--response", "Y", "--algo", "stepwise", "--k", "2", "--out", "{tmp}/s.jsonl"],
+               ["select", "{csv}", "--response", "Y", "--algo", "best", "--k", "2", "--out", "{tmp}/s.jsonl"],
+               ["select", "{csv}", "--response", "Y", "--algo", "sis", "--d", "2", "--out", "{tmp}/s.jsonl"],
+               ["select", "{csv}", "--response", "Y", "--algo", "isis", "--d", "1", "--rounds", "2",
+                "--out", "{tmp}/s.jsonl"]],
+    "grid": [["grid", "--theta-steps", "4", "--v-steps", "4", "--svg", "{tmp}/svg", "--out", "{tmp}/grid.csv"]],
+    "gen": [["gen", "miller", "--out", "{tmp}/gen.csv"],
+            ["gen", "suppressor", "--p", "3", "--out", "{tmp}/gen.csv"],
+            ["gen", "gaussian", "--n", "10", "--m", "3", "--out", "{tmp}/gen.csv"]],
+}
+REFUSED = {
+    "audit": ["audit", "{flat}", "--response", "Y", "--out", "{tmp}/report.json"],
+    "select": ["select", "{flat}", "--response", "Y", "--algo", "best", "--out", "{tmp}/s.jsonl"],
+    "grid": ["grid", "--theta-steps", "1", "--out", "{tmp}/grid.csv"],
+    "gen": ["gen", "suppressor", "--p", "3", "--n", "3", "--out", "{tmp}/gen.csv"],
+}
+
+
+def _export_codes() -> dict:
+    """Exported name of the code of each exported function and of each
+    exported class's own __new__ and __init__."""
+    codes = {}
+    for name in r2audit.__all__:
+        value = getattr(r2audit, name)
+        if isinstance(value, type):
+            functions = [vars(value)[attr] for attr in ("__new__", "__init__") if attr in vars(value)]
+        else:
+            functions = [value]
+        for function in functions:
+            codes[getattr(function, "__func__", function).__code__] = name
+    return codes
+
+
+def _reached(argv: list[str], codes: dict) -> tuple[int, set[str]]:
+    """The exit code of one in-process run of the CLI, and the exported
+    names the run calls or constructs, with AuditError if it handles one."""
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            reached.add(codes[frame.f_code])
+        if isinstance(sys.exc_info()[1], AuditError):
+            reached.add("AuditError")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(previous)
+    return code, reached
+
+
+def test_each_command_reaches_the_names_readme_gives_it(tmp_path, capsys):
+    csv, flat = tmp_path / "g.csv", tmp_path / "flat.csv"
+    assert cli.main(["gen", "gaussian", "--n", "12", "--m", "4", "--seed", "3", "--out", str(csv)]) == 0
+    flat.write_text("Y,X1,X2\n1,1,2\n2,1,3\n3,1,5\n4,1,4\n", encoding="utf-8")  # X1 is constant
+    codes = _export_codes()
+    # every exported class but AuditError has a constructor of its own
+    assert set(codes.values()) == set(r2audit.__all__) - {"AuditError"}
+
+    def fill(argv):
+        return [arg.format(csv=csv, flat=flat, tmp=tmp_path) for arg in argv]
+
+    by_command = {}
+    for command, runs in RUNS.items():
+        by_command[command] = set()
+        for argv in runs:
+            code, reached = _reached(fill(argv), codes)
+            assert code == 0, argv
+            by_command[command] |= reached
+        code, reached = _reached(fill(REFUSED[command]), codes)
+        assert code == 1 and "error: " in capsys.readouterr().err, command
+        by_command[command] |= reached
+    for name, (_, use) in _readme_public_names().items():
+        if use.startswith("library-only:"):
+            assert not any(name in reached for reached in by_command.values()), name
+            continue
+        commands = set(re.findall(r"`(audit|grid|select|gen)\b[^`]*`", use.split(";", 1)[0]))
+        assert commands, (name, use)
+        for command in commands:
+            assert name in by_command[command], (name, command)
+
+
+def test_version_matches_the_project_metadata():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE) == [r2audit.__version__]
 
 
 def test_every_top_level_definition_in_src_is_exported_or_used():

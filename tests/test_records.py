@@ -1,6 +1,7 @@
 """The result records are NamedTuples, and the two classes with construction
 logic or a cache are plain read-only classes: their fields, order, defaults,
-validation, repr and immutability."""
+validation, repr and immutability. The records of the tests' oracles and
+checks are held to the same shape."""
 
 import json
 import math
@@ -11,7 +12,8 @@ import pytest
 from r2audit import Grid, StandardizedDesign, cli, grid_evaluate, standardize
 from r2audit.datasets import write_csv
 from r2audit.gamma import RatioResult
-from r2audit.geometry2d import GridCell, PairDiagnostics, TrianglePoint, TRatioResult
+from r2audit.geometry2d import GridCell
+from grid_oracle import PairDiagnostics, TrianglePoint
 from r2audit.regress import LeastSquaresFit
 from row_oracle import standardized_rows
 from r2audit.selection import (
@@ -20,13 +22,14 @@ from r2audit.selection import (
     IsisResult,
     IsisRound,
     NwfResult,
-    ScreeningAssumption,
     SelectionStep,
     SelectionTrace,
 )
 from r2audit.setfun import GammaS2Result, GammaSResult, SecondOrderSummary
 from setfun_oracle import ViolationCertificate
-from r2audit.spectral import GammaSpectralComparison, RestrictedEigenResult, SparseEigenResult
+from r2audit.spectral import RestrictedEigenResult, SparseEigenResult
+from population_checks import GammaSpectralComparison, ScreeningAssumption
+from t_ratio import TRatioResult
 
 # (class, every field in order with a sample value, the defaults)
 RECORDS = [

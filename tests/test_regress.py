@@ -10,7 +10,6 @@ from r2audit import (
     partial_correlation,
     r_squared,
     restricted_eigenvalue,
-    sis_assumption_check,
     standardize,
     suppressor_population,
 )
@@ -28,6 +27,7 @@ from r2audit.regress import gram_rows
 import row_oracle as oracle
 from row_oracle import standardized_rows
 from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_rows
+from population_checks import sis_assumption_check
 
 
 # ---------------------------------------------------------------------------

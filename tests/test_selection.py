@@ -11,7 +11,6 @@ from r2audit import (
     isis,
     nwf_verdict,
     r_squared,
-    sis_assumption_check,
     sis_screen,
     standardize,
     suppressor_population,
@@ -19,10 +18,11 @@ from r2audit import (
 from r2audit import cli, regress
 from r2audit.bitsets import block_masks, indices_of
 from r2audit.regress import sweep_walk
-from r2audit.errors import TooManyFeatures, ZeroBeta
+from r2audit.errors import TooManyFeatures
 from r2audit.selection import BestSubsetResult
 from conftest import make_noisy_design, make_orthogonal_design
 import selection_oracle
+from population_checks import ZeroBeta, sis_assumption_check
 from setfun_oracle import mask_of
 from walk_lists import whole_lists
 

@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r2audit import (
-    gamma_vs_spectral,
     restricted_eigenvalue,
     sparse_min_eigenvalue,
 )
 from r2audit import regress
 from r2audit.errors import TooManyFeatures
 from conftest import make_noisy_design, make_noisy_rows, make_orthogonal_design, make_pair_design
+from population_checks import gamma_vs_spectral
 
 
 def cone_membership_gap(beta, subset, alpha):
