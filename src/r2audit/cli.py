@@ -11,6 +11,10 @@ count, its top 10 certificates, and its counts by conditioning-set size and
 by feature pair. ``audit --certificates PATH`` writes both whole lists to
 PATH as JSON lines, second-order first, then suppression, each in the order
 of setfun's pair walk, which hands them over a chunk at a time.
+
+Every command writes bytes through ``_outputs``, to files or standard
+output. A grid worker's span and the stream's suppression list go into
+unlinked temporary parts, appended to the outputs in order on a normal exit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import tempfile
 import warnings
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -92,36 +96,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _output(out_path: str | None) -> Iterator[TextIO]:
-    """Standard output, or the file at out_path opened for UTF-8 text with LF
-    endings and closed on exit."""
-    if out_path is None:
-        yield sys.stdout
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-
-
-@contextmanager
-def _byte_output(out_path: str | None) -> Iterator[BinaryIO]:
-    """For ASCII bytes: the file at out_path, closed on exit, or standard
-    output's byte layer, its text layer flushed first; one with no byte
-    layer, as io.StringIO, takes them decoded once, on a normal exit."""
-    if out_path is not None:
-        with open(out_path, "wb") as fh:
-            yield fh
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        yield sys.stdout.buffer
-    else:
-        fh = io.BytesIO()
-        yield fh
-        sys.stdout.write(fh.getvalue().decode("ascii"))
-
-
-def _write_text(out_path: str | None, text: str) -> None:
-    with _output(out_path) as fh:
-        fh.write(text)
+def _outputs(paths: list[str | None], count: int = 1) -> Iterator[list[list[BinaryIO]]]:
+    """A run's byte outputs in ``count`` ordered parts, each file closed on
+    every path. Part 0 is the outputs: the file at each path, or for None
+    standard output's byte layer, its text layer flushed first. Each later
+    part is an unlinked temporary file per output, beside it, or in the
+    default temporary directory where that takes no new file (as /dev). On a
+    normal exit the later parts are appended to the outputs in order; a
+    standard output with no byte layer, as io.StringIO, then takes its bytes
+    decoded once."""
+    with ExitStack() as stack:
+        held = io.BytesIO()  # standard output's bytes, where it has no byte layer
+        outputs: list[BinaryIO] = []
+        for path in paths:
+            if path is None:
+                sys.stdout.flush()
+                outputs.append(getattr(sys.stdout, "buffer", held))
+            else:
+                outputs.append(stack.enter_context(open(path, "wb")))
+        parts = [outputs]
+        for _ in range(1, count):
+            part = []
+            for path in paths:
+                try:
+                    temp = tempfile.TemporaryFile(dir=None if path is None else Path(path).parent)
+                except OSError:
+                    temp = tempfile.TemporaryFile()
+                part.append(stack.enter_context(temp))
+            parts.append(part)
+        yield parts
+        for part in parts[1:]:
+            for temp, out in zip(part, outputs):
+                temp.seek(0)  # flushes what the part holds
+                shutil.copyfileobj(temp, out)
+        if held in outputs:
+            sys.stdout.write(held.getvalue().decode())
 
 
 def _same_file(path: str, other: str) -> bool:
@@ -151,7 +160,7 @@ def _check_run(args) -> None:
     other = {"audit": "certificates", "grid": "svg"}.get(args.command)
     if args.out is None or other is None or getattr(args, other) is None:
         return
-    paths = [os.path.join(args.svg, f"{field}.svg") for field in SVG_FIELDS] if other == "svg" else [args.certificates]
+    paths = _heatmap_paths(args.svg) if other == "svg" else [args.certificates]
     for path in paths:
         if _same_file(args.out, path):
             raise ValueError(f"--out and --{other} both write {path}")
@@ -346,26 +355,22 @@ def _certificate_texts(
 def _certificate_stream(path: str | None, names) -> Iterator[Callable | None]:
     """None without a path; otherwise a sink for setfun._second_order_summary
     that writes each chunk of rows it is handed, STREAM_CHUNK rows at a time:
-    second-order rows into the file at ``path``, suppression rows into an
-    unlinked part beside it, appended to the file on a normal exit. Both
-    share one cache of rendered sets."""
+    second-order rows into the file at ``path``, suppression rows into part
+    1 of its _outputs, appended to the file on a normal exit. Both share one
+    cache of rendered sets."""
     if path is None:
         yield None
         return
     sets: dict[int, str] = {}
-    with open(path, "wb") as stream, _part(Path(path).parent) as part:
+    with _outputs([path], count=2) as parts:
 
-        def write(out: BinaryIO, certs: Certificates) -> None:
-            for lo in range(0, len(certs), STREAM_CHUNK):
-                texts = _certificate_texts(certs, names, sets, slice(lo, lo + STREAM_CHUNK))
-                out.write("".join(text + "\n" for text in texts).encode("ascii"))
-
-        def sink(second: Certificates, suppression: Certificates) -> None:
-            write(stream, second)
-            write(part, suppression)
+        def sink(*lists: Certificates) -> None:
+            for certs, [out] in zip(lists, parts):
+                for lo in range(0, len(certs), STREAM_CHUNK):
+                    texts = _certificate_texts(certs, names, sets, slice(lo, lo + STREAM_CHUNK))
+                    out.write("".join(text + "\n" for text in texts).encode("ascii"))
 
         yield sink
-        _append_part(part, stream)
 
 
 def _cmd_audit(args) -> int:
@@ -375,7 +380,8 @@ def _cmd_audit(args) -> int:
         design, str(args.csv), args.response, args.k, args.max_enum,
         mode=args.mode, alpha=args.alpha, certificates=args.certificates,
     )
-    _write_text(args.out, report_text(report))
+    with _outputs([args.out]) as [[out]]:
+        out.write(report_text(report).encode())
     return code
 
 
@@ -390,6 +396,11 @@ def _cmd_audit(args) -> int:
 GRID_BLOCK_CELLS = 4096
 GRID_CHUNK_CELLS = 512
 SVG_FIELDS = ("gamma1", "gamma2", "gamma_s2", "sum_bound", "gamma_sr", "t_ratio_bound")
+
+
+def _heatmap_paths(svg: str | None) -> list[str]:
+    """The grid's heatmap file of each of SVG_FIELDS in the --svg directory."""
+    return [] if svg is None else [os.path.join(svg, f"{field}.svg") for field in SVG_FIELDS]
 
 
 def _usable_cores() -> int:
@@ -427,22 +438,6 @@ def _render_grid(args, span: list[range], outputs: list[BinaryIO]) -> None:
         del block  # freed before the next block is evaluated
 
 
-def _part(directory: Path | None) -> BinaryIO:
-    """An unlinked temporary byte file in ``directory``, or in the default
-    temporary directory where that takes no new file (as /dev, for a user
-    who writes to /dev/null or /dev/stdout)."""
-    try:
-        return tempfile.TemporaryFile("w+b", dir=directory)
-    except OSError:
-        return tempfile.TemporaryFile("w+b")
-
-
-def _append_part(part: BinaryIO, out: BinaryIO) -> None:
-    """Append a whole part to a byte output; the seek flushes the part."""
-    part.seek(0)
-    shutil.copyfileobj(part, out)
-
-
 def _fork_grid_worker(args, span: list[range], parts: list[BinaryIO]) -> int:
     """Fork a process that renders the span into the parts and leaves only
     through os._exit; return its pid."""
@@ -476,36 +471,25 @@ def _cmd_grid(args) -> int:
     # The heatmap directory is made before --out is opened, so a --svg that
     # cannot be one leaves the file at --out as it was.
     if args.svg is not None:
-        svg_dir = Path(args.svg)
-        svg_dir.mkdir(parents=True, exist_ok=True)
-    # One worker per span after the first renders it into unlinked temporary
-    # parts beside the outputs; this process renders span 0 straight into the
-    # outputs, then appends each worker's parts in span order. The workers
-    # are forked before any byte is written, so none can flush one.
-    with _byte_output(args.out) as fh, ExitStack() as stack:
-        outputs, part_dirs = [fh], [None if args.out is None else Path(args.out).parent]
-        if args.svg is not None:
-            for field in SVG_FIELDS:
-                outputs.append(stack.enter_context(open(svg_dir / f"{field}.svg", "wb")))
-                part_dirs.append(svg_dir)
-        # (pid, span, parts) of each worker not yet reaped, reaped on every path
-        workers: list[tuple[int, list[range], list[BinaryIO]]] = []
-        stack.callback(lambda: [os.waitpid(pid, 0) for pid, _, _ in workers])
-        for span in spans[1:]:
-            parts = [stack.enter_context(_part(d)) for d in part_dirs]
-            workers.append((_fork_grid_worker(args, span, parts), span, parts))
-        _render_grid(args, spans[0], outputs)
-        while workers:
-            pid, span, parts = workers[0]
-            status = os.waitpid(pid, 0)[1]
-            del workers[0]
+        Path(args.svg).mkdir(parents=True, exist_ok=True)
+    # This process renders span 0 straight into the outputs; a worker forked
+    # for each later span renders it into that span's part, which the writer
+    # appends in span order once every worker has exited 0. The workers are
+    # forked before any byte is written, so none can flush one.
+    with _outputs([args.out, *_heatmap_paths(args.svg)], len(spans)) as parts:
+        pids: list[int] = []
+        try:
+            for span, part in zip(spans[1:], parts[1:]):
+                pids.append(_fork_grid_worker(args, span, part))
+            _render_grid(args, spans[0], parts[0])
+        finally:  # every worker forked is reaped, on every path
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        for span, status in zip(spans[1:], statuses):
             if status:
                 raise ChildProcessError(
                     f"grid worker for theta lines {span[0].start}..{span[-1].stop - 1} "
                     f"exited with status {os.waitstatus_to_exitcode(status)}"
                 )
-            for part, out in zip(parts, outputs):
-                _append_part(part, out)
     return 0
 
 
@@ -536,7 +520,8 @@ def _cmd_select(args) -> int:
             for number, rnd in enumerate(result.rounds, start=1)
         ]
         records.append({"selected": _names(result.selected, names), "skipped": result.skipped})
-    _write_text(args.out, "".join(json_line(record) + "\n" for record in records))
+    with _outputs([args.out]) as [[out]]:
+        out.write("".join(json_line(record) + "\n" for record in records).encode())
     return 0
 
 
@@ -574,8 +559,8 @@ def _cmd_gen(args) -> int:
             args.n, args.m, beta=beta, sigma_noise=args.sigma_noise, seed=args.seed
         )
         names = None
-    with _output(args.out) as fh:
-        datasets.write_csv(fh, X, y, names)
+    with _outputs([args.out]) as [[out]]:
+        datasets.write_csv(out, X, y, names)
     return 0
 
 

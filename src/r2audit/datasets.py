@@ -112,16 +112,17 @@ def write_csv(
     names: Sequence[str] | None = None,
     response_name: str = "Y",
 ) -> None:
-    """Write a design to CSV (response first column, LF endings, full precision)."""
+    """Write a design as UTF-8 CSV bytes, a row at a time, to a path or a
+    binary file (response first column, LF endings, full precision)."""
     X = np.asarray(features, dtype=float)
     y = np.asarray(response, dtype=float)
     cols = tuple(names) if names is not None else default_names(X.shape[1])
     own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    fh = open(out, "w", encoding="utf-8", newline="\n") if own else out
+    fh = open(out, "wb") if own else out
     try:
-        fh.write(",".join((response_name,) + tuple(cols)) + "\n")
+        fh.write((",".join((response_name,) + tuple(cols)) + "\n").encode())
         for target, row in zip(y.tolist(), X):
-            fh.write(",".join(map(repr, [target] + row.tolist())) + "\n")
+            fh.write((",".join(map(repr, [target] + row.tolist())) + "\n").encode())
     finally:
         if own:
             fh.close()

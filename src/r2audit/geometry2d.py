@@ -156,7 +156,7 @@ class Grid:
         object.__setattr__(self, "theta_rows", theta_rows)
         # Built by the first render call that needs them and shared by the
         # rest: the CSV kernel's work arrays; the rect template of every
-        # cell, by (theta_steps, v_steps, cell_px); and the six hex digits
+        # cell, by (theta_steps, v_steps); and the six hex digits
         # of every cell's fill color, by field.
         object.__setattr__(self, "_csv_work", None)
         object.__setattr__(self, "_svg_templates", {})
@@ -467,6 +467,8 @@ def grid_csv_text(cells: Grid, cell_range: range | None = None) -> bytes:
 
 _BAND_STEPS = {"t_ratio_bound": (0.5, 10.0)}
 _DEFAULT_BAND = (0.2, 2.0)
+# Each cell's side in a heatmap, in pixels.
+_CELL_PX = 6
 
 
 def _band_indices(values: np.ndarray, step: float, top: float) -> np.ndarray:
@@ -500,7 +502,7 @@ _FILL_DIGITS = {
 _FILL_AT = np.arange(-9, -3)
 
 
-def _svg_template(cells: Grid, theta_steps: int, v_steps: int, cell_px: int) -> tuple[np.ndarray, np.ndarray]:
+def _svg_template(cells: Grid, theta_steps: int, v_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """A block's rects as one writable byte array, whose fill digits each
     heatmap writes over, and each rect's offset in it, then the end. A run
     of cells on one theta line and consecutive rows (bottom to top) shares
@@ -513,12 +515,12 @@ def _svg_template(cells: Grid, theta_steps: int, v_steps: int, cell_px: int) -> 
     top = int(rows.max())
     # ys[k] is the end of a rect on row top - k.
     ys = [
-        b'%d" width="%d" height="%d" fill="#000000"/>' % (row * cell_px, cell_px, cell_px)
+        b'%d" width="%d" height="%d" fill="#000000"/>' % (row * _CELL_PX, _CELL_PX, _CELL_PX)
         for row in range(top, int(rows.min()) - 1, -1)
     ]
     texts = []
     for col, row, size in zip(cols[heads].tolist(), rows[heads].tolist(), np.diff(heads, append=cols.size).tolist()):
-        x = b'\n<rect x="%d" y="' % (col * cell_px)
+        x = b'\n<rect x="%d" y="' % (col * _CELL_PX)
         texts += (x, x.join(ys[top - row : top - row + size]))
     text = np.frombuffer(bytearray().join(texts), np.uint8)
     return text, np.concatenate(([0], np.flatnonzero(text == ord(">")) + 1))  # a rect's one ">" ends it
@@ -529,7 +531,6 @@ def svg_heatmap(
     fields: Sequence[str],
     theta_steps: int,
     v_steps: int,
-    cell_px: int = 6,
     cell_range: range | None = None,
 ) -> list[bytes]:
     """Banded heatmaps of diagnostic columns over the feasible region, one
@@ -542,21 +543,21 @@ def svg_heatmap(
     first cell of the grid opens the document, its last closes it (a grid
     with no cell in its last block closes it there), and the parts of
     consecutive ranges and blocks join into the whole grid's document. The
-    fields share the block's one rect template (per cell size): each writes
+    fields share the block's one rect template: each writes
     its cells' fill digits into it and copies the range out.
     """
     for field in fields:
         if field not in GRID_COLUMNS:
             raise ValueError(f"unknown field {field!r}")
     lo, hi = _cell_bounds(cells, cell_range)
-    key = (theta_steps, v_steps, cell_px)
+    key = (theta_steps, v_steps)
     template = cells._svg_templates.get(key)
     if template is None:
-        template = cells._svg_templates[key] = _svg_template(cells, theta_steps, v_steps, cell_px)
+        template = cells._svg_templates[key] = _svg_template(cells, theta_steps, v_steps)
     head = tail = b""
     if cells.theta_rows.start == 0 and lo == 0:
-        width = (theta_steps - 1) * cell_px
-        height = (v_steps - 1) * cell_px
+        width = (theta_steps - 1) * _CELL_PX
+        height = (v_steps - 1) * _CELL_PX
         head = (
             b'<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">\n'
             b'<rect width="%d" height="%d" fill="#f0f0f0"/>' % (width, height, width, height, width, height)

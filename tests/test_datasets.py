@@ -105,9 +105,9 @@ def test_gaussian_noiseless_single_cause():
 
 def csv_text(features, response, names=None, response_name="Y") -> str:
     """Render a design as CSV text, as write_csv writes it."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_csv(buf, features, response, names, response_name)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 def test_gaussian_seed_determinism():

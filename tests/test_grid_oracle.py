@@ -88,7 +88,7 @@ def test_grid_matches_oracle(steps, r2_full):
     # cell and more, with empty ranges between them.
     ranges = _blocks_of(len(grid), (1, 0, 3, 0, 512))
     assert b"".join(grid_csv_text(grid, cells) for cells in ranges) == text
-    parts = [svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps, 6, cells) for cells in ranges]
+    parts = [svg_heatmap(grid, SVG_FIELDS, theta_steps, v_steps, cell_range=cells) for cells in ranges]
     assert [b"".join(doc) for doc in zip(*parts)] == docs
 
 
@@ -105,7 +105,7 @@ def test_render_rejects_cells_outside_the_block():
         with pytest.raises(ValueError):
             grid_csv_text(grid, cells)
         with pytest.raises(ValueError):
-            svg_heatmap(grid, ["gamma1"], 12, 12, 6, cells)
+            svg_heatmap(grid, ["gamma1"], 12, 12, cell_range=cells)
     assert grid_csv_text(grid, range(4, 4)) == b""
 
 
@@ -287,22 +287,80 @@ def test_cli_grid_parts_append_to_any_stdout(monkeypatch, stdout):
     assert data == ("\n".join(oracle.grid_csv_lines(oracle.grid_evaluate(53, 5, 0.5))) + "\n").encode("ascii")
 
 
-def test_cli_grid_parts_fall_back_to_the_temp_dir(tmp_path, monkeypatch, capsys):
-    """Where the output's directory takes no new file, the workers' parts go
-    to the default temporary directory, and the outputs stay the same."""
+def _failing_sink(monkeypatch):
+    """Make the pair walk's second call of its certificate sink fail."""
+    walk = cli._second_order_summary
+
+    def summary(table, tolerance, sink):
+        calls = []
+
+        def failing(*lists):
+            calls.append(lists)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            sink(*lists)
+
+        return walk(table, tolerance, failing)
+
+    monkeypatch.setattr(cli, "_second_order_summary", summary)
+
+
+@pytest.mark.parametrize("user", ["grid", "certificates"])
+def test_cli_parts_fall_back_to_the_temp_dir(tmp_path, tmp_path_factory, monkeypatch, capsys, user):
+    """Where the outputs' directory takes no new file, the writer's parts go
+    to the default temporary directory: the outputs stay the same, and no
+    file is left beside them, after a normal run or one that fails partway:
+    the grid in this process after the fork, the certificate stream in the
+    pair walk."""
     made = tempfile.TemporaryFile
+    fell_back = []
 
     def temporary_file(*args, dir=None, **kwargs):
         if dir is not None and Path(dir) == tmp_path:
             raise PermissionError(errno.EACCES, "Permission denied", str(dir))
+        if dir is None:
+            fell_back.append(dir)
         return made(*args, dir=dir, **kwargs)
 
+    elsewhere = tmp_path_factory.mktemp("elsewhere")
+    if user == "grid":
+        monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        # the heatmaps' parts go beside them, in a directory that takes them
+        args = ["grid", "--theta-steps", "53", "--v-steps", "5", "--out", str(tmp_path / "g.csv"),
+                "--svg", str(elsewhere / "svg")]
+        expected = ("\n".join(oracle.grid_csv_lines(oracle.grid_evaluate(53, 5, 0.5))) + "\n").encode()
+        parent, heatmap = os.getpid(), geometry2d.svg_heatmap
+
+        def fail(monkeypatch):
+            def svg_heatmap(block, *args, **kwargs):
+                if os.getpid() == parent:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return heatmap(block, *args, **kwargs)
+
+            monkeypatch.setattr(geometry2d, "svg_heatmap", svg_heatmap)
+
+        name = "g.csv"
+    else:
+        csv = elsewhere / "in.csv"
+        assert cli.main(["gen", "gaussian", "--n", "40", "--m", "6", "--seed", "3", "--out", str(csv)]) == 0
+        args = ["audit", str(csv), "--response", "Y", "--out", str(elsewhere / "r.json")]
+        assert cli.main([*args, "--certificates", str(elsewhere / "c.jsonl")]) == 0
+        expected = (elsewhere / "c.jsonl").read_bytes()
+        args += ["--certificates", str(tmp_path / "c.jsonl")]
+        fail = _failing_sink
+        name = "c.jsonl"
     monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
-    monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    cells = oracle.grid_evaluate(53, 5, 0.5)
-    assert _run_grid(tmp_path, capsys, 53, 5) == (0, "")
-    assert (tmp_path / "g.csv").read_text() == "\n".join(oracle.grid_csv_lines(cells)) + "\n"
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / name).read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert len(fell_back) == 1  # one part, of one output
+    fail(monkeypatch)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_usable_cores_without_fork(monkeypatch):
@@ -313,16 +371,22 @@ def test_usable_cores_without_fork(monkeypatch):
 
 @pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")), reason="needs fork and /proc")
 @pytest.mark.parametrize(
-    "fails",
+    "fails, err",
     [
-        lambda in_parent, rows: not in_parent and rows.stop == 52,  # the last block, the last worker's
-        lambda in_parent, rows: in_parent,  # this process's first, after the fork
+        # the last block, the last worker's
+        (lambda in_parent, rows: not in_parent and rows.stop == 52,
+         "error: [Errno 28] No space left on device\n"
+         "error: grid worker for theta lines 21..51 exited with status 1\n"),
+        # this process's first, after the fork
+        (lambda in_parent, rows: in_parent, "error: [Errno 28] No space left on device\n"),
     ],
     ids=["worker", "parent"],
 )
-def test_cli_grid_failure_reaps_every_worker(tmp_path, monkeypatch, capsys, fails):
+def test_cli_grid_failure_reaps_every_worker(tmp_path, monkeypatch, capfd, fails, err):
     """A heatmap that fails in a worker's span, or in this process after the
-    fork, exits 1 with an error line and leaves no worker and no open file."""
+    fork, exits 1 and leaves no worker and no open file. What a user sees on
+    standard error is the failure's line, written by the process it failed
+    in, then for a worker the line that names its span."""
     parent = os.getpid()
     heatmap = geometry2d.svg_heatmap
 
@@ -337,8 +401,7 @@ def test_cli_grid_failure_reaps_every_worker(tmp_path, monkeypatch, capsys, fail
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     fds = len(os.listdir("/proc/self/fd"))
-    code, err = _run_grid(tmp_path, capsys, 53, 5)
-    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert _run_grid(tmp_path, capfd, 53, 5) == (1, err)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == fds
@@ -439,11 +502,12 @@ def test_svg_template_built_once_per_block(tmp_path, monkeypatch):
     assert built == blocks
 
 
-def test_svg_layout_per_cell_size():
-    """Heatmaps of one grid at two cell sizes each match the oracle."""
+def test_svg_layout_from_a_cached_template():
+    """Heatmaps of one grid match the oracle when the rect template is built
+    and when it is read back."""
     grid = grid_evaluate(12, 12, 0.5)
     cells = oracle.grid_evaluate(12, 12, 0.5)
-    for cell_px in (6, 3, 6):
-        fields = ("gamma1", "t_ratio_bound")
-        expected = [oracle.svg_heatmap(cells, field, 12, 12, cell_px).encode("ascii") for field in fields]
-        assert svg_heatmap(grid, fields, 12, 12, cell_px) == expected
+    fields = ("gamma1", "t_ratio_bound")
+    expected = [oracle.svg_heatmap(cells, field, 12, 12).encode("ascii") for field in fields]
+    for _ in range(2):
+        assert svg_heatmap(grid, fields, 12, 12) == expected
